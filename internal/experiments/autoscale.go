@@ -142,7 +142,6 @@ func runAutoscalePolicy(e Env, cm *perf.CostModel, tr *workload.Trace, policy st
 		return nil, err
 	}
 	cl := serve.DPCluster("auto-"+policy, serve.Config{CM: cm, Par: perf.Parallelism{SP: 1, TP: 1}}, initial)
-	cl.Lockstep = false // independent servers behind a balancer
 	cl.Parallelism = e.Workers
 	cl.Autoscale = &serve.AutoscaleConfig{
 		Scaler:    scaler,

@@ -62,6 +62,7 @@ func Fig15(e Env, m model.Config) (*stats.Table, error) {
 		var cl serve.Cluster
 		if a.cfg.reps > 1 {
 			cl = serve.DPCluster(a.cfg.name, cfg, a.cfg.reps)
+			cl.Lockstep = true
 		} else {
 			cl = serve.SingleEngine(a.cfg.name, cfg)
 		}
@@ -144,6 +145,7 @@ func Fig16(e Env) (*stats.Table, error) {
 		var cl serve.Cluster
 		if s.dp {
 			cl = serve.DPCluster(s.name, cfg, e.Node.NumGPUs)
+			cl.Lockstep = true
 		} else {
 			cl = serve.SingleEngine(s.name, cfg)
 		}

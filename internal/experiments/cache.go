@@ -50,7 +50,6 @@ func CacheMeasured(e Env, share float64, routers []string) ([]stats.Section, err
 
 	build := func(router serve.Router, workers int, cfg serve.Config) serve.Cluster {
 		cl := serve.DPCluster("cache", cfg, cacheFleetReplicas)
-		cl.Lockstep = false // independent servers behind a balancer
 		cl.Router = router
 		cl.Parallelism = workers
 		return cl
@@ -176,7 +175,6 @@ func SharedCacheTier(e Env, repeats []float64, latencies []time.Duration) ([]sta
 		tr := (&workload.Trace{Name: base.Name, Requests: reqs}).
 			StampPromptKeys(e.Seed, repeats[c.repeat], 64)
 		cl := serve.DPCluster("shared", dpCfg, cacheFleetReplicas)
-		cl.Lockstep = false
 		cl.Parallelism = workers
 		cl.SharedCache = &serve.SharedCacheConfig{Latency: latencies[c.latency]}
 		return cl.Run(tr)

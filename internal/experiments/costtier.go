@@ -42,19 +42,6 @@ func costTierCloud(price, budget float64) *serve.CloudConfig {
 	}
 }
 
-// fixedFleet pins an autoscale controller at exactly n replicas: the
-// cloud economics want the controller path's live views (assigned minus
-// completed) for the overflow break-even, not the plain path's
-// forever-accumulating outstanding counters.
-func fixedFleet(n int) *serve.AutoscaleConfig {
-	return &serve.AutoscaleConfig{
-		Scaler:   serve.NewQueueDepthAutoscaler(),
-		Interval: 5 * time.Second,
-		Min:      n,
-		Max:      n,
-	}
-}
-
 // costTierTrace scales the overload workload to an owned fleet of the
 // given size: steady interactive traffic at half the fleet's serving
 // rate, plus the 20-second midpoint burst multiplied by factor. Factor
@@ -153,17 +140,17 @@ func CostTiered(e Env, bursts, prices []float64, fleet int, replicaHour float64)
 		var cl serve.Cluster
 		if c.price == 0 {
 			cl = serve.DPCluster(fmt.Sprintf("own-%d", fleet), cfg, fleet)
-			cl.Autoscale = fixedFleet(fleet)
+			// The static controller gives the live-load router its
+			// completion feedback, as the cloud tier does for rent cells.
+			cl.Autoscale = &serve.AutoscaleConfig{}
 			cl.Router = serve.NewLiveLeastLoadedRouter()
 		} else {
 			cl = serve.DPCluster(fmt.Sprintf("rent-%d", fleet-1), cfg, fleet-1)
-			cl.Autoscale = fixedFleet(fleet - 1)
 			cl.Router = serve.NewCloudOverflowRouter()
 			cloud := costTierCloud(c.price, 0)
 			cloud.DollarsPerReplicaHour = replicaHour
 			cl.Cloud = cloud
 		}
-		cl.Lockstep = false
 		cl.Parallelism = workers
 		res, err := cl.Run(tr)
 		if err != nil {
@@ -243,9 +230,10 @@ func ShedSpillBuy(e Env, modes []string, price, budget float64) (*stats.Table, e
 		c := &cells[i]
 		cfg := serve.Config{CM: cm, Par: perf.Parallelism{SP: 1, TP: 1}, MaxSeqs: 16}
 		cl := serve.DPCluster("hatch-"+c.mode, cfg, 2)
-		cl.Lockstep = false
 		cl.Parallelism = workers
-		cl.Autoscale = fixedFleet(2)
+		// Every hatch runs on the static controller, so the cloudless ones
+		// route on the same live-load views as the cloud-tiered ones.
+		cl.Autoscale = &serve.AutoscaleConfig{}
 		cl.Router = serve.NewLiveLeastLoadedRouter()
 		switch c.mode {
 		case "none":

@@ -32,6 +32,17 @@ func TestCostTieredBreakEven(t *testing.T) {
 			t.Fatalf("owned cell %d served %v cloud requests", i, req)
 		}
 	}
+	// Even the rare blip pushes some overflow to the cloud, and every
+	// rent row bills real dollars: a tier that never engages would make
+	// the whole table a trivial zero column.
+	for j := 1; j < 3; j++ {
+		if req := col(t, tab.Rows[j], 4); req == 0 {
+			t.Fatalf("burst 0.1 row %d: overflow never reached the cloud", j)
+		}
+		if total := col(t, tab.Rows[j], 8); total <= 0 {
+			t.Fatalf("burst 0.1 row %d: billed %v total dollars", j, total)
+		}
+	}
 	// Rare-blip regime: renting at the commodity price wins att-per-$.
 	if ownLow, rentLow := col(t, tab.Rows[0], attPerDollar), col(t, tab.Rows[1], attPerDollar); rentLow <= ownLow {
 		t.Fatalf("burst 0.1 @ $1/Mtok: rent att/$ %.2f does not beat own %.2f — no regime where owning loses",

@@ -145,7 +145,6 @@ func runFailurePolicy(cm *perf.CostModel, tr *workload.Trace, policy string, pla
 		return nil, err
 	}
 	cl := serve.DPCluster("fail-"+policy, serve.Config{CM: cm, Par: perf.Parallelism{SP: 1, TP: 1}}, 4)
-	cl.Lockstep = false
 	cl.Parallelism = workers
 	cl.Router = serve.NewLiveLeastLoadedRouter()
 	cl.Autoscale = &serve.AutoscaleConfig{

@@ -88,7 +88,6 @@ func AdmissionControl(e Env, policies []string) (*stats.Table, error) {
 			cfg.Admission = &serve.AdmissionConfig{Policy: c.policy}
 		}
 		cl := serve.DPCluster("admit-"+c.policy, cfg, 2)
-		cl.Lockstep = false
 		cl.Parallelism = workers
 		cl.Router = serve.NewLiveLeastLoadedRouter()
 		res, err := cl.Run(tr)
@@ -205,7 +204,6 @@ func RetryStorm(e Env, modes []string, window time.Duration) (*stats.Table, erro
 			return err
 		}
 		cl := serve.DPCluster("storm-"+c.mode, serve.Config{CM: cm, Par: perf.Parallelism{SP: 1, TP: 1}}, 4)
-		cl.Lockstep = false
 		cl.Parallelism = workers
 		cl.Router = serve.NewLiveLeastLoadedRouter()
 		cl.Faults = plan

@@ -171,7 +171,6 @@ func ClusterRouting(e Env, replicaCounts []int) (*stats.Table, error) {
 				fleet: "homogeneous", n: n, router: name,
 				build: func(router serve.Router, workers int) serve.Cluster {
 					cl := serve.DPCluster(fmt.Sprintf("dp%d", n), dpCfg, n)
-					cl.Lockstep = false // independent servers behind a balancer
 					cl.Router = router
 					cl.Parallelism = workers
 					return cl

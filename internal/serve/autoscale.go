@@ -28,9 +28,10 @@ type FleetView struct {
 	Active   int
 	Warming  int
 	Draining int
-	// QueuedRequests counts routed requests not yet running (waiting in
-	// an engine queue or not yet admitted); QueuedTokens their combined
-	// input+output tokens; RunningRequests the in-flight sequences.
+	// QueuedRequests counts requests not yet running (waiting in an
+	// engine queue, not yet admitted, or parked at the balancer because
+	// nothing was routable); QueuedTokens their combined input+output
+	// tokens; RunningRequests the in-flight sequences.
 	QueuedRequests  int
 	QueuedTokens    int
 	RunningRequests int
@@ -265,7 +266,7 @@ func (ac AutoscaleConfig) validate(initial int) error {
 
 // stepUntil advances the engine to the horizon, running the exact
 // admission/schedule/price/apply loop of Run but never starting an
-// iteration at or past the horizon — so the autoscale controller can
+// iteration at or past the horizon — so the serving controller can
 // inject routed arrivals and scaling decisions at event boundaries
 // without perturbing engine behaviour (the static-baseline regression
 // test holds Cluster.Run and the autoscaled run bit-for-bit equal).
@@ -371,7 +372,7 @@ func (rep *replica) remaining() int {
 	return e.waiting.len() + len(e.running) + len(e.arrivals) - e.nextIdx
 }
 
-// fleetState is the autoscale controller's run state.
+// fleetState is one region's fleet under the serving controller.
 type fleetState struct {
 	ac           AutoscaleConfig
 	name         string
@@ -390,14 +391,12 @@ type fleetState struct {
 	draining bool
 
 	// Fault/health machinery (inert unless faultsOn; see health.go).
-	// degrades and outageUntil are consulted at spawn time; pending is
-	// the router-side queue of work with no routable replica to land
-	// on; the counters feed Result's recovery metrics.
+	// degrades and outageUntil are consulted at spawn time; the counters
+	// feed Result's recovery metrics.
 	faultsOn     bool
 	health       HealthConfig
 	degrades     []workload.Degrade
 	outageUntil  time.Duration
-	pending      []workload.Request
 	crashCount   int
 	ejections    int
 	readmissions int
@@ -407,16 +406,14 @@ type fleetState struct {
 	// legacy routing path byte-for-byte).
 	breakers *BreakerConfig
 
-	// cloud is the attached elastic backend (nil: off). fcRef points at
-	// the fault controller when one runs, so a transient cloud routing
-	// failure re-enters its retry backoff queue instead of falling back
-	// to local placement. buyStage makes spawned engines stage
-	// shed-or-buy waiters even when the tier itself lives a level up
-	// (the geo tier shares one tier across regions and drains it
-	// serially itself). lastCloudReqs is obsSample's window cursor.
+	// cloud is the controller's elastic backend (nil: off): cloud-aware
+	// replica routers may overflow to it, and spawned engines stage
+	// shed-or-buy waiters for the controller's cloud drain. sampleCloud
+	// adds the tier's columns to this fleet's obs samples (the lone region
+	// of a Cluster; a geo tier's regions share the backend, so none of
+	// them owns its series); lastCloudReqs is obsSample's window cursor.
 	cloud         *cloudTier
-	fcRef         *faultRun
-	buyStage      bool
+	sampleCloud   bool
 	lastCloudReqs int
 
 	// Observability (nil/inert unless the run sets an Observer). bal is
@@ -459,7 +456,7 @@ func (f *fleetState) spawn(cfg Config, at, cold time.Duration) error {
 	if f.obs != nil {
 		e.attachStream(f.obs.Stream(f.obsRegion, cfg.Name))
 	}
-	e.buyDivert = f.cloud != nil || f.buyStage
+	e.buyDivert = f.cloud != nil
 	// The engine's clock starts at readiness so a spawned replica cannot
 	// serve a token before its warmup elapses.
 	e.now = at + cold
@@ -637,18 +634,11 @@ func (f *fleetState) route(router Router, r workload.Request, now time.Duration)
 	}
 	if f.cloud != nil {
 		if ca, ok := router.(CloudAwareRouter); ok && ca.RouteCloud(r, views, f.cloud.view(now)) {
-			switch f.cloud.offer(r, now, "overflow") {
-			case cloudAccepted:
+			if f.cloud.offer(r, now, "overflow") {
 				return nil
-			case cloudFailed:
-				if f.fcRef != nil {
-					// Transient cloud failure under fault injection: the
-					// request re-enters the retry backoff queue like any
-					// crash-lost work.
-					return f.fcRef.resubmit([]workload.Request{r}, now)
-				}
-				// No retry machinery: fall through to local placement.
 			}
+			// Refused or transiently failed: fall through to local
+			// placement.
 		}
 	}
 	i := router.Route(r, views)
@@ -667,8 +657,10 @@ func (f *fleetState) route(router Router, r workload.Request, now time.Duration)
 }
 
 // view snapshots the fleet for the autoscaler, consuming the completion
-// window cursors.
-func (f *fleetState) view(now time.Duration) FleetView {
+// window cursors. parkedReqs/parkedTokens is the work parked at the
+// balancer on this fleet's behalf (nothing routable during an outage):
+// backlog the policy should see and scale for.
+func (f *fleetState) view(now time.Duration, parkedReqs, parkedTokens int) FleetView {
 	v := FleetView{Now: now, Interval: f.ac.Interval, ArrivedInInterval: f.arrivedInWin}
 	for _, rep := range f.replicas {
 		e := rep.engine
@@ -739,20 +731,17 @@ func (f *fleetState) view(now time.Duration) FleetView {
 			v.QueuedTokens += r.TotalTokens()
 		}
 	}
-	// Router-side pending work (nowhere routable during an outage) is
-	// backlog the policy should see and scale for.
-	v.QueuedRequests += len(f.pending)
-	for _, r := range f.pending {
-		v.QueuedTokens += r.TotalTokens()
-	}
+	v.QueuedRequests += parkedReqs
+	v.QueuedTokens += parkedTokens
 	return v
 }
 
-// evaluate runs one autoscaler decision at an evaluation boundary.
-func (f *fleetState) evaluate(now time.Duration) error {
+// evaluate runs one autoscaler decision at an evaluation boundary; the
+// parked counts are view's.
+func (f *fleetState) evaluate(now time.Duration, parkedReqs, parkedTokens int) error {
 	f.promote(now)
 	f.syncBreakers(now)
-	v := f.view(now)
+	v := f.view(now, parkedReqs, parkedTokens)
 	desired := f.ac.Scaler.Desired(v)
 	if desired < f.ac.Min {
 		desired = f.ac.Min
@@ -859,7 +848,7 @@ func (f *fleetState) obsSample(now time.Duration, desired int, v FleetView) {
 	if v.WindowOutcomes > 0 {
 		smp.ShedRate = float64(v.WindowShed) / float64(v.WindowOutcomes)
 	}
-	if f.cloud != nil {
+	if f.sampleCloud {
 		smp.CloudRequests = f.cloud.requests - f.lastCloudReqs
 		f.lastCloudReqs = f.cloud.requests
 		smp.CloudSpend = f.cloud.spend
@@ -877,39 +866,6 @@ func (f *fleetState) obsSample(now time.Duration, desired int, v FleetView) {
 	clear(f.clsReq)
 	clear(f.clsMet)
 	f.obs.Sample(smp)
-}
-
-// drainStagedCloud offers every staged shed-or-buy waiter to the
-// shared cloud tier and restores refusals to the normal shed path,
-// keeping the live-load router views honest (a staged waiter left
-// undrained would sit on its replica's live counters as phantom
-// backlog). Must run at serial controller points — right after each
-// advance barrier and once more before metrics collection.
-func (f *fleetState) drainStagedCloud() {
-	if f.cloud == nil {
-		return
-	}
-	staged := false
-	for _, rep := range f.replicas {
-		if len(rep.engine.cloudShed) > 0 {
-			staged = true
-			break
-		}
-	}
-	if !staged {
-		return
-	}
-	engines := make([]*Engine, len(f.replicas))
-	byEngine := make(map[*Engine]*replica, len(f.replicas))
-	for i, rep := range f.replicas {
-		engines[i] = rep.engine
-		byEngine[rep.engine] = rep
-	}
-	drainCloudShed(engines, f.cloud, func(e *Engine, s *seq) {
-		rep := byEngine[e]
-		rep.liveTokens -= s.req.TotalTokens()
-		rep.liveReqs--
-	})
 }
 
 // breakerOpens sums lifetime open transitions across the fleet.
@@ -1000,197 +956,4 @@ func (f *fleetState) finish(res *Result) {
 	res.FleetSamples = f.samples
 	res.ScaleUps = f.scaleUps
 	res.ScaleDowns = f.scaleDowns
-}
-
-// runAutoscaled replays the trace under the cluster's AutoscaleConfig:
-// requests are routed at arrival time over the replicas active at that
-// instant, the autoscaler is evaluated every Interval against measured
-// fleet state, spawned replicas charge the cold-start penalty before
-// accepting work, and drained replicas finish in-flight requests before
-// retiring. With the static policy (and no scaling events) the run is
-// bit-for-bit identical to the plain Cluster.Run path.
-func (c Cluster) runAutoscaled(t *workload.Trace) (*Result, error) {
-	if err := t.Validate(); err != nil {
-		return nil, err
-	}
-	if c.Lockstep {
-		// Even a one-replica lockstep cluster must error: scaling it up
-		// would silently drop the DP lockstep semantics the caller asked
-		// for (spawned replicas run on independent clocks).
-		return nil, fmt.Errorf("serve: autoscaling and fault injection require independent replicas (Lockstep=false)")
-	}
-	acfg := c.Autoscale
-	if acfg == nil {
-		// Fault injection without autoscaling runs the same controller
-		// under the static policy: a fixed fleet that can crash.
-		acfg = &AutoscaleConfig{}
-	}
-	ac := acfg.withDefaults(len(c.Configs))
-	if err := ac.validate(len(c.Configs)); err != nil {
-		return nil, err
-	}
-	if err := c.SharedCache.validate(); err != nil {
-		return nil, err
-	}
-	if err := c.Cloud.validate(); err != nil {
-		return nil, err
-	}
-	shared := newSharedTier(c.SharedCache)
-	router := c.Router
-	if router == nil {
-		router = NewLeastOutstandingRouter()
-	}
-	if r, ok := router.(resettable); ok {
-		r.reset()
-	}
-	if r, ok := ac.Scaler.(resettable); ok {
-		r.reset()
-	}
-
-	if err := c.Breakers.validate(); err != nil {
-		return nil, err
-	}
-	fleet := &fleetState{
-		ac: ac, name: c.Name, recordEvents: c.RecordEvents,
-		workers: conc.Workers(c.Parallelism), breakers: c.Breakers,
-	}
-	fleet.observe(c.Obs, "", "balancer")
-	// Track order matches the plain path: balancer, cloud, replicas.
-	fleet.cloud = newCloudTier(c.Cloud)
-	fleet.cloud.observe(c.Obs, "")
-	var fc *faultRun
-	if c.Faults != nil || c.Health != nil {
-		// Wire the fault controller before the initial spawns so degrade
-		// windows and outage darkness apply to the starting fleet too.
-		var err error
-		if fc, err = newFaultRun(fleet, router, c.Faults, c.Health); err != nil {
-			return nil, err
-		}
-		fleet.fcRef = fc
-	}
-	for _, cfg := range c.Configs {
-		// The initial fleet is pre-provisioned: ready at time zero.
-		if err := fleet.spawn(cfg, 0, 0); err != nil {
-			return nil, err
-		}
-	}
-
-	// nextEvent merges the eval clock with the fault controller's crash
-	// and probe clocks; at equal times crashes land first, then probes,
-	// then evaluations (failure, detection, reaction).
-	nextEval := ac.Interval
-	nextEvent := func() (time.Duration, int) {
-		at, kind := nextEval, evEval
-		if fc != nil {
-			if fat, fkind, ok := fc.next(); ok && (fat < at || (fat == at && fkind < kind)) {
-				at, kind = fat, fkind
-			}
-		}
-		return at, kind
-	}
-	handle := func(at time.Duration, kind int) error {
-		if kind == evEval {
-			if err := fleet.evaluate(at); err != nil {
-				return err
-			}
-			nextEval += ac.Interval
-			if fc != nil {
-				fc.reapStranded(at)
-			}
-		} else if err := fc.fire(at, kind); err != nil {
-			return err
-		}
-		if fc != nil {
-			return fc.flush(at)
-		}
-		return nil
-	}
-
-	for _, r := range t.Requests {
-		for {
-			at, kind := nextEvent()
-			if at > r.Arrival {
-				break
-			}
-			fleet.advance(at, false)
-			fleet.drainStagedCloud()
-			if err := handle(at, kind); err != nil {
-				return nil, err
-			}
-		}
-		fleet.advance(r.Arrival, false)
-		fleet.drainStagedCloud()
-		if fc != nil {
-			if err := fc.flush(r.Arrival); err != nil {
-				return nil, err
-			}
-		}
-		// The shared tier answers fresh arrivals only; crash retries
-		// re-enter routing through fc without consulting it.
-		if shared.intercept(r) {
-			fleet.bal.Event(r.Arrival, obs.EvSharedHit, r.ID, "")
-			continue
-		}
-		if fc != nil {
-			// Each fresh admission replenishes the retry budget (nil-safe
-			// no-op when no budget is configured).
-			fc.retry.noteAdmission()
-			if err := fc.place(r, r.Arrival); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		if err := fleet.route(router, r, r.Arrival); err != nil {
-			return nil, err
-		}
-	}
-	// Drain: no further arrivals; keep evaluating so the policy can shed
-	// idle replicas (and their cost) while the backlog empties. Scale-ups
-	// are suppressed in this phase (see fleetState.draining) unless a
-	// fault left pending work with zero routable replicas. Probe and
-	// crash events keep firing so down replicas still get ejected and
-	// their black-holed work still reaches a terminal outcome.
-	fleet.draining = true
-	for !fleet.allDone() || len(fleet.pending) > 0 ||
-		(fc != nil && fc.retry.pending() > 0) {
-		at, kind := nextEvent()
-		fleet.advance(at, true)
-		fleet.drainStagedCloud()
-		if fleet.allDone() && len(fleet.pending) == 0 &&
-			(fc == nil || fc.retry.pending() == 0) {
-			break
-		}
-		if err := handle(at, kind); err != nil {
-			return nil, err
-		}
-	}
-
-	// Any shed-or-buy waiters staged by the engines' final steps get
-	// their cloud offer before metrics collection, so refused waiters'
-	// shed rows exist when the engines are swept below.
-	fleet.drainStagedCloud()
-	var metrics []RequestMetrics
-	var engines []*Engine
-	for _, rep := range fleet.replicas {
-		metrics = append(metrics, rep.engine.metrics(nil)...)
-		engines = append(engines, rep.engine)
-	}
-	if fc != nil {
-		metrics = append(metrics, fc.dropped...)
-	}
-	metrics = append(metrics, shared.metricsList()...)
-	metrics = append(metrics, fleet.cloud.metricsList()...)
-	res := buildResult(c.Name, metrics, engines)
-	shared.fill(res)
-	fleet.finish(res)
-	fleet.cloud.fill(res)
-	res.ReplicaCrashes = fleet.crashCount
-	res.Ejections = fleet.ejections
-	res.Readmissions = fleet.readmissions
-	res.WorkLostTokens = fleet.workLost
-	res.BreakerOpens = fleet.breakerOpens()
-	if fc != nil {
-		res.RetryBackoffWait = fc.retry.backoffWait()
-	}
-	return res, nil
 }

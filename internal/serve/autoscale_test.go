@@ -37,7 +37,6 @@ func TestStaticAutoscalerBitForBit(t *testing.T) {
 			tr.Stamp("", 1, workload.Deadline(2*time.Second, 100*time.Millisecond))
 		}
 		fixed := DPCluster("fleet", gpu1Cfg(cm), 3)
-		fixed.Lockstep = false
 		want, err := fixed.Run(tr)
 		if err != nil {
 			t.Fatal(err)
@@ -296,7 +295,8 @@ func TestAutoscaleConfigErrors(t *testing.T) {
 	cm := llamaCM(t)
 	tr := workload.Single(128, 16)
 
-	lock := DPCluster("lock", gpu1Cfg(cm), 2) // Lockstep=true
+	lock := DPCluster("lock", gpu1Cfg(cm), 2)
+	lock.Lockstep = true
 	lock.Autoscale = &AutoscaleConfig{}
 	if _, err := lock.Run(tr); err == nil {
 		t.Fatal("lockstep + autoscale must error")

@@ -117,7 +117,6 @@ func cacheCluster(t *testing.T, routerName string, pc *PrefixCacheConfig, sc *Sh
 	cm := llamaCM(t)
 	cfg := Config{CM: cm, Par: perf.Parallelism{SP: 1, TP: 1}, PrefixCache: pc}
 	cl := DPCluster("cache", cfg, 3)
-	cl.Lockstep = false
 	cl.SharedCache = sc
 	if routerName != "" {
 		r, err := NewRouter(routerName)
@@ -229,7 +228,6 @@ func TestNilPrefixCacheKeepsCountersZero(t *testing.T) {
 	cm := llamaCM(t)
 	cfg := Config{CM: cm, Par: perf.Parallelism{SP: 1, TP: 1}, PrefixCacheHitRate: 0.6}
 	cl := DPCluster("assumed", cfg, 3)
-	cl.Lockstep = false
 	res, err := cl.Run(tr)
 	if err != nil {
 		t.Fatal(err)

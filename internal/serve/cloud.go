@@ -68,9 +68,8 @@ type CloudConfig struct {
 	// the cloud side of the ledger still fills).
 	DollarsPerReplicaHour float64
 	// FailEvery injects deterministic transient cloud failures: every
-	// Nth dispatch attempt fails (after budget and before billing). On
-	// fault-injected cluster runs the failed request re-enters the retry
-	// backoff queue; elsewhere it falls back to local serving. 0 disables.
+	// Nth dispatch attempt fails (after budget and before billing). The
+	// failed request falls back to local serving. 0 disables.
 	FailEvery int
 }
 
@@ -144,22 +143,6 @@ type CloudAwareGeoRouter interface {
 	GeoRouter
 	RouteCloud(r workload.Request, origin int, regions []RegionView, cloud CloudView) bool
 }
-
-// cloudOutcome is the result of offering one request to the tier.
-type cloudOutcome int
-
-const (
-	// cloudAccepted: the cloud serves the request; its metrics are
-	// recorded and the spend charged. The request must not be routed
-	// locally.
-	cloudAccepted cloudOutcome = iota
-	// cloudRefused: a permanent refusal (budget exhausted). The caller
-	// keeps the request on its normal local path.
-	cloudRefused
-	// cloudFailed: an injected transient failure. Fault-injected paths
-	// re-enter the retry backoff queue; others fall back to local.
-	cloudFailed
-)
 
 // cloudTier is the per-run state of a CloudConfig: the token bucket,
 // the in-flight window, the ledger, and the synthetic metrics of the
@@ -278,27 +261,29 @@ func (ct *cloudTier) admitDelay(now time.Duration, need float64) time.Duration {
 	return wait
 }
 
-// offer dispatches one request to the cloud at now. policy labels the
-// deciding mechanism in the obs event ("overflow", "shed-or-buy",
-// "geo-overflow"). On cloudAccepted the request is fully served: its
-// synthetic metrics (TTFT/Completion measured from the original
-// submission, Replica == CloudReplica) are recorded and the price
-// charged. Serial paths only; nil-safe (a nil tier refuses).
-func (ct *cloudTier) offer(r workload.Request, now time.Duration, policy string) cloudOutcome {
+// offer dispatches one request to the cloud at now, reporting whether
+// the cloud accepted it. policy labels the deciding mechanism in the obs
+// event ("overflow", "shed-or-buy", "geo-overflow"). An accepted request
+// is fully served: its synthetic metrics (TTFT/Completion measured from
+// the original submission, Replica == CloudReplica) are recorded and the
+// price charged, and the caller must not serve it locally. A budget
+// refusal or an injected transient failure leaves the request to the
+// caller's local path. Serial paths only; nil-safe (a nil tier refuses).
+func (ct *cloudTier) offer(r workload.Request, now time.Duration, policy string) bool {
 	if ct == nil {
-		return cloudRefused
+		return false
 	}
 	price := ct.cfg.PricePerMToken * float64(r.TotalTokens()) / 1e6
 	if ct.cfg.MaxSpend > 0 && ct.spend+price > ct.cfg.MaxSpend {
 		ct.throttled++
 		ct.bal.Event(now, obs.EvCloudThrottle, r.ID, "budget")
-		return cloudRefused
+		return false
 	}
 	ct.attempts++
 	if fe := ct.cfg.FailEvery; fe > 0 && ct.attempts%fe == 0 {
 		ct.throttled++
 		ct.bal.Event(now, obs.EvCloudThrottle, r.ID, "fail")
-		return cloudFailed
+		return false
 	}
 	wait := ct.admitDelay(now, float64(r.TotalTokens()))
 	if wait > 0 {
@@ -332,7 +317,7 @@ func (ct *cloudTier) offer(r workload.Request, now time.Duration, policy string)
 	}
 	ct.served = append(ct.served, m)
 	ct.bal.Event(now, obs.EvCloudRoute, r.ID, policy)
-	return cloudAccepted
+	return true
 }
 
 // metricsList returns the synthetic metrics of cloud-served requests,
@@ -345,8 +330,8 @@ func (ct *cloudTier) metricsList() []RequestMetrics {
 }
 
 // fill copies the ledger onto the result. Must run after the run's
-// ReplicaSeconds is final (after fleet.finish / buildGeoResult's
-// per-region accounting), so OwnedSpend prices the real fleet time.
+// ReplicaSeconds is final (after the controller's per-region
+// accounting), so OwnedSpend prices the real fleet time.
 func (ct *cloudTier) fill(r *Result) {
 	if ct == nil {
 		return
@@ -420,19 +405,13 @@ func (c *CloudOverflowRouter) RouteCloud(_ workload.Request, replicas []ReplicaV
 	if rate <= 0 {
 		rate = DefaultCloudPriorRate
 	}
-	load := func(v ReplicaView) int {
-		if v.Live {
-			return v.LiveTokens
-		}
-		return v.OutstandingTokens
-	}
 	minLoad := -1
 	for _, v := range replicas {
 		if v.BreakerOpen {
 			continue
 		}
-		if l := load(v); minLoad < 0 || l < minLoad {
-			minLoad = l
+		if minLoad < 0 || v.LiveTokens < minLoad {
+			minLoad = v.LiveTokens
 		}
 	}
 	if minLoad < 0 {
@@ -481,7 +460,7 @@ func drainCloudShed(engines []*Engine, ct *cloudTier, onBuy func(e *Engine, s *s
 		return all[i].s.req.ID < all[j].s.req.ID
 	})
 	for _, en := range all {
-		if ct.offer(en.s.req, en.at, "shed-or-buy") == cloudAccepted {
+		if ct.offer(en.s.req, en.at, "shed-or-buy") {
 			if onBuy != nil {
 				onBuy(en.e, en.s)
 			}

@@ -84,32 +84,35 @@ func TestCloudTierConcurrencyCap(t *testing.T) {
 func TestCloudTierBudgetAndFailEvery(t *testing.T) {
 	ct := newCloudTier(&CloudConfig{PricePerMToken: 1e6, MaxSpend: 1.5}) // $1 per token
 	r := workload.Request{InputTokens: 1, OutputTokens: 0}
-	if got := ct.offer(r, 0, "overflow"); got != cloudAccepted {
-		t.Fatalf("first offer %v, want accepted", got)
+	if !ct.offer(r, 0, "overflow") {
+		t.Fatal("first offer refused, want accepted")
 	}
-	if got := ct.offer(r, 0, "overflow"); got != cloudRefused {
-		t.Fatalf("over-budget offer %v, want refused", got)
+	if ct.offer(r, 0, "overflow") {
+		t.Fatal("over-budget offer accepted, want refused")
 	}
-	if ct.spend != 1 || ct.requests != 1 || ct.throttled != 1 {
-		t.Fatalf("ledger spend=%v requests=%d throttled=%d after refusal", ct.spend, ct.requests, ct.throttled)
+	if ct.spend != 1 || ct.requests != 1 || ct.throttled != 1 || ct.attempts != 1 {
+		t.Fatalf("ledger spend=%v requests=%d throttled=%d attempts=%d after refusal",
+			ct.spend, ct.requests, ct.throttled, ct.attempts)
 	}
 	if !ct.view(0).BudgetExhausted {
 		// $1 remaining budget but the next $1 dispatch would exceed: view
 		// only reports full exhaustion; offer still refuses.
-		if got := ct.offer(r, 0, "overflow"); got != cloudRefused {
-			t.Fatalf("offer past budget %v, want refused", got)
+		if ct.offer(r, 0, "overflow") {
+			t.Fatal("offer past budget accepted, want refused")
 		}
 	}
 
 	fe := newCloudTier(&CloudConfig{FailEvery: 2})
-	if got := fe.offer(r, 0, "overflow"); got != cloudAccepted {
-		t.Fatalf("attempt 1 %v, want accepted", got)
+	if !fe.offer(r, 0, "overflow") {
+		t.Fatal("attempt 1 refused, want accepted")
 	}
-	if got := fe.offer(r, 0, "overflow"); got != cloudFailed {
-		t.Fatalf("attempt 2 %v, want failed", got)
+	if fe.offer(r, 0, "overflow") {
+		t.Fatal("attempt 2 accepted, want failed")
 	}
-	if fe.requests != 1 || fe.throttled != 1 {
-		t.Fatalf("ledger requests=%d throttled=%d after transient failure", fe.requests, fe.throttled)
+	// A transient failure counts as an attempt; a budget refusal does not.
+	if fe.requests != 1 || fe.throttled != 1 || fe.attempts != 2 {
+		t.Fatalf("ledger requests=%d throttled=%d attempts=%d after transient failure",
+			fe.requests, fe.throttled, fe.attempts)
 	}
 }
 
@@ -185,7 +188,6 @@ func TestCloudDollarConservation(t *testing.T) {
 	cm := llamaCM(t)
 	tr := determinismTrace(t, 29)
 	cl := DPCluster("cloud-conserve", Config{CM: cm, Par: perf.Parallelism{SP: 1, TP: 1}}, 2)
-	cl.Lockstep = false
 	cl.Router = NewCloudOverflowRouter()
 	cl.Cloud = cloudCfg()
 	res, err := cl.Run(tr)
@@ -238,7 +240,6 @@ func TestCostPerMTokenLegacyPin(t *testing.T) {
 	cm := llamaCM(t)
 	tr := determinismTrace(t, 31)
 	cl := DPCluster("cost-pin", Config{CM: cm, Par: perf.Parallelism{SP: 1, TP: 1}}, 2)
-	cl.Lockstep = false
 	res, err := cl.Run(tr)
 	if err != nil {
 		t.Fatal(err)
@@ -261,7 +262,6 @@ func TestShedOrBuyDegradesAndBuys(t *testing.T) {
 			Admission: &AdmissionConfig{Policy: policy},
 		}
 		cl := DPCluster("sob", cfg, 2)
-		cl.Lockstep = false
 		cl.Router = NewLiveLeastLoadedRouter()
 		cl.Cloud = cloud
 		res, err := cl.Run(tr)
@@ -316,7 +316,6 @@ func TestCloudClusterParallelMatchesSerial(t *testing.T) {
 			Admission: &AdmissionConfig{Policy: AdmissionShedOrBuy},
 		}
 		cl := DPCluster("det-cloud", cfg, 4)
-		cl.Lockstep = false
 		cl.Parallelism = p
 		cl.Router = NewCloudOverflowRouter()
 		cl.Cloud = cloudCfg()
@@ -328,8 +327,8 @@ func TestCloudClusterParallelMatchesSerial(t *testing.T) {
 }
 
 // The hardest cluster path: autoscaling, crashes, breakers, injected
-// transient cloud failures (which re-enter the retry backoff queue),
-// and shed-or-buy, all byte-identical at every worker count.
+// transient cloud failures (which fall back to local placement), and
+// shed-or-buy, all byte-identical at every worker count.
 func TestCloudAutoscaleParallelMatchesSerial(t *testing.T) {
 	cm := llamaCM(t)
 	tr := determinismTrace(t, 43)
@@ -343,7 +342,6 @@ func TestCloudAutoscaleParallelMatchesSerial(t *testing.T) {
 			Admission: &AdmissionConfig{Policy: AdmissionShedOrBuy},
 		}
 		cl := DPCluster("det-cloud-auto", cfg, 2)
-		cl.Lockstep = false
 		cl.Parallelism = p
 		cl.Router = NewCloudOverflowRouter()
 		cl.Autoscale = &AutoscaleConfig{

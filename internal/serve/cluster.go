@@ -29,22 +29,26 @@ type Cluster struct {
 	Obs *obs.Observer
 	// Lockstep makes all replicas step together, each iteration taking
 	// the slowest replica's time — vLLM's data-parallel engine behaviour
-	// (replicas synchronize every step; idle ranks wait). Independent
-	// replicas (Lockstep=false) model a fleet of separate servers.
+	// (replicas synchronize every step; idle ranks wait), the paper's DP
+	// baseline. Independent replicas (Lockstep=false, the default) model
+	// a fleet of separate servers. Only the plain path supports it.
 	Lockstep bool
 	// Router places arriving requests on replicas. nil uses
 	// least-outstanding-tokens, the historical default.
 	Router Router
 	// Autoscale, when set, grows and shrinks the replica fleet at run
 	// time instead of serving the whole trace on the initial Configs;
-	// see AutoscaleConfig. Requires Lockstep=false.
+	// see AutoscaleConfig.
+	//
+	// Autoscale, Faults, Health, Breakers, SharedCache, and Cloud each
+	// move the run onto the serving controller (under the static policy
+	// when Autoscale is nil) and require Lockstep=false.
 	Autoscale *AutoscaleConfig
 	// Faults, when set, injects the plan's replica crashes, outages, and
 	// degrade windows into the run: crashed work re-enqueues at the
 	// router with a retry count, and the health tier (Health, or its
-	// defaults) governs ejection and readmission. Requires
-	// Lockstep=false; runs on the autoscale controller (under the static
-	// policy when Autoscale is nil).
+	// defaults) governs ejection and readmission. A Cluster has no
+	// regions: a plan entry naming one is an error.
 	Faults *workload.FaultPlan
 	// Health, when set, enables the router's health-check tier even
 	// without a fault plan; see HealthConfig.
@@ -53,20 +57,16 @@ type Cluster struct {
 	// (closed → open → half-open) fed by admission sheds, completions,
 	// and crashes; breaker-aware routers steer traffic around open
 	// replicas. Composes with — does not replace — the Health tier.
-	// Requires Lockstep=false; runs on the autoscale controller (under
-	// the static policy when Autoscale is nil).
 	Breakers *BreakerConfig
 	// SharedCache, when set, answers repeated prompts (requests sharing
 	// a PromptKey) at the balancer after the configured latency, before
-	// any engine sees them; see SharedCacheConfig. Works on both the
-	// plain and the autoscaled/fault paths.
+	// any engine sees them; see SharedCacheConfig.
 	SharedCache *SharedCacheConfig
 	// Cloud, when set, attaches the elastic pay-per-token backend (see
 	// CloudConfig): cloud-aware routers can overflow to it, the
 	// shed-or-buy admission policy offers doomed waiters to it, and the
 	// Result carries the owned-vs-rented dollar ledger. nil keeps every
-	// legacy path byte-identical. Works on both the plain and the
-	// autoscaled/fault paths.
+	// legacy path byte-identical.
 	Cloud *CloudConfig
 	// Parallelism bounds the worker pool that steps independent
 	// (non-lockstep) replicas concurrently: 0 uses GOMAXPROCS, 1 forces
@@ -79,8 +79,8 @@ type Cluster struct {
 }
 
 // DPCluster returns n data-parallel replicas of the config (each replica
-// keeps cfg.Par, usually a single GPU), stepping in lockstep like vLLM's
-// DP engine.
+// keeps cfg.Par, usually a single GPU) as independent servers behind a
+// balancer. Set Lockstep for vLLM's DP engine semantics.
 func DPCluster(name string, cfg Config, n int) Cluster {
 	configs := make([]Config, n)
 	for i := range configs {
@@ -88,7 +88,7 @@ func DPCluster(name string, cfg Config, n int) Cluster {
 		c.Name = fmt.Sprintf("%s-replica%d", name, i)
 		configs[i] = c
 	}
-	return Cluster{Name: name, Configs: configs, Lockstep: true}
+	return Cluster{Name: name, Configs: configs}
 }
 
 // SingleEngine returns a cluster with one engine.
@@ -97,39 +97,51 @@ func SingleEngine(name string, cfg Config) Cluster {
 	return Cluster{Name: name, Configs: []Config{cfg}}
 }
 
-// Run replays the trace through the cluster. Requests are routed at
-// arrival time by c.Router (nil: least-outstanding-tokens), then each
-// engine simulates independently — the engines share nothing, exactly
-// like vLLM data-parallel deployments behind a balancer. Routing is
+// Run replays the trace through the cluster. A featureless fleet takes
+// the plain path: requests are routed at arrival time by c.Router (nil:
+// least-outstanding-tokens), then each engine drains its share in one
+// Engine.Run — the engines share nothing, exactly like vLLM
+// data-parallel deployments behind a balancer. Routing is
 // deterministic: every built-in policy breaks score ties toward the
 // lowest replica index, so repeated runs assign identically. Routing is
 // orthogonal to Lockstep: with Lockstep=false each replica drains its
 // share on its own clock; with Lockstep=true the already-routed shares
 // are replayed on a shared clock where every global iteration lasts as
 // long as the slowest replica's step (vLLM DP engine semantics) — the
-// assignment itself is byte-identical in both modes. With Autoscale set
-// the fleet additionally grows and shrinks at evaluation intervals (see
-// runAutoscaled); the static policy reproduces this fixed-fleet path
+// assignment itself is byte-identical in both modes.
+//
+// Setting any of Autoscale, Faults, Health, Breakers, SharedCache, or
+// Cloud runs the cluster on the serving controller instead, as a single
+// region with no geo tier; the static policy reproduces the plain path
 // bit-for-bit.
 func (c Cluster) Run(t *workload.Trace) (*Result, error) {
-	if c.Autoscale != nil || c.Faults != nil || c.Health != nil || c.Breakers != nil {
-		return c.runAutoscaled(t)
-	}
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}
-	if err := c.SharedCache.validate(); err != nil {
-		return nil, err
+	if c.Autoscale != nil || c.Faults != nil || c.Health != nil || c.Breakers != nil ||
+		c.SharedCache != nil || c.Cloud != nil {
+		if c.Lockstep {
+			// Even a one-replica lockstep cluster must error: scaling it up
+			// would silently drop the DP lockstep semantics the caller asked
+			// for (spawned replicas run on independent clocks).
+			return nil, fmt.Errorf("serve: Autoscale, Faults, Health, Breakers, SharedCache, and Cloud require independent replicas (Lockstep=false)")
+		}
+		ctl, err := newController(Geo{
+			Name:     c.Name,
+			Topology: SingleRegion(c.Name),
+			Regions:  []Region{{Configs: c.Configs, Router: c.Router, Autoscale: c.Autoscale}},
+			Faults:   c.Faults, Health: c.Health, Breakers: c.Breakers,
+			SharedCache: c.SharedCache, Cloud: c.Cloud,
+			RecordEvents: c.RecordEvents, Obs: c.Obs, Parallelism: c.Parallelism,
+		}, false)
+		if err != nil {
+			return nil, err
+		}
+		return ctl.run(t)
 	}
-	if err := c.Cloud.validate(); err != nil {
-		return nil, err
-	}
-	// Track registration order: balancer first, then the cloud tier (if
-	// attached), then replicas in index order (all serial, so exports
-	// are worker-count independent).
+	// Track registration order: balancer first, then replicas in index
+	// order (all serial, so exports are worker-count independent).
 	bal := c.Obs.Stream("", "balancer")
-	cloud := newCloudTier(c.Cloud)
-	cloud.observe(c.Obs, "")
 	engines := make([]*Engine, len(c.Configs))
 	for i, cfg := range c.Configs {
 		e, err := NewEngine(cfg)
@@ -138,12 +150,9 @@ func (c Cluster) Run(t *workload.Trace) (*Result, error) {
 		}
 		e.setRecordIters(c.RecordEvents)
 		e.attachStream(c.Obs.Stream("", cfg.Name))
-		e.buyDivert = cloud != nil
 		engines[i] = e
 	}
-
-	shared := newSharedTier(c.SharedCache)
-	assigned, err := routeTrace(c.Router, t, c.Configs, engines, shared, cloud, bal)
+	assigned, err := routeTrace(c.Router, t, c.Configs, engines, bal)
 	if err != nil {
 		return nil, err
 	}
@@ -163,41 +172,19 @@ func (c Cluster) Run(t *workload.Trace) (*Result, error) {
 			metrics = append(metrics, share...)
 		}
 	}
-	if cloud != nil {
-		// Shed-or-buy waiters staged while the engines ran are offered
-		// to the cloud now (serial, globally ordered by shed time), then
-		// metrics are re-collected so refused waiters' shed rows appear.
-		drainCloudShed(engines, cloud, nil)
-		metrics = nil
-		for i, e := range engines {
-			metrics = append(metrics, e.metrics(assigned[i])...)
-		}
-	}
-	metrics = append(metrics, shared.metricsList()...)
-	metrics = append(metrics, cloud.metricsList()...)
-	res := buildResult(c.Name, metrics, engines)
-	shared.fill(res)
-	cloud.fill(res)
-	return res, nil
+	return buildResult(c.Name, metrics, engines), nil
 }
 
 // routeTrace assigns every request of the trace to exactly one replica
 // (conservation: the shares partition the trace), updating the router's
-// view of outstanding work after each placement. A non-nil shared tier
-// intercepts repeated prompts before they reach the router — shared-hit
-// requests are answered at the balancer and appear in no share. A
-// non-nil cloud tier is consulted next when the router is cloud-aware:
-// requests the cloud accepts appear in no share either (a refused or
-// transiently failed dispatch falls through to local routing — the
-// plain path has no retry queue).
-func routeTrace(router Router, t *workload.Trace, cfgs []Config, engines []*Engine, shared *sharedTier, cloud *cloudTier, bal *obs.Stream) ([][]workload.Request, error) {
+// view of outstanding work after each placement.
+func routeTrace(router Router, t *workload.Trace, cfgs []Config, engines []*Engine, bal *obs.Stream) ([][]workload.Request, error) {
 	if router == nil {
 		router = NewLeastOutstandingRouter()
 	}
 	if r, ok := router.(resettable); ok {
 		r.reset()
 	}
-	ca, cloudAware := router.(CloudAwareRouter)
 	views := make([]ReplicaView, len(engines))
 	for i, e := range engines {
 		views[i] = ReplicaView{
@@ -209,15 +196,6 @@ func routeTrace(router Router, t *workload.Trace, cfgs []Config, engines []*Engi
 	}
 	assigned := make([][]workload.Request, len(engines))
 	for _, r := range t.Requests {
-		if shared.intercept(r) {
-			bal.Event(r.Arrival, obs.EvSharedHit, r.ID, "")
-			continue
-		}
-		if cloud != nil && cloudAware && ca.RouteCloud(r, views, cloud.view(r.Arrival)) {
-			if cloud.offer(r, r.Arrival, "overflow") == cloudAccepted {
-				continue
-			}
-		}
 		i := router.Route(r, views)
 		if i < 0 || i >= len(engines) {
 			return nil, fmt.Errorf("serve: router %s returned replica %d of %d", router.Name(), i, len(engines))
@@ -354,8 +332,10 @@ func StandardClusters(cm *perf.CostModel, basePar perf.Parallelism, numGPUs int)
 	tpCfg := Config{CM: cm, Par: perf.Parallelism{SP: 1, TP: numGPUs}}
 	spCfg := Config{CM: cm, Par: basePar}
 	shiftCfg := Config{CM: cm, Par: basePar, Strategy: StrategyShift}
+	dp := DPCluster("DP", dpCfg, numGPUs)
+	dp.Lockstep = true
 	return map[string]Cluster{
-		"DP":    DPCluster("DP", dpCfg, numGPUs),
+		"DP":    dp,
 		"TP":    SingleEngine("TP", tpCfg),
 		"SP":    SingleEngine("SP", spCfg),
 		"Shift": SingleEngine("Shift", shiftCfg),

@@ -70,7 +70,6 @@ func TestClusterRunParallelMatchesSerial(t *testing.T) {
 	tr := determinismTrace(t, 7)
 	serial, parallel := runBoth(t, func(p int) (*Result, error) {
 		cl := DPCluster("det", Config{CM: cm, Par: perf.Parallelism{SP: 1, TP: 1}}, 4)
-		cl.Lockstep = false
 		cl.Parallelism = p
 		return cl.Run(tr)
 	})
@@ -88,7 +87,6 @@ func TestAutoscaleParallelMatchesSerial(t *testing.T) {
 	tr := determinismTrace(t, 11)
 	serial, parallel := runBoth(t, func(p int) (*Result, error) {
 		cl := DPCluster("det-auto", Config{CM: cm, Par: perf.Parallelism{SP: 1, TP: 1}}, 2)
-		cl.Lockstep = false
 		cl.Parallelism = p
 		cl.Autoscale = &AutoscaleConfig{
 			Scaler:    NewQueueDepthAutoscaler(),
@@ -176,7 +174,6 @@ func TestCachedClusterParallelMatchesSerial(t *testing.T) {
 			PrefixCache: &PrefixCacheConfig{ShareFraction: 0.5, CapacityTokens: 1 << 16},
 		}
 		cl := DPCluster("det-cache", cfg, 4)
-		cl.Lockstep = false
 		cl.Parallelism = p
 		cl.Router = NewCacheAwareRouter()
 		cl.SharedCache = &SharedCacheConfig{Latency: 20 * time.Millisecond}
@@ -199,7 +196,6 @@ func TestCachedAutoscaleParallelMatchesSerial(t *testing.T) {
 			PrefixCache: &PrefixCacheConfig{ShareFraction: 0.4},
 		}
 		cl := DPCluster("det-cache-auto", cfg, 2)
-		cl.Lockstep = false
 		cl.Parallelism = p
 		cl.Router = NewCacheAwareRouter()
 		cl.SharedCache = &SharedCacheConfig{Latency: 20 * time.Millisecond}
@@ -304,7 +300,6 @@ func TestTracedClusterParallelMatchesSerial(t *testing.T) {
 	tr := cachedDeterminismTrace(t, 7)
 	serial, parallel := runBothTraced(t, func(p int, o *obs.Observer) (*Result, error) {
 		cl := DPCluster("det-trace", Config{CM: cm, Par: perf.Parallelism{SP: 1, TP: 1}}, 4)
-		cl.Lockstep = false
 		cl.Parallelism = p
 		cl.SharedCache = &SharedCacheConfig{Latency: 20 * time.Millisecond}
 		cl.Obs = o
@@ -328,7 +323,6 @@ func TestTracedAutoscaleParallelMatchesSerial(t *testing.T) {
 	}}
 	serial, parallel := runBothTraced(t, func(p int, o *obs.Observer) (*Result, error) {
 		cl := DPCluster("det-trace-auto", Config{CM: cm, Par: perf.Parallelism{SP: 1, TP: 1}}, 2)
-		cl.Lockstep = false
 		cl.Parallelism = p
 		cl.Router = NewLiveLeastLoadedRouter()
 		cl.Autoscale = &AutoscaleConfig{

@@ -96,6 +96,7 @@ func TestLockstepUnevenFinish(t *testing.T) {
 	cm := llamaCM(t)
 	cfg := Config{CM: cm, Par: perf.Parallelism{SP: 1, TP: 1}}
 	cl := DPCluster("dp", cfg, 2)
+	cl.Lockstep = true
 	reqs := []workload.Request{
 		{ID: 0, Arrival: 0, InputTokens: 500, OutputTokens: 5},           // replica A, quick
 		{ID: 1, Arrival: 0, InputTokens: 8000, OutputTokens: 400},        // replica B, long
@@ -120,6 +121,7 @@ func TestLockstepUnevenFinish(t *testing.T) {
 func TestLockstepIdleGap(t *testing.T) {
 	cm := llamaCM(t)
 	cl := DPCluster("dp", Config{CM: cm, Par: perf.Parallelism{SP: 1, TP: 1}}, 2)
+	cl.Lockstep = true
 	reqs := []workload.Request{
 		{ID: 0, Arrival: 0, InputTokens: 500, OutputTokens: 5},
 		{ID: 1, Arrival: 10 * time.Minute, InputTokens: 500, OutputTokens: 5},

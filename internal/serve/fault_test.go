@@ -29,7 +29,6 @@ func faultTestPlan() *workload.FaultPlan {
 // scheduled times, min 2 lets scale-down churn overlap the faults).
 func faultTestCluster(cm *perf.CostModel, p, min int) Cluster {
 	cl := DPCluster("det-fault", Config{CM: cm, Par: perf.Parallelism{SP: 1, TP: 1}}, 4)
-	cl.Lockstep = false
 	cl.Parallelism = p
 	cl.Router = NewLiveLeastLoadedRouter()
 	cl.Autoscale = &AutoscaleConfig{
@@ -187,7 +186,6 @@ func TestDeadFleetDropsEverything(t *testing.T) {
 	cm := llamaCM(t)
 	tr := determinismTrace(t, 23)
 	cl := DPCluster("dead", Config{CM: cm, Par: perf.Parallelism{SP: 1, TP: 1}}, 1)
-	cl.Lockstep = false
 	cl.Autoscale = &AutoscaleConfig{
 		Scaler:   NewStaticAutoscaler(),
 		Interval: 5 * time.Second,

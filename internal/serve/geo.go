@@ -2,10 +2,8 @@ package serve
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
-	"repro/internal/conc"
 	"repro/internal/obs"
 	"repro/internal/workload"
 )
@@ -16,9 +14,10 @@ import (
 // each arriving request is first placed on a region by a GeoRouter, then
 // on a replica by that region's local Router, and finally pays the
 // origin→region round trip on top of its TTFT and completion when it was
-// served remotely. A single-region Geo with the static autoscaler
-// reproduces Cluster.Run with Autoscale bit-for-bit (regression-tested),
-// so the tier is a strict superset of the single-fleet path.
+// served remotely. Geo and the feature-bearing Cluster run on the same
+// serving controller (controller.go), so a one-region Geo under the
+// nearest router reproduces the equivalent Cluster.Run bit-for-bit
+// (regression-tested).
 
 // Topology is the named-region set and its inter-region RTT matrix.
 // RTT[i][j] is the full round trip a request arriving in region i pays
@@ -430,11 +429,12 @@ type Geo struct {
 	SharedCache *SharedCacheConfig
 	// Cloud, when set, attaches one elastic pay-per-token backend shared
 	// by every region (see CloudConfig): cloud-aware geo routers
-	// (spill-over) can buy overflow instead of spilling, the shed-or-buy
+	// (spill-over) can buy overflow instead of spilling, cloud-aware
+	// replica routers can overflow from inside a region, the shed-or-buy
 	// admission policy offers doomed waiters to it, and cloud-served
-	// requests bill to their origin region with no RTT. Transient cloud
-	// failures fall back to regional routing (the geo retry queue serves
-	// crash recovery only). nil keeps every legacy path byte-identical.
+	// requests bill to their origin region with no RTT. Refused or
+	// transiently failed dispatches fall back to regional placement. nil
+	// keeps every legacy path byte-identical.
 	Cloud *CloudConfig
 	// RecordEvents enables per-iteration event capture on every engine.
 	//
@@ -457,14 +457,13 @@ type Geo struct {
 	Parallelism int
 }
 
-// regionRun is the geo controller's per-region state: the fleet, its
+// regionRun is the controller's per-region state: the fleet, its
 // local router, its evaluation cursor, and the measured-throughput
 // estimate feeding RegionView.
 type regionRun struct {
 	name     string
 	fleet    *fleetState
 	router   Router
-	ac       AutoscaleConfig
 	nextEval time.Duration
 	// servedTokens accumulates completed input+output tokens via
 	// per-replica cursors (separate from the autoscaler's attainment
@@ -574,7 +573,7 @@ func (rr *regionRun) refreshServed() {
 func (rr *regionRun) view(now time.Duration) RegionView {
 	rr.fleet.promote(now)
 	rr.refreshServed()
-	v := RegionView{Name: rr.name, ColdStart: rr.ac.ColdStart, NextReadyIn: -1}
+	v := RegionView{Name: rr.name, ColdStart: rr.fleet.ac.ColdStart, NextReadyIn: -1}
 	for _, rep := range rr.fleet.replicas {
 		switch rep.state {
 		case replicaActive:
@@ -617,67 +616,6 @@ func (rr *regionRun) view(now time.Duration) RegionView {
 	return v
 }
 
-// geoCrashEvent is one scheduled fault bound to its target region.
-type geoCrashEvent struct {
-	ev     crashEvent
-	region int
-}
-
-// geoFaults is the geo-path fault controller: the cross-region crash
-// schedule, the shared probe clock, the retry budget, the geo-balancer
-// pending queue (work arriving while every region is dark), and the
-// drop records.
-type geoFaults struct {
-	maxRetries int
-	retry      *retrier // nil: legacy immediate retries
-	crashes    []geoCrashEvent
-	nextCrash  int
-	probeEvery time.Duration
-	nextProbe  time.Duration
-	pending    []workload.Request
-	dropped    []RequestMetrics
-	// bal is the geo balancer's obs track (nil when tracing is off).
-	bal *obs.Stream
-}
-
-// next returns the controller's earliest upcoming fault event; crashes
-// outrank probes, which outrank backoff releases, at equal times.
-func (gf *geoFaults) next() (time.Duration, int, bool) {
-	at, kind, ok := time.Duration(0), 0, false
-	if gf.nextCrash < len(gf.crashes) {
-		at, kind, ok = gf.crashes[gf.nextCrash].ev.at, evCrash, true
-	}
-	if p := gf.nextProbe; !ok || p < at {
-		at, kind, ok = p, evProbe, true
-	}
-	if r, rok := gf.retry.nextRelease(); rok && (!ok || r < at) {
-		at, kind, ok = r, evRelease, true
-	}
-	return at, kind, ok
-}
-
-// reap drops the geo pending queue when no region can ever serve it:
-// zero routable replicas everywhere and no recovery in sight. Runs in
-// the drain loop, where an undroppable queue would otherwise spin the
-// probe clock forever.
-func (gf *geoFaults) reap(runs []*regionRun) {
-	if len(gf.pending) == 0 {
-		return
-	}
-	for _, rr := range runs {
-		if rr.fleet.routableCount() > 0 || rr.fleet.canRecover() {
-			return
-		}
-	}
-	for _, r := range gf.pending {
-		gf.dropped = append(gf.dropped, crashDroppedMetrics(r, ""))
-		// Stamped at the request's last (re-)submission time — the
-		// moment it entered the pending queue it never left.
-		gf.bal.Event(r.Arrival, obs.EvDrop, r.ID, "stranded")
-	}
-	gf.pending = nil
-}
-
 // Run replays the trace through the geo tier. Each request is placed on
 // a region by the geo router (seeing live per-region fleet and backlog
 // state plus the origin's RTT row), then on a replica by that region's
@@ -692,593 +630,11 @@ func (g Geo) Run(t *workload.Trace) (*Result, error) {
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}
-	if err := g.Topology.Validate(); err != nil {
+	c, err := newController(g, true)
+	if err != nil {
 		return nil, err
 	}
-	if len(g.Regions) != len(g.Topology.Regions) {
-		return nil, fmt.Errorf("serve: %d regions for a %d-region topology",
-			len(g.Regions), len(g.Topology.Regions))
-	}
-	router := g.Router
-	if router == nil {
-		router = NewNearestRegionRouter()
-	}
-	if r, ok := router.(resettable); ok {
-		r.reset()
-	}
-	if err := g.Breakers.validate(); err != nil {
-		return nil, err
-	}
-	if err := g.SharedCache.validate(); err != nil {
-		return nil, err
-	}
-	if err := g.Cloud.validate(); err != nil {
-		return nil, err
-	}
-	shared := newSharedTier(g.SharedCache)
-	// Track registration order: the geo balancer first, then the cloud
-	// tier (if attached), then each region's balancer and replicas in
-	// topology order (all serial, so exports are worker-count
-	// independent).
-	geoBal := g.Obs.Stream("geo", "geo-balancer")
-	cloud := newCloudTier(g.Cloud)
-	cloud.observe(g.Obs, "geo")
-
-	// Fault wiring: resolve the plan's region scopes (empty names the
-	// home region, topology index 0) and build the cross-region crash
-	// schedule and shared probe clock before any fleet spawns, so
-	// degrade windows and outage darkness apply to the initial fleets.
-	faultsOn := g.Faults != nil || g.Health != nil
-	var gf *geoFaults
-	var hc HealthConfig
-	resolve := func(region string) (int, error) {
-		if region == "" {
-			return 0, nil
-		}
-		if i := g.Topology.Index(region); i >= 0 {
-			return i, nil
-		}
-		return 0, fmt.Errorf("serve: fault plan names region %q not in topology %v", region, g.Topology.Regions)
-	}
-	if faultsOn {
-		if err := g.Faults.Validate(); err != nil {
-			return nil, err
-		}
-		if g.Health != nil {
-			hc = *g.Health
-		}
-		if err := hc.validate(); err != nil {
-			return nil, err
-		}
-		hc = hc.withDefaults()
-		gf = &geoFaults{
-			maxRetries: g.Faults.Retries(),
-			probeEvery: hc.ProbeInterval,
-			nextProbe:  hc.ProbeInterval,
-			bal:        geoBal,
-		}
-		if g.Faults != nil {
-			gf.retry = newRetrier(g.Faults.Retry)
-			for _, c := range g.Faults.Crashes {
-				ri, err := resolve(c.Region)
-				if err != nil {
-					return nil, err
-				}
-				gf.crashes = append(gf.crashes, geoCrashEvent{
-					ev: crashEvent{at: c.At, restart: c.Restart, replica: c.Replica}, region: ri,
-				})
-			}
-			for _, o := range g.Faults.Outages {
-				ri, err := resolve(o.Region)
-				if err != nil {
-					return nil, err
-				}
-				gf.crashes = append(gf.crashes, geoCrashEvent{
-					ev: crashEvent{at: o.Start, restart: o.End, outage: true}, region: ri,
-				})
-			}
-			sort.SliceStable(gf.crashes, func(i, j int) bool {
-				if gf.crashes[i].ev.at != gf.crashes[j].ev.at {
-					return gf.crashes[i].ev.at < gf.crashes[j].ev.at
-				}
-				return gf.crashes[i].region < gf.crashes[j].region
-			})
-		}
-	}
-
-	runs := make([]*regionRun, len(g.Regions))
-	for i, reg := range g.Regions {
-		name := g.Topology.Regions[i]
-		if reg.Name != "" && reg.Name != name {
-			return nil, fmt.Errorf("serve: region %d named %q, topology says %q", i, reg.Name, name)
-		}
-		if len(reg.Configs) == 0 {
-			return nil, fmt.Errorf("serve: region %s has no replicas", name)
-		}
-		var ac AutoscaleConfig
-		if reg.Autoscale != nil {
-			ac = *reg.Autoscale
-		}
-		ac = ac.withDefaults(len(reg.Configs))
-		if err := ac.validate(len(reg.Configs)); err != nil {
-			return nil, fmt.Errorf("serve: region %s: %w", name, err)
-		}
-		local := reg.Router
-		if local == nil {
-			local = NewLeastOutstandingRouter()
-		}
-		if r, ok := local.(resettable); ok {
-			r.reset()
-		}
-		if r, ok := ac.Scaler.(resettable); ok {
-			r.reset()
-		}
-		fleet := &fleetState{
-			ac: ac, name: name, recordEvents: g.RecordEvents,
-			workers: conc.Workers(g.Parallelism), breakers: g.Breakers,
-			// The tier itself lives at the geo level (shared across
-			// regions, drained serially by the geo loop); buyStage makes
-			// spawned engines stage shed-or-buy waiters for it.
-			buyStage: cloud != nil,
-		}
-		fleet.observe(g.Obs, name, "balancer")
-		if faultsOn {
-			fleet.faultsOn = true
-			fleet.health = hc
-			if g.Faults != nil {
-				for _, d := range g.Faults.Degrades {
-					ri, err := resolve(d.Region)
-					if err != nil {
-						return nil, err
-					}
-					if ri == i {
-						fleet.degrades = append(fleet.degrades, d)
-					}
-				}
-			}
-		}
-		for _, cfg := range reg.Configs {
-			// Initial fleets are pre-provisioned: ready at time zero.
-			if err := fleet.spawn(cfg, 0, 0); err != nil {
-				return nil, err
-			}
-		}
-		runs[i] = &regionRun{name: name, fleet: fleet, router: local, ac: ac, nextEval: ac.Interval}
-		if g.Breakers != nil {
-			runs[i].breaker = newBreaker(*g.Breakers)
-		}
-	}
-
-	workers := conc.Workers(g.Parallelism)
-
-	// drainBuys offers every region's staged shed-or-buy waiters to the
-	// shared cloud tier, in one global (shed time, request ID) order so
-	// the outcome is independent of region stepping interleave. Must run
-	// at serial points right after each advance barrier — before any
-	// crash handling, whose clearLive would orphan the staged entries'
-	// live-load accounting — and once more before result assembly.
-	drainBuys := func() {
-		if cloud == nil {
-			return
-		}
-		staged := false
-		for _, rr := range runs {
-			for _, rep := range rr.fleet.replicas {
-				if len(rep.engine.cloudShed) > 0 {
-					staged = true
-					break
-				}
-			}
-		}
-		if !staged {
-			return
-		}
-		var engines []*Engine
-		byEngine := map[*Engine]*replica{}
-		for _, rr := range runs {
-			for _, rep := range rr.fleet.replicas {
-				engines = append(engines, rep.engine)
-				byEngine[rep.engine] = rep
-			}
-		}
-		drainCloudShed(engines, cloud, func(e *Engine, s *seq) {
-			rep := byEngine[e]
-			rep.liveTokens -= s.req.TotalTokens()
-			rep.liveReqs--
-		})
-	}
-
-	// place routes one request through the geo tier at now: regional
-	// views (with the origin's RTT row), the geo router, then the chosen
-	// region's local router. During a full multi-region outage the
-	// request parks at the geo balancer instead.
-	place := func(r workload.Request, now time.Duration) error {
-		origin, err := originOfName(g.Topology, r.Origin)
-		if err != nil {
-			return err
-		}
-		views := make([]RegionView, len(runs))
-		anyUp := false
-		for i, rr := range runs {
-			rr.syncBreaker(now)
-			views[i] = rr.view(now)
-			views[i].Index = i
-			views[i].RTT = g.Topology.RTT[origin][i]
-			views[i].BreakerOpen = !rr.breakerAllow(now)
-			if !views[i].Down {
-				anyUp = true
-			}
-		}
-		if gf != nil && !anyUp {
-			gf.pending = append(gf.pending, r)
-			return nil
-		}
-		if cloud != nil {
-			if ca, ok := router.(CloudAwareGeoRouter); ok && ca.RouteCloud(r, origin, views, cloud.view(now)) {
-				if cloud.offer(r, now, "geo-overflow") == cloudAccepted {
-					return nil
-				}
-				// Refused or transiently failed: fall through to regional
-				// placement (the geo retry queue serves crash recovery
-				// only).
-			}
-		}
-		gi := router.Route(r, origin, views)
-		if gi < 0 || gi >= len(runs) {
-			return fmt.Errorf("serve: geo router %s returned region %d of %d", router.Name(), gi, len(runs))
-		}
-		if gf != nil && runs[gi].fleet.routableCount() == 0 {
-			return fmt.Errorf("serve: geo router %s placed a request on dark region %s", router.Name(), runs[gi].name)
-		}
-		geoBal.Event(now, obs.EvRoute, r.ID, runs[gi].name)
-		return runs[gi].fleet.route(runs[gi].router, r, now)
-	}
-
-	// flush re-routes the geo pending queue in arrival order once any
-	// region is routable again.
-	flush := func(now time.Duration) error {
-		if gf == nil || len(gf.pending) == 0 {
-			return nil
-		}
-		any := false
-		for _, rr := range runs {
-			rr.fleet.promote(now)
-			if rr.fleet.routableCount() > 0 {
-				any = true
-				break
-			}
-		}
-		if !any {
-			return nil
-		}
-		pend := gf.pending
-		gf.pending = nil
-		for _, r := range pend {
-			if err := place(r, now); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	// fireFault applies the next crash or one probe sweep at now: every
-	// region first advances to the event time (crash semantics act on
-	// current state, and dislodged work may re-route anywhere), then the
-	// lost work re-submits through the geo router within its retry
-	// budget.
-	fireFault := func(now time.Duration, kind int, final bool) error {
-		conc.For(len(runs), workers, func(i int) {
-			runs[i].accrue(now)
-			runs[i].fleet.advance(now, final)
-		})
-		drainBuys()
-		var lost []workload.Request
-		switch kind {
-		case evCrash:
-			gce := gf.crashes[gf.nextCrash]
-			gf.nextCrash++
-			lost = runs[gce.region].fleet.applyCrashEvent(gce.ev, now)
-		case evProbe:
-			gf.nextProbe += gf.probeEvery
-			for _, rr := range runs {
-				lost = append(lost, rr.fleet.probeAll(now)...)
-			}
-		case evRelease:
-			// Backed-off retries whose delay elapsed re-enter geo routing.
-			for _, r := range gf.retry.takeDue(now) {
-				geoBal.Event(now, obs.EvRetry, r.ID, "")
-				if err := place(r, now); err != nil {
-					return err
-				}
-			}
-			return flush(now)
-		}
-		for _, r := range lost {
-			sub := r.SubmittedAt()
-			if r.Retries >= gf.maxRetries {
-				gf.dropped = append(gf.dropped, crashDroppedMetrics(r, ""))
-				geoBal.Event(now, obs.EvDrop, r.ID, "retry-budget")
-				continue
-			}
-			if !gf.retry.take() {
-				gf.dropped = append(gf.dropped, crashDroppedMetrics(r, ""))
-				geoBal.Event(now, obs.EvDrop, r.ID, "retry-budget-exhausted")
-				continue
-			}
-			r.Retries++
-			r.Submitted = sub
-			if d := gf.retry.delay(r.Retries); d > 0 {
-				r.Arrival = now + d
-				gf.retry.waited += d
-				gf.retry.park(r, now+d)
-				continue
-			}
-			r.Arrival = now
-			// A refugee hop: the re-placement below may land in another
-			// region (place emits the route event with the new region).
-			geoBal.Event(now, obs.EvRetry, r.ID, "")
-			if err := place(r, now); err != nil {
-				return err
-			}
-		}
-		return flush(now)
-	}
-
-	// tick runs the earliest pending controller event at or before the
-	// horizon. Per-region evaluations break time ties by region index;
-	// fault events (crash, then probe) outrank evaluations at equal
-	// times — failure, then detection, then reaction — so runs are
-	// reproducible.
-	tick := func(horizon time.Duration, final bool) (bool, error) {
-		ri := -1
-		for i, rr := range runs {
-			if final && rr.fleet.allDone() {
-				continue
-			}
-			if rr.nextEval <= horizon && (ri < 0 || rr.nextEval < runs[ri].nextEval) {
-				ri = i
-			}
-		}
-		if gf != nil {
-			if fat, fkind, ok := gf.next(); ok && fat <= horizon && (ri < 0 || fat <= runs[ri].nextEval) {
-				if err := fireFault(fat, fkind, final); err != nil {
-					return false, err
-				}
-				return true, nil
-			}
-		}
-		if ri < 0 {
-			return false, nil
-		}
-		rr := runs[ri]
-		at := rr.nextEval
-		rr.accrue(at)
-		rr.fleet.advance(at, final)
-		drainBuys()
-		if !final || !rr.fleet.allDone() {
-			if err := rr.fleet.evaluate(at); err != nil {
-				return false, err
-			}
-		}
-		rr.nextEval += rr.ac.Interval
-		if err := flush(at); err != nil {
-			return false, err
-		}
-		return true, nil
-	}
-	for _, r := range t.Requests {
-		for {
-			more, err := tick(r.Arrival, false)
-			if err != nil {
-				return nil, err
-			}
-			if !more {
-				break
-			}
-		}
-		// Regions share nothing between controller events: advance them
-		// to the arrival concurrently. Views, geo routing, and evaluation
-		// ticks stay serial and index-ordered below.
-		conc.For(len(runs), workers, func(i int) {
-			runs[i].accrue(r.Arrival)
-			runs[i].fleet.advance(r.Arrival, false)
-		})
-		drainBuys()
-		if err := flush(r.Arrival); err != nil {
-			return nil, err
-		}
-		// The shared tier answers fresh arrivals only; crash retries and
-		// outage refugees re-route through place without consulting it.
-		if shared.intercept(r) {
-			geoBal.Event(r.Arrival, obs.EvSharedHit, r.ID, "")
-			continue
-		}
-		if gf != nil {
-			// Each fresh admission replenishes the retry budget (nil-safe
-			// no-op when no budget is configured).
-			gf.retry.noteAdmission()
-		}
-		if err := place(r, r.Arrival); err != nil {
-			return nil, err
-		}
-	}
-
-	// Drain: no further arrivals anywhere; regions keep evaluating on
-	// their own clocks so policies can shed idle replicas.
-	for _, rr := range runs {
-		rr.fleet.draining = true
-	}
-	for {
-		if gf != nil {
-			gf.reap(runs)
-		}
-		done := gf == nil || (len(gf.pending) == 0 && gf.retry.pending() == 0)
-		if done {
-			for _, rr := range runs {
-				if !rr.fleet.allDone() {
-					done = false
-					break
-				}
-			}
-		}
-		if done {
-			break
-		}
-		if _, err := tick(noHorizon, true); err != nil {
-			return nil, err
-		}
-	}
-	// Waiters staged by the regions' final steps get their cloud offer
-	// before metrics collection.
-	drainBuys()
-
-	return g.buildGeoResult(runs, gf, shared, cloud)
-}
-
-// noHorizon is an unreachable event horizon: drain-phase ticks always
-// have a pending evaluation before it.
-const noHorizon = time.Duration(1<<63 - 1)
-
-// buildGeoResult collects per-engine metrics region by region, charges
-// the inter-region RTT to remotely served requests, and assembles the
-// global plus per-region accounting — including, under fault
-// injection, the crash-dropped records and recovery counters.
-func (g Geo) buildGeoResult(runs []*regionRun, gf *geoFaults, shared *sharedTier, cloud *cloudTier) (*Result, error) {
-	var metrics []RequestMetrics
-	var engines []*Engine
-	for gi, rr := range runs {
-		for _, rep := range rr.fleet.replicas {
-			ms := rep.engine.metrics(nil)
-			for k := range ms {
-				origin, err := originOfName(g.Topology, ms[k].Origin)
-				if err != nil {
-					return nil, err
-				}
-				rtt := g.Topology.RTT[origin][gi]
-				ms[k].Origin = g.Topology.Regions[origin]
-				ms[k].Region = rr.name
-				ms[k].RTT = rtt
-				if !ms[k].Rejected {
-					ms[k].TTFT += rtt
-					ms[k].Completion += rtt
-				}
-			}
-			metrics = append(metrics, ms...)
-			engines = append(engines, rep.engine)
-		}
-	}
-	if gf != nil {
-		// Crash-dropped requests never landed anywhere: bill them to
-		// their origin region (no RTT, they were rejected at the
-		// balancer).
-		for _, m := range gf.dropped {
-			origin, err := originOfName(g.Topology, m.Origin)
-			if err != nil {
-				return nil, err
-			}
-			m.Origin = g.Topology.Regions[origin]
-			m.Region = m.Origin
-			metrics = append(metrics, m)
-		}
-	}
-	// Shared-tier hits were answered at the origin region's balancer: no
-	// engine, no RTT; RegionStats bills them as served in their origin.
-	for _, m := range shared.metricsList() {
-		origin, err := originOfName(g.Topology, m.Origin)
-		if err != nil {
-			return nil, err
-		}
-		m.Origin = g.Topology.Regions[origin]
-		m.Region = m.Origin
-		metrics = append(metrics, m)
-	}
-	// Cloud-served requests left the geo tier at the origin region's
-	// balancer: like shared-tier hits, no engine and no RTT, billed to
-	// their origin.
-	for _, m := range cloud.metricsList() {
-		origin, err := originOfName(g.Topology, m.Origin)
-		if err != nil {
-			return nil, err
-		}
-		m.Origin = g.Topology.Regions[origin]
-		m.Region = m.Origin
-		metrics = append(metrics, m)
-	}
-	res := buildResult(g.Name, metrics, engines)
-	shared.fill(res)
-	for _, rr := range runs {
-		res.ReplicaCrashes += rr.fleet.crashCount
-		res.Ejections += rr.fleet.ejections
-		res.Readmissions += rr.fleet.readmissions
-		res.WorkLostTokens += rr.fleet.workLost
-		res.BreakerOpens += rr.fleet.breakerOpens()
-		if rr.breaker != nil {
-			res.BreakerOpens += rr.breaker.opens
-		}
-	}
-	if gf != nil {
-		res.RetryBackoffWait = gf.retry.backoffWait()
-	}
-
-	// Replace the fixed-fleet accounting with per-region lifetimes, all
-	// billed against the shared global makespan.
-	res.ReplicaSeconds, res.Replicas, res.FleetSamples = 0, nil, nil
-	res.RegionStats = make([]RegionStats, len(runs))
-	for gi, rr := range runs {
-		scratch := &Result{Makespan: res.Makespan}
-		rr.fleet.finish(scratch)
-		res.Replicas = append(res.Replicas, scratch.Replicas...)
-		res.FleetSamples = append(res.FleetSamples, scratch.FleetSamples...)
-		res.ReplicaSeconds += scratch.ReplicaSeconds
-		res.ScaleUps += scratch.ScaleUps
-		res.ScaleDowns += scratch.ScaleDowns
-		res.RegionStats[gi] = RegionStats{
-			Name:           rr.name,
-			ReplicaSeconds: scratch.ReplicaSeconds,
-			ScaleUps:       scratch.ScaleUps,
-			ScaleDowns:     scratch.ScaleDowns,
-			FleetSamples:   scratch.FleetSamples,
-		}
-	}
-	for _, m := range res.PerRequest {
-		o := g.Topology.Index(m.Origin)
-		s := g.Topology.Index(m.Region)
-		res.RegionStats[o].OriginRequests++
-		st := &res.RegionStats[s]
-		st.ServedRequests++
-		if m.Replica == CloudReplica {
-			tok := m.InputTokens + m.OutputTokens
-			st.CloudRequests++
-			st.CloudTokens += tok
-			st.CloudSpend += cloud.cfg.PricePerMToken * float64(tok) / 1e6
-		}
-		if o != s {
-			st.SpillIn++
-			res.RegionStats[o].SpillOut++
-		}
-		if m.Rejected {
-			st.Rejected++
-		} else {
-			st.TTFT.AddDuration(m.TTFT)
-		}
-		if m.SLO != nil {
-			if m.Rejected {
-				st.SLO.Rejected++
-			} else {
-				st.SLO.Requests++
-			}
-			if m.TTFTMet() {
-				st.SLO.TTFTMet++
-			}
-			if m.TPOTMet() {
-				st.SLO.TPOTMet++
-			}
-		}
-	}
-	// Fill after the per-region loop: ReplicaSeconds is final only once
-	// every region's lifetimes have been accrued above.
-	cloud.fill(res)
-	return res, nil
+	return c.run(t)
 }
 
 func originOfName(t Topology, name string) (int, error) {

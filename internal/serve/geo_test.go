@@ -2,9 +2,11 @@ package serve
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/perf"
 	"repro/internal/workload"
 )
 
@@ -31,77 +33,192 @@ func threeRegionTopo() Topology {
 	}
 }
 
-// TestGeoSingleRegionBitForBit is the ISSUE's regression guard: a
-// one-region Geo must reproduce the equivalent Cluster.Run with
-// Autoscale bit-for-bit — on the static fixed-fleet policy and on a
-// dynamic policy that actually scales — because the geo tier reuses the
-// same fleet controller underneath. The geo run additionally annotates
-// Origin/Region/RTT on each request; those are cleared before comparing.
+// TestGeoSingleRegionBitForBit is the regression guard of the shared
+// controller: a one-region Geo under the nearest router must reproduce
+// the equivalent Cluster.Run bit-for-bit for every controller feature —
+// the static and a scaling policy, faults with a retry policy and a
+// health tier, breakers, cloud overflow with shed-or-buy and transient
+// cloud failures, and the shared cache. The geo run additionally
+// annotates Origin/Region/RTT on each request; those are cleared before
+// comparing.
 func TestGeoSingleRegionBitForBit(t *testing.T) {
 	cm := llamaCM(t)
-	for _, policy := range []string{"static", "queue-depth"} {
-		tr := routerTrace(7, 300)
-		tr.Stamp("", 1, workload.Deadline(2*time.Second, 100*time.Millisecond))
-
-		mkAC := func() *AutoscaleConfig {
-			scaler, err := NewAutoscaler(policy)
+	crashes := []workload.ReplicaCrash{
+		{Replica: 1, At: 15 * time.Second, Restart: 25 * time.Second},
+		{Replica: 0, At: 20 * time.Second},
+	}
+	stamped := routerTrace(7, 300)
+	stamped.Stamp("", 1, workload.Deadline(2*time.Second, 100*time.Millisecond))
+	scaling := func(policy string) *AutoscaleConfig {
+		scaler, err := NewAutoscaler(policy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return &AutoscaleConfig{Scaler: scaler, Interval: 5 * time.Second, ColdStart: 10 * time.Second, Max: 8}
+	}
+	shedding := Config{CM: cm, Par: perf.Parallelism{SP: 1, TP: 1}, MaxSeqs: 16,
+		Admission: &AdmissionConfig{Policy: AdmissionDeadline}}
+	cells := []struct {
+		name  string
+		trace *workload.Trace
+		// build returns a fresh cluster: routers and autoscalers hold
+		// per-run state, so the cluster and the geo run each get their own.
+		build func() Cluster
+		// active reports that the cell's feature really fired.
+		active func(*Result) bool
+	}{
+		{"static", stamped, func() Cluster {
+			cl := DPCluster("fleet", gpu1Cfg(cm), 3)
+			cl.Autoscale = scaling("static")
+			return cl
+		}, func(r *Result) bool { return len(r.FleetSamples) > 0 }},
+		{"queue-depth", stamped, func() Cluster {
+			cl := DPCluster("fleet", gpu1Cfg(cm), 3)
+			cl.Autoscale = scaling("queue-depth")
+			return cl
+		}, func(r *Result) bool { return r.ScaleUps > 0 }},
+		{"faults-retry-health", determinismTrace(t, 11), func() Cluster {
+			cl := DPCluster("fleet", gpu1Cfg(cm), 3)
+			cl.Router = NewLiveLeastLoadedRouter()
+			cl.Autoscale = scaling("queue-depth")
+			cl.Faults = &workload.FaultPlan{Crashes: crashes, Retry: &workload.RetryPolicy{
+				BackoffBase: 500 * time.Millisecond, Jitter: 0.5, Seed: 3, BudgetRatio: 0.5,
+			}}
+			cl.Health = &HealthConfig{ProbeInterval: 2 * time.Second, FailThreshold: 2, Cooldown: 5 * time.Second}
+			return cl
+		}, func(r *Result) bool { return r.Retries > 0 && r.RetryBackoffWait > 0 && r.Ejections > 0 }},
+		{"breakers", determinismTrace(t, 13), func() Cluster {
+			cl := DPCluster("fleet", shedding, 2)
+			cl.Router = NewLiveLeastLoadedRouter()
+			cl.Faults = &workload.FaultPlan{Crashes: crashes}
+			cl.Breakers = &BreakerConfig{FailThreshold: 3, OpenFor: 4 * time.Second}
+			return cl
+		}, func(r *Result) bool { return r.BreakerOpens > 0 }},
+		{"cloud-shed-or-buy-fail-every", determinismTrace(t, 43), func() Cluster {
+			cfg := shedding
+			cfg.Admission = &AdmissionConfig{Policy: AdmissionShedOrBuy}
+			cl := DPCluster("fleet", cfg, 2)
+			cl.Router = NewCloudOverflowRouter()
+			cl.Autoscale = &AutoscaleConfig{Scaler: NewQueueDepthAutoscaler(), Interval: 5 * time.Second,
+				ColdStart: 5 * time.Second, Min: 2, Max: 6}
+			cl.Faults = &workload.FaultPlan{Crashes: crashes}
+			cloud := cloudCfg()
+			cloud.FailEvery = 7
+			cloud.MaxSpend = 2
+			cl.Cloud = cloud
+			return cl
+		}, func(r *Result) bool { return r.CloudRequests >= 7 }}, // FailEvery fired
+		{"shared-cache", cachedDeterminismTrace(t, 19), func() Cluster {
+			cfg := gpu1Cfg(cm)
+			cfg.PrefixCache = &PrefixCacheConfig{ShareFraction: 0.4}
+			cl := DPCluster("fleet", cfg, 2)
+			cl.Router = NewCacheAwareRouter()
+			cl.SharedCache = &SharedCacheConfig{Latency: 20 * time.Millisecond}
+			return cl
+		}, func(r *Result) bool { return r.SharedHits > 0 }},
+	}
+	for _, cell := range cells {
+		t.Run(cell.name, func(t *testing.T) {
+			want, err := cell.build().Run(cell.trace)
 			if err != nil {
 				t.Fatal(err)
 			}
-			return &AutoscaleConfig{Scaler: scaler, Interval: 5 * time.Second, ColdStart: 10 * time.Second, Max: 8}
-		}
-
-		cl := DPCluster("fleet", gpu1Cfg(cm), 3)
-		cl.Lockstep = false
-		cl.Autoscale = mkAC()
-		want, err := cl.Run(tr)
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		g := Geo{
-			Name:     "fleet",
-			Topology: SingleRegion("fleet"),
-			Regions:  []Region{{Configs: cl.Configs, Autoscale: mkAC()}},
-		}
-		got, err := g.Run(tr)
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		pr := make([]RequestMetrics, len(got.PerRequest))
-		copy(pr, got.PerRequest)
-		for i := range pr {
-			if pr[i].Origin != "fleet" || pr[i].Region != "fleet" || pr[i].RTT != 0 {
-				t.Fatalf("%s: single-region annotation wrong: %+v", policy, pr[i])
+			if !cell.active(want) {
+				t.Fatal("test premise broken: the cell's feature never fired")
 			}
-			pr[i].Origin, pr[i].Region = "", ""
+			cl := cell.build()
+			g := Geo{
+				Name:     cl.Name,
+				Topology: SingleRegion(cl.Name),
+				Regions:  []Region{{Configs: cl.Configs, Router: cl.Router, Autoscale: cl.Autoscale}},
+				Router:   NewNearestRegionRouter(),
+				Faults:   cl.Faults, Health: cl.Health, Breakers: cl.Breakers,
+				SharedCache: cl.SharedCache, Cloud: cl.Cloud,
+			}
+			got, err := g.Run(cell.trace)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			pr := make([]RequestMetrics, len(got.PerRequest))
+			copy(pr, got.PerRequest)
+			for i := range pr {
+				if pr[i].Origin != cl.Name || pr[i].Region != cl.Name || pr[i].RTT != 0 {
+					t.Fatalf("single-region annotation wrong: %+v", pr[i])
+				}
+			}
+			wr := make([]RequestMetrics, len(want.PerRequest))
+			copy(wr, want.PerRequest)
+			for i := range pr {
+				pr[i].Origin, pr[i].Region = "", ""
+			}
+			for i := range wr {
+				wr[i].Origin = ""
+			}
+			if !reflect.DeepEqual(pr, wr) {
+				t.Fatal("per-request metrics diverged from the cluster run")
+			}
+			if got.Makespan != want.Makespan || got.TotalTokens != want.TotalTokens ||
+				got.Rejected != want.Rejected || got.Iters != want.Iters ||
+				got.Preemptions != want.Preemptions || got.Cost != want.Cost {
+				t.Fatalf("aggregates diverged:\n got %s\nwant %s", got.Summary(), want.Summary())
+			}
+			if !reflect.DeepEqual(got.TTFT, want.TTFT) || !reflect.DeepEqual(got.Completion, want.Completion) {
+				t.Fatal("latency samples diverged")
+			}
+			if got.ReplicaSeconds != want.ReplicaSeconds ||
+				got.ScaleUps != want.ScaleUps || got.ScaleDowns != want.ScaleDowns {
+				t.Fatalf("fleet accounting diverged: %v/%d/%d vs %v/%d/%d",
+					got.ReplicaSeconds, got.ScaleUps, got.ScaleDowns,
+					want.ReplicaSeconds, want.ScaleUps, want.ScaleDowns)
+			}
+			if !reflect.DeepEqual(got.Replicas, want.Replicas) {
+				t.Fatal("replica lifetimes diverged")
+			}
+			if !reflect.DeepEqual(got.FleetSamples, want.FleetSamples) {
+				t.Fatal("fleet samples diverged")
+			}
+			if got.ReplicaCrashes != want.ReplicaCrashes || got.Ejections != want.Ejections ||
+				got.Readmissions != want.Readmissions || got.WorkLostTokens != want.WorkLostTokens ||
+				got.RetryBackoffWait != want.RetryBackoffWait {
+				t.Fatal("recovery counters diverged")
+			}
+			if got.CloudRequests != want.CloudRequests || got.CloudSpend != want.CloudSpend ||
+				got.OwnedSpend != want.OwnedSpend || got.SharedHits != want.SharedHits {
+				t.Fatal("cloud or shared-cache ledger diverged")
+			}
+			if len(got.RegionStats) != 1 || got.RegionStats[0].SpillIn != 0 || got.RegionStats[0].SpillOut != 0 {
+				t.Fatalf("single region reported spill: %+v", got.RegionStats)
+			}
+		})
+	}
+}
+
+// A Cluster has no regions, so a fault plan entry scoped to one is a
+// configuration error naming the entry and the field — not a silently
+// ignored fault.
+func TestClusterRejectsRegionScopedFaults(t *testing.T) {
+	cm := llamaCM(t)
+	plans := map[string]*workload.FaultPlan{
+		`FaultPlan.Crashes[1].Region "us-east"`: {Crashes: []workload.ReplicaCrash{
+			{Replica: 0, At: time.Second}, {Replica: 1, Region: "us-east", At: time.Second},
+		}},
+		`FaultPlan.Outages[0].Region "eu-west"`: {Outages: []workload.RegionOutage{
+			{Region: "eu-west", Start: time.Second, End: 2 * time.Second},
+		}},
+		`FaultPlan.Degrades[0].Region "ap-south"`: {Degrades: []workload.Degrade{
+			{Replica: 0, Region: "ap-south", Slowdown: 2, Start: 0, End: time.Second},
+		}},
+	}
+	for field, plan := range plans {
+		cl := DPCluster("fleet", gpu1Cfg(cm), 2)
+		cl.Faults = plan
+		_, err := cl.Run(routerTrace(7, 20))
+		if err == nil {
+			t.Fatalf("%s: region-scoped fault on a Cluster was accepted", field)
 		}
-		if !reflect.DeepEqual(pr, want.PerRequest) {
-			t.Fatalf("%s: per-request metrics diverged from the autoscaled cluster run", policy)
-		}
-		if got.Makespan != want.Makespan || got.TotalTokens != want.TotalTokens ||
-			got.Rejected != want.Rejected || got.Iters != want.Iters ||
-			got.Preemptions != want.Preemptions || got.Cost != want.Cost {
-			t.Fatalf("%s: aggregates diverged:\n got %s\nwant %s", policy, got.Summary(), want.Summary())
-		}
-		if !reflect.DeepEqual(got.TTFT, want.TTFT) || !reflect.DeepEqual(got.Completion, want.Completion) {
-			t.Fatalf("%s: latency samples diverged", policy)
-		}
-		if got.ReplicaSeconds != want.ReplicaSeconds ||
-			got.ScaleUps != want.ScaleUps || got.ScaleDowns != want.ScaleDowns {
-			t.Fatalf("%s: fleet accounting diverged: %v/%d/%d vs %v/%d/%d", policy,
-				got.ReplicaSeconds, got.ScaleUps, got.ScaleDowns,
-				want.ReplicaSeconds, want.ScaleUps, want.ScaleDowns)
-		}
-		if !reflect.DeepEqual(got.Replicas, want.Replicas) {
-			t.Fatalf("%s: replica lifetimes diverged", policy)
-		}
-		if !reflect.DeepEqual(got.FleetSamples, want.FleetSamples) {
-			t.Fatalf("%s: fleet samples diverged", policy)
-		}
-		if len(got.RegionStats) != 1 || got.RegionStats[0].SpillIn != 0 || got.RegionStats[0].SpillOut != 0 {
-			t.Fatalf("%s: single region reported spill: %+v", policy, got.RegionStats)
+		if !strings.Contains(err.Error(), field) || !strings.Contains(err.Error(), "a Cluster has no regions") {
+			t.Fatalf("error %q does not name %s", err, field)
 		}
 	}
 }

@@ -248,30 +248,6 @@ type crashEvent struct {
 	outage  bool
 }
 
-// fleetCrashEvents expands the plan's crashes and outages scoped to
-// region (empty matches the cluster tier / home region) into a
-// time-ordered event list.
-func fleetCrashEvents(plan *workload.FaultPlan, region string) []crashEvent {
-	if plan == nil {
-		return nil
-	}
-	var evs []crashEvent
-	for _, c := range plan.Crashes {
-		if c.Region != region {
-			continue
-		}
-		evs = append(evs, crashEvent{at: c.At, restart: c.Restart, replica: c.Replica})
-	}
-	for _, o := range plan.Outages {
-		if o.Region != region {
-			continue
-		}
-		evs = append(evs, crashEvent{at: o.Start, restart: o.End, outage: true})
-	}
-	sort.SliceStable(evs, func(i, j int) bool { return evs[i].at < evs[j].at })
-	return evs
-}
-
 // applyCrashEvent fires one crash event against the fleet, returning
 // the lost work. Outages crash every live replica (index order) with
 // restartAt at the outage end and darken subsequent spawns until then.
@@ -468,188 +444,4 @@ func (rt *retrier) backoffWait() time.Duration {
 		return 0
 	}
 	return rt.waited
-}
-
-// faultRun is the cluster-path fault controller: it owns the crash
-// schedule, the probe clock, the retry budget, the router-side pending
-// queue (work with nowhere routable to go), and the drop records.
-type faultRun struct {
-	fleet      *fleetState
-	router     Router
-	maxRetries int
-	retry      *retrier // nil: legacy immediate retries
-	crashes    []crashEvent
-	nextCrash  int
-	nextProbe  time.Duration
-	dropped    []RequestMetrics
-}
-
-// newFaultRun wires the fault/health machinery onto a fleet. Either
-// argument may be nil: a health tier alone just probes (nothing ever
-// fails); a plan alone gets the default health tier.
-func newFaultRun(fleet *fleetState, router Router, plan *workload.FaultPlan, health *HealthConfig) (*faultRun, error) {
-	if err := plan.Validate(); err != nil {
-		return nil, err
-	}
-	hc := HealthConfig{}
-	if health != nil {
-		hc = *health
-	}
-	if err := hc.validate(); err != nil {
-		return nil, err
-	}
-	fleet.health = hc.withDefaults()
-	fleet.faultsOn = true
-	fleet.degrades = fleetDegrades(plan, "")
-	fc := &faultRun{
-		fleet: fleet, router: router,
-		maxRetries: plan.Retries(),
-		crashes:    fleetCrashEvents(plan, ""),
-		nextProbe:  fleet.health.ProbeInterval,
-	}
-	if plan != nil {
-		fc.retry = newRetrier(plan.Retry)
-	}
-	return fc, nil
-}
-
-// fleetDegrades filters the plan's degrade windows scoped to region.
-func fleetDegrades(plan *workload.FaultPlan, region string) []workload.Degrade {
-	if plan == nil {
-		return nil
-	}
-	var out []workload.Degrade
-	for _, d := range plan.Degrades {
-		if d.Region == region {
-			out = append(out, d)
-		}
-	}
-	return out
-}
-
-// next returns the controller's earliest upcoming fault event.
-func (fc *faultRun) next() (time.Duration, int, bool) {
-	at, kind, ok := time.Duration(0), 0, false
-	if fc.nextCrash < len(fc.crashes) {
-		at, kind, ok = fc.crashes[fc.nextCrash].at, evCrash, true
-	}
-	if p := fc.nextProbe; !ok || p < at {
-		at, kind, ok = p, evProbe, true
-	}
-	if r, rok := fc.retry.nextRelease(); rok && (!ok || r < at) {
-		at, kind, ok = r, evRelease, true
-	}
-	return at, kind, ok
-}
-
-// fire applies the fault event of the given kind at now and
-// re-submits whatever work it dislodged.
-func (fc *faultRun) fire(now time.Duration, kind int) error {
-	var lost []workload.Request
-	switch kind {
-	case evCrash:
-		lost = fc.fleet.applyCrashEvent(fc.crashes[fc.nextCrash], now)
-		fc.nextCrash++
-	case evProbe:
-		lost = fc.fleet.probeAll(now)
-		fc.nextProbe += fc.fleet.health.ProbeInterval
-	case evRelease:
-		// Backed-off retries whose delay elapsed re-enter the router.
-		for _, r := range fc.retry.takeDue(now) {
-			fc.fleet.bal.Event(now, obs.EvRetry, r.ID, "")
-			if err := fc.place(r, now); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	return fc.resubmit(lost, now)
-}
-
-// resubmit returns crash-lost work to the router: within the retry
-// bound (and the fleet retry budget, when a RetryPolicy is set) it
-// re-enqueues with an incremented retry count — immediately under the
-// legacy discipline, after a jittered exponential backoff under a
-// policy (original submission time preserved for metrics). Beyond
-// either limit the request is dropped with the crash-dropped rejection.
-func (fc *faultRun) resubmit(lost []workload.Request, now time.Duration) error {
-	for _, r := range lost {
-		sub := r.SubmittedAt()
-		if r.Retries >= fc.maxRetries {
-			fc.dropped = append(fc.dropped, crashDroppedMetrics(r, ""))
-			fc.fleet.bal.Event(now, obs.EvDrop, r.ID, "retry-budget")
-			continue
-		}
-		if !fc.retry.take() {
-			fc.dropped = append(fc.dropped, crashDroppedMetrics(r, ""))
-			fc.fleet.bal.Event(now, obs.EvDrop, r.ID, "retry-budget-exhausted")
-			continue
-		}
-		r.Retries++
-		r.Submitted = sub
-		if d := fc.retry.delay(r.Retries); d > 0 {
-			r.Arrival = now + d
-			fc.retry.waited += d
-			fc.retry.park(r, now+d)
-			continue
-		}
-		r.Arrival = now
-		fc.fleet.bal.Event(now, obs.EvRetry, r.ID, "")
-		if err := fc.place(r, now); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// place routes one request, parking it on the pending queue when
-// nothing is routable (full outage); flush drains the queue once
-// capacity returns.
-func (fc *faultRun) place(r workload.Request, now time.Duration) error {
-	f := fc.fleet
-	f.promote(now)
-	if f.routableCount() == 0 {
-		f.pending = append(f.pending, r)
-		return nil
-	}
-	return f.route(fc.router, r, now)
-}
-
-// flush drains the pending queue in arrival order once at least one
-// replica is routable again.
-func (fc *faultRun) flush(now time.Duration) error {
-	f := fc.fleet
-	if len(f.pending) == 0 {
-		return nil
-	}
-	f.promote(now)
-	if f.routableCount() == 0 {
-		return nil
-	}
-	pend := f.pending
-	f.pending = nil
-	for _, r := range pend {
-		if err := f.route(fc.router, r, now); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// reapStranded drops the whole pending queue when nothing can ever
-// serve it: zero routable replicas, no recovery in sight, and — since
-// this runs right after an autoscaler evaluation — the policy just
-// declined to spawn. Without it a dead fleet would spin the drain
-// loop forever; with it every request still reaches a terminal,
-// conservation-checked outcome.
-func (fc *faultRun) reapStranded(now time.Duration) {
-	f := fc.fleet
-	if len(f.pending) == 0 || f.routableCount() > 0 || f.canRecover() {
-		return
-	}
-	for _, r := range f.pending {
-		fc.dropped = append(fc.dropped, crashDroppedMetrics(r, ""))
-		f.bal.Event(now, obs.EvDrop, r.ID, "stranded")
-	}
-	f.pending = nil
 }

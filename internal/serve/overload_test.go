@@ -252,7 +252,6 @@ func overloadCluster(cm *perf.CostModel, p int) Cluster {
 	cfg := Config{CM: cm, Par: perf.Parallelism{SP: 1, TP: 1}, MaxSeqs: 16,
 		Admission: &AdmissionConfig{Policy: AdmissionProjected}}
 	cl := DPCluster("det-overload", cfg, 4)
-	cl.Lockstep = false
 	cl.Parallelism = p
 	cl.Router = NewLiveLeastLoadedRouter()
 	cl.Breakers = &BreakerConfig{FailThreshold: 3, OpenFor: 4 * time.Second}

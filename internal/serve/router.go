@@ -60,8 +60,8 @@ type Router interface {
 
 // --- Round-robin ---
 
-// resettable marks routers with per-run state; routeTrace resets them
-// before routing a trace.
+// resettable marks routers and autoscalers with per-run state; every run
+// resets them before routing a trace.
 type resettable interface{ reset() }
 
 type roundRobin struct{ next int }

@@ -44,7 +44,7 @@ func routeWith(t *testing.T, r Router, cfg Config, n int, tr *workload.Trace) []
 		cfgs[i].Name = fmt.Sprintf("r%d", i)
 		engines[i] = mustEngine(t, cfgs[i])
 	}
-	assigned, err := routeTrace(r, tr, cfgs, engines, nil, nil, nil)
+	assigned, err := routeTrace(r, tr, cfgs, engines, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestJoinShortestKVHeterogeneous(t *testing.T) {
 		t.Fatalf("test premise broken: big replica KV %d <= small %d",
 			engines[2].KVCapacityTokens(), engines[0].KVCapacityTokens())
 	}
-	assigned, err := routeTrace(cl.Router, tr, cl.Configs, engines, nil, nil, nil)
+	assigned, err := routeTrace(cl.Router, tr, cl.Configs, engines, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +347,6 @@ func TestAffinityRendezvousSurvivesScaleEvents(t *testing.T) {
 func TestRoundRobinRepeatedRunsIdentical(t *testing.T) {
 	cm := llamaCM(t)
 	cl := DPCluster("rr", dpCfg(cm), 3)
-	cl.Lockstep = false
 	cl.Router = NewRoundRobinRouter()
 	a, err := cl.Run(routerTrace(41, 100)) // 100 % 3 != 0: cursor would drift
 	if err != nil {

@@ -65,7 +65,6 @@ func TestTraceConservationAutoscaledFaults(t *testing.T) {
 	tr := cachedDeterminismTrace(t, 29)
 	o := obs.NewObserver()
 	cl := DPCluster("conserve", Config{CM: cm, Par: perf.Parallelism{SP: 1, TP: 1}}, 2)
-	cl.Lockstep = false
 	cl.Router = NewLiveLeastLoadedRouter()
 	cl.SharedCache = &SharedCacheConfig{Latency: 20 * time.Millisecond}
 	cl.Autoscale = &AutoscaleConfig{

@@ -84,7 +84,6 @@ func BenchmarkSimulator_PreemptStorm(b *testing.B) {
 func benchFleet(b *testing.B, parallelism int) (serve.Cluster, *workload.Trace) {
 	b.Helper()
 	cl := serve.DPCluster("bench", serve.Config{CM: benchCM(b), Par: perf.Parallelism{SP: 1, TP: 1}}, 4)
-	cl.Lockstep = false
 	cl.Parallelism = parallelism
 	return cl, trace.Bursty(42, 90*time.Second)
 }
