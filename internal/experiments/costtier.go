@@ -140,9 +140,6 @@ func CostTiered(e Env, bursts, prices []float64, fleet int, replicaHour float64)
 		var cl serve.Cluster
 		if c.price == 0 {
 			cl = serve.DPCluster(fmt.Sprintf("own-%d", fleet), cfg, fleet)
-			// The static controller gives the live-load router its
-			// completion feedback, as the cloud tier does for rent cells.
-			cl.Autoscale = &serve.AutoscaleConfig{}
 			cl.Router = serve.NewLiveLeastLoadedRouter()
 		} else {
 			cl = serve.DPCluster(fmt.Sprintf("rent-%d", fleet-1), cfg, fleet-1)
@@ -231,9 +228,6 @@ func ShedSpillBuy(e Env, modes []string, price, budget float64) (*stats.Table, e
 		cfg := serve.Config{CM: cm, Par: perf.Parallelism{SP: 1, TP: 1}, MaxSeqs: 16}
 		cl := serve.DPCluster("hatch-"+c.mode, cfg, 2)
 		cl.Parallelism = workers
-		// Every hatch runs on the static controller, so the cloudless ones
-		// route on the same live-load views as the cloud-tiered ones.
-		cl.Autoscale = &serve.AutoscaleConfig{}
 		cl.Router = serve.NewLiveLeastLoadedRouter()
 		switch c.mode {
 		case "none":

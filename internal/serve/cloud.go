@@ -429,43 +429,3 @@ type cloudShedEntry struct {
 	s  *seq
 	at time.Duration
 }
-
-// drainCloudShed collects every engine's staged shed-or-buy waiters,
-// orders them globally by (shed time, request ID) — a total order
-// independent of engine stepping interleave — and offers each to the
-// cloud. Refusals (budget) and transient failures shed normally via
-// refuseCloudShed; accepted buys invoke onBuy (e.g. controller live-load
-// bookkeeping). Serial paths only.
-func drainCloudShed(engines []*Engine, ct *cloudTier, onBuy func(e *Engine, s *seq)) {
-	if ct == nil {
-		return
-	}
-	type staged struct {
-		e *Engine
-		cloudShedEntry
-	}
-	var all []staged
-	for _, e := range engines {
-		for _, en := range e.takeCloudShed() {
-			all = append(all, staged{e: e, cloudShedEntry: en})
-		}
-	}
-	if len(all) == 0 {
-		return
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].at != all[j].at {
-			return all[i].at < all[j].at
-		}
-		return all[i].s.req.ID < all[j].s.req.ID
-	})
-	for _, en := range all {
-		if ct.offer(en.s.req, en.at, "shed-or-buy") {
-			if onBuy != nil {
-				onBuy(en.e, en.s)
-			}
-			continue
-		}
-		en.e.refuseCloudShed(en.s, en.at)
-	}
-}

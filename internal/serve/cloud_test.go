@@ -121,8 +121,8 @@ func TestCloudTierBudgetAndFailEvery(t *testing.T) {
 func TestCloudOverflowRouterBreakEven(t *testing.T) {
 	r := NewCloudOverflowRouter()
 	cloud := CloudView{BaseLatency: 2 * time.Second}
-	busy := ReplicaView{Live: true, LiveTokens: 3 * DefaultCloudPriorRate} // 3s projected
-	idle := ReplicaView{Live: true, LiveTokens: DefaultCloudPriorRate}     // 1s projected
+	busy := ReplicaView{LiveTokens: 3 * DefaultCloudPriorRate} // 3s projected
+	idle := ReplicaView{LiveTokens: DefaultCloudPriorRate}     // 1s projected
 
 	if !r.RouteCloud(workload.Request{}, []ReplicaView{busy, busy}, cloud) {
 		t.Fatal("3s local wait vs 2s cloud: must overflow")
@@ -181,7 +181,7 @@ func cloudCfg() *CloudConfig {
 	}
 }
 
-// Dollar conservation on the plain cluster path: the ledger splits
+// Dollar conservation on a Cluster: the ledger splits
 // exactly, every cloud-served request appears exactly once with the
 // cloud replica name, and the counters match the per-request rows.
 func TestCloudDollarConservation(t *testing.T) {
@@ -304,7 +304,7 @@ func TestShedOrBuyDegradesAndBuys(t *testing.T) {
 	}
 }
 
-// Determinism contract on the plain cluster path with the full cost
+// Determinism contract on a Cluster with the full cost
 // tier active: overflow routing, shed-or-buy staging, and the rate
 // limiter must be byte-identical between serial and pooled stepping.
 func TestCloudClusterParallelMatchesSerial(t *testing.T) {

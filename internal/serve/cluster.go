@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/conc"
 	"repro/internal/obs"
 	"repro/internal/perf"
 	"repro/internal/workload"
@@ -31,7 +30,7 @@ type Cluster struct {
 	// the slowest replica's time — vLLM's data-parallel engine behaviour
 	// (replicas synchronize every step; idle ranks wait), the paper's DP
 	// baseline. Independent replicas (Lockstep=false, the default) model
-	// a fleet of separate servers. Only the plain path supports it.
+	// a fleet of separate servers.
 	Lockstep bool
 	// Router places arriving requests on replicas. nil uses
 	// least-outstanding-tokens, the historical default.
@@ -41,8 +40,7 @@ type Cluster struct {
 	// see AutoscaleConfig.
 	//
 	// Autoscale, Faults, Health, Breakers, SharedCache, and Cloud each
-	// move the run onto the serving controller (under the static policy
-	// when Autoscale is nil) and require Lockstep=false.
+	// require Lockstep=false.
 	Autoscale *AutoscaleConfig
 	// Faults, when set, injects the plan's replica crashes, outages, and
 	// degrade windows into the run: crashed work re-enqueues at the
@@ -69,12 +67,12 @@ type Cluster struct {
 	// legacy path byte-identical.
 	Cloud *CloudConfig
 	// Parallelism bounds the worker pool that steps independent
-	// (non-lockstep) replicas concurrently: 0 uses GOMAXPROCS, 1 forces
-	// the serial path. Every setting produces byte-identical Results —
-	// replicas share nothing after arrival-time routing and results are
-	// gathered in replica-index order (pinned by the determinism tests
-	// under -race). Lockstep clusters always step serially: their
-	// replicas synchronize every iteration.
+	// (non-lockstep) replicas concurrently between controller events: 0
+	// uses GOMAXPROCS, 1 forces the serial path. Every setting produces
+	// byte-identical Results — replicas share nothing between events and
+	// results are gathered in replica-index order (pinned by the
+	// determinism tests under -race). Lockstep clusters always step
+	// serially: their replicas synchronize every iteration.
 	Parallelism int
 }
 
@@ -97,196 +95,41 @@ func SingleEngine(name string, cfg Config) Cluster {
 	return Cluster{Name: name, Configs: []Config{cfg}}
 }
 
-// Run replays the trace through the cluster. A featureless fleet takes
-// the plain path: requests are routed at arrival time by c.Router (nil:
-// least-outstanding-tokens), then each engine drains its share in one
-// Engine.Run — the engines share nothing, exactly like vLLM
-// data-parallel deployments behind a balancer. Routing is
-// deterministic: every built-in policy breaks score ties toward the
-// lowest replica index, so repeated runs assign identically. Routing is
-// orthogonal to Lockstep: with Lockstep=false each replica drains its
-// share on its own clock; with Lockstep=true the already-routed shares
-// are replayed on a shared clock where every global iteration lasts as
-// long as the slowest replica's step (vLLM DP engine semantics) — the
-// assignment itself is byte-identical in both modes.
-//
-// Setting any of Autoscale, Faults, Health, Breakers, SharedCache, or
-// Cloud runs the cluster on the serving controller instead, as a single
-// region with no geo tier; the static policy reproduces the plain path
-// bit-for-bit.
+// Run replays the trace through the cluster on the serving controller,
+// as a single region with no geo tier. Requests are routed at arrival
+// time by c.Router (nil: least-outstanding-tokens) against live
+// per-replica views; every built-in policy breaks score ties toward the
+// lowest replica index, so repeated runs assign identically. With
+// Lockstep=false each replica steps on its own clock between controller
+// events, exactly like vLLM data-parallel servers behind a balancer;
+// with Lockstep=true the fleet steps on one shared clock where every
+// global iteration lasts as long as the slowest replica's step (vLLM DP
+// engine semantics). Autoscale, Faults, Health, Breakers, SharedCache,
+// and Cloud each switch on their controller feature; without Autoscale
+// the fleet runs under the static policy.
 func (c Cluster) Run(t *workload.Trace) (*Result, error) {
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}
-	if c.Autoscale != nil || c.Faults != nil || c.Health != nil || c.Breakers != nil ||
-		c.SharedCache != nil || c.Cloud != nil {
-		if c.Lockstep {
-			// Even a one-replica lockstep cluster must error: scaling it up
-			// would silently drop the DP lockstep semantics the caller asked
-			// for (spawned replicas run on independent clocks).
-			return nil, fmt.Errorf("serve: Autoscale, Faults, Health, Breakers, SharedCache, and Cloud require independent replicas (Lockstep=false)")
-		}
-		ctl, err := newController(Geo{
-			Name:     c.Name,
-			Topology: SingleRegion(c.Name),
-			Regions:  []Region{{Configs: c.Configs, Router: c.Router, Autoscale: c.Autoscale}},
-			Faults:   c.Faults, Health: c.Health, Breakers: c.Breakers,
-			SharedCache: c.SharedCache, Cloud: c.Cloud,
-			RecordEvents: c.RecordEvents, Obs: c.Obs, Parallelism: c.Parallelism,
-		}, false)
-		if err != nil {
-			return nil, err
-		}
-		return ctl.run(t)
+	if c.Lockstep && (c.Autoscale != nil || c.Faults != nil || c.Health != nil || c.Breakers != nil ||
+		c.SharedCache != nil || c.Cloud != nil) {
+		// Even a one-replica lockstep cluster must error: scaling it up
+		// would silently drop the DP lockstep semantics the caller asked
+		// for (spawned replicas run on independent clocks).
+		return nil, fmt.Errorf("serve: Autoscale, Faults, Health, Breakers, SharedCache, and Cloud require independent replicas (Lockstep=false)")
 	}
-	// Track registration order: balancer first, then replicas in index
-	// order (all serial, so exports are worker-count independent).
-	bal := c.Obs.Stream("", "balancer")
-	engines := make([]*Engine, len(c.Configs))
-	for i, cfg := range c.Configs {
-		e, err := NewEngine(cfg)
-		if err != nil {
-			return nil, err
-		}
-		e.setRecordIters(c.RecordEvents)
-		e.attachStream(c.Obs.Stream("", cfg.Name))
-		engines[i] = e
-	}
-	assigned, err := routeTrace(c.Router, t, c.Configs, engines, bal)
+	ctl, err := newController(Geo{
+		Name:    c.Name,
+		Regions: []Region{{Name: c.Name, Configs: c.Configs, Router: c.Router, Autoscale: c.Autoscale}},
+		Faults:  c.Faults, Health: c.Health, Breakers: c.Breakers,
+		SharedCache: c.SharedCache, Cloud: c.Cloud,
+		RecordEvents: c.RecordEvents, Obs: c.Obs, Parallelism: c.Parallelism,
+	}, false)
 	if err != nil {
 		return nil, err
 	}
-
-	var metrics []RequestMetrics
-	if c.Lockstep && len(engines) > 1 {
-		metrics = runLockstep(engines, assigned)
-	} else {
-		// Independent replicas share nothing after routing: drain each
-		// share on the worker pool and gather in replica-index order, so
-		// the output is byte-identical to the serial path.
-		shares := make([][]RequestMetrics, len(engines))
-		conc.For(len(engines), conc.Workers(c.Parallelism), func(i int) {
-			shares[i] = engines[i].Run(assigned[i])
-		})
-		for _, share := range shares {
-			metrics = append(metrics, share...)
-		}
-	}
-	return buildResult(c.Name, metrics, engines), nil
-}
-
-// routeTrace assigns every request of the trace to exactly one replica
-// (conservation: the shares partition the trace), updating the router's
-// view of outstanding work after each placement.
-func routeTrace(router Router, t *workload.Trace, cfgs []Config, engines []*Engine, bal *obs.Stream) ([][]workload.Request, error) {
-	if router == nil {
-		router = NewLeastOutstandingRouter()
-	}
-	if r, ok := router.(resettable); ok {
-		r.reset()
-	}
-	views := make([]ReplicaView, len(engines))
-	for i, e := range engines {
-		views[i] = ReplicaView{
-			Index:            i,
-			Name:             cfgs[i].Name,
-			KVCapacityTokens: e.KVCapacityTokens(),
-			FreeKVTokens:     e.KVCapacityTokens(),
-		}
-	}
-	assigned := make([][]workload.Request, len(engines))
-	for _, r := range t.Requests {
-		i := router.Route(r, views)
-		if i < 0 || i >= len(engines) {
-			return nil, fmt.Errorf("serve: router %s returned replica %d of %d", router.Name(), i, len(engines))
-		}
-		bal.Event(r.Arrival, obs.EvRoute, r.ID, cfgs[i].Name)
-		assigned[i] = append(assigned[i], r)
-		views[i].OutstandingTokens += r.TotalTokens()
-		views[i].OutstandingRequests++
-		views[i].FreeKVTokens -= r.TotalTokens()
-	}
-	return assigned, nil
-}
-
-// runLockstep steps all engines on a shared clock: each global iteration
-// lasts as long as the slowest replica's step (vLLM DP semantics).
-func runLockstep(engines []*Engine, assigned [][]workload.Request) []RequestMetrics {
-	now := time.Duration(0)
-	for i, e := range engines {
-		e.arrivals = assigned[i]
-	}
-	for {
-		allDone := true
-		for _, e := range engines {
-			if !e.finished() {
-				allDone = false
-				break
-			}
-		}
-		if allDone {
-			break
-		}
-
-		type staged struct {
-			e    *Engine
-			plan batchPlan
-			cost perf.Cost
-		}
-		var work []staged
-		var maxDur time.Duration
-		for _, e := range engines {
-			if e.finished() {
-				continue
-			}
-			e.now = now
-			e.admit()
-			plan := e.schedule()
-			if plan.empty() {
-				// Try to resolve memory-stuck states before giving up on
-				// this replica for the step.
-				for e.resolveEmpty() {
-					plan = e.schedule()
-					if !plan.empty() {
-						break
-					}
-				}
-			}
-			if plan.empty() {
-				continue
-			}
-			cost := e.price(&plan)
-			if d := cost.Total(); d > maxDur {
-				maxDur = d
-			}
-			work = append(work, staged{e, plan, cost})
-		}
-
-		if len(work) == 0 {
-			// Whole cluster idle: jump to the earliest next arrival.
-			next := time.Duration(-1)
-			for _, e := range engines {
-				if a := e.nextArrival(); a >= 0 && (next < 0 || a < next) {
-					next = a
-				}
-			}
-			if next < 0 {
-				break // nothing left anywhere
-			}
-			now = next
-			continue
-		}
-
-		now += maxDur
-		for _, w := range work {
-			w.e.apply(w.plan, w.cost, now)
-		}
-	}
-	var metrics []RequestMetrics
-	for i, e := range engines {
-		metrics = append(metrics, e.metrics(assigned[i])...)
-	}
-	return metrics
+	ctl.regions[0].fleet.lockstep = c.Lockstep
+	return ctl.run(t)
 }
 
 // MinLatency measures the lone-request latency of the cluster's first

@@ -11,13 +11,13 @@ import (
 )
 
 // This file is the serving controller: the one event loop behind every
-// run that autoscales, injects faults, probes health, trips breakers,
-// answers from the shared cache, or rents cloud capacity. Geo.Run drives
-// it over one fleet per region under the geo tier (geo router, region
-// breakers, the geo-balancer track, RTT annotation). Cluster.Run drives
-// it over a single region with no geo tier at all, so a Cluster's
-// results, track layout, and trace bytes are those of one fleet and its
-// balancer. Each nil-gated feature is wired here once.
+// run, whether or not it autoscales, injects faults, probes health, trips
+// breakers, answers from the shared cache, or rents cloud capacity.
+// Geo.Run drives it over one fleet per region under the geo tier (geo
+// router, region breakers, the geo-balancer track, RTT annotation).
+// Cluster.Run drives it over a single region with no geo tier at all, so
+// a Cluster's results, track layout, and trace bytes are those of one
+// fleet and its balancer. Each nil-gated feature is wired here once.
 
 // regionCrash is one scheduled fault bound to its target region.
 type regionCrash struct {
@@ -65,18 +65,18 @@ type controller struct {
 }
 
 // newController validates a deployment and builds its run state. With
-// geoTier false the single region serves alone: the fault plan may not
-// name regions, and every controller event lands on the region's
-// balancer track.
+// geoTier false the single region serves alone under its own Name (no
+// Topology): the fault plan may not name regions, and every controller
+// event lands on the region's balancer track.
 func newController(g Geo, geoTier bool) (*controller, error) {
 	if geoTier {
 		if err := g.Topology.Validate(); err != nil {
 			return nil, err
 		}
-	}
-	if len(g.Regions) != len(g.Topology.Regions) {
-		return nil, fmt.Errorf("serve: %d regions for a %d-region topology",
-			len(g.Regions), len(g.Topology.Regions))
+		if len(g.Regions) != len(g.Topology.Regions) {
+			return nil, fmt.Errorf("serve: %d regions for a %d-region topology",
+				len(g.Regions), len(g.Topology.Regions))
+		}
 	}
 	if err := g.Breakers.validate(); err != nil {
 		return nil, err
@@ -176,9 +176,12 @@ func newController(g Geo, geoTier bool) (*controller, error) {
 
 	c.regions = make([]*regionRun, len(g.Regions))
 	for i, reg := range g.Regions {
-		name := g.Topology.Regions[i]
-		if reg.Name != "" && reg.Name != name {
-			return nil, fmt.Errorf("serve: region %d named %q, topology says %q", i, reg.Name, name)
+		name := reg.Name
+		if geoTier {
+			name = g.Topology.Regions[i]
+			if reg.Name != "" && reg.Name != name {
+				return nil, fmt.Errorf("serve: region %d named %q, topology says %q", i, reg.Name, name)
+			}
 		}
 		if len(reg.Configs) == 0 {
 			return nil, fmt.Errorf("serve: region %s has no replicas", name)
@@ -247,6 +250,7 @@ func newController(g Geo, geoTier bool) (*controller, error) {
 // on their own clocks until every fleet is idle and no parked or
 // backed-off work remains.
 func (c *controller) run(t *workload.Trace) (*Result, error) {
+	c.reserve(t)
 	for _, r := range t.Requests {
 		for {
 			at, kind, ri := c.nextEvent(false)
@@ -296,6 +300,23 @@ func (c *controller) run(t *workload.Trace) (*Result, error) {
 	// before metrics collection, so refused waiters' shed rows exist.
 	c.drainCloud()
 	return c.result()
+}
+
+// reserve pre-sizes the run's growing lists from the trace: each fleet's
+// evaluation samples for the arrival span, and every initial replica's
+// completion list for an even share of the requests.
+func (c *controller) reserve(t *workload.Trace) {
+	replicas := 0
+	for _, rr := range c.regions {
+		replicas += len(rr.fleet.replicas)
+	}
+	for _, rr := range c.regions {
+		f := rr.fleet
+		f.samples = make([]FleetSample, 0, int(t.Duration()/f.ac.Interval)+1)
+		for _, rep := range f.replicas {
+			rep.engine.reserve(len(t.Requests) / replicas)
+		}
+	}
 }
 
 // parked reports work waiting outside every engine: parked at the
@@ -360,14 +381,15 @@ func (c *controller) nextFault() (time.Duration, int, bool) {
 // between events, so they advance concurrently; everything after the
 // barrier is serial and index-ordered.
 func (c *controller) advance(now time.Duration, ri int, final bool) {
-	if ri >= 0 {
-		c.regions[ri].accrue(now)
-		c.regions[ri].fleet.advance(now, final)
-	} else {
-		conc.For(len(c.regions), c.workers, func(i int) {
-			c.regions[i].accrue(now)
-			c.regions[i].fleet.advance(now, final)
-		})
+	switch {
+	case ri >= 0:
+		c.regions[ri].advance(now, final)
+	case min(c.workers, len(c.regions)) <= 1:
+		for _, rr := range c.regions {
+			rr.advance(now, final)
+		}
+	default:
+		conc.For(len(c.regions), c.workers, func(i int) { c.regions[i].advance(now, final) })
 	}
 	c.drainCloud()
 }
@@ -575,28 +597,35 @@ func (c *controller) drainCloud() {
 	if c.cloud == nil {
 		return
 	}
-	staged := false
+	type staged struct {
+		rep *replica
+		cloudShedEntry
+	}
+	var all []staged
 	for _, rr := range c.regions {
 		for _, rep := range rr.fleet.replicas {
-			staged = staged || len(rep.engine.cloudShed) > 0
+			for _, en := range rep.engine.takeCloudShed() {
+				all = append(all, staged{rep, en})
+			}
 		}
 	}
-	if !staged {
+	if len(all) == 0 {
 		return
 	}
-	var engines []*Engine
-	byEngine := map[*Engine]*replica{}
-	for _, rr := range c.regions {
-		for _, rep := range rr.fleet.replicas {
-			engines = append(engines, rep.engine)
-			byEngine[rep.engine] = rep
+	sort.Slice(all, func(i, j int) bool {
+		if all[i].at != all[j].at {
+			return all[i].at < all[j].at
 		}
-	}
-	drainCloudShed(engines, c.cloud, func(e *Engine, s *seq) {
-		rep := byEngine[e]
-		rep.liveTokens -= s.req.TotalTokens()
-		rep.liveReqs--
+		return all[i].s.req.ID < all[j].s.req.ID
 	})
+	for _, en := range all {
+		if !c.cloud.offer(en.s.req, en.at, "shed-or-buy") {
+			en.rep.engine.refuseCloudShed(en.s, en.at)
+			continue
+		}
+		en.rep.liveTokens -= en.s.req.TotalTokens()
+		en.rep.liveReqs--
+	}
 }
 
 // noHorizon is an unreachable event horizon: drain-phase events always
@@ -610,11 +639,27 @@ const noHorizon = time.Duration(1<<63 - 1)
 // origin and serving region, and the per-region split fills RegionStats.
 func (c *controller) result() (*Result, error) {
 	geo := c.geo != nil
-	var metrics []RequestMetrics
-	var engines []*Engine
+	// Crash-dropped, shared-tier, and cloud-served requests never reached
+	// a replica: under the geo tier they bill to their origin region with
+	// no RTT.
+	offFleet := [][]RequestMetrics{c.dropped, c.shared.metricsList(), c.cloud.metricsList()}
+	rows, replicas := 0, 0
+	for _, list := range offFleet {
+		rows += len(list)
+	}
+	for _, rr := range c.regions {
+		replicas += len(rr.fleet.replicas)
+		for _, rep := range rr.fleet.replicas {
+			rows += len(rep.engine.completed) + len(rep.engine.rejected)
+		}
+	}
+	metrics := make([]RequestMetrics, 0, rows)
+	engines := make([]*Engine, 0, replicas)
 	for gi, rr := range c.regions {
 		for _, rep := range rr.fleet.replicas {
-			ms := rep.engine.metrics(nil)
+			from := len(metrics)
+			metrics = rep.engine.appendMetrics(metrics)
+			ms := metrics[from:]
 			for k := 0; geo && k < len(ms); k++ {
 				origin, err := originOfName(c.topo, ms[k].Origin)
 				if err != nil {
@@ -629,14 +674,10 @@ func (c *controller) result() (*Result, error) {
 					ms[k].Completion += rtt
 				}
 			}
-			metrics = append(metrics, ms...)
 			engines = append(engines, rep.engine)
 		}
 	}
-	// Crash-dropped, shared-tier, and cloud-served requests never reached
-	// a replica: under the geo tier they bill to their origin region with
-	// no RTT.
-	for _, list := range [][]RequestMetrics{c.dropped, c.shared.metricsList(), c.cloud.metricsList()} {
+	for _, list := range offFleet {
 		for _, m := range list {
 			if geo {
 				origin, err := originOfName(c.topo, m.Origin)
@@ -653,9 +694,9 @@ func (c *controller) result() (*Result, error) {
 	c.shared.fill(res)
 	res.RetryBackoffWait = c.retry.backoffWait()
 
-	// Replace the fixed-fleet accounting with per-region lifetimes, all
-	// billed against the shared global makespan.
-	res.ReplicaSeconds, res.Replicas, res.FleetSamples = 0, nil, nil
+	// Fleet accounting: per-region lifetimes, all billed against the
+	// shared global makespan.
+	res.Replicas = make([]ReplicaLife, 0, replicas)
 	if geo {
 		res.RegionStats = make([]RegionStats, len(c.regions))
 	}
@@ -669,20 +710,16 @@ func (c *controller) result() (*Result, error) {
 		if rr.breaker != nil {
 			res.BreakerOpens += rr.breaker.opens
 		}
-		scratch := &Result{Makespan: res.Makespan}
-		f.finish(scratch)
-		res.Replicas = append(res.Replicas, scratch.Replicas...)
-		res.FleetSamples = append(res.FleetSamples, scratch.FleetSamples...)
-		res.ReplicaSeconds += scratch.ReplicaSeconds
-		res.ScaleUps += scratch.ScaleUps
-		res.ScaleDowns += scratch.ScaleDowns
+		var seconds float64
+		res.Replicas, seconds = f.finish(res.Makespan, res.Replicas)
+		res.FleetSamples = append(res.FleetSamples, f.samples...)
+		res.ReplicaSeconds += seconds
+		res.ScaleUps += f.scaleUps
+		res.ScaleDowns += f.scaleDowns
 		if geo {
 			res.RegionStats[gi] = RegionStats{
-				Name:           rr.name,
-				ReplicaSeconds: scratch.ReplicaSeconds,
-				ScaleUps:       scratch.ScaleUps,
-				ScaleDowns:     scratch.ScaleDowns,
-				FleetSamples:   scratch.FleetSamples,
+				Name: rr.name, ReplicaSeconds: seconds, ScaleUps: f.scaleUps,
+				ScaleDowns: f.scaleDowns, FleetSamples: f.samples,
 			}
 		}
 	}

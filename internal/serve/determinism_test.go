@@ -62,9 +62,9 @@ func runBoth(t *testing.T, run func(parallelism int) (*Result, error)) (serial, 
 	return encodeResult(t, sres), encodeResult(t, pres)
 }
 
-// TestClusterRunParallelMatchesSerial pins the tentpole contract on the
-// plain fleet path: stepping independent replicas on a worker pool is
-// byte-identical to the serial loop.
+// TestClusterRunParallelMatchesSerial pins the contract on a featureless
+// fleet: stepping independent replicas on a worker pool between
+// controller events is byte-identical to the serial loop.
 func TestClusterRunParallelMatchesSerial(t *testing.T) {
 	cm := llamaCM(t)
 	tr := determinismTrace(t, 7)
@@ -161,7 +161,7 @@ func cachedDeterminismTrace(t *testing.T, seed uint64) *workload.Trace {
 	return tr.StampPromptKeys(seed, 0.3, 16)
 }
 
-// TestCachedClusterParallelMatchesSerial extends the plain-fleet
+// TestCachedClusterParallelMatchesSerial extends the Cluster
 // determinism contract to the measured caches: the per-replica prefix
 // cache, the shared tier, and the stateful cache-aware router must all
 // be byte-identical between the serial and pooled stepping paths.
@@ -291,7 +291,7 @@ func runBothTraced(t *testing.T, run func(p int, o *obs.Observer) (*Result, erro
 		encodeResult(t, pres) + encodeObs(t, po)
 }
 
-// TestTracedClusterParallelMatchesSerial extends the plain-fleet
+// TestTracedClusterParallelMatchesSerial extends the Cluster
 // determinism contract to the trace and series exports: spans from
 // concurrently stepped replicas (plus shared-cache intercepts on the
 // balancer track) must serialize byte-identically at every pool width.
@@ -438,7 +438,7 @@ func TestLoneRunnerRejectionCountsKVExhausted(t *testing.T) {
 	if s.rejectReason != RejectKVExhausted {
 		t.Fatalf("lone runner rejected with reason %q, want %q", s.rejectReason, RejectKVExhausted)
 	}
-	res := buildResult("rej", e.metrics(nil), []*Engine{e})
+	res := buildResult("rej", e.appendMetrics(nil), []*Engine{e})
 	if res.RejectedKVExhausted != 1 || res.Rejected != 1 {
 		t.Fatalf("stat split kv=%d rejected=%d, want 1/1", res.RejectedKVExhausted, res.Rejected)
 	}

@@ -445,39 +445,17 @@ func (e *Engine) KVCapacityTokens() int { return e.alloc.NumBlocks * e.alloc.Blo
 // returns per-request metrics. Requests must be time-ordered.
 func (e *Engine) Run(reqs []workload.Request) []RequestMetrics {
 	e.arrivals = reqs
-	if cap(e.completed) == 0 {
-		e.completed = make([]*seq, 0, len(reqs))
-	}
-	if t := e.tap; t != nil && t.recordIters && t.iters == nil {
-		t.iters = make([]IterEvent, 0, eventCapHint(reqs))
-	}
-	for !e.finished() {
-		e.admit()
-		plan := e.schedule()
-		if plan.empty() {
-			if !e.resolveEmpty() && e.nextArrival() >= 0 {
-				// Idle: jump to the next arrival.
-				e.now = e.arrivals[e.nextIdx].Arrival
-			}
-			continue
-		}
-		cost := e.price(&plan)
-		e.apply(plan, cost, e.now+cost.Total())
-	}
-	return e.metrics(reqs)
+	e.reserve(len(reqs))
+	e.stepUntil(noHorizon, true)
+	return e.appendMetrics(make([]RequestMetrics, 0, len(e.completed)+len(e.rejected)))
 }
 
-// eventCapHint sizes the IterEvent buffer from the trace: the iteration
-// count is bounded below by the decode-token volume over the max batch
-// size and above by the total token volume; one slot per request plus an
-// eighth of the output volume lands within a doubling or two of real
-// traces without overcommitting memory.
-func eventCapHint(reqs []workload.Request) int {
-	out := 0
-	for _, r := range reqs {
-		out += r.OutputTokens
+// reserve pre-sizes the completion list for an expected share of n
+// requests, so it does not grow by doubling.
+func (e *Engine) reserve(n int) {
+	if cap(e.completed) == 0 {
+		e.completed = make([]*seq, 0, n)
 	}
-	return len(reqs) + out/8
 }
 
 // finished reports whether the engine has drained all work.
@@ -519,6 +497,13 @@ func (e *Engine) admit() {
 		}
 		e.nextIdx++
 	}
+}
+
+// awaitsWork reports whether an engine with nothing to schedule is just
+// waiting for the controller to route more work: nothing runs, nothing
+// routed is pending, and final has not promised that no more will come.
+func (e *Engine) awaitsWork(final bool) bool {
+	return !final && len(e.running) == 0 && e.nextArrival() < 0
 }
 
 // nextArrival returns the next arrival time, or -1 when exhausted.
@@ -1110,7 +1095,7 @@ func (e *Engine) crashDrain() (lost []workload.Request, lostTokens int) {
 
 // apply executes one priced iteration ending at end: advances the clock,
 // applies token production, and retires finished sequences. In lockstep
-// clusters end may exceed now+cost (waiting for slower replicas).
+// fleets end may exceed now+cost (waiting for slower replicas).
 func (e *Engine) apply(plan batchPlan, cost perf.Cost, end time.Duration) {
 	if plan.par == e.cfg.Par {
 		e.baseIters++

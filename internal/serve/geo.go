@@ -14,8 +14,8 @@ import (
 // each arriving request is first placed on a region by a GeoRouter, then
 // on a replica by that region's local Router, and finally pays the
 // origin→region round trip on top of its TTFT and completion when it was
-// served remotely. Geo and the feature-bearing Cluster run on the same
-// serving controller (controller.go), so a one-region Geo under the
+// served remotely. Geo and Cluster run on the same serving controller
+// (controller.go), so a one-region Geo under the
 // nearest router reproduces the equivalent Cluster.Run bit-for-bit
 // (regression-tested).
 
@@ -29,7 +29,7 @@ type Topology struct {
 }
 
 // SingleRegion returns the one-region topology (no remote option): the
-// geo tier degenerates to the plain autoscaled-cluster path.
+// geo tier degenerates to a Cluster run.
 func SingleRegion(name string) Topology {
 	return Topology{Regions: []string{name}, RTT: [][]time.Duration{{0}}}
 }
@@ -118,10 +118,9 @@ type Region struct {
 }
 
 // RegionView is what a GeoRouter sees about one region when placing a
-// request: live fleet composition and backlog (unlike ReplicaView's
-// cumulative assigned-work counters — regions run a controller, so live
-// queue state is observable the way it is at a real global load
-// balancer), plus the round trip from the request's origin.
+// request: live fleet composition and backlog (observable the way it is
+// at a real global load balancer), plus the round trip from the
+// request's origin.
 type RegionView struct {
 	Index int
 	Name  string
@@ -553,6 +552,12 @@ func (rr *regionRun) accrue(now time.Duration) {
 	}
 	rr.activeSeconds += float64(active) * (now - rr.lastAccrual).Seconds()
 	rr.lastAccrual = now
+}
+
+// advance accrues the region's active time and steps its fleet to now.
+func (rr *regionRun) advance(now time.Duration, final bool) {
+	rr.accrue(now)
+	rr.fleet.advance(now, final)
 }
 
 // refreshServed advances the completion cursors, accumulating served

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -122,4 +123,37 @@ func TestClusterRunGolden(t *testing.T) {
 func withRouter(cl Cluster, r Router) Cluster {
 	cl.Router = r
 	return cl
+}
+
+// TestSteadyArrivalAllocatesNothing pins the controller's per-arrival
+// path on a warmed serial static fleet — advance to the arrival, then
+// route it — at zero allocations: every Cluster runs on this path, so a
+// per-arrival allocation would show in every fleet's bill. The engine's
+// own arrivals list is the one thing an arrival may grow; the test
+// pre-grows it out of the measurement.
+func TestSteadyArrivalAllocatesNothing(t *testing.T) {
+	cl := DPCluster("steady", dpCfg(llamaCM(t)), 4)
+	ctl, err := newController(Geo{
+		Name: cl.Name, Regions: []Region{{Name: cl.Name, Configs: cl.Configs}}, Parallelism: 1,
+	}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	arrive := func(r workload.Request) {
+		ctl.advance(r.Arrival, -1, false)
+		if err := ctl.place(r, r.Arrival); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tr := routerTrace(47, 101)
+	for _, r := range tr.Requests[:100] {
+		arrive(r)
+	}
+	for _, rep := range ctl.regions[0].fleet.replicas {
+		rep.engine.arrivals = slices.Grow(rep.engine.arrivals, 1000)
+	}
+	last := tr.Requests[100]
+	if allocs := testing.AllocsPerRun(100, func() { arrive(last) }); allocs != 0 {
+		t.Fatalf("one steady-state arrival allocates %.1f times, want 0", allocs)
+	}
 }

@@ -84,9 +84,10 @@ func (m RequestMetrics) TPOTMet() bool {
 	return m.TPOT <= m.SLO.TPOT
 }
 
-// metrics converts completed/rejected sequences into RequestMetrics.
-func (e *Engine) metrics(reqs []workload.Request) []RequestMetrics {
-	out := make([]RequestMetrics, 0, len(reqs))
+// appendMetrics appends the engine's completed, then rejected, sequences
+// to dst as RequestMetrics.
+func (e *Engine) appendMetrics(dst []RequestMetrics) []RequestMetrics {
+	out := dst
 	for _, s := range e.completed {
 		m := RequestMetrics{
 			ID: s.req.ID, Class: s.req.Class, Arrival: s.req.SubmittedAt(),
@@ -519,12 +520,6 @@ func buildResult(name string, metrics []RequestMetrics, engines []*Engine) *Resu
 				Misses: e.cacheMisses, Evictions: e.pcache.evictions,
 			})
 		}
-	}
-	// Fixed-fleet accounting: every engine is provisioned for the whole
-	// run. Autoscaled runs overwrite these from replica lifetimes.
-	r.ReplicaSeconds = float64(len(engines)) * r.Makespan.Seconds()
-	for _, e := range engines {
-		r.Replicas = append(r.Replicas, ReplicaLife{Name: e.cfg.Name, RetireAt: r.Makespan})
 	}
 	return r
 }

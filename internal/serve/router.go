@@ -9,10 +9,8 @@ import (
 )
 
 // ReplicaView is what a Router sees about one replica when placing a
-// request: the work already assigned to it and its KV budget. Routing
-// happens at arrival time against assigned work — replicas share nothing
-// afterwards, exactly like independent vLLM servers behind a balancer —
-// so the view reflects load handed out, not simulated progress.
+// request at its arrival time: the work handed out to it so far, its KV
+// budget, and its live queue depth.
 type ReplicaView struct {
 	Index int
 	Name  string
@@ -29,13 +27,9 @@ type ReplicaView struct {
 	// (TotalTokens) of the assigned work. It can go negative when the
 	// replica is oversubscribed.
 	FreeKVTokens int
-	// Live marks views carrying completion feedback: LiveRequests and
-	// LiveTokens count only work still on the replica (assigned minus
-	// finished, rejected, and crash-lost), where the Outstanding
-	// counters accumulate forever. Fleet controllers with a completion
-	// stream (the autoscaled and geo paths) set it; arrival-time
-	// snapshot routing leaves it false.
-	Live         bool
+	// LiveRequests and LiveTokens count only work still on the replica
+	// (assigned minus finished, rejected, and crash-lost), where the
+	// Outstanding counters accumulate forever.
 	LiveRequests int
 	LiveTokens   int
 	// BreakerOpen marks a replica whose circuit breaker is open: alive
@@ -54,7 +48,8 @@ type ReplicaView struct {
 type Router interface {
 	Name() string
 	// Route returns the index of the replica that receives r. Returning
-	// an out-of-range index is a cluster error.
+	// an out-of-range index is a cluster error. The replicas slice is
+	// reused across calls, so a router must not keep it.
 	Route(r workload.Request, replicas []ReplicaView) int
 }
 
@@ -131,20 +126,12 @@ type liveLeastLoaded struct{}
 
 // NewLiveLeastLoadedRouter picks the replica with the fewest live
 // tokens — work assigned and not yet completed — ties to the lowest
-// index. On controllers that feed completions back (autoscaled fleets,
-// geo regions) this rebalances on actual queue depth over a long
-// trace; without live views it degrades to least-outstanding exactly.
+// index, so it rebalances on actual queue depth over a long trace.
 func NewLiveLeastLoadedRouter() Router { return liveLeastLoaded{} }
 
 func (liveLeastLoaded) Name() string { return "live-least-loaded" }
 
 func (liveLeastLoaded) Route(_ workload.Request, replicas []ReplicaView) int {
-	load := func(v ReplicaView) int {
-		if v.Live {
-			return v.LiveTokens
-		}
-		return v.OutstandingTokens
-	}
 	// Prefer replicas whose breaker allows traffic; when every breaker is
 	// open the request has to land somewhere, so fall back to all. With
 	// breakers disabled every view has BreakerOpen false and this is the
@@ -154,7 +141,7 @@ func (liveLeastLoaded) Route(_ workload.Request, replicas []ReplicaView) int {
 		if v.BreakerOpen {
 			continue
 		}
-		if best < 0 || load(v) < load(replicas[best]) {
+		if best < 0 || v.LiveTokens < replicas[best].LiveTokens {
 			best = i
 		}
 	}
@@ -163,7 +150,7 @@ func (liveLeastLoaded) Route(_ workload.Request, replicas []ReplicaView) int {
 	}
 	best = 0
 	for i := 1; i < len(replicas); i++ {
-		if load(replicas[i]) < load(replicas[best]) {
+		if replicas[i].LiveTokens < replicas[best].LiveTokens {
 			best = i
 		}
 	}
