@@ -98,7 +98,7 @@ func BenchmarkFig07_Bursty(b *testing.B) {
 	e := benchEnv()
 	var shiftTTFT, tpTTFT float64
 	for i := 0; i < b.N; i++ {
-		_, results, err := experiments.Fig7Table5(e)
+		_, results, _, err := experiments.Fig7Table5(e)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -52,11 +52,6 @@ type Counters struct {
 	BarrierCalls   int
 }
 
-// TotalBytes returns the sum of wire bytes across collective kinds.
-func (c Counters) TotalBytes() float64 {
-	return c.AllReduceBytes + c.AllToAllBytes + c.AllGatherBytes + c.BroadcastBytes
-}
-
 // Stats guards the live traffic counters of a Group.
 type Stats struct {
 	mu sync.Mutex
@@ -68,13 +63,6 @@ func (s *Stats) Snapshot() Counters {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.c
-}
-
-// Reset zeroes the counters.
-func (s *Stats) Reset() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.c = Counters{}
 }
 
 // NewGroup returns a communicator over n ranks.

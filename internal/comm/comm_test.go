@@ -260,9 +260,6 @@ func TestStatsCallCounts(t *testing.T) {
 	if s.AllReduceCalls != 2 || s.BarrierCalls != 1 || s.AllGatherCalls != 1 || s.BroadcastCalls != 1 {
 		t.Fatalf("stats = %+v", s)
 	}
-	if s.TotalBytes() <= 0 {
-		t.Fatal("total bytes should be positive")
-	}
 }
 
 // Property: all-reduce equals the serial sum for random vectors and sizes.

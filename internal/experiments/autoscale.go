@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/model"
+	"repro/internal/obs"
 	"repro/internal/perf"
 	"repro/internal/serve"
 	"repro/internal/stats"
@@ -159,18 +160,21 @@ func runAutoscalePolicy(e Env, cm *perf.CostModel, tr *workload.Trace, policy st
 }
 
 // FleetTimeline renders one policy's per-interval fleet size against
-// queue depth — the scaling dynamics behind the sweep's summary rows.
+// queue depth — the scaling dynamics behind the sweep's summary rows —
+// from the run's obs samples (on e.Obs, or a fresh observer).
 func FleetTimeline(e Env, policy string, cold time.Duration) (*stats.Table, error) {
 	cm, err := perf.New(e.Node, model.Llama70B(), e.Params)
 	if err != nil {
 		return nil, err
 	}
-	res, err := runAutoscalePolicy(e, cm, autoscaleTrace(e), policy, cold, autoscaleInitial)
-	if err != nil {
+	if e.Obs == nil {
+		e.Obs = obs.NewObserver()
+	}
+	if _, err := runAutoscalePolicy(e, cm, autoscaleTrace(e), policy, cold, autoscaleInitial); err != nil {
 		return nil, err
 	}
 	tab := stats.NewTable("t", "Desired", "Active", "Warming", "Draining", "Queue")
-	for _, s := range res.FleetSamples {
+	for _, s := range e.Obs.Samples() {
 		tab.AddRow(s.At, s.Desired, s.Active, s.Warming, s.Draining, s.QueuedRequests)
 	}
 	return tab, nil

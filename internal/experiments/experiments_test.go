@@ -98,7 +98,7 @@ func TestTable3Winners(t *testing.T) {
 }
 
 func TestFig7Table5Shape(t *testing.T) {
-	tab, results, err := Fig7Table5(quickEnv())
+	tab, results, _, err := Fig7Table5(quickEnv())
 	if err != nil {
 		t.Fatal(err)
 	}

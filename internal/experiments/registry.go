@@ -21,6 +21,7 @@ import (
 
 	"repro/internal/hw"
 	"repro/internal/model"
+	"repro/internal/obs"
 	"repro/internal/scenario"
 	"repro/internal/serve"
 	"repro/internal/stats"
@@ -131,14 +132,14 @@ func init() {
 				Help: "series bucket width"},
 		},
 		Run: func(se scenario.Env, v scenario.Values) ([]stats.Section, error) {
-			tab, results, err := Fig7Table5(Env(se))
+			tab, _, observers, err := Fig7Table5(Env(se))
 			if err != nil {
 				return nil, err
 			}
 			sections := []stats.Section{{Name: "fig7-table5", Table: tab}}
 			if v.Bool("series") {
 				sections = append(sections,
-					stats.Section{Name: "throughput-series", Table: throughputSeries(results, v.Duration("bucket"))})
+					stats.Section{Name: "throughput-series", Table: throughputSeries(observers, v.Duration("bucket"))})
 			}
 			return sections, nil
 		},
@@ -474,7 +475,7 @@ func init() {
 		Name:    "burstbench",
 		Summary: "Bench suite: fig7-table5 + autoscaling (the BENCH_burstbench.json trajectory)",
 		Run: func(se scenario.Env, _ scenario.Values) ([]stats.Section, error) {
-			tab, _, err := Fig7Table5(Env(se))
+			tab, _, _, err := Fig7Table5(Env(se))
 			if err != nil {
 				return nil, err
 			}
@@ -535,13 +536,13 @@ func init() {
 // throughputSeries renders the per-bucket throughput time series of a
 // Fig7Table5 run (the bottom panel of Figure 7, the old burstbench
 // -series output).
-func throughputSeries(results map[string]*serve.Result, bucket time.Duration) *stats.Table {
+func throughputSeries(observers map[string]*obs.Observer, bucket time.Duration) *stats.Table {
 	systems := []string{"DP", "TP", "Shift"}
 	tab := stats.NewTable("Bucket", "DP", "TP", "Shift")
 	rates := map[string][]float64{}
 	maxLen := 0
 	for _, name := range systems {
-		rates[name] = results[name].ThroughputSeries(bucket).Rates()
+		rates[name] = observers[name].ThroughputSeries(bucket).Rates()
 		if len(rates[name]) > maxLen {
 			maxLen = len(rates[name])
 		}

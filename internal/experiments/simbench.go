@@ -114,8 +114,7 @@ func SimulatorSpeed(e Env, reps int) (*stats.Table, error) {
 
 // EngineHotPath profiles single-engine replays — the code the tentpole
 // optimized — reporting wall-clock, simulated-time ratio, and the
-// allocation bill per request (runtime.MemStats deltas around the run;
-// the event-capture scenario isolates what RecordEvents adds).
+// allocation bill per request (runtime.MemStats deltas around the run).
 func EngineHotPath(e Env) (*stats.Table, error) {
 	cm, err := perf.New(e.Node, model.Llama70B(), e.Params)
 	if err != nil {
@@ -129,20 +128,17 @@ func EngineHotPath(e Env) (*stats.Table, error) {
 	tab := stats.NewTable("Scenario", "Requests", "Iters", "Preempt", "Wall ms",
 		"Sim-s/wall-s", "Allocs/req", "KB/req")
 	scenarios := []struct {
-		name   string
-		events bool
-		par    perf.Parallelism
+		name string
+		par  perf.Parallelism
 	}{
 		// A single-GPU replica is the KV-tight case: bursts force queueing
 		// and preemption storms, exactly the paths the waitQueue rework
 		// targets. The TP-8 engine is the roomy comparison point.
-		{"engine-1gpu", false, perf.Parallelism{SP: 1, TP: 1}},
-		{"engine-1gpu+events", true, perf.Parallelism{SP: 1, TP: 1}},
-		{"engine-tp8", false, perf.Parallelism{SP: 1, TP: 8}},
+		{"engine-1gpu", perf.Parallelism{SP: 1, TP: 1}},
+		{"engine-tp8", perf.Parallelism{SP: 1, TP: 8}},
 	}
 	for _, sc := range scenarios {
 		cl := serve.SingleEngine(sc.name, serve.Config{CM: cm, Par: sc.par})
-		cl.RecordEvents = sc.events
 		runtime.GC()
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/model"
+	"repro/internal/obs"
 	"repro/internal/serve"
 	"repro/internal/stats"
 	"repro/internal/tensor"
@@ -26,31 +27,36 @@ func burstyTrace(e Env) *workload.Trace {
 }
 
 // Fig7Table5 replays the bursty synthetic workload on Llama-70B and
-// reports Table 5's rows (median TTFT/TPOT, peak throughput) plus the
-// per-run results for time-series plotting.
-func Fig7Table5(e Env) (*stats.Table, map[string]*serve.Result, error) {
+// reports Table 5's rows (median TTFT/TPOT, peak throughput) plus each
+// system's result and the observer that recorded it: the engines'
+// iteration records on it give Figure 7's throughput over time.
+func Fig7Table5(e Env) (*stats.Table, map[string]*serve.Result, map[string]*obs.Observer, error) {
 	clusters, err := e.clusters(model.Llama70B())
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	tr := burstyTrace(e)
 	systems := []string{"DP", "TP", "Shift"} // Table 5's rows
+	observers := make([]*obs.Observer, len(systems))
 	cells, err := runCells(e, len(systems), func(i, _ int) (*serve.Result, error) {
 		cl := clusters[systems[i]]
-		cl.RecordEvents = true
+		observers[i] = obs.NewObserver()
+		cl.Obs = observers[i]
 		return cl.Run(tr)
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	tab := stats.NewTable("System", "Median TTFT ms", "Median TPOT ms", "Peak Throughput tok/s", "p99 TTFT ms")
 	results := map[string]*serve.Result{}
+	byName := map[string]*obs.Observer{}
 	for i, res := range cells {
 		results[systems[i]] = res
-		peak := res.ThroughputSeries(5 * time.Second).Peak()
+		byName[systems[i]] = observers[i]
+		peak := observers[i].ThroughputSeries(5 * time.Second).Peak()
 		tab.AddRow(systems[i], res.TTFT.Median(), res.TPOT.Median(), peak, res.TTFT.P99())
 	}
-	return tab, results, nil
+	return tab, results, byName, nil
 }
 
 // Fig8 summarizes the two production trace twins the way Figure 8 plots

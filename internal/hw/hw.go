@@ -49,11 +49,6 @@ func (n Node) Validate() error {
 	return nil
 }
 
-// TotalMemBytes returns the aggregate HBM capacity of the node.
-func (n Node) TotalMemBytes() int64 {
-	return n.GPU.MemBytes * int64(n.NumGPUs)
-}
-
 const (
 	// GB is 10^9 bytes, matching GPU marketing units used in the paper
 	// ("141 GB memory", "900 GB/s").

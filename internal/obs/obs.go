@@ -1,7 +1,8 @@
 // Package obs is the simulator's observability layer: deterministic,
-// sim-time-stamped request lifecycle spans and sampled fleet time
-// series, exportable as Chrome trace-event JSON (Perfetto-loadable)
-// and CSV/JSON time series.
+// sim-time-stamped request lifecycle spans, sampled fleet time series
+// and per-iteration engine throughput records. Spans export as Chrome
+// trace-event JSON (Perfetto-loadable), samples as CSV/JSON time
+// series, and iteration records as a bucketed throughput series.
 //
 // An Observer collects one run. The serve stack threads it through as
 // a nil-gated hook: every emission site checks for a nil sink before
@@ -24,6 +25,8 @@ package obs
 import (
 	"sort"
 	"time"
+
+	"repro/internal/stats"
 )
 
 // Kind labels one lifecycle event.
@@ -157,14 +160,31 @@ type Event struct {
 	Detail string        `json:"detail,omitempty"` // reason / replica / region
 }
 
+// Iter is one engine iteration's throughput record.
+//
+// Tokens counts the prompt tokens the iteration prefilled plus the
+// output tokens it emitted. Summed over a run this is the work the
+// engines did, which equals Result.TotalTokens only when no request
+// was preempted, none hit a prefix cache and no started work was lost
+// or rejected: a recompute after a preemption prefills the prompt (and
+// the tokens decoded so far) again, while prefix-cache hits are never
+// prefilled at all.
+type Iter struct {
+	At     time.Duration // iteration end time
+	Tokens int
+}
+
 // Stream is one track's append-only event buffer: a replica, a
-// balancer, or a geo balancer. All methods are nil-receiver safe so
-// emission sites stay a single guarded append.
+// balancer, or a geo balancer. Replica streams also hold the engine's
+// iteration records, which stay out of Events and every trace or
+// series export. All methods are nil-receiver safe so emission sites
+// stay a single guarded append.
 type Stream struct {
 	Region string // owning region ("" outside the geo tier)
 	Track  string // replica name, "balancer", or "geo-balancer"
 	order  int    // registration order; export tie-break
 	events []Event
+	iters  []Iter
 }
 
 // Event appends one event. Nil-safe: a nil stream is the disabled
@@ -182,6 +202,22 @@ func (s *Stream) Events() []Event {
 		return nil
 	}
 	return s.events
+}
+
+// Iter appends one iteration record. Nil-safe like Event.
+func (s *Stream) Iter(at time.Duration, tokens int) {
+	if s == nil {
+		return
+	}
+	s.iters = append(s.iters, Iter{At: at, Tokens: tokens})
+}
+
+// Iters returns the stream's iteration records in emission order.
+func (s *Stream) Iters() []Iter {
+	if s == nil {
+		return nil
+	}
+	return s.iters
 }
 
 // ClassAttainment is one request class's SLO attainment within a
@@ -283,6 +319,19 @@ func (o *Observer) Samples() []Sample {
 		return nil
 	}
 	return o.samples
+}
+
+// ThroughputSeries buckets every stream's iteration tokens by
+// iteration end time (Figure 7's throughput over time). Bucket totals
+// are integer sums, so they do not depend on stream order.
+func (o *Observer) ThroughputSeries(width time.Duration) *stats.Series {
+	s := stats.NewSeries(width)
+	for _, st := range o.Streams() {
+		for _, it := range st.iters {
+			s.Observe(it.At, float64(it.Tokens))
+		}
+	}
+	return s
 }
 
 // EventCount totals events across all streams.

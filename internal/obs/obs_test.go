@@ -17,9 +17,51 @@ func TestNilObserverIsSafe(t *testing.T) {
 		t.Fatal("nil observer returned a non-nil stream")
 	}
 	s.Event(time.Second, EvFinish, 1, "") // must not panic
+	s.Iter(time.Second, 8)
 	o.Sample(Sample{At: 1})
-	if !o.Empty() || o.EventCount() != 0 || o.Streams() != nil || o.Samples() != nil || len(o.Events()) != 0 {
+	if !o.Empty() || o.EventCount() != 0 || o.Streams() != nil || o.Samples() != nil || len(o.Events()) != 0 ||
+		s.Iters() != nil || len(o.ThroughputSeries(time.Second).Buckets()) != 0 {
 		t.Fatal("nil observer reports content")
+	}
+}
+
+// Iteration records feed only the throughput series: they are not
+// events, so the trace and series exports never see them.
+func TestItersStayOutOfExports(t *testing.T) {
+	o := NewObserver()
+	a := o.Stream("", "a")
+	b := o.Stream("", "b")
+	a.Iter(500*time.Millisecond, 10)
+	b.Iter(900*time.Millisecond, 5)
+	a.Iter(2500*time.Millisecond, 7)
+	if got := o.ThroughputSeries(time.Second).Buckets(); len(got) != 3 || got[0] != 15 || got[1] != 0 || got[2] != 7 {
+		t.Fatalf("throughput buckets = %v, want [15 0 7]", got)
+	}
+	if len(a.Iters()) != 2 || a.Iters()[1] != (Iter{At: 2500 * time.Millisecond, Tokens: 7}) {
+		t.Fatalf("stream a iters = %v", a.Iters())
+	}
+	if !o.Empty() || o.EventCount() != 0 {
+		t.Fatal("iteration records counted as events")
+	}
+	var trace, series bytes.Buffer
+	if err := o.WriteChromeTrace(&trace); err != nil {
+		t.Fatal(err)
+	}
+	if err := o.WriteSeriesCSV(&series); err != nil {
+		t.Fatal(err)
+	}
+	empty := NewObserver()
+	empty.Stream("", "a")
+	empty.Stream("", "b")
+	var wantTrace, wantSeries bytes.Buffer
+	if err := empty.WriteChromeTrace(&wantTrace); err != nil {
+		t.Fatal(err)
+	}
+	if err := empty.WriteSeriesCSV(&wantSeries); err != nil {
+		t.Fatal(err)
+	}
+	if trace.String() != wantTrace.String() || series.String() != wantSeries.String() {
+		t.Fatal("iteration records reached the trace or series export")
 	}
 }
 

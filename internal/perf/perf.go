@@ -136,9 +136,6 @@ func (c Cost) Total() time.Duration {
 	return c.GEMM + c.Attn + c.AllReduce + c.AllToAll + c.Overhead
 }
 
-// Comm returns the collective communication time.
-func (c Cost) Comm() time.Duration { return c.AllReduce + c.AllToAll }
-
 // CostModel prices iterations of one model on one node.
 type CostModel struct {
 	Node hw.Node

@@ -50,7 +50,7 @@ func TestParallelismString(t *testing.T) {
 func TestIterZeroBatchOnlyOverhead(t *testing.T) {
 	cm := llamaCM(t)
 	c := cm.Iter(tp8, Batch{})
-	if c.GEMM != 0 || c.Attn != 0 || c.Comm() != 0 {
+	if c.GEMM != 0 || c.Attn != 0 || c.AllReduce != 0 || c.AllToAll != 0 {
 		t.Fatalf("zero batch cost = %+v", c)
 	}
 	if c.Overhead <= 0 {
@@ -147,7 +147,8 @@ func TestTable2CommScaling(t *testing.T) {
 		t.Errorf("all-to-all per rank should shrink with SP: SP=2 %v, SP=8 %v", a2, a8)
 	}
 	// And SP communicates less than TP at the same degree.
-	if cm.Iter(sp8, b).Comm() >= cm.Iter(tp8, b).Comm() {
+	sp, tp := cm.Iter(sp8, b), cm.Iter(tp8, b)
+	if sp.AllReduce+sp.AllToAll >= tp.AllReduce+tp.AllToAll {
 		t.Error("SP should communicate less than TP")
 	}
 }

@@ -58,10 +58,6 @@ type FleetView struct {
 	Down int
 }
 
-// Provisioned returns the replicas currently paid for: active, warming,
-// and draining.
-func (v FleetView) Provisioned() int { return v.Active + v.Warming + v.Draining }
-
 // Autoscaler decides the fleet's target size at each evaluation
 // boundary. Desired returns the wanted number of active+warming replicas
 // given the view; the cluster clamps it to [Min, Max], spawns the
@@ -371,9 +367,8 @@ func (rep *replica) remaining() int {
 
 // fleetState is one region's fleet under the serving controller.
 type fleetState struct {
-	ac           AutoscaleConfig
-	name         string
-	recordEvents bool
+	ac   AutoscaleConfig
+	name string
 	// workers bounds the pool that steps live replicas concurrently
 	// between controller events (<=1 steps serially).
 	workers int
@@ -384,7 +379,6 @@ type fleetState struct {
 	clock        time.Duration
 	lockWork     []stagedIter
 	replicas     []*replica
-	samples      []FleetSample
 	scaleUps     int
 	scaleDowns   int
 	arrivedInWin int
@@ -460,7 +454,6 @@ func (f *fleetState) spawn(cfg Config, at, cold time.Duration) error {
 	if err != nil {
 		return err
 	}
-	e.setRecordIters(f.recordEvents)
 	if f.obs != nil {
 		e.attachStream(f.obs.Stream(f.obsRegion, cfg.Name))
 	}
@@ -857,20 +850,6 @@ func (f *fleetState) evaluate(now time.Duration, parkedReqs, parkedTokens int) e
 	case desired < cur:
 		f.shrink(cur-desired, now)
 	}
-	// Sample the post-decision fleet: this is the per-interval fleet-size
-	// series Result reports.
-	s := FleetSample{At: now, Desired: desired, QueuedRequests: v.QueuedRequests}
-	for _, rep := range f.replicas {
-		switch rep.state {
-		case replicaActive:
-			s.Active++
-		case replicaWarming:
-			s.Warming++
-		case replicaDraining:
-			s.Draining++
-		}
-	}
-	f.samples = append(f.samples, s)
 	if f.obs != nil {
 		f.obsSample(now, desired, v)
 	}

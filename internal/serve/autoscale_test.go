@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/perf"
 	"repro/internal/tensor"
 	"repro/internal/workload"
@@ -25,9 +26,10 @@ func burstyFleetTrace(seed uint64) *workload.Trace {
 	return workload.Merge("bursty-fleet", steady, burst)
 }
 
-func autoscaledBurstRun(t *testing.T, cold time.Duration) *Result {
+func autoscaledBurstRun(t *testing.T, cold time.Duration, o *obs.Observer) *Result {
 	t.Helper()
 	cl := SingleEngine("auto", gpu1Cfg(llamaCM(t)))
+	cl.Obs = o
 	cl.Autoscale = &AutoscaleConfig{
 		Scaler:    &QueueDepthAutoscaler{High: 2, Low: 0.5, Step: 2},
 		Interval:  5 * time.Second,
@@ -44,7 +46,7 @@ func autoscaledBurstRun(t *testing.T, cold time.Duration) *Result {
 // TestColdStartNoEarlyService: a replica spawned mid-burst must not be
 // routed to — let alone serve a token — before its warmup elapses.
 func TestColdStartNoEarlyService(t *testing.T) {
-	res := autoscaledBurstRun(t, 10*time.Second)
+	res := autoscaledBurstRun(t, 10*time.Second, nil)
 	if res.ScaleUps == 0 {
 		t.Fatal("burst did not trigger a scale-up; cold-start test is vacuous")
 	}
@@ -88,7 +90,8 @@ func TestColdStartNoEarlyService(t *testing.T) {
 // replica lifetimes, and the per-interval samples must agree with that
 // step function.
 func TestReplicaSecondsIntegral(t *testing.T) {
-	res := autoscaledBurstRun(t, 5*time.Second)
+	o := obs.NewObserver()
+	res := autoscaledBurstRun(t, 5*time.Second, o)
 	if res.ScaleUps == 0 || res.ScaleDowns == 0 {
 		t.Fatalf("want both scale directions (ups=%d downs=%d) for a meaningful integral", res.ScaleUps, res.ScaleDowns)
 	}
@@ -129,8 +132,11 @@ func TestReplicaSecondsIntegral(t *testing.T) {
 		}
 		return n
 	}
-	for _, s := range res.FleetSamples {
-		if p := s.Provisioned(); p < alive(s.At, false) || p > alive(s.At, true) {
+	if len(o.Samples()) == 0 {
+		t.Fatal("no fleet samples recorded")
+	}
+	for _, s := range o.Samples() {
+		if p := s.Active + s.Warming + s.Draining; p < alive(s.At, false) || p > alive(s.At, true) {
 			t.Fatalf("sample at %v reports %d provisioned; lifetimes say [%d, %d]",
 				s.At, p, alive(s.At, false), alive(s.At, true))
 		}
@@ -141,7 +147,7 @@ func TestReplicaSecondsIntegral(t *testing.T) {
 // request is accounted for exactly once, and a drained replica's
 // requests all complete before it retires.
 func TestDrainFinishesInFlight(t *testing.T) {
-	res := autoscaledBurstRun(t, 5*time.Second)
+	res := autoscaledBurstRun(t, 5*time.Second, nil)
 	tr := burstyFleetTrace(11)
 	if len(res.PerRequest) != len(tr.Requests) {
 		t.Fatalf("conservation broken: %d metrics for %d requests", len(res.PerRequest), len(tr.Requests))
@@ -178,7 +184,7 @@ func TestDrainFinishesInFlight(t *testing.T) {
 // TestQueueDepthScalesWithBurst: the queue-depth policy must grow the
 // fleet during the burst and give it back afterwards.
 func TestQueueDepthScalesWithBurst(t *testing.T) {
-	res := autoscaledBurstRun(t, 5*time.Second)
+	res := autoscaledBurstRun(t, 5*time.Second, nil)
 	if res.PeakFleet() <= 1 {
 		t.Fatalf("peak fleet %d: burst never grew the fleet", res.PeakFleet())
 	}

@@ -15,16 +15,11 @@ import (
 type Cluster struct {
 	Name    string
 	Configs []Config
-	// RecordEvents enables per-iteration event capture (time series).
-	//
-	// Deprecated: this predates the obs layer and survives as a thin
-	// compatibility shim over the engine tap (Result.Events is
-	// unchanged). New consumers should set Obs and use its samples.
-	RecordEvents bool
-	// Obs, when set, collects request lifecycle spans and controller
-	// time series for the run (see internal/obs). nil keeps the run on
-	// the untraced fast path, byte-identical to builds without the
-	// hook.
+	// Obs, when set, collects the run's request lifecycle spans, its
+	// controller-tick fleet samples and every engine's per-iteration
+	// throughput records (see internal/obs); it is the only source of
+	// a run's time series. nil keeps the run on the untraced fast path,
+	// byte-identical to builds without the hook.
 	Obs *obs.Observer
 	// Lockstep makes all replicas step together, each iteration taking
 	// the slowest replica's time — vLLM's data-parallel engine behaviour
@@ -123,7 +118,7 @@ func (c Cluster) Run(t *workload.Trace) (*Result, error) {
 		Regions: []Region{{Name: c.Name, Configs: c.Configs, Router: c.Router, Autoscale: c.Autoscale}},
 		Faults:  c.Faults, Health: c.Health, Breakers: c.Breakers,
 		SharedCache: c.SharedCache, Cloud: c.Cloud,
-		RecordEvents: c.RecordEvents, Obs: c.Obs, Parallelism: c.Parallelism,
+		Obs: c.Obs, Parallelism: c.Parallelism,
 	}, false)
 	if err != nil {
 		return nil, err

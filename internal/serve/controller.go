@@ -208,7 +208,7 @@ func newController(g Geo, geoTier bool) (*controller, error) {
 			r.reset()
 		}
 		fleet := &fleetState{
-			ac: ac, name: name, recordEvents: g.RecordEvents,
+			ac: ac, name: name,
 			workers: c.workers, breakers: g.Breakers, cloud: c.cloud,
 			sampleCloud: !geoTier && c.cloud != nil,
 		}
@@ -302,18 +302,15 @@ func (c *controller) run(t *workload.Trace) (*Result, error) {
 	return c.result()
 }
 
-// reserve pre-sizes the run's growing lists from the trace: each fleet's
-// evaluation samples for the arrival span, and every initial replica's
-// completion list for an even share of the requests.
+// reserve pre-sizes every initial replica's completion list from the
+// trace: an even share of the requests.
 func (c *controller) reserve(t *workload.Trace) {
 	replicas := 0
 	for _, rr := range c.regions {
 		replicas += len(rr.fleet.replicas)
 	}
 	for _, rr := range c.regions {
-		f := rr.fleet
-		f.samples = make([]FleetSample, 0, int(t.Duration()/f.ac.Interval)+1)
-		for _, rep := range f.replicas {
+		for _, rep := range rr.fleet.replicas {
 			rep.engine.reserve(len(t.Requests) / replicas)
 		}
 	}
@@ -712,14 +709,13 @@ func (c *controller) result() (*Result, error) {
 		}
 		var seconds float64
 		res.Replicas, seconds = f.finish(res.Makespan, res.Replicas)
-		res.FleetSamples = append(res.FleetSamples, f.samples...)
 		res.ReplicaSeconds += seconds
 		res.ScaleUps += f.scaleUps
 		res.ScaleDowns += f.scaleDowns
 		if geo {
 			res.RegionStats[gi] = RegionStats{
 				Name: rr.name, ReplicaSeconds: seconds, ScaleUps: f.scaleUps,
-				ScaleDowns: f.scaleDowns, FleetSamples: f.samples,
+				ScaleDowns: f.scaleDowns,
 			}
 		}
 	}

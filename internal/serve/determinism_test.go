@@ -255,8 +255,10 @@ func TestCachedGeoParallelMatchesSerial(t *testing.T) {
 
 // encodeObs renders an Observer's exported artifacts — the Chrome
 // trace JSON and the series CSV, the exact bytes simctl -trace/-series
-// would write — so the determinism contract extends to observability
-// output, not just Results.
+// would write — plus the throughput series and every stream's
+// iteration records behind it, so the determinism contract extends to
+// observability output (including what concurrently stepped engines
+// record), not just Results.
 func encodeObs(t *testing.T, o *obs.Observer) string {
 	t.Helper()
 	var trace, series bytes.Buffer
@@ -265,6 +267,10 @@ func encodeObs(t *testing.T, o *obs.Observer) string {
 	}
 	if err := o.WriteSeriesCSV(&series); err != nil {
 		t.Fatal(err)
+	}
+	fmt.Fprintf(&series, "\x1f%v", o.ThroughputSeries(time.Second).Buckets())
+	for _, s := range o.Streams() {
+		fmt.Fprintf(&series, "\n%s/%s %v", s.Region, s.Track, s.Iters())
 	}
 	return trace.String() + "\x1f" + series.String()
 }

@@ -17,7 +17,6 @@ func TestShiftWithSpecDecode(t *testing.T) {
 	cfg := shiftCfg(cm)
 	cfg.Stack = specdec.Stack{Spec: specdec.Spec{Len: 3, Acceptance: 0.7}}
 	e := mustEngine(t, cfg)
-	e.setRecordIters(true)
 	ms := e.Run(workload.Single(4096, 200).Requests)
 	if ms[0].Rejected {
 		t.Fatal("rejected")

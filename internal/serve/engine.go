@@ -364,8 +364,8 @@ type Engine struct {
 	cost         perf.Cost // accumulated component times
 	tokensServed int
 
-	// tap is the nil-gated observation sink (obs stream + deprecated
-	// IterEvent capture); nil on the untraced fast path. See tap.go.
+	// tap is the nil-gated observation sink (the obs stream); nil on the
+	// untraced fast path. See tap.go.
 	tap *engineTap
 
 	// Measured prefix cache (nil unless Config.PrefixCache is set).
@@ -394,14 +394,6 @@ type Engine struct {
 	// staging via takeCloudShed before collecting metrics.
 	buyDivert bool
 	cloudShed []cloudShedEntry
-}
-
-// IterEvent records one engine iteration for time-series plots (Fig 7).
-type IterEvent struct {
-	At       time.Duration // iteration end time
-	Duration time.Duration
-	Tokens   int
-	Par      perf.Parallelism
 }
 
 // NewEngine builds an engine; the KV allocator is sized from the cost
@@ -1148,13 +1140,7 @@ func (e *Engine) apply(plan batchPlan, cost perf.Cost, end time.Duration) {
 		}
 	}
 	e.running = kept
-
-	if t := e.tap; t != nil && t.recordIters {
-		// Tokens counts input tokens processed plus output tokens emitted
-		// this iteration, so a series over events sums to the trace's
-		// combined token total.
-		t.iters = append(t.iters, IterEvent{At: e.now, Duration: cost.Total(), Tokens: produced, Par: plan.par})
-	}
+	e.tap.iter(e.now, produced)
 }
 
 // parFor implements Algorithm 2 at the engine level.

@@ -435,17 +435,13 @@ type Geo struct {
 	// transiently failed dispatches fall back to regional placement. nil
 	// keeps every legacy path byte-identical.
 	Cloud *CloudConfig
-	// RecordEvents enables per-iteration event capture on every engine.
-	//
-	// Deprecated: this predates the obs layer and survives as a thin
-	// compatibility shim over the engine tap (Result.Events is
-	// unchanged). New consumers should set Obs and use its samples.
-	RecordEvents bool
-	// Obs, when set, collects request lifecycle spans and per-region
-	// controller time series for the run (see internal/obs). Tracks:
-	// one process per region (replicas plus the regional balancer) and
-	// a "geo" process holding the geo balancer's routing, refugee-hop,
-	// and drop events. nil keeps the run on the untraced fast path.
+	// Obs, when set, collects the run's request lifecycle spans, the
+	// per-region controller-tick fleet samples and every engine's
+	// per-iteration throughput records (see internal/obs); it is the
+	// only source of a run's time series. Tracks: one process per
+	// region (replicas plus the regional balancer) and a "geo" process
+	// holding the geo balancer's routing, refugee-hop, and drop events.
+	// nil keeps the run on the untraced fast path.
 	Obs *obs.Observer
 	// Parallelism bounds the worker pools that advance regions (and,
 	// within each region, replicas) concurrently between controller

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/perf"
 	"repro/internal/workload"
 )
@@ -65,18 +66,18 @@ func TestGeoSingleRegionBitForBit(t *testing.T) {
 		// per-run state, so the cluster and the geo run each get their own.
 		build func() Cluster
 		// active reports that the cell's feature really fired.
-		active func(*Result) bool
+		active func(*Result, *obs.Observer) bool
 	}{
 		{"static", stamped, func() Cluster {
 			cl := DPCluster("fleet", gpu1Cfg(cm), 3)
 			cl.Autoscale = scaling("static")
 			return cl
-		}, func(r *Result) bool { return len(r.FleetSamples) > 0 }},
+		}, func(_ *Result, o *obs.Observer) bool { return len(o.Samples()) > 0 }},
 		{"queue-depth", stamped, func() Cluster {
 			cl := DPCluster("fleet", gpu1Cfg(cm), 3)
 			cl.Autoscale = scaling("queue-depth")
 			return cl
-		}, func(r *Result) bool { return r.ScaleUps > 0 }},
+		}, func(r *Result, _ *obs.Observer) bool { return r.ScaleUps > 0 }},
 		{"faults-retry-health", determinismTrace(t, 11), func() Cluster {
 			cl := DPCluster("fleet", gpu1Cfg(cm), 3)
 			cl.Router = NewLiveLeastLoadedRouter()
@@ -86,14 +87,16 @@ func TestGeoSingleRegionBitForBit(t *testing.T) {
 			}}
 			cl.Health = &HealthConfig{ProbeInterval: 2 * time.Second, FailThreshold: 2, Cooldown: 5 * time.Second}
 			return cl
-		}, func(r *Result) bool { return r.Retries > 0 && r.RetryBackoffWait > 0 && r.Ejections > 0 }},
+		}, func(r *Result, _ *obs.Observer) bool {
+			return r.Retries > 0 && r.RetryBackoffWait > 0 && r.Ejections > 0
+		}},
 		{"breakers", determinismTrace(t, 13), func() Cluster {
 			cl := DPCluster("fleet", shedding, 2)
 			cl.Router = NewLiveLeastLoadedRouter()
 			cl.Faults = &workload.FaultPlan{Crashes: crashes}
 			cl.Breakers = &BreakerConfig{FailThreshold: 3, OpenFor: 4 * time.Second}
 			return cl
-		}, func(r *Result) bool { return r.BreakerOpens > 0 }},
+		}, func(r *Result, _ *obs.Observer) bool { return r.BreakerOpens > 0 }},
 		{"cloud-shed-or-buy-fail-every", determinismTrace(t, 43), func() Cluster {
 			cfg := shedding
 			cfg.Admission = &AdmissionConfig{Policy: AdmissionShedOrBuy}
@@ -107,7 +110,7 @@ func TestGeoSingleRegionBitForBit(t *testing.T) {
 			cloud.MaxSpend = 2
 			cl.Cloud = cloud
 			return cl
-		}, func(r *Result) bool { return r.CloudRequests >= 7 }}, // FailEvery fired
+		}, func(r *Result, _ *obs.Observer) bool { return r.CloudRequests >= 7 }}, // FailEvery fired
 		{"shared-cache", cachedDeterminismTrace(t, 19), func() Cluster {
 			cfg := gpu1Cfg(cm)
 			cfg.PrefixCache = &PrefixCacheConfig{ShareFraction: 0.4}
@@ -115,7 +118,7 @@ func TestGeoSingleRegionBitForBit(t *testing.T) {
 			cl.Router = NewCacheAwareRouter()
 			cl.SharedCache = &SharedCacheConfig{Latency: 20 * time.Millisecond}
 			return cl
-		}, func(r *Result) bool { return r.SharedHits > 0 }},
+		}, func(r *Result, _ *obs.Observer) bool { return r.SharedHits > 0 }},
 	}
 	for _, cell := range cells {
 		t.Run(cell.name, func(t *testing.T) {
@@ -123,7 +126,15 @@ func TestGeoSingleRegionBitForBit(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !cell.active(want) {
+			// A traced twin of the cluster run supplies its fleet samples;
+			// the geo run is traced too, so comparing it with the untraced
+			// cluster also checks that tracing moves no result.
+			traced := cell.build()
+			traced.Obs = obs.NewObserver()
+			if _, err := traced.Run(cell.trace); err != nil {
+				t.Fatal(err)
+			}
+			if !cell.active(want, traced.Obs) {
 				t.Fatal("test premise broken: the cell's feature never fired")
 			}
 			cl := cell.build()
@@ -134,6 +145,7 @@ func TestGeoSingleRegionBitForBit(t *testing.T) {
 				Router:   NewNearestRegionRouter(),
 				Faults:   cl.Faults, Health: cl.Health, Breakers: cl.Breakers,
 				SharedCache: cl.SharedCache, Cloud: cl.Cloud,
+				Obs: obs.NewObserver(),
 			}
 			got, err := g.Run(cell.trace)
 			if err != nil {
@@ -175,8 +187,8 @@ func TestGeoSingleRegionBitForBit(t *testing.T) {
 			if !reflect.DeepEqual(got.Replicas, want.Replicas) {
 				t.Fatal("replica lifetimes diverged")
 			}
-			if !reflect.DeepEqual(got.FleetSamples, want.FleetSamples) {
-				t.Fatal("fleet samples diverged")
+			if a, b := fleetComposition(g.Obs), fleetComposition(traced.Obs); !reflect.DeepEqual(a, b) {
+				t.Fatalf("fleet samples diverged:\n got %v\nwant %v", a, b)
 			}
 			if got.ReplicaCrashes != want.ReplicaCrashes || got.Ejections != want.Ejections ||
 				got.Readmissions != want.Readmissions || got.WorkLostTokens != want.WorkLostTokens ||
@@ -192,6 +204,20 @@ func TestGeoSingleRegionBitForBit(t *testing.T) {
 			}
 		})
 	}
+}
+
+// fleetComposition projects an observer's samples onto the fleet
+// composition fields every controller tick records, whatever features
+// the run has.
+func fleetComposition(o *obs.Observer) []obs.Sample {
+	var out []obs.Sample
+	for _, s := range o.Samples() {
+		out = append(out, obs.Sample{
+			At: s.At, Track: s.Track, Desired: s.Desired, Active: s.Active,
+			Warming: s.Warming, Draining: s.Draining, QueuedRequests: s.QueuedRequests,
+		})
+	}
+	return out
 }
 
 // A Cluster has no regions, so a fault plan entry scoped to one is a

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/perf"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -98,6 +99,7 @@ func TestClusterRunGolden(t *testing.T) {
 			}
 			auto := c.cl
 			auto.Autoscale = &AutoscaleConfig{Scaler: NewStaticAutoscaler(), Interval: 5 * time.Second, Max: 2 * len(c.cl.Configs)}
+			auto.Obs = obs.NewObserver()
 			sres, err := auto.Run(c.tr)
 			if err != nil {
 				t.Fatal(err)
@@ -111,8 +113,11 @@ func TestClusterRunGolden(t *testing.T) {
 			if math.Abs(sres.ReplicaSeconds-res.ReplicaSeconds) > 1e-9*res.ReplicaSeconds {
 				t.Errorf("replica-seconds %v != fixed-fleet %v", sres.ReplicaSeconds, res.ReplicaSeconds)
 			}
-			for _, s := range sres.FleetSamples {
-				if s.Provisioned() != len(c.cl.Configs) || s.Desired != len(c.cl.Configs) {
+			if len(auto.Obs.Samples()) == 0 {
+				t.Error("static autoscaler recorded no fleet samples")
+			}
+			for _, s := range auto.Obs.Samples() {
+				if s.Active+s.Warming+s.Draining != len(c.cl.Configs) || s.Desired != len(c.cl.Configs) {
 					t.Errorf("static fleet sample moved: %+v", s)
 				}
 			}

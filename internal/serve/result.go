@@ -212,17 +212,13 @@ type Result struct {
 	ShiftIters int
 	Cost       perf.Cost
 
-	// Events, when recorded, allow time-series plots (Figure 7).
-	Events []IterEvent
-
 	// Fleet accounting. ReplicaSeconds integrates provisioned fleet size
 	// over time (for a fixed fleet: replicas x makespan); Replicas lists
 	// each replica's provisioned lifetime. Autoscaled runs additionally
-	// fill the per-interval FleetSamples series and the scale-event
-	// counters.
+	// fill the scale-event counters; the per-evaluation fleet
+	// composition is the run's obs samples.
 	ReplicaSeconds float64
 	Replicas       []ReplicaLife
-	FleetSamples   []FleetSample
 	ScaleUps       int
 	ScaleDowns     int
 
@@ -281,7 +277,6 @@ type RegionStats struct {
 	ReplicaSeconds float64
 	ScaleUps       int
 	ScaleDowns     int
-	FleetSamples   []FleetSample
 	// Cloud split: overflow bought on behalf of this region's arrivals
 	// (cloud rows bill to their origin region, like shared-cache hits).
 	CloudRequests int
@@ -313,21 +308,6 @@ type ReplicaLife struct {
 	// lifetime.
 	AssignedRequests int
 }
-
-// FleetSample is the fleet's composition right after one autoscaler
-// evaluation — the per-interval fleet-size series.
-type FleetSample struct {
-	At       time.Duration
-	Desired  int
-	Active   int
-	Warming  int
-	Draining int
-	// QueuedRequests is the backlog the decision saw.
-	QueuedRequests int
-}
-
-// Provisioned returns the replicas paid for at the sample instant.
-func (s FleetSample) Provisioned() int { return s.Active + s.Warming + s.Draining }
 
 // SLOAttainment aggregates deadline outcomes for one request class.
 // Rejected requests miss every finite deadline; NoDeadline dimensions
@@ -432,15 +412,6 @@ func (r *Result) CostPerMToken(dollarsPerReplicaHour float64) float64 {
 	return (dollarsPerReplicaHour/3600*r.ReplicaSeconds + r.CloudSpend) / float64(r.TotalTokens) * 1e6
 }
 
-// ThroughputSeries buckets served tokens over time (Figure 7 bottom).
-func (r *Result) ThroughputSeries(width time.Duration) *stats.Series {
-	s := stats.NewSeries(width)
-	for _, ev := range r.Events {
-		s.Observe(ev.At, float64(ev.Tokens))
-	}
-	return s
-}
-
 // Summary renders the Table 5 style row.
 func (r *Result) Summary() string {
 	return fmt.Sprintf("%s: p50 TTFT %.0f ms, p50 TPOT %.1f ms, throughput %.0f tok/s, rejected %d",
@@ -509,7 +480,6 @@ func buildResult(name string, metrics []RequestMetrics, engines []*Engine) *Resu
 		r.Cost.AllReduce += e.cost.AllReduce
 		r.Cost.AllToAll += e.cost.AllToAll
 		r.Cost.Overhead += e.cost.Overhead
-		r.Events = append(r.Events, e.iterEvents()...)
 		if e.pcache != nil {
 			r.CacheHits += e.cacheHits
 			r.CacheMisses += e.cacheMisses

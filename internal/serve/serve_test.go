@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/hw"
 	"repro/internal/model"
+	"repro/internal/obs"
 	"repro/internal/perf"
 	"repro/internal/specdec"
 	"repro/internal/workload"
@@ -23,6 +24,23 @@ func tp8Cfg(cm *perf.CostModel) Config {
 
 func shiftCfg(cm *perf.CostModel) Config {
 	return Config{CM: cm, Par: perf.Parallelism{SP: 8, TP: 1}, Strategy: StrategyShift}
+}
+
+// attachIters attaches a fresh obs stream to e and returns it, so a
+// test can read e's per-iteration records.
+func attachIters(e *Engine) *obs.Stream {
+	s := obs.NewObserver().Stream("", "engine")
+	e.attachStream(s)
+	return s
+}
+
+// seriesTotal sums an observer's throughput series over every bucket.
+func seriesTotal(o *obs.Observer) int {
+	total := 0.0
+	for _, b := range o.ThroughputSeries(time.Second).Buckets() {
+		total += b
+	}
+	return int(total)
 }
 
 func mustEngine(t *testing.T, cfg Config) *Engine {
@@ -99,12 +117,12 @@ func TestChunkedPrefillSplitsLongPrompt(t *testing.T) {
 	cfg := tp8Cfg(cm)
 	cfg.ChunkBudget = 2048
 	e := mustEngine(t, cfg)
-	e.setRecordIters(true)
+	s := attachIters(e)
 	e.Run(workload.Single(10000, 10).Requests)
 	// 10000-token prompt at 2048/iter: 5 prefill iterations.
 	prefillIters := 0
-	for _, ev := range e.iterEvents() {
-		if ev.Tokens > 1 {
+	for _, it := range s.Iters() {
+		if it.Tokens > 1 {
 			prefillIters++
 		}
 	}
@@ -175,15 +193,24 @@ func TestShiftThresholdRouting(t *testing.T) {
 	cfg := shiftCfg(cm)
 	cfg.ShiftThreshold = 100
 	e := mustEngine(t, cfg)
-	e.setRecordIters(true)
+	s := attachIters(e)
 	e.Run(workload.Single(4096, 50).Requests)
-	for _, ev := range e.iterEvents() {
-		if ev.Tokens > 100 && ev.Par.SP == 1 {
-			t.Fatalf("large batch (%d tokens) ran on shift config", ev.Tokens)
+	// parFor depends only on the batch's tokens, so the iterations at or
+	// under the threshold are exactly the shift ones.
+	small, large := 0, 0
+	for _, it := range s.Iters() {
+		if it.Tokens <= cfg.ShiftThreshold {
+			small++
+		} else {
+			large++
 		}
-		if ev.Tokens <= 100 && ev.Par.SP != 1 {
-			t.Fatalf("small batch (%d tokens) ran on base config", ev.Tokens)
-		}
+	}
+	if small == 0 || large == 0 {
+		t.Fatalf("want both small and large batches, got %d small, %d large", small, large)
+	}
+	if small != e.shiftIters || large != e.baseIters {
+		t.Fatalf("%d small / %d large batches, but %d shift / %d base iterations",
+			small, large, e.shiftIters, e.baseIters)
 	}
 }
 
@@ -382,7 +409,7 @@ func TestQuickConservationAcrossWorkloads(t *testing.T) {
 func TestResultAggregation(t *testing.T) {
 	cm := llamaCM(t)
 	cl := SingleEngine("tp", tp8Cfg(cm))
-	cl.RecordEvents = true
+	cl.Obs = obs.NewObserver()
 	res, err := cl.Run(workload.Closed("c", 10, 1000, 20))
 	if err != nil {
 		t.Fatal(err)
@@ -393,19 +420,44 @@ func TestResultAggregation(t *testing.T) {
 	if res.Throughput() <= 0 {
 		t.Fatal("throughput must be positive")
 	}
-	if len(res.Events) != res.Iters {
-		t.Fatalf("events %d != iters %d", len(res.Events), res.Iters)
+	records := 0
+	for _, s := range cl.Obs.Streams() {
+		records += len(s.Iters())
 	}
-	series := res.ThroughputSeries(time.Second)
-	total := 0.0
-	for _, b := range series.Buckets() {
-		total += b
+	if records != res.Iters {
+		t.Fatalf("iteration records %d != iters %d", records, res.Iters)
 	}
-	if int(total) != res.TotalTokens {
-		t.Fatalf("series total %v != tokens %d", total, res.TotalTokens)
+	// No preemption and no prefix cache: every token is processed once.
+	if total := seriesTotal(cl.Obs); total != res.TotalTokens {
+		t.Fatalf("series total %d != tokens %d", total, res.TotalTokens)
 	}
 	if res.Summary() == "" {
 		t.Fatal("summary empty")
+	}
+}
+
+// TestThroughputSeriesCountsRecompute: the series counts work done, not
+// tokens served. On a KV-tight replica with no prefix cache, every
+// preemption recomputes its prompt, so the series total strictly
+// exceeds the trace's token total.
+func TestThroughputSeriesCountsRecompute(t *testing.T) {
+	cfg := Config{CM: llamaCM(t), Par: perf.Parallelism{SP: 1, TP: 1}, MaxSeqs: 64}
+	per := mustEngine(t, cfg).KVCapacityTokens() / 15
+	reqs := make([]workload.Request, 30)
+	for i := range reqs {
+		reqs[i] = workload.Request{ID: i, InputTokens: per - 500, OutputTokens: 600}
+	}
+	cl := SingleEngine("tight", cfg)
+	cl.Obs = obs.NewObserver()
+	res, err := cl.Run(&workload.Trace{Name: "tight", Requests: reqs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Preemptions == 0 || res.Rejected != 0 {
+		t.Fatalf("premise broken: %d preemptions, %d rejected", res.Preemptions, res.Rejected)
+	}
+	if total := seriesTotal(cl.Obs); total <= res.TotalTokens {
+		t.Fatalf("series total %d, want > %d tokens served", total, res.TotalTokens)
 	}
 }
 

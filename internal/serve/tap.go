@@ -1,8 +1,8 @@
 // Engine observation tap: the single nil-gated attachment point for
-// everything optional an engine can record — the obs lifecycle stream
-// and the deprecated per-iteration IterEvent buffer. An engine with a
-// nil tap is the untraced fast path: every hook is one pointer compare
-// on a nil receiver and allocates nothing (pinned by
+// the engine's obs stream, which receives its request lifecycle events
+// and one throughput record per iteration. An engine with a nil tap is
+// the untraced fast path: every hook is one pointer compare on a nil
+// receiver and allocates nothing (pinned by
 // TestDisabledTraceHookAllocates0 and BenchmarkSimulator_DisabledTraceHook).
 package serve
 
@@ -12,22 +12,15 @@ import (
 	"repro/internal/obs"
 )
 
-// engineTap carries an engine's observation sinks. It exists (is
-// non-nil) only when at least one of them is enabled.
+// engineTap carries an engine's observation sink. It exists (is
+// non-nil) only when the run attached an observer.
 type engineTap struct {
 	// stream receives the engine-side request lifecycle events
-	// (enqueue, admit, prefill-done, preempt, finish, reject) plus the
-	// controller-written fleet events for this replica (crash, eject,
-	// restart, readmit, lost). nil when tracing is off.
+	// (enqueue, admit, prefill-done, preempt, finish, reject) and the
+	// per-iteration throughput records, plus the controller-written
+	// fleet events for this replica (crash, eject, restart, readmit,
+	// lost).
 	stream *obs.Stream
-
-	// iters captures one IterEvent per engine iteration.
-	//
-	// Deprecated: this is the pre-obs time-series surface, kept so
-	// Cluster.RecordEvents and Result.Events keep working byte-for-byte.
-	// New code should sample through obs instead.
-	iters       []IterEvent
-	recordIters bool
 }
 
 // event forwards one lifecycle event. Nil-safe on both the tap and its
@@ -40,14 +33,13 @@ func (t *engineTap) event(at time.Duration, kind obs.Kind, req int, detail strin
 	t.stream.Event(at, kind, req, detail)
 }
 
-// ensureTap returns the engine's tap, allocating it on first use.
-// Callers enabling a sink go through this; the engine itself never
-// creates a tap.
-func (e *Engine) ensureTap() *engineTap {
-	if e.tap == nil {
-		e.tap = &engineTap{}
+// iter records one iteration's end time and tokens processed (see
+// obs.Iter). Nil-safe like event.
+func (t *engineTap) iter(at time.Duration, tokens int) {
+	if t == nil {
+		return
 	}
-	return e.tap
+	t.stream.Iter(at, tokens)
 }
 
 // attachStream points the engine's tap at an obs stream. A nil stream
@@ -57,21 +49,5 @@ func (e *Engine) attachStream(s *obs.Stream) {
 	if s == nil {
 		return
 	}
-	e.ensureTap().stream = s
-}
-
-// setRecordIters enables the deprecated IterEvent capture.
-func (e *Engine) setRecordIters(on bool) {
-	if !on {
-		return
-	}
-	e.ensureTap().recordIters = true
-}
-
-// iterEvents returns the captured IterEvents (nil when disabled).
-func (e *Engine) iterEvents() []IterEvent {
-	if e.tap == nil {
-		return nil
-	}
-	return e.tap.iters
+	e.tap = &engineTap{stream: s}
 }

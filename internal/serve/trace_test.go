@@ -140,6 +140,11 @@ func TestDisabledTraceHookAllocates0(t *testing.T) {
 	}); got != 0 {
 		t.Fatalf("disabled tap hook allocates %v per op, want 0", got)
 	}
+	if got := testing.AllocsPerRun(1000, func() {
+		e.tap.iter(time.Second, 128)
+	}); got != 0 {
+		t.Fatalf("disabled tap iteration record allocates %v per op, want 0", got)
+	}
 	var s *obs.Stream
 	if got := testing.AllocsPerRun(1000, func() {
 		s.Event(time.Second, obs.EvRoute, 1, "r0")

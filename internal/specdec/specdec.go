@@ -55,11 +55,6 @@ func (s Spec) VerifyTokensPerSeq() int {
 	return s.Len + 1
 }
 
-// Speedup returns TokensPerStep / (cost growth) assuming verification is
-// weight-read bound (the usual small-batch regime), where processing k+1
-// tokens costs barely more than 1 — the headline spec-decode win.
-func (s Spec) Speedup() float64 { return s.TokensPerStep() }
-
 // SwiftKV models the SwiftKV (SingleInputKV) transformation: prefill
 // computes KV for later layers from an earlier layer's output, roughly
 // halving prefill flops while leaving decode unchanged.

@@ -108,10 +108,3 @@ func TestStack(t *testing.T) {
 		t.Fatal("bad spec should fail stack validation")
 	}
 }
-
-func TestSpeedupMatchesYield(t *testing.T) {
-	s := Spec{Len: 3, Acceptance: 0.8}
-	if s.Speedup() != s.TokensPerStep() {
-		t.Fatal("speedup should equal token yield in the weight-bound regime")
-	}
-}

@@ -69,21 +69,6 @@ func (s *Sample) Max() float64 {
 	return s.vals[len(s.vals)-1]
 }
 
-// Stddev returns the population standard deviation.
-func (s *Sample) Stddev() float64 {
-	n := len(s.vals)
-	if n == 0 {
-		return 0
-	}
-	mean := s.Mean()
-	ss := 0.0
-	for _, v := range s.vals {
-		d := v - mean
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(n))
-}
-
 // Percentile returns the p-th percentile (0 <= p <= 100) using linear
 // interpolation between closest ranks. Returns 0 for an empty sample.
 func (s *Sample) Percentile(p float64) float64 {
@@ -177,16 +162,6 @@ func (s *Sample) Summarize() Summary {
 func (s Summary) String() string {
 	return fmt.Sprintf("n=%d mean=%.1f p50=%.1f p90=%.1f p95=%.1f p99=%.1f min=%.1f max=%.1f",
 		s.N, s.Mean, s.P50, s.P90, s.P95, s.P99, s.Min, s.Max)
-}
-
-// PercentileCurve returns (percentile, value) pairs at the given
-// percentiles, in the same shape as the paper's Figure 11 CDF plots.
-func (s *Sample) PercentileCurve(ps []float64) [][2]float64 {
-	out := make([][2]float64, len(ps))
-	for i, p := range ps {
-		out[i] = [2]float64{p, s.Percentile(p)}
-	}
-	return out
 }
 
 // Series is a time-bucketed counter, used for throughput-over-time plots

@@ -120,15 +120,6 @@ func AddInPlace(a, b *Matrix) {
 	}
 }
 
-// Scale returns m scaled by s.
-func Scale(m *Matrix, s float64) *Matrix {
-	out := New(m.Rows, m.Cols)
-	for i, v := range m.Data {
-		out.Data[i] = v * s
-	}
-	return out
-}
-
 // Transpose returns the transpose of m.
 func Transpose(m *Matrix) *Matrix {
 	out := New(m.Cols, m.Rows)

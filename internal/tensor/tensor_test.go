@@ -83,14 +83,11 @@ func TestMatMulAssociativity(t *testing.T) {
 	}
 }
 
-func TestAddAndScale(t *testing.T) {
+func TestAdd(t *testing.T) {
 	a := FromRows([][]float64{{1, 2}})
 	b := FromRows([][]float64{{3, 4}})
 	if !Equal(Add(a, b), FromRows([][]float64{{4, 6}}), 0) {
 		t.Fatal("Add wrong")
-	}
-	if !Equal(Scale(a, 2), FromRows([][]float64{{2, 4}}), 0) {
-		t.Fatal("Scale wrong")
 	}
 }
 

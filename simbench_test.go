@@ -41,23 +41,6 @@ func BenchmarkSimulator_EngineBursty(b *testing.B) {
 	}
 }
 
-// BenchmarkSimulator_EngineEvents isolates what RecordEvents adds on
-// the same replay (the preallocated IterEvent buffer keeps it cheap).
-func BenchmarkSimulator_EngineEvents(b *testing.B) {
-	cm := benchCM(b)
-	tr := trace.Bursty(42, 90*time.Second)
-	cfg := serve.Config{CM: cm, Par: perf.Parallelism{SP: 1, TP: 1}}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cl := serve.SingleEngine("bench", cfg)
-		cl.RecordEvents = true
-		if _, err := cl.Run(tr); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkSimulator_PreemptStorm drives a KV-tight single-GPU replica
 // with a closed 256-request batch whose decode growth forces continuous
 // preemption-by-recompute against a ~200-deep waiting queue — the case
