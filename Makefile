@@ -1,8 +1,8 @@
 # One-command verify + bench harness. `make ci` is what the tier-1
 # gate runs in spirit: formatting, vet, the docs lint, the full test
-# suite under the race detector, a single pass of every benchmark, and
-# the scenario-registry smoke (`simctl run -all -quick`, via
-# bench-json).
+# suite under the race detector, a single pass of every benchmark, the
+# scenario-registry smoke (`simctl run -all -quick`, via bench-json),
+# and the benchmark module's own vet and tests (bench-check).
 
 GO ?= go
 PERFCOUNT ?= 5
@@ -13,9 +13,9 @@ FUZZTIME ?= 10s
 # margin absorbs counting noise, not deleted tests).
 COVERFLOOR ?= 86.0
 
-.PHONY: ci fmt vet test race bench bench-json trace-smoke perfbench build docs fuzz fuzz-short cover
+.PHONY: ci fmt vet test race bench bench-json bench-check trace-smoke perfbench build docs fuzz fuzz-short cover
 
-ci: fmt vet docs race bench bench-json trace-smoke fuzz-short cover
+ci: fmt vet docs race bench bench-json trace-smoke fuzz-short cover bench-check
 
 build:
 	$(GO) build ./...
@@ -53,6 +53,12 @@ bench-json:
 		echo "bench-json: simctl run -all wrote no BENCH_*.json files"; exit 1; \
 	fi
 	$(GO) run ./cmd/jsonlint BENCH_*.json
+
+# The repo benchmark (bench/, declared by BENCHMARK.json) is its own Go
+# module, so the root `go build ./...` and `go test ./...` never compile
+# it: a serve API change that breaks the benchmark fails here instead.
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Observability smoke: run the traced failure-recovery cell (cut to the
 # crash-restart plan), export the Chrome trace and the series CSV, and

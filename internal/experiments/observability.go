@@ -15,7 +15,7 @@ import (
 // richest span mix: queue/prefill/decode phases, preemptions, a crash,
 // retries, ejection, readmission) replayed with tracing disabled and
 // enabled. The disabled row is the fast path every untraced run takes —
-// a nil-tap pointer compare per hook site, pinned at zero allocations
+// a nil-stream pointer compare per hook site, pinned at zero allocations
 // by TestDisabledTraceHookAllocates0 and
 // BenchmarkSimulator_DisabledTraceHook — so its wall-clock should match
 // the pre-observability simulator. The enabled row reports the volume

@@ -16,28 +16,21 @@ import (
 const DefaultScaleInterval = 5 * time.Second
 
 // FleetView is what an Autoscaler sees at one evaluation boundary: the
-// live composition of the fleet and signals measured from simulated
-// engine state (not assumed). Queue fields cover every live replica,
-// including draining ones whose backlog is still real work.
+// provisioned fleet size and signals measured from simulated engine
+// state (not assumed). Queue fields cover every live replica, including
+// draining ones whose backlog is still real work.
 type FleetView struct {
-	// Now is the evaluation time; Interval the evaluation period.
-	Now      time.Duration
-	Interval time.Duration
-	// Active counts replicas accepting new work; Warming counts spawned
-	// replicas still paying their cold-start penalty; Draining counts
-	// replicas finishing in-flight work before retiring.
-	Active   int
-	Warming  int
-	Draining int
+	// Active counts replicas accepting new work, dark and health-ejected
+	// ones included (they are still provisioned and billed); Warming
+	// counts spawned replicas still paying their cold-start penalty.
+	// Active+Warming is the size Desired answers against.
+	Active  int
+	Warming int
 	// QueuedRequests counts requests not yet running (waiting in an
 	// engine queue, not yet admitted, or parked at the balancer because
-	// nothing was routable); QueuedTokens their combined input+output
-	// tokens; RunningRequests the in-flight sequences.
+	// nothing was routable); RunningRequests the in-flight sequences.
 	QueuedRequests  int
-	QueuedTokens    int
 	RunningRequests int
-	// ArrivedInInterval counts requests routed since the last evaluation.
-	ArrivedInInterval int
 	// WindowSLORequests counts SLO-carrying requests that completed (or
 	// were rejected) since the last evaluation; WindowTTFTMet how many of
 	// them met their TTFT deadline — the feedback signal for
@@ -49,13 +42,6 @@ type FleetView struct {
 	// control — together the controller-tick shed rate.
 	WindowOutcomes int
 	WindowShed     int
-	// Down counts replicas that are dark or health-ejected (always zero
-	// without fault injection). They still count in Active/Draining —
-	// they are provisioned and billed — so Down is the extra signal a
-	// failure-aware policy can subtract; the built-in policies instead
-	// recover indirectly, through the queue and attainment pressure the
-	// re-enqueued work creates.
-	Down int
 }
 
 // Autoscaler decides the fleet's target size at each evaluation
@@ -257,6 +243,13 @@ func (ac AutoscaleConfig) validate(initial int) error {
 	if initial > ac.Max || initial < ac.Min {
 		return fmt.Errorf("serve: initial fleet %d outside autoscale bounds [%d, %d]", initial, ac.Min, ac.Max)
 	}
+	if ac.Template != nil {
+		// Checked up front: a bad template would otherwise surface only
+		// at the first scale-up, named after a generated replica.
+		if err := ac.Template.Validate(); err != nil {
+			return fmt.Errorf("serve: AutoscaleConfig.Template: %w", err)
+		}
+	}
 	return nil
 }
 
@@ -317,14 +310,14 @@ type replica struct {
 	// warming cancelled, or end of run).
 	retireAt time.Duration
 	drained  bool
-	// Assigned-work counters feeding ReplicaView's Outstanding fields,
-	// cumulative (never decremented on completion). The handicaps level
-	// a spawned replica's view with the least-loaded incumbent at spawn
-	// time (see spawn); lifetime accounting uses the raw counters.
+	// Assigned-work counters, cumulative (never decremented on
+	// completion): assignedTokens feeds ReplicaView.OutstandingTokens and
+	// FreeKVTokens, assignedReqs the replica's lifetime record. The
+	// handicap levels an activated replica's view with the least-loaded
+	// incumbent (see level); lifetime accounting uses the raw counters.
 	assignedTokens int
 	assignedReqs   int
 	tokenHandicap  int
-	reqHandicap    int
 	kvCapacity     int
 	// Window cursors over the engine's completed/rejected lists.
 	doneSeen int
@@ -340,14 +333,6 @@ type replica struct {
 	probeFails int
 	ejected    bool
 	ejectedAt  time.Duration
-	// Live-load counters feeding ReplicaView's Live* fields: assigned
-	// work minus completions/rejections (consumed via the cursors
-	// below) and crash losses — actual queue depth, unlike the
-	// cumulative assigned counters above.
-	liveTokens   int
-	liveReqs     int
-	liveDoneSeen int
-	liveRejSeen  int
 
 	// Circuit breaker (nil unless the fleet enables breakers). The bk*
 	// cursors sweep the engine's terminal lists at serial controller
@@ -375,13 +360,12 @@ type fleetState struct {
 	// lockstep steps the fleet on one shared clock (vLLM's DP engine; see
 	// stepLockstep); clock is that clock and lockWork the per-iteration
 	// scratch of staged plans.
-	lockstep     bool
-	clock        time.Duration
-	lockWork     []stagedIter
-	replicas     []*replica
-	scaleUps     int
-	scaleDowns   int
-	arrivedInWin int
+	lockstep   bool
+	clock      time.Duration
+	lockWork   []stagedIter
+	replicas   []*replica
+	scaleUps   int
+	scaleDowns int
 	// draining marks the post-trace phase: no further arrivals exist, so
 	// scale-ups are suppressed (a replica spawned now could never receive
 	// work, only bill replica-seconds until the end of the run).
@@ -508,10 +492,8 @@ func (f *fleetState) level(rep *replica) {
 		if other == rep || other.state != replicaActive {
 			continue
 		}
-		load := other.assignedTokens + other.tokenHandicap
-		if first || load < rep.tokenHandicap {
+		if load := other.assignedTokens + other.tokenHandicap; first || load < rep.tokenHandicap {
 			rep.tokenHandicap = load
-			rep.reqHandicap = other.assignedReqs + other.reqHandicap
 		}
 		first = false
 	}
@@ -650,7 +632,7 @@ func (f *fleetState) syncBreakers(now time.Duration) {
 		e := rep.engine
 		for range e.completed[rep.bkDoneSeen:] {
 			if b.success() {
-				e.tap.event(now, obs.EvBreakerClose, obs.NoRequest, "")
+				e.stream.Event(now, obs.EvBreakerClose, obs.NoRequest, "")
 			}
 		}
 		rep.bkDoneSeen = len(e.completed)
@@ -659,7 +641,7 @@ func (f *fleetState) syncBreakers(now time.Duration) {
 				continue
 			}
 			if b.failure(now) {
-				e.tap.event(now, obs.EvBreakerOpen, obs.NoRequest, "shed")
+				e.stream.Event(now, obs.EvBreakerOpen, obs.NoRequest, "shed")
 			}
 		}
 		rep.bkRejSeen = len(e.rejected)
@@ -677,14 +659,14 @@ func (f *fleetState) breakerAllow(rep *replica, now time.Duration) bool {
 	wasOpen := b.state == breakerOpen
 	ok := b.allow(now)
 	if ok && wasOpen {
-		rep.engine.tap.event(now, obs.EvBreakerHalfOpen, obs.NoRequest, "")
+		rep.engine.stream.Event(now, obs.EvBreakerHalfOpen, obs.NoRequest, "")
 	}
 	return ok
 }
 
 // route places one arriving request on an active replica, judged on the
-// routable replicas' views: cumulative assigned work, KV budget, live
-// queue depth, and breaker state.
+// routable replicas' views: cumulative assigned work, KV headroom, the
+// engine's live backlog, and breaker state.
 func (f *fleetState) route(router Router, r workload.Request, now time.Duration) error {
 	f.promote(now)
 	f.syncBreakers(now)
@@ -693,16 +675,12 @@ func (f *fleetState) route(router Router, r workload.Request, now time.Duration)
 		if !rep.routable() {
 			continue
 		}
-		rep.refreshLive()
 		views = append(views, ReplicaView{
 			Index: len(views), Name: rep.engine.cfg.Name,
-			OutstandingTokens:   rep.assignedTokens + rep.tokenHandicap,
-			OutstandingRequests: rep.assignedReqs + rep.reqHandicap,
-			KVCapacityTokens:    rep.kvCapacity,
-			FreeKVTokens:        rep.kvCapacity - rep.assignedTokens - rep.tokenHandicap,
-			LiveRequests:        rep.liveReqs,
-			LiveTokens:          rep.liveTokens,
-			BreakerOpen:         !f.breakerAllow(rep, now),
+			OutstandingTokens: rep.assignedTokens + rep.tokenHandicap,
+			FreeKVTokens:      rep.kvCapacity - rep.assignedTokens - rep.tokenHandicap,
+			LiveTokens:        rep.engine.backlogTokens,
+			BreakerOpen:       !f.breakerAllow(rep, now),
 		})
 		targets = append(targets, rep)
 	}
@@ -722,21 +700,18 @@ func (f *fleetState) route(router Router, r workload.Request, now time.Duration)
 	}
 	rep := targets[i]
 	f.bal.Event(now, obs.EvRoute, r.ID, rep.engine.cfg.Name)
-	rep.engine.arrivals = append(rep.engine.arrivals, r)
+	rep.engine.enqueue(r)
 	rep.assignedTokens += r.TotalTokens()
 	rep.assignedReqs++
-	rep.liveTokens += r.TotalTokens()
-	rep.liveReqs++
-	f.arrivedInWin++
 	return nil
 }
 
 // view snapshots the fleet for the autoscaler, consuming the completion
-// window cursors. parkedReqs/parkedTokens is the work parked at the
-// balancer on this fleet's behalf (nothing routable during an outage):
-// backlog the policy should see and scale for.
-func (f *fleetState) view(now time.Duration, parkedReqs, parkedTokens int) FleetView {
-	v := FleetView{Now: now, Interval: f.ac.Interval, ArrivedInInterval: f.arrivedInWin}
+// window cursors. parkedReqs counts the requests parked at the balancer
+// on this fleet's behalf (nothing routable during an outage): backlog
+// the policy should see and scale for.
+func (f *fleetState) view(parkedReqs int) FleetView {
+	var v FleetView
 	for _, rep := range f.replicas {
 		e := rep.engine
 		// Window attainment covers every replica, retired ones included:
@@ -789,34 +764,22 @@ func (f *fleetState) view(now time.Duration, parkedReqs, parkedTokens int) Fleet
 			v.Active++
 		case replicaWarming:
 			v.Warming++
-		case replicaDraining:
-			v.Draining++
 		case replicaRetired:
 			continue
 		}
-		if rep.down || rep.ejected {
-			v.Down++
-		}
 		v.QueuedRequests += e.waiting.len() + len(e.arrivals) - e.nextIdx
 		v.RunningRequests += len(e.running)
-		for _, s := range e.waiting.seqs() {
-			v.QueuedTokens += s.req.TotalTokens()
-		}
-		for _, r := range e.arrivals[e.nextIdx:] {
-			v.QueuedTokens += r.TotalTokens()
-		}
 	}
 	v.QueuedRequests += parkedReqs
-	v.QueuedTokens += parkedTokens
 	return v
 }
 
 // evaluate runs one autoscaler decision at an evaluation boundary; the
-// parked counts are view's.
-func (f *fleetState) evaluate(now time.Duration, parkedReqs, parkedTokens int) error {
+// parked count is view's.
+func (f *fleetState) evaluate(now time.Duration, parkedReqs int) error {
 	f.promote(now)
 	f.syncBreakers(now)
-	v := f.view(now, parkedReqs, parkedTokens)
+	v := f.view(parkedReqs)
 	desired := f.ac.Scaler.Desired(v)
 	if desired < f.ac.Min {
 		desired = f.ac.Min
@@ -853,7 +816,6 @@ func (f *fleetState) evaluate(now time.Duration, parkedReqs, parkedTokens int) e
 	if f.obs != nil {
 		f.obsSample(now, desired, v)
 	}
-	f.arrivedInWin = 0
 	return nil
 }
 

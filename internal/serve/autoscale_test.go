@@ -3,6 +3,7 @@ package serve
 import (
 	"math"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -266,6 +267,23 @@ func TestAutoscaleConfigErrors(t *testing.T) {
 	small.Autoscale = &AutoscaleConfig{Min: 2, Max: 4}
 	if _, err := small.Run(tr); err == nil {
 		t.Fatal("initial fleet below Min must error")
+	}
+
+	// A template without a cost model fails up front under every policy
+	// — the static scaler never spawns from it — naming the field rather
+	// than a generated replica; the geo tier prefixes its region.
+	bad := &Config{Par: perf.Parallelism{SP: 1, TP: 1}}
+	static := SingleEngine("tmpl", gpu1Cfg(cm))
+	static.Autoscale = &AutoscaleConfig{Template: bad}
+	if _, err := static.Run(tr); err == nil || !strings.HasPrefix(err.Error(), "serve: AutoscaleConfig.Template: ") {
+		t.Fatalf("static scaler with a bad Template: err = %v", err)
+	}
+	geo := Geo{
+		Topology: UniformTopology(100*time.Millisecond, "east"),
+		Regions:  []Region{{Configs: []Config{gpu1Cfg(cm)}, Autoscale: &AutoscaleConfig{Template: bad}}},
+	}
+	if _, err := geo.Run(tr); err == nil || !strings.HasPrefix(err.Error(), "serve: region east: serve: AutoscaleConfig.Template: ") {
+		t.Fatalf("geo region with a bad Template: err = %v", err)
 	}
 
 	if _, err := NewAutoscaler("nope"); err == nil {

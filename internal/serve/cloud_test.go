@@ -153,8 +153,8 @@ func TestSpillOverRouteCloudBreakEven(t *testing.T) {
 	s := NewSpillOverRouter().(*SpillOverRouter)
 	rate := s.PriorRate
 	regions := []RegionView{
-		{Index: 0, Active: 1, QueuedTokens: int(3 * rate)},                              // 3s local wait
-		{Index: 1, Active: 1, QueuedTokens: int(1 * rate), RTT: 500 * time.Millisecond}, // 1.5s remote
+		{Index: 0, Active: 1, BacklogTokens: int(3 * rate)},                              // 3s local wait
+		{Index: 1, Active: 1, BacklogTokens: int(1 * rate), RTT: 500 * time.Millisecond}, // 1.5s remote
 	}
 	if !s.RouteCloud(workload.Request{}, 0, regions, CloudView{BaseLatency: time.Second}) {
 		t.Fatal("best region 1.5s vs 1s cloud: must buy")

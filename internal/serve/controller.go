@@ -27,7 +27,8 @@ type regionCrash struct {
 
 // parkedReq is a request waiting at the balancer because nothing was
 // routable when it arrived (a full outage). It counts in its origin
-// region's FleetView backlog until a flush places it or a reap drops it.
+// region's FleetView.QueuedRequests until a flush places it or a reap
+// drops it.
 type parkedReq struct {
 	req    workload.Request
 	origin int
@@ -404,14 +405,13 @@ func (c *controller) handle(now time.Duration, kind, ri int, final bool) error {
 	}
 	rr := c.regions[ri]
 	if !final || !rr.fleet.allDone() || c.parked() {
-		var n, tokens int
+		n := 0
 		for _, p := range c.pending {
 			if p.origin == ri {
 				n++
-				tokens += p.req.TotalTokens()
 			}
 		}
-		if err := rr.fleet.evaluate(now, n, tokens); err != nil {
+		if err := rr.fleet.evaluate(now, n); err != nil {
 			return err
 		}
 	}
@@ -587,22 +587,25 @@ func (c *controller) reap(now time.Duration) {
 // drainCloud offers every staged shed-or-buy waiter to the cloud tier in
 // one global (shed time, request ID) order, so the outcome is independent
 // of stepping interleave, and restores refusals to the normal shed path.
-// Must run at serial points right after each advance barrier — before
-// any crash handling, whose clearLive would orphan the staged entries'
-// live-load accounting — and once more before result assembly.
+// Must run at serial points right after each advance barrier, before the
+// controller acts on anything the step produced: a refusal's shed row
+// must be in its engine's rejected list before the next breaker sync or
+// autoscaler window reads it, and an accepted request's spend must be on
+// the cloud's books before the next routing decision consults it. It
+// runs once more before result assembly.
 func (c *controller) drainCloud() {
 	if c.cloud == nil {
 		return
 	}
 	type staged struct {
-		rep *replica
+		e *Engine
 		cloudShedEntry
 	}
 	var all []staged
 	for _, rr := range c.regions {
 		for _, rep := range rr.fleet.replicas {
 			for _, en := range rep.engine.takeCloudShed() {
-				all = append(all, staged{rep, en})
+				all = append(all, staged{rep.engine, en})
 			}
 		}
 	}
@@ -617,11 +620,8 @@ func (c *controller) drainCloud() {
 	})
 	for _, en := range all {
 		if !c.cloud.offer(en.s.req, en.at, "shed-or-buy") {
-			en.rep.engine.refuseCloudShed(en.s, en.at)
-			continue
+			en.e.shedStaged(en.s, en.at)
 		}
-		en.rep.liveTokens -= en.s.req.TotalTokens()
-		en.rep.liveReqs--
 	}
 }
 

@@ -364,9 +364,21 @@ type Engine struct {
 	cost         perf.Cost // accumulated component times
 	tokensServed int
 
-	// tap is the nil-gated observation sink (the obs stream); nil on the
-	// untraced fast path. See tap.go.
-	tap *engineTap
+	// Load ledger: backlogTokens sums TotalTokens over the requests routed
+	// here and not yet completed, rejected, staged for the cloud or lost to
+	// a crash drain; completedTokens sums TotalTokens over completions.
+	// Routers and geo views read the replica's load from here.
+	backlogTokens   int
+	completedTokens int
+
+	// stream receives the engine's request lifecycle events (enqueue,
+	// admit, prefill-done, preempt, finish, reject, shed), one throughput
+	// record per iteration (obs.Iter), and the controller-written fleet
+	// events for this replica (crash, eject, restart, readmit, lost,
+	// breaker transitions). nil on the untraced fast path: obs.Stream's
+	// methods are nil-safe, so every hook is a pointer compare that
+	// allocates nothing (pinned by TestDisabledTraceHookAllocates0).
+	stream *obs.Stream
 
 	// Measured prefix cache (nil unless Config.PrefixCache is set).
 	// cacheHits+cacheMisses increment exactly once per admitted request;
@@ -433,10 +445,17 @@ func NewEngine(cfg Config) (*Engine, error) {
 // KVCapacityTokens exposes the engine's KV budget (for tests and docs).
 func (e *Engine) KVCapacityTokens() int { return e.alloc.NumBlocks * e.alloc.BlockTokens }
 
+// attachStream points the engine's hooks at an obs stream; nil keeps
+// the untraced fast path.
+func (e *Engine) attachStream(s *obs.Stream) { e.stream = s }
+
 // Run simulates the engine over the trace portion assigned to it and
 // returns per-request metrics. Requests must be time-ordered.
 func (e *Engine) Run(reqs []workload.Request) []RequestMetrics {
 	e.arrivals = reqs
+	for _, r := range reqs {
+		e.backlogTokens += r.TotalTokens()
+	}
 	e.reserve(len(reqs))
 	e.stepUntil(noHorizon, true)
 	return e.appendMetrics(make([]RequestMetrics, 0, len(e.completed)+len(e.rejected)))
@@ -448,6 +467,21 @@ func (e *Engine) reserve(n int) {
 	if cap(e.completed) == 0 {
 		e.completed = make([]*seq, 0, n)
 	}
+}
+
+// enqueue appends one routed request to the engine's arrivals (arrival
+// order is the caller's contract) and puts it on the backlog.
+func (e *Engine) enqueue(r workload.Request) {
+	e.arrivals = append(e.arrivals, r)
+	e.backlogTokens += r.TotalTokens()
+}
+
+// reject gives up on s with reason and takes it off the backlog.
+func (e *Engine) reject(s *seq, reason RejectReason) {
+	s.rejectReason = reason
+	e.rejected = append(e.rejected, s)
+	e.backlogTokens -= s.req.TotalTokens()
+	e.stream.Event(e.now, obs.EvReject, s.req.ID, string(reason))
 }
 
 // finished reports whether the engine has drained all work.
@@ -483,7 +517,7 @@ func (e *Engine) admit() {
 			req: r, effInput: r.InputTokens, cached: cached, prefilled: cached,
 			enqueued: r.Arrival, firstTok: -1,
 		})
-		e.tap.event(r.Arrival, obs.EvEnqueue, r.ID, "")
+		e.stream.Event(r.Arrival, obs.EvEnqueue, r.ID, "")
 		if r.Priority != 0 || r.SLO != nil {
 			e.sloAware = true
 		}
@@ -523,18 +557,14 @@ func (e *Engine) resolveEmpty() bool {
 		s := e.running[0]
 		e.alloc.Release(s.req.ID)
 		e.running = nil
-		s.rejectReason = RejectKVExhausted
-		e.rejected = append(e.rejected, s)
-		e.tap.event(e.now, obs.EvReject, s.req.ID, string(RejectKVExhausted))
+		e.reject(s, RejectKVExhausted)
 		return true
 	}
 	if e.nextArrival() < 0 && e.waiting.len() > 0 {
 		// Nothing runnable and nothing arriving: remaining waiters can
 		// never be admitted (prompt larger than the whole cache).
 		for _, s := range e.waiting.seqs() {
-			s.rejectReason = RejectUnservablePrompt
-			e.rejected = append(e.rejected, s)
-			e.tap.event(e.now, obs.EvReject, s.req.ID, string(RejectUnservablePrompt))
+			e.reject(s, RejectUnservablePrompt)
 		}
 		e.waiting.clear()
 		return true
@@ -708,10 +738,8 @@ func (e *Engine) schedule() batchPlan {
 	for i := 0; i < e.waiting.len() && budget > 0 && len(e.running) < e.cfg.MaxSeqs; {
 		s := e.waiting.at(i)
 		if e.alloc.BlocksFor(s.effInput) > e.alloc.NumBlocks {
-			s.rejectReason = RejectUnservablePrompt
-			e.rejected = append(e.rejected, s)
 			e.waiting.removeAt(i)
-			e.tap.event(e.now, obs.EvReject, s.req.ID, string(RejectUnservablePrompt))
+			e.reject(s, RejectUnservablePrompt)
 			continue
 		}
 		if !e.canAdmit(s, budget, watermark) {
@@ -736,7 +764,7 @@ func (e *Engine) schedule() batchPlan {
 		}
 		e.waiting.removeAt(i)
 		e.running = append(e.running, s)
-		e.tap.event(e.now, obs.EvAdmit, s.req.ID, "")
+		e.stream.Event(e.now, obs.EvAdmit, s.req.ID, "")
 		plan.prefills = append(plan.prefills, s)
 		plan.chunks = append(plan.chunks, chunk)
 		budget -= chunk
@@ -834,17 +862,14 @@ func (e *Engine) shedPass() {
 		}
 		s := e.waiting.at(j)
 		e.waiting.removeAt(j)
+		e.backlogTokens -= s.req.TotalTokens()
 		if divert {
 			// Stage for the cloud offer; shed accounting happens only if
-			// the cloud refuses (refuseCloudShed).
+			// the cloud refuses (shedStaged).
 			e.cloudShed = append(e.cloudShed, cloudShedEntry{s: s, at: e.now})
 			continue
 		}
-		s.rejectReason = RejectShed
-		e.rejected = append(e.rejected, s)
-		e.shed++
-		e.shedTokens += s.req.TotalTokens()
-		e.tap.event(e.now, obs.EvShed, s.req.ID, string(RejectShed))
+		e.shedStaged(s, e.now)
 	}
 }
 
@@ -857,15 +882,16 @@ func (e *Engine) takeCloudShed() []cloudShedEntry {
 	return s
 }
 
-// refuseCloudShed restores the normal shed outcome for a staged waiter
-// the cloud refused: the request is rejected with RejectShed exactly as
-// if it had never been staged.
-func (e *Engine) refuseCloudShed(s *seq, at time.Duration) {
+// shedStaged rejects a waiter the shed pass already took off the queue
+// and the backlog with RejectShed: a plain shed, or a staged shed-or-buy
+// waiter the cloud refused, which ends exactly as if it had never been
+// staged.
+func (e *Engine) shedStaged(s *seq, at time.Duration) {
 	s.rejectReason = RejectShed
 	e.rejected = append(e.rejected, s)
 	e.shed++
 	e.shedTokens += s.req.TotalTokens()
-	e.tap.event(at, obs.EvShed, s.req.ID, string(RejectShed))
+	e.stream.Event(at, obs.EvShed, s.req.ID, string(RejectShed))
 }
 
 // preemptAt applies vLLM's recompute preemption to running[i]: the
@@ -883,7 +909,7 @@ func (e *Engine) preemptAt(i int) {
 	e.preemptions++
 	e.running = append(e.running[:i], e.running[i+1:]...)
 	e.waiting.pushFront(s)
-	e.tap.event(e.now, obs.EvPreempt, s.req.ID, "")
+	e.stream.Event(e.now, obs.EvPreempt, s.req.ID, "")
 }
 
 // victimAfter picks the preemption victim among running[after+1:]. The
@@ -1059,8 +1085,8 @@ func (e *Engine) setDegrade(factor float64, from, until time.Duration) {
 // every routed-but-unarrived request is lost. It returns the lost
 // requests (running first, then waiting, then future arrivals — each
 // group in queue order) plus the computed-and-discarded token count,
-// releases all KV blocks, and leaves the engine drained (finished()
-// holds until new arrivals are routed to it). Also used to flush the
+// releases all KV blocks, and leaves the engine drained with an empty
+// backlog (finished() holds until new arrivals are routed to it). Also used to flush the
 // black-holed arrivals a down replica accumulated before ejection.
 func (e *Engine) crashDrain() (lost []workload.Request, lostTokens int) {
 	for _, s := range e.running {
@@ -1077,6 +1103,7 @@ func (e *Engine) crashDrain() (lost []workload.Request, lostTokens int) {
 	lost = append(lost, e.arrivals[e.nextIdx:]...)
 	e.arrivals = e.arrivals[:0:0]
 	e.nextIdx = 0
+	e.backlogTokens = 0
 	if e.pcache != nil {
 		// The crash wiped the replica's KV, and the cached prefixes with
 		// it: a restarted replica starts cold.
@@ -1113,7 +1140,7 @@ func (e *Engine) apply(plan batchPlan, cost perf.Cost, end time.Duration) {
 			if s.firstTok < 0 {
 				s.firstTok = e.now
 			}
-			e.tap.event(e.now, obs.EvPrefillDone, s.req.ID, "")
+			e.stream.Event(e.now, obs.EvPrefillDone, s.req.ID, "")
 		}
 	}
 	yield := e.cfg.Stack.Spec.TokensPerStep()
@@ -1134,13 +1161,15 @@ func (e *Engine) apply(plan batchPlan, cost perf.Cost, end time.Duration) {
 			s.finished = e.now
 			e.alloc.Release(s.req.ID)
 			e.completed = append(e.completed, s)
-			e.tap.event(e.now, obs.EvFinish, s.req.ID, "")
+			e.backlogTokens -= s.req.TotalTokens()
+			e.completedTokens += s.req.TotalTokens()
+			e.stream.Event(e.now, obs.EvFinish, s.req.ID, "")
 		} else {
 			kept = append(kept, s)
 		}
 	}
 	e.running = kept
-	e.tap.iter(e.now, produced)
+	e.stream.Iter(e.now, produced)
 }
 
 // parFor implements Algorithm 2 at the engine level.

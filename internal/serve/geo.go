@@ -131,13 +131,13 @@ type RegionView struct {
 	Active   int
 	Warming  int
 	Draining int
-	// QueuedRequests/QueuedTokens count routed-but-not-running work
-	// across the region's live replicas; RunningTokens the in-flight
-	// work. Both include draining replicas' backlogs (real work the
-	// region must still finish).
+	// QueuedRequests counts routed-but-not-running requests across the
+	// region's live replicas; BacklogTokens the input+output tokens of
+	// every routed request not yet finished, queued or in flight (the
+	// engines' backlogs). Both include draining replicas (real work the
+	// region must still finish) and skip health-ejected ones.
 	QueuedRequests int
-	QueuedTokens   int
-	RunningTokens  int
+	BacklogTokens  int
 	// NextReadyIn is the time until the next warming replica activates;
 	// negative when none is warming.
 	NextReadyIn time.Duration
@@ -145,8 +145,10 @@ type RegionView struct {
 	// waiting for local scale-up costs.
 	ColdStart time.Duration
 	// MeasuredRate is the region's observed serving throughput in tokens
-	// per second per active replica, measured over the run so far (zero
-	// until the first completions land).
+	// per second per active replica, measured over the run so far: the
+	// completed input+output tokens of every replica it ever ran, over
+	// its integrated active-replica time (zero until the first
+	// completions land).
 	MeasuredRate float64
 	// Down marks a region with zero routable replicas (an outage the
 	// health tier has fully ejected, before any recovery): geo routers
@@ -207,7 +209,7 @@ func (nearestRegion) Route(_ workload.Request, origin int, regions []RegionView)
 type leastLoadedGlobal struct{}
 
 // NewLeastLoadedGlobalRouter picks the region with the least live work
-// (queued + running tokens) per active replica, ignoring RTT entirely —
+// (backlog tokens) per active replica, ignoring RTT entirely —
 // the global-balancer baseline. Ties break toward the origin, then the
 // lowest index. It wastes round trips when every region is quiet and
 // pays them back only under load imbalance.
@@ -221,7 +223,7 @@ func (leastLoadedGlobal) Route(_ workload.Request, origin int, regions []RegionV
 		if active < 1 {
 			active = 1
 		}
-		return float64(v.QueuedTokens+v.RunningTokens) / float64(active)
+		return float64(v.BacklogTokens) / float64(active)
 	}
 	// Ascending scan with a strict improvement test: ties stay with the
 	// origin, then with the lowest already-chosen index. Dark regions
@@ -291,7 +293,7 @@ func (s *SpillOverRouter) wait(v RegionView) float64 {
 	if active < 1 {
 		active = 1
 	}
-	return float64(v.QueuedTokens+v.RunningTokens) / (rate * float64(active))
+	return float64(v.BacklogTokens) / (rate * float64(active))
 }
 
 // Route implements GeoRouter. The first pass skips regions whose
@@ -453,18 +455,13 @@ type Geo struct {
 }
 
 // regionRun is the controller's per-region state: the fleet, its
-// local router, its evaluation cursor, and the measured-throughput
-// estimate feeding RegionView.
+// local router, its evaluation cursor, and the active-time integral
+// behind RegionView.MeasuredRate.
 type regionRun struct {
 	name     string
 	fleet    *fleetState
 	router   Router
 	nextEval time.Duration
-	// servedTokens accumulates completed input+output tokens via
-	// per-replica cursors (separate from the autoscaler's attainment
-	// window cursors, which view() consumes).
-	servedTokens int
-	servedSeen   []int
 	// activeSeconds integrates active-replica time between controller
 	// events, the denominator of the measured per-replica rate.
 	activeSeconds float64
@@ -556,26 +553,13 @@ func (rr *regionRun) advance(now time.Duration, final bool) {
 	rr.fleet.advance(now, final)
 }
 
-// refreshServed advances the completion cursors, accumulating served
-// tokens for the measured-rate estimate.
-func (rr *regionRun) refreshServed() {
-	for i, rep := range rr.fleet.replicas {
-		if i >= len(rr.servedSeen) {
-			rr.servedSeen = append(rr.servedSeen, 0)
-		}
-		for _, s := range rep.engine.completed[rr.servedSeen[i]:] {
-			rr.servedTokens += s.req.TotalTokens()
-		}
-		rr.servedSeen[i] = len(rep.engine.completed)
-	}
-}
-
 // view snapshots the region for the geo router at the routing instant.
 func (rr *regionRun) view(now time.Duration) RegionView {
 	rr.fleet.promote(now)
-	rr.refreshServed()
 	v := RegionView{Name: rr.name, ColdStart: rr.fleet.ac.ColdStart, NextReadyIn: -1}
+	served := 0
 	for _, rep := range rr.fleet.replicas {
+		served += rep.engine.completedTokens
 		switch rep.state {
 		case replicaActive:
 			if rep.ejected {
@@ -598,18 +582,10 @@ func (rr *regionRun) view(now time.Duration) RegionView {
 		}
 		e := rep.engine
 		v.QueuedRequests += e.waiting.len() + len(e.arrivals) - e.nextIdx
-		for _, s := range e.waiting.seqs() {
-			v.QueuedTokens += s.req.TotalTokens()
-		}
-		for _, r := range e.arrivals[e.nextIdx:] {
-			v.QueuedTokens += r.TotalTokens()
-		}
-		for _, s := range e.running {
-			v.RunningTokens += s.req.TotalTokens()
-		}
+		v.BacklogTokens += e.backlogTokens
 	}
 	if rr.activeSeconds > 0 {
-		v.MeasuredRate = float64(rr.servedTokens) / rr.activeSeconds
+		v.MeasuredRate = float64(served) / rr.activeSeconds
 	}
 	if rr.fleet.faultsOn {
 		v.Down = rr.fleet.routableCount() == 0

@@ -403,7 +403,7 @@ func TestSpillOverBreakEven(t *testing.T) {
 	// work vs a 200ms RTT): remote wins on projected wait alone.
 	v := idle()
 	v[0].QueuedRequests = 6 // 3 per active replica < QueueHigh
-	v[0].QueuedTokens = 12000
+	v[0].BacklogTokens = 12000
 	if got := route(v); got != 1 {
 		t.Fatalf("6s local backlog vs 200ms RTT routed to %d, want remote", got)
 	}
@@ -411,7 +411,7 @@ func TestSpillOverBreakEven(t *testing.T) {
 	// Tiny local backlog (150ms of work): cheaper than the round trip.
 	v = idle()
 	v[0].QueuedRequests = 2
-	v[0].QueuedTokens = 300
+	v[0].BacklogTokens = 300
 	if got := route(v); got != 0 {
 		t.Fatalf("150ms local backlog routed to %d, want local", got)
 	}
@@ -420,20 +420,20 @@ func TestSpillOverBreakEven(t *testing.T) {
 	// cost: 4s of queue + 60s cold start loses to RTT + an idle remote.
 	v = idle()
 	v[0].QueuedRequests = 8 // 4 per active replica = QueueHigh
-	v[0].QueuedTokens = 8000
+	v[0].BacklogTokens = 8000
 	if got := route(v); got != 1 {
 		t.Fatalf("cold-start break-even routed to %d, want remote", got)
 	}
 
 	// Same, but the remote is drowning too: stay local.
-	v[1].QueuedTokens = 200_000 // 100s of remote work
+	v[1].BacklogTokens = 200_000 // 100s of remote work
 	if got := route(v); got != 0 {
 		t.Fatalf("drowning remote routed to %d, want local", got)
 	}
 
 	// A warming local replica nearly ready caps the cold-start penalty:
 	// 8s local (4s queue + 4s warmup) beats 200ms + 10s remote backlog.
-	v[1].QueuedTokens = 20_000
+	v[1].BacklogTokens = 20_000
 	v[0].Warming, v[0].NextReadyIn = 1, 4*time.Second
 	if got := route(v); got != 0 {
 		t.Fatalf("nearly-warm local fleet routed to %d, want local", got)
@@ -444,7 +444,7 @@ func TestSpillOverBreakEven(t *testing.T) {
 	// measured 10k tok/s fleet (stay local).
 	v = idle()
 	v[0].QueuedRequests = 6
-	v[0].QueuedTokens = 3000
+	v[0].BacklogTokens = 3000
 	if got := route(v); got != 1 {
 		t.Fatalf("prior-rate backlog routed to %d, want remote", got)
 	}
@@ -459,14 +459,14 @@ func TestSpillOverBreakEven(t *testing.T) {
 func TestGeoLeastLoadedLoadFollows(t *testing.T) {
 	r := NewLeastLoadedGlobalRouter()
 	views := []RegionView{
-		{Index: 0, Name: "busy", Active: 2, QueuedTokens: 50000, RunningTokens: 8000},
+		{Index: 0, Name: "busy", Active: 2, BacklogTokens: 58000},
 		{Index: 1, Name: "quiet", Active: 2, RTT: 300 * time.Millisecond},
 	}
 	if got := r.Route(workload.Request{}, 0, views); got != 1 {
 		t.Fatalf("least-loaded-global kept a drowning region, got %d", got)
 	}
 	// Equal load: ties stay with the origin despite an equal-score peer.
-	views[0].QueuedTokens, views[0].RunningTokens = 0, 0
+	views[0].BacklogTokens = 0
 	if got := r.Route(workload.Request{}, 0, views); got != 0 {
 		t.Fatalf("tie moved off origin, got %d", got)
 	}

@@ -62,33 +62,6 @@ func (h HealthConfig) validate() error {
 	return nil
 }
 
-// refreshLive consumes the live-load cursors: completions and
-// rejections since the last refresh come off the replica's live
-// counters, so ReplicaView.LiveTokens tracks work actually still on
-// the replica in O(completions) amortized.
-func (rep *replica) refreshLive() {
-	e := rep.engine
-	for _, s := range e.completed[rep.liveDoneSeen:] {
-		rep.liveTokens -= s.req.TotalTokens()
-		rep.liveReqs--
-	}
-	rep.liveDoneSeen = len(e.completed)
-	for _, s := range e.rejected[rep.liveRejSeen:] {
-		rep.liveTokens -= s.req.TotalTokens()
-		rep.liveReqs--
-	}
-	rep.liveRejSeen = len(e.rejected)
-}
-
-// clearLive zeroes the live counters after a crash or ejection drain
-// (everything on the replica is gone) and syncs the cursors so the
-// drained work is not double-subtracted later.
-func (rep *replica) clearLive() {
-	rep.liveTokens, rep.liveReqs = 0, 0
-	rep.liveDoneSeen = len(rep.engine.completed)
-	rep.liveRejSeen = len(rep.engine.rejected)
-}
-
 // routable reports whether the router may place new work on the
 // replica. A down-but-not-yet-ejected replica IS routable — the
 // detection delay before the health tier ejects it is exactly the
@@ -140,26 +113,24 @@ func (f *fleetState) crashReplica(rep *replica, now, restartAt time.Duration) []
 	if rep == nil || rep.down || rep.state == replicaRetired {
 		return nil
 	}
-	rep.refreshLive()
 	lost, lostTok := rep.engine.crashDrain()
 	// Crash and per-request loss land on the replica's own track, at
 	// controller time (the engine's clock may have overshot the event).
 	// Safe serially: every engine is parked at the controller barrier.
-	rep.engine.tap.event(now, obs.EvCrash, obs.NoRequest, "")
+	rep.engine.stream.Event(now, obs.EvCrash, obs.NoRequest, "")
 	for _, r := range lost {
-		rep.engine.tap.event(now, obs.EvLost, r.ID, "")
+		rep.engine.stream.Event(now, obs.EvLost, r.ID, "")
 	}
 	f.workLost += lostTok
 	f.crashCount++
 	if rep.breaker != nil && rep.breaker.trip(now) {
 		// A crash is definitive failure evidence: trip the breaker
 		// directly, no threshold.
-		rep.engine.tap.event(now, obs.EvBreakerOpen, obs.NoRequest, "crash")
+		rep.engine.stream.Event(now, obs.EvBreakerOpen, obs.NoRequest, "crash")
 	}
 	rep.down = true
 	rep.restartAt = restartAt
 	rep.probeFails = 0
-	rep.clearLive()
 	if rep.state == replicaDraining {
 		rep.state = replicaRetired
 		rep.retireAt = now
@@ -184,7 +155,7 @@ func (f *fleetState) probeAll(now time.Duration) []workload.Request {
 			if rep.engine.now < now {
 				rep.engine.now = now
 			}
-			rep.engine.tap.event(now, obs.EvRestart, obs.NoRequest, "")
+			rep.engine.stream.Event(now, obs.EvRestart, obs.NoRequest, "")
 		}
 		if rep.down {
 			rep.probeFails++
@@ -192,14 +163,12 @@ func (f *fleetState) probeAll(now time.Duration) []workload.Request {
 				rep.ejected = true
 				rep.ejectedAt = now
 				f.ejections++
-				rep.refreshLive()
 				drained, _ := rep.engine.crashDrain()
-				rep.engine.tap.event(now, obs.EvEject, obs.NoRequest, "")
+				rep.engine.stream.Event(now, obs.EvEject, obs.NoRequest, "")
 				for _, r := range drained {
-					rep.engine.tap.event(now, obs.EvLost, r.ID, "")
+					rep.engine.stream.Event(now, obs.EvLost, r.ID, "")
 				}
 				lost = append(lost, drained...)
-				rep.clearLive()
 			}
 			continue
 		}
@@ -208,7 +177,7 @@ func (f *fleetState) probeAll(now time.Duration) []workload.Request {
 			rep.ejected = false
 			f.readmissions++
 			f.relevel(rep)
-			rep.engine.tap.event(now, obs.EvReadmit, obs.NoRequest, "")
+			rep.engine.stream.Event(now, obs.EvReadmit, obs.NoRequest, "")
 		}
 	}
 	return lost
@@ -221,21 +190,18 @@ func (f *fleetState) probeAll(now time.Duration) []workload.Request {
 // it nor shuns it forever.
 func (f *fleetState) relevel(rep *replica) {
 	first := true
-	minTok, minReq := 0, 0
+	minTok := 0
 	for _, other := range f.replicas {
 		if other == rep || !other.routable() {
 			continue
 		}
-		lt := other.assignedTokens + other.tokenHandicap
-		lr := other.assignedReqs + other.reqHandicap
-		if first || lt < minTok {
-			minTok, minReq = lt, lr
+		if lt := other.assignedTokens + other.tokenHandicap; first || lt < minTok {
+			minTok = lt
 		}
 		first = false
 	}
 	if !first {
 		rep.tokenHandicap = minTok - rep.assignedTokens
-		rep.reqHandicap = minReq - rep.assignedReqs
 	}
 }
 

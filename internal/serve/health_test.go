@@ -108,16 +108,15 @@ func TestCrashAlreadyDownOrRetiredNoops(t *testing.T) {
 
 // TestRelevelWithNoIncumbents pins relevel's empty-fleet guard: a
 // replica readmitted into a fleet with no other routable incumbent
-// keeps its handicaps — there is nothing to level against.
+// keeps its handicap — there is nothing to level against.
 func TestRelevelWithNoIncumbents(t *testing.T) {
 	f := healthFleet(t, 1)
 	rep := f.replicas[0]
 	rep.assignedTokens, rep.assignedReqs = 500, 5
-	rep.tokenHandicap, rep.reqHandicap = 7, 3
+	rep.tokenHandicap = 7
 	f.relevel(rep)
-	if rep.tokenHandicap != 7 || rep.reqHandicap != 3 {
-		t.Fatalf("relevel with no incumbents moved the handicaps to %d/%d",
-			rep.tokenHandicap, rep.reqHandicap)
+	if rep.tokenHandicap != 7 {
+		t.Fatalf("relevel with no incumbents moved the handicap to %d", rep.tokenHandicap)
 	}
 
 	// Same guard through the real readmission path: the sole replica
@@ -129,8 +128,7 @@ func TestRelevelWithNoIncumbents(t *testing.T) {
 	if rep.ejected {
 		t.Fatal("sole replica never readmitted")
 	}
-	if rep.tokenHandicap != 7 || rep.reqHandicap != 3 {
-		t.Fatalf("empty-fleet readmission releveled the handicaps to %d/%d",
-			rep.tokenHandicap, rep.reqHandicap)
+	if rep.tokenHandicap != 7 {
+		t.Fatalf("empty-fleet readmission releveled the handicap to %d", rep.tokenHandicap)
 	}
 }

@@ -10,28 +10,25 @@ import (
 
 // ReplicaView is what a Router sees about one replica when placing a
 // request at its arrival time: the work handed out to it so far, its KV
-// budget, and its live queue depth.
+// headroom, and its live backlog.
 type ReplicaView struct {
 	Index int
 	Name  string
 	// OutstandingTokens is the total input+output tokens of requests
-	// already assigned to this replica.
+	// already assigned to this replica (cumulative; a replica activated
+	// mid-run starts level with the least-loaded incumbent).
 	OutstandingTokens int
-	// OutstandingRequests counts requests already assigned.
-	OutstandingRequests int
-	// KVCapacityTokens is the replica's total paged-KV budget. It differs
-	// across replicas in heterogeneous fleets (different parallelism or
-	// stacks leave different free memory).
-	KVCapacityTokens int
-	// FreeKVTokens is KVCapacityTokens minus the peak KV demand
-	// (TotalTokens) of the assigned work. It can go negative when the
-	// replica is oversubscribed.
+	// FreeKVTokens is the replica's total paged-KV budget minus the peak
+	// KV demand (TotalTokens) of the assigned work. Budgets differ across
+	// replicas in heterogeneous fleets (different parallelism or stacks
+	// leave different free memory), and it goes negative when the replica
+	// is oversubscribed.
 	FreeKVTokens int
-	// LiveRequests and LiveTokens count only work still on the replica
-	// (assigned minus finished, rejected, and crash-lost), where the
-	// Outstanding counters accumulate forever.
-	LiveRequests int
-	LiveTokens   int
+	// LiveTokens is the input+output tokens of the work still on the
+	// replica, read from its engine's backlog: routed and not yet
+	// finished, rejected, shed or crash-lost, where OutstandingTokens
+	// accumulates forever.
+	LiveTokens int
 	// BreakerOpen marks a replica whose circuit breaker is open: alive
 	// and routable, but drowning. Breaker-aware routers prefer other
 	// replicas and fall back to open ones only when every replica is

@@ -13,7 +13,7 @@ import (
 // conservation (every request's span graph ends in exactly one terminal
 // event that matches its Result disposition, even through crashes,
 // retries, and cross-region refugee hops) and the disabled path's zero
-// cost (a nil tap is one pointer compare, no allocations).
+// cost (a nil stream is one pointer compare, no allocations).
 
 // wantTerminal maps a request's Result disposition to the terminal
 // event kind its span graph must end in.
@@ -126,32 +126,27 @@ func TestTraceConservationGeoOutage(t *testing.T) {
 }
 
 // TestDisabledTraceHookAllocates0 pins the disabled path's contract:
-// with no observer attached the per-event hook — a nil-receiver method
-// call — allocates nothing, so untraced runs pay one pointer compare
-// per hook site and stay byte-identical to the pre-observability
-// simulator.
+// with no observer attached the engine's stream is nil and every hook —
+// a nil-receiver method call — allocates nothing, so untraced runs pay
+// one pointer compare per hook site and stay byte-identical to the
+// pre-observability simulator.
 func TestDisabledTraceHookAllocates0(t *testing.T) {
 	e := mustEngine(t, Config{CM: llamaCM(t), Par: perf.Parallelism{SP: 1, TP: 1}})
-	if e.tap != nil {
-		t.Fatal("fresh engine has a tap attached")
+	if e.stream != nil {
+		t.Fatal("fresh engine has a stream attached")
 	}
 	if got := testing.AllocsPerRun(1000, func() {
-		e.tap.event(time.Second, obs.EvFinish, 1, "detail")
+		e.stream.Event(time.Second, obs.EvFinish, 1, "detail")
 	}); got != 0 {
-		t.Fatalf("disabled tap hook allocates %v per op, want 0", got)
+		t.Fatalf("disabled event hook allocates %v per op, want 0", got)
 	}
 	if got := testing.AllocsPerRun(1000, func() {
-		e.tap.iter(time.Second, 128)
+		e.stream.Iter(time.Second, 128)
 	}); got != 0 {
-		t.Fatalf("disabled tap iteration record allocates %v per op, want 0", got)
-	}
-	var s *obs.Stream
-	if got := testing.AllocsPerRun(1000, func() {
-		s.Event(time.Second, obs.EvRoute, 1, "r0")
-	}); got != 0 {
-		t.Fatalf("nil stream event allocates %v per op, want 0", got)
+		t.Fatalf("disabled iteration record allocates %v per op, want 0", got)
 	}
 	var o *obs.Observer
+	var s *obs.Stream
 	if got := testing.AllocsPerRun(1000, func() {
 		s = o.Stream("", "r0")
 	}); got != 0 {
@@ -165,9 +160,9 @@ func TestDisabledTraceHookAllocates0(t *testing.T) {
 // BenchmarkSimulator_DisabledTraceHook is the perf-trajectory pin for
 // the disabled hook: 0 allocs/op and a handful of nanoseconds.
 func BenchmarkSimulator_DisabledTraceHook(b *testing.B) {
-	var tap *engineTap
+	var s *obs.Stream
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		tap.event(time.Duration(i), obs.EvFinish, i, "")
+		s.Event(time.Duration(i), obs.EvFinish, i, "")
 	}
 }
