@@ -1,8 +1,10 @@
 # One-command verify + bench harness. `make ci` is what the tier-1
 # gate runs in spirit: formatting, vet, the docs lint, the full test
 # suite under the race detector, a single pass of every benchmark, the
-# scenario-registry smoke (`simctl run -all -quick`, via bench-json),
-# and the benchmark module's own vet and tests (bench-check).
+# golden gate (every deterministic scenario output byte-identical to its
+# checked-in BENCH file), the scenario-registry smoke (`simctl run -all
+# -quick`, via bench-json), and the benchmark module's own vet and
+# tests (bench-check).
 
 GO ?= go
 PERFCOUNT ?= 5
@@ -13,9 +15,10 @@ FUZZTIME ?= 10s
 # margin absorbs counting noise, not deleted tests).
 COVERFLOOR ?= 86.0
 
-.PHONY: ci fmt vet test race bench bench-json bench-check trace-smoke perfbench build docs fuzz fuzz-short cover
+.PHONY: ci fmt vet test race bench golden bench-json bench-check trace-smoke perfbench build docs fuzz fuzz-short cover
 
-ci: fmt vet docs race bench bench-json trace-smoke fuzz-short cover bench-check
+# golden runs before bench-json, which rewrites the checked-in files.
+ci: fmt vet docs race bench golden bench-json trace-smoke fuzz-short cover bench-check
 
 build:
 	$(GO) build ./...
@@ -36,6 +39,31 @@ race:
 # One iteration of every table/figure benchmark (quick scale).
 bench:
 	$(GO) test -run xxx -bench . -benchtime 1x ./...
+
+# The scenarios whose BENCH files hold wall-clock measurements, which
+# differ on every run; golden skips exactly these.
+GOLDEN_SKIP := simulator-speed engine-hotpath trace-overhead simbench
+
+# Golden gate: run every registered scenario at quick scale into a
+# temporary directory and cmp each BENCH file it writes against the
+# checked-in copy, skipping only the GOLDEN_SKIP wall-clock files. Any
+# difference, or a file with no checked-in copy, fails. A change that
+# means to move a modeled output regenerates the files with
+# `make bench-json` and says why.
+golden:
+	@dir="$$(mktemp -d)"; trap 'rm -rf "$$dir"' EXIT; \
+	$(GO) run ./cmd/simctl run -all -quick -json -out "$$dir" > /dev/null || exit 1; \
+	fail=0; n=0; \
+	for f in "$$dir"/BENCH_*.json; do \
+		name="$$(basename "$$f")"; skip=0; \
+		for s in $(GOLDEN_SKIP); do [ "$$name" = "BENCH_$$s.json" ] && skip=1; done; \
+		[ $$skip = 1 ] && continue; \
+		n=$$((n+1)); \
+		cmp -s "$$f" "$$name" || { echo "golden: $$name differs from the checked-in copy"; fail=1; }; \
+	done; \
+	if [ $$n = 0 ]; then echo "golden: simctl wrote no BENCH files"; exit 1; fi; \
+	if [ $$fail = 0 ]; then echo "golden: $$n files byte-identical"; fi; \
+	exit $$fail
 
 # Registry smoke + machine-readable sweep results: run every registered
 # scenario at quick scale through simctl (a scenario that breaks — or a

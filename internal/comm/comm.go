@@ -45,11 +45,8 @@ type Counters struct {
 	AllReduceBytes float64
 	AllToAllCalls  int
 	AllToAllBytes  float64
-	AllGatherCalls int
-	AllGatherBytes float64
 	BroadcastCalls int
 	BroadcastBytes float64
-	BarrierCalls   int
 }
 
 // Stats guards the live traffic counters of a Group.
@@ -206,28 +203,6 @@ func (g *Group) AllToAll(rank int, send [][]float64) [][]float64 {
 	return recv
 }
 
-// AllGather concatenates each rank's part in rank order and returns the
-// full vector to every rank.
-func (g *Group) AllGather(rank int, part []float64) []float64 {
-	parts := g.exchange(rank, "allgather", part)
-	total := 0
-	for _, p := range parts {
-		total += len(p.([]float64))
-	}
-	out := make([]float64, 0, total)
-	for _, p := range parts {
-		out = append(out, p.([]float64)...)
-	}
-	if rank == 0 {
-		g.stats.mu.Lock()
-		g.stats.c.AllGatherCalls++
-		// Ring all-gather: each rank forwards (n-1)/n of the output.
-		g.stats.c.AllGatherBytes += 8 * float64(total) * float64(g.n-1) / float64(g.n)
-		g.stats.mu.Unlock()
-	}
-	return out
-}
-
 // Broadcast sends root's vec to all ranks; every rank receives a copy.
 func (g *Group) Broadcast(rank, root int, vec []float64) []float64 {
 	if root < 0 || root >= g.n {
@@ -249,16 +224,6 @@ func (g *Group) Broadcast(rank, root int, vec []float64) []float64 {
 		g.stats.mu.Unlock()
 	}
 	return out
-}
-
-// Barrier blocks until all ranks have arrived.
-func (g *Group) Barrier(rank int) {
-	g.exchange(rank, "barrier", nil)
-	if rank == 0 {
-		g.stats.mu.Lock()
-		g.stats.c.BarrierCalls++
-		g.stats.mu.Unlock()
-	}
 }
 
 // Run launches fn on every rank of a fresh n-rank group, waits for all to

@@ -77,24 +77,6 @@ func TestAllToAllVariableChunks(t *testing.T) {
 	}
 }
 
-func TestAllGatherOrder(t *testing.T) {
-	n := 4
-	results := Run(n, func(g *Group, rank int) []float64 {
-		return g.AllGather(rank, []float64{float64(rank), float64(rank) + 0.5})
-	})
-	want := []float64{0, 0.5, 1, 1.5, 2, 2.5, 3, 3.5}
-	for r, got := range results {
-		if len(got) != len(want) {
-			t.Fatalf("rank %d len %d", r, len(got))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("rank %d elem %d = %v want %v", r, i, got[i], want[i])
-			}
-		}
-	}
-}
-
 func TestBroadcast(t *testing.T) {
 	n := 3
 	results := Run(n, func(g *Group, rank int) []float64 {
@@ -123,10 +105,9 @@ func TestSequentialCollectives(t *testing.T) {
 			if vec[0] != want {
 				t.Errorf("round %d rank %d = %v, want %v", round, rank, vec[0], want)
 			}
-			g.Barrier(rank)
-			out := g.AllGather(rank, []float64{float64(rank)})
-			if len(out) != 4 {
-				t.Errorf("round %d gather len %d", round, len(out))
+			out := g.Broadcast(rank, round%4, []float64{float64(round)})
+			if len(out) != 1 || out[0] != float64(round) {
+				t.Errorf("round %d broadcast %v", round, out)
 			}
 			return 0
 		})
@@ -156,7 +137,7 @@ func TestMismatchedOpsPanic(t *testing.T) {
 		if rank == 0 {
 			g.AllReduce(rank, []float64{1})
 		} else {
-			g.Barrier(rank)
+			g.Broadcast(rank, 0, nil)
 		}
 		return 0
 	})
@@ -176,7 +157,7 @@ func TestPeerPanicPoisonsGroup(t *testing.T) {
 		if rank == 2 {
 			panic("rank 2 died")
 		}
-		g.Barrier(rank) // would hang without poisoning
+		g.AllReduce(rank, []float64{1}) // would hang without poisoning
 		return 0
 	})
 }
@@ -232,32 +213,17 @@ func TestTable2AllToAllWireBytes(t *testing.T) {
 	}
 }
 
-func TestAllGatherWireBytes(t *testing.T) {
-	n, per := 4, 64
-	g := NewGroup(n)
-	RunGroup(g, func(g *Group, rank int) int {
-		g.AllGather(rank, make([]float64, per))
-		return 0
-	})
-	got := g.Stats().Snapshot().AllGatherBytes
-	want := 8 * float64(per*n) * float64(n-1) / float64(n)
-	if math.Abs(got-want) > 1e-9 {
-		t.Fatalf("allgather bytes = %v, want %v", got, want)
-	}
-}
-
 func TestStatsCallCounts(t *testing.T) {
 	g := NewGroup(2)
 	RunGroup(g, func(g *Group, rank int) int {
 		g.AllReduce(rank, []float64{1})
 		g.AllReduce(rank, []float64{1})
-		g.Barrier(rank)
-		g.AllGather(rank, []float64{1})
+		g.AllToAll(rank, [][]float64{{1}, {2}})
 		g.Broadcast(rank, 0, []float64{1})
 		return 0
 	})
 	s := g.Stats().Snapshot()
-	if s.AllReduceCalls != 2 || s.BarrierCalls != 1 || s.AllGatherCalls != 1 || s.BroadcastCalls != 1 {
+	if s.AllReduceCalls != 2 || s.AllToAllCalls != 1 || s.BroadcastCalls != 1 {
 		t.Fatalf("stats = %+v", s)
 	}
 }
@@ -340,5 +306,5 @@ func TestRankOutOfRangePanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	g.Barrier(5)
+	g.AllReduce(5, []float64{1})
 }

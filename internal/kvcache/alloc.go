@@ -3,6 +3,7 @@ package kvcache
 import (
 	"errors"
 	"fmt"
+	"math"
 )
 
 // ErrNoSpace is returned when the allocator cannot satisfy a request;
@@ -11,28 +12,25 @@ import (
 var ErrNoSpace = errors.New("kvcache: out of blocks")
 
 // Allocator is a vLLM-style paged KV block allocator. Blocks hold
-// BlockTokens tokens each; sequences own block lists that grow during
-// decode. The allocator only accounts — values live elsewhere.
+// BlockTokens tokens each. The allocator only accounts: it keeps the
+// free-block count, and each caller keeps its own holding (the blocks
+// one sequence owns) and passes it to Grow, CanGrow and Free. Values
+// live elsewhere.
 type Allocator struct {
 	BlockTokens int
 	NumBlocks   int
 
-	free   int
-	tables map[int]int // seqID -> blocks held
+	free int
 }
 
 // NewAllocator returns an allocator over numBlocks blocks of blockTokens
-// tokens each.
+// tokens each. Holdings are int32, so numBlocks may not exceed
+// math.MaxInt32.
 func NewAllocator(blockTokens, numBlocks int) *Allocator {
-	if blockTokens <= 0 || numBlocks < 0 {
+	if blockTokens <= 0 || numBlocks < 0 || numBlocks > math.MaxInt32 {
 		panic(fmt.Sprintf("kvcache: bad allocator dims block=%d n=%d", blockTokens, numBlocks))
 	}
-	return &Allocator{
-		BlockTokens: blockTokens,
-		NumBlocks:   numBlocks,
-		free:        numBlocks,
-		tables:      make(map[int]int),
-	}
+	return &Allocator{BlockTokens: blockTokens, NumBlocks: numBlocks, free: numBlocks}
 }
 
 // BlocksFor returns the number of blocks needed to hold tokens.
@@ -52,14 +50,11 @@ func (a *Allocator) UsedBlocks() int { return a.NumBlocks - a.free }
 // FreeTokens returns the token capacity of the free blocks.
 func (a *Allocator) FreeTokens() int { return a.free * a.BlockTokens }
 
-// Holds returns the number of blocks currently owned by the sequence.
-func (a *Allocator) Holds(seqID int) int { return a.tables[seqID] }
-
-// Ensure grows the sequence's allocation to cover tokens total tokens.
-// It is idempotent: ensuring a smaller count is a no-op. Returns
-// ErrNoSpace (allocating nothing) if the growth cannot be satisfied.
-func (a *Allocator) Ensure(seqID, tokens int) error {
-	need := a.BlocksFor(tokens) - a.tables[seqID]
+// Grow raises the holding *held to cover tokens total tokens. It is
+// idempotent: growing to a smaller count is a no-op. Returns ErrNoSpace
+// (allocating nothing) if the growth cannot be satisfied.
+func (a *Allocator) Grow(held *int32, tokens int) error {
+	need := a.BlocksFor(tokens) - int(*held)
 	if need <= 0 {
 		return nil
 	}
@@ -67,35 +62,26 @@ func (a *Allocator) Ensure(seqID, tokens int) error {
 		return ErrNoSpace
 	}
 	a.free -= need
-	a.tables[seqID] += need
+	*held += int32(need)
 	return nil
 }
 
-// CanEnsure reports whether Ensure(seqID, tokens) would succeed.
-func (a *Allocator) CanEnsure(seqID, tokens int) bool {
-	return a.BlocksFor(tokens)-a.tables[seqID] <= a.free
+// CanGrow reports whether Grow(&held, tokens) would succeed.
+func (a *Allocator) CanGrow(held int32, tokens int) bool {
+	return a.BlocksFor(tokens)-int(held) <= a.free
 }
 
-// Release frees every block owned by the sequence.
-func (a *Allocator) Release(seqID int) {
-	a.free += a.tables[seqID]
-	delete(a.tables, seqID)
+// Free returns every block of the holding *held and zeroes it.
+func (a *Allocator) Free(held *int32) {
+	a.free += int(*held)
+	*held = 0
 }
 
-// Sequences returns the number of sequences holding blocks.
-func (a *Allocator) Sequences() int { return len(a.tables) }
-
-// CheckInvariant verifies conservation: free + held == total. The serving
-// simulator calls this after every scheduling step in tests.
-func (a *Allocator) CheckInvariant() error {
-	held := 0
-	for id, n := range a.tables {
-		if n <= 0 {
-			return fmt.Errorf("kvcache: seq %d holds %d blocks", id, n)
-		}
-		held += n
-	}
-	if held+a.free != a.NumBlocks {
+// CheckInvariant verifies conservation: held, the caller's sum over
+// every holding it has grown, plus the free blocks make up the whole
+// cache. The serving engine's tests call it after every scheduling step.
+func (a *Allocator) CheckInvariant(held int) error {
+	if held < 0 || held+a.free != a.NumBlocks {
 		return fmt.Errorf("kvcache: leak: held %d + free %d != total %d", held, a.free, a.NumBlocks)
 	}
 	return nil

@@ -8,7 +8,8 @@
 //     fingerprints across configurations to prove the invariance.
 //
 //   - Allocator: a vLLM-style paged block allocator used by the serving
-//     simulator for admission control and preemption accounting.
+//     simulator for admission control and preemption accounting. It
+//     only counts free blocks; each sequence keeps its own holding.
 package kvcache
 
 import (

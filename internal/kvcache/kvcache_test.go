@@ -2,6 +2,7 @@ package kvcache
 
 import (
 	"errors"
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -141,78 +142,96 @@ func TestAllocatorBasics(t *testing.T) {
 	if a.BlocksFor(1) != 1 || a.BlocksFor(16) != 1 || a.BlocksFor(17) != 2 || a.BlocksFor(0) != 0 {
 		t.Fatal("BlocksFor wrong")
 	}
-	if err := a.Ensure(1, 40); err != nil { // 3 blocks
+	var held int32
+	if err := a.Grow(&held, 40); err != nil { // 3 blocks
 		t.Fatal(err)
 	}
-	if a.Holds(1) != 3 || a.FreeBlocks() != 7 {
-		t.Fatalf("holds=%d free=%d", a.Holds(1), a.FreeBlocks())
+	if held != 3 || a.FreeBlocks() != 7 {
+		t.Fatalf("holds=%d free=%d", held, a.FreeBlocks())
 	}
 	// Growing to 50 tokens needs 4 blocks total, 1 more.
-	if err := a.Ensure(1, 50); err != nil {
+	if err := a.Grow(&held, 50); err != nil {
 		t.Fatal(err)
 	}
-	if a.Holds(1) != 4 {
-		t.Fatalf("holds = %d", a.Holds(1))
+	if held != 4 {
+		t.Fatalf("holds = %d", held)
 	}
 	// Shrinking request is a no-op.
-	if err := a.Ensure(1, 10); err != nil || a.Holds(1) != 4 {
+	if err := a.Grow(&held, 10); err != nil || held != 4 {
 		t.Fatal("shrink should be no-op")
 	}
-	a.Release(1)
-	if a.FreeBlocks() != 10 || a.Sequences() != 0 {
-		t.Fatal("release did not return blocks")
+	a.Free(&held)
+	if a.FreeBlocks() != 10 || held != 0 {
+		t.Fatal("free did not return blocks")
 	}
 }
 
 func TestAllocatorNoSpace(t *testing.T) {
 	a := NewAllocator(16, 2)
-	if err := a.Ensure(1, 32); err != nil {
+	var one, two int32
+	if err := a.Grow(&one, 32); err != nil {
 		t.Fatal(err)
 	}
-	err := a.Ensure(2, 1)
+	err := a.Grow(&two, 1)
 	if !errors.Is(err, ErrNoSpace) {
 		t.Fatalf("err = %v", err)
 	}
-	// Failed ensure must not leak partial allocations.
-	if a.Holds(2) != 0 || a.FreeBlocks() != 0 {
-		t.Fatal("failed ensure leaked blocks")
+	// Failed growth must not leak partial allocations.
+	if two != 0 || a.FreeBlocks() != 0 {
+		t.Fatal("failed grow leaked blocks")
 	}
-	if a.CanEnsure(2, 1) {
-		t.Fatal("CanEnsure should be false")
+	if a.CanGrow(two, 1) {
+		t.Fatal("CanGrow should be false")
 	}
-	a.Release(1)
-	if !a.CanEnsure(2, 32) {
-		t.Fatal("CanEnsure should be true after release")
+	a.Free(&one)
+	if !a.CanGrow(two, 32) {
+		t.Fatal("CanGrow should be true after free")
 	}
 }
 
 func TestAllocatorInvariant(t *testing.T) {
 	a := NewAllocator(8, 100)
-	for i := 0; i < 20; i++ {
-		if err := a.Ensure(i, 8*(i%5+1)); err != nil {
+	held := make([]int32, 20)
+	for i := range held {
+		if err := a.Grow(&held[i], 8*(i%5+1)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < 20; i += 2 {
-		a.Release(i)
+		a.Free(&held[i])
 	}
-	if err := a.CheckInvariant(); err != nil {
+	sum := 0
+	for _, h := range held {
+		sum += int(h)
+	}
+	if err := a.CheckInvariant(sum); err != nil {
 		t.Fatal(err)
+	}
+	if a.CheckInvariant(sum+1) == nil || a.CheckInvariant(sum-1) == nil {
+		t.Fatal("CheckInvariant accepted a wrong holding sum")
 	}
 }
 
 func TestQuickAllocatorConservation(t *testing.T) {
 	f := func(ops []uint16) bool {
 		a := NewAllocator(4, 64)
+		var held [8]int32
 		for _, op := range ops {
 			seq := int(op % 8)
 			tokens := int(op/8) % 40
 			if op%3 == 0 {
-				a.Release(seq)
-			} else if err := a.Ensure(seq, tokens); err != nil && !errors.Is(err, ErrNoSpace) {
+				a.Free(&held[seq])
+			} else if err := a.Grow(&held[seq], tokens); err != nil && !errors.Is(err, ErrNoSpace) {
 				return false
 			}
-			if a.CheckInvariant() != nil {
+			sum := 0
+			for _, h := range held {
+				if h < 0 {
+					return false
+				}
+				sum += int(h)
+			}
+			if a.CheckInvariant(sum) != nil {
 				return false
 			}
 		}
@@ -220,6 +239,22 @@ func TestQuickAllocatorConservation(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestNewAllocatorRejectsBadDims(t *testing.T) {
+	for _, dims := range [][2]int{{0, 4}, {16, -1}, {16, math.MaxInt32 + 1}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewAllocator(%d, %d) did not panic", dims[0], dims[1])
+				}
+			}()
+			NewAllocator(dims[0], dims[1])
+		}()
+	}
+	if a := NewAllocator(1, math.MaxInt32); a.FreeBlocks() != math.MaxInt32 {
+		t.Fatal("MaxInt32 blocks should be allowed")
 	}
 }
 
@@ -233,13 +268,16 @@ func TestCapacityTokens(t *testing.T) {
 	}
 }
 
+// Freeing a holding that never grew (a sequence the allocator has not
+// seen) changes nothing.
 func TestReleaseUnknownSeqHarmless(t *testing.T) {
 	a := NewAllocator(4, 4)
-	a.Release(99)
-	if a.FreeBlocks() != 4 {
-		t.Fatal("release of unknown seq changed state")
+	var held int32
+	a.Free(&held)
+	if a.FreeBlocks() != 4 || held != 0 {
+		t.Fatal("free of an empty holding changed state")
 	}
-	if err := a.CheckInvariant(); err != nil {
+	if err := a.CheckInvariant(0); err != nil {
 		t.Fatal(err)
 	}
 }

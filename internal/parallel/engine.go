@@ -101,11 +101,8 @@ func (e *Engine) CommCounters() comm.Counters {
 		total.AllReduceBytes += c.AllReduceBytes
 		total.AllToAllCalls += c.AllToAllCalls
 		total.AllToAllBytes += c.AllToAllBytes
-		total.AllGatherCalls += c.AllGatherCalls
-		total.AllGatherBytes += c.AllGatherBytes
 		total.BroadcastCalls += c.BroadcastCalls
 		total.BroadcastBytes += c.BroadcastBytes
-		total.BarrierCalls += c.BarrierCalls
 	}
 	add(e.world.Stats().Snapshot())
 	for _, g := range e.spGroups {

@@ -47,7 +47,7 @@ func (cm *CostModel) IterEP(par Parallelism, ep EPConfig, b Batch) Cost {
 	if err := ep.Validate(par.World()); err != nil {
 		panic(err)
 	}
-	if !cm.M.IsMoE() || !ep.Enabled() {
+	if !cm.isMoE || !ep.Enabled() {
 		return cm.Iter(par, b)
 	}
 	cost := cm.Iter(par, b)
@@ -66,9 +66,9 @@ func (cm *CostModel) IterEP(par Parallelism, ep EPConfig, b Batch) Cost {
 	// rank scatters its rows' hidden states to expert owners and gathers
 	// them back.
 	link := cm.Node.Link
-	msg := rowsPerRank * float64(cm.M.Hidden) * cm.P.ActBytes
+	msg := rowsPerRank * cm.hidden * cm.P.ActBytes
 	per := 2*msg*float64(ep.Degree-1)/float64(ep.Degree)/link.LinkBandwidth + 2*float64(ep.Degree-1)*link.Latency
-	cost.AllToAll += secs(float64(cm.M.Layers) * per)
+	cost.AllToAll += secs(cm.layers * per)
 	return cost
 }
 

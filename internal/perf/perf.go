@@ -137,6 +137,12 @@ func (c Cost) Total() time.Duration {
 }
 
 // CostModel prices iterations of one model on one node.
+//
+// Node, M and P are fixed after New: New derives the model constants the
+// per-iteration pricing reads (flops and weight bytes per token, KV bytes
+// per token, ...) from M once, so mutating M or P afterwards would leave
+// them stale. Build a new CostModel instead. PrefillFlopsFactor is read
+// on every call and may be set at any time.
 type CostModel struct {
 	Node hw.Node
 	M    model.Config
@@ -145,6 +151,16 @@ type CostModel struct {
 	// PrefillFlopsFactor scales prefill linear flops; SwiftKV's
 	// SingleInputKV roughly halves them (internal/specdec sets this).
 	PrefillFlopsFactor float64
+
+	// Constants of M, computed once by New. model.Config's methods have
+	// value receivers, so calling them per iteration copies the whole
+	// struct; the engine prices tens of thousands of iterations per run.
+	flopsPerToken        float64 // M.FlopsPerToken()
+	weightBytes          float64 // M.WeightBytes()
+	activeWeightPerToken float64 // M.ActiveWeightBytesPerToken()
+	kvBytesPerToken      float64 // M.KVBytesPerToken()
+	isMoE                bool    // M.IsMoE()
+	hidden, layers       float64 // float64(M.Hidden), float64(M.Layers)
 }
 
 // New returns a cost model with the given calibration.
@@ -155,7 +171,16 @@ func New(node hw.Node, m model.Config, p Params) (*CostModel, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
-	return &CostModel{Node: node, M: m, P: p, PrefillFlopsFactor: 1}, nil
+	return &CostModel{
+		Node: node, M: m, P: p, PrefillFlopsFactor: 1,
+		flopsPerToken:        m.FlopsPerToken(),
+		weightBytes:          m.WeightBytes(),
+		activeWeightPerToken: m.ActiveWeightBytesPerToken(),
+		kvBytesPerToken:      m.KVBytesPerToken(),
+		isMoE:                m.IsMoE(),
+		hidden:               float64(m.Hidden),
+		layers:               float64(m.Layers),
+	}, nil
 }
 
 // MustNew is New, panicking on error (for presets known to be valid).
@@ -203,12 +228,12 @@ func (cm *CostModel) Iter(par Parallelism, b Batch) Cost {
 	gemm := math.Max(computeTime, memTime)
 
 	// --- Attention (head-parallel across all world ranks) ---
-	attnFlops := 4 * float64(cm.M.Hidden) * float64(cm.M.Layers) *
+	attnFlops := 4 * cm.hidden * cm.layers *
 		(float64(b.PrefillTokens)*b.PrefillCtx + float64(b.DecodeSeqs)*b.DecodeCtx)
 	attnCompute := attnFlops / float64(world) / (g.FP8Flops * cm.P.AttnEff)
 	// Decode KV streaming: each decoding sequence reads its full cached
 	// context for this rank's heads (replication multiplies the share).
-	kvBytes := float64(b.DecodeSeqs) * b.DecodeCtx * cm.M.KVBytesPerToken() * cm.kvShare(world)
+	kvBytes := float64(b.DecodeSeqs) * b.DecodeCtx * cm.kvBytesPerToken * cm.kvShare(world)
 	attnMem := kvBytes / (g.HBMBandwidth * cm.P.MemEff)
 	attn := math.Max(attnCompute, attnMem)
 
@@ -217,18 +242,18 @@ func (cm *CostModel) Iter(par Parallelism, b Batch) Cost {
 	var allReduce, allToAll float64
 	link := cm.Node.Link
 	if par.TP > 1 {
-		msg := rowsPerRank * float64(cm.M.Hidden) * cm.P.ActBytes
+		msg := rowsPerRank * cm.hidden * cm.P.ActBytes
 		per := 2*msg*float64(par.TP-1)/float64(par.TP)/link.LinkBandwidth + 2*float64(par.TP-1)*link.Latency
-		allReduce = 2 * float64(cm.M.Layers) * per
+		allReduce = 2 * cm.layers * per
 	}
 	if par.SP > 1 {
 		// First all-to-all carries q + (replicated) kv heads; second
 		// carries the attention output (q-width only).
 		qkvFactor := 1 + 2*float64(cm.M.KVHeads)*cm.kvShare(world)*float64(world)/float64(cm.M.QHeads)
-		msg1 := rowsPerRank * float64(cm.M.Hidden) * cm.P.ActBytes * qkvFactor
-		msg2 := rowsPerRank * float64(cm.M.Hidden) * cm.P.ActBytes
+		msg1 := rowsPerRank * cm.hidden * cm.P.ActBytes * qkvFactor
+		msg2 := rowsPerRank * cm.hidden * cm.P.ActBytes
 		per := (msg1+msg2)*float64(par.SP-1)/float64(par.SP)/link.LinkBandwidth + 2*float64(par.SP-1)*link.Latency
-		allToAll = float64(cm.M.Layers) * per
+		allToAll = cm.layers * per
 	}
 
 	return Cost{
@@ -245,22 +270,22 @@ func (cm *CostModel) prefillFlops(b Batch) float64 {
 	if f == 0 {
 		f = 1
 	}
-	return cm.M.FlopsPerToken() * float64(b.PrefillTokens) * f
+	return cm.flopsPerToken * float64(b.PrefillTokens) * f
 }
 
 func (cm *CostModel) decodeFlops(b Batch) float64 {
-	return cm.M.FlopsPerToken() * float64(b.DecodeSeqs)
+	return cm.flopsPerToken * float64(b.DecodeSeqs)
 }
 
 // weightReadBytes returns the weight bytes streamed from HBM in one
 // iteration: dense models stream everything; MoE models stream only the
 // experts the batch activates (approaching all weights at large batch).
 func (cm *CostModel) weightReadBytes(tokens int) float64 {
-	total := cm.M.WeightBytes()
-	if !cm.M.IsMoE() {
+	total := cm.weightBytes
+	if !cm.isMoE {
 		return total
 	}
-	activated := cm.M.ActiveWeightBytesPerToken() * float64(tokens)
+	activated := cm.activeWeightPerToken * float64(tokens)
 	return math.Min(total, activated)
 }
 

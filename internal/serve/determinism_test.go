@@ -434,7 +434,7 @@ func TestLoneRunnerRejectionCountsKVExhausted(t *testing.T) {
 	e := mustEngine(t, Config{CM: cm, Par: perf.Parallelism{SP: 1, TP: 1}})
 	s := &seq{firstTok: -1, effInput: 64, prefilled: 32,
 		req: workload.Request{ID: 1, InputTokens: 64, OutputTokens: 8}}
-	if err := e.alloc.Ensure(1, 32); err != nil {
+	if err := e.alloc.Grow(&s.kvBlocks, 32); err != nil {
 		t.Fatal(err)
 	}
 	e.running = []*seq{s}

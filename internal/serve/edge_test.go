@@ -84,7 +84,7 @@ func TestBlockTokensOne(t *testing.T) {
 			t.Fatal("rejected")
 		}
 	}
-	if err := e.alloc.CheckInvariant(); err != nil {
+	if err := checkKV(e); err != nil {
 		t.Fatal(err)
 	}
 }

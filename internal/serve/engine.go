@@ -247,7 +247,12 @@ type seq struct {
 	enqueued  time.Duration
 	firstTok  time.Duration // -1 until produced
 	finished  time.Duration
-	preempted int
+	preempted int32
+	// kvBlocks is the sequence's KV holding: the blocks the engine's
+	// allocator granted it, zero unless it is running. It sits beside
+	// preempted as an int32 so seq stays at 208 bytes, the top of its
+	// allocation size class.
+	kvBlocks int32
 	// rejectReason is set when the engine gives up on the sequence.
 	rejectReason RejectReason
 }
@@ -555,7 +560,7 @@ func (e *Engine) resolveEmpty() bool {
 		// A lone runner that cannot grow needs more KV than the engine
 		// has: reject it.
 		s := e.running[0]
-		e.alloc.Release(s.req.ID)
+		e.alloc.Free(&s.kvBlocks)
 		e.running = nil
 		e.reject(s, RejectKVExhausted)
 		return true
@@ -634,10 +639,10 @@ func (e *Engine) schedule() batchPlan {
 		// queue by descending priority, so the tail is s's peers or work
 		// it outranks; in FIFO mode priorities are all equal.
 		need := s.ctx() + plan.specTokens
-		for !e.alloc.CanEnsure(s.req.ID, need) && len(e.running)-1 > i {
+		for !e.alloc.CanGrow(s.kvBlocks, need) && len(e.running)-1 > i {
 			e.preemptAt(e.victimAfter(i))
 		}
-		if !e.alloc.CanEnsure(s.req.ID, need) {
+		if !e.alloc.CanGrow(s.kvBlocks, need) {
 			// No eligible victim remains — s is the youngest candidate,
 			// or (under SLO scheduling) the surviving tail outranks it —
 			// so preempt s itself. The slot at i now holds the next
@@ -645,7 +650,7 @@ func (e *Engine) schedule() batchPlan {
 			e.preemptAt(i)
 			continue
 		}
-		if err := e.alloc.Ensure(s.req.ID, need); err != nil {
+		if err := e.alloc.Grow(&s.kvBlocks, need); err != nil {
 			e.preemptAt(i)
 			continue
 		}
@@ -690,7 +695,7 @@ func (e *Engine) schedule() batchPlan {
 			}
 			urgents = append(urgents, urgentDemand{w.req.Priority, chunk})
 			reserved += chunk
-			reservedBlocks += e.alloc.BlocksFor(w.prefilled+chunk) - e.alloc.Holds(w.req.ID)
+			reservedBlocks += e.alloc.BlocksFor(w.prefilled+chunk) - int(w.kvBlocks)
 		}
 	}
 	// orderRunning already put higher-priority prefills first in SLO mode.
@@ -711,14 +716,14 @@ func (e *Engine) schedule() batchPlan {
 			continue
 		}
 		chunk := min(s.effInput-s.prefilled, avail)
-		if !e.alloc.CanEnsure(s.req.ID, s.prefilled+chunk) {
-			slack := e.alloc.Holds(s.req.ID)*e.alloc.BlockTokens - s.prefilled
+		if !e.alloc.CanGrow(s.kvBlocks, s.prefilled+chunk) {
+			slack := int(s.kvBlocks)*e.alloc.BlockTokens - s.prefilled
 			chunk = min(chunk, slack+e.alloc.FreeTokens())
 			if chunk <= 0 {
 				continue // KV pressure: wait for blocks
 			}
 		}
-		if err := e.alloc.Ensure(s.req.ID, s.prefilled+chunk); err != nil {
+		if err := e.alloc.Grow(&s.kvBlocks, s.prefilled+chunk); err != nil {
 			continue
 		}
 		plan.prefills = append(plan.prefills, s)
@@ -759,7 +764,7 @@ func (e *Engine) schedule() batchPlan {
 			continue
 		}
 		chunk := min(s.effInput-s.prefilled, budget)
-		if err := e.alloc.Ensure(s.req.ID, s.prefilled+chunk); err != nil {
+		if err := e.alloc.Grow(&s.kvBlocks, s.prefilled+chunk); err != nil {
 			break
 		}
 		e.waiting.removeAt(i)
@@ -901,7 +906,7 @@ func (e *Engine) shedStaged(s *seq, at time.Duration) {
 // used to reallocate the whole waiting queue per victim.
 func (e *Engine) preemptAt(i int) {
 	s := e.running[i]
-	e.alloc.Release(s.req.ID)
+	e.alloc.Free(&s.kvBlocks)
 	s.effInput = s.req.InputTokens + int(s.decoded)
 	// Recompute restarts after the (still resident) cached prefix.
 	s.prefilled = s.cached
@@ -1033,7 +1038,7 @@ func (e *Engine) preemptForUrgent() {
 // the full ChunkBudget and live watermark as a pre-plan estimate.
 func (e *Engine) canAdmit(s *seq, budget, watermark int) bool {
 	chunk := min(s.effInput-s.prefilled, budget)
-	need := e.alloc.BlocksFor(s.prefilled+chunk) - e.alloc.Holds(s.req.ID)
+	need := e.alloc.BlocksFor(s.prefilled+chunk) - int(s.kvBlocks)
 	return e.alloc.FreeBlocks()-need >= watermark && len(e.running) < e.cfg.MaxSeqs
 }
 
@@ -1085,18 +1090,18 @@ func (e *Engine) setDegrade(factor float64, from, until time.Duration) {
 // every routed-but-unarrived request is lost. It returns the lost
 // requests (running first, then waiting, then future arrivals — each
 // group in queue order) plus the computed-and-discarded token count,
-// releases all KV blocks, and leaves the engine drained with an empty
-// backlog (finished() holds until new arrivals are routed to it). Also used to flush the
-// black-holed arrivals a down replica accumulated before ejection.
+// releases all KV blocks (only running sequences hold any), and leaves
+// the engine drained with an empty backlog (finished() holds until new
+// arrivals are routed to it). Also used to flush the black-holed
+// arrivals a down replica accumulated before ejection.
 func (e *Engine) crashDrain() (lost []workload.Request, lostTokens int) {
 	for _, s := range e.running {
 		lostTokens += s.prefilled - s.cached + int(s.decoded)
-		e.alloc.Release(s.req.ID)
+		e.alloc.Free(&s.kvBlocks)
 		lost = append(lost, s.req)
 	}
 	e.running = nil
 	for _, s := range e.waiting.seqs() {
-		e.alloc.Release(s.req.ID)
 		lost = append(lost, s.req)
 	}
 	e.waiting.clear()
@@ -1159,7 +1164,7 @@ func (e *Engine) apply(plan batchPlan, cost perf.Cost, end time.Duration) {
 	for _, s := range e.running {
 		if s.done() {
 			s.finished = e.now
-			e.alloc.Release(s.req.ID)
+			e.alloc.Free(&s.kvBlocks)
 			e.completed = append(e.completed, s)
 			e.backlogTokens -= s.req.TotalTokens()
 			e.completedTokens += s.req.TotalTokens()

@@ -1,0 +1,151 @@
+package serve
+
+import (
+	"cmp"
+	"fmt"
+	"slices"
+	"testing"
+	"time"
+	"unsafe"
+
+	"repro/internal/perf"
+	"repro/internal/trace"
+	"repro/internal/workload"
+)
+
+// checkKV verifies the engine's KV conservation: the blocks its running
+// sequences hold plus the allocator's free blocks make up the whole
+// cache, and no waiting, completed or rejected sequence holds a block.
+func checkKV(e *Engine) error {
+	held := 0
+	for _, s := range e.running {
+		if s.kvBlocks < 0 {
+			return fmt.Errorf("running seq %d holds %d blocks", s.req.ID, s.kvBlocks)
+		}
+		held += int(s.kvBlocks)
+	}
+	for _, q := range []struct {
+		name string
+		seqs []*seq
+	}{{"waiting", e.waiting.seqs()}, {"completed", e.completed}, {"rejected", e.rejected}} {
+		for _, s := range q.seqs {
+			if s.kvBlocks != 0 {
+				return fmt.Errorf("%s seq %d holds %d blocks", q.name, s.req.ID, s.kvBlocks)
+			}
+		}
+	}
+	return e.alloc.CheckInvariant(held)
+}
+
+// stepOne advances e by one scheduling step: one priced iteration, or
+// the idle jump to its next arrival plus the iteration there.
+func stepOne(e *Engine) {
+	h := e.now + 1
+	if a := e.nextArrival(); len(e.running) == 0 && a >= h {
+		h = a + 1
+	}
+	e.stepUntil(h, true)
+}
+
+// TestKVHoldingsConservedEveryIteration steps a bursty Shift engine, a
+// KV-tight preemption storm and a crash-drained replica one iteration at
+// a time and checks KV conservation after every one: the running
+// sequences' holdings plus the free blocks always make up the cache, and
+// a sequence off the running queue never keeps a block.
+func TestKVHoldingsConservedEveryIteration(t *testing.T) {
+	cm := llamaCM(t)
+	one := Config{CM: cm, Par: perf.Parallelism{SP: 1, TP: 1}}
+	cases := []struct {
+		name string
+		cfg  Config
+		reqs []workload.Request
+		// crashAt, when positive, crash-drains the engine after that many
+		// steps and re-enqueues the lost requests, as a restarted replica
+		// that keeps its work would see them.
+		crashAt int
+	}{
+		{name: "bursty", cfg: shiftCfg(cm), reqs: trace.Bursty(7, 60*time.Second).Requests},
+		{name: "preempt-storm", cfg: one, reqs: workload.Closed("storm", 256, 1024, 2048).Requests},
+		{name: "crash-drain", cfg: one, reqs: trace.Bursty(11, 60*time.Second).Requests, crashAt: 400},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			e := mustEngine(t, tc.cfg)
+			for _, r := range tc.reqs {
+				e.enqueue(r)
+			}
+			crashed := false
+			for steps := 0; !e.finished(); steps++ {
+				if steps > 1_000_000 {
+					t.Fatal("engine did not drain")
+				}
+				stepOne(e)
+				if err := checkKV(e); err != nil {
+					t.Fatalf("after step %d: %v", steps, err)
+				}
+				if steps == tc.crashAt && !crashed {
+					crashed = true
+					if len(e.running) == 0 {
+						t.Fatal("test premise broken: nothing running at the crash")
+					}
+					lost, _ := e.crashDrain()
+					if err := checkKV(e); err != nil {
+						t.Fatalf("after the crash drain: %v", err)
+					}
+					if e.alloc.UsedBlocks() != 0 {
+						t.Fatalf("crash drain left %d blocks allocated", e.alloc.UsedBlocks())
+					}
+					slices.SortStableFunc(lost, func(a, b workload.Request) int {
+						return cmp.Compare(a.Arrival, b.Arrival)
+					})
+					for _, r := range lost {
+						e.enqueue(r)
+					}
+				}
+			}
+			if tc.name == "preempt-storm" && e.preemptions == 0 {
+				t.Fatal("test premise broken: the storm did not preempt")
+			}
+			if tc.crashAt > 0 && !crashed {
+				t.Fatal("test premise broken: the run ended before the crash")
+			}
+			if e.alloc.UsedBlocks() != 0 {
+				t.Fatalf("drained engine holds %d blocks", e.alloc.UsedBlocks())
+			}
+		})
+	}
+}
+
+// TestSteadyIterationAllocatesNothing pins one steady decode iteration
+// of a warmed TP=8 engine — admit, schedule, price, apply — at zero
+// allocations: the engine runs tens of thousands of these per trace.
+func TestSteadyIterationAllocatesNothing(t *testing.T) {
+	e := mustEngine(t, tp8Cfg(llamaCM(t)))
+	for i := 0; i < 64; i++ {
+		e.enqueue(workload.Request{ID: i, InputTokens: 512, OutputTokens: 1 << 20})
+	}
+	iterate := func() {
+		e.admit()
+		plan := e.schedule()
+		cost := e.price(&plan)
+		e.apply(plan, cost, e.now+cost.Total())
+	}
+	for len(e.running) < 64 || !e.running[63].prefillDone() {
+		iterate()
+	}
+	if allocs := testing.AllocsPerRun(100, iterate); allocs != 0 {
+		t.Fatalf("one steady iteration allocates %.1f times, want 0", allocs)
+	}
+	if len(e.running) != 64 || e.preemptions != 0 {
+		t.Fatalf("test premise broken: %d running, %d preemptions", len(e.running), e.preemptions)
+	}
+}
+
+// seq is allocated once per request, so its size sets the simulator's
+// per-request memory. 208 bytes is the top of a Go allocation size class;
+// one byte more and every seq takes a 224-byte slot.
+func TestSeqFitsSizeClass(t *testing.T) {
+	if size := unsafe.Sizeof(seq{}); size > 208 {
+		t.Fatalf("seq is %d bytes, want <= 208 (the next size class is 224)", size)
+	}
+}

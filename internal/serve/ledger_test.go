@@ -91,7 +91,8 @@ func TestEngineLedgerBalances(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			e := mustEngine(t, tc.cfg)
 			if tc.hold > 0 {
-				if err := e.alloc.Ensure(-1, tc.hold); err != nil {
+				var phantom int32
+				if err := e.alloc.Grow(&phantom, tc.hold); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -94,7 +94,7 @@ func (e *Engine) appendMetrics(dst []RequestMetrics) []RequestMetrics {
 			InputTokens: s.req.InputTokens, OutputTokens: s.req.OutputTokens,
 			TTFT:        s.firstTok - s.req.SubmittedAt(),
 			Completion:  s.finished - s.req.SubmittedAt(),
-			Preemptions: s.preempted, Retries: s.req.Retries,
+			Preemptions: int(s.preempted), Retries: s.req.Retries,
 			Priority: s.req.Priority, SLO: s.req.SLO,
 			Replica: e.cfg.Name, Origin: s.req.Origin,
 		}

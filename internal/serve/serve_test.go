@@ -104,7 +104,7 @@ func TestAllTokensServedOnce(t *testing.T) {
 	if e.tokensServed != tr.TotalTokens() {
 		t.Fatalf("served %d tokens, trace has %d", e.tokensServed, tr.TotalTokens())
 	}
-	if err := e.alloc.CheckInvariant(); err != nil {
+	if err := checkKV(e); err != nil {
 		t.Fatal(err)
 	}
 	if e.alloc.UsedBlocks() != 0 {
@@ -140,7 +140,7 @@ func TestRejectImpossiblePrompt(t *testing.T) {
 	if !ms[0].Rejected {
 		t.Fatal("oversized prompt should be rejected")
 	}
-	if err := e.alloc.CheckInvariant(); err != nil {
+	if err := checkKV(e); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -172,7 +172,7 @@ func TestPreemptionUnderKVPressure(t *testing.T) {
 	if e.preemptions == 0 {
 		t.Fatal("expected preemptions under 2x oversubscription")
 	}
-	if err := e.alloc.CheckInvariant(); err != nil {
+	if err := checkKV(e); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -399,7 +399,7 @@ func TestQuickConservationAcrossWorkloads(t *testing.T) {
 			}
 		}
 		return e.tokensServed == tr.TotalTokens() &&
-			e.alloc.CheckInvariant() == nil && e.alloc.UsedBlocks() == 0
+			checkKV(e) == nil && e.alloc.UsedBlocks() == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)

@@ -254,7 +254,7 @@ func TestPreemptForUrgentSkipsNonUrgentHead(t *testing.T) {
 	// Low-priority batch work owns the entire KV cache.
 	batch := &seq{firstTok: -1, effInput: 64,
 		req: workload.Request{ID: 1, Class: "batch", InputTokens: 64, OutputTokens: 8}}
-	if err := e.alloc.Ensure(1, e.KVCapacityTokens()); err != nil {
+	if err := e.alloc.Grow(&batch.kvBlocks, e.KVCapacityTokens()); err != nil {
 		t.Fatal(err)
 	}
 	e.running = []*seq{batch}
@@ -312,10 +312,10 @@ func TestHighPriorityDecodeEvictsEarlierBatch(t *testing.T) {
 		req: workload.Request{ID: 2, Class: "chat", Priority: 2, InputTokens: 64, OutputTokens: 1 << 20}}
 	// Batch first in the queue and owning all KV; chat behind it with a
 	// token allocation that must grow.
-	if err := e.alloc.Ensure(1, e.KVCapacityTokens()-e.cfg.BlockTokens); err != nil {
+	if err := e.alloc.Grow(&batch.kvBlocks, e.KVCapacityTokens()-e.cfg.BlockTokens); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.alloc.Ensure(2, e.cfg.BlockTokens); err != nil {
+	if err := e.alloc.Grow(&chat.kvBlocks, e.cfg.BlockTokens); err != nil {
 		t.Fatal(err)
 	}
 	e.running = []*seq{batch, chat}
@@ -348,7 +348,8 @@ func TestBlockedHighPriorityNotStarved(t *testing.T) {
 	// Leave just watermark+10 blocks free (held by a phantom allocation),
 	// so a 100-block prompt is blocked while a 1-block prompt fits.
 	wm := e.watermark()
-	if err := e.alloc.Ensure(99, (e.alloc.NumBlocks-wm-10)*e.cfg.BlockTokens); err != nil {
+	var phantom int32
+	if err := e.alloc.Grow(&phantom, (e.alloc.NumBlocks-wm-10)*e.cfg.BlockTokens); err != nil {
 		t.Fatal(err)
 	}
 	big := 100 * e.cfg.BlockTokens
