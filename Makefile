@@ -1,10 +1,9 @@
 # One-command verify + bench harness. `make ci` is what the tier-1
 # gate runs in spirit: formatting, vet, the docs lint, the full test
 # suite under the race detector, a single pass of every benchmark, the
-# golden gate (every deterministic scenario output byte-identical to its
-# checked-in BENCH file), the scenario-registry smoke (`simctl run -all
-# -quick`, via bench-json), and the benchmark module's own vet and
-# tests (bench-check).
+# golden gate (`simctl run -all -quick`: every scenario output linted and
+# byte-identical to its checked-in BENCH file), and the benchmark
+# module's own vet and tests (bench-check).
 
 GO ?= go
 PERFCOUNT ?= 5
@@ -17,8 +16,7 @@ COVERFLOOR ?= 86.0
 
 .PHONY: ci fmt vet test race bench golden bench-json bench-check trace-smoke perfbench build docs fuzz fuzz-short cover
 
-# golden runs before bench-json, which rewrites the checked-in files.
-ci: fmt vet docs race bench golden bench-json trace-smoke fuzz-short cover bench-check
+ci: fmt vet docs race bench golden trace-smoke fuzz-short cover bench-check
 
 build:
 	$(GO) build ./...
@@ -36,42 +34,42 @@ test:
 race:
 	$(GO) test -race ./...
 
-# One iteration of every table/figure benchmark (quick scale).
+# One iteration of every benchmark (the simulator-performance set).
 bench:
 	$(GO) test -run xxx -bench . -benchtime 1x ./...
 
-# The scenarios whose BENCH files hold wall-clock measurements, which
-# differ on every run; golden skips exactly these.
-GOLDEN_SKIP := simulator-speed engine-hotpath trace-overhead simbench
-
-# Golden gate: run every registered scenario at quick scale into a
-# temporary directory and cmp each BENCH file it writes against the
-# checked-in copy, skipping only the GOLDEN_SKIP wall-clock files. Any
-# difference, or a file with no checked-in copy, fails. A change that
-# means to move a modeled output regenerates the files with
-# `make bench-json` and says why.
+# Golden gate and registry smoke: run every registered scenario at
+# quick scale into a temporary directory (a scenario that breaks fails
+# right here), validate every file it writes with jsonlint, and cmp each
+# against the checked-in BENCH_<scenario>.json. Every scenario is
+# deterministic, so there is no skip list: a difference, a file with no
+# checked-in copy, or a checked-in BENCH file that no scenario writes
+# fails. A change that means to move a modeled output regenerates the
+# files with `make bench-json` and says why.
 golden:
 	@dir="$$(mktemp -d)"; trap 'rm -rf "$$dir"' EXIT; \
 	$(GO) run ./cmd/simctl run -all -quick -json -out "$$dir" > /dev/null || exit 1; \
-	fail=0; n=0; \
-	for f in "$$dir"/BENCH_*.json; do \
-		name="$$(basename "$$f")"; skip=0; \
-		for s in $(GOLDEN_SKIP); do [ "$$name" = "BENCH_$$s.json" ] && skip=1; done; \
-		[ $$skip = 1 ] && continue; \
-		n=$$((n+1)); \
-		cmp -s "$$f" "$$name" || { echo "golden: $$name differs from the checked-in copy"; fail=1; }; \
+	set -- "$$dir"/BENCH_*.json; \
+	[ -e "$$1" ] || { echo "golden: simctl wrote no BENCH files"; exit 1; }; \
+	$(GO) run ./cmd/jsonlint "$$@" > /dev/null || exit 1; \
+	fail=0; \
+	for f in "$$@"; do \
+		name="$$(basename "$$f")"; \
+		if [ ! -e "$$name" ]; then echo "golden: $$name has no checked-in copy"; fail=1; \
+		elif ! cmp -s "$$f" "$$name"; then echo "golden: $$name differs from the checked-in copy"; fail=1; fi; \
 	done; \
-	if [ $$n = 0 ]; then echo "golden: simctl wrote no BENCH files"; exit 1; fi; \
-	if [ $$fail = 0 ]; then echo "golden: $$n files byte-identical"; fi; \
+	for name in BENCH_*.json; do \
+		[ -e "$$name" ] || continue; \
+		[ -e "$$dir/$$name" ] || { echo "golden: $$name is checked in but no scenario writes it"; fail=1; }; \
+	done; \
+	if [ $$fail = 0 ]; then echo "golden: $$# files byte-identical"; fi; \
 	exit $$fail
 
-# Registry smoke + machine-readable sweep results: run every registered
-# scenario at quick scale through simctl (a scenario that breaks — or a
-# new experiment that forgets to register — fails CI right here), write
-# each one's sections as BENCH_<scenario>.json, and validate every
-# emitted file in one jsonlint glob invocation. The four suite
-# scenarios (burstbench, clusterbench, geobench, simbench) regenerate
-# the accumulating perf-trajectory files under their historical names.
+# Regenerate the checked-in golden files: run every registered scenario
+# at quick scale through simctl, write each one's sections as
+# BENCH_<scenario>.json in the repo root, and validate every emitted
+# file in one jsonlint glob invocation. Not part of ci (golden runs the
+# same command into a temporary directory and adds the cmp).
 bench-json:
 	@touch .bench-stamp
 	$(GO) run ./cmd/simctl run -all -quick -json > /dev/null

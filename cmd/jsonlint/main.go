@@ -1,9 +1,9 @@
 // Command jsonlint validates the JSON artifacts the simulator emits.
 // BENCH_*.json files (`simctl run -json`) must parse and contain at
 // least one named section with a non-empty table whose rows are
-// full-width and unique within the section; `make bench-json` runs it
-// on every emitted file in one glob invocation so CI fails on malformed
-// perf output. Chrome trace-event files (`simctl run -trace`, detected
+// full-width and unique within the section; `make golden` runs it on
+// every file a fresh `simctl run -all` writes, so CI fails on malformed
+// bench output. Chrome trace-event files (`simctl run -trace`, detected
 // by their top-level "traceEvents" key) must hold well-formed events
 // with non-decreasing timestamps per (pid, tid) track, matched sync B/E
 // pairs, and balanced async b/e span pairs per (cat, id) — the
@@ -94,7 +94,7 @@ func lint(path string) []error {
 		}
 		// Two identical rows in one section mean a sweep emitted the
 		// same axis point twice (or dropped the column distinguishing
-		// two points) — the trajectory would silently double-count it.
+		// two points) — a reader of the file would silently double-count it.
 		seen := map[string]int{}
 		for i, row := range s.Table.Rows {
 			if len(row) != len(s.Table.Header) {

@@ -1,19 +1,19 @@
 // Command simctl is the single CLI over the scenario registry: every
 // experiment the simulator can run — paper figures and tables, routing
-// and autoscaling sweeps, the geo tier, the simulator-speed meter, and
-// the bench-trajectory suites — is a registered internal/scenario
-// Scenario, listed, parameterized, and executed uniformly. Scenario
-// knobs that used to be bespoke per-binary flags are declared typed
-// params, set with repeated -p key=value and validated by the registry.
+// and autoscaling sweeps, the fault, overload, cost and cache tiers, and
+// the geo tier — is a registered internal/scenario Scenario, listed,
+// parameterized, and executed uniformly. Scenario knobs that used to be
+// bespoke per-binary flags are declared typed params, set with repeated
+// -p key=value and validated by the registry.
 // With -json each scenario's sections are written as
-// BENCH_<scenario>.json via stats.WriteJSON (the accumulating perf
-// trajectory; cmd/jsonlint validates the files).
+// BENCH_<scenario>.json via stats.WriteJSON (the checked-in golden
+// files `make golden` compares against; cmd/jsonlint validates them).
 //
 // Usage:
 //
 //	simctl list
 //	simctl run <scenario>... [-quick] [-seed N] [-workers N] [-json] [-out dir] [-p key=value]...
-//	simctl run -all -quick -json       # the CI smoke + bench trajectory
+//	simctl run -all -quick -json       # regenerate every BENCH_<scenario>.json
 //	simctl run geo-region-breakdown -p policy=spill-over -p coldstart=60s
 package main
 
@@ -306,5 +306,5 @@ func runRun(args []string) {
 // simulator run (each documents which cell of its sweep is the traced
 // one). Other scenarios run untraced and -trace on them is an error.
 var tracedScenarios = []string{
-	"failure-recovery", "fleet-timeline", "outage-spillover", "trace-overhead",
+	"failure-recovery", "fleet-timeline", "outage-spillover",
 }

@@ -19,10 +19,10 @@ import (
 // absolute figure).
 const NominalGPUHourUSD = 4.0
 
-// autoscaleTrace is the burstbench workload stamped with SLOs so
+// autoscaleTrace is the Figure 7 bursty workload stamped with SLOs so
 // attainment-driven scaling has a measured signal: interactive traffic
 // wants a fast first token, batch bursts only care about finishing.
-// Quick runs keep 3 minutes rather than burstbench's 90 seconds: the
+// Quick runs keep 3 minutes rather than burstyTrace's 90 seconds: the
 // 90-second window floors the bursts at sizes a two-replica fleet
 // absorbs without queueing, which would make every scaling policy a
 // no-op and the sweep vacuous.

@@ -33,10 +33,9 @@ type Env struct {
 	// Workers bounds the sweep worker pool (and the simulator's internal
 	// replica/region stepping pools): 0 uses GOMAXPROCS, 1 forces the
 	// serial path. Results are byte-identical at every setting — sweep
-	// cells are independent and rows assemble in submission order —
-	// which is what the simulator-speed scenario measures the wall-clock
-	// difference of. Mirrors scenario.Env (the registry's copy of these
-	// knobs); the two convert directly.
+	// cells are independent and rows assemble in submission order.
+	// Mirrors scenario.Env (the registry's copy of these knobs); the two
+	// convert directly.
 	Workers int
 	// Obs, when set, collects request lifecycle spans and controller
 	// time series from the scenario's simulator runs (see internal/obs

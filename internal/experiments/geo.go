@@ -166,7 +166,13 @@ func GeoServing(e Env, coldStarts []time.Duration) (*stats.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	topos, coldStarts := geoSweepAxes(e, coldStarts)
+	topos := geoTopologies()
+	if e.Quick {
+		topos = topos[len(topos)-1:] // the antipodal pair stresses the trade-off most
+	}
+	if coldStarts == nil {
+		coldStarts = geoColdStarts(e)
+	}
 	tab := stats.NewTable("Policy", "Topology", "ColdStart", "Fleet mean/peak",
 		"Replica-s", "$/Mtok", "Int TTFT-SLO %", "p50 TTFT ms", "p99 TTFT ms",
 		"Spilled %", "Ups", "Downs", "Rejected")
@@ -184,20 +190,33 @@ func GeoServing(e Env, coldStarts []time.Duration) (*stats.Table, error) {
 			100*att.TTFTRate(), ttft.Median(), ttft.P99(),
 			spillPct, res.ScaleUps, res.ScaleDowns, res.Rejected)
 	}
-	// Sweep cells share nothing (traces and the cost model are read-only
-	// during runs): fan them out over the worker pool and assemble rows
-	// in submission order, so the table is byte-identical to the serial
-	// sweep at any pool width.
-	cells := geoGrid(e, cm, topos, coldStarts)
-	pool := NewPool(e.Workers)
-	results := make([]*serve.Result, len(cells))
-	err = pool.Run(len(cells), func(i int) error {
-		res, err := cells[i].run(pool.CellWorkers(e.Workers))
-		if err != nil {
-			return err
+	// The grid: the consolidated single-region baseline plus every geo
+	// policy, per topology x cold start. Cells share only read-only
+	// traces and the cost model, so they fan out over the worker pool.
+	type cell struct {
+		policy, topoName string
+		cold             time.Duration
+		run              func(workers int) (*serve.Result, error)
+	}
+	var cells []cell
+	for _, topo := range topos {
+		topoName := fmt.Sprintf("%s+%s/%v", topo.Regions[0], topo.Regions[1], topo.RTT[0][1])
+		tr := geoTrace(e, topo.Regions[0], topo.Regions[1])
+		for _, cold := range coldStarts {
+			cells = append(cells, cell{"single-region", topoName, cold,
+				func(workers int) (*serve.Result, error) {
+					return geoBaseline(cm, tr, cold, workers)
+				}})
+			for _, policy := range serve.GeoRouterNames {
+				cells = append(cells, cell{policy, topoName, cold,
+					func(workers int) (*serve.Result, error) {
+						return runGeoPolicy(cm, tr, topo, policy, cold, workers)
+					}})
+			}
 		}
-		results[i] = res
-		return nil
+	}
+	results, err := runCells(e, len(cells), func(i, workers int) (*serve.Result, error) {
+		return cells[i].run(workers)
 	})
 	if err != nil {
 		return nil, err
@@ -206,59 +225,6 @@ func GeoServing(e Env, coldStarts []time.Duration) (*stats.Table, error) {
 		addRow(c.policy, c.topoName, c.cold, results[i])
 	}
 	return tab, nil
-}
-
-// geoCell is one cell of the geobench grid: a policy (or the
-// consolidated baseline) at one topology and cold-start point. run
-// replays the cell; workers bounds the simulator's internal stepping
-// pools (the sweep pool above it parallelizes cells).
-type geoCell struct {
-	policy   string
-	topoName string
-	cold     time.Duration
-	run      func(workers int) (*serve.Result, error)
-}
-
-// geoGrid builds the geobench sweep grid — the consolidated
-// single-region baseline plus every geo policy, per topology x cold
-// start. GeoServing renders it as the sweep table and simbench times a
-// replay of it, so both always measure the same grid.
-func geoGrid(e Env, cm *perf.CostModel, topos []serve.Topology, coldStarts []time.Duration) []geoCell {
-	var cells []geoCell
-	for _, topo := range topos {
-		topoName := fmt.Sprintf("%s+%s/%v", topo.Regions[0], topo.Regions[1], topo.RTT[0][1])
-		tr := geoTrace(e, topo.Regions[0], topo.Regions[1])
-		for _, cold := range coldStarts {
-			cells = append(cells, geoCell{
-				policy: "single-region", topoName: topoName, cold: cold,
-				run: func(workers int) (*serve.Result, error) {
-					return geoBaseline(cm, tr, cold, workers)
-				},
-			})
-			for _, policy := range serve.GeoRouterNames {
-				cells = append(cells, geoCell{
-					policy: policy, topoName: topoName, cold: cold,
-					run: func(workers int) (*serve.Result, error) {
-						return runGeoPolicy(cm, tr, topo, policy, cold, workers)
-					},
-				})
-			}
-		}
-	}
-	return cells
-}
-
-// geoSweepAxes resolves the sweep's topology and cold-start axes for
-// the env (shared by GeoServing and simbench).
-func geoSweepAxes(e Env, coldStarts []time.Duration) ([]serve.Topology, []time.Duration) {
-	topos := geoTopologies()
-	if e.Quick {
-		topos = topos[len(topos)-1:] // the antipodal pair stresses the trade-off most
-	}
-	if coldStarts == nil {
-		coldStarts = geoColdStarts(e)
-	}
-	return topos, coldStarts
 }
 
 // GeoRegionBreakdown renders the per-region view of one sweep cell: who

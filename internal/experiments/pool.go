@@ -13,11 +13,8 @@ import (
 type Pool struct{ workers int }
 
 // NewPool returns a pool of the given width: 0 uses GOMAXPROCS, 1 is
-// the serial reference path (what simbench compares against).
+// the serial reference path.
 func NewPool(workers int) *Pool { return &Pool{workers: conc.Workers(workers)} }
-
-// Workers reports the resolved pool width.
-func (p *Pool) Workers() int { return p.workers }
 
 // CellWorkers returns the width each cell's internal simulator pools
 // (replica/region stepping) should use: when the sweep pool itself fans

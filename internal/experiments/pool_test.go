@@ -37,28 +37,6 @@ func TestPoolRunCoversAllCells(t *testing.T) {
 	}
 }
 
-// TestSweepParallelMatchesSerial pins the experiments-layer half of the
-// determinism contract: a sweep fanned over the pool produces the exact
-// table the serial sweep did, row for row.
-func TestSweepParallelMatchesSerial(t *testing.T) {
-	e := DefaultEnv()
-	e.Quick = true
-
-	e.Workers = 1
-	serial, err := GeoServing(e, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.Workers = 4
-	parallel, err := GeoServing(e, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(serial, parallel) {
-		t.Fatalf("parallel sweep diverged from serial:\nserial:\n%v\nparallel:\n%v", serial, parallel)
-	}
-}
-
 // TestRunCellsScenariosMatchSerial extends the same contract to the
 // paper-figure loops that moved onto runCells: every scenario's table
 // must be byte-identical at any pool width (cells recompute exactly

@@ -4,15 +4,14 @@ package experiments
 // package registers itself as an internal/scenario Scenario at init,
 // which is what `simctl list` shows and `simctl run` executes. Adding
 // an experiment is one function plus one Register call here — no new
-// binary, no hand-rolled flags. Bespoke knobs (geobench's old
-// -breakdown/-coldstart, clusterbench's -replicas, ...) are declared
-// typed params, parsed and validated by the registry.
+// binary, no hand-rolled flags. Bespoke knobs (geo-serving's cold
+// starts, cluster-routing's replica counts, ...) are declared typed
+// params, parsed and validated by the registry.
 //
-// Four suite scenarios — burstbench, clusterbench, geobench, simbench —
-// reproduce the section layout of the historical bench binaries, so the
-// longitudinal BENCH_<suite>.json perf trajectory keeps accumulating
-// under the same file and section names (pinned by registry_test.go
-// against the checked-in files).
+// Every scenario's output is a deterministic function of its params,
+// -quick and -seed: none measures wall clock, so each BENCH_<scenario>.json
+// is a golden file (`make golden`). The simulator's own speed is measured
+// by the repo benchmark (bench/) and `make perfbench`.
 
 import (
 	"fmt"
@@ -263,7 +262,7 @@ func init() {
 		}),
 	})
 
-	// --- Roadmap extension scenarios (fleet, geo, simulator) ---
+	// --- Roadmap extension scenarios (fleet, geo) ---
 	scenario.Register(scenario.Scenario{
 		Name:    "cluster-routing",
 		Summary: "Router policies x replica counts on SLO'd mixed chat+batch traffic",
@@ -446,96 +445,10 @@ func init() {
 			return GeoRegionBreakdown(e, v.String("policy"), v.Duration("coldstart"))
 		}),
 	})
-	scenario.Register(scenario.Scenario{
-		Name:    "simulator-speed",
-		Summary: "Simulator wall-clock on the geobench grid, serial vs worker pools",
-		Params: []scenario.Param{{Name: "reps", Kind: scenario.Int, Default: 3,
-			Help: "replays per mode; the fastest is kept"}},
-		Run: one("simulator-speed", func(e Env, v scenario.Values) (*stats.Table, error) {
-			return SimulatorSpeed(e, v.Int("reps"))
-		}),
-	})
-	scenario.Register(scenario.Scenario{
-		Name:    "engine-hotpath",
-		Summary: "Engine hot-path replays: wall-clock and allocation bill per request",
-		Run: one("engine-hotpath", func(e Env, _ scenario.Values) (*stats.Table, error) {
-			return EngineHotPath(e)
-		}),
-	})
-	scenario.Register(scenario.Scenario{
-		Name:    "trace-overhead",
-		Summary: "Observability cost: one crash-restart cell, tracing disabled vs enabled",
-		Run: one("trace-overhead", func(e Env, _ scenario.Values) (*stats.Table, error) {
-			return TraceOverhead(e)
-		}),
-	})
-
-	// --- Bench-trajectory suites (the historical binaries' layouts) ---
-	scenario.Register(scenario.Scenario{
-		Name:    "burstbench",
-		Summary: "Bench suite: fig7-table5 + autoscaling (the BENCH_burstbench.json trajectory)",
-		Run: func(se scenario.Env, _ scenario.Values) ([]stats.Section, error) {
-			tab, _, _, err := Fig7Table5(Env(se))
-			if err != nil {
-				return nil, err
-			}
-			atab, err := Autoscaling(Env(se), nil)
-			if err != nil {
-				return nil, err
-			}
-			return []stats.Section{
-				{Name: "fig7-table5", Table: tab},
-				{Name: "autoscaling", Table: atab},
-			}, nil
-		},
-	})
-	scenario.Register(scenario.Scenario{
-		Name:    "clusterbench",
-		Summary: "Bench suite: cluster-routing (the BENCH_clusterbench.json trajectory)",
-		Run: func(se scenario.Env, _ scenario.Values) ([]stats.Section, error) {
-			tab, err := ClusterRouting(Env(se), nil)
-			if err != nil {
-				return nil, err
-			}
-			return []stats.Section{{Name: "cluster-routing", Table: tab}}, nil
-		},
-	})
-	scenario.Register(scenario.Scenario{
-		Name:    "geobench",
-		Summary: "Bench suite: geo-serving (the BENCH_geobench.json trajectory)",
-		Run: func(se scenario.Env, _ scenario.Values) ([]stats.Section, error) {
-			tab, err := GeoServing(Env(se), nil)
-			if err != nil {
-				return nil, err
-			}
-			return []stats.Section{{Name: "geo-serving", Table: tab}}, nil
-		},
-	})
-	scenario.Register(scenario.Scenario{
-		Name:    "simbench",
-		Summary: "Bench suite: simulator-speed + engine-hotpath (the BENCH_simbench.json trajectory)",
-		Params: []scenario.Param{{Name: "reps", Kind: scenario.Int, Default: 3,
-			Help: "replays per simulator-speed mode; the fastest is kept"}},
-		Run: func(se scenario.Env, v scenario.Values) ([]stats.Section, error) {
-			speed, err := SimulatorSpeed(Env(se), v.Int("reps"))
-			if err != nil {
-				return nil, err
-			}
-			hot, err := EngineHotPath(Env(se))
-			if err != nil {
-				return nil, err
-			}
-			return []stats.Section{
-				{Name: "simulator-speed", Table: speed},
-				{Name: "engine-hotpath", Table: hot},
-			}, nil
-		},
-	})
 }
 
 // throughputSeries renders the per-bucket throughput time series of a
-// Fig7Table5 run (the bottom panel of Figure 7, the old burstbench
-// -series output).
+// Fig7Table5 run (the bottom panel of Figure 7).
 func throughputSeries(observers map[string]*obs.Observer, bucket time.Duration) *stats.Table {
 	systems := []string{"DP", "TP", "Shift"}
 	tab := stats.NewTable("Bucket", "DP", "TP", "Shift")

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
-	"os"
 	"reflect"
 	"testing"
 
@@ -12,8 +10,8 @@ import (
 
 // goldenScenarios is the deliberate list of registered scenario names:
 // additions and removals must edit this list, so the measurement
-// surface (and the BENCH_<name>.json trajectory it feeds) never changes
-// by accident.
+// surface (and the BENCH_<name>.json golden files it writes) never
+// changes by accident.
 var goldenScenarios = []string{
 	"ablation-chunk-budget",
 	"ablation-dp-lockstep",
@@ -22,12 +20,9 @@ var goldenScenarios = []string{
 	"ablation-threshold",
 	"admission-control",
 	"autoscaling",
-	"burstbench",
 	"cache-measured",
 	"cluster-routing",
-	"clusterbench",
 	"cost-tiered",
-	"engine-hotpath",
 	"eq1",
 	"extension-ep",
 	"failure-recovery",
@@ -44,18 +39,14 @@ var goldenScenarios = []string{
 	"fleet-timeline",
 	"geo-region-breakdown",
 	"geo-serving",
-	"geobench",
 	"hetero-routing",
 	"outage-spillover",
 	"retry-storm",
 	"shared-cache-tier",
 	"shed-spill-buy",
-	"simbench",
-	"simulator-speed",
 	"table1",
 	"table2",
 	"table3",
-	"trace-overhead",
 }
 
 func TestScenarioGoldenList(t *testing.T) {
@@ -66,20 +57,16 @@ func TestScenarioGoldenList(t *testing.T) {
 }
 
 // runScenarioQuick runs one registered scenario at quick scale with
-// default params and a serial reps count where declared (wall-clock
-// scenarios need no repetitions under test).
-func runScenarioQuick(t *testing.T, s scenario.Scenario) []stats.Section {
+// default params on a sweep pool of the given width.
+func runScenarioQuick(t *testing.T, s scenario.Scenario, workers int) []stats.Section {
 	t.Helper()
-	raw := map[string]string{}
-	if s.HasParam("reps") {
-		raw["reps"] = "1"
-	}
-	vals, err := s.Parse(raw)
+	vals, err := s.Parse(nil)
 	if err != nil {
 		t.Fatalf("%s: parse defaults: %v", s.Name, err)
 	}
 	e := DefaultEnv()
 	e.Quick = true
+	e.Workers = workers
 	sections, err := s.Run(scenario.Env(e), vals)
 	if err != nil {
 		t.Fatalf("%s: %v", s.Name, err)
@@ -87,16 +74,18 @@ func runScenarioQuick(t *testing.T, s scenario.Scenario) []stats.Section {
 	return sections
 }
 
-// TestEveryScenarioRunsQuick is the registry-wide smoke contract: every
-// registered scenario must run in -quick mode with its declared
-// defaults and return at least one non-empty, well-formed section. A
-// scenario that breaks (or registers with a broken wrapper) fails here
-// before it fails in CI's `simctl run -all -quick`.
+// TestEveryScenarioRunsQuick is the registry-wide smoke and determinism
+// contract: every registered scenario must run in -quick mode with its
+// declared defaults and return at least one non-empty, well-formed
+// section, and its sections must be identical on a serial pool and a
+// 4-wide one. A scenario that breaks (or registers with a broken
+// wrapper, or lets cell scheduling leak into its output) fails here
+// before it fails `make golden`.
 func TestEveryScenarioRunsQuick(t *testing.T) {
 	for _, s := range scenario.List() {
 		s := s
 		t.Run(s.Name, func(t *testing.T) {
-			sections := runScenarioQuick(t, s)
+			sections := runScenarioQuick(t, s, 1)
 			if len(sections) == 0 {
 				t.Fatal("no sections returned")
 			}
@@ -114,74 +103,9 @@ func TestEveryScenarioRunsQuick(t *testing.T) {
 					}
 				}
 			}
-		})
-	}
-}
-
-// trajectoryKeyCols maps each bench-trajectory section to the number of
-// leading axis columns that identify a row (policy/topology/cold-start
-// labels — not measured values). simulator-speed keys on Mode alone:
-// the Workers column tracks GOMAXPROCS of the recording machine.
-var trajectoryKeyCols = map[string]int{
-	"fig7-table5":     1, // System
-	"autoscaling":     3, // Policy, ColdStart, Fleet0
-	"cluster-routing": 3, // Fleet, Replicas, Router
-	"geo-serving":     3, // Policy, Topology, ColdStart
-	"simulator-speed": 1, // Mode
-	"engine-hotpath":  1, // Scenario
-	"cost-tiered":     3, // Deployment, Burst x, $/Mtok
-}
-
-// TestBenchTrajectoryCompat pins the longitudinal perf trajectory: the
-// suite scenarios regenerate the checked-in BENCH_<suite>.json
-// files' section names, headers, and row keys exactly (values may move
-// only where measurement noise lives — wall clocks — or when seeds or
-// params change deliberately, which shows up here as a key diff).
-func TestBenchTrajectoryCompat(t *testing.T) {
-	for _, suite := range []string{"burstbench", "clusterbench", "cost-tiered", "geobench", "simbench"} {
-		suite := suite
-		t.Run(suite, func(t *testing.T) {
-			data, err := os.ReadFile("../../BENCH_" + suite + ".json")
-			if err != nil {
-				t.Fatalf("checked-in trajectory file missing: %v", err)
-			}
-			var golden struct {
-				Sections []stats.Section `json:"sections"`
-			}
-			if err := json.Unmarshal(data, &golden); err != nil {
-				t.Fatal(err)
-			}
-			s, ok := scenario.Get(suite)
-			if !ok {
-				t.Fatalf("suite scenario %s not registered", suite)
-			}
-			sections := runScenarioQuick(t, s)
-			if len(sections) != len(golden.Sections) {
-				t.Fatalf("section count %d != checked-in %d", len(sections), len(golden.Sections))
-			}
-			for i, sec := range sections {
-				want := golden.Sections[i]
-				if sec.Name != want.Name {
-					t.Fatalf("section %d = %q, checked-in %q", i, sec.Name, want.Name)
-				}
-				if !reflect.DeepEqual(sec.Table.Header, want.Table.Header) {
-					t.Fatalf("section %s header diverged:\ngot:  %v\nwant: %v",
-						sec.Name, sec.Table.Header, want.Table.Header)
-				}
-				if len(sec.Table.Rows) != len(want.Table.Rows) {
-					t.Fatalf("section %s has %d rows, checked-in %d",
-						sec.Name, len(sec.Table.Rows), len(want.Table.Rows))
-				}
-				k, ok := trajectoryKeyCols[sec.Name]
-				if !ok {
-					t.Fatalf("no key-column count declared for section %s", sec.Name)
-				}
-				for r, row := range sec.Table.Rows {
-					if !reflect.DeepEqual(row[:k], want.Table.Rows[r][:k]) {
-						t.Fatalf("section %s row %d keys diverged: got %v, checked-in %v",
-							sec.Name, r, row[:k], want.Table.Rows[r][:k])
-					}
-				}
+			if parallel := runScenarioQuick(t, s, 4); !reflect.DeepEqual(sections, parallel) {
+				t.Fatalf("sections diverged between pool widths 1 and 4:\nserial:\n%v\nparallel:\n%v",
+					sections, parallel)
 			}
 		})
 	}

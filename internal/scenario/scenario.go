@@ -1,8 +1,8 @@
 // Package scenario is the experiment registry: the single, versioned
 // measurement surface of the simulator. A Scenario couples a name and a
 // one-line summary with a set of declared, typed parameters and a Run
-// function that produces named stats.Sections — the unit the bench
-// trajectory accumulates. Every experiment registers itself here
+// function that produces named stats.Sections — the unit the golden
+// BENCH files are compared in. Every experiment registers itself here
 // (internal/experiments does so at init), and cmd/simctl is a thin shell
 // over Register/Get/List: adding a scenario is one function plus one
 // Register call, with no new binary and no hand-rolled flag parsing.

@@ -291,10 +291,10 @@ type Section struct {
 
 // WriteJSON writes bench sections to path as indented JSON — the
 // BENCH_<name>.json files `simctl run -json` emits, holding the same
-// formatted cells as the printed tables so the perf trajectory can
-// accumulate across runs. Section names must be unique within one file:
-// the trajectory is keyed on (file, section), so a silent
-// last-writer-wins duplicate would corrupt it.
+// formatted cells as the printed tables, so a run can be compared byte
+// for byte against a checked-in copy. Section names must be unique
+// within one file: the files are keyed on (file, section), so a silent
+// last-writer-wins duplicate would corrupt them.
 func WriteJSON(path string, sections []Section) error {
 	if len(sections) == 0 {
 		return fmt.Errorf("stats: no sections to write to %s", path)

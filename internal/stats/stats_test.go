@@ -314,7 +314,7 @@ func TestWriteJSONRoundTrip(t *testing.T) {
 }
 
 // TestWriteJSONRejectsDuplicateSections pins that one file cannot carry
-// two sections under the same name: the bench trajectory is keyed on
+// two sections under the same name: the BENCH files are keyed on
 // (file, section), and a silent last-writer-wins would corrupt it.
 func TestWriteJSONRejectsDuplicateSections(t *testing.T) {
 	tab := NewTable("K", "V")

@@ -1,10 +1,10 @@
-// Simulator-performance benchmarks: unlike the Benchmark{Fig,Table}
-// harness (which regenerates the paper's results), BenchmarkSimulator_*
-// measures the simulator itself — engine hot-path time and allocations,
-// and the serial-vs-parallel wall clock of fleet stepping and sweep
-// fan-out. `make perfbench` runs them with -benchmem at a benchstat-
-// friendly count for before/after comparisons; the simbench scenario emits the
-// same axis as BENCH_simbench.json.
+// Simulator-performance benchmarks: BenchmarkSimulator_* measure the
+// simulator itself, not the systems it models — engine hot-path time and
+// allocations, simulated seconds advanced per wall second, and the
+// serial-vs-parallel wall clock of fleet stepping and sweep fan-out.
+// `make perfbench` runs them with -benchmem at a benchstat-friendly
+// count for before/after comparisons. The paper's results themselves are
+// the deterministic scenario outputs (`simctl run`, gated by `make golden`).
 package repro_test
 
 import (
@@ -18,6 +18,12 @@ import (
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
+
+func benchEnv() experiments.Env {
+	e := experiments.DefaultEnv()
+	e.Quick = true
+	return e
+}
 
 func benchCM(b *testing.B) *perf.CostModel {
 	b.Helper()
@@ -34,11 +40,20 @@ func BenchmarkSimulator_EngineBursty(b *testing.B) {
 	cfg := serve.Config{CM: cm, Par: perf.Parallelism{SP: 1, TP: 1}}
 	b.ReportAllocs()
 	b.ResetTimer()
+	var res *serve.Result
 	for i := 0; i < b.N; i++ {
-		if _, err := serve.SingleEngine("bench", cfg).Run(tr); err != nil {
+		var err error
+		if res, err = serve.SingleEngine("bench", cfg).Run(tr); err != nil {
 			b.Fatal(err)
 		}
 	}
+	reportSimSpeed(b, res)
+}
+
+// reportSimSpeed attaches simulated seconds advanced per wall second,
+// from the last replay's makespan (every replay is identical).
+func reportSimSpeed(b *testing.B, res *serve.Result) {
+	b.ReportMetric(float64(b.N)*res.Makespan.Seconds()/b.Elapsed().Seconds(), "sim-s/wall-s")
 }
 
 // BenchmarkSimulator_PreemptStorm drives a KV-tight single-GPU replica
@@ -76,11 +91,14 @@ func BenchmarkSimulator_FleetSerial(b *testing.B) {
 	cl, tr := benchFleet(b, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
+	var res *serve.Result
 	for i := 0; i < b.N; i++ {
-		if _, err := cl.Run(tr); err != nil {
+		var err error
+		if res, err = cl.Run(tr); err != nil {
 			b.Fatal(err)
 		}
 	}
+	reportSimSpeed(b, res)
 }
 
 // BenchmarkSimulator_FleetParallel replays the same fleet on the worker
@@ -97,7 +115,7 @@ func BenchmarkSimulator_FleetParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkSimulator_SweepSerial runs the geobench quick grid on one
+// BenchmarkSimulator_SweepSerial runs the geo-serving quick grid on one
 // worker: the serial sweep reference.
 func BenchmarkSimulator_SweepSerial(b *testing.B) {
 	e := benchEnv()
@@ -112,7 +130,8 @@ func BenchmarkSimulator_SweepSerial(b *testing.B) {
 }
 
 // BenchmarkSimulator_SweepParallel fans the same grid over the default
-// (GOMAXPROCS) pool — the tentpole's sweep-level speedup.
+// (GOMAXPROCS) pool: the delta against SweepSerial is the sweep-level
+// speedup.
 func BenchmarkSimulator_SweepParallel(b *testing.B) {
 	e := benchEnv()
 	b.ReportAllocs()
