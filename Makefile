@@ -99,12 +99,13 @@ trace-smoke:
 	@rm -f .trace-smoke.json .trace-smoke.csv
 
 # Simulator-performance benchmarks (engine hot path, fleet stepping,
-# sweep fan-out) with allocation stats, repeated PERFCOUNT times so the
+# sweep fan-out) and the functional Shift engine unit (tensor kernels and
+# collectives) with allocation stats, repeated PERFCOUNT times so the
 # output feeds benchstat for before/after comparisons:
 #   make perfbench > new.txt   (and on the baseline commit > old.txt)
 #   benchstat old.txt new.txt
 perfbench:
-	$(GO) test -run xxx -bench 'BenchmarkSimulator_' -benchmem -count $(PERFCOUNT) .
+	$(GO) test -run xxx -bench 'BenchmarkSimulator_|BenchmarkFunctional_' -benchmem -count $(PERFCOUNT) .
 
 # Native fuzzers over the scenario registry's input surface (simctl's
 # -p key=value parsing): each target runs FUZZTIME. The seeded corpora

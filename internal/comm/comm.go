@@ -32,6 +32,7 @@ type Group struct {
 	seq      uint64
 	slots    []any
 	ready    []any
+	reduced  any
 	op       string
 	poisoned bool
 
@@ -81,8 +82,11 @@ func (g *Group) Stats() *Stats { return &g.stats }
 // exchange is the rendezvous primitive underlying every collective: each
 // rank contributes v and receives the slice of all ranks' contributions,
 // indexed by rank. The op string guards against mismatched collectives
-// (caught loudly instead of deadlocking).
-func (g *Group) exchange(rank int, op string, v any) []any {
+// (caught loudly instead of deadlocking). If reduce is non-nil, the last
+// rank to arrive calls it once on the contributions while every other
+// rank is still blocked in the rendezvous, and all ranks receive its
+// result.
+func (g *Group) exchange(rank int, op string, v any, reduce func(parts []any) any) (parts []any, reduced any) {
 	if rank < 0 || rank >= g.n {
 		panic(fmt.Sprintf("comm: rank %d out of group size %d", rank, g.n))
 	}
@@ -108,6 +112,10 @@ func (g *Group) exchange(rank int, op string, v any) []any {
 	if g.arrived == g.n {
 		g.ready = make([]any, g.n)
 		copy(g.ready, g.slots)
+		g.reduced = nil
+		if reduce != nil {
+			g.reduced = reduce(g.ready)
+		}
 		for i := range g.slots {
 			g.slots[i] = nil
 		}
@@ -123,12 +131,12 @@ func (g *Group) exchange(rank int, op string, v any) []any {
 			panic(ErrPoisoned)
 		}
 	}
-	out := g.ready
+	parts, reduced = g.ready, g.reduced
 	g.leaving--
 	if g.leaving == 0 {
 		g.cond.Broadcast()
 	}
-	return out
+	return parts, reduced
 }
 
 // Poison wakes all blocked ranks with a panic; used when a peer dies.
@@ -145,11 +153,14 @@ func (g *Group) poisonLocked() {
 
 // AllReduce sums vecs elementwise across all ranks, in place. Every rank
 // must pass a slice of the same length.
+//
+// The sum is computed once: the last rank to arrive adds the
+// contributions in rank order, while the others are blocked in the
+// rendezvous and so not yet writing their vecs, into a fresh slice that
+// every rank then copies out. A fresh slice per call keeps a slow
+// reader of this call's sum safe from the next call's reduction.
 func (g *Group) AllReduce(rank int, vec []float64) {
-	// Contribute a private copy: vec is written in place below, and other
-	// ranks read contributions concurrently.
-	contrib := append([]float64(nil), vec...)
-	parts := g.exchange(rank, "allreduce", contrib)
+	parts, reduced := g.exchange(rank, "allreduce", vec, sumParts)
 	first := parts[0].([]float64)
 	for r := 1; r < g.n; r++ {
 		p := parts[r].([]float64)
@@ -158,13 +169,7 @@ func (g *Group) AllReduce(rank int, vec []float64) {
 			panic(fmt.Sprintf("comm: allreduce length mismatch rank %d: %d != %d", r, len(p), len(first)))
 		}
 	}
-	sum := make([]float64, len(first))
-	for _, pv := range parts {
-		for i, x := range pv.([]float64) {
-			sum[i] += x
-		}
-	}
-	copy(vec, sum)
+	copy(vec, reduced.([]float64))
 
 	if rank == 0 {
 		g.stats.mu.Lock()
@@ -173,6 +178,25 @@ func (g *Group) AllReduce(rank int, vec []float64) {
 		g.stats.c.AllReduceBytes += 8 * float64(len(vec)) * 2 * float64(g.n-1) / float64(g.n)
 		g.stats.mu.Unlock()
 	}
+}
+
+// sumParts is AllReduce's reduction: the elementwise sum of the ranks'
+// vectors, added in rank order onto zeros, or nil if their lengths
+// differ (every rank then reports the mismatch).
+func sumParts(parts []any) any {
+	n := len(parts[0].([]float64))
+	for _, p := range parts {
+		if len(p.([]float64)) != n {
+			return nil
+		}
+	}
+	sum := make([]float64, n)
+	for _, p := range parts {
+		for i, x := range p.([]float64) {
+			sum[i] += x
+		}
+	}
+	return sum
 }
 
 // AllToAll performs the Ulysses exchange: rank i passes send with
@@ -184,7 +208,7 @@ func (g *Group) AllToAll(rank int, send [][]float64) [][]float64 {
 		g.Poison()
 		panic(fmt.Sprintf("comm: alltoall rank %d send has %d chunks, want %d", rank, len(send), g.n))
 	}
-	parts := g.exchange(rank, "alltoall", send)
+	parts, _ := g.exchange(rank, "alltoall", send, nil)
 	recv := make([][]float64, g.n)
 	var offDiag float64
 	for j := 0; j < g.n; j++ {
@@ -213,7 +237,7 @@ func (g *Group) Broadcast(rank, root int, vec []float64) []float64 {
 	if rank == root {
 		payload = vec
 	}
-	parts := g.exchange(rank, "broadcast", payload)
+	parts, _ := g.exchange(rank, "broadcast", payload, nil)
 	src := parts[root].([]float64)
 	out := make([]float64, len(src))
 	copy(out, src)

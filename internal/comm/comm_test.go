@@ -127,6 +127,29 @@ func TestBackToBackCollectivesInOneRun(t *testing.T) {
 	})
 }
 
+// Back-to-back all-reduces of changing lengths on one group: each call's
+// single reduction must land in every rank's vec, and a rank still copying
+// one call's sum must not see the next call's (run under -race).
+func TestBackToBackAllReducesOfDifferentLengths(t *testing.T) {
+	const n = 4
+	Run(n, func(g *Group, rank int) int {
+		for i := 0; i < 40; i++ {
+			vec := make([]float64, 1+(i*7)%13)
+			for j := range vec {
+				vec[j] = float64(rank*100 + i + j)
+			}
+			g.AllReduce(rank, vec)
+			for j, got := range vec {
+				// Sum over ranks r of r*100 + i + j.
+				if want := float64(100*n*(n-1)/2 + n*(i+j)); got != want {
+					t.Errorf("call %d rank %d elem %d = %v, want %v", i, rank, j, got, want)
+				}
+			}
+		}
+		return 0
+	})
+}
+
 func TestMismatchedOpsPanic(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -17,7 +17,10 @@ import (
 )
 
 // MemoryStrategy selects how the shift configuration obtains its weight
-// shards (Section 3.3.2).
+// shards (Section 3.3.2). In this functional engine both strategies run
+// the same forwards: neither copies or re-slices weights per forward
+// (every rank reads its shard in place from the one Weights), so the
+// strategy changes only the Eq. 1 footprint and the internal/perf model.
 type MemoryStrategy int
 
 const (
@@ -25,9 +28,9 @@ const (
 	// shift config (the paper's production choice; costs 1/SP extra
 	// memory per Eq. 1 but avoids per-iteration re-sharding).
 	SeparateModels MemoryStrategy = iota
-	// OnTheFlySlicing re-slices the base shards each forward pass (no
-	// memory overhead; pays a transpose penalty on FP8 hardware, modeled
-	// as a GEMM-efficiency hit in internal/perf).
+	// OnTheFlySlicing re-slices the base shards each forward pass on real
+	// hardware (no memory overhead; pays a transpose penalty on FP8
+	// hardware, modeled as a GEMM-efficiency hit in internal/perf).
 	OnTheFlySlicing
 )
 

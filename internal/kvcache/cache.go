@@ -74,12 +74,8 @@ func (c *Cache) Append(seqID, layer, head int, kRow, vRow []float64) {
 		panic(fmt.Sprintf("kvcache: row dim %d/%d, want %d", len(kRow), len(vRow), c.HeadDim))
 	}
 	k, v := c.seq(seqID).kv()
-	k[layer][head] = append(k[layer][head], float64sCopy(kRow)...)
-	v[layer][head] = append(v[layer][head], float64sCopy(vRow)...)
-}
-
-func float64sCopy(r []float64) []float64 {
-	return append([]float64(nil), r...)
+	k[layer][head] = append(k[layer][head], kRow...)
+	v[layer][head] = append(v[layer][head], vRow...)
 }
 
 func (c *Cache) checkIndex(layer, head int) {
@@ -119,6 +115,22 @@ func (c *Cache) V(seqID, layer, head int) *tensor.Matrix {
 	c.checkIndex(layer, head)
 	_, v := c.seq(seqID).kv()
 	return rowsToMatrix(v[layer][head], c.HeadDim)
+}
+
+// Views returns the cached keys and values for (seq, layer, head) as
+// n x HeadDim matrices that alias the cache's storage instead of copying
+// it. They are read-only: a write through them changes the cache. A
+// later Append leaves their n rows as they are (it may move the storage)
+// and is seen by the next Views call, not by these matrices.
+func (c *Cache) Views(seqID, layer, head int) (k, v *tensor.Matrix) {
+	c.checkIndex(layer, head)
+	ks, vs := c.seq(seqID).kv()
+	return rowsView(ks[layer][head], c.HeadDim), rowsView(vs[layer][head], c.HeadDim)
+}
+
+func rowsView(flat []float64, dim int) *tensor.Matrix {
+	n := len(flat) / dim
+	return &tensor.Matrix{Rows: n, Cols: dim, Data: flat[: n*dim : n*dim]}
 }
 
 func rowsToMatrix(flat []float64, dim int) *tensor.Matrix {

@@ -292,3 +292,37 @@ func TestCacheKReturnsMatrixCopy(t *testing.T) {
 	}
 	_ = tensor.New(1, 1) // keep tensor import honest
 }
+
+// Views alias the stored rows (no copy), a later Append is seen by the
+// next Views call, and K/V keep returning independent copies.
+func TestCacheViewsAliasWhileKVCopy(t *testing.T) {
+	c := NewCache(1, 2, 2)
+	c.Append(0, 0, 1, []float64{1, 2}, []float64{3, 4})
+	k, v := c.Views(0, 0, 1)
+	if k.Rows != 1 || k.At(0, 1) != 2 || v.At(0, 0) != 3 {
+		t.Fatalf("views k=%+v v=%+v", k, v)
+	}
+	kCopy := c.K(0, 0, 1)
+	c.Append(0, 0, 1, []float64{5, 6}, []float64{7, 8})
+	k2, v2 := c.Views(0, 0, 1)
+	if k2.Rows != 2 || k2.At(0, 0) != 1 || k2.At(1, 1) != 6 || v2.At(1, 0) != 7 {
+		t.Fatalf("views after append k=%+v v=%+v", k2, v2)
+	}
+	if k.Rows != 1 || k.At(0, 1) != 2 {
+		t.Fatalf("earlier view changed by the append: %+v", k)
+	}
+	if kCopy.Rows != 1 {
+		t.Fatalf("K copy grew with the cache: %+v", kCopy)
+	}
+	k2.Set(1, 0, 50)
+	if c.K(0, 0, 1).At(1, 0) != 50 {
+		t.Fatal("Views copied the stored rows instead of aliasing them")
+	}
+	kCopy.Set(0, 0, 99)
+	if k2.At(0, 0) != 1 {
+		t.Fatal("K aliased the stored rows")
+	}
+	if ek, ev := c.Views(0, 0, 0); ek.Rows != 0 || ev.Rows != 0 {
+		t.Fatalf("unwritten head views = %+v, %+v", ek, ev)
+	}
+}

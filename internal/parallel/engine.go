@@ -78,6 +78,9 @@ func NewEngine(w *transformer.Weights, lay Layout, mode Mode, caches []*kvcache.
 			return nil, fmt.Errorf("parallel: cache %d shape mismatch", g)
 		}
 	}
+	if err := checkHeadRanges(lay); err != nil {
+		return nil, err
+	}
 	e := &Engine{W: w, Lay: lay, Mode: mode, Caches: caches, world: comm.NewGroup(lay.World())}
 	if mode == ModeSP {
 		e.spGroups = make([]*comm.Group, lay.TP)
@@ -114,6 +117,44 @@ func (e *Engine) CommCounters() comm.Counters {
 	return total
 }
 
+// checkHeadRanges reports an error unless every head set the forwards
+// shard weights by is a contiguous range of heads. The forwards read a
+// rank's shard in place, as one column range of Wq/Wk/Wv or one row
+// range of Wo, so a gap would silently read another rank's heads.
+func checkHeadRanges(lay Layout) error {
+	for g := 0; g < lay.World(); g++ {
+		for _, heads := range [][]int{lay.QHeadsOf(g), lay.KVHeadsOf(g)} {
+			if !contiguous(heads) {
+				return fmt.Errorf("parallel: rank %d heads %v are not a contiguous range", g, heads)
+			}
+		}
+	}
+	for t := 0; t < lay.TP; t++ {
+		for _, heads := range [][]int{lay.TPShardQHeads(t), lay.TPShardKVHeads(t)} {
+			if !contiguous(heads) {
+				return fmt.Errorf("parallel: TP shard %d heads %v are not a contiguous range", t, heads)
+			}
+		}
+	}
+	return nil
+}
+
+// contiguous reports whether heads is a non-empty run h, h+1, h+2, ...
+func contiguous(heads []int) bool {
+	for i, h := range heads {
+		if h != heads[0]+i {
+			return false
+		}
+	}
+	return len(heads) > 0
+}
+
+// headSpan is the [lo, hi) column (or row) range that a contiguous head
+// set covers in a weight of dh-wide head blocks.
+func headSpan(heads []int, dh int) (lo, hi int) {
+	return heads[0] * dh, (heads[len(heads)-1] + 1) * dh
+}
+
 // Forward runs one engine iteration over the batch on all ranks and
 // returns the output embeddings [total tokens, d] in batch order.
 func (e *Engine) Forward(batch []transformer.Chunk) *tensor.Matrix {
@@ -140,7 +181,7 @@ func (e *Engine) Forward(batch []transformer.Chunk) *tensor.Matrix {
 			parts[s] = results[e.Lay.RankOf(s, 0)]
 		}
 		full := tensor.ConcatRows(parts...)
-		return tensor.SliceRows(full, 0, x.Rows) // trim decode padding
+		return tensor.ViewRows(full, 0, x.Rows) // trim decode padding
 	default:
 		panic(fmt.Sprintf("parallel: unknown mode %v", e.Mode))
 	}
@@ -148,7 +189,7 @@ func (e *Engine) Forward(batch []transformer.Chunk) *tensor.Matrix {
 
 // tpRank is the per-rank tensor-parallel forward: activations replicated,
 // weights column/row sharded by head ownership, two all-reduces per layer
-// (after attention-O and after MLP-down).
+// (after attention-O and after MLP-down). Shards are read in place.
 func (e *Engine) tpRank(g *comm.Group, rank int, batch []transformer.Chunk, xIn *tensor.Matrix, spans [][2]int, prevs []int) *tensor.Matrix {
 	cfg := e.Lay.Cfg
 	dh := cfg.HeadDim()
@@ -156,25 +197,28 @@ func (e *Engine) tpRank(g *comm.Group, rank int, batch []transformer.Chunk, xIn 
 	qHeads := e.Lay.QHeadsOf(rank)
 	kvHeads := e.Lay.KVHeadsOf(rank)
 	ffnPer := cfg.FFN / p
+	ffnLo, ffnHi := rank*ffnPer, (rank+1)*ffnPer
+	qLo, qHi := headSpan(qHeads, dh)
+	kvLo, kvHi := headSpan(kvHeads, dh)
 
 	x := xIn.Clone()
 	for l := 0; l < cfg.Layers; l++ {
 		lw := e.W.Layers[l]
 		xn := x.Clone()
 		tensor.RMSNormRows(xn, 1e-6)
-		q := tensor.MatMul(xn, headCols(lw.Wq, qHeads, dh))
-		k := tensor.MatMul(xn, headCols(lw.Wk, kvHeads, dh))
-		v := tensor.MatMul(xn, headCols(lw.Wv, kvHeads, dh))
+		q := tensor.MatMulCols(xn, lw.Wq, qLo, qHi)
+		k := tensor.MatMulCols(xn, lw.Wk, kvLo, kvHi)
+		v := tensor.MatMulCols(xn, lw.Wv, kvLo, kvHi)
 		attnLocal := attendBatch(e.Caches[rank], e.Lay, l, batch, spans, prevs, q, k, v, qHeads, kvHeads)
-		partial := tensor.MatMul(attnLocal, headRows(lw.Wo, qHeads, dh))
+		partial := tensor.MatMul(attnLocal, tensor.ViewRows(lw.Wo, qLo, qHi))
 		g.AllReduce(rank, partial.Data)
 		tensor.AddInPlace(x, partial)
 
 		xn = x.Clone()
 		tensor.RMSNormRows(xn, 1e-6)
-		up := tensor.MatMul(xn, tensor.SliceCols(lw.Wup, rank*ffnPer, (rank+1)*ffnPer))
+		up := tensor.MatMulCols(xn, lw.Wup, ffnLo, ffnHi)
 		tensor.SiLURows(up)
-		down := tensor.MatMul(up, tensor.SliceRows(lw.Wdown, rank*ffnPer, (rank+1)*ffnPer))
+		down := tensor.MatMul(up, tensor.ViewRows(lw.Wdown, ffnLo, ffnHi))
 		g.AllReduce(rank, down.Data)
 		tensor.AddInPlace(x, down)
 	}
@@ -206,6 +250,9 @@ func (e *Engine) spRank(gRank int, batch []transformer.Chunk, fullX *tensor.Matr
 	myQ := lay.QHeadsOf(gRank)
 	myKV := lay.KVHeadsOf(gRank)
 	ffnPer := cfg.FFN / lay.TP
+	ffnLo, ffnHi := t*ffnPer, (t+1)*ffnPer
+	shardQLo, shardQHi := headSpan(shardQ, dh)
+	shardKVLo, shardKVHi := headSpan(shardKV, dh)
 
 	for l := 0; l < cfg.Layers; l++ {
 		lw := e.W.Layers[l]
@@ -213,9 +260,9 @@ func (e *Engine) spRank(gRank int, batch []transformer.Chunk, fullX *tensor.Matr
 		tensor.RMSNormRows(xn, 1e-6)
 
 		// Line 3: QKV projection for this TP shard's heads, my rows only.
-		q := tensor.MatMul(xn, headCols(lw.Wq, shardQ, dh))
-		k := tensor.MatMul(xn, headCols(lw.Wk, shardKV, dh))
-		v := tensor.MatMul(xn, headCols(lw.Wv, shardKV, dh))
+		q := tensor.MatMulCols(xn, lw.Wq, shardQLo, shardQHi)
+		k := tensor.MatMulCols(xn, lw.Wk, shardKVLo, shardKVHi)
+		v := tensor.MatMulCols(xn, lw.Wv, shardKVLo, shardKVHi)
 
 		// Line 4: fused all-to-all within the SP group, switching from
 		// sequence to head parallelism. KV heads needed by several
@@ -258,7 +305,7 @@ func (e *Engine) spRank(gRank int, batch []transformer.Chunk, fullX *tensor.Matr
 		}
 
 		// Lines 7-8: O projection on the shard's Wo rows + TP all-reduce.
-		o := tensor.MatMul(attnShard, tensor.SliceRows(lw.Wo, base*dh, (base+len(shardQ))*dh))
+		o := tensor.MatMul(attnShard, tensor.ViewRows(lw.Wo, shardQLo, shardQHi))
 		if lay.TP > 1 {
 			tpg.AllReduce(t, o.Data)
 		}
@@ -267,9 +314,9 @@ func (e *Engine) spRank(gRank int, batch []transformer.Chunk, fullX *tensor.Matr
 		// Lines 9-11: TP-sharded MLP on my sequence slice + all-reduce.
 		xn = x.Clone()
 		tensor.RMSNormRows(xn, 1e-6)
-		up := tensor.MatMul(xn, tensor.SliceCols(lw.Wup, t*ffnPer, (t+1)*ffnPer))
+		up := tensor.MatMulCols(xn, lw.Wup, ffnLo, ffnHi)
 		tensor.SiLURows(up)
-		down := tensor.MatMul(up, tensor.SliceRows(lw.Wdown, t*ffnPer, (t+1)*ffnPer))
+		down := tensor.MatMul(up, tensor.ViewRows(lw.Wdown, ffnLo, ffnHi))
 		if lay.TP > 1 {
 			tpg.AllReduce(t, down.Data)
 		}
@@ -340,28 +387,6 @@ func indexIn(have, want []int) []int {
 	return out
 }
 
-// headCols extracts the dh-wide column blocks of the listed heads.
-func headCols(m *tensor.Matrix, heads []int, dh int) *tensor.Matrix {
-	out := tensor.New(m.Rows, len(heads)*dh)
-	for i, h := range heads {
-		for r := 0; r < m.Rows; r++ {
-			copy(out.Row(r)[i*dh:(i+1)*dh], m.Row(r)[h*dh:(h+1)*dh])
-		}
-	}
-	return out
-}
-
-// headRows extracts the dh-tall row blocks of the listed heads.
-func headRows(m *tensor.Matrix, heads []int, dh int) *tensor.Matrix {
-	out := tensor.New(len(heads)*dh, m.Cols)
-	for i, h := range heads {
-		for r := 0; r < dh; r++ {
-			copy(out.Row(i*dh+r), m.Row(h*dh+r))
-		}
-	}
-	return out
-}
-
 // attendBatch appends the new K/V rows to the rank's cache and computes
 // head-parallel causal attention for this rank's q heads over every real
 // row of the batch. Rows beyond the batch's token count (decode padding
@@ -385,9 +410,8 @@ func attendBatch(cache *kvcache.Cache, lay Layout, layer int, batch []transforme
 		}
 		for qi, qh := range qHeads {
 			j := kvPos[qh/gqa]
-			kc := cache.K(c.Seq, layer, j)
-			vc := cache.V(c.Seq, layer, j)
-			qSeq := tensor.SliceRows(tensor.SliceCols(q, qi*dh, (qi+1)*dh), lo, hi)
+			kc, vc := cache.Views(c.Seq, layer, j)
+			qSeq := tensor.SliceCols(tensor.ViewRows(q, lo, hi), qi*dh, (qi+1)*dh)
 			att := transformer.Attend(qSeq, kc, vc, prevs[bi])
 			for r := 0; r < att.Rows; r++ {
 				copy(out.Row(lo + r)[qi*dh:(qi+1)*dh], att.Row(r))

@@ -230,3 +230,33 @@ func TestQuickHeadBlockIsPermutation(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// The forwards read weight shards in place as one column or row range
+// per head set, so every valid layout must give contiguous head sets;
+// NewEngine refuses a layout that does not.
+func TestEveryValidLayoutHasContiguousHeadSets(t *testing.T) {
+	for _, q := range []int{1, 2, 4, 6, 8, 12, 16} {
+		for _, kv := range []int{1, 2, 3, 4, 6, 8, 12, 16} {
+			for _, sp := range []int{1, 2, 3, 4, 8} {
+				for _, tp := range []int{1, 2, 3, 4} {
+					cfg := transformer.Config{Layers: 1, Hidden: 48 * q, QHeads: q, KVHeads: kv, FFN: 96}
+					lay := Layout{Cfg: cfg, SP: sp, TP: tp}
+					if lay.Validate() != nil {
+						continue
+					}
+					if err := checkHeadRanges(lay); err != nil {
+						t.Errorf("%v q=%d kv=%d: %v", lay, q, kv, err)
+					}
+				}
+			}
+		}
+	}
+	for _, c := range []struct {
+		heads []int
+		want  bool
+	}{{[]int{3}, true}, {[]int{2, 3, 4}, true}, {nil, false}, {[]int{0, 2}, false}, {[]int{1, 0}, false}} {
+		if got := contiguous(c.heads); got != c.want {
+			t.Errorf("contiguous(%v) = %v, want %v", c.heads, got, c.want)
+		}
+	}
+}

@@ -6,6 +6,14 @@
 // row-major and sized for correctness tests (hundreds of rows), not for
 // performance; the performance story of the paper is carried by the
 // analytic cost model in internal/perf, not by this package.
+//
+// Every product kernel (MatMul, MatMulCols, MatMulT) keeps MatMul's
+// summation order: each output element starts at zero and adds its
+// products in ascending inner index, skipping zero entries of a. So
+// MatMulCols(a, b, lo, hi) equals MatMul(a, SliceCols(b, lo, hi)) and
+// MatMulT(a, b) equals MatMul(a, Transpose(b)) bit for bit, and callers
+// can read an operand in place (a column range, or a ViewRows view)
+// instead of copying it without changing any output bit.
 package tensor
 
 import (
@@ -82,17 +90,88 @@ func MatMul(a, b *Matrix) *Matrix {
 		panic(fmt.Sprintf("tensor: matmul shape mismatch %dx%d * %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	out := New(a.Rows, b.Cols)
+	matmul(out, a, b, 0)
+	return out
+}
+
+// MatMulCols returns a*b[:, lo:hi], reading the column range of b in
+// place instead of copying it out first. Panics on shape mismatch.
+func MatMulCols(a, b *Matrix, lo, hi int) *Matrix {
+	if lo < 0 || hi > b.Cols || lo > hi {
+		panic(fmt.Sprintf("tensor: col range [%d:%d) of %d cols", lo, hi, b.Cols))
+	}
+	if a.Cols != b.Rows {
+		panic(fmt.Sprintf("tensor: matmul shape mismatch %dx%d * %dx%d", a.Rows, a.Cols, b.Rows, hi-lo))
+	}
+	out := New(a.Rows, hi-lo)
+	matmul(out, a, b, lo)
+	return out
+}
+
+// matmul adds a*b[:, lo:lo+out.Cols] into out. Zero entries of a are
+// skipped and the rest are taken four at a time, so every output element
+// still sees ((o + a0*b0) + a1*b1) + ... over the nonzero entries in
+// ascending inner index, exactly as the one-at-a-time loop adds them.
+func matmul(out, a, b *Matrix, lo int) {
+	n, stride := out.Cols, b.Cols
+	brow := func(k int) []float64 { return b.Data[k*stride+lo : k*stride+lo+n] }
+	for i := 0; i < a.Rows; i++ {
+		arow := a.Data[i*a.Cols : (i+1)*a.Cols]
+		orow := out.Data[i*n : (i+1)*n]
+		var av [4]float64
+		var ak [4]int
+		m := 0
+		for k, x := range arow {
+			if x == 0 {
+				continue
+			}
+			av[m], ak[m] = x, k
+			if m++; m < 4 {
+				continue
+			}
+			m = 0
+			a0, a1, a2, a3 := av[0], av[1], av[2], av[3]
+			b0, b1, b2, b3 := brow(ak[0]), brow(ak[1]), brow(ak[2]), brow(ak[3])
+			b0, b1, b2, b3 = b0[:len(orow)], b1[:len(orow)], b2[:len(orow)], b3[:len(orow)]
+			for j, o := range orow {
+				orow[j] = o + a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]
+			}
+		}
+		for q := 0; q < m; q++ {
+			axpy(orow, av[q], brow(ak[q]))
+		}
+	}
+}
+
+// axpy adds av*b into o.
+func axpy(o []float64, av float64, b []float64) {
+	b = b[:len(o)]
+	for j, bv := range b {
+		o[j] += av * bv
+	}
+}
+
+// MatMulT returns a*bᵀ without materializing the transpose: element
+// (i, j) is the dot product of row i of a and row j of b. Panics on
+// shape mismatch.
+func MatMulT(a, b *Matrix) *Matrix {
+	if a.Cols != b.Cols {
+		panic(fmt.Sprintf("tensor: matmulT shape mismatch %dx%d * (%dx%d)T", a.Rows, a.Cols, b.Rows, b.Cols))
+	}
+	out := New(a.Rows, b.Rows)
 	for i := 0; i < a.Rows; i++ {
 		arow := a.Data[i*a.Cols : (i+1)*a.Cols]
 		orow := out.Data[i*out.Cols : (i+1)*out.Cols]
-		for k, av := range arow {
-			if av == 0 {
-				continue
+		for j := range orow {
+			brow := b.Data[j*b.Cols : (j+1)*b.Cols]
+			brow = brow[:len(arow)]
+			s := 0.0
+			for k, av := range arow {
+				if av != 0 {
+					s += av * brow[k]
+				}
 			}
-			brow := b.Data[k*b.Cols : (k+1)*b.Cols]
-			for j, bv := range brow {
-				orow[j] += av * bv
-			}
+			orow[j] = s
 		}
 	}
 	return out
@@ -141,6 +220,15 @@ func SliceCols(m *Matrix, lo, hi int) *Matrix {
 		copy(out.Row(i), m.Data[i*m.Cols+lo:i*m.Cols+hi])
 	}
 	return out
+}
+
+// ViewRows returns rows [lo, hi) of m as a matrix sharing m's storage:
+// writes through either are visible in both.
+func ViewRows(m *Matrix, lo, hi int) *Matrix {
+	if lo < 0 || hi > m.Rows || lo > hi {
+		panic(fmt.Sprintf("tensor: row view [%d:%d) of %d rows", lo, hi, m.Rows))
+	}
+	return &Matrix{Rows: hi - lo, Cols: m.Cols, Data: m.Data[lo*m.Cols : hi*m.Cols : hi*m.Cols]}
 }
 
 // SliceRows returns a copy of rows [lo, hi) of m.

@@ -305,6 +305,124 @@ func TestQuickMatMulRowSplitOfActivations(t *testing.T) {
 	}
 }
 
+// sparseMatrix fills a rows x cols matrix with about a third zeros and
+// the rest signed normals, so the kernels' zero skip and the remainder of
+// their unrolled loop both run.
+func sparseMatrix(rng *RNG, rows, cols int) *Matrix {
+	m := New(rows, cols)
+	for i := range m.Data {
+		if rng.Intn(3) != 0 {
+			m.Data[i] = rng.Norm()
+		}
+	}
+	return m
+}
+
+// sameBits reports whether a and b have the same shape and bit-identical
+// elements: the kernels keep MatMul's summation order exactly.
+func sameBits(a, b *Matrix) bool {
+	if a.Rows != b.Rows || a.Cols != b.Cols {
+		return false
+	}
+	for i := range a.Data {
+		if math.Float64bits(a.Data[i]) != math.Float64bits(b.Data[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+func TestMatMulColsEqualsMatMulOfSliceExactly(t *testing.T) {
+	rng := NewRNG(5)
+	for k := 1; k <= 9; k++ {
+		for trial := 0; trial < 4; trial++ {
+			a := sparseMatrix(rng, 1+rng.Intn(4), k)
+			b := sparseMatrix(rng, k, 1+rng.Intn(7))
+			for lo := 0; lo <= b.Cols; lo++ {
+				for hi := lo; hi <= b.Cols; hi++ {
+					got, want := MatMulCols(a, b, lo, hi), MatMul(a, SliceCols(b, lo, hi))
+					if !Equal(got, want, 0) || !sameBits(got, want) {
+						t.Fatalf("k=%d [%d:%d): MatMulCols %v != MatMul(SliceCols) %v", k, lo, hi, got.Data, want.Data)
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestMatMulTEqualsMatMulOfTransposeExactly(t *testing.T) {
+	rng := NewRNG(6)
+	for k := 1; k <= 9; k++ {
+		for trial := 0; trial < 8; trial++ {
+			a := sparseMatrix(rng, 1+rng.Intn(4), k)
+			b := sparseMatrix(rng, 1+rng.Intn(7), k)
+			got, want := MatMulT(a, b), MatMul(a, Transpose(b))
+			if !Equal(got, want, 0) || !sameBits(got, want) {
+				t.Fatalf("k=%d: MatMulT %v != MatMul(Transpose) %v", k, got.Data, want.Data)
+			}
+		}
+	}
+}
+
+// The unrolled MatMul must add in the plain one-k-at-a-time order.
+func TestMatMulMatchesNaiveOrderExactly(t *testing.T) {
+	rng := NewRNG(8)
+	for k := 1; k <= 9; k++ {
+		a := sparseMatrix(rng, 3, k)
+		b := sparseMatrix(rng, k, 5)
+		want := New(a.Rows, b.Cols)
+		for i := 0; i < a.Rows; i++ {
+			for j := 0; j < b.Cols; j++ {
+				s := 0.0
+				for kk := 0; kk < k; kk++ {
+					if av := a.At(i, kk); av != 0 {
+						s += av * b.At(kk, j)
+					}
+				}
+				want.Set(i, j, s)
+			}
+		}
+		if got := MatMul(a, b); !sameBits(got, want) {
+			t.Fatalf("k=%d: MatMul %v != naive %v", k, got.Data, want.Data)
+		}
+	}
+}
+
+func TestMatMulColsAndTShapePanics(t *testing.T) {
+	for name, f := range map[string]func(){
+		"cols range":   func() { MatMulCols(New(2, 3), New(3, 4), 2, 5) },
+		"cols inverse": func() { MatMulCols(New(2, 3), New(3, 4), 3, 2) },
+		"cols inner":   func() { MatMulCols(New(2, 3), New(2, 4), 0, 4) },
+		"T inner":      func() { MatMulT(New(2, 3), New(4, 2)) },
+	} {
+		func() {
+			defer expectPanic(t, name)
+			f()
+		}()
+	}
+}
+
+func TestViewRowsAliases(t *testing.T) {
+	m := FromRows([][]float64{{1, 2}, {3, 4}, {5, 6}})
+	v := ViewRows(m, 1, 3)
+	if v.Rows != 2 || v.Cols != 2 || v.At(0, 0) != 3 || v.At(1, 1) != 6 {
+		t.Fatalf("view = %+v", v)
+	}
+	v.Set(0, 1, 40)
+	if m.At(1, 1) != 40 {
+		t.Fatal("write through the view did not reach the matrix")
+	}
+	m.Set(2, 0, 50)
+	if v.At(1, 0) != 50 {
+		t.Fatal("write to the matrix is not visible in the view")
+	}
+	if e := ViewRows(m, 3, 3); e.Rows != 0 || len(e.Data) != 0 {
+		t.Fatalf("empty view = %+v", e)
+	}
+	defer expectPanic(t, "row view out of range")
+	ViewRows(m, 2, 4)
+}
+
 func TestMaxAbsDiff(t *testing.T) {
 	a := FromRows([][]float64{{1, 2}})
 	b := FromRows([][]float64{{1.5, 2}})

@@ -163,10 +163,9 @@ func (r *Reference) Forward(batch []Chunk) *tensor.Matrix {
 			}
 			for h := 0; h < cfg.QHeads; h++ {
 				hkv := h / cfg.GQAGroup()
-				kc := r.Cache.K(c.Seq, l, hkv)
-				vc := r.Cache.V(c.Seq, l, hkv)
-				qh := tensor.SliceCols(q, h*dh, (h+1)*dh)
-				out := Attend(tensor.SliceRows(qh, lo, hi), kc, vc, prev[bi])
+				kc, vc := r.Cache.Views(c.Seq, l, hkv)
+				qh := tensor.SliceCols(tensor.ViewRows(q, lo, hi), h*dh, (h+1)*dh)
+				out := Attend(qh, kc, vc, prev[bi])
 				for t := 0; t < out.Rows; t++ {
 					copy(attnOut.Row(lo + t)[h*dh:(h+1)*dh], out.Row(t))
 				}
@@ -190,7 +189,7 @@ func (r *Reference) Forward(batch []Chunk) *tensor.Matrix {
 func Attend(q, k, v *tensor.Matrix, prevLen int) *tensor.Matrix {
 	dh := q.Cols
 	scale := 1 / math.Sqrt(float64(dh))
-	scores := tensor.MatMul(q, tensor.Transpose(k))
+	scores := tensor.MatMulT(q, k)
 	for i := 0; i < scores.Rows; i++ {
 		row := scores.Row(i)
 		limit := prevLen + i // inclusive

@@ -2,7 +2,9 @@
 // simulator itself, not the systems it models — engine hot-path time and
 // allocations, simulated seconds advanced per wall second, and the
 // serial-vs-parallel wall clock of fleet stepping and sweep fan-out.
-// `make perfbench` runs them with -benchmem at a benchstat-friendly
+// BenchmarkFunctional_* measure the functional layer the simulator skips:
+// the real Shift engine's tensor kernels and goroutine collectives.
+// `make perfbench` runs both sets with -benchmem at a benchstat-friendly
 // count for before/after comparisons. The paper's results themselves are
 // the deterministic scenario outputs (`simctl run`, gated by `make golden`).
 package repro_test
@@ -11,11 +13,15 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/model"
+	"repro/internal/parallel"
 	"repro/internal/perf"
 	"repro/internal/serve"
+	"repro/internal/tensor"
 	"repro/internal/trace"
+	"repro/internal/transformer"
 	"repro/internal/workload"
 )
 
@@ -139,6 +145,50 @@ func BenchmarkSimulator_SweepParallel(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := experiments.GeoServing(e, nil); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkFunctional_ShiftUnit serves one functional-shift unit of the
+// repo benchmark on a fresh Shift engine: 8 sequences of a 4-layer,
+// d=64, 8Q/2KV-head model on (SP=4, TP=2), one 8x32-token prefill step
+// on the base config, then 32 one-token-per-sequence decode steps on the
+// shift config. Engine construction is outside the timer.
+func BenchmarkFunctional_ShiftUnit(b *testing.B) {
+	const seqs, prompt, decode = 8, 32, 32
+	lay := parallel.Layout{
+		Cfg: transformer.Config{Layers: 4, Hidden: 64, QHeads: 8, KVHeads: 2, FFN: 256},
+		SP:  4, TP: 2,
+	}
+	w := transformer.NewWeights(lay.Cfg, 42)
+	rng := tensor.NewRNG(7)
+	prompts := make([]*tensor.Matrix, seqs)
+	for i := range prompts {
+		prompts[i] = rng.RandMatrix(prompt, lay.Cfg.Hidden, 1)
+	}
+	batch := make([]transformer.Chunk, seqs)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		s, err := core.New(w, lay, core.Options{Threshold: 32})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for j := range batch {
+			batch[j] = transformer.Chunk{Seq: j, X: prompts[j]}
+		}
+		b.StartTimer()
+		out := s.Forward(batch)
+		rows := prompt
+		for step := 0; step < decode; step++ {
+			for j := range batch {
+				x := tensor.SliceRows(out, (j+1)*rows-1, (j+1)*rows)
+				tensor.RMSNormRows(x, 1e-6)
+				batch[j] = transformer.Chunk{Seq: j, X: x}
+			}
+			rows = 1
+			out = s.Forward(batch)
 		}
 	}
 }
