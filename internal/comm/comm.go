@@ -46,8 +46,6 @@ type Counters struct {
 	AllReduceBytes float64
 	AllToAllCalls  int
 	AllToAllBytes  float64
-	BroadcastCalls int
-	BroadcastBytes float64
 }
 
 // Stats guards the live traffic counters of a Group.
@@ -225,29 +223,6 @@ func (g *Group) AllToAll(rank int, send [][]float64) [][]float64 {
 		g.stats.mu.Unlock()
 	}
 	return recv
-}
-
-// Broadcast sends root's vec to all ranks; every rank receives a copy.
-func (g *Group) Broadcast(rank, root int, vec []float64) []float64 {
-	if root < 0 || root >= g.n {
-		g.Poison()
-		panic(fmt.Sprintf("comm: broadcast root %d out of group size %d", root, g.n))
-	}
-	var payload any
-	if rank == root {
-		payload = vec
-	}
-	parts, _ := g.exchange(rank, "broadcast", payload, nil)
-	src := parts[root].([]float64)
-	out := make([]float64, len(src))
-	copy(out, src)
-	if rank == 0 {
-		g.stats.mu.Lock()
-		g.stats.c.BroadcastCalls++
-		g.stats.c.BroadcastBytes += 8 * float64(len(src))
-		g.stats.mu.Unlock()
-	}
-	return out
 }
 
 // Run launches fn on every rank of a fresh n-rank group, waits for all to

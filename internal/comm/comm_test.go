@@ -77,22 +77,6 @@ func TestAllToAllVariableChunks(t *testing.T) {
 	}
 }
 
-func TestBroadcast(t *testing.T) {
-	n := 3
-	results := Run(n, func(g *Group, rank int) []float64 {
-		var vec []float64
-		if rank == 1 {
-			vec = []float64{42, 43}
-		}
-		return g.Broadcast(rank, 1, vec)
-	})
-	for r, got := range results {
-		if len(got) != 2 || got[0] != 42 || got[1] != 43 {
-			t.Fatalf("rank %d broadcast = %v", r, got)
-		}
-	}
-}
-
 func TestSequentialCollectives(t *testing.T) {
 	// Multiple rounds through the same group must not cross-talk.
 	g := NewGroup(4)
@@ -105,9 +89,15 @@ func TestSequentialCollectives(t *testing.T) {
 			if vec[0] != want {
 				t.Errorf("round %d rank %d = %v, want %v", round, rank, vec[0], want)
 			}
-			out := g.Broadcast(rank, round%4, []float64{float64(round)})
-			if len(out) != 1 || out[0] != float64(round) {
-				t.Errorf("round %d broadcast %v", round, out)
+			send := make([][]float64, 4)
+			for j := range send {
+				send[j] = []float64{float64(round*100 + rank*10 + j)}
+			}
+			recv := g.AllToAll(rank, send)
+			for j, got := range recv {
+				if want := float64(round*100 + j*10 + rank); len(got) != 1 || got[0] != want {
+					t.Errorf("round %d rank %d alltoall recv[%d] = %v, want [%v]", round, rank, j, got, want)
+				}
 			}
 			return 0
 		})
@@ -160,7 +150,7 @@ func TestMismatchedOpsPanic(t *testing.T) {
 		if rank == 0 {
 			g.AllReduce(rank, []float64{1})
 		} else {
-			g.Broadcast(rank, 0, nil)
+			g.AllToAll(rank, [][]float64{{1}, {2}})
 		}
 		return 0
 	})
@@ -242,11 +232,10 @@ func TestStatsCallCounts(t *testing.T) {
 		g.AllReduce(rank, []float64{1})
 		g.AllReduce(rank, []float64{1})
 		g.AllToAll(rank, [][]float64{{1}, {2}})
-		g.Broadcast(rank, 0, []float64{1})
 		return 0
 	})
 	s := g.Stats().Snapshot()
-	if s.AllReduceCalls != 2 || s.AllToAllCalls != 1 || s.BroadcastCalls != 1 {
+	if s.AllReduceCalls != 2 || s.AllToAllCalls != 1 {
 		t.Fatalf("stats = %+v", s)
 	}
 }

@@ -104,8 +104,6 @@ func (e *Engine) CommCounters() comm.Counters {
 		total.AllReduceBytes += c.AllReduceBytes
 		total.AllToAllCalls += c.AllToAllCalls
 		total.AllToAllBytes += c.AllToAllBytes
-		total.BroadcastCalls += c.BroadcastCalls
-		total.BroadcastBytes += c.BroadcastBytes
 	}
 	add(e.world.Stats().Snapshot())
 	for _, g := range e.spGroups {

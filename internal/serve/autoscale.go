@@ -259,7 +259,9 @@ func (ac AutoscaleConfig) validate(initial int) error {
 // decisions at event boundaries without perturbing engine behaviour.
 // final promises that no further arrivals will be appended, enabling the
 // end-of-trace rejection of unadmittable waiters; without it an idle
-// engine parks at the horizon and waits for the controller.
+// engine parks at the horizon and waits for the controller. After each
+// pure-decode iteration, runAhead books the steady decode steps that
+// follow without scheduling them one by one.
 func (e *Engine) stepUntil(horizon time.Duration, final bool) {
 	for !e.finished() && e.now < horizon {
 		e.admit()
@@ -285,6 +287,7 @@ func (e *Engine) stepUntil(horizon time.Duration, final bool) {
 		}
 		cost := e.price(&plan)
 		e.apply(plan, cost, e.now+cost.Total())
+		e.runAhead(plan, horizon)
 	}
 }
 

@@ -13,6 +13,7 @@ package serve
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
@@ -1064,11 +1065,17 @@ func (plan batchPlan) shape() perf.Batch {
 }
 
 // price selects the parallelism (Algorithm 2), records it on the plan,
-// and prices the iteration, applying any active degrade window.
+// and prices the iteration.
 func (e *Engine) price(plan *batchPlan) perf.Cost {
 	shape := plan.shape()
 	plan.par = e.parFor(shape)
-	cost := e.cfg.CM.IterEP(plan.par, e.cfg.EP, shape)
+	return e.priceShape(plan.par, shape)
+}
+
+// priceShape prices one iteration of shape on par starting at now,
+// applying any active degrade window.
+func (e *Engine) priceShape(par perf.Parallelism, shape perf.Batch) perf.Cost {
+	cost := e.cfg.CM.IterEP(par, e.cfg.EP, shape)
 	if e.slowFactor > 1 && e.now >= e.slowFrom && e.now < e.slowUntil {
 		f := e.slowFactor
 		cost.GEMM = time.Duration(float64(cost.GEMM) * f)
@@ -1121,18 +1128,8 @@ func (e *Engine) crashDrain() (lost []workload.Request, lostTokens int) {
 // applies token production, and retires finished sequences. In lockstep
 // fleets end may exceed now+cost (waiting for slower replicas).
 func (e *Engine) apply(plan batchPlan, cost perf.Cost, end time.Duration) {
-	if plan.par == e.cfg.Par {
-		e.baseIters++
-	} else {
-		e.shiftIters++
-	}
+	e.count(plan.par, cost)
 	e.now = end
-	e.iters++
-	e.cost.GEMM += cost.GEMM
-	e.cost.Attn += cost.Attn
-	e.cost.AllReduce += cost.AllReduce
-	e.cost.AllToAll += cost.AllToAll
-	e.cost.Overhead += cost.Overhead
 
 	produced := 0
 	for i, s := range plan.prefills {
@@ -1175,6 +1172,97 @@ func (e *Engine) apply(plan batchPlan, cost perf.Cost, end time.Duration) {
 	}
 	e.running = kept
 	e.stream.Iter(e.now, produced)
+}
+
+// count books one iteration run on par at cost.
+func (e *Engine) count(par perf.Parallelism, cost perf.Cost) {
+	if par == e.cfg.Par {
+		e.baseIters++
+	} else {
+		e.shiftIters++
+	}
+	e.iters++
+	e.cost.GEMM += cost.GEMM
+	e.cost.Attn += cost.Attn
+	e.cost.AllReduce += cost.AllReduce
+	e.cost.AllToAll += cost.AllToAll
+	e.cost.Overhead += cost.Overhead
+}
+
+// runAhead continues the pure-decode iteration plan, just applied, with
+// the iterations that would schedule the same batch again: every running
+// sequence decodes, nothing waits, no arrival is due, the clock is below
+// horizon, no sequence finishes and every KV growth fits. schedule would
+// do nothing on such an iteration but grow each holding by a token, so
+// each step only prices the batch and books it, and each sequence's
+// decoded count and KV holding are settled once, at the end of the
+// stretch. The results are bit-identical to scheduling every step:
+//   - step k's mean decode context is (ctxSum + k·n)/n, and shape's
+//     float sum of integer contexts below 2^53 is exact, so it equals
+//     that bit for bit;
+//   - cost components are integer sums, so their order does not matter;
+//   - degrade windows apply per step, at that step's clock.
+//
+// Any per-iteration engine state added later must be settled here too,
+// or must end the stretch. Spec decoding keeps one iteration per pass:
+// its fractional yield changes the tokens produced from step to step.
+func (e *Engine) runAhead(plan batchPlan, horizon time.Duration) {
+	n := len(plan.decodes)
+	if len(plan.prefills) > 0 || plan.specTokens != 1 || len(e.running) != n || e.waiting.len() > 0 {
+		return
+	}
+	// The stretch stops one step before the first sequence would finish,
+	// so the normal loop retires it.
+	steps, ctxSum := math.MaxInt, 0
+	for _, s := range e.running {
+		if !s.prefillDone() {
+			return // a runner blocked in prefill, not a steady batch
+		}
+		steps = min(steps, s.req.OutputTokens-int(s.decoded)-1)
+		ctxSum += s.ctx()
+	}
+	if steps <= 0 {
+		return
+	}
+	// Growth is monotone in the step count, so if the stretch's last step
+	// fits in the free blocks no earlier one would have preempted.
+	if free := e.alloc.FreeBlocks(); e.kvGrowth(steps) > free {
+		steps = sort.Search(steps, func(k int) bool { return e.kvGrowth(k) > free }) - 1
+	}
+	next := e.nextArrival()
+	shape := perf.Batch{DecodeSeqs: n}
+	k := 0
+	for ; k < steps && e.now < horizon && (next < 0 || next > e.now); k++ {
+		shape.DecodeCtx = float64(ctxSum+k*n) / float64(n)
+		cost := e.priceShape(plan.par, shape)
+		e.count(plan.par, cost)
+		e.now += cost.Total()
+		e.stream.Iter(e.now, n)
+	}
+	if k == 0 {
+		return
+	}
+	e.tokensServed += k * n
+	for _, s := range e.running {
+		s.decoded += float64(k)
+		if err := e.alloc.Grow(&s.kvBlocks, s.ctx()); err != nil {
+			panic(fmt.Sprintf("serve: run-ahead growth sized by kvGrowth failed: %v", err))
+		}
+	}
+	if e.admission != nil {
+		// Every skipped shed pass saw an empty queue.
+		e.admission.shedding = false
+	}
+}
+
+// kvGrowth returns the blocks the running sequences need beyond their
+// holdings to decode k more tokens each.
+func (e *Engine) kvGrowth(k int) int {
+	need := 0
+	for _, s := range e.running {
+		need += max(0, e.alloc.BlocksFor(s.ctx()+k)-int(s.kvBlocks))
+	}
+	return need
 }
 
 // parFor implements Algorithm 2 at the engine level.

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 	"unsafe"
@@ -51,7 +52,9 @@ func stepOne(e *Engine) {
 // KV-tight preemption storm and a crash-drained replica one iteration at
 // a time and checks KV conservation after every one: the running
 // sequences' holdings plus the free blocks always make up the cache, and
-// a sequence off the running queue never keeps a block.
+// a sequence off the running queue never keeps a block. The bursty engine
+// and the storm also step to a controller-like 250 ms grid of horizons,
+// so run-ahead stretches settle their holdings between checks.
 func TestKVHoldingsConservedEveryIteration(t *testing.T) {
 	cm := llamaCM(t)
 	one := Config{CM: cm, Par: perf.Parallelism{SP: 1, TP: 1}}
@@ -63,10 +66,17 @@ func TestKVHoldingsConservedEveryIteration(t *testing.T) {
 		// steps and re-enqueues the lost requests, as a restarted replica
 		// that keeps its work would see them.
 		crashAt int
+		// grid, when positive, steps to the next multiple of grid instead
+		// of one iteration at a time.
+		grid time.Duration
 	}{
 		{name: "bursty", cfg: shiftCfg(cm), reqs: trace.Bursty(7, 60*time.Second).Requests},
 		{name: "preempt-storm", cfg: one, reqs: workload.Closed("storm", 256, 1024, 2048).Requests},
 		{name: "crash-drain", cfg: one, reqs: trace.Bursty(11, 60*time.Second).Requests, crashAt: 400},
+		{name: "bursty-250ms-horizons", cfg: shiftCfg(cm), reqs: trace.Bursty(7, 60*time.Second).Requests,
+			grid: 250 * time.Millisecond},
+		{name: "preempt-storm-250ms-horizons", cfg: one, reqs: workload.Closed("storm", 256, 1024, 2048).Requests,
+			grid: 250 * time.Millisecond},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -79,11 +89,15 @@ func TestKVHoldingsConservedEveryIteration(t *testing.T) {
 				if steps > 1_000_000 {
 					t.Fatal("engine did not drain")
 				}
-				stepOne(e)
+				if tc.grid > 0 {
+					e.stepUntil((e.now/tc.grid+1)*tc.grid, true)
+				} else {
+					stepOne(e)
+				}
 				if err := checkKV(e); err != nil {
 					t.Fatalf("after step %d: %v", steps, err)
 				}
-				if steps == tc.crashAt && !crashed {
+				if tc.crashAt > 0 && steps == tc.crashAt && !crashed {
 					crashed = true
 					if len(e.running) == 0 {
 						t.Fatal("test premise broken: nothing running at the crash")
@@ -103,7 +117,7 @@ func TestKVHoldingsConservedEveryIteration(t *testing.T) {
 					}
 				}
 			}
-			if tc.name == "preempt-storm" && e.preemptions == 0 {
+			if strings.HasPrefix(tc.name, "preempt-storm") && e.preemptions == 0 {
 				t.Fatal("test premise broken: the storm did not preempt")
 			}
 			if tc.crashAt > 0 && !crashed {
@@ -117,8 +131,9 @@ func TestKVHoldingsConservedEveryIteration(t *testing.T) {
 }
 
 // TestSteadyIterationAllocatesNothing pins one steady decode iteration
-// of a warmed TP=8 engine — admit, schedule, price, apply — at zero
-// allocations: the engine runs tens of thousands of these per trace.
+// of a warmed TP=8 engine — admit, schedule, price, apply — and one whole
+// run-ahead stretch of them at zero allocations: the engine runs tens of
+// thousands of these per trace.
 func TestSteadyIterationAllocatesNothing(t *testing.T) {
 	e := mustEngine(t, tp8Cfg(llamaCM(t)))
 	for i := 0; i < 64; i++ {
@@ -135,6 +150,16 @@ func TestSteadyIterationAllocatesNothing(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, iterate); allocs != 0 {
 		t.Fatalf("one steady iteration allocates %.1f times, want 0", allocs)
+	}
+	// A whole run-ahead stretch: one scheduled iteration, then steady
+	// steps that only price and book, up to the next horizon.
+	iters := e.iters
+	stretch := func() { e.stepUntil(e.now+50*time.Millisecond, true) }
+	if allocs := testing.AllocsPerRun(100, stretch); allocs != 0 {
+		t.Fatalf("one run-ahead stretch allocates %.1f times, want 0", allocs)
+	}
+	if e.iters-iters < 2*101 {
+		t.Fatalf("test premise broken: %d iterations over 101 stretches", e.iters-iters)
 	}
 	if len(e.running) != 64 || e.preemptions != 0 {
 		t.Fatalf("test premise broken: %d running, %d preemptions", len(e.running), e.preemptions)

@@ -5,9 +5,10 @@
 package workload
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/tensor"
@@ -163,7 +164,7 @@ func (t *Trace) OfferedRate() float64 {
 
 // sortAndNumber finalizes a request list into a trace.
 func sortAndNumber(name string, reqs []Request) *Trace {
-	sort.SliceStable(reqs, func(i, j int) bool { return reqs[i].Arrival < reqs[j].Arrival })
+	slices.SortStableFunc(reqs, func(a, b Request) int { return cmp.Compare(a.Arrival, b.Arrival) })
 	for i := range reqs {
 		reqs[i].ID = i
 	}
@@ -217,7 +218,11 @@ func (t *Trace) StampPromptKeys(seed uint64, repeatFrac float64, pool int) *Trac
 
 // Merge combines traces into one time-ordered trace.
 func Merge(name string, traces ...*Trace) *Trace {
-	var reqs []Request
+	n := 0
+	for _, t := range traces {
+		n += len(t.Requests)
+	}
+	reqs := make([]Request, 0, n)
 	for _, t := range traces {
 		reqs = append(reqs, t.Requests...)
 	}

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -140,6 +141,28 @@ func TestMergeInterleavesAndRenumbers(t *testing.T) {
 	}
 	if m.Requests[1].Arrival != time.Second {
 		t.Fatal("merge did not interleave by time")
+	}
+
+	// Tied arrivals keep their input order: earlier traces first, and
+	// each trace's own order within it.
+	c := &Trace{Requests: []Request{
+		{Arrival: time.Second, InputTokens: 10, OutputTokens: 1},
+		{Arrival: time.Second, InputTokens: 11, OutputTokens: 1},
+	}}
+	d := &Trace{Requests: []Request{
+		{Arrival: 0, InputTokens: 20, OutputTokens: 1},
+		{Arrival: time.Second, InputTokens: 21, OutputTokens: 1},
+	}}
+	m = Merge("tied", c, d)
+	var got []int
+	for i, r := range m.Requests {
+		if r.ID != i {
+			t.Fatalf("request %d numbered %d", i, r.ID)
+		}
+		got = append(got, r.InputTokens)
+	}
+	if want := []int{20, 10, 11, 21}; !slices.Equal(got, want) {
+		t.Fatalf("tied merge order %v, want %v", got, want)
 	}
 }
 
