@@ -4,10 +4,12 @@
 // synchronous (every rank must call the same collective in the same order,
 // exactly as NCCL requires) and deterministic.
 //
-// Every collective also records the bytes each rank would place on the
-// wire under the standard ring/pairwise algorithms, so tests can check the
-// communication complexities of the paper's Table 2 against closed forms,
-// and the cost model can be validated against counted traffic.
+// Each group also counts its rank 0's collective calls and the bytes that
+// rank would place on the wire under the standard ring/pairwise
+// algorithms. A 1-rank group moves nothing and counts no call. The
+// counters are measurements, not a model: the cost model lives in
+// internal/perf, and perf.CommVolume must equal what they count (the
+// integration tests and the table2 scenario check it).
 package comm
 
 import (
@@ -39,8 +41,8 @@ type Group struct {
 	stats Stats
 }
 
-// Counters is a lock-free copy of a group's traffic counters. Bytes are
-// "wire bytes per rank": what one GPU injects into the fabric.
+// Counters is a lock-free copy of a group's traffic counters: rank 0's
+// calls and wire bytes, what that GPU injects into the fabric.
 type Counters struct {
 	AllReduceCalls int
 	AllReduceBytes float64
@@ -169,7 +171,7 @@ func (g *Group) AllReduce(rank int, vec []float64) {
 	}
 	copy(vec, reduced.([]float64))
 
-	if rank == 0 {
+	if rank == 0 && g.n > 1 {
 		g.stats.mu.Lock()
 		g.stats.c.AllReduceCalls++
 		// Ring all-reduce: each rank sends 2*(n-1)/n of the message.
@@ -215,7 +217,7 @@ func (g *Group) AllToAll(rank int, send [][]float64) [][]float64 {
 			offDiag += float64(len(send[j]))
 		}
 	}
-	if rank == 0 {
+	if rank == 0 && g.n > 1 {
 		g.stats.mu.Lock()
 		g.stats.c.AllToAllCalls++
 		// Pairwise exchange: each rank sends everything but its own chunk.

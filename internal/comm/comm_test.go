@@ -240,6 +240,24 @@ func TestStatsCallCounts(t *testing.T) {
 	}
 }
 
+// A 1-rank group still hands each collective's data back, but it moves
+// nothing on the wire, so it counts no call.
+func TestOneRankGroupCountsNothing(t *testing.T) {
+	g := NewGroup(1)
+	RunGroup(g, func(g *Group, rank int) int {
+		vec := []float64{3}
+		g.AllReduce(rank, vec)
+		recv := g.AllToAll(rank, [][]float64{{1, 2}})
+		if vec[0] != 3 || len(recv) != 1 || len(recv[0]) != 2 || recv[0][1] != 2 {
+			t.Errorf("1-rank collectives returned vec %v recv %v", vec, recv)
+		}
+		return 0
+	})
+	if s := g.Stats().Snapshot(); s != (Counters{}) {
+		t.Fatalf("1-rank group counted %+v", s)
+	}
+}
+
 // Property: all-reduce equals the serial sum for random vectors and sizes.
 func TestQuickAllReduceMatchesSerialSum(t *testing.T) {
 	f := func(seed int64, nRaw uint8, lenRaw uint8) bool {

@@ -69,10 +69,18 @@ func TestTable2AllMatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	combined := map[string]bool{}
 	for _, row := range tab.Rows {
 		if row[len(row)-1] != "ok" {
 			t.Fatalf("comm formula mismatch: %v", row)
 		}
+		if row[0] == "SP+TP" {
+			combined[row[1]+" "+row[2]] = true
+		}
+	}
+	// 3 TP + 3 SP rows, plus both collectives of (2,2) and (4,2).
+	if len(tab.Rows) != 10 || len(combined) != 4 {
+		t.Fatalf("%d rows, combined %v; want 10 rows with 4 combined", len(tab.Rows), combined)
 	}
 }
 

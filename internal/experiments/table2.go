@@ -3,100 +3,62 @@ package experiments
 import (
 	"fmt"
 
+	"repro/internal/model"
 	"repro/internal/parallel"
+	"repro/internal/perf"
 	"repro/internal/stats"
 	"repro/internal/tensor"
 	"repro/internal/transformer"
 )
 
 // Table2 verifies the communication complexities of the paper's Table 2
-// on the functional layer: it runs real TP and SP forwards on simulated
-// GPUs, counts the wire bytes the collectives move, and compares them to
-// the closed forms (per rank, per layer):
-//
-//	TP all-reduce:  2 iterations * 2(p-1)/p * n*d*8 bytes
-//	SP all-to-all:  2 iterations * (p-1)/p * (n_pad/p)*(qkv factors)*d*8
+// on the functional layer: it runs real TP, SP and combined (SP, TP)
+// forwards on simulated GPUs, counts the wire bytes rank 0's collectives
+// move in one iteration, and compares them with the cost model's
+// perf.CommVolume over all layers, in 8-byte elements. Both sides are
+// integer element counts, so they must match exactly.
 //
 // The observable consequence is the last column of Table 2: TP's
 // communication-to-compute ratio grows with p while SP's does not.
 func Table2(e Env) (*stats.Table, error) {
 	cfg := transformer.Config{Layers: 2, Hidden: 32, QHeads: 8, KVHeads: 4, FFN: 32}
+	m := model.Config{Layers: cfg.Layers, Hidden: cfg.Hidden, QHeads: cfg.QHeads, KVHeads: cfg.KVHeads, FFN: cfg.FFN}
 	w := transformer.NewWeights(cfg, e.Seed)
 	n := 16 // batch tokens
 
 	tab := stats.NewTable("Parallelism", "Degree", "Collective", "Bytes/rank measured", "Bytes/rank formula", "Match")
-	for _, p := range []int{2, 4, 8} {
-		rng := tensor.NewRNG(e.Seed + uint64(p))
-		batch := []transformer.Chunk{{Seq: 0, X: rng.RandMatrix(n, cfg.Hidden, 1)}}
-
-		// TP: all-reduce volume.
-		lay := parallel.Layout{Cfg: cfg, SP: 1, TP: p}
-		eng, err := parallel.NewEngine(w, lay, parallel.ModeTP, parallel.NewCaches(lay))
+	for _, grid := range [][2]int{{1, 2}, {2, 1}, {1, 4}, {4, 1}, {1, 8}, {8, 1}, {2, 2}, {4, 2}} {
+		sp, tp := grid[0], grid[1]
+		lay := parallel.Layout{Cfg: cfg, SP: sp, TP: tp}
+		name, mode, degree := "SP", parallel.ModeSP, fmt.Sprint(lay.World())
+		switch {
+		case sp == 1:
+			name, mode = "TP", parallel.ModeTP
+		case tp > 1:
+			name, degree = "SP+TP", fmt.Sprintf("%dx%d", sp, tp)
+		}
+		eng, err := parallel.NewEngine(w, lay, mode, parallel.NewCaches(lay))
 		if err != nil {
 			return nil, err
 		}
-		eng.Forward(batch)
-		got := eng.CommCounters().AllReduceBytes
-		// 2 all-reduces per layer of n*d float64s.
-		want := float64(2*cfg.Layers) * 2 * float64(p-1) / float64(p) * float64(n*cfg.Hidden) * 8
-		tab.AddRow("TP", p, "all-reduce", got, want, matchMark(got, want))
-
-		// SP: all-to-all volume.
-		layS := parallel.Layout{Cfg: cfg, SP: p, TP: 1}
-		engS, err := parallel.NewEngine(w, layS, parallel.ModeSP, parallel.NewCaches(layS))
-		if err != nil {
-			return nil, err
+		rng := tensor.NewRNG(e.Seed + uint64(lay.World()))
+		eng.Forward([]transformer.Chunk{{Seq: 0, X: rng.RandMatrix(n, cfg.Hidden, 1)}})
+		got := eng.CommCounters()
+		ar, a2a := perf.CommVolume(m, perf.Parallelism{SP: sp, TP: tp}, n)
+		ar, a2a = float64(cfg.Layers)*ar*8, float64(cfg.Layers)*a2a*8
+		if tp > 1 {
+			tab.AddRow(name, degree, "all-reduce", got.AllReduceBytes, ar, matchMark(got.AllReduceBytes, ar))
 		}
-		engS.Forward(cloneBatch(batch))
-		gotS := engS.CommCounters().AllToAllBytes
-		// First all-to-all per layer: each rank sends, per destination
-		// other than itself, rows*(dstQ+2*dstKV)*dh doubles; with
-		// replication dstKV counts repeat. Second: rows*h*dh. Compute the
-		// exact expectation from the layout.
-		wantS := spAllToAllBytes(layS, n)
-		tab.AddRow("SP", p, "all-to-all", gotS, wantS, matchMark(gotS, wantS))
+		if sp > 1 {
+			tab.AddRow(name, degree, "all-to-all", got.AllToAllBytes, a2a, matchMark(got.AllToAllBytes, a2a))
+		}
 	}
 	return tab, nil
 }
 
-// spAllToAllBytes computes the exact per-rank wire bytes of the two
-// Ulysses all-to-alls per layer for rank 0 (the counted rank).
-func spAllToAllBytes(lay parallel.Layout, n int) float64 {
-	cfg := lay.Cfg
-	dh := cfg.HeadDim()
-	per := (n + lay.SP - 1) / lay.SP
-	var firstBytes, secondBytes float64
-	for ds := 0; ds < lay.SP; ds++ {
-		if ds == 0 {
-			continue // own chunk does not hit the wire
-		}
-		dst := lay.RankOf(ds, 0)
-		q := len(lay.QHeadsOf(dst))
-		kv := len(lay.KVHeadsOf(dst))
-		firstBytes += float64(per * (q + 2*kv) * dh * 8)
-		secondBytes += float64(per * len(lay.QHeadsOf(0)) * dh * 8)
-	}
-	return float64(cfg.Layers) * (firstBytes + secondBytes)
-}
-
 func matchMark(got, want float64) string {
-	if want == 0 {
-		if got == 0 {
-			return "ok"
-		}
-		return "MISMATCH"
-	}
-	r := got / want
-	if r > 0.999 && r < 1.001 {
+	if got == want {
 		return "ok"
 	}
-	return fmt.Sprintf("MISMATCH (%.3fx)", r)
-}
-
-func cloneBatch(batch []transformer.Chunk) []transformer.Chunk {
-	out := make([]transformer.Chunk, len(batch))
-	for i, c := range batch {
-		out[i] = transformer.Chunk{Seq: c.Seq, X: c.X.Clone()}
-	}
-	return out
+	return fmt.Sprintf("MISMATCH (%.3fx)", got/want)
 }

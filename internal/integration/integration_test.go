@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/hw"
 	"repro/internal/model"
@@ -72,42 +73,70 @@ func TestFunctionalServingScenario(t *testing.T) {
 	}
 }
 
-// The cost model's communication volumes and the functional layer's
-// counted wire bytes must implement the same Table-2 formulas: per
-// iteration, TP moves 2 all-reduces of n*d per layer and SP moves
-// (q+2kv-factored) all-to-alls whose per-rank volume shrinks with SP.
-func TestCostModelMatchesCountedCommShape(t *testing.T) {
-	cfg := transformer.Config{Layers: 2, Hidden: 32, QHeads: 8, KVHeads: 4, FFN: 32}
-	w := transformer.NewWeights(cfg, 5)
-	n := 16
-
-	// Functional: counted wire bytes for TP=4 vs TP=2.
-	counted := func(p int) float64 {
-		lay := parallel.Layout{Cfg: cfg, SP: 1, TP: p}
-		eng, err := parallel.NewEngine(w, lay, parallel.ModeTP, parallel.NewCaches(lay))
-		if err != nil {
-			t.Fatal(err)
+// perf.CommVolume, the per-rank volume the cost model prices, must equal
+// the wire bytes the functional engine's rank 0 counts, exactly: both
+// are integer element counts (8 bytes each on the functional side). The
+// grid covers pure SP, pure TP and combined layouts in both modes (ModeTP
+// is priced as TP over the whole world), KV replication (KVHeads below
+// the world), decode padding (n not a multiple of SP), and, per engine,
+// an n-token prefill, n-1 one-token prompts and a decode step of n
+// single-token chunks.
+func TestCommVolumeMatchesCountedWireBytes(t *testing.T) {
+	for _, grid := range [][2]int{{2, 1}, {4, 1}, {8, 1}, {1, 2}, {1, 4}, {1, 8}, {2, 2}, {4, 2}, {2, 4}} {
+		for _, mode := range []parallel.Mode{parallel.ModeSP, parallel.ModeTP} {
+			for _, kv := range []int{2, 4, 8} {
+				for _, n := range []int{3, 13, 16} {
+					cfg := transformer.Config{Layers: 2, Hidden: 32, QHeads: 8, KVHeads: kv, FFN: 32}
+					lay := parallel.Layout{Cfg: cfg, SP: grid[0], TP: grid[1]}
+					checkCommVolume(t, lay, mode, n)
+				}
+			}
 		}
-		rng := tensor.NewRNG(6)
-		eng.Forward([]transformer.Chunk{{Seq: 0, X: rng.RandMatrix(n, cfg.Hidden, 1)}})
-		return eng.CommCounters().AllReduceBytes
 	}
-	// Ratio of wire bytes between degrees: 2(p-1)/p scaling.
-	gotRatio := counted(4) / counted(2)
-	wantRatio := (2.0 * 3 / 4) / (2.0 * 1 / 2)
-	if gotRatio < wantRatio*0.999 || gotRatio > wantRatio*1.001 {
-		t.Fatalf("counted all-reduce ratio %g, want %g", gotRatio, wantRatio)
-	}
+}
 
-	// Cost model: the same ratio appears in its all-reduce time (minus
-	// the latency term, which we cancel by using a huge message).
-	cm := perf.MustNew(hw.P5enNode(), model.Llama70B(), perf.DefaultParams())
-	b := perf.Batch{PrefillTokens: 65536, PrefillCtx: 32768}
-	t4 := cm.Iter(perf.Parallelism{SP: 1, TP: 4}, b).AllReduce
-	t2 := cm.Iter(perf.Parallelism{SP: 1, TP: 2}, b).AllReduce
-	modelRatio := float64(t4) / float64(t2)
-	if modelRatio < wantRatio*0.95 || modelRatio > wantRatio*1.05 {
-		t.Fatalf("cost model all-reduce ratio %g, want ~%g", modelRatio, wantRatio)
+func checkCommVolume(t *testing.T, lay parallel.Layout, mode parallel.Mode, n int) {
+	t.Helper()
+	cfg := lay.Cfg
+	m := model.Config{Layers: cfg.Layers, Hidden: cfg.Hidden, QHeads: cfg.QHeads, KVHeads: cfg.KVHeads, FFN: cfg.FFN}
+	par := perf.Parallelism{SP: lay.SP, TP: lay.TP}
+	if mode == parallel.ModeTP {
+		par = perf.Parallelism{SP: 1, TP: lay.World()}
+	}
+	eng, err := parallel.NewEngine(transformer.NewWeights(cfg, 5), lay, mode, parallel.NewCaches(lay))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := tensor.NewRNG(6)
+	oneToken := func(from, to int) []transformer.Chunk {
+		var batch []transformer.Chunk
+		for seq := from; seq < to; seq++ {
+			batch = append(batch, transformer.Chunk{Seq: seq, X: rng.RandMatrix(1, cfg.Hidden, 1)})
+		}
+		return batch
+	}
+	steps := [][]transformer.Chunk{
+		{{Seq: 0, X: rng.RandMatrix(n, cfg.Hidden, 1)}}, // prefill
+		oneToken(1, n), // one-token prompts
+		oneToken(0, n), // decode
+	}
+	calls := func(p int) int {
+		if p > 1 {
+			return 2 * cfg.Layers
+		}
+		return 0
+	}
+	var want comm.Counters
+	for i, batch := range steps {
+		eng.Forward(batch)
+		ar, a2a := perf.CommVolume(m, par, transformer.BatchTokens(batch))
+		want.AllReduceCalls += calls(par.TP)
+		want.AllReduceBytes += float64(cfg.Layers) * ar * 8
+		want.AllToAllCalls += calls(par.SP)
+		want.AllToAllBytes += float64(cfg.Layers) * a2a * 8
+		if got := eng.CommCounters(); got != want {
+			t.Errorf("%v %v KVHeads=%d n=%d after step %d: counted %+v, CommVolume %+v", lay, mode, cfg.KVHeads, n, i, got, want)
+		}
 	}
 }
 

@@ -95,24 +95,22 @@ func NewEngine(w *transformer.Weights, lay Layout, mode Mode, caches []*kvcache.
 	return e, nil
 }
 
-// CommCounters aggregates the wire-traffic counters across the engine's
-// communicators (world group plus subgroups).
+// CommCounters returns global rank 0's collective calls and wire bytes:
+// its world group, plus under ModeSP its SP group spGroups[0] and TP
+// group tpGroups[0]. This is the per-rank, per-forward volume that
+// perf.CommVolume prices (times Layers, in 8-byte elements).
 func (e *Engine) CommCounters() comm.Counters {
-	var total comm.Counters
-	add := func(c comm.Counters) {
-		total.AllReduceCalls += c.AllReduceCalls
-		total.AllReduceBytes += c.AllReduceBytes
-		total.AllToAllCalls += c.AllToAllCalls
-		total.AllToAllBytes += c.AllToAllBytes
+	c := e.world.Stats().Snapshot()
+	if e.Mode == ModeSP {
+		for _, g := range []*comm.Group{e.spGroups[0], e.tpGroups[0]} {
+			s := g.Stats().Snapshot()
+			c.AllReduceCalls += s.AllReduceCalls
+			c.AllReduceBytes += s.AllReduceBytes
+			c.AllToAllCalls += s.AllToAllCalls
+			c.AllToAllBytes += s.AllToAllBytes
+		}
 	}
-	add(e.world.Stats().Snapshot())
-	for _, g := range e.spGroups {
-		add(g.Stats().Snapshot())
-	}
-	for _, g := range e.tpGroups {
-		add(g.Stats().Snapshot())
-	}
-	return total
+	return c
 }
 
 // checkHeadRanges reports an error unless every head set the forwards

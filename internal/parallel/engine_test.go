@@ -272,13 +272,12 @@ func TestCombinedDoesBoth(t *testing.T) {
 	rng := tensor.NewRNG(1200)
 	eng.Forward(randBatch(rng, cfg.Hidden, 8))
 	c := eng.CommCounters()
-	// Counters aggregate across disjoint subgroups: each of the TP-many SP
-	// groups does 2 all-to-alls per layer; each of the SP-many TP groups
-	// does 2 all-reduces per layer.
-	if want := 2 * cfg.Layers * lay.TP; c.AllToAllCalls != want {
+	// Counters are rank 0's: in its SP group it does 2 all-to-alls per
+	// layer, in its TP group 2 all-reduces per layer.
+	if want := 2 * cfg.Layers; c.AllToAllCalls != want {
 		t.Fatalf("combined a2a calls = %d, want %d", c.AllToAllCalls, want)
 	}
-	if want := 2 * cfg.Layers * lay.SP; c.AllReduceCalls != want {
+	if want := 2 * cfg.Layers; c.AllReduceCalls != want {
 		t.Fatalf("combined ar calls = %d, want %d", c.AllReduceCalls, want)
 	}
 }

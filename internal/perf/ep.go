@@ -65,10 +65,8 @@ func (cm *CostModel) IterEP(par Parallelism, ep EPConfig, b Batch) Cost {
 	// Dispatch + combine all-to-alls per layer across the EP group: each
 	// rank scatters its rows' hidden states to expert owners and gathers
 	// them back.
-	link := cm.Node.Link
 	msg := rowsPerRank * cm.hidden * cm.P.ActBytes
-	per := 2*msg*float64(ep.Degree-1)/float64(ep.Degree)/link.LinkBandwidth + 2*float64(ep.Degree-1)*link.Latency
-	cost.AllToAll += secs(cm.layers * per)
+	cost.AllToAll += secs(cm.layers * cm.pairwise(2*msg*float64(ep.Degree-1)/float64(ep.Degree), ep.Degree))
 	return cost
 }
 
@@ -110,6 +108,6 @@ func (cm *CostModel) EPKVCapacityTokens(par Parallelism, ep EPConfig, withShiftM
 	if free <= 0 {
 		return 0
 	}
-	perRankTokenBytes := cm.M.KVBytesPerToken() * cm.kvShare(par.World())
+	perRankTokenBytes := cm.M.KVBytesPerToken() * kvShare(cm.M.KVHeads, par.World())
 	return int(free / perRankTokenBytes)
 }

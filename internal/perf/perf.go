@@ -9,8 +9,9 @@
 //   - attention: compute for prefill (O(n*ctx)), KV-cache streaming for
 //     decode,
 //   - collectives: alpha-beta ring all-reduce (TP) and pairwise
-//     all-to-all (SP), matching the complexities of the paper's Table 2
-//     and the counted wire bytes of internal/comm,
+//     all-to-all (SP) over the per-rank volumes of CommVolume, the
+//     paper's Table 2, which equal the wire bytes the functional
+//     engine counts,
 //   - a per-iteration engine overhead (the "vLLM cost" of Figure 15).
 //
 // Constants are calibrated so the 8xH200 figures of the paper's Figure 12
@@ -233,27 +234,22 @@ func (cm *CostModel) Iter(par Parallelism, b Batch) Cost {
 	attnCompute := attnFlops / float64(world) / (g.FP8Flops * cm.P.AttnEff)
 	// Decode KV streaming: each decoding sequence reads its full cached
 	// context for this rank's heads (replication multiplies the share).
-	kvBytes := float64(b.DecodeSeqs) * b.DecodeCtx * cm.kvBytesPerToken * cm.kvShare(world)
+	kvBytes := float64(b.DecodeSeqs) * b.DecodeCtx * cm.kvBytesPerToken * kvShare(cm.M.KVHeads, world)
 	attnMem := kvBytes / (g.HBMBandwidth * cm.P.MemEff)
 	attn := math.Max(attnCompute, attnMem)
 
-	// --- Collectives (per layer: 2 all-reduces on the TP group, 2
-	// all-to-alls on the SP group; Table 2) ---
+	// --- Collectives (per layer: 2 ring all-reduces on the TP group, 2
+	// all-to-alls on the SP group; Table 2). CommVolume sizes them. The
+	// all-to-alls are hidden/TP wide because Algorithm 1 line 3 projects
+	// only the rank's TP shard of heads. Each all-reduce takes 2(p-1)
+	// latency steps, and so does the pair of all-to-alls.
 	var allReduce, allToAll float64
-	link := cm.Node.Link
+	arElems, a2aElems := commVolume(cm.hidden, cm.M.QHeads, cm.M.KVHeads, par, rowsPerRank)
 	if par.TP > 1 {
-		msg := rowsPerRank * cm.hidden * cm.P.ActBytes
-		per := 2*msg*float64(par.TP-1)/float64(par.TP)/link.LinkBandwidth + 2*float64(par.TP-1)*link.Latency
-		allReduce = 2 * cm.layers * per
+		allReduce = 2 * cm.layers * cm.pairwise(arElems/2*cm.P.ActBytes, par.TP)
 	}
 	if par.SP > 1 {
-		// First all-to-all carries q + (replicated) kv heads; second
-		// carries the attention output (q-width only).
-		qkvFactor := 1 + 2*float64(cm.M.KVHeads)*cm.kvShare(world)*float64(world)/float64(cm.M.QHeads)
-		msg1 := rowsPerRank * cm.hidden * cm.P.ActBytes * qkvFactor
-		msg2 := rowsPerRank * cm.hidden * cm.P.ActBytes
-		per := (msg1+msg2)*float64(par.SP-1)/float64(par.SP)/link.LinkBandwidth + 2*float64(par.SP-1)*link.Latency
-		allToAll = cm.layers * per
+		allToAll = cm.layers * cm.pairwise(a2aElems*cm.P.ActBytes, par.SP)
 	}
 
 	return Cost{
@@ -263,6 +259,42 @@ func (cm *CostModel) Iter(par Parallelism, b Batch) Cost {
 		AllToAll:  secs(allToAll),
 		Overhead:  cm.overhead(world),
 	}
+}
+
+// CommVolume returns the elements one rank puts on the wire per layer
+// when par runs a batch of tokens: the two ring all-reduces of its TP
+// group (Algorithm 1 lines 8 and 11) and the two Ulysses all-to-alls of
+// its SP group (lines 4 and 6). Every rank holds ceil(tokens/SP) rows
+// (decode padding, Section 3.2.1). A p-rank ring all-reduce sends
+// 2(p-1)/p of its message; a pairwise all-to-all sends all but the
+// rank's own 1/p. The first all-to-all carries q plus (replicated) kv
+// heads, the second the attention output at q width, both over only the
+// h/TP heads of the rank's TP shard (line 3): the DeepSpeed-Ulysses
+// per-GPU volume (Jacobs et al., arXiv:2309.14509) over h/TP heads.
+func CommVolume(m model.Config, par Parallelism, tokens int) (allReduce, allToAll float64) {
+	return commVolume(float64(m.Hidden), m.QHeads, m.KVHeads, par, float64(ceilDiv(tokens, par.SP)))
+}
+
+// commVolume is CommVolume given rows = ceil(tokens/SP). Iter passes
+// its precomputed rows and model constants, so pricing copies no
+// model.Config and divides no integers twice.
+func commVolume(hidden float64, qHeads, kvHeads int, par Parallelism, rows float64) (allReduce, allToAll float64) {
+	if par.TP > 1 {
+		allReduce = 2 * 2 * rows * hidden * float64(par.TP-1) / float64(par.TP)
+	}
+	if par.SP > 1 {
+		world := par.World()
+		qkvFactor := 1 + 2*float64(kvHeads)*kvShare(kvHeads, world)*float64(world)/float64(qHeads)
+		x := rows * hidden
+		allToAll = (x*qkvFactor + x) * float64(par.SP-1) / float64(par.SP*par.TP)
+	}
+	return allReduce, allToAll
+}
+
+// pairwise is the alpha-beta time of collectives that put wire bytes on
+// each rank's link in 2(p-1) latency-bound steps.
+func (cm *CostModel) pairwise(wire float64, p int) float64 {
+	return wire/cm.Node.Link.LinkBandwidth + 2*float64(p-1)*cm.Node.Link.Latency
 }
 
 func (cm *CostModel) prefillFlops(b Batch) float64 {
@@ -292,11 +324,11 @@ func (cm *CostModel) weightReadBytes(tokens int) float64 {
 // kvShare is the fraction of the model's per-token KV bytes one rank
 // holds: 1/world without replication, more when KV heads are replicated
 // (world > KVHeads).
-func (cm *CostModel) kvShare(world int) float64 {
-	if world <= cm.M.KVHeads {
+func kvShare(kvHeads, world int) float64 {
+	if world <= kvHeads {
 		return 1 / float64(world)
 	}
-	return 1 / float64(cm.M.KVHeads)
+	return 1 / float64(kvHeads)
 }
 
 func (cm *CostModel) overhead(world int) time.Duration {
@@ -325,7 +357,7 @@ func (cm *CostModel) KVCapacityTokens(par Parallelism, withShiftModel bool) int 
 	if free <= 0 {
 		return 0
 	}
-	perRankTokenBytes := cm.M.KVBytesPerToken() * cm.kvShare(par.World())
+	perRankTokenBytes := cm.M.KVBytesPerToken() * kvShare(cm.M.KVHeads, par.World())
 	return int(free / perRankTokenBytes)
 }
 

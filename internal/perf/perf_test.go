@@ -227,10 +227,10 @@ func TestKVReplicationRaisesDecodeCost(t *testing.T) {
 	// Qwen-30B-A3B has 4 KV heads: on 8 ranks each rank holds 1/4 (not
 	// 1/8) of the KV cache, so decode attention reads more per rank.
 	cm := MustNew(hw.P5enNode(), model.Qwen30BA3B(), DefaultParams())
-	if cm.kvShare(8) != 0.25 {
-		t.Fatalf("kvShare(8) = %v, want 0.25", cm.kvShare(8))
+	if kvShare(cm.M.KVHeads, 8) != 0.25 {
+		t.Fatalf("kvShare(8) = %v, want 0.25", kvShare(cm.M.KVHeads, 8))
 	}
-	if cm.kvShare(4) != 0.25 || cm.kvShare(2) != 0.5 {
+	if kvShare(cm.M.KVHeads, 4) != 0.25 || kvShare(cm.M.KVHeads, 2) != 0.5 {
 		t.Fatal("kvShare below replication threshold wrong")
 	}
 }

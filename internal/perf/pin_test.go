@@ -18,9 +18,10 @@ var (
 
 // costPins are Iter (ep == 0) and IterEP (ep == 8) results on the 8xH200
 // node under DefaultParams, recorded before the cost model cached its
-// model constants. Every simulated latency is a sum of these Costs, so a
-// reordered float expression anywhere in the model shows up here as a
-// nanosecond drift. factor is the cost model's PrefillFlopsFactor
+// model constants; the sp4x2 rows' AllToAll was re-recorded when
+// CommVolume sized the all-to-all to the TP shard's heads. Every
+// simulated latency is a sum of these Costs, so a reordered float
+// expression anywhere in the model shows up here as a nanosecond drift. factor is the cost model's PrefillFlopsFactor
 // (SwiftKV's 0.5 for three rows).
 var costPins = []struct {
 	model  string
@@ -39,9 +40,9 @@ var costPins = []struct {
 	{"Llama-70B", sp8, decode, 0, 1, Cost{20833333, 1170285, 0, 1702937, 3750000}},
 	{"Llama-70B", sp8, prefill, 0, 1, Cost{43011622, 992124, 0, 2414003, 3750000}},
 	{"Llama-70B", sp8, mixed, 0, 1, Cost{20833333, 751756, 0, 1872102, 3750000}},
-	{"Llama-70B", sp4x2, decode, 0, 1, Cost{10416666, 1170285, 526603, 759321, 3750000}},
-	{"Llama-70B", sp4x2, prefill, 0, 1, Cost{42191005, 992124, 1971308, 1978291, 3750000}},
-	{"Llama-70B", sp4x2, mixed, 0, 1, Cost{13712076, 751756, 870303, 1049318, 3750000}},
+	{"Llama-70B", sp4x2, decode, 0, 1, Cost{10416666, 1170285, 526603, 739660, 3750000}},
+	{"Llama-70B", sp4x2, prefill, 0, 1, Cost{42191005, 992124, 1971308, 1349145, 3750000}},
+	{"Llama-70B", sp4x2, mixed, 0, 1, Cost{13712076, 751756, 870303, 884659, 3750000}},
 	{"Qwen-32B", dp1, decode, 0, 1, Cost{9523809, 4681142, 0, 0, 2000000}},
 	{"Qwen-32B", dp1, prefill, 0, 1, Cost{135567458, 3968496, 0, 0, 2000000}},
 	{"Qwen-32B", dp1, mixed, 0, 1, Cost{37772612, 3007024, 0, 0, 2000000}},
@@ -51,9 +52,9 @@ var costPins = []struct {
 	{"Qwen-32B", sp8, decode, 0, 1, Cost{9523809, 585142, 0, 1355468, 3750000}},
 	{"Qwen-32B", sp8, prefill, 0, 1, Cost{19662455, 496062, 0, 1711001, 3750000}},
 	{"Qwen-32B", sp8, mixed, 0, 1, Cost{9523809, 375878, 0, 1440051, 3750000}},
-	{"Qwen-32B", sp4x2, decode, 0, 1, Cost{4761904, 585142, 407301, 595660, 3750000}},
-	{"Qwen-32B", sp4x2, prefill, 0, 1, Cost{19287316, 496062, 1129654, 1205145, 3750000}},
-	{"Qwen-32B", sp4x2, mixed, 0, 1, Cost{6268377, 375878, 579151, 740659, 3750000}},
+	{"Qwen-32B", sp4x2, decode, 0, 1, Cost{4761904, 585142, 407301, 585830, 3750000}},
+	{"Qwen-32B", sp4x2, prefill, 0, 1, Cost{19287316, 496062, 1129654, 890572, 3750000}},
+	{"Qwen-32B", sp4x2, mixed, 0, 1, Cost{6268377, 375878, 579151, 658329, 3750000}},
 	{"Llama-17B-16E", dp1, decode, 0, 1, Cost{32440476, 5617371, 0, 0, 2000000}},
 	{"Llama-17B-16E", dp1, prefill, 0, 1, Cost{72020212, 2976372, 0, 0, 2000000}},
 	{"Llama-17B-16E", dp1, mixed, 0, 1, Cost{32440476, 3089905, 0, 0, 2000000}},
@@ -63,9 +64,9 @@ var costPins = []struct {
 	{"Llama-17B-16E", sp8, decode, 0, 1, Cost{32440476, 702171, 0, 1017175, 3750000}},
 	{"Llama-17B-16E", sp8, prefill, 0, 1, Cost{32440476, 372046, 0, 1301601, 3750000}},
 	{"Llama-17B-16E", sp8, mixed, 0, 1, Cost{32440476, 386238, 0, 1084840, 3750000}},
-	{"Llama-17B-16E", sp4x2, decode, 0, 1, Cost{16220238, 702171, 305476, 447728, 3750000}},
-	{"Llama-17B-16E", sp4x2, prefill, 0, 1, Cost{16220238, 372046, 847240, 935316, 3750000}},
-	{"Llama-17B-16E", sp4x2, mixed, 0, 1, Cost{16220238, 386238, 434363, 563727, 3750000}},
+	{"Llama-17B-16E", sp4x2, decode, 0, 1, Cost{16220238, 702171, 305476, 439864, 3750000}},
+	{"Llama-17B-16E", sp4x2, prefill, 0, 1, Cost{16220238, 372046, 847240, 683658, 3750000}},
+	{"Llama-17B-16E", sp4x2, mixed, 0, 1, Cost{16220238, 386238, 434363, 497863, 3750000}},
 	{"Qwen-30B-A3B", dp1, decode, 0, 1, Cost{8928571, 1404342, 0, 0, 2000000}},
 	{"Qwen-30B-A3B", dp1, prefill, 0, 1, Cost{12709449, 1190548, 0, 0, 2000000}},
 	{"Qwen-30B-A3B", dp1, mixed, 0, 1, Cost{8928571, 902107, 0, 0, 2000000}},
@@ -75,9 +76,9 @@ var costPins = []struct {
 	{"Qwen-30B-A3B", sp8, decode, 0, 1, Cost{8928571, 351085, 0, 1011822, 3750000}},
 	{"Qwen-30B-A3B", sp8, prefill, 0, 1, Cost{8928571, 148818, 0, 1130333, 3750000}},
 	{"Qwen-30B-A3B", sp8, mixed, 0, 1, Cost{8928571, 193119, 0, 1040017, 3750000}},
-	{"Qwen-30B-A3B", sp4x2, decode, 0, 1, Cost{4464285, 351085, 294990, 438553, 3750000}},
-	{"Qwen-30B-A3B", sp4x2, prefill, 0, 1, Cost{4464285, 148818, 511696, 641715, 3750000}},
-	{"Qwen-30B-A3B", sp4x2, mixed, 0, 1, Cost{4464285, 193119, 346545, 486886, 3750000}},
+	{"Qwen-30B-A3B", sp4x2, decode, 0, 1, Cost{4464285, 351085, 294990, 435276, 3750000}},
+	{"Qwen-30B-A3B", sp4x2, prefill, 0, 1, Cost{4464285, 148818, 511696, 536857, 3750000}},
+	{"Qwen-30B-A3B", sp4x2, mixed, 0, 1, Cost{4464285, 193119, 346545, 459443, 3750000}},
 	{"Llama-70B", tp8, decode, 0, 0.5, Cost{2882061, 1170285, 3686223, 0, 3750000}},
 	{"Llama-70B", tp8, prefill, 0, 0.5, Cost{26967862, 992124, 13799156, 0, 3750000}},
 	{"Llama-70B", tp8, mixed, 0, 0.5, Cost{7850391, 751756, 6092123, 0, 3750000}},
@@ -87,18 +88,18 @@ var costPins = []struct {
 	{"Llama-17B-16E", sp8, decode, 8, 1, Cost{5617559, 702171, 0, 2032820, 3750000}},
 	{"Llama-17B-16E", sp8, prefill, 8, 1, Cost{10445679, 372046, 0, 2554268, 3750000}},
 	{"Llama-17B-16E", sp8, mixed, 8, 1, Cost{5617559, 386238, 0, 2156874, 3750000}},
-	{"Llama-17B-16E", sp4x2, decode, 8, 1, Cost{2808779, 702171, 305476, 1471019, 3750000}},
-	{"Llama-17B-16E", sp4x2, prefill, 8, 1, Cost{10246387, 372046, 847240, 2432651, 3750000}},
-	{"Llama-17B-16E", sp4x2, mixed, 8, 1, Cost{3330075, 386238, 434363, 1699795, 3750000}},
+	{"Llama-17B-16E", sp4x2, decode, 8, 1, Cost{2808779, 702171, 305476, 1463155, 3750000}},
+	{"Llama-17B-16E", sp4x2, prefill, 8, 1, Cost{10246387, 372046, 847240, 2180993, 3750000}},
+	{"Llama-17B-16E", sp4x2, mixed, 8, 1, Cost{3330075, 386238, 434363, 1633931, 3750000}},
 	{"Qwen-30B-A3B", tp8, decode, 8, 1, Cost{178571, 351085, 2064933, 1032466, 3750000}},
 	{"Qwen-30B-A3B", tp8, prefill, 8, 1, Cost{2311531, 148818, 3581873, 1790936, 3750000}},
 	{"Qwen-30B-A3B", tp8, mixed, 8, 1, Cost{644052, 193119, 2425818, 1212909, 3750000}},
 	{"Qwen-30B-A3B", sp8, decode, 8, 1, Cost{1428571, 351085, 0, 2022880, 3750000}},
 	{"Qwen-30B-A3B", sp8, prefill, 8, 1, Cost{1843355, 148818, 0, 2236200, 3750000}},
 	{"Qwen-30B-A3B", sp8, mixed, 8, 1, Cost{1428571, 193119, 0, 2073630, 3750000}},
-	{"Qwen-30B-A3B", sp4x2, decode, 8, 1, Cost{714285, 351085, 294990, 1452669, 3750000}},
-	{"Qwen-30B-A3B", sp4x2, prefill, 8, 1, Cost{1808185, 148818, 511696, 1845449, 3750000}},
-	{"Qwen-30B-A3B", sp4x2, mixed, 8, 1, Cost{714285, 193119, 346545, 1546113, 3750000}},
+	{"Qwen-30B-A3B", sp4x2, decode, 8, 1, Cost{714285, 351085, 294990, 1449392, 3750000}},
+	{"Qwen-30B-A3B", sp4x2, prefill, 8, 1, Cost{1808185, 148818, 511696, 1740591, 3750000}},
+	{"Qwen-30B-A3B", sp4x2, mixed, 8, 1, Cost{714285, 193119, 346545, 1518670, 3750000}},
 }
 
 func TestCostModelPinnedBitForBit(t *testing.T) {
