@@ -261,8 +261,12 @@ func (ac AutoscaleConfig) validate(initial int) error {
 // end-of-trace rejection of unadmittable waiters; without it an idle
 // engine parks at the horizon and waits for the controller. After each
 // pure-decode iteration, runAhead books the steady decode steps that
-// follow without scheduling them one by one.
+// follow without scheduling them one by one; a stretch an earlier
+// horizon cut resumes here before anything is scheduled.
 func (e *Engine) stepUntil(horizon time.Duration, final bool) {
+	if e.ahead.left > 0 {
+		e.resume(horizon)
+	}
 	for !e.finished() && e.now < horizon {
 		e.admit()
 		plan := e.schedule()
@@ -860,6 +864,7 @@ func (f *fleetState) obsSample(now time.Duration, desired int, v FleetView) {
 			}
 		}
 		e := rep.engine
+		e.settle()
 		capTok += rep.kvCapacity
 		usedTok += rep.kvCapacity - e.alloc.FreeTokens()
 		hits += e.cacheHits

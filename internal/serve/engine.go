@@ -193,6 +193,14 @@ func (c Config) Validate() error {
 	if c.CM == nil {
 		return fmt.Errorf("serve: engine %q has no cost model", c.Name)
 	}
+	for _, f := range [...]struct {
+		name string
+		v    int
+	}{{"ShiftThreshold", c.ShiftThreshold}, {"ChunkBudget", c.ChunkBudget}, {"MaxSeqs", c.MaxSeqs}, {"BlockTokens", c.BlockTokens}} {
+		if f.v < 0 {
+			return fmt.Errorf("serve: engine %q: negative Config.%s %d", c.Name, f.name, f.v)
+		}
+	}
 	if err := c.Par.Validate(); err != nil {
 		return err
 	}
@@ -412,6 +420,26 @@ type Engine struct {
 	// staging via takeCloudShed before collecting metrics.
 	buyDivert bool
 	cloudShed []cloudShedEntry
+
+	// ahead is the run-ahead stretch a horizon cut left open (zero when
+	// none is): the next stepUntil resumes it without scheduling.
+	ahead stretch
+}
+
+// stretch is a run-ahead stretch in progress: the steady decode batch
+// every step prices, how far it may still run, and the steps booked on
+// the clock and counters but not yet settled into the running sequences'
+// decoded counts and KV holdings.
+type stretch struct {
+	par perf.Parallelism
+	// left is the steps the stretch may still book; 0 means no stretch.
+	left int
+	// next is the engine's next arrival when the stretch began (-1: none).
+	// Only enqueue adds arrivals, and it ends the stretch.
+	next time.Duration
+	// ctxSum is the running sequences' summed context before the first
+	// unsettled step; booked is the count of unsettled steps.
+	ctxSum, booked int
 }
 
 // NewEngine builds an engine; the KV allocator is sized from the cost
@@ -478,6 +506,7 @@ func (e *Engine) reserve(n int) {
 // enqueue appends one routed request to the engine's arrivals (arrival
 // order is the caller's contract) and puts it on the backlog.
 func (e *Engine) enqueue(r workload.Request) {
+	e.endStretch()
 	e.arrivals = append(e.arrivals, r)
 	e.backlogTokens += r.TotalTokens()
 }
@@ -1090,6 +1119,7 @@ func (e *Engine) priceShape(par perf.Parallelism, shape perf.Batch) perf.Cost {
 // setDegrade arms a degrade window: iterations starting inside
 // [from, until) run factor times slower.
 func (e *Engine) setDegrade(factor float64, from, until time.Duration) {
+	e.endStretch()
 	e.slowFactor, e.slowFrom, e.slowUntil = factor, from, until
 }
 
@@ -1102,6 +1132,7 @@ func (e *Engine) setDegrade(factor float64, from, until time.Duration) {
 // arrivals are routed to it). Also used to flush the black-holed
 // arrivals a down replica accumulated before ejection.
 func (e *Engine) crashDrain() (lost []workload.Request, lostTokens int) {
+	e.endStretch()
 	for _, s := range e.running {
 		lostTokens += s.prefilled - s.cached + int(s.decoded)
 		e.alloc.Free(&s.kvBlocks)
@@ -1195,17 +1226,24 @@ func (e *Engine) count(par perf.Parallelism, cost perf.Cost) {
 // horizon, no sequence finishes and every KV growth fits. schedule would
 // do nothing on such an iteration but grow each holding by a token, so
 // each step only prices the batch and books it, and each sequence's
-// decoded count and KV holding are settled once, at the end of the
-// stretch. The results are bit-identical to scheduling every step:
+// decoded count and KV holding are settled once, when the stretch ends.
+// The results are bit-identical to scheduling every step:
 //   - step k's mean decode context is (ctxSum + k·n)/n, and shape's
 //     float sum of integer contexts below 2^53 is exact, so it equals
 //     that bit for bit;
 //   - cost components are integer sums, so their order does not matter;
 //   - degrade windows apply per step, at that step's clock.
 //
-// Any per-iteration engine state added later must be settled here too,
-// or must end the stretch. Spec decoding keeps one iteration per pass:
-// its fractional yield changes the tokens produced from step to step.
+// A stretch the horizon cuts stays open in e.ahead, and the next
+// stepUntil resumes it: a resumed step is exactly the steady iteration
+// schedule would rebuild, as long as nothing touched the engine since
+// the cut. enqueue, crashDrain and setDegrade are the only calls that
+// touch it from outside, and each ends the stretch first.
+//
+// Any per-iteration engine state added later must be settled in settle
+// too, or must end the stretch. Spec decoding keeps one iteration per
+// pass: its fractional yield changes the tokens produced from step to
+// step.
 func (e *Engine) runAhead(plan batchPlan, horizon time.Duration) {
 	n := len(plan.decodes)
 	if len(plan.prefills) > 0 || plan.specTokens != 1 || len(e.running) != n || e.waiting.len() > 0 {
@@ -1229,30 +1267,64 @@ func (e *Engine) runAhead(plan batchPlan, horizon time.Duration) {
 	if free := e.alloc.FreeBlocks(); e.kvGrowth(steps) > free {
 		steps = sort.Search(steps, func(k int) bool { return e.kvGrowth(k) > free }) - 1
 	}
-	next := e.nextArrival()
+	e.ahead = stretch{par: plan.par, left: steps, next: e.nextArrival(), ctxSum: ctxSum}
+	e.resume(horizon)
+}
+
+// resume books the open stretch's steps until it runs out, an arrival
+// is due or the clock reaches horizon. Only the horizon leaves it open.
+func (e *Engine) resume(horizon time.Duration) {
+	a := &e.ahead
+	// The loop keeps its state in locals: the calls in it would make the
+	// compiler reload and store fields of e.ahead on every step.
+	n, par, left, next := len(e.running), a.par, a.left, a.next
+	ctx := a.ctxSum + a.booked*n
 	shape := perf.Batch{DecodeSeqs: n}
 	k := 0
-	for ; k < steps && e.now < horizon && (next < 0 || next > e.now); k++ {
-		shape.DecodeCtx = float64(ctxSum+k*n) / float64(n)
-		cost := e.priceShape(plan.par, shape)
-		e.count(plan.par, cost)
+	for ; k < left && e.now < horizon && (next < 0 || next > e.now); k++ {
+		shape.DecodeCtx = float64(ctx+k*n) / float64(n)
+		cost := e.priceShape(par, shape)
+		e.count(par, cost)
 		e.now += cost.Total()
 		e.stream.Iter(e.now, n)
 	}
+	a.left -= k
+	a.booked += k
+	if a.booked > 0 && e.admission != nil {
+		// Every skipped shed pass saw an empty queue.
+		e.admission.shedding = false
+	}
+	// Only a horizon cut leaves the stretch open.
+	if a.left == 0 || e.now < horizon || a.next >= 0 && a.next <= e.now {
+		e.endStretch()
+	}
+}
+
+// settle books the open stretch's unsettled steps into each running
+// sequence's decoded count and KV holding. The stretch stays open. Every
+// serial reader of per-sequence or allocator state calls it first.
+func (e *Engine) settle() {
+	a := &e.ahead
+	k := a.booked
 	if k == 0 {
 		return
 	}
-	e.tokensServed += k * n
+	e.tokensServed += k * len(e.running)
 	for _, s := range e.running {
 		s.decoded += float64(k)
 		if err := e.alloc.Grow(&s.kvBlocks, s.ctx()); err != nil {
 			panic(fmt.Sprintf("serve: run-ahead growth sized by kvGrowth failed: %v", err))
 		}
 	}
-	if e.admission != nil {
-		// Every skipped shed pass saw an empty queue.
-		e.admission.shedding = false
-	}
+	a.ctxSum += k * len(e.running)
+	a.booked = 0
+}
+
+// endStretch settles the open stretch, if any, and closes it, so the
+// next stepUntil schedules.
+func (e *Engine) endStretch() {
+	e.settle()
+	e.ahead = stretch{}
 }
 
 // kvGrowth returns the blocks the running sequences need beyond their

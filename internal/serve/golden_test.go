@@ -135,7 +135,9 @@ func withRouter(cl Cluster, r Router) Cluster {
 // route it — at zero allocations: every Cluster runs on this path, so a
 // per-arrival allocation would show in every fleet's bill. The engine's
 // own arrivals list is the one thing an arrival may grow; the test
-// pre-grows it out of the measurement.
+// pre-grows it out of the measurement. Between arrivals, advancing the
+// fleet resumes the replicas' open run-ahead stretches, and that is
+// pinned at zero allocations too.
 func TestSteadyArrivalAllocatesNothing(t *testing.T) {
 	cl := DPCluster("steady", dpCfg(llamaCM(t)), 4)
 	ctl, err := newController(Geo{
@@ -154,8 +156,36 @@ func TestSteadyArrivalAllocatesNothing(t *testing.T) {
 	for _, r := range tr.Requests[:100] {
 		arrive(r)
 	}
-	for _, rep := range ctl.regions[0].fleet.replicas {
+	replicas := ctl.regions[0].fleet.replicas
+	for _, rep := range replicas {
 		rep.engine.arrivals = slices.Grow(rep.engine.arrivals, 1000)
+		rep.engine.completed = slices.Grow(rep.engine.completed, 1000)
+	}
+	// Admit the last routed request, then advance in 20 ms horizons:
+	// each one cuts or resumes the replicas' stretches.
+	h := tr.Requests[99].Arrival + 1
+	ctl.advance(h, -1, false)
+	resumed, iters := 0, 0
+	for _, rep := range replicas {
+		iters -= rep.engine.iters
+	}
+	advance := func() {
+		h += 20 * time.Millisecond
+		for _, rep := range replicas {
+			if rep.engine.ahead.left > 0 && rep.engine.now < h {
+				resumed++
+			}
+		}
+		ctl.advance(h, -1, false)
+	}
+	if allocs := testing.AllocsPerRun(100, advance); allocs != 0 {
+		t.Fatalf("one steady advance allocates %.1f times, want 0", allocs)
+	}
+	for _, rep := range replicas {
+		iters += rep.engine.iters
+	}
+	if resumed == 0 || iters == 0 {
+		t.Fatalf("test premise broken: %d stretches resumed, %d iterations", resumed, iters)
 	}
 	last := tr.Requests[100]
 	if allocs := testing.AllocsPerRun(100, func() { arrive(last) }); allocs != 0 {

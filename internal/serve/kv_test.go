@@ -39,8 +39,11 @@ func checkKV(e *Engine) error {
 }
 
 // stepOne advances e by one scheduling step: one priced iteration, or
-// the idle jump to its next arrival plus the iteration there.
+// the idle jump to its next arrival plus the iteration there. It ends
+// any open run-ahead stretch first, so it never resumes one: every step
+// it takes is scheduled.
 func stepOne(e *Engine) {
+	e.endStretch()
 	h := e.now + 1
 	if a := e.nextArrival(); len(e.running) == 0 && a >= h {
 		h = a + 1
@@ -52,9 +55,11 @@ func stepOne(e *Engine) {
 // KV-tight preemption storm and a crash-drained replica one iteration at
 // a time and checks KV conservation after every one: the running
 // sequences' holdings plus the free blocks always make up the cache, and
-// a sequence off the running queue never keeps a block. The bursty engine
-// and the storm also step to a controller-like 250 ms grid of horizons,
-// so run-ahead stretches settle their holdings between checks.
+// a sequence off the running queue never keeps a block. Each also steps
+// to a controller-like 250 ms grid of horizons, so run-ahead stretches
+// stay open across horizons and resume; the check settles them first,
+// as every serial reader of KV state does, and the crash lands on an
+// open stretch with unsettled steps.
 func TestKVHoldingsConservedEveryIteration(t *testing.T) {
 	cm := llamaCM(t)
 	one := Config{CM: cm, Par: perf.Parallelism{SP: 1, TP: 1}}
@@ -77,6 +82,8 @@ func TestKVHoldingsConservedEveryIteration(t *testing.T) {
 			grid: 250 * time.Millisecond},
 		{name: "preempt-storm-250ms-horizons", cfg: one, reqs: workload.Closed("storm", 256, 1024, 2048).Requests,
 			grid: 250 * time.Millisecond},
+		{name: "crash-drain-250ms-horizons", cfg: one, reqs: trace.Bursty(11, 60*time.Second).Requests,
+			crashAt: 40, grid: 250 * time.Millisecond},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -84,24 +91,24 @@ func TestKVHoldingsConservedEveryIteration(t *testing.T) {
 			for _, r := range tc.reqs {
 				e.enqueue(r)
 			}
-			crashed := false
+			crashed, resumed := false, 0
 			for steps := 0; !e.finished(); steps++ {
 				if steps > 1_000_000 {
 					t.Fatal("engine did not drain")
 				}
 				if tc.grid > 0 {
+					if e.ahead.left > 0 {
+						resumed++
+					}
 					e.stepUntil((e.now/tc.grid+1)*tc.grid, true)
 				} else {
 					stepOne(e)
 				}
-				if err := checkKV(e); err != nil {
-					t.Fatalf("after step %d: %v", steps, err)
-				}
-				if tc.crashAt > 0 && steps == tc.crashAt && !crashed {
+				// On the grid, crash only into an open stretch that has
+				// booked steps it has not settled.
+				if tc.crashAt > 0 && steps >= tc.crashAt && !crashed && len(e.running) > 0 &&
+					(tc.grid == 0 || e.ahead.booked > 0) {
 					crashed = true
-					if len(e.running) == 0 {
-						t.Fatal("test premise broken: nothing running at the crash")
-					}
 					lost, _ := e.crashDrain()
 					if err := checkKV(e); err != nil {
 						t.Fatalf("after the crash drain: %v", err)
@@ -116,6 +123,13 @@ func TestKVHoldingsConservedEveryIteration(t *testing.T) {
 						e.enqueue(r)
 					}
 				}
+				e.settle()
+				if err := checkKV(e); err != nil {
+					t.Fatalf("after step %d: %v", steps, err)
+				}
+			}
+			if tc.grid > 0 && resumed == 0 {
+				t.Fatal("test premise broken: no stretch stayed open across a horizon")
 			}
 			if strings.HasPrefix(tc.name, "preempt-storm") && e.preemptions == 0 {
 				t.Fatal("test premise broken: the storm did not preempt")
@@ -131,9 +145,10 @@ func TestKVHoldingsConservedEveryIteration(t *testing.T) {
 }
 
 // TestSteadyIterationAllocatesNothing pins one steady decode iteration
-// of a warmed TP=8 engine — admit, schedule, price, apply — and one whole
-// run-ahead stretch of them at zero allocations: the engine runs tens of
-// thousands of these per trace.
+// of a warmed TP=8 engine — admit, schedule, price, apply — and a
+// run-ahead stretch of them, cut at a horizon and resumed at the next,
+// at zero allocations: the engine runs tens of thousands of these per
+// trace.
 func TestSteadyIterationAllocatesNothing(t *testing.T) {
 	e := mustEngine(t, tp8Cfg(llamaCM(t)))
 	for i := 0; i < 64; i++ {
@@ -151,15 +166,20 @@ func TestSteadyIterationAllocatesNothing(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, iterate); allocs != 0 {
 		t.Fatalf("one steady iteration allocates %.1f times, want 0", allocs)
 	}
-	// A whole run-ahead stretch: one scheduled iteration, then steady
-	// steps that only price and book, up to the next horizon.
-	iters := e.iters
-	stretch := func() { e.stepUntil(e.now+50*time.Millisecond, true) }
+	// The first horizon opens a stretch: one scheduled iteration, then
+	// steady steps that only price and book. Every later one resumes it.
+	iters, resumed := e.iters, 0
+	stretch := func() {
+		if e.ahead.left > 0 {
+			resumed++
+		}
+		e.stepUntil(e.now+50*time.Millisecond, true)
+	}
 	if allocs := testing.AllocsPerRun(100, stretch); allocs != 0 {
 		t.Fatalf("one run-ahead stretch allocates %.1f times, want 0", allocs)
 	}
-	if e.iters-iters < 2*101 {
-		t.Fatalf("test premise broken: %d iterations over 101 stretches", e.iters-iters)
+	if e.iters-iters < 2*101 || resumed < 100 {
+		t.Fatalf("test premise broken: %d iterations, %d resumes over 101 horizons", e.iters-iters, resumed)
 	}
 	if len(e.running) != 64 || e.preemptions != 0 {
 		t.Fatalf("test premise broken: %d running, %d preemptions", len(e.running), e.preemptions)

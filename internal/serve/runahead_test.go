@@ -1,12 +1,15 @@
 package serve
 
 import (
+	"math"
 	"reflect"
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/perf"
 	"repro/internal/specdec"
+	"repro/internal/tensor"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -30,11 +33,26 @@ func steadyDecode(e *Engine) bool {
 	return true
 }
 
-// TestRunAheadMatchesSteppedEngine runs each engine twice: once one
-// scheduling step at a time with stepOne, whose horizon stops every
-// run-ahead stretch before its first step, and once with Run, which runs
-// steady decode stretches ahead. The two must agree on every request's
-// metrics, every counter, the accumulated cost and every obs record.
+// horizonGap draws the gap to a test's next horizon: 0 one time in
+// eight (a repeated horizon), else log-uniform from 1 ns to 500 ms, so
+// most horizons land inside a run-ahead stretch.
+func horizonGap(rng *tensor.RNG) time.Duration {
+	if rng.Intn(8) == 0 {
+		return 0
+	}
+	return time.Duration(math.Exp(rng.Float64() * math.Log(float64(500*time.Millisecond))))
+}
+
+// TestRunAheadMatchesSteppedEngine runs each engine four ways: one
+// scheduling step at a time with stepOne, which ends any open stretch
+// and whose horizon stops every stretch before its first step; with
+// Run, which runs steady decode stretches ahead; with stepUntil over a
+// seeded random grid of horizons, which cuts stretches mid-way, settles
+// some of them while open and resumes them; and controller-style,
+// enqueuing each request at a horizon on its arrival time with random
+// horizons between arrivals. The last three must agree with stepping on
+// every request's metrics, every counter, the accumulated cost and
+// every obs record.
 func TestRunAheadMatchesSteppedEngine(t *testing.T) {
 	cm := llamaCM(t)
 	// The bursty mix with every class on a TTFT deadline, tight enough
@@ -71,14 +89,16 @@ func TestRunAheadMatchesSteppedEngine(t *testing.T) {
 		{name: "ep", cfg: ep, reqs: trace.Bursty(9, 30*time.Second).Requests},
 		{name: "spec-decode", cfg: spec, reqs: trace.Bursty(7, 30*time.Second).Requests},
 	}
-	for _, tc := range cases {
+	for ci, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			stepped, ran := mustEngine(t, tc.cfg), mustEngine(t, tc.cfg)
-			steppedObs, ranObs := attachIters(stepped), attachIters(ran)
-			if tc.degrade[1] > 0 {
-				stepped.setDegrade(3, tc.degrade[0], tc.degrade[1])
-				ran.setDegrade(3, tc.degrade[0], tc.degrade[1])
+			engine := func() (*Engine, *obs.Stream) {
+				e := mustEngine(t, tc.cfg)
+				if tc.degrade[1] > 0 {
+					e.setDegrade(3, tc.degrade[0], tc.degrade[1])
+				}
+				return e, attachIters(e)
 			}
+			stepped, steppedObs := engine()
 			for _, r := range tc.reqs {
 				stepped.enqueue(r)
 			}
@@ -96,16 +116,50 @@ func TestRunAheadMatchesSteppedEngine(t *testing.T) {
 				t.Fatalf("test premise broken: %d steady decode steps, feature exercised: %v",
 					steady, tc.exercised == nil || tc.exercised(stepped))
 			}
-			got := ran.Run(tc.reqs)
-			want := stepped.appendMetrics(nil)
-			if len(got) != len(want) {
-				t.Fatalf("Run returned %d rows, stepping %d", len(got), len(want))
+
+			ran, ranObs := engine()
+			ranRows := ran.Run(tc.reqs)
+
+			// Cut: every arrival enqueued up front, stepped over random
+			// horizons. Half the horizons first settle the open stretch,
+			// as a serial reader of KV state does between advances.
+			// resumed counts the horizons that found a stretch open and
+			// will book more of it.
+			rng := tensor.NewRNG(uint64(ci) + 1)
+			cut, cutObs := engine()
+			for _, r := range tc.reqs {
+				cut.enqueue(r)
 			}
-			for i := range want {
-				if !reflect.DeepEqual(got[i], want[i]) {
-					t.Fatalf("row %d diverged:\n run %+v\nstep %+v", i, got[i], want[i])
+			resumed := 0
+			for h := time.Duration(0); !cut.finished(); {
+				h += horizonGap(rng)
+				if cut.ahead.left > 0 && cut.now < h {
+					resumed++
 				}
+				if rng.Intn(2) == 0 {
+					cut.settle()
+				}
+				cut.stepUntil(h, true)
 			}
+			if resumed == 0 && tc.cfg.Stack.Spec.VerifyTokensPerSeq() == 1 {
+				t.Fatal("test premise broken: no horizon resumed a stretch")
+			}
+
+			// Routed: the controller's pattern, advance to the arrival and
+			// enqueue it there, with random horizons in between.
+			routed, routedObs := engine()
+			h := time.Duration(0)
+			for _, r := range tc.reqs {
+				for g := horizonGap(rng); h+g < r.Arrival; g = horizonGap(rng) {
+					h += g
+					routed.stepUntil(h, false)
+				}
+				h = r.Arrival
+				routed.stepUntil(h, false)
+				routed.enqueue(r)
+			}
+			routed.stepUntil(noHorizon, true)
+
 			type counters struct {
 				Now                                         time.Duration
 				Iters, BaseIters, ShiftIters, TokensServed  int
@@ -118,14 +172,34 @@ func TestRunAheadMatchesSteppedEngine(t *testing.T) {
 					e.preemptions, e.sloPreempts, e.shed, e.shedTokens,
 					e.backlogTokens, e.completedTokens, e.alloc.FreeBlocks(), e.cost}
 			}
-			if g, w := snap(ran), snap(stepped); g != w {
-				t.Fatalf("counters diverged:\n run %+v\nstep %+v", g, w)
-			}
-			if !reflect.DeepEqual(ranObs.Events(), steppedObs.Events()) {
-				t.Fatal("obs events diverged")
-			}
-			if !reflect.DeepEqual(ranObs.Iters(), steppedObs.Iters()) {
-				t.Fatal("obs iteration records diverged")
+			want := stepped.appendMetrics(nil)
+			for _, run := range []struct {
+				name string
+				e    *Engine
+				o    *obs.Stream
+				rows []RequestMetrics
+			}{
+				{"Run", ran, ranObs, ranRows},
+				{"cut", cut, cutObs, cut.appendMetrics(nil)},
+				{"routed", routed, routedObs, routed.appendMetrics(nil)},
+			} {
+				if len(run.rows) != len(want) {
+					t.Fatalf("%s returned %d rows, stepping %d", run.name, len(run.rows), len(want))
+				}
+				for i := range want {
+					if !reflect.DeepEqual(run.rows[i], want[i]) {
+						t.Fatalf("%s row %d diverged:\n  got %+v\n step %+v", run.name, i, run.rows[i], want[i])
+					}
+				}
+				if g, w := snap(run.e), snap(stepped); g != w {
+					t.Fatalf("%s counters diverged:\n  got %+v\n step %+v", run.name, g, w)
+				}
+				if !reflect.DeepEqual(run.o.Events(), steppedObs.Events()) {
+					t.Fatalf("%s obs events diverged", run.name)
+				}
+				if !reflect.DeepEqual(run.o.Iters(), steppedObs.Iters()) {
+					t.Fatalf("%s obs iteration records diverged", run.name)
+				}
 			}
 		})
 	}
@@ -154,5 +228,55 @@ func TestRunAheadReleasesShedLatch(t *testing.T) {
 	}
 	if e.admission.shedding {
 		t.Fatal("the shed latch outlived the empty queue the stretch ran with")
+	}
+}
+
+// TestControllerRunMatchesEngineReplay: on an 8-replica independent
+// fleet behind the cache-aware router, with measured prefix caches and a
+// sessioned trace, every arrival cuts every replica's run-ahead stretch
+// at a horizon, and the next advance resumes it. Each replica's rows,
+// iteration count and accumulated cost must equal its share of the
+// trace replayed through a fresh engine's Run, which sees no horizons.
+func TestControllerRunMatchesEngineReplay(t *testing.T) {
+	cl := DPCluster("replay", Config{CM: llamaCM(t), Par: perf.Parallelism{SP: 1, TP: 1},
+		PrefixCache: &PrefixCacheConfig{ShareFraction: 0.75}}, 8)
+	ctl, err := newController(Geo{
+		Name: cl.Name, Regions: []Region{{Name: cl.Name, Configs: cl.Configs, Router: NewCacheAwareRouter()}},
+		Parallelism: 1,
+	}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := sessionedTrace(t, 5, 16)
+	res, err := ctl.run(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.CacheHits == 0 {
+		t.Fatal("test premise broken: the prefix caches never hit")
+	}
+	replicaOf := make(map[int]string, len(res.PerRequest))
+	for _, m := range res.PerRequest {
+		replicaOf[m.ID] = m.Replica
+	}
+	for i, rep := range ctl.regions[0].fleet.replicas {
+		e := rep.engine
+		var share []workload.Request
+		for _, r := range tr.Requests {
+			if replicaOf[r.ID] == e.cfg.Name {
+				share = append(share, r)
+			}
+		}
+		if len(share) == 0 {
+			t.Fatalf("test premise broken: replica %d served nothing", i)
+		}
+		replay := mustEngine(t, cl.Configs[i])
+		if got, want := e.appendMetrics(nil), replay.Run(share); !reflect.DeepEqual(got, want) {
+			t.Fatalf("replica %d: controller rows differ from its replayed share", i)
+		}
+		if e.iters != replay.iters || e.cost != replay.cost {
+			t.Fatalf("replica %d: controller ran %d iterations costing %+v, replay %d costing %+v",
+				i, e.iters, e.cost, replay.iters, replay.cost)
+		}
 	}
 }

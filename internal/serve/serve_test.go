@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -57,6 +58,38 @@ func TestConfigDefaults(t *testing.T) {
 	if c.ChunkBudget != DefaultChunkBudget || c.MaxSeqs != DefaultMaxSeqs ||
 		c.BlockTokens != DefaultBlockTokens || c.ShiftThreshold != DefaultShiftThreshold {
 		t.Fatalf("defaults = %+v", c)
+	}
+}
+
+// TestConfigRejectsNegativeSizes: a negative size is an error that names
+// the field, not a panic in the KV allocator (BlockTokens) or an engine
+// that rejects every request as an unservable prompt (ChunkBudget,
+// MaxSeqs). Zero still means the default.
+func TestConfigRejectsNegativeSizes(t *testing.T) {
+	cm := llamaCM(t)
+	cases := []struct {
+		field string
+		set   func(c *Config)
+	}{
+		{"ShiftThreshold", func(c *Config) { c.ShiftThreshold = -1 }},
+		{"ChunkBudget", func(c *Config) { c.ChunkBudget = -8192 }},
+		{"MaxSeqs", func(c *Config) { c.MaxSeqs = -1 }},
+		{"BlockTokens", func(c *Config) { c.BlockTokens = -16 }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.field, func(t *testing.T) {
+			cfg := shiftCfg(cm)
+			tc.set(&cfg)
+			if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), tc.field) {
+				t.Fatalf("Validate() = %v, want an error naming %s", err, tc.field)
+			}
+			if _, err := NewEngine(cfg); err == nil || !strings.Contains(err.Error(), tc.field) {
+				t.Fatalf("NewEngine() = %v, want an error naming %s", err, tc.field)
+			}
+		})
+	}
+	if err := shiftCfg(cm).Validate(); err != nil {
+		t.Fatalf("zero sizes (the defaults) rejected: %v", err)
 	}
 }
 

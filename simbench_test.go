@@ -10,6 +10,7 @@
 package repro_test
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -118,6 +119,36 @@ func BenchmarkSimulator_FleetParallel(b *testing.B) {
 		if _, err := cl.Run(tr); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkSimulator_FleetScale replays a serial independent fleet of 8,
+// 32 and 128 single-GPU replicas, each under the same Poisson chat load
+// (0.5 req/s per replica for 2 minutes), behind the default router. Every
+// arrival advances every replica, so ns/iter growing with the fleet is
+// the per-arrival cost that does not stay per replica.
+func BenchmarkSimulator_FleetScale(b *testing.B) {
+	sizes := workload.LognormalSize{
+		MedianIn: 1000, SigmaIn: 0.6, MinIn: 64, MaxIn: 4096,
+		MedianOut: 200, SigmaOut: 0.5, MinOut: 16, MaxOut: 800,
+	}
+	cfg := serve.Config{CM: benchCM(b), Par: perf.Parallelism{SP: 1, TP: 1}}
+	for _, n := range []int{8, 32, 128} {
+		b.Run(fmt.Sprintf("replicas=%d", n), func(b *testing.B) {
+			tr := workload.Poisson("fleet", tensor.NewRNG(42), 0.5*float64(n), 2*time.Minute, sizes, "chat")
+			cl := serve.DPCluster("fleet", cfg, n)
+			cl.Parallelism = 1
+			b.ReportAllocs()
+			b.ResetTimer()
+			var res *serve.Result
+			for i := 0; i < b.N; i++ {
+				var err error
+				if res, err = cl.Run(tr); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*res.Iters), "ns/iter")
+		})
 	}
 }
 
