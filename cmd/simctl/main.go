@@ -8,6 +8,8 @@
 // With -json each scenario's sections are written as
 // BENCH_<scenario>.json via stats.WriteJSON (the checked-in golden
 // files `make golden` compares against; cmd/jsonlint validates them).
+// -workers N sizes the sweep worker pool that runs a scenario's cells
+// concurrently; output is byte-identical at every width.
 //
 // Usage:
 //
@@ -61,7 +63,7 @@ func usage() {
 run options:
   -quick         reduced workload scales (CI smoke; full scale reproduces the paper)
   -seed N        workload seed (default 42)
-  -workers N     sweep/simulator worker pools (0 = GOMAXPROCS, 1 = serial)
+  -workers N     sweep worker pool (0 = GOMAXPROCS, 1 = serial)
   -json          write each scenario's sections as BENCH_<scenario>.json
   -out dir       directory for the BENCH files (default .)
   -p key=value   set a declared scenario param (repeatable; simctl list shows them)
@@ -182,7 +184,7 @@ func runRun(args []string) {
 	all := fs.Bool("all", false, "run every registered scenario")
 	quick := fs.Bool("quick", false, "reduced workload scales")
 	seed := fs.Uint64("seed", 42, "workload seed")
-	workers := fs.Int("workers", 0, "worker pools (0 = GOMAXPROCS, 1 = serial)")
+	workers := fs.Int("workers", 0, "sweep worker pool (0 = GOMAXPROCS, 1 = serial)")
 	jsonOut := fs.Bool("json", false, "write each scenario's sections as BENCH_<scenario>.json")
 	outDir := fs.String("out", ".", "directory for the BENCH files")
 	tracePath := fs.String("trace", "", "write request spans as Chrome trace-event JSON")

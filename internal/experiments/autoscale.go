@@ -92,15 +92,11 @@ func Autoscaling(e Env, coldStarts []time.Duration) (*stats.Table, error) {
 			cells = append(cells, cell{policy: name, cold: cold, initial: autoscaleInitial})
 		}
 	}
-	pool := NewPool(e.Workers)
-	cellEnv := e
-	cellEnv.Workers = pool.CellWorkers(e.Workers)
-	// One observer cannot span concurrent sweep cells; the timeline
-	// scenario (fleet-timeline) is the traced window into this sweep.
-	cellEnv.Obs = nil
-	err = pool.Run(len(cells), func(i int) error {
+	err = NewPool(e.Workers).Run(len(cells), func(i int) error {
 		c := &cells[i]
-		res, err := runAutoscalePolicy(cellEnv, cm, tr, c.policy, c.cold, c.initial)
+		// One observer cannot span concurrent sweep cells; the timeline
+		// scenario (fleet-timeline) is the traced window into this sweep.
+		res, err := runAutoscalePolicy(cm, tr, c.policy, c.cold, c.initial, nil)
 		if err != nil {
 			return err
 		}
@@ -136,14 +132,14 @@ const (
 
 // runAutoscalePolicy runs one sweep cell: a fleet of independent
 // single-GPU replicas starting (and floored) at initial, capped at 8
-// (one p5en node's worth), evaluated every 5 seconds.
-func runAutoscalePolicy(e Env, cm *perf.CostModel, tr *workload.Trace, policy string, cold time.Duration, initial int) (*serve.Result, error) {
+// (one p5en node's worth), evaluated every 5 seconds, traced into o
+// when it is non-nil.
+func runAutoscalePolicy(cm *perf.CostModel, tr *workload.Trace, policy string, cold time.Duration, initial int, o *obs.Observer) (*serve.Result, error) {
 	scaler, err := serve.NewAutoscaler(policy)
 	if err != nil {
 		return nil, err
 	}
 	cl := serve.DPCluster("auto-"+policy, serve.Config{CM: cm, Par: perf.Parallelism{SP: 1, TP: 1}}, initial)
-	cl.Parallelism = e.Workers
 	cl.Autoscale = &serve.AutoscaleConfig{
 		Scaler:    scaler,
 		Interval:  5 * time.Second,
@@ -151,7 +147,7 @@ func runAutoscalePolicy(e Env, cm *perf.CostModel, tr *workload.Trace, policy st
 		Min:       autoscaleInitial,
 		Max:       autoscaleMax,
 	}
-	cl.Obs = e.Obs
+	cl.Obs = o
 	res, err := cl.Run(tr)
 	if err != nil {
 		return nil, fmt.Errorf("%s/cold=%v: %w", policy, cold, err)
@@ -170,7 +166,7 @@ func FleetTimeline(e Env, policy string, cold time.Duration) (*stats.Table, erro
 	if e.Obs == nil {
 		e.Obs = obs.NewObserver()
 	}
-	if _, err := runAutoscalePolicy(e, cm, autoscaleTrace(e), policy, cold, autoscaleInitial); err != nil {
+	if _, err := runAutoscalePolicy(cm, autoscaleTrace(e), policy, cold, autoscaleInitial, e.Obs); err != nil {
 		return nil, err
 	}
 	tab := stats.NewTable("t", "Desired", "Active", "Warming", "Draining", "Queue")

@@ -56,7 +56,7 @@ func Fig15(e Env, m model.Config) (*stats.Table, error) {
 			axes = append(axes, axis{c, n})
 		}
 	}
-	cells, err := runCells(e, len(axes), func(i, _ int) (*serve.Result, error) {
+	cells, err := runCells(e, len(axes), func(i int) (*serve.Result, error) {
 		a := axes[i]
 		cfg := serve.Config{CM: cm, Par: a.cfg.par}
 		var cl serve.Cluster
@@ -133,7 +133,7 @@ func Fig16(e Env) (*stats.Table, error) {
 	}
 
 	type cell struct{ tput, p95, p50 float64 }
-	cells, err := runCells(e, len(systems), func(i, _ int) (cell, error) {
+	cells, err := runCells(e, len(systems), func(i int) (cell, error) {
 		s := systems[i]
 		params := e.Params
 		params.OverheadBase = s.overhead
@@ -200,7 +200,7 @@ func AblationThreshold(e Env, thresholds []int) (*stats.Table, error) {
 		}
 	}
 	tr := burstyTrace(e)
-	cells, err := runCells(e, len(thresholds), func(i, _ int) (*serve.Result, error) {
+	cells, err := runCells(e, len(thresholds), func(i int) (*serve.Result, error) {
 		cfg := serve.Config{CM: cm, Par: perf.Parallelism{SP: 8, TP: 1}, Strategy: serve.StrategyShift, ShiftThreshold: thresholds[i]}
 		return serve.SingleEngine(fmt.Sprintf("thr=%d", thresholds[i]), cfg).Run(tr)
 	})
@@ -228,7 +228,7 @@ func AblationChunkBudget(e Env, budgets []int) (*stats.Table, error) {
 		}
 	}
 	tr := burstyTrace(e)
-	cells, err := runCells(e, len(budgets), func(i, _ int) (*serve.Result, error) {
+	cells, err := runCells(e, len(budgets), func(i int) (*serve.Result, error) {
 		cfg := serve.Config{CM: cm, Par: perf.Parallelism{SP: 8, TP: 1}, Strategy: serve.StrategyShift, ChunkBudget: budgets[i]}
 		return serve.SingleEngine(fmt.Sprintf("chunk=%d", budgets[i]), cfg).Run(tr)
 	})
@@ -262,7 +262,7 @@ func AblationMemoryStrategy(e Env) (*stats.Table, error) {
 		ttft, tpot time.Duration
 		tput       float64
 	}
-	cells, err := runCells(e, len(strategies), func(i, _ int) (cell, error) {
+	cells, err := runCells(e, len(strategies), func(i int) (cell, error) {
 		s := strategies[i]
 		params := e.Params
 		params.SlicePenalty = s.penalty
@@ -303,12 +303,9 @@ func AblationDPLockstep(e Env) (*stats.Table, error) {
 	}
 	tr := traceWindow(e, trace.AzureCode(e.Seed), 8)
 	modes := []bool{true, false}
-	cells, err := runCells(e, len(modes), func(i, workers int) (*serve.Result, error) {
+	cells, err := runCells(e, len(modes), func(i int) (*serve.Result, error) {
 		cl := serve.DPCluster("dp", serve.Config{CM: cm, Par: perf.Parallelism{SP: 1, TP: 1}}, e.Node.NumGPUs)
 		cl.Lockstep = modes[i]
-		if !modes[i] {
-			cl.Parallelism = workers // independent replicas may step concurrently
-		}
 		return cl.Run(tr)
 	})
 	if err != nil {

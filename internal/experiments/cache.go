@@ -48,22 +48,21 @@ func CacheMeasured(e Env, share float64, routers []string) ([]stats.Section, err
 		totalIn += r.InputTokens
 	}
 
-	build := func(router serve.Router, workers int, cfg serve.Config) serve.Cluster {
+	build := func(router serve.Router, cfg serve.Config) serve.Cluster {
 		cl := serve.DPCluster("cache", cfg, cacheFleetReplicas)
 		cl.Router = router
-		cl.Parallelism = workers
 		return cl
 	}
 
 	// Section 1: the measured cache across routing policies.
 	measuredCfg := dpCfg
 	measuredCfg.PrefixCache = &serve.PrefixCacheConfig{ShareFraction: share}
-	routed, err := runCells(e, len(routers), func(i, workers int) (*serve.Result, error) {
+	routed, err := runCells(e, len(routers), func(i int) (*serve.Result, error) {
 		router, err := serve.NewRouter(routers[i])
 		if err != nil {
 			return nil, err
 		}
-		return build(router, workers, measuredCfg).Run(tr)
+		return build(router, measuredCfg).Run(tr)
 	})
 	if err != nil {
 		return nil, err
@@ -97,12 +96,12 @@ func CacheMeasured(e Env, share float64, routers []string) ([]stats.Section, err
 		{"measured/least-outstanding", "least-outstanding", measuredCfg},
 		{"no-cache", "affinity", dpCfg},
 	}
-	compared, err := runCells(e, len(modes), func(i, workers int) (*serve.Result, error) {
+	compared, err := runCells(e, len(modes), func(i int) (*serve.Result, error) {
 		router, err := serve.NewRouter(modes[i].router)
 		if err != nil {
 			return nil, err
 		}
-		return build(router, workers, modes[i].cfg).Run(tr)
+		return build(router, modes[i].cfg).Run(tr)
 	})
 	if err != nil {
 		return nil, err
@@ -166,7 +165,7 @@ func SharedCacheTier(e Env, repeats []float64, latencies []time.Duration) ([]sta
 			cells = append(cells, cell{ri, li})
 		}
 	}
-	results, err := runCells(e, len(cells), func(i, workers int) (*serve.Result, error) {
+	results, err := runCells(e, len(cells), func(i int) (*serve.Result, error) {
 		c := cells[i]
 		// Each cell stamps its own copy of the trace: cells share only
 		// read-only state.
@@ -175,7 +174,6 @@ func SharedCacheTier(e Env, repeats []float64, latencies []time.Duration) ([]sta
 		tr := (&workload.Trace{Name: base.Name, Requests: reqs}).
 			StampPromptKeys(e.Seed, repeats[c.repeat], 64)
 		cl := serve.DPCluster("shared", dpCfg, cacheFleetReplicas)
-		cl.Parallelism = workers
 		cl.SharedCache = &serve.SharedCacheConfig{Latency: latencies[c.latency]}
 		return cl.Run(tr)
 	})

@@ -131,9 +131,7 @@ func CostTiered(e Env, bursts, prices []float64, fleet int, replicaHour float64)
 		}
 	}
 	perBurst := 1 + len(prices)
-	pool := NewPool(e.Workers)
-	workers := pool.CellWorkers(e.Workers)
-	err = pool.Run(len(cells), func(i int) error {
+	err = NewPool(e.Workers).Run(len(cells), func(i int) error {
 		c := &cells[i]
 		tr := traces[i/perBurst]
 		cfg := serve.Config{CM: cm, Par: perf.Parallelism{SP: 1, TP: 1}, MaxSeqs: 16}
@@ -148,7 +146,6 @@ func CostTiered(e Env, bursts, prices []float64, fleet int, replicaHour float64)
 			cloud.DollarsPerReplicaHour = replicaHour
 			cl.Cloud = cloud
 		}
-		cl.Parallelism = workers
 		res, err := cl.Run(tr)
 		if err != nil {
 			return fmt.Errorf("burst %v price %v: %w", c.burst, c.price, err)
@@ -221,13 +218,10 @@ func ShedSpillBuy(e Env, modes []string, price, budget float64) (*stats.Table, e
 	for i, m := range modes {
 		cells[i] = cell{mode: m}
 	}
-	pool := NewPool(e.Workers)
-	workers := pool.CellWorkers(e.Workers)
-	err = pool.Run(len(cells), func(i int) error {
+	err = NewPool(e.Workers).Run(len(cells), func(i int) error {
 		c := &cells[i]
 		cfg := serve.Config{CM: cm, Par: perf.Parallelism{SP: 1, TP: 1}, MaxSeqs: 16}
 		cl := serve.DPCluster("hatch-"+c.mode, cfg, 2)
-		cl.Parallelism = workers
 		cl.Router = serve.NewLiveLeastLoadedRouter()
 		switch c.mode {
 		case "none":

@@ -30,10 +30,11 @@ type Env struct {
 	// Quick shrinks workloads (for tests and benches); full-size runs
 	// reproduce the paper's scales.
 	Quick bool
-	// Workers bounds the sweep worker pool (and the simulator's internal
-	// replica/region stepping pools): 0 uses GOMAXPROCS, 1 forces the
-	// serial path. Results are byte-identical at every setting — sweep
-	// cells are independent and rows assemble in submission order.
+	// Workers bounds the sweep worker pool, the only parallelism: each
+	// cell runs its deployment on one goroutine. 0 uses GOMAXPROCS, 1
+	// runs the cells in order. Results are byte-identical at every
+	// setting — sweep cells are independent and rows assemble in
+	// submission order.
 	// Mirrors scenario.Env (the registry's copy of these knobs); the two
 	// convert directly.
 	Workers int
@@ -109,7 +110,7 @@ func Fig12(e Env, m model.Config) (*stats.Table, error) {
 		ttft, tpot time.Duration
 		tput       float64
 	}
-	cells, err := runCells(e, len(Order), func(i, _ int) (cell, error) {
+	cells, err := runCells(e, len(Order), func(i int) (cell, error) {
 		cl := clusters[Order[i]]
 		ttft, tpot, err := cl.MinLatency(in, out)
 		if err != nil {
@@ -162,7 +163,7 @@ func Fig13(e Env, m model.Config, systems []string) (*stats.Table, error) {
 		ttft, tpot time.Duration
 		tput       float64
 	}
-	cells, err := runCells(e, len(axes), func(i, _ int) (cell, error) {
+	cells, err := runCells(e, len(axes), func(i int) (cell, error) {
 		a := axes[i]
 		cl := clusters[a.name]
 		ttft, tpot, err := cl.MinLatency(a.n, 250)
@@ -211,7 +212,7 @@ func Fig14(e Env, m model.Config, rates []float64) (*stats.Table, error) {
 			axes = append(axes, axis{name, rate})
 		}
 	}
-	results, err := runCells(e, len(axes), func(i, _ int) (*serve.Result, error) {
+	results, err := runCells(e, len(axes), func(i int) (*serve.Result, error) {
 		tr := poissonTrace(e, axes[i].rate, dur)
 		return clusters[axes[i].name].Run(tr)
 	})
@@ -272,7 +273,7 @@ func Fig17(e Env) (*stats.Table, error) {
 		// (Section 4.6).
 		noLatency, noThroughput bool
 	}
-	cells, err := runCells(e, len(axes), func(i, _ int) (cell, error) {
+	cells, err := runCells(e, len(axes), func(i int) (cell, error) {
 		a := axes[i]
 		ttft, tpot, lerr := a.cl.MinLatency(a.n, 250)
 		if lerr != nil {
@@ -312,7 +313,7 @@ func Table1(e Env, m model.Config) (*stats.Table, error) {
 		return nil, err
 	}
 	type point struct{ ttft, tpot, tput float64 }
-	cells, err := runCells(e, len(Order), func(i, _ int) (point, error) {
+	cells, err := runCells(e, len(Order), func(i int) (point, error) {
 		cl := clusters[Order[i]]
 		ttft, tpot, err := cl.MinLatency(4096, 250)
 		if err != nil {
@@ -369,7 +370,7 @@ func Table3(e Env, m model.Config) (*stats.Table, error) {
 	static := []string{"DP", "TP", "SP"}
 	// Low traffic: lone request. High traffic: saturated batch.
 	type point struct{ lowTTFT, lowTPOT, highTput, highTTFT, highTPOT float64 }
-	cells, err := runCells(e, len(static), func(i, _ int) (point, error) {
+	cells, err := runCells(e, len(static), func(i int) (point, error) {
 		cl := clusters[static[i]]
 		ttft, tpot, err := cl.MinLatency(4096, 250)
 		if err != nil {

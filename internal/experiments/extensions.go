@@ -45,7 +45,7 @@ func ExtensionEP(e Env) (*stats.Table, error) {
 		tput         float64
 		undeployable bool
 	}
-	cells, err := runCells(e, len(axes), func(i, _ int) (cell, error) {
+	cells, err := runCells(e, len(axes), func(i int) (cell, error) {
 		a := axes[i]
 		cfg := serve.Config{CM: a.cm, Par: a.par, Strategy: serve.StrategyShift, EP: a.ep}
 		cl := serve.SingleEngine(a.name, cfg)
@@ -93,7 +93,7 @@ func AblationPrefixCache(e Env, rates []float64) (*stats.Table, error) {
 		}
 	}
 	tr := traceWindow(e, trace.AzureCode(e.Seed), 8)
-	cells, err := runCells(e, len(rates), func(i, _ int) (*serve.Result, error) {
+	cells, err := runCells(e, len(rates), func(i int) (*serve.Result, error) {
 		cfg := serve.Config{
 			CM: cm, Par: perf.Parallelism{SP: 8, TP: 1},
 			Strategy: serve.StrategyShift, PrefixCacheHitRate: rates[i],

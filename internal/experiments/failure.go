@@ -98,9 +98,7 @@ func FailureRecovery(e Env, planNames []string, window time.Duration) (*stats.Ta
 			break
 		}
 	}
-	pool := NewPool(e.Workers)
-	workers := pool.CellWorkers(e.Workers)
-	err = pool.Run(len(cells), func(i int) error {
+	err = NewPool(e.Workers).Run(len(cells), func(i int) error {
 		c := &cells[i]
 		plan, err := failurePlan(c.plan, dur)
 		if err != nil {
@@ -110,7 +108,7 @@ func FailureRecovery(e Env, planNames []string, window time.Duration) (*stats.Ta
 		if i == traced {
 			o = e.Obs
 		}
-		res, err := runFailurePolicy(cm, tr, c.policy, plan, workers, o)
+		res, err := runFailurePolicy(cm, tr, c.policy, plan, o)
 		if err != nil {
 			return err
 		}
@@ -139,13 +137,12 @@ func FailureRecovery(e Env, planNames []string, window time.Duration) (*stats.Ta
 // replicas under the policy's autoscaler (bounded like the autoscaling
 // sweep), with the fault plan injected and live-least-loaded routing so
 // re-enqueued work lands on actual queue depth.
-func runFailurePolicy(cm *perf.CostModel, tr *workload.Trace, policy string, plan *workload.FaultPlan, workers int, o *obs.Observer) (*serve.Result, error) {
+func runFailurePolicy(cm *perf.CostModel, tr *workload.Trace, policy string, plan *workload.FaultPlan, o *obs.Observer) (*serve.Result, error) {
 	scaler, err := serve.NewAutoscaler(policy)
 	if err != nil {
 		return nil, err
 	}
 	cl := serve.DPCluster("fail-"+policy, serve.Config{CM: cm, Par: perf.Parallelism{SP: 1, TP: 1}}, 4)
-	cl.Parallelism = workers
 	cl.Router = serve.NewLiveLeastLoadedRouter()
 	cl.Autoscale = &serve.AutoscaleConfig{
 		Scaler:    scaler,
@@ -198,20 +195,17 @@ func OutageSpillover(e Env, outage time.Duration) (*stats.Table, error) {
 	for _, policy := range serve.GeoRouterNames {
 		cells = append(cells, cell{policy: policy}, cell{policy: policy, dark: true})
 	}
-	pool := NewPool(e.Workers)
-	workers := pool.CellWorkers(e.Workers)
-	err = pool.Run(len(cells), func(i int) error {
+	err = NewPool(e.Workers).Run(len(cells), func(i int) error {
 		c := &cells[i]
 		router, err := serve.NewGeoRouter(c.policy)
 		if err != nil {
 			return err
 		}
 		g := serve.Geo{
-			Name:        "outage-" + c.policy,
-			Topology:    topo,
-			Regions:     geoRegions(cm, topo, 15*time.Second),
-			Router:      router,
-			Parallelism: workers,
+			Name:     "outage-" + c.policy,
+			Topology: topo,
+			Regions:  geoRegions(cm, topo, 15*time.Second),
+			Router:   router,
 		}
 		if c.dark {
 			g.Faults = plan

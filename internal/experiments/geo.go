@@ -105,19 +105,17 @@ func geoRegions(cm *perf.CostModel, topo serve.Topology, cold time.Duration) []s
 	return regions
 }
 
-// runGeoPolicy runs one sweep cell; workers bounds the simulator's
-// internal stepping pools (the sweep pool above it parallelizes cells).
-func runGeoPolicy(cm *perf.CostModel, tr *workload.Trace, topo serve.Topology, policy string, cold time.Duration, workers int) (*serve.Result, error) {
+// runGeoPolicy runs one sweep cell.
+func runGeoPolicy(cm *perf.CostModel, tr *workload.Trace, topo serve.Topology, policy string, cold time.Duration) (*serve.Result, error) {
 	router, err := serve.NewGeoRouter(policy)
 	if err != nil {
 		return nil, err
 	}
 	g := serve.Geo{
-		Name:        "geo-" + policy,
-		Topology:    topo,
-		Regions:     geoRegions(cm, topo, cold),
-		Router:      router,
-		Parallelism: workers,
+		Name:     "geo-" + policy,
+		Topology: topo,
+		Regions:  geoRegions(cm, topo, cold),
+		Router:   router,
 	}
 	res, err := g.Run(tr)
 	if err != nil {
@@ -129,7 +127,7 @@ func runGeoPolicy(cm *perf.CostModel, tr *workload.Trace, topo serve.Topology, p
 // geoBaseline serves the same workload in one consolidated region (no
 // RTT anywhere, combined fleet bounds): the "just build one big site"
 // comparator every multi-region row must justify itself against.
-func geoBaseline(cm *perf.CostModel, tr *workload.Trace, cold time.Duration, workers int) (*serve.Result, error) {
+func geoBaseline(cm *perf.CostModel, tr *workload.Trace, cold time.Duration) (*serve.Result, error) {
 	topo := serve.SingleRegion("single-site")
 	regions := geoRegions(cm, topo, cold)
 	configs := make([]serve.Config, 2*geoInitial)
@@ -145,7 +143,7 @@ func geoBaseline(cm *perf.CostModel, tr *workload.Trace, cold time.Duration, wor
 	for i := range local.Requests {
 		local.Requests[i].Origin = ""
 	}
-	g := serve.Geo{Name: "geo-single", Topology: topo, Regions: regions, Parallelism: workers}
+	g := serve.Geo{Name: "geo-single", Topology: topo, Regions: regions}
 	res, err := g.Run(local)
 	if err != nil {
 		return nil, fmt.Errorf("single-site/cold=%v: %w", cold, err)
@@ -196,7 +194,7 @@ func GeoServing(e Env, coldStarts []time.Duration) (*stats.Table, error) {
 	type cell struct {
 		policy, topoName string
 		cold             time.Duration
-		run              func(workers int) (*serve.Result, error)
+		run              func() (*serve.Result, error)
 	}
 	var cells []cell
 	for _, topo := range topos {
@@ -204,19 +202,19 @@ func GeoServing(e Env, coldStarts []time.Duration) (*stats.Table, error) {
 		tr := geoTrace(e, topo.Regions[0], topo.Regions[1])
 		for _, cold := range coldStarts {
 			cells = append(cells, cell{"single-region", topoName, cold,
-				func(workers int) (*serve.Result, error) {
-					return geoBaseline(cm, tr, cold, workers)
+				func() (*serve.Result, error) {
+					return geoBaseline(cm, tr, cold)
 				}})
 			for _, policy := range serve.GeoRouterNames {
 				cells = append(cells, cell{policy, topoName, cold,
-					func(workers int) (*serve.Result, error) {
-						return runGeoPolicy(cm, tr, topo, policy, cold, workers)
+					func() (*serve.Result, error) {
+						return runGeoPolicy(cm, tr, topo, policy, cold)
 					}})
 			}
 		}
 	}
-	results, err := runCells(e, len(cells), func(i, workers int) (*serve.Result, error) {
-		return cells[i].run(workers)
+	results, err := runCells(e, len(cells), func(i int) (*serve.Result, error) {
+		return cells[i].run()
 	})
 	if err != nil {
 		return nil, err
@@ -238,7 +236,7 @@ func GeoRegionBreakdown(e Env, policy string, cold time.Duration) (*stats.Table,
 	topos := geoTopologies()
 	topo := topos[len(topos)-1]
 	tr := geoTrace(e, topo.Regions[0], topo.Regions[1])
-	res, err := runGeoPolicy(cm, tr, topo, policy, cold, e.Workers)
+	res, err := runGeoPolicy(cm, tr, topo, policy, cold)
 	if err != nil {
 		return nil, err
 	}

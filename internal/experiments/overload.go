@@ -75,9 +75,7 @@ func AdmissionControl(e Env, policies []string) (*stats.Table, error) {
 	for i, p := range policies {
 		cells[i] = cell{policy: p}
 	}
-	pool := NewPool(e.Workers)
-	workers := pool.CellWorkers(e.Workers)
-	err = pool.Run(len(cells), func(i int) error {
+	err = NewPool(e.Workers).Run(len(cells), func(i int) error {
 		c := &cells[i]
 		// MaxSeqs bounds the running batch like vLLM's max_num_seqs: the
 		// burst has to queue behind it, which is exactly the regime where
@@ -88,7 +86,6 @@ func AdmissionControl(e Env, policies []string) (*stats.Table, error) {
 			cfg.Admission = &serve.AdmissionConfig{Policy: c.policy}
 		}
 		cl := serve.DPCluster("admit-"+c.policy, cfg, 2)
-		cl.Parallelism = workers
 		cl.Router = serve.NewLiveLeastLoadedRouter()
 		res, err := cl.Run(tr)
 		if err != nil {
@@ -195,16 +192,13 @@ func RetryStorm(e Env, modes []string, window time.Duration) (*stats.Table, erro
 	for i, m := range modes {
 		cells[i] = cell{mode: m}
 	}
-	pool := NewPool(e.Workers)
-	workers := pool.CellWorkers(e.Workers)
-	err = pool.Run(len(cells), func(i int) error {
+	err = NewPool(e.Workers).Run(len(cells), func(i int) error {
 		c := &cells[i]
 		plan, err := retryStormPlan(c.mode, e.Seed, from)
 		if err != nil {
 			return err
 		}
 		cl := serve.DPCluster("storm-"+c.mode, serve.Config{CM: cm, Par: perf.Parallelism{SP: 1, TP: 1}}, 4)
-		cl.Parallelism = workers
 		cl.Router = serve.NewLiveLeastLoadedRouter()
 		cl.Faults = plan
 		cl.Breakers = &serve.BreakerConfig{}

@@ -3,6 +3,8 @@ package experiments
 import (
 	"errors"
 	"reflect"
+	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/model"
@@ -26,13 +28,61 @@ func TestPoolRunReturnsLowestIndexError(t *testing.T) {
 }
 
 func TestPoolRunCoversAllCells(t *testing.T) {
-	hits := make([]bool, 25)
-	if err := NewPool(0).Run(len(hits), func(i int) error { hits[i] = true; return nil }); err != nil {
+	for _, workers := range []int{0, 1, 2, 7, 64} {
+		for _, n := range []int{0, 1, 2, 5, 100} {
+			hits := make([]int32, n)
+			err := NewPool(workers).Run(n, func(i int) error { atomic.AddInt32(&hits[i], 1); return nil })
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, h := range hits {
+				if h != 1 {
+					t.Fatalf("workers=%d n=%d: cell %d run %d times", workers, n, i, h)
+				}
+			}
+		}
+	}
+}
+
+func TestPoolRunBoundsConcurrency(t *testing.T) {
+	const workers = 3
+	var cur, peak atomic.Int32
+	err := NewPool(workers).Run(100, func(int) error {
+		c := cur.Add(1)
+		for {
+			p := peak.Load()
+			if c <= p || peak.CompareAndSwap(p, c) {
+				break
+			}
+		}
+		runtime.Gosched()
+		cur.Add(-1)
+		return nil
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
-	for i, h := range hits {
-		if !h {
-			t.Fatalf("cell %d not run", i)
+	if p := peak.Load(); p > workers {
+		t.Fatalf("observed %d concurrent cells, worker bound is %d", p, workers)
+	}
+}
+
+func TestPoolRunSerialPreservesOrder(t *testing.T) {
+	var order []int
+	if err := NewPool(1).Run(10, func(i int) error { order = append(order, i); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range order {
+		if v != i {
+			t.Fatalf("serial order %v", order)
+		}
+	}
+}
+
+func TestNewPoolWidth(t *testing.T) {
+	for requested, want := range map[int]int{0: runtime.GOMAXPROCS(0), -3: runtime.GOMAXPROCS(0), 5: 5} {
+		if got := NewPool(requested).workers; got != want {
+			t.Fatalf("NewPool(%d) width %d, want %d", requested, got, want)
 		}
 	}
 }

@@ -102,27 +102,25 @@ func routingRow(tab *stats.Table, fleet string, n int, router string, res *serve
 
 // routingCell is one (fleet, router) sweep cell; build constructs the
 // cluster (with a fresh router instance — routers are stateful) inside
-// the worker so cells share nothing. workers bounds the cluster's
-// internal replica-stepping pool.
+// the worker so cells share nothing.
 type routingCell struct {
 	fleet  string
 	n      int
 	router string
-	build  func(router serve.Router, workers int) serve.Cluster
+	build  func(router serve.Router) serve.Cluster
 	res    *serve.Result
 }
 
 // runRoutingCells fans the cells over the worker pool and appends their
 // rows in submission order.
 func runRoutingCells(e Env, tab *stats.Table, cells []routingCell, tr *workload.Trace) error {
-	pool := NewPool(e.Workers)
-	err := pool.Run(len(cells), func(i int) error {
+	err := NewPool(e.Workers).Run(len(cells), func(i int) error {
 		c := &cells[i]
 		router, err := serve.NewRouter(c.router)
 		if err != nil {
 			return err
 		}
-		cl := c.build(router, pool.CellWorkers(e.Workers))
+		cl := c.build(router)
 		res, err := cl.Run(tr)
 		if err != nil {
 			return fmt.Errorf("%s/%s: %w", c.fleet, c.router, err)
@@ -169,10 +167,9 @@ func ClusterRouting(e Env, replicaCounts []int) (*stats.Table, error) {
 		for _, name := range serve.RouterNames {
 			cells = append(cells, routingCell{
 				fleet: "homogeneous", n: n, router: name,
-				build: func(router serve.Router, workers int) serve.Cluster {
+				build: func(router serve.Router) serve.Cluster {
 					cl := serve.DPCluster(fmt.Sprintf("dp%d", n), dpCfg, n)
 					cl.Router = router
-					cl.Parallelism = workers
 					return cl
 				},
 			})
@@ -201,10 +198,9 @@ func HeteroRouting(e Env) (*stats.Table, error) {
 	for _, name := range serve.RouterNames {
 		cells = append(cells, routingCell{
 			fleet: "hetero-4x1+2x2", n: len(heteroCfgs), router: name,
-			build: func(router serve.Router, workers int) serve.Cluster {
+			build: func(router serve.Router) serve.Cluster {
 				cl := serve.HeteroCluster("hetero", heteroCfgs...)
 				cl.Router = router
-				cl.Parallelism = workers
 				return cl
 			},
 		})

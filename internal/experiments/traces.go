@@ -38,7 +38,7 @@ func Fig7Table5(e Env) (*stats.Table, map[string]*serve.Result, map[string]*obs.
 	tr := burstyTrace(e)
 	systems := []string{"DP", "TP", "Shift"} // Table 5's rows
 	observers := make([]*obs.Observer, len(systems))
-	cells, err := runCells(e, len(systems), func(i, _ int) (*serve.Result, error) {
+	cells, err := runCells(e, len(systems), func(i int) (*serve.Result, error) {
 		cl := clusters[systems[i]]
 		observers[i] = obs.NewObserver()
 		cl.Obs = observers[i]
@@ -70,7 +70,7 @@ func Fig8(e Env) (*stats.Table, error) {
 		{"Azure LLM Code (twin)", func() *workload.Trace { return trace.AzureCode(e.Seed) }},
 		{"Mooncake Conversation (twin)", func() *workload.Trace { return trace.MooncakeConversation(e.Seed) }},
 	}
-	cells, err := runCells(e, len(twins), func(i, _ int) (trace.Stats, error) {
+	cells, err := runCells(e, len(twins), func(i int) (trace.Stats, error) {
 		return trace.Summarize(twins[i].build()), nil
 	})
 	if err != nil {
@@ -125,7 +125,7 @@ func Fig10Mooncake(e Env) (*stats.Table, map[string]*serve.Result, error) {
 }
 
 func replay(e Env, clusters map[string]serve.Cluster, tr *workload.Trace) (*stats.Table, map[string]*serve.Result, error) {
-	cells, err := runCells(e, len(Order), func(i, _ int) (*serve.Result, error) {
+	cells, err := runCells(e, len(Order), func(i int) (*serve.Result, error) {
 		res, err := clusters[Order[i]].Run(tr)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", Order[i], err)

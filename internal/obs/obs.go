@@ -10,16 +10,15 @@
 // pointer compare and zero allocations, and disabled output stays
 // byte-identical to an uninstrumented build.
 //
-// Determinism contract: events live in per-track Streams. A stream is
-// only ever appended to by one goroutine at a time — engine streams by
-// the worker stepping that engine (worker pools partition engines by
-// index), controller/balancer streams by the serial controller loop,
-// which also writes fleet lifecycle events into parked replicas'
-// streams between stepping barriers. Streams are registered in
-// controller order (serial), so registration order, per-stream event
-// order, and therefore every exported byte are independent of the
-// worker count. Exports sort events by (time, stream registration
-// order, intra-stream index) — a total order with no ties.
+// Determinism contract: events live in per-track Streams, and one run
+// appends to all of them from one goroutine — engines into their own
+// streams as they step, the controller into balancer streams and into
+// replicas' streams for fleet lifecycle events. Streams are registered
+// in controller order, so registration order, per-stream event order,
+// and therefore every exported byte are fixed by the seed. An Observer
+// belongs to one run; concurrent sweep cells never share one. Exports
+// sort events by (time, stream registration order, intra-stream index)
+// — a total order with no ties.
 package obs
 
 import (

@@ -34,10 +34,11 @@ type Env struct {
 	// Quick shrinks workloads (for tests, CI smoke, and benches);
 	// full-size runs reproduce the paper's scales.
 	Quick bool
-	// Workers bounds the sweep worker pool (and the simulator's internal
-	// replica/region stepping pools): 0 uses GOMAXPROCS, 1 forces the
-	// serial path. Results are byte-identical at every setting — sweep
-	// cells are independent and rows assemble in submission order.
+	// Workers bounds the sweep worker pool, the only parallelism: each
+	// cell runs its deployment on one goroutine. 0 uses GOMAXPROCS, 1
+	// runs the cells in order. Results are byte-identical at every
+	// setting — sweep cells are independent and rows assemble in
+	// submission order.
 	Workers int
 	// Obs, when set, collects request lifecycle spans and controller
 	// time series from the scenario's simulator runs (see internal/obs

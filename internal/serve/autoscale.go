@@ -5,7 +5,6 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/conc"
 	"repro/internal/obs"
 	"repro/internal/perf"
 	"repro/internal/workload"
@@ -342,9 +341,9 @@ type replica struct {
 	ejectedAt  time.Duration
 
 	// Circuit breaker (nil unless the fleet enables breakers). The bk*
-	// cursors sweep the engine's terminal lists at serial controller
-	// points, feeding completions as successes and admission sheds as
-	// failures; crashes trip the breaker directly.
+	// cursors sweep the engine's terminal lists at controller points,
+	// feeding completions as successes and admission sheds as failures;
+	// crashes trip the breaker directly.
 	breaker    *breaker
 	bkDoneSeen int
 	bkRejSeen  int
@@ -361,9 +360,6 @@ func (rep *replica) remaining() int {
 type fleetState struct {
 	ac   AutoscaleConfig
 	name string
-	// workers bounds the pool that steps live replicas concurrently
-	// between controller events (<=1 steps serially).
-	workers int
 	// lockstep steps the fleet on one shared clock (vLLM's DP engine; see
 	// stepLockstep); clock is that clock and lockWork the per-iteration
 	// scratch of staged plans.
@@ -517,23 +513,16 @@ func (f *fleetState) promote(now time.Duration) {
 	}
 }
 
-// advance steps every live engine to the horizon and retires draining
-// replicas that have finished their in-flight work. Independent engines
-// share nothing between controller events, so the stepping fans out over
-// the fleet's worker pool; replica state transitions run serially after
-// the barrier, in index order, so the result is byte-identical to a
-// serial advance (pinned by the determinism tests under -race). A
-// lockstep fleet steps serially on its shared clock.
+// advance steps every live engine to the horizon, in index order, and
+// retires draining replicas that have finished their in-flight work. A
+// lockstep fleet steps on its shared clock instead.
 func (f *fleetState) advance(horizon time.Duration, final bool) {
-	switch {
-	case f.lockstep:
+	if f.lockstep {
 		f.stepLockstep(horizon, final)
-	case min(f.workers, len(f.replicas)) <= 1:
+	} else {
 		for _, rep := range f.replicas {
 			rep.step(horizon, final)
 		}
-	default:
-		conc.For(len(f.replicas), f.workers, func(i int) { f.replicas[i].step(horizon, final) })
 	}
 	for _, rep := range f.replicas {
 		if rep.state == replicaDraining && rep.engine.finished() {
@@ -627,9 +616,9 @@ func (f *fleetState) allDone() bool {
 
 // syncBreakers sweeps each replica's terminal lists since the last
 // sync into its breaker: completions are successes, admission sheds are
-// failures (crashes trip directly in crashReplica). Runs only at serial
-// controller points, so the state machines see the same signal order
-// regardless of worker count.
+// failures (crashes trip directly in crashReplica). Runs at controller
+// points, in replica index order, so the state machines see one fixed
+// signal order.
 func (f *fleetState) syncBreakers(now time.Duration) {
 	if f.breakers == nil {
 		return
@@ -829,9 +818,8 @@ func (f *fleetState) evaluate(now time.Duration, parkedReqs int) error {
 // obsSample appends one controller-tick snapshot to the observer: the
 // post-decision fleet composition plus the live gauges (KV occupancy,
 // measured prefix-cache hit rate) and the per-class attainment rolled
-// up since the previous tick. Runs on the serial controller path while
-// every engine is parked at the tick's barrier, so reading engine
-// state is race-free and the sample order is worker-count independent.
+// up since the previous tick. Runs at the tick, after every engine has
+// reached it, so it reads engine state as of that instant.
 func (f *fleetState) obsSample(now time.Duration, desired int, v FleetView) {
 	smp := obs.Sample{
 		At: now, Track: f.name, Desired: desired,

@@ -8,9 +8,9 @@ package serve
 // do not replace — the health probe/ejection tier: ejection removes a
 // dead machine from the routing set entirely, while a breaker
 // deprioritizes an alive-but-drowning one and re-admits it through
-// half-open probe traffic. All transitions happen on the serial
-// controller path, so breaker state (and every byte derived from it) is
-// identical across worker counts.
+// half-open probe traffic. All transitions happen at controller points,
+// in a fixed order, so breaker state (and every byte derived from it) is
+// deterministic per seed.
 
 import (
 	"fmt"

@@ -146,10 +146,8 @@ type CloudAwareGeoRouter interface {
 
 // cloudTier is the per-run state of a CloudConfig: the token bucket,
 // the in-flight window, the ledger, and the synthetic metrics of the
-// requests it served. All mutation happens on serial paths (arrival
-// routing, controller events, staged-shed drains), so the tier needs no
-// locking and its state evolves identically at every worker count. All
-// methods are nil-safe.
+// requests it served. Only the controller mutates it (arrival routing,
+// controller events, staged-shed drains). All methods are nil-safe.
 type cloudTier struct {
 	cfg   CloudConfig
 	burst float64
@@ -424,7 +422,7 @@ func (c *CloudOverflowRouter) RouteCloud(_ workload.Request, replicas []ReplicaV
 // --- shed-or-buy staging ---
 
 // cloudShedEntry is one waiter the shed-or-buy policy pulled from the
-// queue, staged for a serial cloud offer (see Engine.takeCloudShed).
+// queue, staged for the controller's cloud offer (see Engine.takeCloudShed).
 type cloudShedEntry struct {
 	s  *seq
 	at time.Duration

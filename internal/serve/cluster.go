@@ -61,13 +61,7 @@ type Cluster struct {
 	// Result carries the owned-vs-rented dollar ledger. nil keeps every
 	// legacy path byte-identical.
 	Cloud *CloudConfig
-	// Parallelism bounds the worker pool that steps independent
-	// (non-lockstep) replicas concurrently between controller events: 0
-	// uses GOMAXPROCS, 1 forces the serial path. Every setting produces
-	// byte-identical Results — replicas share nothing between events and
-	// results are gathered in replica-index order (pinned by the
-	// determinism tests under -race). Lockstep clusters always step
-	// serially: their replicas synchronize every iteration.
+	// Deprecated: ignored; every run is serial.
 	Parallelism int
 }
 
@@ -118,7 +112,7 @@ func (c Cluster) Run(t *workload.Trace) (*Result, error) {
 		Regions: []Region{{Name: c.Name, Configs: c.Configs, Router: c.Router, Autoscale: c.Autoscale}},
 		Faults:  c.Faults, Health: c.Health, Breakers: c.Breakers,
 		SharedCache: c.SharedCache, Cloud: c.Cloud,
-		Obs: c.Obs, Parallelism: c.Parallelism,
+		Obs: c.Obs,
 	}, false)
 	if err != nil {
 		return nil, err

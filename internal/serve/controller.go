@@ -5,7 +5,6 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/conc"
 	"repro/internal/obs"
 	"repro/internal/workload"
 )
@@ -42,8 +41,6 @@ type controller struct {
 	// geo is the geo router; nil runs a single region with no geo tier.
 	geo     GeoRouter
 	regions []*regionRun
-	// workers bounds the pool that advances regions between events.
-	workers int
 	shared  *sharedTier
 	cloud   *cloudTier
 	// bal receives the controller's own events (shared-cache hits,
@@ -89,7 +86,7 @@ func newController(g Geo, geoTier bool) (*controller, error) {
 		return nil, err
 	}
 	c := &controller{
-		name: g.Name, topo: g.Topology, workers: conc.Workers(g.Parallelism),
+		name: g.Name, topo: g.Topology,
 		shared: newSharedTier(g.SharedCache), cloud: newCloudTier(g.Cloud),
 	}
 	// Track registration order: the geo balancer and the cloud tier
@@ -210,7 +207,7 @@ func newController(g Geo, geoTier bool) (*controller, error) {
 		}
 		fleet := &fleetState{
 			ac: ac, name: name,
-			workers: c.workers, breakers: g.Breakers, cloud: c.cloud,
+			breakers: g.Breakers, cloud: c.cloud,
 			sampleCloud: !geoTier && c.cloud != nil,
 		}
 		if geoTier {
@@ -374,20 +371,15 @@ func (c *controller) nextFault() (time.Duration, int, bool) {
 	return at, kind, true
 }
 
-// advance steps region ri (every region when ri < 0) to now, then offers
-// the staged shed-or-buy waiters to the cloud. Regions share nothing
-// between events, so they advance concurrently; everything after the
-// barrier is serial and index-ordered.
+// advance steps region ri (every region when ri < 0, in index order) to
+// now, then offers the staged shed-or-buy waiters to the cloud.
 func (c *controller) advance(now time.Duration, ri int, final bool) {
-	switch {
-	case ri >= 0:
+	if ri >= 0 {
 		c.regions[ri].advance(now, final)
-	case min(c.workers, len(c.regions)) <= 1:
+	} else {
 		for _, rr := range c.regions {
 			rr.advance(now, final)
 		}
-	default:
-		conc.For(len(c.regions), c.workers, func(i int) { c.regions[i].advance(now, final) })
 	}
 	c.drainCloud()
 }
@@ -585,13 +577,13 @@ func (c *controller) reap(now time.Duration) {
 }
 
 // drainCloud offers every staged shed-or-buy waiter to the cloud tier in
-// one global (shed time, request ID) order, so the outcome is independent
-// of stepping interleave, and restores refusals to the normal shed path.
-// Must run at serial points right after each advance barrier, before the
-// controller acts on anything the step produced: a refusal's shed row
-// must be in its engine's rejected list before the next breaker sync or
-// autoscaler window reads it, and an accepted request's spend must be on
-// the cloud's books before the next routing decision consults it. It
+// one global (shed time, request ID) order, not the order the replicas
+// stepped in, and restores refusals to the normal shed path. Must run
+// right after each advance, before the controller acts on anything the
+// step produced: a refusal's shed row must be in its engine's rejected
+// list before the next breaker sync or autoscaler window reads it, and
+// an accepted request's spend must be on the cloud's books before the
+// next routing decision consults it. It
 // runs once more before result assembly.
 func (c *controller) drainCloud() {
 	if c.cloud == nil {

@@ -46,109 +46,6 @@ func determinismTrace(t *testing.T, seed uint64) *workload.Trace {
 	return tr
 }
 
-// runBoth runs the same deployment serially and on a forced-wide worker
-// pool and returns both encodings. Run under -race, this is also the
-// data-race probe for the concurrent stepping paths.
-func runBoth(t *testing.T, run func(parallelism int) (*Result, error)) (serial, parallel string) {
-	t.Helper()
-	sres, err := run(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pres, err := run(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return encodeResult(t, sres), encodeResult(t, pres)
-}
-
-// TestClusterRunParallelMatchesSerial pins the contract on a featureless
-// fleet: stepping independent replicas on a worker pool between
-// controller events is byte-identical to the serial loop.
-func TestClusterRunParallelMatchesSerial(t *testing.T) {
-	cm := llamaCM(t)
-	tr := determinismTrace(t, 7)
-	serial, parallel := runBoth(t, func(p int) (*Result, error) {
-		cl := DPCluster("det", Config{CM: cm, Par: perf.Parallelism{SP: 1, TP: 1}}, 4)
-		cl.Parallelism = p
-		return cl.Run(tr)
-	})
-	if serial != parallel {
-		t.Fatal("parallel Cluster.Run diverged from the serial path")
-	}
-}
-
-// TestAutoscaleParallelMatchesSerial pins the contract on the
-// autoscaled path, where replicas are stepped concurrently between
-// controller evaluation horizons while spawns, drains, and routing stay
-// serial.
-func TestAutoscaleParallelMatchesSerial(t *testing.T) {
-	cm := llamaCM(t)
-	tr := determinismTrace(t, 11)
-	serial, parallel := runBoth(t, func(p int) (*Result, error) {
-		cl := DPCluster("det-auto", Config{CM: cm, Par: perf.Parallelism{SP: 1, TP: 1}}, 2)
-		cl.Parallelism = p
-		cl.Autoscale = &AutoscaleConfig{
-			Scaler:    NewQueueDepthAutoscaler(),
-			Interval:  5 * time.Second,
-			ColdStart: 5 * time.Second,
-			Min:       2,
-			Max:       6,
-		}
-		return cl.Run(tr)
-	})
-	if serial != parallel {
-		t.Fatal("parallel autoscaled run diverged from the serial path")
-	}
-}
-
-// TestGeoParallelMatchesSerial pins the contract on the geo tier:
-// regions (and replicas within them) advance concurrently between
-// controller events, while geo routing and per-region evaluation ticks
-// stay serial and index-ordered.
-func TestGeoParallelMatchesSerial(t *testing.T) {
-	cm := llamaCM(t)
-	tr := determinismTrace(t, 13)
-	// Stamp half the traffic as remote-origin so spill-over has a real
-	// two-region workload.
-	for i := range tr.Requests {
-		if i%3 == 0 {
-			tr.Requests[i].Origin = "east"
-		} else {
-			tr.Requests[i].Origin = "west"
-		}
-	}
-	serial, parallel := runBoth(t, func(p int) (*Result, error) {
-		regions := make([]Region, 2)
-		for i := range regions {
-			regions[i] = Region{
-				Configs: []Config{
-					{CM: cm, Par: perf.Parallelism{SP: 1, TP: 1}},
-					{CM: cm, Par: perf.Parallelism{SP: 1, TP: 1}},
-				},
-				Autoscale: &AutoscaleConfig{
-					Scaler:    NewQueueDepthAutoscaler(),
-					Interval:  5 * time.Second,
-					ColdStart: 5 * time.Second,
-					Min:       2,
-					Max:       4,
-				},
-			}
-		}
-		g := Geo{
-			Name:        "det-geo",
-			Topology:    UniformTopology(120*time.Millisecond, "west", "east"),
-			Regions:     regions,
-			Router:      NewSpillOverRouter(),
-			Parallelism: p,
-		}
-		return g.Run(tr)
-	})
-	if serial != parallel {
-		t.Fatal("parallel Geo.Run diverged from the serial path")
-	}
-}
-
 // cachedDeterminismTrace layers the cache keys onto the determinism
 // workload: recurring sessions (so the measured prefix cache has hits
 // to count) and repeated prompts (so the shared tier intercepts).
@@ -161,104 +58,11 @@ func cachedDeterminismTrace(t *testing.T, seed uint64) *workload.Trace {
 	return tr.StampPromptKeys(seed, 0.3, 16)
 }
 
-// TestCachedClusterParallelMatchesSerial extends the Cluster
-// determinism contract to the measured caches: the per-replica prefix
-// cache, the shared tier, and the stateful cache-aware router must all
-// be byte-identical between the serial and pooled stepping paths.
-func TestCachedClusterParallelMatchesSerial(t *testing.T) {
-	cm := llamaCM(t)
-	tr := cachedDeterminismTrace(t, 17)
-	serial, parallel := runBoth(t, func(p int) (*Result, error) {
-		cfg := Config{
-			CM: cm, Par: perf.Parallelism{SP: 1, TP: 1},
-			PrefixCache: &PrefixCacheConfig{ShareFraction: 0.5, CapacityTokens: 1 << 16},
-		}
-		cl := DPCluster("det-cache", cfg, 4)
-		cl.Parallelism = p
-		cl.Router = NewCacheAwareRouter()
-		cl.SharedCache = &SharedCacheConfig{Latency: 20 * time.Millisecond}
-		return cl.Run(tr)
-	})
-	if serial != parallel {
-		t.Fatal("parallel cached Cluster.Run diverged from the serial path")
-	}
-}
-
-// TestCachedAutoscaleParallelMatchesSerial pins the same contract where
-// replicas come and go: cache state lives on engines (spawned cold,
-// drained away) and the shared tier sits before the fault/scale router.
-func TestCachedAutoscaleParallelMatchesSerial(t *testing.T) {
-	cm := llamaCM(t)
-	tr := cachedDeterminismTrace(t, 19)
-	serial, parallel := runBoth(t, func(p int) (*Result, error) {
-		cfg := Config{
-			CM: cm, Par: perf.Parallelism{SP: 1, TP: 1},
-			PrefixCache: &PrefixCacheConfig{ShareFraction: 0.4},
-		}
-		cl := DPCluster("det-cache-auto", cfg, 2)
-		cl.Parallelism = p
-		cl.Router = NewCacheAwareRouter()
-		cl.SharedCache = &SharedCacheConfig{Latency: 20 * time.Millisecond}
-		cl.Autoscale = &AutoscaleConfig{
-			Scaler:    NewQueueDepthAutoscaler(),
-			Interval:  5 * time.Second,
-			ColdStart: 5 * time.Second,
-			Min:       2,
-			Max:       6,
-		}
-		return cl.Run(tr)
-	})
-	if serial != parallel {
-		t.Fatal("parallel cached autoscaled run diverged from the serial path")
-	}
-}
-
-// TestCachedGeoParallelMatchesSerial pins the geo tier with both cache
-// layers active: the shared tier intercepts before region placement and
-// every regional engine runs its own measured prefix cache.
-func TestCachedGeoParallelMatchesSerial(t *testing.T) {
-	cm := llamaCM(t)
-	tr := cachedDeterminismTrace(t, 23)
-	for i := range tr.Requests {
-		if i%3 == 0 {
-			tr.Requests[i].Origin = "east"
-		} else {
-			tr.Requests[i].Origin = "west"
-		}
-	}
-	serial, parallel := runBoth(t, func(p int) (*Result, error) {
-		cfg := Config{
-			CM: cm, Par: perf.Parallelism{SP: 1, TP: 1},
-			PrefixCache: &PrefixCacheConfig{ShareFraction: 0.5},
-		}
-		regions := make([]Region, 2)
-		for i := range regions {
-			regions[i] = Region{
-				Configs: []Config{cfg, cfg},
-				Router:  NewCacheAwareRouter(),
-			}
-		}
-		g := Geo{
-			Name:        "det-cache-geo",
-			Topology:    UniformTopology(120*time.Millisecond, "west", "east"),
-			Regions:     regions,
-			Router:      NewSpillOverRouter(),
-			SharedCache: &SharedCacheConfig{Latency: 20 * time.Millisecond},
-			Parallelism: p,
-		}
-		return g.Run(tr)
-	})
-	if serial != parallel {
-		t.Fatal("parallel cached Geo.Run diverged from the serial path")
-	}
-}
-
 // encodeObs renders an Observer's exported artifacts — the Chrome
 // trace JSON and the series CSV, the exact bytes simctl -trace/-series
 // would write — plus the throughput series and every stream's
-// iteration records behind it, so the determinism contract extends to
-// observability output (including what concurrently stepped engines
-// record), not just Results.
+// iteration records behind it, so repeat-run comparisons extend to
+// observability output, not just Results.
 func encodeObs(t *testing.T, o *obs.Observer) string {
 	t.Helper()
 	var trace, series bytes.Buffer
@@ -273,128 +77,6 @@ func encodeObs(t *testing.T, o *obs.Observer) string {
 		fmt.Fprintf(&series, "\n%s/%s %v", s.Region, s.Track, s.Iters())
 	}
 	return trace.String() + "\x1f" + series.String()
-}
-
-// runBothTraced is runBoth with an Observer attached to each run:
-// serial and parallel encodings cover the Result plus the exported
-// trace and series bytes.
-func runBothTraced(t *testing.T, run func(p int, o *obs.Observer) (*Result, error)) (serial, parallel string) {
-	t.Helper()
-	so := obs.NewObserver()
-	sres, err := run(1, so)
-	if err != nil {
-		t.Fatal(err)
-	}
-	po := obs.NewObserver()
-	pres, err := run(4, po)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if so.Empty() || po.Empty() {
-		t.Fatal("traced runs produced no observability output")
-	}
-	return encodeResult(t, sres) + encodeObs(t, so),
-		encodeResult(t, pres) + encodeObs(t, po)
-}
-
-// TestTracedClusterParallelMatchesSerial extends the Cluster
-// determinism contract to the trace and series exports: spans from
-// concurrently stepped replicas (plus shared-cache intercepts on the
-// balancer track) must serialize byte-identically at every pool width.
-func TestTracedClusterParallelMatchesSerial(t *testing.T) {
-	cm := llamaCM(t)
-	tr := cachedDeterminismTrace(t, 7)
-	serial, parallel := runBothTraced(t, func(p int, o *obs.Observer) (*Result, error) {
-		cl := DPCluster("det-trace", Config{CM: cm, Par: perf.Parallelism{SP: 1, TP: 1}}, 4)
-		cl.Parallelism = p
-		cl.SharedCache = &SharedCacheConfig{Latency: 20 * time.Millisecond}
-		cl.Obs = o
-		return cl.Run(tr)
-	})
-	if serial != parallel {
-		t.Fatal("parallel traced Cluster.Run diverged from the serial path")
-	}
-}
-
-// TestTracedAutoscaleParallelMatchesSerial pins trace/series bytes on
-// the hardest cluster path: autoscaling plus a crash-restart and a
-// crash-dead fault, so the encodings cover scale events, the crash,
-// lost-work and retry hops, ejection, and readmission.
-func TestTracedAutoscaleParallelMatchesSerial(t *testing.T) {
-	cm := llamaCM(t)
-	tr := determinismTrace(t, 11)
-	plan := &workload.FaultPlan{Crashes: []workload.ReplicaCrash{
-		{Replica: 1, At: 15 * time.Second, Restart: 25 * time.Second},
-		{Replica: 0, At: 20 * time.Second},
-	}}
-	serial, parallel := runBothTraced(t, func(p int, o *obs.Observer) (*Result, error) {
-		cl := DPCluster("det-trace-auto", Config{CM: cm, Par: perf.Parallelism{SP: 1, TP: 1}}, 2)
-		cl.Parallelism = p
-		cl.Router = NewLiveLeastLoadedRouter()
-		cl.Autoscale = &AutoscaleConfig{
-			Scaler:    NewQueueDepthAutoscaler(),
-			Interval:  5 * time.Second,
-			ColdStart: 5 * time.Second,
-			Min:       2,
-			Max:       6,
-		}
-		cl.Faults = plan
-		cl.Obs = o
-		return cl.Run(tr)
-	})
-	if serial != parallel {
-		t.Fatal("parallel traced autoscaled run diverged from the serial path")
-	}
-}
-
-// TestTracedGeoParallelMatchesSerial pins trace/series bytes on the geo
-// tier under a home-region outage: per-region processes, the geo
-// balancer track, and cross-region refugee hops must all export
-// byte-identically between serial and pooled region stepping.
-func TestTracedGeoParallelMatchesSerial(t *testing.T) {
-	cm := llamaCM(t)
-	tr := determinismTrace(t, 13)
-	for i := range tr.Requests {
-		if i%3 == 0 {
-			tr.Requests[i].Origin = "east"
-		} else {
-			tr.Requests[i].Origin = "west"
-		}
-	}
-	plan := &workload.FaultPlan{Outages: []workload.RegionOutage{
-		{Region: "west", Start: 15 * time.Second, End: 25 * time.Second},
-	}}
-	serial, parallel := runBothTraced(t, func(p int, o *obs.Observer) (*Result, error) {
-		regions := make([]Region, 2)
-		for i := range regions {
-			regions[i] = Region{
-				Configs: []Config{
-					{CM: cm, Par: perf.Parallelism{SP: 1, TP: 1}},
-					{CM: cm, Par: perf.Parallelism{SP: 1, TP: 1}},
-				},
-				Autoscale: &AutoscaleConfig{
-					Scaler:    NewQueueDepthAutoscaler(),
-					Interval:  5 * time.Second,
-					ColdStart: 5 * time.Second,
-					Min:       2,
-					Max:       4,
-				},
-			}
-		}
-		g := Geo{
-			Name:        "det-trace-geo",
-			Topology:    UniformTopology(120*time.Millisecond, "west", "east"),
-			Regions:     regions,
-			Router:      NewSpillOverRouter(),
-			Faults:      plan,
-			Parallelism: p,
-		}
-		g.Obs = o
-		return g.Run(tr)
-	})
-	if serial != parallel {
-		t.Fatal("parallel traced Geo.Run diverged from the serial path")
-	}
 }
 
 // TestRejectReasonsSplitRejectedCount exercises both named rejection

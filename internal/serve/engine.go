@@ -415,7 +415,7 @@ type Engine struct {
 
 	// Shed-or-buy staging (empty unless the cluster/geo attached a cloud
 	// tier — buyDivert — and the policy is AdmissionShedOrBuy): waiters
-	// the shed pass pulled from the queue, parked for a serial cloud
+	// the shed pass pulled from the queue, parked for the controller's cloud
 	// offer instead of immediate rejection. The owning run drains the
 	// staging via takeCloudShed before collecting metrics.
 	buyDivert bool
@@ -1302,7 +1302,8 @@ func (e *Engine) resume(horizon time.Duration) {
 
 // settle books the open stretch's unsettled steps into each running
 // sequence's decoded count and KV holding. The stretch stays open. Every
-// serial reader of per-sequence or allocator state calls it first.
+// reader of per-sequence or allocator state outside the step calls it
+// first.
 func (e *Engine) settle() {
 	a := &e.ahead
 	k := a.booked

@@ -24,90 +24,20 @@ func faultTestPlan() *workload.FaultPlan {
 	}
 }
 
-// faultTestCluster builds the shared fault-injected fleet; min floors
-// the autoscaler (min 4 keeps both crash victims alive until their
-// scheduled times, min 2 lets scale-down churn overlap the faults).
-func faultTestCluster(cm *perf.CostModel, p, min int) Cluster {
+// faultTestCluster builds the fault-injected fleet; the autoscaler's
+// floor of 4 keeps both crash victims alive until their scheduled times.
+func faultTestCluster(cm *perf.CostModel) Cluster {
 	cl := DPCluster("det-fault", Config{CM: cm, Par: perf.Parallelism{SP: 1, TP: 1}}, 4)
-	cl.Parallelism = p
 	cl.Router = NewLiveLeastLoadedRouter()
 	cl.Autoscale = &AutoscaleConfig{
 		Scaler:    NewQueueDepthAutoscaler(),
 		Interval:  5 * time.Second,
 		ColdStart: 5 * time.Second,
-		Min:       min,
+		Min:       4,
 		Max:       6,
 	}
 	cl.Faults = faultTestPlan()
 	return cl
-}
-
-// TestFaultParallelMatchesSerial pins the determinism contract with the
-// fault controller active: crashes, probe sweeps, ejections, retries,
-// and a readmission all land identically whether replicas step serially
-// or on a worker pool. Under -race this is also the data-race probe for
-// the fault paths.
-func TestFaultParallelMatchesSerial(t *testing.T) {
-	cm := llamaCM(t)
-	tr := determinismTrace(t, 17)
-	serial, parallel := runBoth(t, func(p int) (*Result, error) {
-		return faultTestCluster(cm, p, 2).Run(tr)
-	})
-	if serial != parallel {
-		t.Fatal("parallel fault-injected run diverged from the serial path")
-	}
-}
-
-// TestGeoOutageParallelMatchesSerial pins the same contract on the geo
-// tier with a regional outage plus a remote crash: cross-region
-// re-routing of dislodged work must be identical at any pool width.
-func TestGeoOutageParallelMatchesSerial(t *testing.T) {
-	cm := llamaCM(t)
-	tr := determinismTrace(t, 19)
-	for i := range tr.Requests {
-		if i%3 == 0 {
-			tr.Requests[i].Origin = "east"
-		} else {
-			tr.Requests[i].Origin = "west"
-		}
-	}
-	serial, parallel := runBoth(t, func(p int) (*Result, error) {
-		regions := make([]Region, 2)
-		for i := range regions {
-			regions[i] = Region{
-				Configs: []Config{
-					{CM: cm, Par: perf.Parallelism{SP: 1, TP: 1}},
-					{CM: cm, Par: perf.Parallelism{SP: 1, TP: 1}},
-				},
-				Autoscale: &AutoscaleConfig{
-					Scaler:    NewQueueDepthAutoscaler(),
-					Interval:  5 * time.Second,
-					ColdStart: 5 * time.Second,
-					Min:       2,
-					Max:       4,
-				},
-			}
-		}
-		g := Geo{
-			Name:     "det-geo-outage",
-			Topology: UniformTopology(120*time.Millisecond, "west", "east"),
-			Regions:  regions,
-			Router:   NewSpillOverRouter(),
-			Faults: &workload.FaultPlan{
-				Outages: []workload.RegionOutage{
-					{Region: "west", Start: 12 * time.Second, End: 30 * time.Second},
-				},
-				Crashes: []workload.ReplicaCrash{
-					{Replica: 0, Region: "east", At: 20 * time.Second, Restart: 28 * time.Second},
-				},
-			},
-			Parallelism: p,
-		}
-		return g.Run(tr)
-	})
-	if serial != parallel {
-		t.Fatal("parallel geo outage run diverged from the serial path")
-	}
 }
 
 // checkConservation asserts the fault tier's conservation property:
@@ -157,7 +87,7 @@ func checkConservation(t *testing.T, tr *workload.Trace, res *Result) {
 func TestFaultConservation(t *testing.T) {
 	cm := llamaCM(t)
 	tr := determinismTrace(t, 17)
-	res, err := faultTestCluster(cm, 4, 4).Run(tr)
+	res, err := faultTestCluster(cm).Run(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +179,6 @@ func TestGeoOutageConservation(t *testing.T) {
 		Faults: &workload.FaultPlan{Outages: []workload.RegionOutage{
 			{Region: "west", Start: 12 * time.Second, End: 25 * time.Second},
 		}},
-		Parallelism: 2,
 	}
 	res, err := g.Run(tr)
 	if err != nil {

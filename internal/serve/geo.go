@@ -445,12 +445,7 @@ type Geo struct {
 	// holding the geo balancer's routing, refugee-hop, and drop events.
 	// nil keeps the run on the untraced fast path.
 	Obs *obs.Observer
-	// Parallelism bounds the worker pools that advance regions (and,
-	// within each region, replicas) concurrently between controller
-	// events: 0 uses GOMAXPROCS, 1 forces the serial path. Regions share
-	// nothing between events and routing/evaluation stays serial and
-	// ordered, so every setting produces byte-identical Results (pinned
-	// by the determinism tests under -race).
+	// Deprecated: ignored; every run is serial.
 	Parallelism int
 }
 

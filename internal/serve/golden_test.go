@@ -141,7 +141,7 @@ func withRouter(cl Cluster, r Router) Cluster {
 func TestSteadyArrivalAllocatesNothing(t *testing.T) {
 	cl := DPCluster("steady", dpCfg(llamaCM(t)), 4)
 	ctl, err := newController(Geo{
-		Name: cl.Name, Regions: []Region{{Name: cl.Name, Configs: cl.Configs}}, Parallelism: 1,
+		Name: cl.Name, Regions: []Region{{Name: cl.Name, Configs: cl.Configs}},
 	}, false)
 	if err != nil {
 		t.Fatal(err)

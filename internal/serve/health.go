@@ -116,7 +116,6 @@ func (f *fleetState) crashReplica(rep *replica, now, restartAt time.Duration) []
 	lost, lostTok := rep.engine.crashDrain()
 	// Crash and per-request loss land on the replica's own track, at
 	// controller time (the engine's clock may have overshot the event).
-	// Safe serially: every engine is parked at the controller barrier.
 	rep.engine.stream.Event(now, obs.EvCrash, obs.NoRequest, "")
 	for _, r := range lost {
 		rep.engine.stream.Event(now, obs.EvLost, r.ID, "")
@@ -268,7 +267,7 @@ type delayedRetry struct {
 // jitter, and a token-bucket budget replenished by fresh admissions. A
 // nil *retrier is the legacy path — immediate re-arrival, no budget —
 // and every method is nil-receiver safe so call sites stay unguarded.
-// All state mutates on the serial controller path only.
+// Only the controller mutates its state.
 type retrier struct {
 	policy  workload.RetryPolicy
 	base    time.Duration

@@ -14,7 +14,6 @@ func healthFleet(t *testing.T, n int) *fleetState {
 	cm := llamaCM(t)
 	f := &fleetState{
 		name:     "health",
-		workers:  1,
 		faultsOn: true,
 		health:   HealthConfig{}.withDefaults(),
 	}

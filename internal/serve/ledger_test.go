@@ -132,7 +132,6 @@ func TestFleetLedgerMatchesQueues(t *testing.T) {
 		Admission: &AdmissionConfig{Policy: AdmissionShedOrBuy},
 	}
 	cl := DPCluster("ledger", cfg, 2)
-	cl.Parallelism = 1
 	cl.Router = NewCloudOverflowRouter()
 	cl.Autoscale = &AutoscaleConfig{
 		Scaler: NewQueueDepthAutoscaler(), Interval: 5 * time.Second,
@@ -155,7 +154,7 @@ func TestFleetLedgerMatchesQueues(t *testing.T) {
 	ctl, err := newController(Geo{
 		Name:    cl.Name,
 		Regions: []Region{{Name: cl.Name, Configs: cl.Configs, Router: cl.Router, Autoscale: cl.Autoscale}},
-		Faults:  cl.Faults, Breakers: cl.Breakers, Cloud: cl.Cloud, Parallelism: 1,
+		Faults:  cl.Faults, Breakers: cl.Breakers, Cloud: cl.Cloud,
 	}, false)
 	if err != nil {
 		t.Fatal(err)

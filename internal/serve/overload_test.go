@@ -248,11 +248,10 @@ func TestEngineAdmissionSheds(t *testing.T) {
 // overloadCluster is the kitchen-sink deployment: bounded batches with
 // admission control, a mass crash under a backoff+budget retry
 // discipline, and circuit breakers on the router path.
-func overloadCluster(cm *perf.CostModel, p int) Cluster {
+func overloadCluster(cm *perf.CostModel) Cluster {
 	cfg := Config{CM: cm, Par: perf.Parallelism{SP: 1, TP: 1}, MaxSeqs: 16,
 		Admission: &AdmissionConfig{Policy: AdmissionProjected}}
 	cl := DPCluster("det-overload", cfg, 4)
-	cl.Parallelism = p
 	cl.Router = NewLiveLeastLoadedRouter()
 	cl.Breakers = &BreakerConfig{FailThreshold: 3, OpenFor: 4 * time.Second}
 	cl.Faults = &workload.FaultPlan{
@@ -269,21 +268,29 @@ func overloadCluster(cm *perf.CostModel, p int) Cluster {
 	return cl
 }
 
-// TestOverloadParallelMatchesSerial pins the determinism contract with
-// every overload mechanism active at once — admission shedding, parked
-// backoff retries, the retry budget, and breaker transitions — plus the
-// exported trace/series bytes. Under -race this is the data-race probe
-// for the new serial-controller state.
-func TestOverloadParallelMatchesSerial(t *testing.T) {
+// TestOverloadTracedRunRepeats pins determinism with every overload
+// mechanism active at once — admission shedding, parked backoff
+// retries, the retry budget, and breaker transitions: two fresh traced
+// runs must encode to identical Result bytes and identical exported
+// trace/series bytes.
+func TestOverloadTracedRunRepeats(t *testing.T) {
 	cm := llamaCM(t)
 	tr := determinismTrace(t, 29)
-	serial, parallel := runBothTraced(t, func(p int, o *obs.Observer) (*Result, error) {
-		cl := overloadCluster(cm, p)
+	run := func() string {
+		o := obs.NewObserver()
+		cl := overloadCluster(cm)
 		cl.Obs = o
-		return cl.Run(tr)
-	})
-	if serial != parallel {
-		t.Fatal("parallel overload run diverged from the serial path")
+		res, err := cl.Run(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if o.Empty() {
+			t.Fatal("traced run produced no observability output")
+		}
+		return encodeResult(t, res) + encodeObs(t, o)
+	}
+	if run() != run() {
+		t.Fatal("two runs of the same traced overload deployment diverged")
 	}
 }
 
@@ -296,7 +303,7 @@ func TestRetryConservationCluster(t *testing.T) {
 	cm := llamaCM(t)
 	tr := determinismTrace(t, 31)
 	o := obs.NewObserver()
-	cl := overloadCluster(cm, 2)
+	cl := overloadCluster(cm)
 	cl.Obs = o
 	res, err := cl.Run(tr)
 	if err != nil {
@@ -372,7 +379,6 @@ func TestRetryConservationGeo(t *testing.T) {
 				Jitter: 0.5, Seed: 7, BudgetRatio: 0.5, BudgetBurst: 8,
 			},
 		},
-		Parallelism: 2,
 	}
 	res, err := g.Run(tr)
 	if err != nil {
@@ -387,9 +393,11 @@ func TestRetryConservationGeo(t *testing.T) {
 	}
 }
 
-// TestGeoOverloadParallelMatchesSerial extends the geo determinism
-// contract to region breakers plus the backoff retry discipline.
-func TestGeoOverloadParallelMatchesSerial(t *testing.T) {
+// TestGeoOverloadBreakerFallback runs region breakers plus the backoff
+// retry discipline through a home-region outage: every request ends
+// exactly once, and at least one spill-over route found every live
+// region's breaker open and placed the request by ignoring breakers.
+func TestGeoOverloadBreakerFallback(t *testing.T) {
 	cm := llamaCM(t)
 	tr := determinismTrace(t, 41)
 	for i := range tr.Requests {
@@ -399,37 +407,79 @@ func TestGeoOverloadParallelMatchesSerial(t *testing.T) {
 			tr.Requests[i].Origin = "west"
 		}
 	}
-	serial, parallel := runBoth(t, func(p int) (*Result, error) {
-		regions := make([]Region, 2)
-		for i := range regions {
-			regions[i] = Region{Configs: []Config{
-				{CM: cm, Par: perf.Parallelism{SP: 1, TP: 1}},
-				{CM: cm, Par: perf.Parallelism{SP: 1, TP: 1}},
-			}}
-		}
-		g := Geo{
-			Name:     "det-geo-overload",
-			Topology: UniformTopology(120*time.Millisecond, "west", "east"),
-			Regions:  regions,
-			Router:   NewSpillOverRouter(),
-			Breakers: &BreakerConfig{FailThreshold: 2, OpenFor: 3 * time.Second},
-			Faults: &workload.FaultPlan{
-				Outages: []workload.RegionOutage{
-					{Region: "west", Start: 10 * time.Second, End: 20 * time.Second},
-				},
-				Crashes: []workload.ReplicaCrash{
-					{Replica: 0, Region: "east", At: 15 * time.Second, Restart: 24 * time.Second},
-				},
-				Retry: &workload.RetryPolicy{
-					BackoffBase: time.Second, BackoffCap: 8 * time.Second,
-					Jitter: 0.3, Seed: 11, BudgetRatio: 0.3,
-				},
-			},
-			Parallelism: p,
-		}
-		return g.Run(tr)
-	})
-	if serial != parallel {
-		t.Fatal("parallel geo overload run diverged from the serial path")
+	regions := make([]Region, 2)
+	for i := range regions {
+		regions[i] = Region{Configs: []Config{
+			{CM: cm, Par: perf.Parallelism{SP: 1, TP: 1}},
+			{CM: cm, Par: perf.Parallelism{SP: 1, TP: 1}},
+		}}
 	}
+	spy := newSpillSpy()
+	g := Geo{
+		Name:     "det-geo-overload",
+		Topology: UniformTopology(120*time.Millisecond, "west", "east"),
+		Regions:  regions,
+		Router:   spy,
+		Breakers: &BreakerConfig{FailThreshold: 2, OpenFor: 3 * time.Second},
+		Faults: &workload.FaultPlan{
+			Outages: []workload.RegionOutage{
+				{Region: "west", Start: 10 * time.Second, End: 20 * time.Second},
+			},
+			Crashes: []workload.ReplicaCrash{
+				{Replica: 0, Region: "east", At: 15 * time.Second, Restart: 24 * time.Second},
+			},
+			Retry: &workload.RetryPolicy{
+				BackoffBase: time.Second, BackoffCap: 8 * time.Second,
+				Jitter: 0.3, Seed: 11, BudgetRatio: 0.3,
+			},
+		},
+	}
+	res, err := g.Run(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if spy.secondPass == 0 {
+		t.Fatal("no spill-over route fell back to ignoring open breakers")
+	}
+	checkConservation(t, tr, res)
+}
+
+// spillSpy wraps the spill-over geo router and counts two paths nothing
+// in a Result records: routes where every live region's breaker was
+// open (Route's breaker-ignoring second pass), and requests RouteCloud
+// sent to the cloud — fellThrough of them came back to Route because
+// the cloud refused them, the rest the cloud served.
+type spillSpy struct {
+	*SpillOverRouter
+	cloudBound  int // ID of the request RouteCloud last sent to the cloud; -1 none
+	secondPass  int
+	toCloud     int
+	fellThrough int
+}
+
+func newSpillSpy() *spillSpy {
+	return &spillSpy{SpillOverRouter: NewSpillOverRouter().(*SpillOverRouter), cloudBound: -1}
+}
+
+func (s *spillSpy) Route(r workload.Request, origin int, regions []RegionView) int {
+	if r.ID == s.cloudBound {
+		s.fellThrough++
+	}
+	s.cloudBound = -1
+	if i, _ := s.pick(origin, regions, false); i < 0 {
+		if i, _ := s.pick(origin, regions, true); i >= 0 {
+			s.secondPass++
+		}
+	}
+	return s.SpillOverRouter.Route(r, origin, regions)
+}
+
+func (s *spillSpy) RouteCloud(r workload.Request, origin int, regions []RegionView, cloud CloudView) bool {
+	s.cloudBound = -1
+	ok := s.SpillOverRouter.RouteCloud(r, origin, regions, cloud)
+	if ok {
+		s.cloudBound = r.ID
+		s.toCloud++
+	}
+	return ok
 }

@@ -242,7 +242,6 @@ func TestControllerRunMatchesEngineReplay(t *testing.T) {
 		PrefixCache: &PrefixCacheConfig{ShareFraction: 0.75}}, 8)
 	ctl, err := newController(Geo{
 		Name: cl.Name, Regions: []Region{{Name: cl.Name, Configs: cl.Configs, Router: NewCacheAwareRouter()}},
-		Parallelism: 1,
 	}, false)
 	if err != nil {
 		t.Fatal(err)

@@ -121,10 +121,14 @@ type Trace struct {
 	Requests []Request
 }
 
-// Validate checks ordering and positivity.
+// Validate checks that arrivals are non-negative and time-ordered and
+// that sizes are positive.
 func (t *Trace) Validate() error {
-	last := time.Duration(-1)
+	var last time.Duration
 	for i, r := range t.Requests {
+		if r.Arrival < 0 {
+			return fmt.Errorf("workload: trace %s Requests[%d].Arrival %v is negative", t.Name, i, r.Arrival)
+		}
 		if r.Arrival < last {
 			return fmt.Errorf("workload: trace %s not time-ordered at index %d", t.Name, i)
 		}

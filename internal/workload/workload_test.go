@@ -3,6 +3,7 @@ package workload
 import (
 	"math"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -28,6 +29,12 @@ func TestTraceValidate(t *testing.T) {
 	zero := &Trace{Name: "z", Requests: []Request{{InputTokens: 0, OutputTokens: 1}}}
 	if err := zero.Validate(); err == nil {
 		t.Fatal("expected size error")
+	}
+	for _, at := range []time.Duration{-time.Nanosecond, -time.Second} {
+		negative := &Trace{Name: "n", Requests: []Request{{Arrival: at, InputTokens: 10, OutputTokens: 1}}}
+		if err := negative.Validate(); err == nil || !strings.Contains(err.Error(), "Requests[0].Arrival") {
+			t.Fatalf("arrival %v: got %v, want an error naming Requests[0].Arrival", at, err)
+		}
 	}
 }
 

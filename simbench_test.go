@@ -1,7 +1,8 @@
 // Simulator-performance benchmarks: BenchmarkSimulator_* measure the
 // simulator itself, not the systems it models — engine hot-path time and
-// allocations, simulated seconds advanced per wall second, and the
-// serial-vs-parallel wall clock of fleet stepping and sweep fan-out.
+// allocations, simulated seconds advanced per wall second, fleet replay
+// cost as the fleet grows, and the wall clock of a scenario sweep on one
+// worker against the sweep pool (the simulator's only parallelism).
 // BenchmarkFunctional_* measure the functional layer the simulator skips:
 // the real Shift engine's tensor kernels and goroutine collectives.
 // `make perfbench` runs both sets with -benchmem at a benchstat-friendly
@@ -84,18 +85,11 @@ func BenchmarkSimulator_PreemptStorm(b *testing.B) {
 	}
 }
 
-// benchFleet builds the 4-replica independent fleet both fleet
-// benchmarks run, differing only in pool width.
-func benchFleet(b *testing.B, parallelism int) (serve.Cluster, *workload.Trace) {
-	b.Helper()
-	cl := serve.DPCluster("bench", serve.Config{CM: benchCM(b), Par: perf.Parallelism{SP: 1, TP: 1}}, 4)
-	cl.Parallelism = parallelism
-	return cl, trace.Bursty(42, 90*time.Second)
-}
-
-// BenchmarkSimulator_FleetSerial is the serial-reference fleet replay.
+// BenchmarkSimulator_FleetSerial replays the quick bursty trace on a
+// 4-replica independent fleet.
 func BenchmarkSimulator_FleetSerial(b *testing.B) {
-	cl, tr := benchFleet(b, 1)
+	cl := serve.DPCluster("bench", serve.Config{CM: benchCM(b), Par: perf.Parallelism{SP: 1, TP: 1}}, 4)
+	tr := trace.Bursty(42, 90*time.Second)
 	b.ReportAllocs()
 	b.ResetTimer()
 	var res *serve.Result
@@ -108,21 +102,7 @@ func BenchmarkSimulator_FleetSerial(b *testing.B) {
 	reportSimSpeed(b, res)
 }
 
-// BenchmarkSimulator_FleetParallel replays the same fleet on the worker
-// pool (byte-identical result; the delta against FleetSerial is the
-// concurrency win, ~1x on a single-core box).
-func BenchmarkSimulator_FleetParallel(b *testing.B) {
-	cl, tr := benchFleet(b, 0)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := cl.Run(tr); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSimulator_FleetScale replays a serial independent fleet of 8,
+// BenchmarkSimulator_FleetScale replays an independent fleet of 8,
 // 32 and 128 single-GPU replicas, each under the same Poisson chat load
 // (0.5 req/s per replica for 2 minutes), behind the default router. Every
 // arrival advances every replica, so ns/iter growing with the fleet is
@@ -137,7 +117,6 @@ func BenchmarkSimulator_FleetScale(b *testing.B) {
 		b.Run(fmt.Sprintf("replicas=%d", n), func(b *testing.B) {
 			tr := workload.Poisson("fleet", tensor.NewRNG(42), 0.5*float64(n), 2*time.Minute, sizes, "chat")
 			cl := serve.DPCluster("fleet", cfg, n)
-			cl.Parallelism = 1
 			b.ReportAllocs()
 			b.ResetTimer()
 			var res *serve.Result
