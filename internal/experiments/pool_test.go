@@ -28,6 +28,18 @@ func TestPoolRunReturnsLowestIndexError(t *testing.T) {
 }
 
 func TestPoolRunCoversAllCells(t *testing.T) {
+	hits := make([]bool, 25)
+	if err := NewPool(0).Run(len(hits), func(i int) error { hits[i] = true; return nil }); err != nil {
+		t.Fatal(err)
+	}
+	for i, h := range hits {
+		if !h {
+			t.Fatalf("cell %d not run", i)
+		}
+	}
+}
+
+func TestPoolRunCoversEveryCellOnce(t *testing.T) {
 	for _, workers := range []int{0, 1, 2, 7, 64} {
 		for _, n := range []int{0, 1, 2, 5, 100} {
 			hits := make([]int32, n)
