@@ -91,12 +91,17 @@ bench-check:
 # validate the trace's event grammar with jsonlint (well-formed events,
 # per-track timestamp order, matched span pairs). This is the CI proof
 # that `simctl run <name> -trace out.json` yields a Perfetto-loadable
-# file showing the crash/ejection/retry/readmission story.
+# file showing the crash/ejection/retry/readmission story. The same
+# check runs on a geo trace (outage-spillover's dark spill-over cell)
+# and a plain-cluster trace (fig14's first cell), so each kind of
+# deployment runCells traces is covered.
 trace-smoke:
 	$(GO) run ./cmd/simctl run failure-recovery -quick -p plans=crash-restart \
 		-trace .trace-smoke.json -series .trace-smoke.csv > /dev/null
-	$(GO) run ./cmd/jsonlint .trace-smoke.json
-	@rm -f .trace-smoke.json .trace-smoke.csv
+	$(GO) run ./cmd/simctl run outage-spillover -quick -trace .trace-smoke-geo.json > /dev/null
+	$(GO) run ./cmd/simctl run fig14 -quick -p rates=1 -trace .trace-smoke-cluster.json > /dev/null
+	$(GO) run ./cmd/jsonlint .trace-smoke.json .trace-smoke-geo.json .trace-smoke-cluster.json
+	@rm -f .trace-smoke.json .trace-smoke.csv .trace-smoke-geo.json .trace-smoke-cluster.json
 
 # Simulator-performance benchmarks (engine hot path, fleet stepping,
 # sweep fan-out) and the functional Shift engine unit (tensor kernels and

@@ -8,7 +8,7 @@
 // with non-decreasing timestamps per (pid, tid) track, matched sync B/E
 // pairs, and balanced async b/e span pairs per (cat, id) — the
 // invariants Perfetto needs to render every span; `make trace-smoke`
-// lints a fresh failure-recovery trace. Every file's problems are
+// lints fresh failure-recovery, geo and plain-cluster traces. Every file's problems are
 // reported before the non-zero exit, so one broken file does not mask
 // the rest.
 //

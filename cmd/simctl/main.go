@@ -286,8 +286,7 @@ func runRun(args []string) {
 	}
 	if env.Obs != nil {
 		if env.Obs.Empty() {
-			log.Fatalf("simctl run: %s produced no trace — instrumented scenarios: %s",
-				scens[0].Name, strings.Join(tracedScenarios, ", "))
+			log.Fatalf("simctl run: %s produced no trace (it runs no simulator)", scens[0].Name)
 		}
 		if *tracePath != "" {
 			if err := env.Obs.ExportChromeTrace(*tracePath); err != nil {
@@ -302,11 +301,4 @@ func runRun(args []string) {
 			fmt.Println("wrote", *seriesPath)
 		}
 	}
-}
-
-// tracedScenarios names the scenarios that wire Env.Obs into a
-// simulator run (each documents which cell of its sweep is the traced
-// one). Other scenarios run untraced and -trace on them is an error.
-var tracedScenarios = []string{
-	"failure-recovery", "fleet-timeline", "outage-spillover",
 }

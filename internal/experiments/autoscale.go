@@ -67,51 +67,45 @@ func Autoscaling(e Env, coldStarts []time.Duration) (*stats.Table, error) {
 	tab := stats.NewTable("Policy", "ColdStart", "Fleet0", "Fleet mean/peak",
 		"Replica-s", "$/Mtok", "Int TTFT-SLO %", "Batch TTFT-SLO %",
 		"p50 TTFT ms", "p99 TTFT ms", "Ups", "Downs", "Rejected")
-	// Sweep cells share nothing (the trace and cost model are read-only
-	// during runs): fan them out over the worker pool and add rows in
-	// submission order, byte-identical to the serial sweep. Static
-	// baselines at several fixed fleet sizes anchor the
+	// Static baselines at several fixed fleet sizes anchor the
 	// provisioned-vs-attainment curve: the cheap end misses SLOs under
 	// bursts, the expensive end buys attainment with idle replica-seconds.
 	// Cold start never applies to a fleet that never spawns.
-	type cell struct {
+	type axis struct {
 		policy  string
 		cold    time.Duration
 		initial int
-		res     *serve.Result
 	}
-	var cells []cell
+	var axes []axis
 	for _, n := range []int{autoscaleInitial, (autoscaleInitial + autoscaleMax) / 2, autoscaleMax} {
-		cells = append(cells, cell{policy: "static", initial: n})
+		axes = append(axes, axis{policy: "static", initial: n})
 	}
 	for _, name := range serve.AutoscalerNames {
 		if name == "static" {
 			continue
 		}
 		for _, cold := range coldStarts {
-			cells = append(cells, cell{policy: name, cold: cold, initial: autoscaleInitial})
+			axes = append(axes, axis{name, cold, autoscaleInitial})
 		}
 	}
-	err = NewPool(e.Workers).Run(len(cells), func(i int) error {
-		c := &cells[i]
-		// One observer cannot span concurrent sweep cells; the timeline
-		// scenario (fleet-timeline) is the traced window into this sweep.
-		res, err := runAutoscalePolicy(cm, tr, c.policy, c.cold, c.initial, nil)
+	cells := make([]cell, len(axes))
+	for i, a := range axes {
+		cl, err := autoscaleCluster(cm, a.policy, a.cold, a.initial)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		c.res = res
-		return nil
-	})
+		cells[i] = cell{name: fmt.Sprintf("%s/%d/cold=%v", a.policy, a.initial, a.cold), sys: cl, trace: tr}
+	}
+	results, err := runCells(e, cells)
 	if err != nil {
 		return nil, err
 	}
-	for _, c := range cells {
-		res := c.res
+	for i, a := range axes {
+		res := results[i]
 		interactive := attainment(res, "interactive")
 		batch := attainment(res, "batch")
 		ttft := classTTFT(res, "interactive")
-		tab.AddRow(c.policy, c.cold, c.initial,
+		tab.AddRow(a.policy, a.cold, a.initial,
 			fmt.Sprintf("%.1f/%d", res.MeanFleet(), res.PeakFleet()),
 			res.ReplicaSeconds, res.CostPerMToken(NominalGPUHourUSD),
 			100*interactive.TTFTRate(), 100*batch.TTFTRate(),
@@ -130,14 +124,13 @@ const (
 	autoscaleMax     = 8
 )
 
-// runAutoscalePolicy runs one sweep cell: a fleet of independent
-// single-GPU replicas starting (and floored) at initial, capped at 8
-// (one p5en node's worth), evaluated every 5 seconds, traced into o
-// when it is non-nil.
-func runAutoscalePolicy(cm *perf.CostModel, tr *workload.Trace, policy string, cold time.Duration, initial int, o *obs.Observer) (*serve.Result, error) {
+// autoscaleCluster builds one sweep cell's deployment: a fleet of
+// independent single-GPU replicas starting (and floored) at initial,
+// capped at 8 (one p5en node's worth), evaluated every 5 seconds.
+func autoscaleCluster(cm *perf.CostModel, policy string, cold time.Duration, initial int) (serve.Cluster, error) {
 	scaler, err := serve.NewAutoscaler(policy)
 	if err != nil {
-		return nil, err
+		return serve.Cluster{}, err
 	}
 	cl := serve.DPCluster("auto-"+policy, serve.Config{CM: cm, Par: perf.Parallelism{SP: 1, TP: 1}}, initial)
 	cl.Autoscale = &serve.AutoscaleConfig{
@@ -147,12 +140,7 @@ func runAutoscalePolicy(cm *perf.CostModel, tr *workload.Trace, policy string, c
 		Min:       autoscaleInitial,
 		Max:       autoscaleMax,
 	}
-	cl.Obs = o
-	res, err := cl.Run(tr)
-	if err != nil {
-		return nil, fmt.Errorf("%s/cold=%v: %w", policy, cold, err)
-	}
-	return res, nil
+	return cl, nil
 }
 
 // FleetTimeline renders one policy's per-interval fleet size against
@@ -163,10 +151,14 @@ func FleetTimeline(e Env, policy string, cold time.Duration) (*stats.Table, erro
 	if err != nil {
 		return nil, err
 	}
+	cl, err := autoscaleCluster(cm, policy, cold, autoscaleInitial)
+	if err != nil {
+		return nil, err
+	}
 	if e.Obs == nil {
 		e.Obs = obs.NewObserver()
 	}
-	if _, err := runAutoscalePolicy(cm, autoscaleTrace(e), policy, cold, autoscaleInitial, e.Obs); err != nil {
+	if _, err := runCells(e, []cell{{name: policy, sys: cl, trace: autoscaleTrace(e)}}); err != nil {
 		return nil, err
 	}
 	tab := stats.NewTable("t", "Desired", "Active", "Warming", "Draining", "Queue")

@@ -47,40 +47,45 @@ func Fig15(e Env, m model.Config) (*stats.Table, error) {
 	}
 	nReq := e.scale(128)
 	type axis struct {
-		cfg cfgDesc
-		n   int
+		cfg  cfgDesc
+		n    int
+		cell int // -1: not deployable, no cell
 	}
 	var axes []axis
+	var cells []cell
 	for _, c := range configs {
+		// A configuration whose weights leave no KV room (e.g. SP=8's
+		// replicated weights for Llama-17B-16E) is reported as a hole.
+		fits := cm.EPKVCapacityTokens(c.par, perf.EPConfig{}, false) > 0
 		for _, n := range lengths {
-			axes = append(axes, axis{c, n})
+			if !fits {
+				axes = append(axes, axis{c, n, -1})
+				continue
+			}
+			axes = append(axes, axis{c, n, len(cells)})
+			cfg := serve.Config{CM: cm, Par: c.par}
+			cl := serve.SingleEngine(c.name, cfg)
+			if c.reps > 1 {
+				cl = serve.DPCluster(c.name, cfg, c.reps)
+				cl.Lockstep = true
+			}
+			cells = append(cells, cell{name: fmt.Sprintf("%s@%d", c.name, n), sys: cl,
+				trace: workload.Closed("batch", nReq, n, 250)})
 		}
 	}
-	cells, err := runCells(e, len(axes), func(i int) (*serve.Result, error) {
-		a := axes[i]
-		cfg := serve.Config{CM: cm, Par: a.cfg.par}
-		var cl serve.Cluster
-		if a.cfg.reps > 1 {
-			cl = serve.DPCluster(a.cfg.name, cfg, a.cfg.reps)
-			cl.Lockstep = true
-		} else {
-			cl = serve.SingleEngine(a.cfg.name, cfg)
-		}
-		res, err := cl.Run(workload.Closed("batch", nReq, a.n, 250))
-		if err != nil {
-			// Configuration cannot hold this context (e.g. SP=8 replicated
-			// weights leave no KV room at 128k): report the hole as a row.
-			return nil, nil
-		}
-		return res, nil
-	})
+	results, err := runCells(e, cells)
 	if err != nil {
 		return nil, err
 	}
 	tab := stats.NewTable("Config", "Input", "Model s", "Attention s", "All-reduce s", "All-to-all s", "Engine s", "Total s")
-	for i, res := range cells {
-		a := axes[i]
+	for _, a := range axes {
+		var res *serve.Result
+		if a.cell >= 0 {
+			res = results[a.cell]
+		}
 		if res == nil || res.Rejected == len(res.PerRequest) {
+			// A context this configuration cannot hold (e.g. SP=8 at 128k
+			// on Llama-70B) is a hole too.
 			tab.AddRow(a.cfg.name, a.n, "n/a", "n/a", "n/a", "n/a", "n/a", "n/a")
 			continue
 		}
@@ -132,39 +137,31 @@ func Fig16(e Env) (*stats.Table, error) {
 		{"Shift + SwiftKV + SpecDec", 2 * time.Millisecond, perf.Parallelism{SP: 8, TP: 1}, serve.StrategyShift, specdec.Stack{Spec: spec, SwiftKV: &sk}, false},
 	}
 
-	type cell struct{ tput, p95, p50 float64 }
-	cells, err := runCells(e, len(systems), func(i int) (cell, error) {
-		s := systems[i]
+	var cells []cell
+	for _, s := range systems {
 		params := e.Params
 		params.OverheadBase = s.overhead
 		cm, err := perf.New(e.Node, m, params)
 		if err != nil {
-			return cell{}, err
+			return nil, err
 		}
 		cfg := serve.Config{CM: cm, Par: s.par, Strategy: s.strategy, Stack: s.stack}
-		var cl serve.Cluster
+		cl := serve.SingleEngine(s.name, cfg)
 		if s.dp {
 			cl = serve.DPCluster(s.name, cfg, e.Node.NumGPUs)
 			cl.Lockstep = true
-		} else {
-			cl = serve.SingleEngine(s.name, cfg)
 		}
-		resClosed, err := cl.Run(closed)
-		if err != nil {
-			return cell{}, fmt.Errorf("%s: %w", s.name, err)
-		}
-		resOpen, err := cl.Run(open)
-		if err != nil {
-			return cell{}, fmt.Errorf("%s: %w", s.name, err)
-		}
-		return cell{resClosed.Throughput(), resOpen.Completion.Percentile(95), resOpen.Completion.Median()}, nil
-	})
+		cells = append(cells, cell{name: s.name + "/closed", sys: cl, trace: closed},
+			cell{name: s.name + "/open", sys: cl, trace: open})
+	}
+	res, err := runCells(e, cells)
 	if err != nil {
 		return nil, err
 	}
 	tab := stats.NewTable("System", "Throughput tok/s", "p95 Completion ms", "p50 Completion ms")
-	for i, c := range cells {
-		tab.AddRow(systems[i].name, c.tput, c.p95, c.p50)
+	for i, s := range systems {
+		lat := res[2*i+1].Completion
+		tab.AddRow(s.name, res[2*i].Throughput(), lat.Percentile(95), lat.Median())
 	}
 	return tab, nil
 }
@@ -200,15 +197,18 @@ func AblationThreshold(e Env, thresholds []int) (*stats.Table, error) {
 		}
 	}
 	tr := burstyTrace(e)
-	cells, err := runCells(e, len(thresholds), func(i int) (*serve.Result, error) {
-		cfg := serve.Config{CM: cm, Par: perf.Parallelism{SP: 8, TP: 1}, Strategy: serve.StrategyShift, ShiftThreshold: thresholds[i]}
-		return serve.SingleEngine(fmt.Sprintf("thr=%d", thresholds[i]), cfg).Run(tr)
-	})
+	cells := make([]cell, len(thresholds))
+	for i, thr := range thresholds {
+		name := fmt.Sprintf("thr=%d", thr)
+		cfg := serve.Config{CM: cm, Par: perf.Parallelism{SP: 8, TP: 1}, Strategy: serve.StrategyShift, ShiftThreshold: thr}
+		cells[i] = cell{name: name, sys: serve.SingleEngine(name, cfg), trace: tr}
+	}
+	results, err := runCells(e, cells)
 	if err != nil {
 		return nil, err
 	}
 	tab := stats.NewTable("Threshold", "p50 TTFT ms", "p50 TPOT ms", "Throughput tok/s", "Base iters", "Shift iters")
-	for i, res := range cells {
+	for i, res := range results {
 		tab.AddRow(thresholds[i], res.TTFT.Median(), res.TPOT.Median(), res.Throughput(), res.BaseIters, res.ShiftIters)
 	}
 	return tab, nil
@@ -228,15 +228,18 @@ func AblationChunkBudget(e Env, budgets []int) (*stats.Table, error) {
 		}
 	}
 	tr := burstyTrace(e)
-	cells, err := runCells(e, len(budgets), func(i int) (*serve.Result, error) {
-		cfg := serve.Config{CM: cm, Par: perf.Parallelism{SP: 8, TP: 1}, Strategy: serve.StrategyShift, ChunkBudget: budgets[i]}
-		return serve.SingleEngine(fmt.Sprintf("chunk=%d", budgets[i]), cfg).Run(tr)
-	})
+	cells := make([]cell, len(budgets))
+	for i, b := range budgets {
+		name := fmt.Sprintf("chunk=%d", b)
+		cfg := serve.Config{CM: cm, Par: perf.Parallelism{SP: 8, TP: 1}, Strategy: serve.StrategyShift, ChunkBudget: b}
+		cells[i] = cell{name: name, sys: serve.SingleEngine(name, cfg), trace: tr}
+	}
+	results, err := runCells(e, cells)
 	if err != nil {
 		return nil, err
 	}
 	tab := stats.NewTable("Chunk budget", "p50 TTFT ms", "p99 TTFT ms", "p50 TPOT ms", "Throughput tok/s")
-	for i, res := range cells {
+	for i, res := range results {
 		tab.AddRow(budgets[i], res.TTFT.Median(), res.TTFT.P99(), res.TPOT.Median(), res.Throughput())
 	}
 	return tab, nil
@@ -256,39 +259,31 @@ func AblationMemoryStrategy(e Env) (*stats.Table, error) {
 		{"on-the-fly-slicing", 0.88, false},
 	}
 	par := perf.Parallelism{SP: 8, TP: 1}
-	type cell struct {
-		weightsGB  float64
-		kvTokens   int
-		ttft, tpot time.Duration
-		tput       float64
-	}
-	cells, err := runCells(e, len(strategies), func(i int) (cell, error) {
-		s := strategies[i]
+	cms := make([]*perf.CostModel, len(strategies))
+	var cells []cell
+	for i, s := range strategies {
 		params := e.Params
 		params.SlicePenalty = s.penalty
 		cm, err := perf.New(e.Node, m, params)
 		if err != nil {
-			return cell{}, err
+			return nil, err
 		}
-		cfg := serve.Config{CM: cm, Par: par, Strategy: serve.StrategyShift}
-		cl := serve.SingleEngine(s.name, cfg)
-		ttft, tpot, err := cl.MinLatency(4096, 250)
-		if err != nil {
-			return cell{}, err
-		}
-		tput, err := cl.PeakThroughput(e.scale(240), 4096, 250)
-		if err != nil {
-			return cell{}, err
-		}
-		return cell{cm.WeightBytesPerGPU(par, s.shift) / 1e9,
-			cm.KVCapacityTokens(par, s.shift), ttft, tpot, tput}, nil
-	})
+		cms[i] = cm
+		cl := serve.SingleEngine(s.name, serve.Config{CM: cm, Par: par, Strategy: serve.StrategyShift})
+		cells = append(cells, pointCells(s.name, cl, 4096, 250, e.scale(240))...)
+	}
+	res, err := runCells(e, cells)
 	if err != nil {
 		return nil, err
 	}
 	tab := stats.NewTable("Strategy", "Weights GB/GPU", "KV tokens", "TTFT ms", "TPOT ms", "Throughput tok/s")
-	for i, c := range cells {
-		tab.AddRow(strategies[i].name, c.weightsGB, c.kvTokens, ms(c.ttft), ms(c.tpot), c.tput)
+	for i, s := range strategies {
+		p, err := pointOf(s.name, res[2*i:])
+		if err != nil {
+			return nil, err
+		}
+		tab.AddRow(s.name, cms[i].WeightBytesPerGPU(par, s.shift)/1e9, cms[i].KVCapacityTokens(par, s.shift),
+			ms(p.ttft), ms(p.tpot), p.tput)
 	}
 	return tab, nil
 }
@@ -302,22 +297,23 @@ func AblationDPLockstep(e Env) (*stats.Table, error) {
 		return nil, err
 	}
 	tr := traceWindow(e, trace.AzureCode(e.Seed), 8)
-	modes := []bool{true, false}
-	cells, err := runCells(e, len(modes), func(i int) (*serve.Result, error) {
+	var cells []cell
+	for _, lockstep := range []bool{true, false} {
 		cl := serve.DPCluster("dp", serve.Config{CM: cm, Par: perf.Parallelism{SP: 1, TP: 1}}, e.Node.NumGPUs)
-		cl.Lockstep = modes[i]
-		return cl.Run(tr)
-	})
+		cl.Lockstep = lockstep
+		name := "independent replicas"
+		if lockstep {
+			name = "lockstep (vLLM DP)"
+		}
+		cells = append(cells, cell{name: name, sys: cl, trace: tr})
+	}
+	results, err := runCells(e, cells)
 	if err != nil {
 		return nil, err
 	}
 	tab := stats.NewTable("DP stepping", "p50 TTFT ms", "p99 TTFT ms", "Throughput tok/s")
-	for i, res := range cells {
-		name := "independent replicas"
-		if modes[i] {
-			name = "lockstep (vLLM DP)"
-		}
-		tab.AddRow(name, res.TTFT.Median(), res.TTFT.P99(), res.Throughput())
+	for i, res := range results {
+		tab.AddRow(cells[i].name, res.TTFT.Median(), res.TTFT.P99(), res.Throughput())
 	}
 	return tab, nil
 }

@@ -48,44 +48,24 @@ func CacheMeasured(e Env, share float64, routers []string) ([]stats.Section, err
 		totalIn += r.InputTokens
 	}
 
-	build := func(router serve.Router, cfg serve.Config) serve.Cluster {
-		cl := serve.DPCluster("cache", cfg, cacheFleetReplicas)
-		cl.Router = router
-		return cl
-	}
-
-	// Section 1: the measured cache across routing policies.
 	measuredCfg := dpCfg
 	measuredCfg.PrefixCache = &serve.PrefixCacheConfig{ShareFraction: share}
-	routed, err := runCells(e, len(routers), func(i int) (*serve.Result, error) {
-		router, err := serve.NewRouter(routers[i])
-		if err != nil {
-			return nil, err
-		}
-		return build(router, measuredCfg).Run(tr)
-	})
-	if err != nil {
-		return nil, err
+	type mode struct {
+		name   string
+		router string
+		cfg    serve.Config
 	}
-	byRouter := stats.NewTable("Router", "Hits", "Misses", "Hit %", "Cached tok",
-		"Evictions", "Chat p50 TTFT ms", "Chat p99 TTFT ms", "Throughput tok/s")
-	for i, res := range routed {
-		ttft := classTTFT(res, "chat")
-		byRouter.AddRow(routers[i], res.CacheHits, res.CacheMisses,
-			100*res.MeasuredHitRate(), res.CacheCachedTokens, res.CacheEvictions,
-			ttft.Median(), ttft.P99(), res.Throughput())
+	// Section 1: the measured cache across routing policies.
+	var routed []mode
+	for _, r := range routers {
+		routed = append(routed, mode{r, r, measuredCfg})
 	}
-
 	// Section 2: assumed-rate ceiling vs measured reality. "Eff share %"
 	// is the prompt-token fraction actually served from cache — the
 	// assumed baseline grants the full share to every prompt by
 	// construction, the measured modes approach it from below as routing
 	// keeps sessions home.
-	modes := []struct {
-		name   string
-		router string
-		cfg    serve.Config
-	}{
+	modes := []mode{
 		{fmt.Sprintf("assumed@%.2f", share), "affinity", func() serve.Config {
 			c := dpCfg
 			c.PrefixCacheHitRate = share
@@ -96,19 +76,34 @@ func CacheMeasured(e Env, share float64, routers []string) ([]stats.Section, err
 		{"measured/least-outstanding", "least-outstanding", measuredCfg},
 		{"no-cache", "affinity", dpCfg},
 	}
-	compared, err := runCells(e, len(modes), func(i int) (*serve.Result, error) {
-		router, err := serve.NewRouter(modes[i].router)
+	// Both sections run as one sweep, each cell behind its own (stateful)
+	// router.
+	var cells []cell
+	for _, m := range append(routed, modes...) {
+		router, err := serve.NewRouter(m.router)
 		if err != nil {
 			return nil, err
 		}
-		return build(router, modes[i].cfg).Run(tr)
-	})
+		cl := serve.DPCluster("cache", m.cfg, cacheFleetReplicas)
+		cl.Router = router
+		cells = append(cells, cell{name: m.name, sys: cl, trace: tr})
+	}
+	results, err := runCells(e, cells)
 	if err != nil {
 		return nil, err
 	}
+	byRouter := stats.NewTable("Router", "Hits", "Misses", "Hit %", "Cached tok",
+		"Evictions", "Chat p50 TTFT ms", "Chat p99 TTFT ms", "Throughput tok/s")
+	for i, res := range results[:len(routed)] {
+		ttft := classTTFT(res, "chat")
+		byRouter.AddRow(routers[i], res.CacheHits, res.CacheMisses,
+			100*res.MeasuredHitRate(), res.CacheCachedTokens, res.CacheEvictions,
+			ttft.Median(), ttft.P99(), res.Throughput())
+	}
+
 	vsAssumed := stats.NewTable("Mode", "Eff share %", "Chat p50 TTFT ms",
 		"Chat p99 TTFT ms", "p50 Compl ms", "Throughput tok/s")
-	for i, res := range compared {
+	for i, res := range results[len(routed):] {
 		eff := 100 * share // the assumed baseline's share, by construction
 		if modes[i].cfg.PrefixCache != nil {
 			eff = 100 * float64(res.CacheCachedTokens) / float64(totalIn)
@@ -158,33 +153,27 @@ func SharedCacheTier(e Env, repeats []float64, latencies []time.Duration) ([]sta
 	base := traceWindow(e, trace.AzureCode(e.Seed), 8)
 	dpCfg := serve.Config{CM: cm, Par: perf.Parallelism{SP: 1, TP: 1}}
 
-	type cell struct{ repeat, latency int }
 	var cells []cell
-	for ri := range repeats {
-		for li := range latencies {
-			cells = append(cells, cell{ri, li})
-		}
-	}
-	results, err := runCells(e, len(cells), func(i int) (*serve.Result, error) {
-		c := cells[i]
-		// Each cell stamps its own copy of the trace: cells share only
-		// read-only state.
+	for _, f := range repeats {
+		// Each repeat fraction stamps its own copy of the trace.
 		reqs := make([]workload.Request, len(base.Requests))
 		copy(reqs, base.Requests)
-		tr := (&workload.Trace{Name: base.Name, Requests: reqs}).
-			StampPromptKeys(e.Seed, repeats[c.repeat], 64)
-		cl := serve.DPCluster("shared", dpCfg, cacheFleetReplicas)
-		cl.SharedCache = &serve.SharedCacheConfig{Latency: latencies[c.latency]}
-		return cl.Run(tr)
-	})
+		tr := (&workload.Trace{Name: base.Name, Requests: reqs}).StampPromptKeys(e.Seed, f, 64)
+		for _, l := range latencies {
+			cl := serve.DPCluster("shared", dpCfg, cacheFleetReplicas)
+			cl.SharedCache = &serve.SharedCacheConfig{Latency: l}
+			cells = append(cells, cell{name: fmt.Sprintf("repeat=%v/lat=%v", f, l), sys: cl, trace: tr})
+		}
+	}
+	results, err := runCells(e, cells)
 	if err != nil {
 		return nil, err
 	}
 	tab := stats.NewTable("Repeat %", "Shared lat ms", "Shared hits", "Shared misses",
 		"Shared hit %", "Engine reqs", "p50 TTFT ms", "p99 TTFT ms", "Throughput tok/s")
 	for i, res := range results {
-		c := cells[i]
-		tab.AddRow(100*repeats[c.repeat], ms(latencies[c.latency]),
+		f, l := repeats[i/len(latencies)], latencies[i%len(latencies)]
+		tab.AddRow(100*f, ms(l),
 			res.SharedHits, res.SharedMisses, 100*res.SharedHitRate(),
 			len(res.PerRequest)-res.SharedHits,
 			res.TTFT.Median(), res.TTFT.P99(), res.Throughput())

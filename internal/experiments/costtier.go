@@ -114,52 +114,37 @@ func CostTiered(e Env, bursts, prices []float64, fleet int, replicaHour float64)
 	if err != nil {
 		return nil, err
 	}
-	traces := make([]*workload.Trace, len(bursts))
-	for i, b := range bursts {
-		traces[i] = costTierTrace(e, fleet, b)
-	}
-	type cell struct {
-		burst float64
-		price float64 // 0 marks the owned-fleet cell
-		res   *serve.Result
-	}
+	// Per burst: the owned fleet, then one rent cell per cloud price
+	// (price 0 marks the owned cell).
+	type axis struct{ burst, price float64 }
+	var axes []axis
 	var cells []cell
-	for i := range bursts {
-		cells = append(cells, cell{burst: bursts[i]})
-		for _, p := range prices {
-			cells = append(cells, cell{burst: bursts[i], price: p})
+	cfg := serve.Config{CM: cm, Par: perf.Parallelism{SP: 1, TP: 1}, MaxSeqs: 16}
+	for _, b := range bursts {
+		tr := costTierTrace(e, fleet, b)
+		for _, price := range append([]float64{0}, prices...) {
+			var cl serve.Cluster
+			if price == 0 {
+				cl = serve.DPCluster(fmt.Sprintf("own-%d", fleet), cfg, fleet)
+				cl.Router = serve.NewLiveLeastLoadedRouter()
+			} else {
+				cl = serve.DPCluster(fmt.Sprintf("rent-%d", fleet-1), cfg, fleet-1)
+				cl.Router = serve.NewCloudOverflowRouter()
+				cl.Cloud = costTierCloud(price, 0)
+				cl.Cloud.DollarsPerReplicaHour = replicaHour
+			}
+			axes = append(axes, axis{b, price})
+			cells = append(cells, cell{name: fmt.Sprintf("burst %v price %v", b, price), sys: cl, trace: tr})
 		}
 	}
-	perBurst := 1 + len(prices)
-	err = NewPool(e.Workers).Run(len(cells), func(i int) error {
-		c := &cells[i]
-		tr := traces[i/perBurst]
-		cfg := serve.Config{CM: cm, Par: perf.Parallelism{SP: 1, TP: 1}, MaxSeqs: 16}
-		var cl serve.Cluster
-		if c.price == 0 {
-			cl = serve.DPCluster(fmt.Sprintf("own-%d", fleet), cfg, fleet)
-			cl.Router = serve.NewLiveLeastLoadedRouter()
-		} else {
-			cl = serve.DPCluster(fmt.Sprintf("rent-%d", fleet-1), cfg, fleet-1)
-			cl.Router = serve.NewCloudOverflowRouter()
-			cloud := costTierCloud(c.price, 0)
-			cloud.DollarsPerReplicaHour = replicaHour
-			cl.Cloud = cloud
-		}
-		res, err := cl.Run(tr)
-		if err != nil {
-			return fmt.Errorf("burst %v price %v: %w", c.burst, c.price, err)
-		}
-		c.res = res
-		return nil
-	})
+	results, err := runCells(e, cells)
 	if err != nil {
 		return nil, err
 	}
 	tab := stats.NewTable("Deployment", "Burst x", "$/Mtok", "TTFT-SLO %",
 		"CloudReq", "CloudTok", "Cloud $", "Owned $", "Total $", "Att %/$", "p99 TTFT ms")
-	for _, c := range cells {
-		res := c.res
+	for i, c := range axes {
+		res := results[i]
 		att := attainment(res, "interactive")
 		// Owned cells have no cloud tier: price the fleet by hand so the
 		// spend ledger is comparable across the row pair.
@@ -210,20 +195,12 @@ func ShedSpillBuy(e Env, modes []string, price, budget float64) (*stats.Table, e
 		return nil, err
 	}
 	tr := overloadTrace(e)
-	type cell struct {
-		mode string
-		res  *serve.Result
-	}
 	cells := make([]cell, len(modes))
-	for i, m := range modes {
-		cells[i] = cell{mode: m}
-	}
-	err = NewPool(e.Workers).Run(len(cells), func(i int) error {
-		c := &cells[i]
+	for i, mode := range modes {
 		cfg := serve.Config{CM: cm, Par: perf.Parallelism{SP: 1, TP: 1}, MaxSeqs: 16}
-		cl := serve.DPCluster("hatch-"+c.mode, cfg, 2)
+		cl := serve.DPCluster("hatch-"+mode, cfg, 2)
 		cl.Router = serve.NewLiveLeastLoadedRouter()
-		switch c.mode {
+		switch mode {
 		case "none":
 		case "shed":
 			cfg.Admission = &serve.AdmissionConfig{Policy: serve.AdmissionDeadline}
@@ -234,40 +211,22 @@ func ShedSpillBuy(e Env, modes []string, price, budget float64) (*stats.Table, e
 			cfg.Admission = &serve.AdmissionConfig{Policy: serve.AdmissionShedOrBuy}
 			cl.Cloud = costTierCloud(price, budget)
 		default:
-			return fmt.Errorf("unknown mode %q (want one of %v)", c.mode, shedSpillBuyModes)
+			return nil, fmt.Errorf("unknown mode %q (want one of %v)", mode, shedSpillBuyModes)
 		}
 		for j := range cl.Configs {
 			cl.Configs[j].Admission = cfg.Admission
 		}
-		res, err := cl.Run(tr)
-		if err != nil {
-			return fmt.Errorf("%s: %w", c.mode, err)
-		}
-		c.res = res
-		return nil
-	})
+		cells[i] = cell{name: mode, sys: cl, trace: tr}
+	}
+	results, err := runCells(e, cells)
 	if err != nil {
 		return nil, err
 	}
 	tab := stats.NewTable("Mode", "TTFT-SLO %", "Served TTFT-SLO %", "Shed",
 		"CloudReq", "Cloud $", "Total $", "Goodput tok/s", "Ktok/$", "p99 TTFT ms")
-	for _, c := range cells {
-		res := c.res
+	for i, res := range results {
 		att := attainment(res, "interactive")
-		servedRate := 1.0
-		if att.Requests > 0 {
-			servedRate = float64(att.TTFTMet) / float64(att.Requests)
-		}
-		goodTok := 0
-		for _, m := range res.PerRequest {
-			if !m.Rejected {
-				goodTok += m.InputTokens + m.OutputTokens
-			}
-		}
-		goodput := 0.0
-		if res.Makespan > 0 {
-			goodput = float64(goodTok) / res.Makespan.Seconds()
-		}
+		servedRate, goodTok, goodput := served(res, att)
 		// Cloudless rows still own two replicas: price them identically so
 		// the dollars column compares hatches, not ledger plumbing.
 		total := res.TotalSpend
@@ -279,7 +238,7 @@ func ShedSpillBuy(e Env, modes []string, price, budget float64) (*stats.Table, e
 			ktokPerDollar = float64(goodTok) / 1000 / total
 		}
 		ttft := classTTFT(res, "interactive")
-		tab.AddRow(c.mode, 100*att.TTFTRate(), 100*servedRate, res.Shed,
+		tab.AddRow(modes[i], 100*att.TTFTRate(), 100*servedRate, res.Shed,
 			res.CloudRequests, res.CloudSpend, total, goodput, ktokPerDollar, ttft.P99())
 	}
 	return tab, nil

@@ -1,12 +1,15 @@
 // Package experiments implements one entry point per table and figure of
 // the paper's evaluation section, plus the extension scenarios the
-// roadmap grew (routing, autoscaling, geo serving, simulator speed).
+// roadmap grew (routing, autoscaling, faults, overload, cost, caching,
+// geo serving).
 // Each function builds the workload, runs the serving simulator (or the
 // functional engines), and returns the same rows/series the paper
 // reports. Every entry point is registered as an internal/scenario
 // Scenario (see registry.go) — the per-experiment index — which is what
-// cmd/simctl and the top-level benchmarks drive; sweeps fan their cells
-// out over the Env.Workers pool (see pool.go).
+// cmd/simctl and the top-level benchmarks drive. Every simulator run goes
+// through one runner, runCells (see pool.go): a sweep builds its cells,
+// runCells fans them out over the Env.Workers pool, and Env.Obs traces
+// one of them.
 package experiments
 
 import (
@@ -38,10 +41,11 @@ type Env struct {
 	// Mirrors scenario.Env (the registry's copy of these knobs); the two
 	// convert directly.
 	Workers int
-	// Obs, when set, collects request lifecycle spans and controller
-	// time series from the scenario's simulator runs (see internal/obs
-	// and each scenario for which runs it instruments). nil keeps every
-	// run on the untraced fast path.
+	// Obs, when set, records one simulator run of the scenario: its
+	// request lifecycle spans, controller time series and engine
+	// iteration records (see internal/obs). Every run goes through
+	// runCells, which gives Obs to the sweep's marked cell, else to its
+	// first. nil keeps every run on the untraced fast path.
 	Obs *obs.Observer
 }
 
@@ -96,6 +100,36 @@ func (e Env) clusters(m model.Config) (map[string]serve.Cluster, error) {
 // Order is the presentation order of the compared systems.
 var Order = []string{"DP", "TP", "SP", "Shift"}
 
+// point is one deployment's minimum latency and peak throughput.
+type point struct {
+	ttft, tpot time.Duration
+	tput       float64
+}
+
+// pointCells returns the two cells that measure a deployment's point
+// (Section 4.3.1): a lone request on its first engine for the minimum
+// latency, and a saturating closed batch of n requests for the peak
+// throughput.
+func pointCells(name string, cl serve.Cluster, in, out, n int) []cell {
+	return []cell{
+		{name: name + "/single", sys: cl.Single(), trace: workload.Single(in, out)},
+		{name: name + "/closed", sys: cl, trace: workload.Closed("closed", n, in, out)},
+	}
+}
+
+// pointOf reduces the results of one pointCells pair.
+func pointOf(name string, pair []*serve.Result) (point, error) {
+	ttft, tpot, err := pair[0].LoneLatency()
+	if err != nil {
+		return point{}, fmt.Errorf("%s: %w", name, err)
+	}
+	tput, err := pair[1].BatchThroughput()
+	if err != nil {
+		return point{}, fmt.Errorf("%s: %w", name, err)
+	}
+	return point{ttft, tpot, tput}, nil
+}
+
 // Fig12 reproduces Figure 12 (and the headline Figure 1): minimum
 // latency (lone request) and peak throughput (saturating closed batch)
 // for 4k-input / 250-output requests.
@@ -105,32 +139,23 @@ func Fig12(e Env, m model.Config) (*stats.Table, error) {
 		return nil, err
 	}
 	in, out := 4096, 250
-	nReq := e.scaleMin(400, 160)
-	type cell struct {
-		ttft, tpot time.Duration
-		tput       float64
+	var cells []cell
+	for _, name := range Order {
+		cells = append(cells, pointCells(name, clusters[name], in, out, e.scaleMin(400, 160))...)
 	}
-	cells, err := runCells(e, len(Order), func(i int) (cell, error) {
-		cl := clusters[Order[i]]
-		ttft, tpot, err := cl.MinLatency(in, out)
-		if err != nil {
-			return cell{}, fmt.Errorf("%s: %w", Order[i], err)
-		}
-		tput, err := cl.PeakThroughput(nReq, in, out)
-		if err != nil {
-			return cell{}, fmt.Errorf("%s: %w", Order[i], err)
-		}
-		return cell{ttft, tpot, tput}, nil
-	})
+	res, err := runCells(e, cells)
 	if err != nil {
 		return nil, err
 	}
 	tab := stats.NewTable("System", "TTFT ms", "TPOT ms", "Throughput tok/s",
 		"Response tok/s", "Generation tok/s")
-	for i, c := range cells {
-		tab.AddRow(Order[i],
-			ms(c.ttft), ms(c.tpot), c.tput,
-			float64(in)/c.ttft.Seconds(), 1/c.tpot.Seconds())
+	for i, name := range Order {
+		p, err := pointOf(name, res[2*i:])
+		if err != nil {
+			return nil, err
+		}
+		tab.AddRow(name, ms(p.ttft), ms(p.tpot), p.tput,
+			float64(in)/p.ttft.Seconds(), 1/p.tpot.Seconds())
 	}
 	return tab, nil
 }
@@ -154,36 +179,26 @@ func Fig13(e Env, m model.Config, systems []string) (*stats.Table, error) {
 		n    int
 	}
 	var axes []axis
+	var cells []cell
 	for _, name := range systems {
 		for _, n := range lengths {
 			axes = append(axes, axis{name, n})
+			// Saturation sized down as contexts grow (fixed token volume).
+			cells = append(cells, pointCells(fmt.Sprintf("%s@%d", name, n), clusters[name], n, 250,
+				e.scale(max(32, 1<<20/n*4)))...)
 		}
 	}
-	type cell struct {
-		ttft, tpot time.Duration
-		tput       float64
-	}
-	cells, err := runCells(e, len(axes), func(i int) (cell, error) {
-		a := axes[i]
-		cl := clusters[a.name]
-		ttft, tpot, err := cl.MinLatency(a.n, 250)
-		if err != nil {
-			return cell{}, fmt.Errorf("%s @%d: %w", a.name, a.n, err)
-		}
-		// Saturation sized down as contexts grow (fixed token volume).
-		nReq := e.scale(max(32, 1<<20/a.n*4))
-		tput, err := cl.PeakThroughput(nReq, a.n, 250)
-		if err != nil {
-			return cell{}, fmt.Errorf("%s @%d: %w", a.name, a.n, err)
-		}
-		return cell{ttft, tpot, tput}, nil
-	})
+	res, err := runCells(e, cells)
 	if err != nil {
 		return nil, err
 	}
 	tab := stats.NewTable("System", "Input", "TTFT ms", "TPOT ms", "Throughput tok/s")
-	for i, c := range cells {
-		tab.AddRow(axes[i].name, axes[i].n, ms(c.ttft), ms(c.tpot), c.tput)
+	for i, a := range axes {
+		p, err := pointOf(fmt.Sprintf("%s@%d", a.name, a.n), res[2*i:])
+		if err != nil {
+			return nil, err
+		}
+		tab.AddRow(a.name, a.n, ms(p.ttft), ms(p.tpot), p.tput)
 	}
 	return tab, nil
 }
@@ -202,20 +217,15 @@ func Fig14(e Env, m model.Config, rates []float64) (*stats.Table, error) {
 		}
 	}
 	dur := time.Duration(e.scale(240)) * time.Second
-	type axis struct {
-		name string
-		rate float64
-	}
-	var axes []axis
-	for _, name := range []string{"DP", "TP", "Shift"} { // the paper's Fig 14 lines
+	systems := []string{"DP", "TP", "Shift"} // the paper's Fig 14 lines
+	var cells []cell
+	for _, name := range systems {
 		for _, rate := range rates {
-			axes = append(axes, axis{name, rate})
+			cells = append(cells, cell{name: fmt.Sprintf("%s@%v", name, rate), sys: clusters[name],
+				trace: poissonTrace(e, rate, dur)})
 		}
 	}
-	results, err := runCells(e, len(axes), func(i int) (*serve.Result, error) {
-		tr := poissonTrace(e, axes[i].rate, dur)
-		return clusters[axes[i].name].Run(tr)
-	})
+	results, err := runCells(e, cells)
 	if err != nil {
 		return nil, err
 	}
@@ -223,7 +233,7 @@ func Fig14(e Env, m model.Config, rates []float64) (*stats.Table, error) {
 		"p50 TTFT ms", "p95 TTFT ms", "p99 TTFT ms")
 	for i, res := range results {
 		ttft := res.TTFT.Percentiles(50, 95, 99)
-		tab.AddRow(axes[i].name, axes[i].rate, res.Completion.Median(), res.Completion.Mean(),
+		tab.AddRow(systems[i/len(rates)], rates[i%len(rates)], res.Completion.Median(), res.Completion.Mean(),
 			ttft[0], ttft[1], ttft[2])
 	}
 	return tab, nil
@@ -244,12 +254,11 @@ func Fig17(e Env) (*stats.Table, error) {
 		lengths = []int{2048, 32768}
 	}
 	type axis struct {
-		m      model.Config
-		cl     serve.Cluster
-		system string
-		n      int
+		model, system string
+		n             int
 	}
 	var axes []axis
+	var cells []cell
 	for _, m := range model.All() {
 		if m.Name == "Qwen-30B-A3B" {
 			// FP8 KV in production configs for the small-KV-head model.
@@ -261,44 +270,30 @@ func Fig17(e Env) (*stats.Table, error) {
 		}
 		for _, name := range Order {
 			for _, n := range lengths {
-				axes = append(axes, axis{m, clusters[name], name, n})
+				axes = append(axes, axis{m.Name, name, n})
+				cells = append(cells, pointCells(fmt.Sprintf("%s/%s@%d", m.Name, name, n), clusters[name], n, 250,
+					e.scale(max(16, 1<<19/n*4)))...)
 			}
 		}
 	}
-	type cell struct {
-		ttft, tpot time.Duration
-		tput       float64
-		// DP cannot serve very long contexts for L17B-16E (weights leave
-		// too little KV on one GPU); report the hole instead of failing
-		// (Section 4.6).
-		noLatency, noThroughput bool
-	}
-	cells, err := runCells(e, len(axes), func(i int) (cell, error) {
-		a := axes[i]
-		ttft, tpot, lerr := a.cl.MinLatency(a.n, 250)
-		if lerr != nil {
-			return cell{noLatency: true, noThroughput: true}, nil
-		}
-		nReq := e.scale(max(16, 1<<19/a.n*4))
-		tput, terr := a.cl.PeakThroughput(nReq, a.n, 250)
-		if terr != nil {
-			return cell{ttft: ttft, tpot: tpot, noThroughput: true}, nil
-		}
-		return cell{ttft: ttft, tpot: tpot, tput: tput}, nil
-	})
+	res, err := runCells(e, cells)
 	if err != nil {
 		return nil, err
 	}
 	tab := stats.NewTable("Model", "System", "Input", "TTFT ms", "TPOT ms", "Throughput tok/s")
-	for i, c := range cells {
-		a := axes[i]
-		switch {
-		case c.noLatency:
-			tab.AddRow(a.m.Name, a.system, a.n, "n/a", "n/a", "n/a")
-		case c.noThroughput:
-			tab.AddRow(a.m.Name, a.system, a.n, ms(c.ttft), ms(c.tpot), "n/a")
-		default:
-			tab.AddRow(a.m.Name, a.system, a.n, ms(c.ttft), ms(c.tpot), c.tput)
+	for i, a := range axes {
+		// DP cannot serve very long contexts for L17B-16E (weights leave
+		// too little KV on one GPU); report the hole instead of failing
+		// (Section 4.6).
+		ttft, tpot, err := res[2*i].LoneLatency()
+		if err != nil {
+			tab.AddRow(a.model, a.system, a.n, "n/a", "n/a", "n/a")
+			continue
+		}
+		if tput, err := res[2*i+1].BatchThroughput(); err != nil {
+			tab.AddRow(a.model, a.system, a.n, ms(ttft), ms(tpot), "n/a")
+		} else {
+			tab.AddRow(a.model, a.system, a.n, ms(ttft), ms(tpot), tput)
 		}
 	}
 	return tab, nil
@@ -312,25 +307,22 @@ func Table1(e Env, m model.Config) (*stats.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	type point struct{ ttft, tpot, tput float64 }
-	cells, err := runCells(e, len(Order), func(i int) (point, error) {
-		cl := clusters[Order[i]]
-		ttft, tpot, err := cl.MinLatency(4096, 250)
-		if err != nil {
-			return point{}, err
-		}
-		tput, err := cl.PeakThroughput(e.scaleMin(240, 160), 4096, 250)
-		if err != nil {
-			return point{}, err
-		}
-		return point{ms(ttft), ms(tpot), tput}, nil
-	})
+	var cells []cell
+	for _, name := range Order {
+		cells = append(cells, pointCells(name, clusters[name], 4096, 250, e.scaleMin(240, 160))...)
+	}
+	res, err := runCells(e, cells)
 	if err != nil {
 		return nil, err
 	}
-	pts := map[string]point{}
-	for i, p := range cells {
-		pts[Order[i]] = p
+	type grades struct{ ttft, tpot, tput float64 }
+	pts := map[string]grades{}
+	for i, name := range Order {
+		p, err := pointOf(name, res[2*i:])
+		if err != nil {
+			return nil, err
+		}
+		pts[name] = grades{ms(p.ttft), ms(p.tpot), p.tput}
 	}
 	grade := func(v, best float64, lowerBetter bool) string {
 		r := v / best
@@ -369,19 +361,11 @@ func Table3(e Env, m model.Config) (*stats.Table, error) {
 	}
 	static := []string{"DP", "TP", "SP"}
 	// Low traffic: lone request. High traffic: saturated batch.
-	type point struct{ lowTTFT, lowTPOT, highTput, highTTFT, highTPOT float64 }
-	cells, err := runCells(e, len(static), func(i int) (point, error) {
-		cl := clusters[static[i]]
-		ttft, tpot, err := cl.MinLatency(4096, 250)
-		if err != nil {
-			return point{}, err
-		}
-		res, err := cl.Run(workload.Closed("hi", e.scaleMin(240, 160), 4096, 250))
-		if err != nil {
-			return point{}, err
-		}
-		return point{ms(ttft), ms(tpot), res.Throughput(), res.TTFT.Median(), res.TPOT.Median()}, nil
-	})
+	var cells []cell
+	for _, name := range static {
+		cells = append(cells, pointCells(name, clusters[name], 4096, 250, e.scaleMin(240, 160))...)
+	}
+	res, err := runCells(e, cells)
 	if err != nil {
 		return nil, err
 	}
@@ -390,33 +374,30 @@ func Table3(e Env, m model.Config) (*stats.Table, error) {
 	highTput := map[string]float64{}
 	highTTFT := map[string]float64{}
 	highTPOT := map[string]float64{}
-	for i, p := range cells {
-		name := static[i]
-		lowTTFT[name], lowTPOT[name] = p.lowTTFT, p.lowTPOT
-		highTput[name], highTTFT[name], highTPOT[name] = p.highTput, p.highTTFT, p.highTPOT
-	}
-	argMin := func(m map[string]float64) string {
-		best, bv := "", 0.0
-		for _, k := range static {
-			if best == "" || m[k] < bv {
-				best, bv = k, m[k]
-			}
+	for i, name := range static {
+		ttft, tpot, err := res[2*i].LoneLatency()
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", name, err)
 		}
-		return best
+		hi := res[2*i+1]
+		lowTTFT[name], lowTPOT[name] = ms(ttft), ms(tpot)
+		highTput[name], highTTFT[name], highTPOT[name] = hi.Throughput(), hi.TTFT.Median(), hi.TPOT.Median()
 	}
-	argMax := func(m map[string]float64) string {
-		best, bv := "", 0.0
-		for _, k := range static {
-			if best == "" || m[k] > bv {
-				best, bv = k, m[k]
+	// best returns the system with the lowest (sign 1) or highest
+	// (sign -1) value, the first listed on ties.
+	best := func(m map[string]float64, sign float64) string {
+		best := static[0]
+		for _, k := range static[1:] {
+			if sign*m[k] < sign*m[best] {
+				best = k
 			}
 		}
 		return best
 	}
 	tab := stats.NewTable("Metric", "Low Traffic", "High Traffic")
-	tab.AddRow("TTFT", argMin(lowTTFT), argMin(highTTFT))
-	tab.AddRow("TPOT", argMin(lowTPOT), argMin(highTPOT))
-	tab.AddRow("Throughput", argMax(highTput), argMax(highTput))
+	tab.AddRow("TTFT", best(lowTTFT, 1), best(highTTFT, 1))
+	tab.AddRow("TPOT", best(lowTPOT, 1), best(highTPOT, 1))
+	tab.AddRow("Throughput", best(highTput, -1), best(highTput, -1))
 	return tab, nil
 }
 

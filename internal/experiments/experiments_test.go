@@ -106,7 +106,7 @@ func TestTable3Winners(t *testing.T) {
 }
 
 func TestFig7Table5Shape(t *testing.T) {
-	tab, results, _, err := Fig7Table5(quickEnv())
+	tab, _, results, err := Fig7Table5(quickEnv(), 10*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}

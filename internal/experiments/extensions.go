@@ -1,7 +1,7 @@
 package experiments
 
 import (
-	"time"
+	"fmt"
 
 	"repro/internal/model"
 	"repro/internal/perf"
@@ -40,39 +40,34 @@ func ExtensionEP(e Env) (*stats.Table, error) {
 			axes = append(axes, axis{m, cm, "Shift (SP=8)+EP8", perf.Parallelism{SP: 8, TP: 1}, perf.EPConfig{Degree: 8}})
 		}
 	}
-	type cell struct {
-		ttft, tpot   time.Duration
-		tput         float64
-		undeployable bool
+	// Configurations whose weights leave no KV room are reported as holes
+	// (none today: EP8 is what makes full SP deployable).
+	var cells []cell
+	for _, a := range axes {
+		if a.cm.EPKVCapacityTokens(a.par, a.ep, true) <= 0 {
+			continue
+		}
+		cl := serve.SingleEngine(a.name, serve.Config{CM: a.cm, Par: a.par, Strategy: serve.StrategyShift, EP: a.ep})
+		cells = append(cells, pointCells(a.m.Name+"/"+a.name, cl, 4096, 250, e.scaleMin(240, 160))...)
 	}
-	cells, err := runCells(e, len(axes), func(i int) (cell, error) {
-		a := axes[i]
-		cfg := serve.Config{CM: a.cm, Par: a.par, Strategy: serve.StrategyShift, EP: a.ep}
-		cl := serve.SingleEngine(a.name, cfg)
-		ttft, tpot, err := cl.MinLatency(4096, 250)
-		if err != nil {
-			return cell{undeployable: true}, nil
-		}
-		tput, err := cl.PeakThroughput(e.scaleMin(240, 160), 4096, 250)
-		if err != nil {
-			return cell{}, err
-		}
-		return cell{ttft, tpot, tput, false}, nil
-	})
+	res, err := runCells(e, cells)
 	if err != nil {
 		return nil, err
 	}
 	tab := stats.NewTable("Model", "Config", "Weights GB/GPU", "KV tokens", "TTFT ms", "TPOT ms", "Throughput tok/s")
-	for i, c := range cells {
-		a := axes[i]
-		if c.undeployable {
-			tab.AddRow(a.m.Name, a.name, a.cm.EPWeightBytesPerGPU(a.par, a.ep, true)/1e9, 0, "n/a", "n/a", "n/a")
+	for _, a := range axes {
+		weights := a.cm.EPWeightBytesPerGPU(a.par, a.ep, true) / 1e9
+		kv := a.cm.EPKVCapacityTokens(a.par, a.ep, true)
+		if kv <= 0 {
+			tab.AddRow(a.m.Name, a.name, weights, 0, "n/a", "n/a", "n/a")
 			continue
 		}
-		tab.AddRow(a.m.Name, a.name,
-			a.cm.EPWeightBytesPerGPU(a.par, a.ep, true)/1e9,
-			a.cm.EPKVCapacityTokens(a.par, a.ep, true),
-			ms(c.ttft), ms(c.tpot), c.tput)
+		p, err := pointOf(a.m.Name+"/"+a.name, res)
+		if err != nil {
+			return nil, err
+		}
+		res = res[2:]
+		tab.AddRow(a.m.Name, a.name, weights, kv, ms(p.ttft), ms(p.tpot), p.tput)
 	}
 	return tab, nil
 }
@@ -93,18 +88,20 @@ func AblationPrefixCache(e Env, rates []float64) (*stats.Table, error) {
 		}
 	}
 	tr := traceWindow(e, trace.AzureCode(e.Seed), 8)
-	cells, err := runCells(e, len(rates), func(i int) (*serve.Result, error) {
+	cells := make([]cell, len(rates))
+	for i, rate := range rates {
 		cfg := serve.Config{
 			CM: cm, Par: perf.Parallelism{SP: 8, TP: 1},
-			Strategy: serve.StrategyShift, PrefixCacheHitRate: rates[i],
+			Strategy: serve.StrategyShift, PrefixCacheHitRate: rate,
 		}
-		return serve.SingleEngine("apc", cfg).Run(tr)
-	})
+		cells[i] = cell{name: fmt.Sprintf("hit=%v", rate), sys: serve.SingleEngine("apc", cfg), trace: tr}
+	}
+	results, err := runCells(e, cells)
 	if err != nil {
 		return nil, err
 	}
 	tab := stats.NewTable("Hit rate", "p50 TTFT ms", "p99 TTFT ms", "p50 Compl ms", "Throughput tok/s")
-	for i, res := range cells {
+	for i, res := range results {
 		tab.AddRow(rates[i], res.TTFT.Median(), res.TTFT.P99(), res.Completion.Median(), res.Throughput())
 	}
 	return tab, nil

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/model"
-	"repro/internal/obs"
 	"repro/internal/perf"
 	"repro/internal/serve"
 	"repro/internal/stats"
@@ -76,54 +75,33 @@ func FailureRecovery(e Env, planNames []string, window time.Duration) (*stats.Ta
 	tab := stats.NewTable("Policy", "Plan", "Int TTFT-SLO %", "Recovery TTFT-SLO %",
 		"Retries", "Dropped", "LostTok", "Crashes", "Eject", "Readmit",
 		"p99 TTFT ms", "Fleet mean/peak", "Rejected")
-	type cell struct {
-		policy string
-		plan   string
-		res    *serve.Result
-	}
+	type axis struct{ policy, plan string }
+	var axes []axis
 	var cells []cell
 	for _, policy := range serve.AutoscalerNames {
 		for _, plan := range planNames {
-			cells = append(cells, cell{policy: policy, plan: plan})
+			cl, err := failureCluster(cm, policy, plan, dur)
+			if err != nil {
+				return nil, err
+			}
+			axes = append(axes, axis{policy, plan})
+			// Under -trace, the first crash-restart cell tells the full
+			// crash → ejection → retry → readmission story on the victim
+			// replica's track.
+			cells = append(cells, cell{name: policy + "/" + plan, sys: cl, trace: tr,
+				traced: plan == "crash-restart"})
 		}
 	}
-	// With tracing requested (e.Obs set), exactly one sweep cell is
-	// instrumented: the first crash-restart cell, whose trace tells the
-	// full crash → ejection → retry → readmission story on the victim
-	// replica's track. One observer must not span concurrent cells.
-	traced := 0
-	for i, c := range cells {
-		if c.plan == "crash-restart" {
-			traced = i
-			break
-		}
-	}
-	err = NewPool(e.Workers).Run(len(cells), func(i int) error {
-		c := &cells[i]
-		plan, err := failurePlan(c.plan, dur)
-		if err != nil {
-			return err
-		}
-		var o *obs.Observer
-		if i == traced {
-			o = e.Obs
-		}
-		res, err := runFailurePolicy(cm, tr, c.policy, plan, o)
-		if err != nil {
-			return err
-		}
-		c.res = res
-		return nil
-	})
+	results, err := runCells(e, cells)
 	if err != nil {
 		return nil, err
 	}
-	for _, c := range cells {
-		res := c.res
+	for i, a := range axes {
+		res := results[i]
 		overall := attainment(res, "interactive")
 		recov := res.WindowAttainment("interactive", from, from+window)
 		ttft := classTTFT(res, "interactive")
-		tab.AddRow(c.policy, c.plan,
+		tab.AddRow(a.policy, a.plan,
 			100*overall.TTFTRate(), 100*recov.TTFTRate(),
 			res.Retries, res.RejectedCrashDropped, res.WorkLostTokens,
 			res.ReplicaCrashes, res.Ejections, res.Readmissions,
@@ -133,14 +111,19 @@ func FailureRecovery(e Env, planNames []string, window time.Duration) (*stats.Ta
 	return tab, nil
 }
 
-// runFailurePolicy runs one sweep cell: four independent single-GPU
-// replicas under the policy's autoscaler (bounded like the autoscaling
-// sweep), with the fault plan injected and live-least-loaded routing so
-// re-enqueued work lands on actual queue depth.
-func runFailurePolicy(cm *perf.CostModel, tr *workload.Trace, policy string, plan *workload.FaultPlan, o *obs.Observer) (*serve.Result, error) {
+// failureCluster builds one sweep cell's deployment: four independent
+// single-GPU replicas under the policy's autoscaler (bounded like the
+// autoscaling sweep), with the named fault plan injected and
+// live-least-loaded routing so re-enqueued work lands on actual queue
+// depth.
+func failureCluster(cm *perf.CostModel, policy, plan string, dur time.Duration) (serve.Cluster, error) {
+	faults, err := failurePlan(plan, dur)
+	if err != nil {
+		return serve.Cluster{}, err
+	}
 	scaler, err := serve.NewAutoscaler(policy)
 	if err != nil {
-		return nil, err
+		return serve.Cluster{}, err
 	}
 	cl := serve.DPCluster("fail-"+policy, serve.Config{CM: cm, Par: perf.Parallelism{SP: 1, TP: 1}}, 4)
 	cl.Router = serve.NewLiveLeastLoadedRouter()
@@ -151,13 +134,8 @@ func runFailurePolicy(cm *perf.CostModel, tr *workload.Trace, policy string, pla
 		Min:       autoscaleInitial,
 		Max:       autoscaleMax,
 	}
-	cl.Faults = plan
-	cl.Obs = o
-	res, err := cl.Run(tr)
-	if err != nil {
-		return nil, fmt.Errorf("%s/%s: %w", policy, "faults", err)
-	}
-	return res, nil
+	cl.Faults = faults
+	return cl, nil
 }
 
 // OutageSpillover is the geo outage scenario: the two-region antipodal
@@ -186,59 +164,36 @@ func OutageSpillover(e Env, outage time.Duration) (*stats.Table, error) {
 	tab := stats.NewTable("Policy", "Outage", "Int TTFT-SLO %", "Outage TTFT-SLO %",
 		"Spilled %", "Retries", "Dropped", "LostTok", "Eject", "Readmit",
 		"p99 TTFT ms", "Rejected")
-	type cell struct {
-		policy string
-		dark   bool
-		res    *serve.Result
-	}
 	var cells []cell
 	for _, policy := range serve.GeoRouterNames {
-		cells = append(cells, cell{policy: policy}, cell{policy: policy, dark: true})
+		for _, dark := range []bool{false, true} {
+			g, err := geoDeployment(cm, topo, policy, 15*time.Second)
+			if err != nil {
+				return nil, err
+			}
+			g.Name = "outage-" + policy
+			if dark {
+				g.Faults = plan
+			}
+			// Under -trace, the dark spill-over cell tells the outage story
+			// (regional crashes, refugee hops, readmission) on the policy
+			// built to spill.
+			cells = append(cells, cell{name: fmt.Sprintf("%s/dark=%v", policy, dark), sys: g, trace: tr,
+				traced: dark && policy == "spill-over"})
+		}
 	}
-	err = NewPool(e.Workers).Run(len(cells), func(i int) error {
-		c := &cells[i]
-		router, err := serve.NewGeoRouter(c.policy)
-		if err != nil {
-			return err
-		}
-		g := serve.Geo{
-			Name:     "outage-" + c.policy,
-			Topology: topo,
-			Regions:  geoRegions(cm, topo, 15*time.Second),
-			Router:   router,
-		}
-		if c.dark {
-			g.Faults = plan
-		}
-		if c.dark && c.policy == "spill-over" {
-			// The traced cell under -trace: the outage story (regional
-			// crashes, refugee hops, readmission) on the policy built to
-			// spill.
-			g.Obs = e.Obs
-		}
-		res, err := g.Run(tr)
-		if err != nil {
-			return fmt.Errorf("%s/dark=%v: %w", c.policy, c.dark, err)
-		}
-		c.res = res
-		return nil
-	})
+	results, err := runCells(e, cells)
 	if err != nil {
 		return nil, err
 	}
-	for _, c := range cells {
-		res := c.res
+	for i, res := range results {
+		policy, dark := serve.GeoRouterNames[i/2], i%2 == 1
 		overall := attainment(res, "interactive")
 		during := res.WindowAttainment("interactive", start, start+outage)
 		ttft := classTTFT(res, "interactive")
-		total := len(res.PerRequest)
-		spillPct := 0.0
-		if total > 0 {
-			spillPct = 100 * float64(res.Spilled()) / float64(total)
-		}
-		tab.AddRow(c.policy, fmt.Sprintf("%v", c.dark),
+		tab.AddRow(policy, fmt.Sprintf("%v", dark),
 			100*overall.TTFTRate(), 100*during.TTFTRate(),
-			spillPct, res.Retries, res.RejectedCrashDropped, res.WorkLostTokens,
+			spilledPct(res), res.Retries, res.RejectedCrashDropped, res.WorkLostTokens,
 			res.Ejections, res.Readmissions, ttft.P99(), res.Rejected)
 	}
 	return tab, nil

@@ -105,29 +105,25 @@ func geoRegions(cm *perf.CostModel, topo serve.Topology, cold time.Duration) []s
 	return regions
 }
 
-// runGeoPolicy runs one sweep cell.
-func runGeoPolicy(cm *perf.CostModel, tr *workload.Trace, topo serve.Topology, policy string, cold time.Duration) (*serve.Result, error) {
+// geoDeployment builds one sweep cell's deployment: the topology's
+// regions behind the named geo routing policy.
+func geoDeployment(cm *perf.CostModel, topo serve.Topology, policy string, cold time.Duration) (serve.Geo, error) {
 	router, err := serve.NewGeoRouter(policy)
 	if err != nil {
-		return nil, err
+		return serve.Geo{}, err
 	}
-	g := serve.Geo{
+	return serve.Geo{
 		Name:     "geo-" + policy,
 		Topology: topo,
 		Regions:  geoRegions(cm, topo, cold),
 		Router:   router,
-	}
-	res, err := g.Run(tr)
-	if err != nil {
-		return nil, fmt.Errorf("%s/%v/cold=%v: %w", policy, topo.Regions, cold, err)
-	}
-	return res, nil
+	}, nil
 }
 
-// geoBaseline serves the same workload in one consolidated region (no
-// RTT anywhere, combined fleet bounds): the "just build one big site"
-// comparator every multi-region row must justify itself against.
-func geoBaseline(cm *perf.CostModel, tr *workload.Trace, cold time.Duration) (*serve.Result, error) {
+// geoBaseline is the consolidated single-region comparator (no RTT
+// anywhere, combined fleet bounds) every multi-region row must justify
+// itself against, with its copy of the workload.
+func geoBaseline(cm *perf.CostModel, tr *workload.Trace, cold time.Duration) cell {
 	topo := serve.SingleRegion("single-site")
 	regions := geoRegions(cm, topo, cold)
 	configs := make([]serve.Config, 2*geoInitial)
@@ -143,12 +139,11 @@ func geoBaseline(cm *perf.CostModel, tr *workload.Trace, cold time.Duration) (*s
 	for i := range local.Requests {
 		local.Requests[i].Origin = ""
 	}
-	g := serve.Geo{Name: "geo-single", Topology: topo, Regions: regions}
-	res, err := g.Run(local)
-	if err != nil {
-		return nil, fmt.Errorf("single-site/cold=%v: %w", cold, err)
+	return cell{
+		name:  fmt.Sprintf("single-site/cold=%v", cold),
+		sys:   serve.Geo{Name: "geo-single", Topology: topo, Regions: regions},
+		trace: local,
 	}
-	return res, nil
 }
 
 // GeoServing is the multi-region serving scenario: the two-region bursty
@@ -174,55 +169,54 @@ func GeoServing(e Env, coldStarts []time.Duration) (*stats.Table, error) {
 	tab := stats.NewTable("Policy", "Topology", "ColdStart", "Fleet mean/peak",
 		"Replica-s", "$/Mtok", "Int TTFT-SLO %", "p50 TTFT ms", "p99 TTFT ms",
 		"Spilled %", "Ups", "Downs", "Rejected")
-	addRow := func(policy, topoName string, cold time.Duration, res *serve.Result) {
-		att := attainment(res, "interactive")
-		ttft := classTTFT(res, "interactive")
-		total := len(res.PerRequest)
-		spillPct := 0.0
-		if total > 0 {
-			spillPct = 100 * float64(res.Spilled()) / float64(total)
-		}
-		tab.AddRow(policy, topoName, cold,
-			fmt.Sprintf("%.1f/%d", res.MeanFleet(), res.PeakFleet()),
-			res.ReplicaSeconds, res.CostPerMToken(NominalGPUHourUSD),
-			100*att.TTFTRate(), ttft.Median(), ttft.P99(),
-			spillPct, res.ScaleUps, res.ScaleDowns, res.Rejected)
-	}
 	// The grid: the consolidated single-region baseline plus every geo
-	// policy, per topology x cold start. Cells share only read-only
-	// traces and the cost model, so they fan out over the worker pool.
-	type cell struct {
+	// policy, per topology x cold start.
+	type axis struct {
 		policy, topoName string
 		cold             time.Duration
-		run              func() (*serve.Result, error)
 	}
+	var axes []axis
 	var cells []cell
 	for _, topo := range topos {
 		topoName := fmt.Sprintf("%s+%s/%v", topo.Regions[0], topo.Regions[1], topo.RTT[0][1])
 		tr := geoTrace(e, topo.Regions[0], topo.Regions[1])
 		for _, cold := range coldStarts {
-			cells = append(cells, cell{"single-region", topoName, cold,
-				func() (*serve.Result, error) {
-					return geoBaseline(cm, tr, cold)
-				}})
+			axes = append(axes, axis{"single-region", topoName, cold})
+			cells = append(cells, geoBaseline(cm, tr, cold))
 			for _, policy := range serve.GeoRouterNames {
-				cells = append(cells, cell{policy, topoName, cold,
-					func() (*serve.Result, error) {
-						return runGeoPolicy(cm, tr, topo, policy, cold)
-					}})
+				g, err := geoDeployment(cm, topo, policy, cold)
+				if err != nil {
+					return nil, err
+				}
+				axes = append(axes, axis{policy, topoName, cold})
+				cells = append(cells, cell{name: fmt.Sprintf("%s/%s/cold=%v", policy, topoName, cold), sys: g, trace: tr})
 			}
 		}
 	}
-	results, err := runCells(e, len(cells), func(i int) (*serve.Result, error) {
-		return cells[i].run()
-	})
+	results, err := runCells(e, cells)
 	if err != nil {
 		return nil, err
 	}
-	for i, c := range cells {
-		addRow(c.policy, c.topoName, c.cold, results[i])
+	for i, a := range axes {
+		res := results[i]
+		att := attainment(res, "interactive")
+		ttft := classTTFT(res, "interactive")
+		tab.AddRow(a.policy, a.topoName, a.cold,
+			fmt.Sprintf("%.1f/%d", res.MeanFleet(), res.PeakFleet()),
+			res.ReplicaSeconds, res.CostPerMToken(NominalGPUHourUSD),
+			100*att.TTFTRate(), ttft.Median(), ttft.P99(),
+			spilledPct(res), res.ScaleUps, res.ScaleDowns, res.Rejected)
 	}
 	return tab, nil
+}
+
+// spilledPct is the percentage of a geo run's requests served outside
+// their origin region.
+func spilledPct(res *serve.Result) float64 {
+	if len(res.PerRequest) == 0 {
+		return 0
+	}
+	return 100 * float64(res.Spilled()) / float64(len(res.PerRequest))
 }
 
 // GeoRegionBreakdown renders the per-region view of one sweep cell: who
@@ -236,10 +230,15 @@ func GeoRegionBreakdown(e Env, policy string, cold time.Duration) (*stats.Table,
 	topos := geoTopologies()
 	topo := topos[len(topos)-1]
 	tr := geoTrace(e, topo.Regions[0], topo.Regions[1])
-	res, err := runGeoPolicy(cm, tr, topo, policy, cold)
+	g, err := geoDeployment(cm, topo, policy, cold)
 	if err != nil {
 		return nil, err
 	}
+	results, err := runCells(e, []cell{{name: policy, sys: g, trace: tr}})
+	if err != nil {
+		return nil, err
+	}
+	res := results[0]
 	tab := stats.NewTable("Region", "Origin reqs", "Served", "Spill in", "Spill out",
 		"Rejected", "p50 TTFT ms", "Int TTFT-SLO %", "Replica-s", "Ups", "Downs")
 	for _, rs := range res.RegionStats {

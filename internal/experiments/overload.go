@@ -67,64 +67,57 @@ func AdmissionControl(e Env, policies []string) (*stats.Table, error) {
 	tr := overloadTrace(e)
 	tab := stats.NewTable("Policy", "TTFT-SLO %", "Served TTFT-SLO %",
 		"Shed", "Shed %", "ShedTok", "Goodput tok/s", "p99 TTFT ms", "Rejected")
-	type cell struct {
-		policy string
-		res    *serve.Result
-	}
 	cells := make([]cell, len(policies))
 	for i, p := range policies {
-		cells[i] = cell{policy: p}
-	}
-	err = NewPool(e.Workers).Run(len(cells), func(i int) error {
-		c := &cells[i]
 		// MaxSeqs bounds the running batch like vLLM's max_num_seqs: the
 		// burst has to queue behind it, which is exactly the regime where
 		// admission control earns its keep (unbounded batching would
 		// instead absorb the burst as slow concurrent prefills).
 		cfg := serve.Config{CM: cm, Par: perf.Parallelism{SP: 1, TP: 1}, MaxSeqs: 16}
-		if c.policy != serve.AdmissionNone {
-			cfg.Admission = &serve.AdmissionConfig{Policy: c.policy}
+		if p != serve.AdmissionNone {
+			cfg.Admission = &serve.AdmissionConfig{Policy: p}
 		}
-		cl := serve.DPCluster("admit-"+c.policy, cfg, 2)
+		cl := serve.DPCluster("admit-"+p, cfg, 2)
 		cl.Router = serve.NewLiveLeastLoadedRouter()
-		res, err := cl.Run(tr)
-		if err != nil {
-			return fmt.Errorf("%s: %w", c.policy, err)
-		}
-		c.res = res
-		return nil
-	})
+		cells[i] = cell{name: p, sys: cl, trace: tr}
+	}
+	results, err := runCells(e, cells)
 	if err != nil {
 		return nil, err
 	}
-	for _, c := range cells {
-		res := c.res
+	for i, res := range results {
 		att := attainment(res, "interactive")
-		servedRate := 1.0
-		if att.Requests > 0 {
-			// Rejected requests never meet a finite TTFT deadline, so
-			// TTFTMet counts served requests only.
-			servedRate = float64(att.TTFTMet) / float64(att.Requests)
-		}
-		goodTok := 0
-		for _, m := range res.PerRequest {
-			if !m.Rejected {
-				goodTok += m.InputTokens + m.OutputTokens
-			}
-		}
-		goodput := 0.0
-		if res.Makespan > 0 {
-			goodput = float64(goodTok) / res.Makespan.Seconds()
-		}
+		servedRate, _, goodput := served(res, att)
 		shedPct := 0.0
 		if n := len(res.PerRequest); n > 0 {
 			shedPct = 100 * float64(res.Shed) / float64(n)
 		}
 		ttft := classTTFT(res, "interactive")
-		tab.AddRow(c.policy, 100*att.TTFTRate(), 100*servedRate,
+		tab.AddRow(policies[i], 100*att.TTFTRate(), 100*servedRate,
 			res.Shed, shedPct, res.ShedTokens, goodput, ttft.P99(), res.Rejected)
 	}
 	return tab, nil
+}
+
+// served reads what the overload tables report about a run's served
+// requests: their TTFT attainment, and the tokens they carried, in
+// total and per second of makespan (goodput).
+func served(res *serve.Result, att serve.SLOAttainment) (rate float64, tokens int, goodput float64) {
+	rate = 1
+	if att.Requests > 0 {
+		// Rejected requests never meet a finite TTFT deadline, so
+		// TTFTMet counts served requests only.
+		rate = float64(att.TTFTMet) / float64(att.Requests)
+	}
+	for _, m := range res.PerRequest {
+		if !m.Rejected {
+			tokens += m.InputTokens + m.OutputTokens
+		}
+	}
+	if res.Makespan > 0 {
+		goodput = float64(tokens) / res.Makespan.Seconds()
+	}
+	return rate, tokens, goodput
 }
 
 // retryModeNames lists the retry-storm sweep's discipline axis in
@@ -184,36 +177,23 @@ func RetryStorm(e Env, modes []string, window time.Duration) (*stats.Table, erro
 	tab := stats.NewTable("Mode", "Int TTFT-SLO %", "Recovery TTFT-SLO %",
 		"Retries", "Amp", "Dropped", "BackoffWait s", "BreakerOpens",
 		"p99 TTFT ms", "Rejected")
-	type cell struct {
-		mode string
-		res  *serve.Result
-	}
 	cells := make([]cell, len(modes))
-	for i, m := range modes {
-		cells[i] = cell{mode: m}
-	}
-	err = NewPool(e.Workers).Run(len(cells), func(i int) error {
-		c := &cells[i]
-		plan, err := retryStormPlan(c.mode, e.Seed, from)
+	for i, mode := range modes {
+		plan, err := retryStormPlan(mode, e.Seed, from)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		cl := serve.DPCluster("storm-"+c.mode, serve.Config{CM: cm, Par: perf.Parallelism{SP: 1, TP: 1}}, 4)
+		cl := serve.DPCluster("storm-"+mode, serve.Config{CM: cm, Par: perf.Parallelism{SP: 1, TP: 1}}, 4)
 		cl.Router = serve.NewLiveLeastLoadedRouter()
 		cl.Faults = plan
 		cl.Breakers = &serve.BreakerConfig{}
-		res, err := cl.Run(tr)
-		if err != nil {
-			return fmt.Errorf("%s: %w", c.mode, err)
-		}
-		c.res = res
-		return nil
-	})
+		cells[i] = cell{name: mode, sys: cl, trace: tr}
+	}
+	results, err := runCells(e, cells)
 	if err != nil {
 		return nil, err
 	}
-	for _, c := range cells {
-		res := c.res
+	for i, res := range results {
 		overall := attainment(res, "interactive")
 		recov := res.WindowAttainment("interactive", from, from+window)
 		amp := 0.0
@@ -221,7 +201,7 @@ func RetryStorm(e Env, modes []string, window time.Duration) (*stats.Table, erro
 			amp = float64(res.Retries) / float64(n)
 		}
 		ttft := classTTFT(res, "interactive")
-		tab.AddRow(c.mode, 100*overall.TTFTRate(), 100*recov.TTFTRate(),
+		tab.AddRow(modes[i], 100*overall.TTFTRate(), 100*recov.TTFTRate(),
 			res.Retries, amp, res.RejectedCrashDropped,
 			res.RetryBackoffWait.Seconds(), res.BreakerOpens,
 			ttft.P99(), res.Rejected)

@@ -1,9 +1,13 @@
 package experiments
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/serve"
+	"repro/internal/workload"
 )
 
 // Pool fans independent experiment sweep cells out over a bounded
@@ -59,21 +63,55 @@ func (p *Pool) Run(n int, cell func(int) error) error {
 	return nil
 }
 
-// runCells fans n independent sweep cells over the env's worker pool
-// and returns their results in cell order, so tables built from them
-// are byte-identical to the serial loop at any pool width. This is how
-// Env.Workers reaches every scenario: any experiment whose loop runs
-// one deployment per iteration fans out through here. Cells must share
-// only read-only state (traces, cost models) and construct their own
-// clusters/routers.
-func runCells[T any](e Env, n int, run func(i int) (T, error)) ([]T, error) {
-	out := make([]T, n)
-	err := NewPool(e.Workers).Run(n, func(i int) error {
-		v, err := run(i)
-		if err != nil {
-			return err
+// deployment is what a sweep cell runs: a serve.Cluster or a serve.Geo.
+type deployment interface {
+	Run(*workload.Trace) (*serve.Result, error)
+}
+
+// cell is one simulator run of a sweep: a deployment replaying a trace.
+// Each cell builds its own deployment (routers and scalers are
+// stateful); cells share only read-only state (traces, cost models).
+type cell struct {
+	name  string
+	sys   deployment
+	trace *workload.Trace
+	// traced marks the cell Env.Obs records; with none marked, cell 0's
+	// run is the traced one.
+	traced bool
+}
+
+// runCells is how every scenario runs the simulator: it fans the cells
+// over the env's worker pool and returns their results in cell order,
+// so tables built from them are byte-identical to the serial loop at any
+// pool width. An error names the cell it came from. When e.Obs is set,
+// exactly one cell runs with it (one observer must not span concurrent
+// runs): the marked cell, else cell 0. That cell's deployment in cells
+// carries e.Obs afterwards.
+func runCells(e Env, cells []cell) ([]*serve.Result, error) {
+	if e.Obs != nil && len(cells) > 0 {
+		t := 0
+		for i, c := range cells {
+			if c.traced {
+				t = i
+				break
+			}
 		}
-		out[i] = v
+		switch d := cells[t].sys.(type) {
+		case serve.Cluster:
+			d.Obs = e.Obs
+			cells[t].sys = d
+		case serve.Geo:
+			d.Obs = e.Obs
+			cells[t].sys = d
+		}
+	}
+	out := make([]*serve.Result, len(cells))
+	err := NewPool(e.Workers).Run(len(cells), func(i int) error {
+		res, err := cells[i].sys.Run(cells[i].trace)
+		if err != nil {
+			return fmt.Errorf("%s: %w", cells[i].name, err)
+		}
+		out[i] = res
 		return nil
 	})
 	if err != nil {

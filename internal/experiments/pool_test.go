@@ -2,13 +2,19 @@ package experiments
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/model"
+	"repro/internal/obs"
+	"repro/internal/perf"
+	"repro/internal/serve"
 	"repro/internal/stats"
+	"repro/internal/workload"
 )
 
 func TestPoolRunReturnsLowestIndexError(t *testing.T) {
@@ -130,5 +136,42 @@ func TestRunCellsScenariosMatchSerial(t *testing.T) {
 		if !reflect.DeepEqual(serial, parallel) {
 			t.Errorf("%s diverged between pool widths:\nserial:\n%v\nparallel:\n%v", name, serial, parallel)
 		}
+	}
+}
+
+// TestRunCellsTracesOneCell pins the runner's tracing and error rules:
+// Env.Obs goes to the marked cell (else cell 0) and to no other, and a
+// failing cell's error carries its name.
+func TestRunCellsTracesOneCell(t *testing.T) {
+	cm, err := perf.New(DefaultEnv().Node, model.Llama70B(), perf.DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	one := serve.SingleEngine("one", serve.Config{CM: cm, Par: perf.Parallelism{SP: 1, TP: 8}})
+	tr := workload.Single(512, 8)
+	for _, marked := range []int{-1, 2} {
+		cells := make([]cell, 3)
+		for i := range cells {
+			cells[i] = cell{name: fmt.Sprint(i), sys: one, trace: tr, traced: i == marked}
+		}
+		e := DefaultEnv()
+		e.Workers = 2
+		e.Obs = obs.NewObserver()
+		if _, err := runCells(e, cells); err != nil {
+			t.Fatal(err)
+		}
+		want := max(marked, 0)
+		for i, c := range cells {
+			if got := c.sys.(serve.Cluster).Obs; (got == e.Obs) != (i == want) {
+				t.Fatalf("marked %d: cell %d observer %p, Env.Obs %p", marked, i, got, e.Obs)
+			}
+		}
+		if e.Obs.Empty() {
+			t.Fatalf("marked %d: the traced cell recorded nothing", marked)
+		}
+	}
+	_, err = runCells(DefaultEnv(), []cell{{name: "ok", sys: one, trace: tr}, {name: "empty", sys: serve.Cluster{Name: "x"}, trace: tr}})
+	if err == nil || !strings.HasPrefix(err.Error(), "empty: ") {
+		t.Fatalf("error %v does not name the failing cell", err)
 	}
 }

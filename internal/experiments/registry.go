@@ -20,7 +20,6 @@ import (
 
 	"repro/internal/hw"
 	"repro/internal/model"
-	"repro/internal/obs"
 	"repro/internal/scenario"
 	"repro/internal/serve"
 	"repro/internal/stats"
@@ -88,6 +87,11 @@ func init() {
 			{Name: "rates", Kind: scenario.Floats, Default: nil,
 				Help: "arrival rates in req/s (default: the paper's sweep)"}},
 		Run: one("fig14", withModel(func(e Env, m model.Config, v scenario.Values) (*stats.Table, error) {
+			for _, r := range v.FloatList("rates") {
+				if r <= 0 {
+					return nil, fmt.Errorf("arrival rate %v must be positive", r)
+				}
+			}
 			return Fig14(e, m, v.FloatList("rates"))
 		})),
 	})
@@ -131,14 +135,16 @@ func init() {
 				Help: "series bucket width"},
 		},
 		Run: func(se scenario.Env, v scenario.Values) ([]stats.Section, error) {
-			tab, _, observers, err := Fig7Table5(Env(se))
+			if b := v.Duration("bucket"); b <= 0 {
+				return nil, fmt.Errorf("series bucket %v must be positive", b)
+			}
+			tab, series, _, err := Fig7Table5(Env(se), v.Duration("bucket"))
 			if err != nil {
 				return nil, err
 			}
 			sections := []stats.Section{{Name: "fig7-table5", Table: tab}}
 			if v.Bool("series") {
-				sections = append(sections,
-					stats.Section{Name: "throughput-series", Table: throughputSeries(observers, v.Duration("bucket"))})
+				sections = append(sections, stats.Section{Name: "throughput-series", Table: series})
 			}
 			return sections, nil
 		},
@@ -366,6 +372,9 @@ func init() {
 				Help: "owned replica price in $/hour"},
 		},
 		Run: one("cost-tiered", func(e Env, v scenario.Values) (*stats.Table, error) {
+			if h := v.Float("replicahour"); h <= 0 {
+				return nil, fmt.Errorf("replica price %v $/hour must be positive", h)
+			}
 			return CostTiered(e, v.FloatList("bursts"), v.FloatList("prices"),
 				v.Int("fleet"), v.Float("replicahour"))
 		}),
@@ -445,31 +454,6 @@ func init() {
 			return GeoRegionBreakdown(e, v.String("policy"), v.Duration("coldstart"))
 		}),
 	})
-}
-
-// throughputSeries renders the per-bucket throughput time series of a
-// Fig7Table5 run (the bottom panel of Figure 7).
-func throughputSeries(observers map[string]*obs.Observer, bucket time.Duration) *stats.Table {
-	systems := []string{"DP", "TP", "Shift"}
-	tab := stats.NewTable("Bucket", "DP", "TP", "Shift")
-	rates := map[string][]float64{}
-	maxLen := 0
-	for _, name := range systems {
-		rates[name] = observers[name].ThroughputSeries(bucket).Rates()
-		if len(rates[name]) > maxLen {
-			maxLen = len(rates[name])
-		}
-	}
-	at := func(name string, i int) any {
-		if i < len(rates[name]) {
-			return rates[name][i]
-		}
-		return ""
-	}
-	for i := 0; i < maxLen; i++ {
-		tab.AddRow(time.Duration(i)*bucket, at("DP", i), at("TP", i), at("Shift", i))
-	}
-	return tab
 }
 
 // perRequestTable renders per-request metrics for every system of a

@@ -87,61 +87,49 @@ func classTTFT(res *serve.Result, prefix string) *stats.Sample {
 	return &s
 }
 
-// routingRow appends one (cluster, router) cell's result as a table row.
-func routingRow(tab *stats.Table, fleet string, n int, router string, res *serve.Result) {
-	chat := attainment(res, "chat")
-	batch := attainment(res, "batch")
-	ttft := classTTFT(res, "chat")
-	tab.AddRow(fleet, n, router,
-		res.Throughput(),
-		100*chat.TTFTRate(), 100*chat.TPOTRate(), 100*batch.TTFTRate(),
-		ttft.Median(), ttft.P99(),
-		100*ttft.FracBelow(ms(interactiveSLO.TTFT)),
-		res.SLOPreemptions, res.Rejected)
+// routingFleet is one fleet of a routing sweep, named for its rows.
+type routingFleet struct {
+	name string
+	cl   serve.Cluster
 }
 
-// routingCell is one (fleet, router) sweep cell; build constructs the
-// cluster (with a fresh router instance — routers are stateful) inside
-// the worker so cells share nothing.
-type routingCell struct {
-	fleet  string
-	n      int
-	router string
-	build  func(router serve.Router) serve.Cluster
-	res    *serve.Result
-}
-
-// runRoutingCells fans the cells over the worker pool and appends their
-// rows in submission order.
-func runRoutingCells(e Env, tab *stats.Table, cells []routingCell, tr *workload.Trace) error {
-	err := NewPool(e.Workers).Run(len(cells), func(i int) error {
-		c := &cells[i]
-		router, err := serve.NewRouter(c.router)
-		if err != nil {
-			return err
+// routingSweep replays the trace on every fleet behind every router
+// policy, each cell with its own (stateful) router instance, one row per
+// cell.
+func routingSweep(e Env, tr *workload.Trace, fleets []routingFleet) (*stats.Table, error) {
+	var cells []cell
+	for _, f := range fleets {
+		for _, name := range serve.RouterNames {
+			router, err := serve.NewRouter(name)
+			if err != nil {
+				return nil, err
+			}
+			cl := f.cl
+			cl.Router = router
+			cells = append(cells, cell{name: fmt.Sprintf("%s/%s/%s", f.name, cl.Name, name), sys: cl, trace: tr})
 		}
-		cl := c.build(router)
-		res, err := cl.Run(tr)
-		if err != nil {
-			return fmt.Errorf("%s/%s: %w", c.fleet, c.router, err)
-		}
-		c.res = res
-		return nil
-	})
+	}
+	results, err := runCells(e, cells)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	for _, c := range cells {
-		routingRow(tab, c.fleet, c.n, c.router, c.res)
-	}
-	return nil
-}
-
-func routingTable() *stats.Table {
-	return stats.NewTable("Fleet", "Replicas", "Router", "Throughput tok/s",
+	tab := stats.NewTable("Fleet", "Replicas", "Router", "Throughput tok/s",
 		"Chat TTFT-SLO %", "Chat TPOT-SLO %", "Batch TTFT-SLO %",
 		"Chat p50 TTFT ms", "Chat p99 TTFT ms", "Chat TTFT<1.5s %",
 		"SLO preempt", "Rejected")
+	for i, res := range results {
+		f := fleets[i/len(serve.RouterNames)]
+		chat := attainment(res, "chat")
+		batch := attainment(res, "batch")
+		ttft := classTTFT(res, "chat")
+		tab.AddRow(f.name, len(f.cl.Configs), serve.RouterNames[i%len(serve.RouterNames)],
+			res.Throughput(),
+			100*chat.TTFTRate(), 100*chat.TPOTRate(), 100*batch.TTFTRate(),
+			ttft.Median(), ttft.P99(),
+			100*ttft.FracBelow(ms(interactiveSLO.TTFT)),
+			res.SLOPreemptions, res.Rejected)
+	}
+	return tab, nil
 }
 
 // ClusterRouting is the new figure-style scenario this layer exists for:
@@ -160,25 +148,12 @@ func ClusterRouting(e Env, replicaCounts []int) (*stats.Table, error) {
 			replicaCounts = []int{2, 4}
 		}
 	}
-	tab := routingTable()
 	dpCfg := serve.Config{CM: cm, Par: perf.Parallelism{SP: 1, TP: 1}}
-	var cells []routingCell
+	var fleets []routingFleet
 	for _, n := range replicaCounts {
-		for _, name := range serve.RouterNames {
-			cells = append(cells, routingCell{
-				fleet: "homogeneous", n: n, router: name,
-				build: func(router serve.Router) serve.Cluster {
-					cl := serve.DPCluster(fmt.Sprintf("dp%d", n), dpCfg, n)
-					cl.Router = router
-					return cl
-				},
-			})
-		}
+		fleets = append(fleets, routingFleet{"homogeneous", serve.DPCluster(fmt.Sprintf("dp%d", n), dpCfg, n)})
 	}
-	if err := runRoutingCells(e, tab, cells, tr); err != nil {
-		return nil, err
-	}
-	return tab, nil
+	return routingSweep(e, tr, fleets)
 }
 
 // HeteroRouting repeats the routing sweep on a heterogeneous fleet —
@@ -192,21 +167,6 @@ func HeteroRouting(e Env) (*stats.Table, error) {
 	}
 	small := serve.Config{CM: cm, Par: perf.Parallelism{SP: 1, TP: 1}}
 	big := serve.Config{CM: cm, Par: perf.Parallelism{SP: 1, TP: 2}}
-	heteroCfgs := []serve.Config{small, small, small, small, big, big}
-	tab := routingTable()
-	var cells []routingCell
-	for _, name := range serve.RouterNames {
-		cells = append(cells, routingCell{
-			fleet: "hetero-4x1+2x2", n: len(heteroCfgs), router: name,
-			build: func(router serve.Router) serve.Cluster {
-				cl := serve.HeteroCluster("hetero", heteroCfgs...)
-				cl.Router = router
-				return cl
-			},
-		})
-	}
-	if err := runRoutingCells(e, tab, cells, tr); err != nil {
-		return nil, err
-	}
-	return tab, nil
+	hetero := serve.HeteroCluster("hetero", small, small, small, small, big, big)
+	return routingSweep(e, tr, []routingFleet{{"hetero-4x1+2x2", hetero}})
 }

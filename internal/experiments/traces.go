@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/model"
@@ -27,36 +26,53 @@ func burstyTrace(e Env) *workload.Trace {
 }
 
 // Fig7Table5 replays the bursty synthetic workload on Llama-70B and
-// reports Table 5's rows (median TTFT/TPOT, peak throughput) plus each
-// system's result and the observer that recorded it: the engines'
-// iteration records on it give Figure 7's throughput over time.
-func Fig7Table5(e Env) (*stats.Table, map[string]*serve.Result, map[string]*obs.Observer, error) {
+// reports Table 5's rows (median TTFT/TPOT, peak throughput), Figure 7's
+// throughput over time in buckets of the given width (from the engines'
+// iteration records on each run's observer), and each system's result.
+func Fig7Table5(e Env, bucket time.Duration) (*stats.Table, *stats.Table, map[string]*serve.Result, error) {
 	clusters, err := e.clusters(model.Llama70B())
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	tr := burstyTrace(e)
 	systems := []string{"DP", "TP", "Shift"} // Table 5's rows
-	observers := make([]*obs.Observer, len(systems))
-	cells, err := runCells(e, len(systems), func(i int) (*serve.Result, error) {
-		cl := clusters[systems[i]]
-		observers[i] = obs.NewObserver()
-		cl.Obs = observers[i]
-		return cl.Run(tr)
-	})
+	cells := make([]cell, len(systems))
+	for i, name := range systems {
+		cl := clusters[name]
+		cl.Obs = obs.NewObserver()
+		cells[i] = cell{name: name, sys: cl, trace: tr}
+	}
+	res, err := runCells(e, cells)
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	tab := stats.NewTable("System", "Median TTFT ms", "Median TPOT ms", "Peak Throughput tok/s", "p99 TTFT ms")
+	series := stats.NewTable(append([]string{"Bucket"}, systems...)...)
 	results := map[string]*serve.Result{}
-	byName := map[string]*obs.Observer{}
-	for i, res := range cells {
-		results[systems[i]] = res
-		byName[systems[i]] = observers[i]
-		peak := observers[i].ThroughputSeries(5 * time.Second).Peak()
-		tab.AddRow(systems[i], res.TTFT.Median(), res.TPOT.Median(), peak, res.TTFT.P99())
+	rates := make([][]float64, len(systems))
+	buckets := 0
+	for i, name := range systems {
+		// The traced cell's observer is Env.Obs; runCells left it on the
+		// cell's deployment.
+		o := cells[i].sys.(serve.Cluster).Obs
+		results[name] = res[i]
+		tab.AddRow(name, res[i].TTFT.Median(), res[i].TPOT.Median(),
+			o.ThroughputSeries(5*time.Second).Peak(), res[i].TTFT.P99())
+		rates[i] = o.ThroughputSeries(bucket).Rates()
+		buckets = max(buckets, len(rates[i]))
 	}
-	return tab, results, byName, nil
+	for b := range buckets {
+		row := []any{time.Duration(b) * bucket}
+		for _, r := range rates {
+			if b < len(r) {
+				row = append(row, r[b])
+			} else {
+				row = append(row, "")
+			}
+		}
+		series.AddRow(row...)
+	}
+	return tab, series, results, nil
 }
 
 // Fig8 summarizes the two production trace twins the way Figure 8 plots
@@ -70,14 +86,14 @@ func Fig8(e Env) (*stats.Table, error) {
 		{"Azure LLM Code (twin)", func() *workload.Trace { return trace.AzureCode(e.Seed) }},
 		{"Mooncake Conversation (twin)", func() *workload.Trace { return trace.MooncakeConversation(e.Seed) }},
 	}
-	cells, err := runCells(e, len(twins), func(i int) (trace.Stats, error) {
-		return trace.Summarize(twins[i].build()), nil
+	sums := make([]trace.Stats, len(twins))
+	// Summarize cannot fail, so neither can the pool.
+	_ = NewPool(e.Workers).Run(len(twins), func(i int) error {
+		sums[i] = trace.Summarize(twins[i].build())
+		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
 	tab := stats.NewTable("Trace", "Requests", "Mean In", "Max In", "Mean Out", "Max Out", "Req/s", "Offered tok/s")
-	for i, s := range cells {
+	for i, s := range sums {
 		tab.AddRow(twins[i].name, s.Requests, s.MeanIn, s.MaxIn, s.MeanOut, s.MaxOut, s.ArrivalsPerS, s.OfferedRate)
 	}
 	return tab, nil
@@ -125,19 +141,17 @@ func Fig10Mooncake(e Env) (*stats.Table, map[string]*serve.Result, error) {
 }
 
 func replay(e Env, clusters map[string]serve.Cluster, tr *workload.Trace) (*stats.Table, map[string]*serve.Result, error) {
-	cells, err := runCells(e, len(Order), func(i int) (*serve.Result, error) {
-		res, err := clusters[Order[i]].Run(tr)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", Order[i], err)
-		}
-		return res, nil
-	})
+	cells := make([]cell, len(Order))
+	for i, name := range Order {
+		cells[i] = cell{name: name, sys: clusters[name], trace: tr}
+	}
+	res, err := runCells(e, cells)
 	if err != nil {
 		return nil, nil, err
 	}
 	tab := stats.NewTable("System", "p50 TTFT ms", "p99 TTFT ms", "p50 TPOT ms", "p99 TPOT ms", "p50 Compl ms", "p99 Compl ms")
 	results := map[string]*serve.Result{}
-	for i, res := range cells {
+	for i, res := range res {
 		results[Order[i]] = res
 		tab.AddRow(Order[i],
 			res.TTFT.Median(), res.TTFT.P99(),

@@ -40,10 +40,11 @@ type Env struct {
 	// setting — sweep cells are independent and rows assemble in
 	// submission order.
 	Workers int
-	// Obs, when set, collects request lifecycle spans and controller
-	// time series from the scenario's simulator runs (see internal/obs
-	// and each scenario for which runs it instruments). nil keeps every
-	// run on the untraced fast path.
+	// Obs, when set, records one simulator run of the scenario: its
+	// request lifecycle spans, controller time series and engine
+	// iteration records (see internal/obs). Every run goes through one
+	// runner, which gives Obs to the sweep's marked cell, else to its
+	// first. nil keeps every run on the untraced fast path.
 	Obs *obs.Observer
 }
 

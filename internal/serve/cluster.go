@@ -121,20 +121,19 @@ func (c Cluster) Run(t *workload.Trace) (*Result, error) {
 	return ctl.run(t)
 }
 
+// Single is the deployment MinLatency measures: the cluster's first
+// engine on its own.
+func (c Cluster) Single() Cluster { return SingleEngine(c.Name+"-single", c.Configs[0]) }
+
 // MinLatency measures the lone-request latency of the cluster's first
 // engine: TTFT and TPOT with no queueing (Section 4.3.1's sequential
 // processing).
 func (c Cluster) MinLatency(inTok, outTok int) (ttft, tpot time.Duration, err error) {
-	res, err := SingleEngine(c.Name+"-single", c.Configs[0]).Run(workload.Single(inTok, outTok))
+	res, err := c.Single().Run(workload.Single(inTok, outTok))
 	if err != nil {
 		return 0, 0, err
 	}
-	if res.TTFT.N() == 0 {
-		return 0, 0, fmt.Errorf("serve: single request was rejected")
-	}
-	ttft = time.Duration(res.TTFT.Mean() * float64(time.Millisecond))
-	tpot = time.Duration(res.TPOT.Mean() * float64(time.Millisecond))
-	return ttft, tpot, nil
+	return res.LoneLatency()
 }
 
 // PeakThroughput saturates the cluster with a closed batch of identical
@@ -145,10 +144,7 @@ func (c Cluster) PeakThroughput(nRequests, inTok, outTok int) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if res.Rejected == len(res.PerRequest) {
-		return 0, fmt.Errorf("serve: all requests rejected")
-	}
-	return res.Throughput(), nil
+	return res.BatchThroughput()
 }
 
 // StandardClusters builds the four deployments the paper compares on one

@@ -371,6 +371,27 @@ func (r *Result) Throughput() float64 {
 	return float64(r.TotalTokens) / r.Makespan.Seconds()
 }
 
+// LoneLatency reads a lone-request run (workload.Single on one engine):
+// its TTFT and TPOT with no queueing. It errors when the request was
+// rejected.
+func (r *Result) LoneLatency() (ttft, tpot time.Duration, err error) {
+	if r.TTFT.N() == 0 {
+		return 0, 0, fmt.Errorf("serve: single request was rejected")
+	}
+	ttft = time.Duration(r.TTFT.Mean() * float64(time.Millisecond))
+	tpot = time.Duration(r.TPOT.Mean() * float64(time.Millisecond))
+	return ttft, tpot, nil
+}
+
+// BatchThroughput reads a saturating closed-batch run: its combined
+// tokens/second. It errors when every request was rejected.
+func (r *Result) BatchThroughput() (float64, error) {
+	if r.Rejected == len(r.PerRequest) {
+		return 0, fmt.Errorf("serve: all requests rejected")
+	}
+	return r.Throughput(), nil
+}
+
 // MeanFleet returns the time-averaged provisioned fleet size
 // (ReplicaSeconds over the makespan).
 func (r *Result) MeanFleet() float64 {
