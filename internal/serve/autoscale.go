@@ -252,48 +252,6 @@ func (ac AutoscaleConfig) validate(initial int) error {
 	return nil
 }
 
-// stepUntil is the engine loop: admission, schedule, price, apply, until
-// the engine drains, never starting an iteration at or past the horizon
-// — so the serving controller can inject routed arrivals and scaling
-// decisions at event boundaries without perturbing engine behaviour.
-// final promises that no further arrivals will be appended, enabling the
-// end-of-trace rejection of unadmittable waiters; without it an idle
-// engine parks at the horizon and waits for the controller. After each
-// pure-decode iteration, runAhead books the steady decode steps that
-// follow without scheduling them one by one; a stretch an earlier
-// horizon cut resumes here before anything is scheduled.
-func (e *Engine) stepUntil(horizon time.Duration, final bool) {
-	if e.ahead.left > 0 {
-		e.resume(horizon)
-	}
-	for !e.finished() && e.now < horizon {
-		e.admit()
-		plan := e.schedule()
-		if plan.empty() {
-			if e.awaitsWork(final) {
-				// Nothing can progress until the controller routes more
-				// work: park at the horizon.
-				e.now = horizon
-				return
-			}
-			if !e.resolveEmpty() {
-				// resolveEmpty leaves running empty, so an arrival is
-				// pending (else the engine would be finished or parked).
-				if a := e.nextArrival(); a < horizon {
-					e.now = a
-				} else {
-					e.now = horizon
-					return
-				}
-			}
-			continue
-		}
-		cost := e.price(&plan)
-		e.apply(plan, cost, e.now+cost.Total())
-		e.runAhead(plan, horizon)
-	}
-}
-
 // replicaState tracks one replica through its autoscaled lifecycle.
 type replicaState int
 
@@ -325,9 +283,9 @@ type replica struct {
 	assignedReqs   int
 	tokenHandicap  int
 	kvCapacity     int
-	// Window cursors over the engine's completed/rejected lists.
-	doneSeen int
-	rejSeen  int
+	// window is the autoscaler window's read point over the engine's
+	// terminal lists.
+	window outcomes
 
 	// Health/fault state (all zero without fault injection). down marks
 	// the machine dark: its engine is not stepped and everything routed
@@ -340,13 +298,11 @@ type replica struct {
 	ejected    bool
 	ejectedAt  time.Duration
 
-	// Circuit breaker (nil unless the fleet enables breakers). The bk*
-	// cursors sweep the engine's terminal lists at controller points,
-	// feeding completions as successes and admission sheds as failures;
-	// crashes trip the breaker directly.
-	breaker    *breaker
-	bkDoneSeen int
-	bkRejSeen  int
+	// Circuit breaker (nil unless the fleet enables breakers). bkSeen is
+	// its read point over the engine's terminal lists, which feed it at
+	// controller points; crashes trip the breaker directly.
+	breaker *breaker
+	bkSeen  outcomes
 }
 
 // remaining counts routed-but-unfinished requests, the drain-victim
@@ -614,50 +570,18 @@ func (f *fleetState) allDone() bool {
 	return true
 }
 
-// syncBreakers sweeps each replica's terminal lists since the last
-// sync into its breaker: completions are successes, admission sheds are
-// failures (crashes trip directly in crashReplica). Runs at controller
-// points, in replica index order, so the state machines see one fixed
-// signal order.
+// syncBreakers feeds each replica's terminal outcomes since the last
+// sync into its breaker (crashes trip directly in crashReplica). Runs
+// at controller points, in replica index order, so the state machines
+// see one fixed signal order.
 func (f *fleetState) syncBreakers(now time.Duration) {
 	if f.breakers == nil {
 		return
 	}
 	for _, rep := range f.replicas {
-		b := rep.breaker
-		e := rep.engine
-		for range e.completed[rep.bkDoneSeen:] {
-			if b.success() {
-				e.stream.Event(now, obs.EvBreakerClose, obs.NoRequest, "")
-			}
-		}
-		rep.bkDoneSeen = len(e.completed)
-		for _, s := range e.rejected[rep.bkRejSeen:] {
-			if s.rejectReason != RejectShed {
-				continue
-			}
-			if b.failure(now) {
-				e.stream.Event(now, obs.EvBreakerOpen, obs.NoRequest, "shed")
-			}
-		}
-		rep.bkRejSeen = len(e.rejected)
+		done, rej := rep.bkSeen.since(rep.engine)
+		rep.breaker.feed(done, rej, now, rep.engine.stream, "", "shed")
 	}
-}
-
-// breakerAllow consults a replica's breaker for routing, emitting the
-// half-open transition event when an open window lapses. Replicas
-// without a breaker always allow.
-func (f *fleetState) breakerAllow(rep *replica, now time.Duration) bool {
-	b := rep.breaker
-	if b == nil {
-		return true
-	}
-	wasOpen := b.state == breakerOpen
-	ok := b.allow(now)
-	if ok && wasOpen {
-		rep.engine.stream.Event(now, obs.EvBreakerHalfOpen, obs.NoRequest, "")
-	}
-	return ok
 }
 
 // route places one arriving request on an active replica, judged on the
@@ -676,7 +600,7 @@ func (f *fleetState) route(router Router, r workload.Request, now time.Duration)
 			OutstandingTokens: rep.assignedTokens + rep.tokenHandicap,
 			FreeKVTokens:      rep.kvCapacity - rep.assignedTokens - rep.tokenHandicap,
 			LiveTokens:        rep.engine.backlogTokens,
-			BreakerOpen:       !f.breakerAllow(rep, now),
+			BreakerOpen:       !rep.breaker.allowOn(now, rep.engine.stream, ""),
 		})
 		targets = append(targets, rep)
 	}
@@ -702,10 +626,10 @@ func (f *fleetState) route(router Router, r workload.Request, now time.Duration)
 	return nil
 }
 
-// view snapshots the fleet for the autoscaler, consuming the completion
-// window cursors. parkedReqs counts the requests parked at the balancer
-// on this fleet's behalf (nothing routable during an outage): backlog
-// the policy should see and scale for.
+// view snapshots the fleet for the autoscaler, moving each replica's
+// window read point. parkedReqs counts the requests parked at the
+// balancer on this fleet's behalf (nothing routable during an outage):
+// backlog the policy should see and scale for.
 func (f *fleetState) view(parkedReqs int) FleetView {
 	var v FleetView
 	for _, rep := range f.replicas {
@@ -713,47 +637,17 @@ func (f *fleetState) view(parkedReqs int) FleetView {
 		// Window attainment covers every replica, retired ones included:
 		// a drained replica's final completions still happened in this
 		// window, and omitting them would read as an attainment dip right
-		// after a scale-down. TTFTMet supplies the shared deadline
-		// semantics (NoDeadline is never missed, not even by rejection).
-		for _, s := range e.completed[rep.doneSeen:] {
-			v.WindowOutcomes++
-			if s.req.SLO != nil {
-				v.WindowSLORequests++
-				m := RequestMetrics{TTFT: s.firstTok - s.req.Arrival, SLO: s.req.SLO}
-				met := m.TTFTMet()
-				if met {
-					v.WindowTTFTMet++
-				}
-				if f.obs != nil {
-					f.clsReq[s.req.Class]++
-					if met {
-						f.clsMet[s.req.Class]++
-					}
-				}
-			}
+		// after a scale-down.
+		done, rej := rep.window.since(e)
+		for _, s := range done {
+			f.windowOutcome(&v, s, false)
 		}
-		rep.doneSeen = len(e.completed)
-		for _, s := range e.rejected[rep.rejSeen:] {
-			v.WindowOutcomes++
+		for _, s := range rej {
 			if s.rejectReason == RejectShed {
 				v.WindowShed++
 			}
-			if s.req.SLO != nil {
-				v.WindowSLORequests++
-				m := RequestMetrics{Rejected: true, SLO: s.req.SLO}
-				met := m.TTFTMet()
-				if met {
-					v.WindowTTFTMet++
-				}
-				if f.obs != nil {
-					f.clsReq[s.req.Class]++
-					if met {
-						f.clsMet[s.req.Class]++
-					}
-				}
-			}
+			f.windowOutcome(&v, s, true)
 		}
-		rep.rejSeen = len(e.rejected)
 
 		switch rep.state {
 		case replicaActive:
@@ -768,6 +662,31 @@ func (f *fleetState) view(parkedReqs int) FleetView {
 	}
 	v.QueuedRequests += parkedReqs
 	return v
+}
+
+// windowOutcome tallies one terminal outcome into the autoscaler's
+// window and, on a traced run, into the per-class roll-up obsSample
+// consumes. TTFTMet supplies the shared deadline semantics (NoDeadline
+// is never missed, not even by rejection). The window's TTFT runs from
+// the request's last arrival (a retry's re-arrival), not from the
+// original submission its row measures from.
+func (f *fleetState) windowOutcome(v *FleetView, s *seq, rejected bool) {
+	v.WindowOutcomes++
+	if s.req.SLO == nil {
+		return
+	}
+	v.WindowSLORequests++
+	m := RequestMetrics{TTFT: s.firstTok - s.req.Arrival, Rejected: rejected, SLO: s.req.SLO}
+	met := m.TTFTMet()
+	if met {
+		v.WindowTTFTMet++
+	}
+	if f.obs != nil {
+		f.clsReq[s.req.Class]++
+		if met {
+			f.clsMet[s.req.Class]++
+		}
+	}
 }
 
 // evaluate runs one autoscaler decision at an evaluation boundary; the

@@ -15,6 +15,8 @@ package serve
 import (
 	"fmt"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // Breaker defaults (see BreakerConfig).
@@ -55,14 +57,14 @@ func (c BreakerConfig) withDefaults() BreakerConfig {
 }
 
 func (c *BreakerConfig) validate() error {
-	if c == nil {
-		return nil
-	}
-	if c.FailThreshold < 0 || c.HalfOpenProbes < 0 {
-		return fmt.Errorf("serve: breaker thresholds must be non-negative")
-	}
-	if c.OpenFor < 0 {
-		return fmt.Errorf("serve: breaker open window %v is negative", c.OpenFor)
+	switch {
+	case c == nil:
+	case c.FailThreshold < 0:
+		return fmt.Errorf("serve: BreakerConfig.FailThreshold %d is negative", c.FailThreshold)
+	case c.HalfOpenProbes < 0:
+		return fmt.Errorf("serve: BreakerConfig.HalfOpenProbes %d is negative", c.HalfOpenProbes)
+	case c.OpenFor < 0:
+		return fmt.Errorf("serve: BreakerConfig.OpenFor %v is negative", c.OpenFor)
 	}
 	return nil
 }
@@ -148,17 +150,38 @@ func (b *breaker) success() bool {
 	return false
 }
 
-// allow reports whether routing may prefer this target, moving
-// open → half-open once the open window has elapsed (the caller
-// detects that transition by comparing state around the call). Open
-// means avoid; half-open lets the probes through.
-func (b *breaker) allow(now time.Duration) bool {
+// feed records one consumer's new terminal outcomes: each completion
+// is a success, each admission shed a failure (other rejections say
+// nothing about load). Transitions are traced on stream, a close with
+// closeArg and an open with openArg.
+func (b *breaker) feed(done, rej []*seq, now time.Duration, stream *obs.Stream, closeArg, openArg string) {
+	for range done {
+		if b.success() {
+			stream.Event(now, obs.EvBreakerClose, obs.NoRequest, closeArg)
+		}
+	}
+	for _, s := range rej {
+		if s.rejectReason == RejectShed && b.failure(now) {
+			stream.Event(now, obs.EvBreakerOpen, obs.NoRequest, openArg)
+		}
+	}
+}
+
+// allowOn reports whether routing may prefer this target. Open means
+// avoid; once the open window has elapsed the breaker moves to
+// half-open, traced on stream with arg, and lets the probes through.
+// A nil breaker (breakers off) always allows.
+func (b *breaker) allowOn(now time.Duration, stream *obs.Stream, arg string) bool {
+	if b == nil {
+		return true
+	}
 	if b.state == breakerOpen {
 		if now-b.openedAt < b.cfg.OpenFor {
 			return false
 		}
 		b.state = breakerHalfOpen
 		b.okProbes = 0
+		stream.Event(now, obs.EvBreakerHalfOpen, obs.NoRequest, arg)
 	}
 	return true
 }

@@ -302,18 +302,7 @@ func (ct *cloudTier) offer(r workload.Request, now time.Duration, policy string)
 	ct.spend += price
 	ct.requests++
 	ct.tokensServed += r.TotalTokens()
-	m := RequestMetrics{
-		ID: r.ID, Class: r.Class, Arrival: r.SubmittedAt(),
-		InputTokens: r.InputTokens, OutputTokens: r.OutputTokens,
-		TTFT:       firstTok - r.SubmittedAt(),
-		Completion: done - r.SubmittedAt(),
-		Retries:    r.Retries, Priority: r.Priority, SLO: r.SLO,
-		Replica: CloudReplica, Origin: r.Origin,
-	}
-	if r.OutputTokens > 1 {
-		m.TPOT = ct.cfg.PerToken
-	}
-	ct.served = append(ct.served, m)
+	ct.served = append(ct.served, servedRow(r, CloudReplica, firstTok, done))
 	ct.bal.Event(now, obs.EvCloudRoute, r.ID, policy)
 	return true
 }

@@ -447,12 +447,12 @@ func (c *controller) resubmit(lost []workload.Request, now time.Duration) error 
 	for _, r := range lost {
 		sub := r.SubmittedAt()
 		if r.Retries >= c.maxRetries {
-			c.dropped = append(c.dropped, crashDroppedMetrics(r, ""))
+			c.dropped = append(c.dropped, rejectedRow(r, "", RejectCrashDropped))
 			c.bal.Event(now, obs.EvDrop, r.ID, "retry-budget")
 			continue
 		}
 		if !c.retry.take() {
-			c.dropped = append(c.dropped, crashDroppedMetrics(r, ""))
+			c.dropped = append(c.dropped, rejectedRow(r, "", RejectCrashDropped))
 			c.bal.Event(now, obs.EvDrop, r.ID, "retry-budget-exhausted")
 			continue
 		}
@@ -499,7 +499,7 @@ func (c *controller) place(r workload.Request, now time.Duration) error {
 		views[i] = rr.view(now)
 		views[i].Index = i
 		views[i].RTT = c.topo.RTT[origin][i]
-		views[i].BreakerOpen = !rr.breakerAllow(now)
+		views[i].BreakerOpen = !rr.breaker.allowOn(now, rr.fleet.bal, rr.name)
 		if !views[i].Down {
 			anyUp = true
 		}
@@ -570,7 +570,7 @@ func (c *controller) reap(now time.Duration) {
 		}
 	}
 	for _, p := range c.pending {
-		c.dropped = append(c.dropped, crashDroppedMetrics(p.req, ""))
+		c.dropped = append(c.dropped, rejectedRow(p.req, "", RejectCrashDropped))
 		c.bal.Event(now, obs.EvDrop, p.req.ID, "stranded")
 	}
 	c.pending = nil
@@ -743,18 +743,6 @@ func (c *controller) regionSplit(res *Result) {
 		} else {
 			st.TTFT.AddDuration(m.TTFT)
 		}
-		if m.SLO != nil {
-			if m.Rejected {
-				st.SLO.Rejected++
-			} else {
-				st.SLO.Requests++
-			}
-			if m.TTFTMet() {
-				st.SLO.TTFTMet++
-			}
-			if m.TPOTMet() {
-				st.SLO.TPOTMet++
-			}
-		}
+		st.SLO.add(m)
 	}
 }

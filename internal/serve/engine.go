@@ -626,13 +626,13 @@ func (b batchPlan) tokens() int {
 	return n + len(b.decodes)*b.specTokens
 }
 
+// urgentDemand is one at-risk waiter's reserved prefill budget (step 2).
+type urgentDemand struct{ prio, chunk int }
+
 // schedule builds the next iteration following vLLM's chunked-prefill
 // policy: decodes first (one token per running sequence), then prefill
 // chunks up to the token budget, admitting waiting requests while KV
 // blocks remain.
-// urgentDemand is one at-risk waiter's reserved prefill budget (step 2).
-type urgentDemand struct{ prio, chunk int }
-
 func (e *Engine) schedule() batchPlan {
 	if e.admission != nil {
 		e.shedPass()
@@ -1218,6 +1218,48 @@ func (e *Engine) count(par perf.Parallelism, cost perf.Cost) {
 	e.cost.AllReduce += cost.AllReduce
 	e.cost.AllToAll += cost.AllToAll
 	e.cost.Overhead += cost.Overhead
+}
+
+// stepUntil is the engine loop: admission, schedule, price, apply, until
+// the engine drains, never starting an iteration at or past the horizon
+// — so the serving controller can inject routed arrivals and scaling
+// decisions at event boundaries without perturbing engine behaviour.
+// final promises that no further arrivals will be appended, enabling the
+// end-of-trace rejection of unadmittable waiters; without it an idle
+// engine parks at the horizon and waits for the controller. After each
+// pure-decode iteration, runAhead books the steady decode steps that
+// follow without scheduling them one by one; a stretch an earlier
+// horizon cut resumes here before anything is scheduled.
+func (e *Engine) stepUntil(horizon time.Duration, final bool) {
+	if e.ahead.left > 0 {
+		e.resume(horizon)
+	}
+	for !e.finished() && e.now < horizon {
+		e.admit()
+		plan := e.schedule()
+		if plan.empty() {
+			if e.awaitsWork(final) {
+				// Nothing can progress until the controller routes more
+				// work: park at the horizon.
+				e.now = horizon
+				return
+			}
+			if !e.resolveEmpty() {
+				// resolveEmpty leaves running empty, so an arrival is
+				// pending (else the engine would be finished or parked).
+				if a := e.nextArrival(); a < horizon {
+					e.now = a
+				} else {
+					e.now = horizon
+					return
+				}
+			}
+			continue
+		}
+		cost := e.price(&plan)
+		e.apply(plan, cost, e.now+cost.Total())
+		e.runAhead(plan, horizon)
+	}
 }
 
 // runAhead continues the pure-decode iteration plan, just applied, with

@@ -80,6 +80,27 @@ func checkConservation(t *testing.T, tr *workload.Trace, res *Result) {
 	if retried != res.Retries {
 		t.Fatalf("per-request retries sum to %d, Result.Retries = %d", retried, res.Retries)
 	}
+	// The class split, the whole-run window and (on geo runs) the region
+	// split tally the same SLO'd rows.
+	merge := func(dst *SLOAttainment, a SLOAttainment) {
+		dst.Requests += a.Requests
+		dst.Rejected += a.Rejected
+		dst.TTFTMet += a.TTFTMet
+		dst.TPOTMet += a.TPOTMet
+	}
+	var byClass, byRegion SLOAttainment
+	for _, a := range res.SLOByClass {
+		merge(&byClass, *a)
+	}
+	if all := res.WindowAttainment("", 0, 1<<62); all != byClass {
+		t.Fatalf("SLOByClass sums to %+v, whole-run window %+v", byClass, all)
+	}
+	for _, rs := range res.RegionStats {
+		merge(&byRegion, rs.SLO)
+	}
+	if res.RegionStats != nil && byRegion != byClass {
+		t.Fatalf("RegionStats SLO sums to %+v, SLOByClass %+v", byRegion, byClass)
+	}
 }
 
 // TestFaultConservation runs the fault-injected fleet and checks the

@@ -465,63 +465,32 @@ type regionRun struct {
 	// Region-level circuit breaker (nil unless Geo.Breakers is set),
 	// aggregating every replica's terminal outcomes: completions are
 	// successes, admission sheds failures, and any replica crash trips
-	// it. The bk* cursors are independent of the fleet's per-replica
-	// breaker cursors.
+	// it. bkSeen holds the region breaker's own read point per replica,
+	// apart from the replica breakers' and the autoscaler window's.
 	breaker     *breaker
-	bkDoneSeen  []int
-	bkRejSeen   []int
+	bkSeen      []outcomes
 	bkCrashSeen int
 }
 
-// syncBreaker sweeps the region's terminal outcomes since the last
-// sync into the region breaker. Serial controller path only.
+// syncBreaker feeds the region's terminal outcomes since the last sync
+// into the region breaker. Serial controller path only.
 func (rr *regionRun) syncBreaker(now time.Duration) {
 	b := rr.breaker
 	if b == nil {
 		return
 	}
 	for i, rep := range rr.fleet.replicas {
-		if i >= len(rr.bkDoneSeen) {
-			rr.bkDoneSeen = append(rr.bkDoneSeen, 0)
-			rr.bkRejSeen = append(rr.bkRejSeen, 0)
+		if i >= len(rr.bkSeen) {
+			rr.bkSeen = append(rr.bkSeen, outcomes{})
 		}
-		e := rep.engine
-		for range e.completed[rr.bkDoneSeen[i]:] {
-			if b.success() {
-				rr.fleet.bal.Event(now, obs.EvBreakerClose, obs.NoRequest, rr.name)
-			}
-		}
-		rr.bkDoneSeen[i] = len(e.completed)
-		for _, s := range e.rejected[rr.bkRejSeen[i]:] {
-			if s.rejectReason != RejectShed {
-				continue
-			}
-			if b.failure(now) {
-				rr.fleet.bal.Event(now, obs.EvBreakerOpen, obs.NoRequest, rr.name)
-			}
-		}
-		rr.bkRejSeen[i] = len(e.rejected)
+		done, rej := rr.bkSeen[i].since(rep.engine)
+		b.feed(done, rej, now, rr.fleet.bal, rr.name, rr.name)
 	}
 	for ; rr.bkCrashSeen < rr.fleet.crashCount; rr.bkCrashSeen++ {
 		if b.trip(now) {
 			rr.fleet.bal.Event(now, obs.EvBreakerOpen, obs.NoRequest, rr.name)
 		}
 	}
-}
-
-// breakerAllow consults the region breaker for geo routing, emitting
-// the half-open transition event when an open window lapses.
-func (rr *regionRun) breakerAllow(now time.Duration) bool {
-	b := rr.breaker
-	if b == nil {
-		return true
-	}
-	wasOpen := b.state == breakerOpen
-	ok := b.allow(now)
-	if ok && wasOpen {
-		rr.fleet.bal.Event(now, obs.EvBreakerHalfOpen, obs.NoRequest, rr.name)
-	}
-	return ok
 }
 
 // accrue extends the active-replica-seconds integral to now, using the

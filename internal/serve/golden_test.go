@@ -192,3 +192,116 @@ func TestSteadyArrivalAllocatesNothing(t *testing.T) {
 		t.Fatalf("one steady-state arrival allocates %.1f times, want 0", allocs)
 	}
 }
+
+// TestGeoRunGolden pins a traced two-region overload cell: every row
+// kind a run can produce (engine-served, shed, cloud-served,
+// shared-cache and crash-dropped) and every breaker transition on both
+// the replica and the region tracks. The digest covers the rows and
+// the counters (goldenDigest) and the exported trace and series bytes
+// (encodeObs), so no change to how outcomes are collected, or to the
+// order the breakers see them in, can move a byte unnoticed.
+func TestGeoRunGolden(t *testing.T) {
+	cm := llamaCM(t)
+	tr := cachedDeterminismTrace(t, 41)
+	for i := range tr.Requests {
+		tr.Requests[i].Origin = [...]string{"east", "west"}[i%2]
+	}
+	cfg := Config{CM: cm, Par: perf.Parallelism{SP: 1, TP: 1}, MaxSeqs: 16,
+		Admission: &AdmissionConfig{Policy: AdmissionShedOrBuy}}
+	regions := make([]Region, 2)
+	for i := range regions {
+		regions[i] = Region{Configs: []Config{cfg, cfg}, Router: NewLiveLeastLoadedRouter()}
+	}
+	cloud := cloudCfg()
+	cloud.FailEvery, cloud.MaxSpend = 5, 1
+	o := obs.NewObserver()
+	g := Geo{
+		Name:        "golden-geo",
+		Topology:    UniformTopology(120*time.Millisecond, "west", "east"),
+		Regions:     regions,
+		Router:      NewSpillOverRouter(),
+		Breakers:    &BreakerConfig{FailThreshold: 2, OpenFor: 3 * time.Second},
+		SharedCache: &SharedCacheConfig{Latency: 20 * time.Millisecond},
+		Cloud:       cloud,
+		Faults: &workload.FaultPlan{
+			Outages: []workload.RegionOutage{
+				{Region: "west", Start: 10 * time.Second, End: 20 * time.Second},
+			},
+			Crashes: []workload.ReplicaCrash{
+				{Replica: 0, Region: "east", At: 15 * time.Second, Restart: 24 * time.Second},
+			},
+			MaxRetries: workload.NoRetries,
+		},
+		Obs: o,
+	}
+	res, err := g.Run(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkConservation(t, tr, res)
+
+	// Premise: every row kind appears.
+	kinds := map[string]int{}
+	for _, m := range res.PerRequest {
+		switch {
+		case m.Replica == CloudReplica:
+			kinds["cloud"]++
+		case m.Replica == SharedCacheReplica:
+			kinds["shared-cache"]++
+		case m.RejectReason == RejectCrashDropped:
+			kinds["crash-dropped"]++
+		case m.RejectReason == RejectShed:
+			kinds["shed"]++
+		case !m.Rejected:
+			kinds["served"]++
+		}
+	}
+	for _, k := range []string{"served", "shed", "cloud", "shared-cache", "crash-dropped"} {
+		if kinds[k] == 0 {
+			t.Errorf("cell premise broken: no %s row (%v)", k, kinds)
+		}
+	}
+	// Premise: every breaker transition fires on a replica track and on
+	// a region balancer track.
+	type fired struct {
+		region bool
+		kind   obs.Kind
+		detail string
+	}
+	seen := map[fired]bool{}
+	for _, s := range o.Streams() {
+		region := s.Track == "balancer"
+		if !region && (s.Region == "geo" || s.Region == "") {
+			continue
+		}
+		for _, ev := range s.Events() {
+			switch ev.Kind {
+			case obs.EvBreakerOpen, obs.EvBreakerHalfOpen, obs.EvBreakerClose:
+				d := ev.Detail
+				if region {
+					d = ""
+				}
+				seen[fired{region, ev.Kind, d}] = true
+			}
+		}
+	}
+	for _, want := range []fired{
+		{false, obs.EvBreakerOpen, "shed"}, {false, obs.EvBreakerOpen, "crash"},
+		{false, obs.EvBreakerHalfOpen, ""}, {false, obs.EvBreakerClose, ""},
+		{true, obs.EvBreakerOpen, ""}, {true, obs.EvBreakerHalfOpen, ""}, {true, obs.EvBreakerClose, ""},
+	} {
+		if !seen[want] {
+			t.Errorf("cell premise broken: no %+v breaker event", want)
+		}
+	}
+
+	h := fnv.New64a()
+	h.Write([]byte(encodeObs(t, o)))
+	const wantRows, wantObs uint64 = 0x5b51183d10ddd83e, 0xea0979164bd5b558
+	if got := goldenDigest(t, res); got != wantRows {
+		t.Errorf("digest %#x, golden %#x", got, wantRows)
+	}
+	if got := h.Sum64(); got != wantObs {
+		t.Errorf("obs digest %#x, golden %#x", got, wantObs)
+	}
+}

@@ -53,11 +53,13 @@ func (h HealthConfig) withDefaults() HealthConfig {
 }
 
 func (h HealthConfig) validate() error {
-	if h.ProbeInterval < 0 || h.Cooldown < 0 {
-		return fmt.Errorf("serve: negative health-tier durations (probe %v, cooldown %v)", h.ProbeInterval, h.Cooldown)
-	}
-	if h.FailThreshold < 0 {
-		return fmt.Errorf("serve: negative health fail threshold %d", h.FailThreshold)
+	switch {
+	case h.ProbeInterval < 0:
+		return fmt.Errorf("serve: HealthConfig.ProbeInterval %v is negative", h.ProbeInterval)
+	case h.FailThreshold < 0:
+		return fmt.Errorf("serve: HealthConfig.FailThreshold %d is negative", h.FailThreshold)
+	case h.Cooldown < 0:
+		return fmt.Errorf("serve: HealthConfig.Cooldown %v is negative", h.Cooldown)
 	}
 	return nil
 }
@@ -231,18 +233,6 @@ func (f *fleetState) applyCrashEvent(ev crashEvent, now time.Duration) []workloa
 		lost = append(lost, f.crashReplica(rep, now, ev.restart)...)
 	}
 	return lost
-}
-
-// crashDroppedMetrics synthesizes the terminal record for a request
-// dropped after exhausting its crash-retry budget (or stranded with no
-// recoverable fleet to land on).
-func crashDroppedMetrics(r workload.Request, replica string) RequestMetrics {
-	return RequestMetrics{
-		ID: r.ID, Class: r.Class, Arrival: r.SubmittedAt(),
-		InputTokens: r.InputTokens, OutputTokens: r.OutputTokens,
-		Rejected: true, RejectReason: RejectCrashDropped, Retries: r.Retries,
-		Priority: r.Priority, SLO: r.SLO, Replica: replica, Origin: r.Origin,
-	}
 }
 
 // Controller event kinds, in tie-break order at equal times: crashes

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -34,10 +35,10 @@ func TestBreakerStateMachine(t *testing.T) {
 		t.Fatalf("state=%v opens=%d after trip, want open/1", b.state, b.opens)
 	}
 	// Open diverts until the window lapses, then half-opens.
-	if b.allow(4 * time.Second) {
+	if b.allowOn(4*time.Second, nil, "") {
 		t.Fatal("open breaker allowed traffic inside its window")
 	}
-	if !b.allow(8 * time.Second) {
+	if !b.allowOn(8*time.Second, nil, "") {
 		t.Fatal("breaker must half-open once the window lapses")
 	}
 	if b.state != breakerHalfOpen {
@@ -58,7 +59,7 @@ func TestBreakerStateMachine(t *testing.T) {
 	if !b.trip(10 * time.Second) {
 		t.Fatal("crash trip on a closed breaker must transition")
 	}
-	b.allow(20 * time.Second) // half-open
+	b.allowOn(20*time.Second, nil, "") // half-open
 	if !b.failure(20 * time.Second) {
 		t.Fatal("half-open failure must re-trip instantly")
 	}
@@ -71,6 +72,48 @@ func TestBreakerStateMachine(t *testing.T) {
 	}
 	if b.opens != 3 {
 		t.Fatalf("opens=%d after refresh, want 3", b.opens)
+	}
+	// Breakers off: a nil breaker always allows.
+	var off *breaker
+	if !off.allowOn(0, nil, "") {
+		t.Fatal("a nil breaker must allow")
+	}
+}
+
+// TestBadBreakerAndHealthConfigNameTheField runs every negative
+// breaker and health knob through Cluster.Run and Geo.Run: each must
+// fail before the run starts, with an error naming the field.
+func TestBadBreakerAndHealthConfigNameTheField(t *testing.T) {
+	cm := llamaCM(t)
+	cases := []struct {
+		field    string
+		breakers *BreakerConfig
+		health   *HealthConfig
+	}{
+		{"BreakerConfig.FailThreshold", &BreakerConfig{FailThreshold: -1}, nil},
+		{"BreakerConfig.HalfOpenProbes", &BreakerConfig{HalfOpenProbes: -1}, nil},
+		{"BreakerConfig.OpenFor", &BreakerConfig{OpenFor: -time.Second}, nil},
+		{"HealthConfig.ProbeInterval", nil, &HealthConfig{ProbeInterval: -time.Second}},
+		{"HealthConfig.FailThreshold", nil, &HealthConfig{FailThreshold: -1}},
+		{"HealthConfig.Cooldown", nil, &HealthConfig{Cooldown: -time.Second}},
+	}
+	tr := geoTestTrace(5, 20, "east", "west")
+	for _, c := range cases {
+		cl := DPCluster("bad", dpCfg(cm), 2)
+		cl.Breakers, cl.Health = c.breakers, c.health
+		g := Geo{
+			Name: "bad", Topology: UniformTopology(50*time.Millisecond, "east", "west"),
+			Regions:  []Region{{Configs: []Config{dpCfg(cm)}}, {Configs: []Config{dpCfg(cm)}}},
+			Breakers: c.breakers, Health: c.health,
+		}
+		for deployment, run := range map[string]func(*workload.Trace) (*Result, error){
+			"Cluster": cl.Run, "Geo": g.Run,
+		} {
+			_, err := run(tr)
+			if err == nil || !strings.Contains(err.Error(), c.field) {
+				t.Errorf("%s with bad %s: error %v, want one naming the field", deployment, c.field, err)
+			}
+		}
 	}
 }
 

@@ -181,13 +181,8 @@ func (s *sharedTier) intercept(r workload.Request) bool {
 		return false
 	}
 	s.hits++
-	s.served = append(s.served, RequestMetrics{
-		ID: r.ID, Class: r.Class, Arrival: r.SubmittedAt(),
-		InputTokens: r.InputTokens, OutputTokens: r.OutputTokens,
-		TTFT: s.cfg.Latency, Completion: s.cfg.Latency,
-		Retries: r.Retries, Priority: r.Priority, SLO: r.SLO,
-		Replica: SharedCacheReplica, Origin: r.Origin,
-	})
+	done := r.SubmittedAt() + s.cfg.Latency
+	s.served = append(s.served, servedRow(r, SharedCacheReplica, done, done))
 	return true
 }
 

@@ -84,35 +84,62 @@ func (m RequestMetrics) TPOTMet() bool {
 	return m.TPOT <= m.SLO.TPOT
 }
 
+// servedRow is the row of a request served with its first token at
+// first and its last at done. TTFT and Completion measure from the
+// original submission, so a retried request pays for the lost time.
+func servedRow(r workload.Request, replica string, first, done time.Duration) RequestMetrics {
+	sub := r.SubmittedAt()
+	m := RequestMetrics{
+		ID: r.ID, Class: r.Class, Arrival: sub,
+		InputTokens: r.InputTokens, OutputTokens: r.OutputTokens,
+		TTFT: first - sub, Completion: done - sub,
+		Retries: r.Retries, Priority: r.Priority, SLO: r.SLO,
+		Replica: replica, Origin: r.Origin,
+	}
+	if r.OutputTokens > 1 {
+		m.TPOT = (done - first) / time.Duration(r.OutputTokens-1)
+	}
+	return m
+}
+
+// rejectedRow is the row of a request rejected for reason.
+func rejectedRow(r workload.Request, replica string, reason RejectReason) RequestMetrics {
+	return RequestMetrics{
+		ID: r.ID, Class: r.Class, Arrival: r.SubmittedAt(),
+		InputTokens: r.InputTokens, OutputTokens: r.OutputTokens,
+		Rejected: true, RejectReason: reason,
+		Retries: r.Retries, Priority: r.Priority, SLO: r.SLO,
+		Replica: replica, Origin: r.Origin,
+	}
+}
+
 // appendMetrics appends the engine's completed, then rejected, sequences
 // to dst as RequestMetrics.
 func (e *Engine) appendMetrics(dst []RequestMetrics) []RequestMetrics {
-	out := dst
 	for _, s := range e.completed {
-		m := RequestMetrics{
-			ID: s.req.ID, Class: s.req.Class, Arrival: s.req.SubmittedAt(),
-			InputTokens: s.req.InputTokens, OutputTokens: s.req.OutputTokens,
-			TTFT:        s.firstTok - s.req.SubmittedAt(),
-			Completion:  s.finished - s.req.SubmittedAt(),
-			Preemptions: int(s.preempted), Retries: s.req.Retries,
-			Priority: s.req.Priority, SLO: s.req.SLO,
-			Replica: e.cfg.Name, Origin: s.req.Origin,
-		}
-		if s.req.OutputTokens > 1 {
-			m.TPOT = (s.finished - s.firstTok) / time.Duration(s.req.OutputTokens-1)
-		}
-		out = append(out, m)
+		m := servedRow(s.req, e.cfg.Name, s.firstTok, s.finished)
+		m.Preemptions = int(s.preempted)
+		dst = append(dst, m)
 	}
 	for _, s := range e.rejected {
-		out = append(out, RequestMetrics{
-			ID: s.req.ID, Class: s.req.Class, Arrival: s.req.SubmittedAt(),
-			InputTokens: s.req.InputTokens, OutputTokens: s.req.OutputTokens,
-			Rejected: true, RejectReason: s.rejectReason, Retries: s.req.Retries,
-			Priority: s.req.Priority, SLO: s.req.SLO,
-			Replica: e.cfg.Name, Origin: s.req.Origin,
-		})
+		dst = append(dst, rejectedRow(s.req, e.cfg.Name, s.rejectReason))
 	}
-	return out
+	return dst
+}
+
+// outcomes is one consumer's read point over an engine's terminal
+// lists. The autoscaler window, the replica breaker and the region
+// breaker each keep their own, so each sees every completion and
+// rejection once, at its own point in the controller's serial order.
+type outcomes struct{ done, rej int }
+
+// since returns the engine's completions and rejections past the read
+// point and moves the read point to the ends of the lists. The slices
+// alias the engine's lists.
+func (o *outcomes) since(e *Engine) (done, rej []*seq) {
+	done, rej = e.completed[o.done:], e.rejected[o.rej:]
+	o.done, o.rej = len(e.completed), len(e.rejected)
+	return done, rej
 }
 
 // Result aggregates a simulation run.
@@ -326,6 +353,24 @@ func (a *SLOAttainment) TTFTRate() float64 { return a.rate(a.TTFTMet) }
 // TPOTRate returns the fraction that met their TPOT deadline.
 func (a *SLOAttainment) TPOTRate() float64 { return a.rate(a.TPOTMet) }
 
+// add tallies one request row; rows without an SLO are not counted.
+func (a *SLOAttainment) add(m RequestMetrics) {
+	if m.SLO == nil {
+		return
+	}
+	if m.Rejected {
+		a.Rejected++
+	} else {
+		a.Requests++
+	}
+	if m.TTFTMet() {
+		a.TTFTMet++
+	}
+	if m.TPOTMet() {
+		a.TPOTMet++
+	}
+}
+
 func (a *SLOAttainment) rate(met int) float64 {
 	total := a.Requests + a.Rejected
 	if total == 0 {
@@ -342,22 +387,8 @@ func (a *SLOAttainment) rate(met int) float64 {
 func (r *Result) WindowAttainment(prefix string, from, to time.Duration) SLOAttainment {
 	var a SLOAttainment
 	for _, m := range r.PerRequest {
-		if m.SLO == nil || m.Arrival < from || m.Arrival >= to {
-			continue
-		}
-		if prefix != "" && !strings.HasPrefix(m.Class, prefix) {
-			continue
-		}
-		if m.Rejected {
-			a.Rejected++
-		} else {
-			a.Requests++
-		}
-		if m.TTFTMet() {
-			a.TTFTMet++
-		}
-		if m.TPOTMet() {
-			a.TPOTMet++
+		if m.Arrival >= from && m.Arrival < to && strings.HasPrefix(m.Class, prefix) {
+			a.add(m)
 		}
 	}
 	return a
@@ -441,28 +472,14 @@ func (r *Result) Summary() string {
 
 func buildResult(name string, metrics []RequestMetrics, engines []*Engine) *Result {
 	r := &Result{Name: name, PerRequest: metrics, SLOByClass: map[string]*SLOAttainment{}}
-	att := func(class string) *SLOAttainment {
-		a := r.SLOByClass[class]
-		if a == nil {
-			a = &SLOAttainment{}
-			r.SLOByClass[class] = a
-		}
-		return a
-	}
 	for _, m := range metrics {
 		if m.SLO != nil {
-			a := att(m.Class)
-			if m.Rejected {
-				a.Rejected++
-			} else {
-				a.Requests++
+			a := r.SLOByClass[m.Class]
+			if a == nil {
+				a = &SLOAttainment{}
+				r.SLOByClass[m.Class] = a
 			}
-			if m.TTFTMet() {
-				a.TTFTMet++
-			}
-			if m.TPOTMet() {
-				a.TPOTMet++
-			}
+			a.add(m)
 		}
 		r.Retries += m.Retries
 		if m.Rejected {
