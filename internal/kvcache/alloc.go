@@ -44,7 +44,9 @@ func (a *Allocator) BlocksFor(tokens int) int {
 // FreeBlocks returns the number of unallocated blocks.
 func (a *Allocator) FreeBlocks() int { return a.free }
 
-// UsedBlocks returns the number of allocated blocks.
+// UsedBlocks returns the number of allocated blocks. Only tests call
+// it: it is the leak check of the serving engine's KV accounting (no
+// block may stay held once an engine drains or crashes).
 func (a *Allocator) UsedBlocks() int { return a.NumBlocks - a.free }
 
 // FreeTokens returns the token capacity of the free blocks.

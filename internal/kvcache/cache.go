@@ -150,7 +150,10 @@ func (c *Cache) Sequences() []int {
 	return out
 }
 
-// Drop removes a sequence from the cache.
+// Drop removes a sequence from the cache. Only tests call it: it is
+// the free path of a finished sequence, kept so the functional engine's
+// invariance tests can pin that dropping one sequence mid-service
+// leaves every other sequence decoding bit-exactly.
 func (c *Cache) Drop(seqID int) { delete(c.seqs, seqID) }
 
 // Fingerprint returns a deterministic digest of the full cache contents

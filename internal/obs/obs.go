@@ -142,7 +142,9 @@ func (k Kind) String() string {
 // Terminal reports whether the kind ends a request's span graph: a
 // request that entered the system finishes, is rejected, is dropped,
 // or is answered by the shared cache — exactly one of these, exactly
-// once.
+// once. Only tests call it; it stays next to the kinds because it is
+// the span-conservation rule they check, and a new kind must decide
+// here whether it ends a request.
 func (k Kind) Terminal() bool {
 	switch k {
 	case EvFinish, EvReject, EvDrop, EvSharedHit, EvShed, EvCloudRoute:

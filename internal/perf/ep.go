@@ -33,10 +33,10 @@ func (e EPConfig) Enabled() bool { return e.Degree > 1 }
 // Validate checks the EP degree against a world size.
 func (e EPConfig) Validate(world int) error {
 	if e.Degree < 0 {
-		return fmt.Errorf("perf: negative EP degree %d", e.Degree)
+		return fmt.Errorf("perf: EPConfig.Degree %d is negative", e.Degree)
 	}
 	if e.Degree > 1 && world%e.Degree != 0 {
-		return fmt.Errorf("perf: EP degree %d does not divide world %d", e.Degree, world)
+		return fmt.Errorf("perf: EPConfig.Degree %d does not divide world %d", e.Degree, world)
 	}
 	return nil
 }
@@ -50,22 +50,12 @@ func (cm *CostModel) IterEP(par Parallelism, ep EPConfig, b Batch) Cost {
 	if !cm.isMoE || !ep.Enabled() {
 		return cm.Iter(par, b)
 	}
-	cost := cm.Iter(par, b)
-
-	// Re-price the GEMM roofline with the EP-sharded weight volume.
-	g := cm.Node.GPU
-	tokens := b.Tokens()
-	rowsPerRank := float64(ceilDiv(tokens, par.SP))
-	flopsPerRank := (cm.prefillFlops(b) + cm.decodeFlops(b)) / float64(par.SP) / float64(par.TP)
-	eff := cm.gemmEff(rowsPerRank, par.TP)
-	computeTime := flopsPerRank / (g.FP8Flops * eff)
-	memTime := cm.epWeightReadBytes(tokens, ep.Degree) / float64(par.TP) / (g.HBMBandwidth * cm.P.MemEff)
-	cost.GEMM = secs(math.Max(computeTime, memTime))
+	cost := cm.iter(par, ep.Degree, b)
 
 	// Dispatch + combine all-to-alls per layer across the EP group: each
 	// rank scatters its rows' hidden states to expert owners and gathers
 	// them back.
-	msg := rowsPerRank * cm.hidden * cm.P.ActBytes
+	msg := float64(ceilDiv(b.Tokens(), par.SP)) * cm.hidden * cm.P.ActBytes
 	cost.AllToAll += secs(cm.layers * cm.pairwise(2*msg*float64(ep.Degree-1)/float64(ep.Degree), ep.Degree))
 	return cost
 }

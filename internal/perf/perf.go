@@ -41,7 +41,7 @@ func (p Parallelism) World() int { return p.SP * p.TP }
 // Validate reports configuration errors.
 func (p Parallelism) Validate() error {
 	if p.SP <= 0 || p.TP <= 0 {
-		return fmt.Errorf("perf: non-positive parallelism %+v", p)
+		return fmt.Errorf("perf: Parallelism.SP %d and .TP %d must both be positive", p.SP, p.TP)
 	}
 	return nil
 }
@@ -202,7 +202,11 @@ func (cm *CostModel) gemmEff(rowsPerRank float64, tp int) float64 {
 }
 
 // Iter prices one iteration of the batch under the parallelism.
-func (cm *CostModel) Iter(par Parallelism, b Batch) Cost {
+func (cm *CostModel) Iter(par Parallelism, b Batch) Cost { return cm.iter(par, 1, b) }
+
+// iter is Iter with experts sharded ep ways in the weight-streaming
+// term (ep > 1 only for MoE models; see IterEP).
+func (cm *CostModel) iter(par Parallelism, ep int, b Batch) Cost {
 	if err := par.Validate(); err != nil {
 		panic(err)
 	}
@@ -224,8 +228,11 @@ func (cm *CostModel) Iter(par Parallelism, b Batch) Cost {
 	computeTime := flopsPerRank / (g.FP8Flops * eff)
 	// Weight streaming: each rank reads its weight shard once per
 	// iteration. MoE models read only the routed experts at small batch.
-	weightBytes := cm.weightReadBytes(tokens) / float64(par.TP)
-	memTime := weightBytes / (g.HBMBandwidth * cm.P.MemEff)
+	weightBytes := cm.weightReadBytes(tokens)
+	if ep > 1 {
+		weightBytes = cm.epWeightReadBytes(tokens, ep)
+	}
+	memTime := weightBytes / float64(par.TP) / (g.HBMBandwidth * cm.P.MemEff)
 	gemm := math.Max(computeTime, memTime)
 
 	// --- Attention (head-parallel across all world ranks) ---
@@ -368,7 +375,9 @@ func (cm *CostModel) Fits(par Parallelism, withShiftModel bool, minKVTokens int)
 	return cm.KVCapacityTokens(par, withShiftModel) >= minKVTokens
 }
 
-// --- Convenience latency points (Figure 12/13 "minimum latency") ---
+// --- Closed-form latency points (Figure 12/13 "minimum latency") ---
+// Only tests call these; they are the closed form the engine's measured
+// lone-request latency (serve.Result.LoneLatency) is checked against.
 
 // MinTTFT is the time to first token of a lone request with the given
 // input length: one prefill iteration with no queueing.

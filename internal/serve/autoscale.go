@@ -220,27 +220,34 @@ func (ac AutoscaleConfig) withDefaults(initial int) AutoscaleConfig {
 	if ac.Scaler == nil {
 		ac.Scaler = NewStaticAutoscaler()
 	}
-	if ac.Interval <= 0 {
+	if ac.Interval == 0 {
 		ac.Interval = DefaultScaleInterval
 	}
-	if ac.Min <= 0 {
+	if ac.Min == 0 {
 		ac.Min = 1
 	}
-	if ac.Max <= 0 {
+	if ac.Max == 0 {
 		ac.Max = 4 * initial
 	}
 	return ac
 }
 
+// validate checks the config after withDefaults, which leaves negative
+// values in place for it to reject.
 func (ac AutoscaleConfig) validate(initial int) error {
-	if ac.ColdStart < 0 {
-		return fmt.Errorf("serve: negative cold start %v", ac.ColdStart)
-	}
-	if ac.Max < ac.Min {
-		return fmt.Errorf("serve: autoscale Max %d < Min %d", ac.Max, ac.Min)
-	}
-	if initial > ac.Max || initial < ac.Min {
-		return fmt.Errorf("serve: initial fleet %d outside autoscale bounds [%d, %d]", initial, ac.Min, ac.Max)
+	switch {
+	case ac.Interval < 0:
+		return fmt.Errorf("serve: AutoscaleConfig.Interval %v is negative", ac.Interval)
+	case ac.ColdStart < 0:
+		return fmt.Errorf("serve: AutoscaleConfig.ColdStart %v is negative", ac.ColdStart)
+	case ac.Min < 0:
+		return fmt.Errorf("serve: AutoscaleConfig.Min %d is negative", ac.Min)
+	case ac.Max < 0:
+		return fmt.Errorf("serve: AutoscaleConfig.Max %d is negative", ac.Max)
+	case ac.Max < ac.Min:
+		return fmt.Errorf("serve: AutoscaleConfig.Max %d is below Min %d", ac.Max, ac.Min)
+	case initial > ac.Max || initial < ac.Min:
+		return fmt.Errorf("serve: initial fleet %d is outside AutoscaleConfig.Min/Max [%d, %d]", initial, ac.Min, ac.Max)
 	}
 	if ac.Template != nil {
 		// Checked up front: a bad template would otherwise surface only
@@ -334,7 +341,6 @@ type fleetState struct {
 	// degrades and outageUntil are consulted at spawn time; the counters
 	// feed Result's recovery metrics.
 	faultsOn     bool
-	health       HealthConfig
 	degrades     []workload.Degrade
 	outageUntil  time.Duration
 	crashCount   int

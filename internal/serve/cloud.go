@@ -53,12 +53,10 @@ type CloudConfig struct {
 	// 0 means unbounded.
 	Concurrency int
 	// RateLimit is the provider-side token-bucket refill in tokens/sec;
-	// a dispatch overdrawing the bucket is delayed until the deficit
-	// refills. 0 means unlimited.
+	// the bucket holds one second of refill (RateLimit tokens), and a
+	// dispatch overdrawing it is delayed until the deficit refills. 0
+	// means unlimited.
 	RateLimit float64
-	// Burst is the token bucket's capacity in tokens. 0 with a RateLimit
-	// defaults to one second of refill (= RateLimit tokens).
-	Burst int
 	// MaxSpend is the run's cloud budget in dollars: a dispatch that
 	// would push cumulative spend past it is refused (the MaxCloudSpend
 	// knob of the overflow break-even). 0 means unlimited.
@@ -79,33 +77,23 @@ func (c *CloudConfig) validate() error {
 	}
 	switch {
 	case c.BaseLatency < 0:
-		return fmt.Errorf("serve: cloud base latency %v negative", c.BaseLatency)
+		return fmt.Errorf("serve: CloudConfig.BaseLatency %v is negative", c.BaseLatency)
 	case c.PerToken < 0:
-		return fmt.Errorf("serve: cloud per-token latency %v negative", c.PerToken)
+		return fmt.Errorf("serve: CloudConfig.PerToken %v is negative", c.PerToken)
 	case c.PricePerMToken < 0:
-		return fmt.Errorf("serve: cloud price %v $/Mtoken negative", c.PricePerMToken)
+		return fmt.Errorf("serve: CloudConfig.PricePerMToken %v is negative", c.PricePerMToken)
 	case c.Concurrency < 0:
-		return fmt.Errorf("serve: cloud concurrency %d negative", c.Concurrency)
+		return fmt.Errorf("serve: CloudConfig.Concurrency %d is negative", c.Concurrency)
 	case c.RateLimit < 0:
-		return fmt.Errorf("serve: cloud rate limit %v tok/s negative", c.RateLimit)
-	case c.Burst < 0:
-		return fmt.Errorf("serve: cloud burst %d negative", c.Burst)
+		return fmt.Errorf("serve: CloudConfig.RateLimit %v is negative", c.RateLimit)
 	case c.MaxSpend < 0:
-		return fmt.Errorf("serve: cloud budget %v negative", c.MaxSpend)
+		return fmt.Errorf("serve: CloudConfig.MaxSpend %v is negative", c.MaxSpend)
 	case c.DollarsPerReplicaHour < 0:
-		return fmt.Errorf("serve: replica-hour price %v negative", c.DollarsPerReplicaHour)
+		return fmt.Errorf("serve: CloudConfig.DollarsPerReplicaHour %v is negative", c.DollarsPerReplicaHour)
 	case c.FailEvery < 0:
-		return fmt.Errorf("serve: cloud fail-every %d negative", c.FailEvery)
+		return fmt.Errorf("serve: CloudConfig.FailEvery %d is negative", c.FailEvery)
 	}
 	return nil
-}
-
-// burstTokens resolves the bucket capacity (see CloudConfig.Burst).
-func (c *CloudConfig) burstTokens() float64 {
-	if c.Burst > 0 {
-		return float64(c.Burst)
-	}
-	return c.RateLimit
 }
 
 // CloudView is what a cloud-aware router sees about the backend at a
@@ -149,13 +137,12 @@ type CloudAwareGeoRouter interface {
 // requests it served. Only the controller mutates it (arrival routing,
 // controller events, staged-shed drains). All methods are nil-safe.
 type cloudTier struct {
-	cfg   CloudConfig
-	burst float64
+	cfg CloudConfig
 
-	// Token bucket (RateLimit > 0): balance may go negative — the
-	// overdraft is the deficit a dispatch waits out. lastRefill only
-	// moves forward so out-of-order offer times (post-run shed drains)
-	// cannot refill twice.
+	// Token bucket (RateLimit > 0, capacity RateLimit): balance may go
+	// negative — the overdraft is the deficit a dispatch waits out.
+	// lastRefill only moves forward so out-of-order offer times (post-run
+	// shed drains) cannot refill twice.
 	tokens     float64
 	lastRefill time.Duration
 
@@ -179,8 +166,7 @@ func newCloudTier(cfg *CloudConfig) *cloudTier {
 	if cfg == nil {
 		return nil
 	}
-	burst := cfg.burstTokens()
-	return &cloudTier{cfg: *cfg, burst: burst, tokens: burst}
+	return &cloudTier{cfg: *cfg, tokens: cfg.RateLimit}
 }
 
 // observe registers the tier's obs track. Serial setup path only.
@@ -201,61 +187,60 @@ func (ct *cloudTier) view(now time.Duration) CloudView {
 	if ct.cfg.MaxSpend > 0 && ct.spend >= ct.cfg.MaxSpend {
 		v.BudgetExhausted = true
 	}
-	var wait time.Duration
+	_, v.ProjectedWait, _ = ct.project(now, 0)
+	return v
+}
+
+// project prices one dispatch of need tokens at now without mutating
+// the tier: the bucket balance after refilling to now and drawing need,
+// the wait before the dispatch's BaseLatency starts (the overdraft's
+// refill time, or the in-flight completion that frees a concurrency
+// slot, whichever is later), and how many in-flight completions end by
+// the dispatch start.
+func (ct *cloudTier) project(now time.Duration, need float64) (tokens float64, wait time.Duration, ended int) {
 	if ct.cfg.RateLimit > 0 {
-		tokens := ct.tokens
+		tokens = ct.tokens
 		if now > ct.lastRefill {
 			tokens += ct.cfg.RateLimit * (now - ct.lastRefill).Seconds()
-			if tokens > ct.burst {
-				tokens = ct.burst
+			if tokens > ct.cfg.RateLimit {
+				tokens = ct.cfg.RateLimit
 			}
 		}
+		tokens -= need
 		if tokens < 0 {
 			wait = time.Duration(-tokens / ct.cfg.RateLimit * float64(time.Second))
 		}
 	}
-	if c := ct.cfg.Concurrency; c > 0 && len(ct.inflight) >= c {
-		start := now + wait
-		if at := ct.inflight[len(ct.inflight)-c]; at > start {
-			wait = at - now
-		}
-	}
-	v.ProjectedWait = wait
-	return v
-}
-
-// admitDelay charges one dispatch of need tokens at now against the
-// rate limit and the concurrency cap, returning how long the dispatch
-// waits before its BaseLatency starts.
-func (ct *cloudTier) admitDelay(now time.Duration, need float64) time.Duration {
-	var wait time.Duration
-	if ct.cfg.RateLimit > 0 {
-		if now > ct.lastRefill {
-			ct.tokens += ct.cfg.RateLimit * (now - ct.lastRefill).Seconds()
-			if ct.tokens > ct.burst {
-				ct.tokens = ct.burst
-			}
-			ct.lastRefill = now
-		}
-		ct.tokens -= need
-		if ct.tokens < 0 {
-			wait = time.Duration(-ct.tokens / ct.cfg.RateLimit * float64(time.Second))
-		}
-	}
 	if c := ct.cfg.Concurrency; c > 0 {
 		start := now + wait
-		// Drop completions that finished by the dispatch start.
-		i := 0
-		for i < len(ct.inflight) && ct.inflight[i] <= start {
-			i++
+		for ended < len(ct.inflight) && ct.inflight[ended] <= start {
+			ended++
 		}
-		ct.inflight = append(ct.inflight[:0], ct.inflight[i:]...)
-		if len(ct.inflight) >= c {
+		// The slot frees when the c-th latest completion ends; one that
+		// ended by the start frees it at once.
+		if len(ct.inflight)-ended >= c {
 			if at := ct.inflight[len(ct.inflight)-c]; at > start {
 				wait = at - now
 			}
 		}
 	}
+	return tokens, wait, ended
+}
+
+// admitDelay charges one dispatch of need tokens at now against the
+// rate limit and the concurrency cap (committing project's bucket
+// balance and dropping the completions that ended by the dispatch
+// start), returning how long the dispatch waits before its BaseLatency
+// starts.
+func (ct *cloudTier) admitDelay(now time.Duration, need float64) time.Duration {
+	tokens, wait, ended := ct.project(now, need)
+	if ct.cfg.RateLimit > 0 {
+		ct.tokens = tokens
+		if now > ct.lastRefill {
+			ct.lastRefill = now
+		}
+	}
+	ct.inflight = append(ct.inflight[:0], ct.inflight[ended:]...)
 	return wait
 }
 
@@ -333,64 +318,37 @@ func (ct *cloudTier) fill(r *Result) {
 
 // --- Cloud overflow replica router ---
 
-// CloudOverflowRouter wraps a local routing policy with the rent-vs-wait
-// break-even: when the least-loaded routable replica's projected wait
-// exceeds the cloud's current first-token latency (and budget remains),
-// the request is served by the cloud; otherwise it routes locally via
-// Inner. A fresh fleet has zero projected wait and never overflows, so
-// the policy is strictly an escape valve.
+// priorRate is the per-replica serving rate (tokens/sec) the
+// cloud-overflow and spill-over policies project waits with: a
+// single-GPU Llama-70B replica's measured peak on ~1k-token interactive
+// requests. Spill-over takes the larger of it and the measured rate,
+// which integrates idle time and so only ever underestimates capacity.
+const priorRate = 5000
+
+// cloudOverflowRouter wraps live-least-loaded routing with the
+// rent-vs-wait break-even: when the least-loaded routable replica's
+// projected wait exceeds the cloud's current first-token latency (and
+// budget remains), the request is served by the cloud; otherwise it
+// routes locally. A fresh fleet has zero projected wait and never
+// overflows, so the policy is strictly an escape valve.
 //
 // The policy is deliberately NOT in builtinRouters/RouterNames — the
 // cluster-routing scenario sweeps RouterNames over cloudless fleets
-// (where overflow degrades to its Inner policy but would still add
+// (where overflow degrades to live-least-loaded but would still add
 // pinned bench rows); NewRouter still constructs it by name.
-type CloudOverflowRouter struct {
-	// Inner places requests that stay local; nil uses live-least-loaded.
-	Inner Router
-	// PriorRate floors the per-replica serving-rate estimate (tokens/sec)
-	// for the projected-wait calculation, mirroring SpillOverRouter's
-	// prior. 0 means DefaultCloudPriorRate.
-	PriorRate float64
-}
+type cloudOverflowRouter struct{ liveLeastLoaded }
 
-// DefaultCloudPriorRate is CloudOverflowRouter's serving-rate prior,
-// matching SpillOverRouter's single-replica saturated-throughput floor.
-const DefaultCloudPriorRate = 5000
+// NewCloudOverflowRouter returns the overflow policy.
+func NewCloudOverflowRouter() Router { return cloudOverflowRouter{} }
 
-// NewCloudOverflowRouter returns the overflow policy with its defaults.
-func NewCloudOverflowRouter() *CloudOverflowRouter { return &CloudOverflowRouter{} }
-
-// Name implements Router.
-func (*CloudOverflowRouter) Name() string { return "cloud-overflow" }
-
-func (c *CloudOverflowRouter) inner() Router {
-	if c.Inner == nil {
-		c.Inner = NewLiveLeastLoadedRouter()
-	}
-	return c.Inner
-}
-
-// Route implements Router: local placement delegates to Inner.
-func (c *CloudOverflowRouter) Route(r workload.Request, replicas []ReplicaView) int {
-	return c.inner().Route(r, replicas)
-}
-
-func (c *CloudOverflowRouter) reset() {
-	if rr, ok := c.inner().(resettable); ok {
-		rr.reset()
-	}
-}
+func (cloudOverflowRouter) Name() string { return "cloud-overflow" }
 
 // RouteCloud implements CloudAwareRouter: overflow when every replica's
-// projected wait (live backlog over the rate prior, breaker-open
-// replicas skipped) beats the cloud's projected first-token latency.
-func (c *CloudOverflowRouter) RouteCloud(_ workload.Request, replicas []ReplicaView, cloud CloudView) bool {
+// projected wait (live backlog over priorRate, breaker-open replicas
+// skipped) beats the cloud's projected first-token latency.
+func (cloudOverflowRouter) RouteCloud(_ workload.Request, replicas []ReplicaView, cloud CloudView) bool {
 	if cloud.BudgetExhausted {
 		return false
-	}
-	rate := c.PriorRate
-	if rate <= 0 {
-		rate = DefaultCloudPriorRate
 	}
 	minLoad := -1
 	for _, v := range replicas {
@@ -405,7 +363,7 @@ func (c *CloudOverflowRouter) RouteCloud(_ workload.Request, replicas []ReplicaV
 		// Every breaker open: the cloud is the escape hatch.
 		return true
 	}
-	return float64(minLoad)/rate > cloud.Latency().Seconds()
+	return float64(minLoad)/priorRate > cloud.Latency().Seconds()
 }
 
 // --- shed-or-buy staging ---

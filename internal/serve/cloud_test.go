@@ -15,7 +15,6 @@ func TestCloudConfigValidate(t *testing.T) {
 		{PricePerMToken: -1},
 		{Concurrency: -1},
 		{RateLimit: -1},
-		{Burst: -1},
 		{MaxSpend: -1},
 		{DollarsPerReplicaHour: -1},
 		{FailEvery: -1},
@@ -39,7 +38,7 @@ func TestCloudConfigValidate(t *testing.T) {
 // a dispatch within burst is immediate, the overdraft delays the next,
 // and out-of-order offer times (shed drains) cannot refill twice.
 func TestCloudTierRateLimit(t *testing.T) {
-	ct := newCloudTier(&CloudConfig{RateLimit: 1000, Burst: 1000})
+	ct := newCloudTier(&CloudConfig{RateLimit: 1000})
 	if d := ct.admitDelay(0, 1000); d != 0 {
 		t.Fatalf("in-burst dispatch delayed %v", d)
 	}
@@ -119,10 +118,10 @@ func TestCloudTierBudgetAndFailEvery(t *testing.T) {
 // The overflow router's break-even: divert only when the least-loaded
 // routable replica's projected wait exceeds the cloud's latency.
 func TestCloudOverflowRouterBreakEven(t *testing.T) {
-	r := NewCloudOverflowRouter()
+	r := cloudOverflowRouter{}
 	cloud := CloudView{BaseLatency: 2 * time.Second}
-	busy := ReplicaView{LiveTokens: 3 * DefaultCloudPriorRate} // 3s projected
-	idle := ReplicaView{LiveTokens: DefaultCloudPriorRate}     // 1s projected
+	busy := ReplicaView{LiveTokens: 3 * priorRate} // 3s projected
+	idle := ReplicaView{LiveTokens: priorRate}     // 1s projected
 
 	if !r.RouteCloud(workload.Request{}, []ReplicaView{busy, busy}, cloud) {
 		t.Fatal("3s local wait vs 2s cloud: must overflow")
@@ -150,8 +149,8 @@ func TestCloudOverflowRouterBreakEven(t *testing.T) {
 // The spill-over geo router's extended break-even: buy when even the
 // best region's projected cost beats the cloud's latency.
 func TestSpillOverRouteCloudBreakEven(t *testing.T) {
-	s := NewSpillOverRouter().(*SpillOverRouter)
-	rate := s.PriorRate
+	s := spillOverRouter{}
+	rate := float64(priorRate)
 	regions := []RegionView{
 		{Index: 0, Active: 1, BacklogTokens: int(3 * rate)},                              // 3s local wait
 		{Index: 1, Active: 1, BacklogTokens: int(1 * rate), RTT: 500 * time.Millisecond}, // 1.5s remote

@@ -34,22 +34,20 @@ type Cluster struct {
 	// time instead of serving the whole trace on the initial Configs;
 	// see AutoscaleConfig.
 	//
-	// Autoscale, Faults, Health, Breakers, SharedCache, and Cloud each
-	// require Lockstep=false.
+	// Autoscale, Faults, Breakers, SharedCache, and Cloud each require
+	// Lockstep=false.
 	Autoscale *AutoscaleConfig
 	// Faults, when set, injects the plan's replica crashes, outages, and
 	// degrade windows into the run: crashed work re-enqueues at the
-	// router with a retry count, and the health tier (Health, or its
-	// defaults) governs ejection and readmission. A Cluster has no
-	// regions: a plan entry naming one is an error.
+	// router with a retry count, and the health tier governs ejection
+	// and readmission (DefaultProbeInterval, DefaultFailThreshold,
+	// DefaultHealthCooldown). A Cluster has no regions: a plan entry
+	// naming one is an error.
 	Faults *workload.FaultPlan
-	// Health, when set, enables the router's health-check tier even
-	// without a fault plan; see HealthConfig.
-	Health *HealthConfig
 	// Breakers, when set, wraps every replica in a circuit breaker
 	// (closed → open → half-open) fed by admission sheds, completions,
 	// and crashes; breaker-aware routers steer traffic around open
-	// replicas. Composes with — does not replace — the Health tier.
+	// replicas. Composes with — does not replace — the health tier.
 	Breakers *BreakerConfig
 	// SharedCache, when set, answers repeated prompts (requests sharing
 	// a PromptKey) at the balancer after the configured latency, before
@@ -93,24 +91,24 @@ func SingleEngine(name string, cfg Config) Cluster {
 // events, exactly like vLLM data-parallel servers behind a balancer;
 // with Lockstep=true the fleet steps on one shared clock where every
 // global iteration lasts as long as the slowest replica's step (vLLM DP
-// engine semantics). Autoscale, Faults, Health, Breakers, SharedCache,
-// and Cloud each switch on their controller feature; without Autoscale
-// the fleet runs under the static policy.
+// engine semantics). Autoscale, Faults, Breakers, SharedCache, and Cloud
+// each switch on their controller feature; without Autoscale the fleet
+// runs under the static policy.
 func (c Cluster) Run(t *workload.Trace) (*Result, error) {
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}
-	if c.Lockstep && (c.Autoscale != nil || c.Faults != nil || c.Health != nil || c.Breakers != nil ||
+	if c.Lockstep && (c.Autoscale != nil || c.Faults != nil || c.Breakers != nil ||
 		c.SharedCache != nil || c.Cloud != nil) {
 		// Even a one-replica lockstep cluster must error: scaling it up
 		// would silently drop the DP lockstep semantics the caller asked
 		// for (spawned replicas run on independent clocks).
-		return nil, fmt.Errorf("serve: Autoscale, Faults, Health, Breakers, SharedCache, and Cloud require independent replicas (Lockstep=false)")
+		return nil, fmt.Errorf("serve: Autoscale, Faults, Breakers, SharedCache, and Cloud require independent replicas (Lockstep=false)")
 	}
 	ctl, err := newController(Geo{
 		Name:    c.Name,
 		Regions: []Region{{Name: c.Name, Configs: c.Configs, Router: c.Router, Autoscale: c.Autoscale}},
-		Faults:  c.Faults, Health: c.Health, Breakers: c.Breakers,
+		Faults:  c.Faults, Breakers: c.Breakers,
 		SharedCache: c.SharedCache, Cloud: c.Cloud,
 		Obs: c.Obs,
 	}, false)
@@ -134,17 +132,6 @@ func (c Cluster) MinLatency(inTok, outTok int) (ttft, tpot time.Duration, err er
 		return 0, 0, err
 	}
 	return res.LoneLatency()
-}
-
-// PeakThroughput saturates the cluster with a closed batch of identical
-// requests and returns combined tokens/second (Section 4.3.1's
-// peak-throughput methodology).
-func (c Cluster) PeakThroughput(nRequests, inTok, outTok int) (float64, error) {
-	res, err := c.Run(workload.Closed("closed", nRequests, inTok, outTok))
-	if err != nil {
-		return 0, err
-	}
-	return res.BatchThroughput()
 }
 
 // StandardClusters builds the four deployments the paper compares on one

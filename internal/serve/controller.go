@@ -56,7 +56,6 @@ type controller struct {
 	retry      *retrier // nil: immediate retries
 	crashes    []regionCrash
 	nextCrash  int
-	probeEvery time.Duration
 	nextProbe  time.Duration
 	pending    []parkedReq
 	dropped    []RequestMetrics
@@ -72,7 +71,7 @@ func newController(g Geo, geoTier bool) (*controller, error) {
 			return nil, err
 		}
 		if len(g.Regions) != len(g.Topology.Regions) {
-			return nil, fmt.Errorf("serve: %d regions for a %d-region topology",
+			return nil, fmt.Errorf("serve: Geo.Regions has %d regions for a %d-region Topology",
 				len(g.Regions), len(g.Topology.Regions))
 		}
 	}
@@ -119,56 +118,47 @@ func newController(g Geo, geoTier bool) (*controller, error) {
 		return 0, fmt.Errorf("serve: FaultPlan.%s[%d].Region %q not in topology %v", field, i, region, g.Topology.Regions)
 	}
 	// Fault wiring comes before any fleet spawns, so degrade windows and
-	// outage darkness apply to the initial fleets too.
-	c.faultsOn = g.Faults != nil || g.Health != nil
-	var hc HealthConfig
+	// outage darkness apply to the initial fleets too. A fault plan also
+	// turns on the health tier (see health.go).
+	c.faultsOn = g.Faults != nil
 	var degradeIn []int
 	if c.faultsOn {
 		if err := g.Faults.Validate(); err != nil {
 			return nil, err
 		}
-		if g.Health != nil {
-			hc = *g.Health
-		}
-		if err := hc.validate(); err != nil {
-			return nil, err
-		}
-		hc = hc.withDefaults()
 		c.maxRetries = g.Faults.Retries()
-		c.probeEvery, c.nextProbe = hc.ProbeInterval, hc.ProbeInterval
-		if g.Faults != nil {
-			c.retry = newRetrier(g.Faults.Retry)
-			for i, cr := range g.Faults.Crashes {
-				ri, err := resolve("Crashes", i, cr.Region)
-				if err != nil {
-					return nil, err
-				}
-				c.crashes = append(c.crashes, regionCrash{
-					ev: crashEvent{at: cr.At, restart: cr.Restart, replica: cr.Replica}, region: ri,
-				})
+		c.nextProbe = DefaultProbeInterval
+		c.retry = newRetrier(g.Faults.Retry)
+		for i, cr := range g.Faults.Crashes {
+			ri, err := resolve("Crashes", i, cr.Region)
+			if err != nil {
+				return nil, err
 			}
-			for i, o := range g.Faults.Outages {
-				ri, err := resolve("Outages", i, o.Region)
-				if err != nil {
-					return nil, err
-				}
-				c.crashes = append(c.crashes, regionCrash{
-					ev: crashEvent{at: o.Start, restart: o.End, outage: true}, region: ri,
-				})
-			}
-			sort.SliceStable(c.crashes, func(i, j int) bool {
-				if c.crashes[i].ev.at != c.crashes[j].ev.at {
-					return c.crashes[i].ev.at < c.crashes[j].ev.at
-				}
-				return c.crashes[i].region < c.crashes[j].region
+			c.crashes = append(c.crashes, regionCrash{
+				ev: crashEvent{at: cr.At, restart: cr.Restart, replica: cr.Replica}, region: ri,
 			})
-			for i, d := range g.Faults.Degrades {
-				ri, err := resolve("Degrades", i, d.Region)
-				if err != nil {
-					return nil, err
-				}
-				degradeIn = append(degradeIn, ri)
+		}
+		for i, o := range g.Faults.Outages {
+			ri, err := resolve("Outages", i, o.Region)
+			if err != nil {
+				return nil, err
 			}
+			c.crashes = append(c.crashes, regionCrash{
+				ev: crashEvent{at: o.Start, restart: o.End, outage: true}, region: ri,
+			})
+		}
+		sort.SliceStable(c.crashes, func(i, j int) bool {
+			if c.crashes[i].ev.at != c.crashes[j].ev.at {
+				return c.crashes[i].ev.at < c.crashes[j].ev.at
+			}
+			return c.crashes[i].region < c.crashes[j].region
+		})
+		for i, d := range g.Faults.Degrades {
+			ri, err := resolve("Degrades", i, d.Region)
+			if err != nil {
+				return nil, err
+			}
+			degradeIn = append(degradeIn, ri)
 		}
 	}
 
@@ -178,11 +168,11 @@ func newController(g Geo, geoTier bool) (*controller, error) {
 		if geoTier {
 			name = g.Topology.Regions[i]
 			if reg.Name != "" && reg.Name != name {
-				return nil, fmt.Errorf("serve: region %d named %q, topology says %q", i, reg.Name, name)
+				return nil, fmt.Errorf("serve: Geo.Regions[%d].Name %q is not Topology.Regions[%d] %q", i, reg.Name, i, name)
 			}
 		}
 		if len(reg.Configs) == 0 {
-			return nil, fmt.Errorf("serve: region %s has no replicas", name)
+			return nil, fmt.Errorf("serve: region %s has no replicas (its Configs is empty)", name)
 		}
 		var ac AutoscaleConfig
 		if reg.Autoscale != nil {
@@ -219,7 +209,6 @@ func newController(g Geo, geoTier bool) (*controller, error) {
 		}
 		if c.faultsOn {
 			fleet.faultsOn = true
-			fleet.health = hc
 			for j, ri := range degradeIn {
 				if ri == i {
 					fleet.degrades = append(fleet.degrades, g.Faults.Degrades[j])
@@ -421,7 +410,7 @@ func (c *controller) fire(now time.Duration, kind int) error {
 		c.nextCrash++
 		lost = c.regions[rc.region].fleet.applyCrashEvent(rc.ev, now)
 	case evProbe:
-		c.nextProbe += c.probeEvery
+		c.nextProbe += DefaultProbeInterval
 		for _, rr := range c.regions {
 			lost = append(lost, rr.fleet.probeAll(now)...)
 		}

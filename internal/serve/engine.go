@@ -89,9 +89,9 @@ const (
 	AdmissionDeadline = "deadline-infeasible"
 	// AdmissionProjected is AdmissionDeadline gated by a queue-wide
 	// hysteresis band: shedding only turns on while the waiting queue's
-	// projected TTFT attainment is below Target, and stays on until it
-	// recovers past Relax — so isolated stragglers survive but a
-	// drowning queue is cut back to servable load.
+	// projected TTFT attainment is below 0.7, and stays on until it
+	// recovers to 0.9 — so isolated stragglers survive but a drowning
+	// queue is cut back to servable load.
 	AdmissionProjected = "projected-attainment"
 	// AdmissionShedOrBuy judges waiters like AdmissionDeadline, but when
 	// the cluster/geo has a cloud tier attached the doomed waiters are
@@ -104,32 +104,17 @@ const (
 // AdmissionPolicyNames lists the admission policies in sweep order.
 var AdmissionPolicyNames = []string{AdmissionNone, AdmissionDeadline, AdmissionProjected, AdmissionShedOrBuy}
 
-// Projected-attainment hysteresis defaults.
+// The projected-attainment hysteresis band: shedding starts below
+// admissionTarget and stops at or above admissionRelax.
 const (
-	DefaultAdmissionTarget = 0.7
-	DefaultAdmissionRelax  = 0.9
+	admissionTarget = 0.7
+	admissionRelax  = 0.9
 )
 
-// AdmissionConfig selects and tunes the engine's admission policy.
+// AdmissionConfig selects the engine's admission policy.
 type AdmissionConfig struct {
 	// Policy is one of AdmissionPolicyNames; "" means AdmissionNone.
 	Policy string
-	// Target and Relax bound the projected-attainment hysteresis (only
-	// consulted by AdmissionProjected): shedding starts below Target and
-	// stops at or above Relax. Zero means the defaults.
-	Target float64
-	Relax  float64
-}
-
-func (a *AdmissionConfig) withDefaults() AdmissionConfig {
-	c := *a
-	if c.Target == 0 {
-		c.Target = DefaultAdmissionTarget
-	}
-	if c.Relax == 0 {
-		c.Relax = DefaultAdmissionRelax
-	}
-	return c
 }
 
 // enabled reports whether the config actually sheds anything.
@@ -144,14 +129,7 @@ func (a *AdmissionConfig) validate() error {
 	switch a.Policy {
 	case "", AdmissionNone, AdmissionDeadline, AdmissionProjected, AdmissionShedOrBuy:
 	default:
-		return fmt.Errorf("serve: unknown admission policy %q (want one of %v)", a.Policy, AdmissionPolicyNames)
-	}
-	c := a.withDefaults()
-	if c.Target < 0 || c.Target > 1 || c.Relax < 0 || c.Relax > 1 {
-		return fmt.Errorf("serve: admission thresholds target=%.2f relax=%.2f outside [0, 1]", c.Target, c.Relax)
-	}
-	if c.Relax < c.Target {
-		return fmt.Errorf("serve: admission relax %.2f below target %.2f (hysteresis would invert)", c.Relax, c.Target)
+		return fmt.Errorf("serve: AdmissionConfig.Policy %q is unknown (want one of %v)", a.Policy, AdmissionPolicyNames)
 	}
 	return nil
 }
@@ -159,7 +137,7 @@ func (a *AdmissionConfig) validate() error {
 // admissionState is one engine's private admission-control state (each
 // replica judges its own queue; no state is shared across replicas).
 type admissionState struct {
-	cfg AdmissionConfig
+	policy string
 	// shedding is the projected-attainment hysteresis latch.
 	shedding bool
 }
@@ -202,13 +180,13 @@ func (c Config) Validate() error {
 		}
 	}
 	if err := c.Par.Validate(); err != nil {
-		return err
+		return fmt.Errorf("serve: engine %q: Config.Par: %w", c.Name, err)
 	}
 	if err := c.EP.Validate(c.Par.World()); err != nil {
-		return err
+		return fmt.Errorf("serve: engine %q: Config.EP: %w", c.Name, err)
 	}
 	if c.PrefixCacheHitRate < 0 || c.PrefixCacheHitRate >= 1 {
-		return fmt.Errorf("serve: prefix cache hit rate %v outside [0, 1)", c.PrefixCacheHitRate)
+		return fmt.Errorf("serve: engine %q: Config.PrefixCacheHitRate %v is outside [0, 1)", c.Name, c.PrefixCacheHitRate)
 	}
 	if err := c.PrefixCache.validate(); err != nil {
 		return err
@@ -216,7 +194,10 @@ func (c Config) Validate() error {
 	if err := c.Admission.validate(); err != nil {
 		return err
 	}
-	return c.Stack.Validate()
+	if err := c.Stack.Validate(); err != nil {
+		return fmt.Errorf("serve: engine %q: Config.Stack: %w", c.Name, err)
+	}
+	return nil
 }
 
 // RejectReason names why an engine rejected a request, so admission
@@ -471,7 +452,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 		e.pcache = newLRU(capTok, 0)
 	}
 	if cfg.Admission.enabled() {
-		e.admission = &admissionState{cfg: cfg.Admission.withDefaults()}
+		e.admission = &admissionState{policy: cfg.Admission.Policy}
 	}
 	return e, nil
 }
@@ -866,7 +847,7 @@ func (e *Engine) shedPass() {
 	}
 	e.shedFlags = flags
 	shed := false
-	switch st.cfg.Policy {
+	switch st.policy {
 	case AdmissionDeadline, AdmissionShedOrBuy:
 		shed = true
 	case AdmissionProjected:
@@ -875,10 +856,10 @@ func (e *Engine) shedPass() {
 			att = float64(total-infeasible) / float64(total)
 		}
 		if st.shedding {
-			if att >= st.cfg.Relax {
+			if att >= admissionRelax {
 				st.shedding = false
 			}
-		} else if att < st.cfg.Target {
+		} else if att < admissionTarget {
 			st.shedding = true
 		}
 		shed = st.shedding
@@ -888,7 +869,7 @@ func (e *Engine) shedPass() {
 	}
 	// Walk the live queue with a write index so sheds land in queue
 	// order; flags[i] corresponds to the original queue position i.
-	divert := st.cfg.Policy == AdmissionShedOrBuy && e.buyDivert
+	divert := st.policy == AdmissionShedOrBuy && e.buyDivert
 	j := 0
 	for i := range flags {
 		if !flags[i] {

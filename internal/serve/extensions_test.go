@@ -55,14 +55,8 @@ func TestEPImprovesMoEThroughput(t *testing.T) {
 	withEP := base
 	withEP.EP = perf.EPConfig{Degree: 8}
 
-	plain, err := SingleEngine("noEP", base).PeakThroughput(160, 4096, 250)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ep, err := SingleEngine("EP8", withEP).PeakThroughput(160, 4096, 250)
-	if err != nil {
-		t.Fatal(err)
-	}
+	plain := closedThroughput(t, SingleEngine("noEP", base), 160, 4096, 250)
+	ep := closedThroughput(t, SingleEngine("EP8", withEP), 160, 4096, 250)
 	if ep <= plain {
 		t.Fatalf("SP+EP throughput %.0f <= SP alone %.0f", ep, plain)
 	}
@@ -73,14 +67,8 @@ func TestEPNoEffectOnDense(t *testing.T) {
 	base := Config{CM: cm, Par: perf.Parallelism{SP: 1, TP: 8}}
 	withEP := base
 	withEP.EP = perf.EPConfig{Degree: 8}
-	a, err := SingleEngine("a", base).PeakThroughput(40, 2048, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := SingleEngine("b", withEP).PeakThroughput(40, 2048, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := closedThroughput(t, SingleEngine("a", base), 40, 2048, 100)
+	b := closedThroughput(t, SingleEngine("b", withEP), 40, 2048, 100)
 	if a != b {
 		t.Fatalf("EP changed a dense model's throughput: %v vs %v", a, b)
 	}

@@ -52,34 +52,34 @@ func UniformTopology(rtt time.Duration, names ...string) Topology {
 // Validate checks the matrix invariants.
 func (t Topology) Validate() error {
 	if len(t.Regions) == 0 {
-		return fmt.Errorf("serve: topology has no regions")
+		return fmt.Errorf("serve: Topology.Regions is empty")
 	}
 	seen := map[string]bool{}
-	for _, name := range t.Regions {
+	for i, name := range t.Regions {
 		if name == "" {
-			return fmt.Errorf("serve: topology has an unnamed region")
+			return fmt.Errorf("serve: Topology.Regions[%d] is unnamed", i)
 		}
 		if seen[name] {
-			return fmt.Errorf("serve: duplicate region %q", name)
+			return fmt.Errorf("serve: Topology.Regions[%d] %q is a duplicate", i, name)
 		}
 		seen[name] = true
 	}
 	if len(t.RTT) != len(t.Regions) {
-		return fmt.Errorf("serve: RTT matrix has %d rows for %d regions", len(t.RTT), len(t.Regions))
+		return fmt.Errorf("serve: Topology.RTT has %d rows for %d regions", len(t.RTT), len(t.Regions))
 	}
 	for i, row := range t.RTT {
 		if len(row) != len(t.Regions) {
-			return fmt.Errorf("serve: RTT row %d has %d entries for %d regions", i, len(row), len(t.Regions))
+			return fmt.Errorf("serve: Topology.RTT[%d] has %d entries for %d regions", i, len(row), len(t.Regions))
 		}
 		for j, d := range row {
 			switch {
 			case d < 0:
-				return fmt.Errorf("serve: negative RTT %v between %s and %s", d, t.Regions[i], t.Regions[j])
+				return fmt.Errorf("serve: Topology.RTT[%d][%d] %v (%s to %s) is negative", i, j, d, t.Regions[i], t.Regions[j])
 			case i == j && d != 0:
-				return fmt.Errorf("serve: region %s has non-zero self-RTT %v", t.Regions[i], d)
+				return fmt.Errorf("serve: Topology.RTT[%d][%d] %v is a non-zero self-RTT of %s", i, j, d, t.Regions[i])
 			case d != t.RTT[j][i]:
-				return fmt.Errorf("serve: asymmetric RTT between %s and %s (%v vs %v)",
-					t.Regions[i], t.Regions[j], d, t.RTT[j][i])
+				return fmt.Errorf("serve: Topology.RTT[%d][%d] %v differs from RTT[%d][%d] %v (%s and %s)",
+					i, j, d, j, i, t.RTT[j][i], t.Regions[i], t.Regions[j])
 			}
 		}
 	}
@@ -248,46 +248,34 @@ func (leastLoadedGlobal) Route(_ workload.Request, origin int, regions []RegionV
 
 // --- SLO-aware spill-over ---
 
-// SpillOverRouter serves locally unless the projected local wait — queue
+// spillOverRouter serves locally unless the projected local wait — queue
 // drain time plus, when the local queue has crossed the scale-up
 // threshold, the cold start any local relief must pay — exceeds the
 // round trip plus projected wait of a remote region. This is the
 // RTT-vs-cold-start break-even the ROADMAP calls out: during a burst a
 // warm remote fleet an RTT away beats local capacity that is still 60
 // seconds from its first token.
-type SpillOverRouter struct {
-	// PriorRate floors the per-replica service-rate estimate (tokens/sec
-	// per active replica). The measured rate integrates idle time and so
-	// only ever underestimates capacity; the projection uses
-	// max(measured, prior). Calibrate it to the replica's saturated
-	// throughput on the deployment's request sizes.
-	PriorRate float64
-	// QueueHigh is the local queued-requests-per-active-replica level at
-	// or above which local relief is assumed to need a cold start (the
-	// autoscaler's scale-up territory).
-	QueueHigh float64
-}
+type spillOverRouter struct{}
 
-// NewSpillOverRouter returns the spill-over policy with its defaults: a
-// 5000 tok/s per-replica rate floor (a single-GPU Llama-70B replica's
-// measured peak on ~1k-token interactive requests) and the queue-depth
-// autoscaler's default scale-up threshold of 4 queued per replica.
-func NewSpillOverRouter() GeoRouter { return &SpillOverRouter{PriorRate: 5000, QueueHigh: 4} }
+// spillQueueHigh is the local queued-requests-per-active-replica level
+// at or above which local relief is assumed to need a cold start: the
+// queue-depth autoscaler's default scale-up threshold.
+const spillQueueHigh = 4
 
-// Name implements GeoRouter.
-func (*SpillOverRouter) Name() string { return "spill-over" }
+// NewSpillOverRouter returns the spill-over policy. Its projected waits
+// use max(measured rate, priorRate) per active replica.
+func NewSpillOverRouter() GeoRouter { return spillOverRouter{} }
+
+func (spillOverRouter) Name() string { return "spill-over" }
 
 // wait projects how long a new arrival waits in the region: backlog
 // tokens — queued plus in-flight, since continuous batching admits a
 // burst into running long before queues form — over the service-rate
 // estimate times the active fleet.
-func (s *SpillOverRouter) wait(v RegionView) float64 {
+func (spillOverRouter) wait(v RegionView) float64 {
 	rate := v.MeasuredRate
-	if rate < s.PriorRate {
-		rate = s.PriorRate
-	}
-	if rate <= 0 {
-		rate = 1 // defensive: a zero prior and no measurements
+	if rate < priorRate {
+		rate = priorRate
 	}
 	active := v.Active
 	if active < 1 {
@@ -302,7 +290,7 @@ func (s *SpillOverRouter) wait(v RegionView) float64 {
 // second pass ignores breakers (still never Down regions). With
 // breakers disabled every view has BreakerOpen false and the first
 // pass is the legacy scan exactly.
-func (s *SpillOverRouter) Route(_ workload.Request, origin int, regions []RegionView) int {
+func (s spillOverRouter) Route(_ workload.Request, origin int, regions []RegionView) int {
 	if i, _ := s.pick(origin, regions, false); i >= 0 {
 		return i
 	}
@@ -317,7 +305,7 @@ func (s *SpillOverRouter) Route(_ workload.Request, origin int, regions []Region
 // projected cost (local wait plus cold-start penalty, or RTT plus
 // remote wait) exceeds the cloud's projected first-token latency — and
 // budget remains — the request is bought instead of spilled.
-func (s *SpillOverRouter) RouteCloud(_ workload.Request, origin int, regions []RegionView, cloud CloudView) bool {
+func (s spillOverRouter) RouteCloud(_ workload.Request, origin int, regions []RegionView, cloud CloudView) bool {
 	if cloud.BudgetExhausted {
 		return false
 	}
@@ -334,14 +322,14 @@ func (s *SpillOverRouter) RouteCloud(_ workload.Request, origin int, regions []R
 
 // pick returns the cheapest candidate region and its projected cost in
 // seconds (-1 when no candidate is routable).
-func (s *SpillOverRouter) pick(origin int, regions []RegionView, ignoreBreakers bool) (int, float64) {
+func (s spillOverRouter) pick(origin int, regions []RegionView, ignoreBreakers bool) (int, float64) {
 	local := regions[origin]
 	localCost := s.wait(local)
 	active := local.Active
 	if active < 1 {
 		active = 1
 	}
-	if float64(local.QueuedRequests)/float64(active) >= s.QueueHigh {
+	if float64(local.QueuedRequests)/float64(active) >= spillQueueHigh {
 		// The local queue is in scale-up territory: relief costs a cold
 		// start — or the remainder of one already under way.
 		pen := local.ColdStart
@@ -411,17 +399,14 @@ type Geo struct {
 	// Crash-lost work re-enqueues at the geo router with a retry count
 	// and may land in another region (paying that RTT); during a full
 	// multi-region outage requests park at the geo balancer until any
-	// region recovers.
+	// region recovers. The plan also turns on every region's health
+	// tier (see Cluster.Faults).
 	Faults *workload.FaultPlan
-	// Health, when set, overrides the per-region health-check tier
-	// defaults; see HealthConfig. Setting it without Faults enables the
-	// tier (probes simply never fail).
-	Health *HealthConfig
 	// Breakers, when set, wraps every replica AND every region in a
 	// circuit breaker: replica breakers steer each region's local
 	// router, region breakers steer breaker-aware geo routers
 	// (spill-over) around a shedding or crashing region. Composes with
-	// the Health tier; nil keeps the legacy routing path byte-for-byte.
+	// the health tier; nil keeps the legacy routing path byte-for-byte.
 	Breakers *BreakerConfig
 	// SharedCache, when set, answers repeated prompts (requests sharing
 	// a PromptKey) at the geo balancer after the configured latency,

@@ -85,7 +85,6 @@ func TestGeoSingleRegionBitForBit(t *testing.T) {
 			cl.Faults = &workload.FaultPlan{Crashes: crashes, Retry: &workload.RetryPolicy{
 				BackoffBase: 500 * time.Millisecond, Jitter: 0.5, Seed: 3, BudgetRatio: 0.5,
 			}}
-			cl.Health = &HealthConfig{ProbeInterval: 2 * time.Second, FailThreshold: 2, Cooldown: 5 * time.Second}
 			return cl
 		}, func(r *Result, _ *obs.Observer) bool {
 			return r.Retries > 0 && r.RetryBackoffWait > 0 && r.Ejections > 0
@@ -143,7 +142,7 @@ func TestGeoSingleRegionBitForBit(t *testing.T) {
 				Topology: SingleRegion(cl.Name),
 				Regions:  []Region{{Configs: cl.Configs, Router: cl.Router, Autoscale: cl.Autoscale}},
 				Router:   NewNearestRegionRouter(),
-				Faults:   cl.Faults, Health: cl.Health, Breakers: cl.Breakers,
+				Faults:   cl.Faults, Breakers: cl.Breakers,
 				SharedCache: cl.SharedCache, Cloud: cl.Cloud,
 				Obs: obs.NewObserver(),
 			}
@@ -381,9 +380,11 @@ func TestGeoRTTInflation(t *testing.T) {
 }
 
 // TestSpillOverBreakEven unit-tests the policy's decision rule around
-// the RTT-vs-queue-wait-plus-cold-start break-even.
+// the RTT-vs-queue-wait-plus-cold-start break-even. A region's wait is
+// its backlog over max(measured rate, the 5000 tok/s prior) per active
+// replica.
 func TestSpillOverBreakEven(t *testing.T) {
-	r := &SpillOverRouter{PriorRate: 1000, QueueHigh: 4}
+	var r spillOverRouter
 	route := func(views []RegionView) int {
 		return r.Route(workload.Request{}, 0, views)
 	}
@@ -402,8 +403,8 @@ func TestSpillOverBreakEven(t *testing.T) {
 	// Local queue below the scale-up threshold but non-trivial (6s of
 	// work vs a 200ms RTT): remote wins on projected wait alone.
 	v := idle()
-	v[0].QueuedRequests = 6 // 3 per active replica < QueueHigh
-	v[0].BacklogTokens = 12000
+	v[0].QueuedRequests = 6 // 3 per active replica < spillQueueHigh
+	v[0].BacklogTokens = 60000
 	if got := route(v); got != 1 {
 		t.Fatalf("6s local backlog vs 200ms RTT routed to %d, want remote", got)
 	}
@@ -411,7 +412,7 @@ func TestSpillOverBreakEven(t *testing.T) {
 	// Tiny local backlog (150ms of work): cheaper than the round trip.
 	v = idle()
 	v[0].QueuedRequests = 2
-	v[0].BacklogTokens = 300
+	v[0].BacklogTokens = 1500
 	if got := route(v); got != 0 {
 		t.Fatalf("150ms local backlog routed to %d, want local", got)
 	}
@@ -419,36 +420,36 @@ func TestSpillOverBreakEven(t *testing.T) {
 	// Queue past the scale-up threshold adds the cold start to the local
 	// cost: 4s of queue + 60s cold start loses to RTT + an idle remote.
 	v = idle()
-	v[0].QueuedRequests = 8 // 4 per active replica = QueueHigh
-	v[0].BacklogTokens = 8000
+	v[0].QueuedRequests = 8 // 4 per active replica = spillQueueHigh
+	v[0].BacklogTokens = 40000
 	if got := route(v); got != 1 {
 		t.Fatalf("cold-start break-even routed to %d, want remote", got)
 	}
 
 	// Same, but the remote is drowning too: stay local.
-	v[1].BacklogTokens = 200_000 // 100s of remote work
+	v[1].BacklogTokens = 1_000_000 // 100s of remote work
 	if got := route(v); got != 0 {
 		t.Fatalf("drowning remote routed to %d, want local", got)
 	}
 
 	// A warming local replica nearly ready caps the cold-start penalty:
 	// 8s local (4s queue + 4s warmup) beats 200ms + 10s remote backlog.
-	v[1].BacklogTokens = 20_000
+	v[1].BacklogTokens = 100_000
 	v[0].Warming, v[0].NextReadyIn = 1, 4*time.Second
 	if got := route(v); got != 0 {
 		t.Fatalf("nearly-warm local fleet routed to %d, want local", got)
 	}
 
-	// The measured rate overrides the prior: 3000 queued tokens project
-	// 1.5s of wait at the 1000 tok/s prior (spill), but only 150ms on a
-	// measured 10k tok/s fleet (stay local).
+	// The measured rate overrides the prior: 15000 queued tokens project
+	// 1.5s of wait at the 5000 tok/s prior (spill), but only 150ms on a
+	// measured 50k tok/s fleet (stay local).
 	v = idle()
 	v[0].QueuedRequests = 6
-	v[0].BacklogTokens = 3000
+	v[0].BacklogTokens = 15000
 	if got := route(v); got != 1 {
 		t.Fatalf("prior-rate backlog routed to %d, want remote", got)
 	}
-	v[0].MeasuredRate = 10000
+	v[0].MeasuredRate = 50000
 	if got := route(v); got != 0 {
 		t.Fatalf("fast measured fleet routed to %d, want local", got)
 	}

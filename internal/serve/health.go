@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"fmt"
 	"sort"
 	"time"
 
@@ -10,59 +9,19 @@ import (
 	"repro/internal/workload"
 )
 
-// Health-tier defaults: probe every second, eject after three
-// consecutive failed probes, readmit ten seconds after the machine is
-// back — the rigrun-style ejection/readmission loop.
+// The health tier is on whenever a FaultPlan is present. It probes
+// every replica once per DefaultProbeInterval, ejects a dark one after
+// DefaultFailThreshold consecutive failed probes, and readmits a
+// recovered one DefaultHealthCooldown after its ejection — the
+// rigrun-style ejection/readmission loop. The router keeps sending
+// traffic to a crashed replica (a black hole) until it is ejected;
+// ejection drains the black-holed requests back to the router for
+// retry.
 const (
 	DefaultProbeInterval  = time.Second
 	DefaultFailThreshold  = 3
 	DefaultHealthCooldown = 10 * time.Second
 )
-
-// HealthConfig is the router-side health-check tier. The router keeps
-// sending traffic to a crashed replica (a black hole) until
-// FailThreshold consecutive probes — one sweep every ProbeInterval —
-// have failed; ejection then drains the black-holed requests back to
-// the router for retry. A recovered replica is readmitted to the
-// routing set Cooldown after its ejection ends (the machine must be
-// back up and the cooldown elapsed). The tier is forced on, with
-// these defaults, whenever a FaultPlan is present.
-type HealthConfig struct {
-	// ProbeInterval is the health-sweep period; 0 means
-	// DefaultProbeInterval.
-	ProbeInterval time.Duration
-	// FailThreshold is the consecutive failed probes before ejection;
-	// 0 means DefaultFailThreshold.
-	FailThreshold int
-	// Cooldown is the recovered-to-readmitted delay; 0 means
-	// DefaultHealthCooldown.
-	Cooldown time.Duration
-}
-
-func (h HealthConfig) withDefaults() HealthConfig {
-	if h.ProbeInterval <= 0 {
-		h.ProbeInterval = DefaultProbeInterval
-	}
-	if h.FailThreshold <= 0 {
-		h.FailThreshold = DefaultFailThreshold
-	}
-	if h.Cooldown <= 0 {
-		h.Cooldown = DefaultHealthCooldown
-	}
-	return h
-}
-
-func (h HealthConfig) validate() error {
-	switch {
-	case h.ProbeInterval < 0:
-		return fmt.Errorf("serve: HealthConfig.ProbeInterval %v is negative", h.ProbeInterval)
-	case h.FailThreshold < 0:
-		return fmt.Errorf("serve: HealthConfig.FailThreshold %d is negative", h.FailThreshold)
-	case h.Cooldown < 0:
-		return fmt.Errorf("serve: HealthConfig.Cooldown %v is negative", h.Cooldown)
-	}
-	return nil
-}
 
 // routable reports whether the router may place new work on the
 // replica. A down-but-not-yet-ejected replica IS routable — the
@@ -160,7 +119,7 @@ func (f *fleetState) probeAll(now time.Duration) []workload.Request {
 		}
 		if rep.down {
 			rep.probeFails++
-			if !rep.ejected && rep.probeFails >= f.health.FailThreshold {
+			if !rep.ejected && rep.probeFails >= DefaultFailThreshold {
 				rep.ejected = true
 				rep.ejectedAt = now
 				f.ejections++
@@ -174,7 +133,7 @@ func (f *fleetState) probeAll(now time.Duration) []workload.Request {
 			continue
 		}
 		rep.probeFails = 0
-		if rep.ejected && now-rep.ejectedAt >= f.health.Cooldown {
+		if rep.ejected && now-rep.ejectedAt >= DefaultHealthCooldown {
 			rep.ejected = false
 			f.readmissions++
 			f.relevel(rep)

@@ -7,16 +7,12 @@ import (
 	"repro/internal/perf"
 )
 
-// healthFleet spawns n active replicas with the default health tier
-// armed, ready for direct probe/crash driving.
+// healthFleet spawns n active replicas with the health tier armed,
+// ready for direct probe/crash driving.
 func healthFleet(t *testing.T, n int) *fleetState {
 	t.Helper()
 	cm := llamaCM(t)
-	f := &fleetState{
-		name:     "health",
-		faultsOn: true,
-		health:   HealthConfig{}.withDefaults(),
-	}
+	f := &fleetState{name: "health", faultsOn: true}
 	for i := 0; i < n; i++ {
 		if err := f.spawn(Config{CM: cm, Par: perf.Parallelism{SP: 1, TP: 1}}, 0, 0); err != nil {
 			t.Fatal(err)
@@ -30,12 +26,12 @@ func healthFleet(t *testing.T, n int) *fleetState {
 func eject(t *testing.T, f *fleetState, rep *replica, from time.Duration) time.Duration {
 	t.Helper()
 	now := from
-	for i := 0; i < f.health.FailThreshold; i++ {
-		now += f.health.ProbeInterval
+	for i := 0; i < DefaultFailThreshold; i++ {
+		now += DefaultProbeInterval
 		f.probeAll(now)
 	}
 	if !rep.ejected {
-		t.Fatalf("replica not ejected after %d failed probes", f.health.FailThreshold)
+		t.Fatalf("replica not ejected after %d failed probes", DefaultFailThreshold)
 	}
 	return now
 }
@@ -53,20 +49,20 @@ func TestProbeDuringCooldownNotReadmitted(t *testing.T) {
 
 	// The machine comes back at 8s; every healthy probe before
 	// ejectedAt+Cooldown must leave it ejected.
-	for now := restart; now < ejectedAt+f.health.Cooldown; now += f.health.ProbeInterval {
+	for now := restart; now < ejectedAt+DefaultHealthCooldown; now += DefaultProbeInterval {
 		f.probeAll(now)
 		if rep.down {
 			t.Fatalf("machine still down at %v despite restart at %v", now, restart)
 		}
 		if !rep.ejected {
 			t.Fatalf("readmitted at %v, %v before the cooldown expired",
-				now, ejectedAt+f.health.Cooldown-now)
+				now, ejectedAt+DefaultHealthCooldown-now)
 		}
 	}
 	if f.readmissions != 0 {
 		t.Fatalf("readmissions = %d during cooldown, want 0", f.readmissions)
 	}
-	f.probeAll(ejectedAt + f.health.Cooldown)
+	f.probeAll(ejectedAt + DefaultHealthCooldown)
 	if rep.ejected || f.readmissions != 1 {
 		t.Fatalf("probe at cooldown expiry: ejected=%v readmissions=%d, want false/1",
 			rep.ejected, f.readmissions)

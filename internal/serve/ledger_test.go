@@ -198,7 +198,7 @@ func TestFleetLedgerMatchesQueues(t *testing.T) {
 			lost = f.applyCrashEvent(rc.ev, now)
 			drained(now, f.replicas[rc.ev.replica], "a crash")
 		case evProbe:
-			ctl.nextProbe += ctl.probeEvery
+			ctl.nextProbe += DefaultProbeInterval
 			lost = f.probeAll(now)
 			for _, rep := range f.replicas {
 				if rep.ejected && rep.ejectedAt == now {

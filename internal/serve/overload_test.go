@@ -80,35 +80,82 @@ func TestBreakerStateMachine(t *testing.T) {
 	}
 }
 
-// TestBadBreakerAndHealthConfigNameTheField runs every negative
-// breaker and health knob through Cluster.Run and Geo.Run: each must
-// fail before the run starts, with an error naming the field.
-func TestBadBreakerAndHealthConfigNameTheField(t *testing.T) {
+// TestBadConfigNamesTheField runs one invalid value of every checked
+// field of every config type through Cluster.Run and Geo.Run (a
+// Topology only through Geo.Run): each must fail before the run starts,
+// with an error naming the field.
+func TestBadConfigNamesTheField(t *testing.T) {
 	cm := llamaCM(t)
+	badTemplate := dpCfg(cm)
+	badTemplate.MaxSeqs = -1
 	cases := []struct {
 		field    string
+		config   func(*Config) // bad replica config; nil keeps dpCfg
+		auto     *AutoscaleConfig
 		breakers *BreakerConfig
-		health   *HealthConfig
+		shared   *SharedCacheConfig
+		cloud    *CloudConfig
+		geo      func(*Geo) // bad topology or regions: Geo only
 	}{
-		{"BreakerConfig.FailThreshold", &BreakerConfig{FailThreshold: -1}, nil},
-		{"BreakerConfig.HalfOpenProbes", &BreakerConfig{HalfOpenProbes: -1}, nil},
-		{"BreakerConfig.OpenFor", &BreakerConfig{OpenFor: -time.Second}, nil},
-		{"HealthConfig.ProbeInterval", nil, &HealthConfig{ProbeInterval: -time.Second}},
-		{"HealthConfig.FailThreshold", nil, &HealthConfig{FailThreshold: -1}},
-		{"HealthConfig.Cooldown", nil, &HealthConfig{Cooldown: -time.Second}},
+		{field: "Config.MaxSeqs", config: func(c *Config) { c.MaxSeqs = -1 }},
+		{field: "Config.Par", config: func(c *Config) { c.Par.SP = 0 }},
+		{field: "Config.EP", config: func(c *Config) { c.EP.Degree = 3 }},
+		{field: "Config.Stack", config: func(c *Config) { c.Stack.Spec.Len = -1 }},
+		{field: "Config.PrefixCacheHitRate", config: func(c *Config) { c.PrefixCacheHitRate = 1 }},
+		{field: "PrefixCacheConfig.ShareFraction", config: func(c *Config) { c.PrefixCache = &PrefixCacheConfig{ShareFraction: 1} }},
+		{field: "PrefixCacheConfig.CapacityTokens", config: func(c *Config) { c.PrefixCache = &PrefixCacheConfig{CapacityTokens: -1} }},
+		{field: "AdmissionConfig.Policy", config: func(c *Config) { c.Admission = &AdmissionConfig{Policy: "bogus"} }},
+		{field: "AutoscaleConfig.Interval", auto: &AutoscaleConfig{Interval: -time.Second}},
+		{field: "AutoscaleConfig.ColdStart", auto: &AutoscaleConfig{ColdStart: -time.Second}},
+		{field: "AutoscaleConfig.Min", auto: &AutoscaleConfig{Min: -1}},
+		{field: "AutoscaleConfig.Max", auto: &AutoscaleConfig{Max: -1}},
+		{field: "AutoscaleConfig.Max", auto: &AutoscaleConfig{Min: 3, Max: 2}},
+		{field: "AutoscaleConfig.Min/Max", auto: &AutoscaleConfig{Min: 5, Max: 6}},
+		{field: "AutoscaleConfig.Template", auto: &AutoscaleConfig{Template: &badTemplate}},
+		{field: "BreakerConfig.FailThreshold", breakers: &BreakerConfig{FailThreshold: -1}},
+		{field: "BreakerConfig.HalfOpenProbes", breakers: &BreakerConfig{HalfOpenProbes: -1}},
+		{field: "BreakerConfig.OpenFor", breakers: &BreakerConfig{OpenFor: -time.Second}},
+		{field: "SharedCacheConfig.Latency", shared: &SharedCacheConfig{Latency: -time.Second}},
+		{field: "CloudConfig.BaseLatency", cloud: &CloudConfig{BaseLatency: -time.Second}},
+		{field: "CloudConfig.PerToken", cloud: &CloudConfig{PerToken: -time.Millisecond}},
+		{field: "CloudConfig.PricePerMToken", cloud: &CloudConfig{PricePerMToken: -1}},
+		{field: "CloudConfig.Concurrency", cloud: &CloudConfig{Concurrency: -1}},
+		{field: "CloudConfig.RateLimit", cloud: &CloudConfig{RateLimit: -1}},
+		{field: "CloudConfig.MaxSpend", cloud: &CloudConfig{MaxSpend: -1}},
+		{field: "CloudConfig.DollarsPerReplicaHour", cloud: &CloudConfig{DollarsPerReplicaHour: -1}},
+		{field: "CloudConfig.FailEvery", cloud: &CloudConfig{FailEvery: -1}},
+		{field: "Topology.Regions[1]", geo: func(g *Geo) { g.Topology.Regions[1] = "east" }},
+		{field: "Topology.RTT[0][1]", geo: func(g *Geo) { g.Topology.RTT[0][1], g.Topology.RTT[1][0] = -1, -1 }},
+		{field: "Topology.RTT[0][1]", geo: func(g *Geo) { g.Topology.RTT[0][1] = time.Second }},
+		{field: "Topology.RTT[1][1]", geo: func(g *Geo) { g.Topology.RTT[1][1] = time.Second }},
+		{field: "Topology.RTT[1]", geo: func(g *Geo) { g.Topology.RTT[1] = g.Topology.RTT[1][:1] }},
+		{field: "Geo.Regions", geo: func(g *Geo) { g.Regions = g.Regions[:1] }},
+		{field: "Geo.Regions[1].Name", geo: func(g *Geo) { g.Regions[1].Name = "north" }},
+		{field: "Configs", geo: func(g *Geo) { g.Regions[1].Configs = nil }},
 	}
 	tr := geoTestTrace(5, 20, "east", "west")
 	for _, c := range cases {
-		cl := DPCluster("bad", dpCfg(cm), 2)
-		cl.Breakers, cl.Health = c.breakers, c.health
+		cfg := dpCfg(cm)
+		if c.config != nil {
+			c.config(&cfg)
+		}
+		cl := DPCluster("bad", cfg, 2)
+		cl.Autoscale, cl.Breakers, cl.SharedCache, cl.Cloud = c.auto, c.breakers, c.shared, c.cloud
 		g := Geo{
 			Name: "bad", Topology: UniformTopology(50*time.Millisecond, "east", "west"),
-			Regions:  []Region{{Configs: []Config{dpCfg(cm)}}, {Configs: []Config{dpCfg(cm)}}},
-			Breakers: c.breakers, Health: c.health,
+			Regions: []Region{
+				{Configs: []Config{cfg, cfg}, Autoscale: c.auto},
+				{Configs: []Config{cfg, cfg}, Autoscale: c.auto},
+			},
+			Breakers: c.breakers, SharedCache: c.shared, Cloud: c.cloud,
 		}
-		for deployment, run := range map[string]func(*workload.Trace) (*Result, error){
-			"Cluster": cl.Run, "Geo": g.Run,
-		} {
+		runs := map[string]func(*workload.Trace) (*Result, error){"Cluster": cl.Run}
+		if c.geo != nil {
+			c.geo(&g)
+			delete(runs, "Cluster")
+		}
+		runs["Geo"] = g.Run
+		for deployment, run := range runs {
 			_, err := run(tr)
 			if err == nil || !strings.Contains(err.Error(), c.field) {
 				t.Errorf("%s with bad %s: error %v, want one naming the field", deployment, c.field, err)
@@ -493,7 +540,7 @@ func TestGeoOverloadBreakerFallback(t *testing.T) {
 // sent to the cloud — fellThrough of them came back to Route because
 // the cloud refused them, the rest the cloud served.
 type spillSpy struct {
-	*SpillOverRouter
+	spillOverRouter
 	cloudBound  int // ID of the request RouteCloud last sent to the cloud; -1 none
 	secondPass  int
 	toCloud     int
@@ -501,7 +548,7 @@ type spillSpy struct {
 }
 
 func newSpillSpy() *spillSpy {
-	return &spillSpy{SpillOverRouter: NewSpillOverRouter().(*SpillOverRouter), cloudBound: -1}
+	return &spillSpy{cloudBound: -1}
 }
 
 func (s *spillSpy) Route(r workload.Request, origin int, regions []RegionView) int {
@@ -514,12 +561,12 @@ func (s *spillSpy) Route(r workload.Request, origin int, regions []RegionView) i
 			s.secondPass++
 		}
 	}
-	return s.SpillOverRouter.Route(r, origin, regions)
+	return s.spillOverRouter.Route(r, origin, regions)
 }
 
 func (s *spillSpy) RouteCloud(r workload.Request, origin int, regions []RegionView, cloud CloudView) bool {
 	s.cloudBound = -1
-	ok := s.SpillOverRouter.RouteCloud(r, origin, regions, cloud)
+	ok := s.spillOverRouter.RouteCloud(r, origin, regions, cloud)
 	if ok {
 		s.cloudBound = r.ID
 		s.toCloud++

@@ -34,10 +34,10 @@ func (c *PrefixCacheConfig) validate() error {
 		return nil
 	}
 	if c.ShareFraction < 0 || c.ShareFraction >= 1 {
-		return fmt.Errorf("serve: prefix cache share fraction %v outside [0, 1)", c.ShareFraction)
+		return fmt.Errorf("serve: PrefixCacheConfig.ShareFraction %v is outside [0, 1)", c.ShareFraction)
 	}
 	if c.CapacityTokens < 0 {
-		return fmt.Errorf("serve: prefix cache capacity %d negative", c.CapacityTokens)
+		return fmt.Errorf("serve: PrefixCacheConfig.CapacityTokens %d is negative", c.CapacityTokens)
 	}
 	return nil
 }
@@ -45,7 +45,8 @@ func (c *PrefixCacheConfig) validate() error {
 // SharedCacheConfig enables the fleet-level shared cache tier on a
 // Cluster or Geo: requests carrying a PromptKey that the tier has seen
 // before are answered at the balancer after Latency, never reaching an
-// engine (rigrun-style cache-first routing). Keyless requests bypass
+// engine (rigrun-style cache-first routing). The tier remembers the
+// sharedCacheEntries most recently seen keys. Keyless requests bypass
 // the tier untouched; a retry re-entering routing after a crash also
 // bypasses it (the tier answers fresh arrivals, not salvage traffic).
 type SharedCacheConfig struct {
@@ -53,33 +54,16 @@ type SharedCacheConfig struct {
 	// TTFT and Completion both equal Latency (the answer returns whole,
 	// so TPOT is zero).
 	Latency time.Duration
-	// Entries bounds the LRU by resident key count. 0 means
-	// DefaultSharedCacheEntries.
-	Entries int
 }
 
-// DefaultSharedCacheEntries bounds the shared tier when
-// SharedCacheConfig.Entries is zero.
-const DefaultSharedCacheEntries = 4096
+// sharedCacheEntries bounds the shared tier's LRU by resident key count.
+const sharedCacheEntries = 4096
 
 func (c *SharedCacheConfig) validate() error {
-	if c == nil {
-		return nil
-	}
-	if c.Latency < 0 {
-		return fmt.Errorf("serve: shared cache latency %v negative", c.Latency)
-	}
-	if c.Entries < 0 {
-		return fmt.Errorf("serve: shared cache entries %d negative", c.Entries)
+	if c != nil && c.Latency < 0 {
+		return fmt.Errorf("serve: SharedCacheConfig.Latency %v is negative", c.Latency)
 	}
 	return nil
-}
-
-func (c *SharedCacheConfig) entries() int {
-	if c.Entries == 0 {
-		return DefaultSharedCacheEntries
-	}
-	return c.Entries
 }
 
 // lruCache is the bounded recency cache behind both tiers: the
@@ -164,7 +148,7 @@ func newSharedTier(cfg *SharedCacheConfig) *sharedTier {
 	if cfg == nil {
 		return nil
 	}
-	return &sharedTier{cfg: cfg, lru: newLRU(0, cfg.entries())}
+	return &sharedTier{cfg: cfg, lru: newLRU(0, sharedCacheEntries)}
 }
 
 // intercept consults the tier for one arriving request: a hit answers

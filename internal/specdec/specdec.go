@@ -19,10 +19,10 @@ type Spec struct {
 // Validate reports configuration errors.
 func (s Spec) Validate() error {
 	if s.Len < 0 {
-		return fmt.Errorf("specdec: negative draft length %d", s.Len)
+		return fmt.Errorf("specdec: Spec.Len %d is negative", s.Len)
 	}
 	if s.Acceptance < 0 || s.Acceptance >= 1 {
-		return fmt.Errorf("specdec: acceptance %v outside [0, 1)", s.Acceptance)
+		return fmt.Errorf("specdec: Spec.Acceptance %v is outside [0, 1)", s.Acceptance)
 	}
 	return nil
 }
@@ -70,7 +70,7 @@ func DefaultSwiftKV() SwiftKV { return SwiftKV{PrefillFactor: 0.5} }
 // Validate reports configuration errors.
 func (s SwiftKV) Validate() error {
 	if s.PrefillFactor <= 0 || s.PrefillFactor > 1 {
-		return fmt.Errorf("specdec: swiftkv prefill factor %v outside (0, 1]", s.PrefillFactor)
+		return fmt.Errorf("specdec: SwiftKV.PrefillFactor %v is outside (0, 1]", s.PrefillFactor)
 	}
 	return nil
 }

@@ -191,7 +191,9 @@ func (s *Series) Observe(t time.Duration, v float64) {
 	s.buckets[i] += v
 }
 
-// Buckets returns a copy of the bucket totals.
+// Buckets returns a copy of the bucket totals. Only tests call it:
+// they compare raw totals exactly, which Rates would divide by the
+// width.
 func (s *Series) Buckets() []float64 {
 	out := make([]float64, len(s.buckets))
 	copy(out, s.buckets)
