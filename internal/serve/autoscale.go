@@ -165,34 +165,18 @@ func (a *SLOFeedbackAutoscaler) Desired(v FleetView) int {
 	return cur
 }
 
-// builtinAutoscalers is the single registry AutoscalerNames and
-// NewAutoscaler both derive from; new policies are added here once.
-var builtinAutoscalers = []struct {
-	name string
-	make func() Autoscaler
-}{
+var builtinAutoscalers = registry[Autoscaler]{
 	{"static", NewStaticAutoscaler},
 	{"queue-depth", NewQueueDepthAutoscaler},
 	{"slo-feedback", NewSLOFeedbackAutoscaler},
 }
 
 // AutoscalerNames lists the built-in policies in presentation order.
-var AutoscalerNames = func() []string {
-	names := make([]string, len(builtinAutoscalers))
-	for i, a := range builtinAutoscalers {
-		names[i] = a.name
-	}
-	return names
-}()
+var AutoscalerNames = builtinAutoscalers.names()
 
 // NewAutoscaler returns a fresh instance of a built-in policy by name.
 func NewAutoscaler(name string) (Autoscaler, error) {
-	for _, a := range builtinAutoscalers {
-		if a.name == name {
-			return a.make(), nil
-		}
-	}
-	return nil, fmt.Errorf("serve: unknown autoscaler %q (have %v)", name, AutoscalerNames)
+	return builtinAutoscalers.lookup("autoscaler", name)
 }
 
 // AutoscaleConfig attaches replica autoscaling to a cluster: Cluster.Run
@@ -307,9 +291,11 @@ type replica struct {
 
 	// Circuit breaker (nil unless the fleet enables breakers). bkSeen is
 	// its read point over the engine's terminal lists, which feed it at
-	// controller points; crashes trip the breaker directly.
-	breaker *breaker
-	bkSeen  outcomes
+	// controller points; crashes trip the breaker directly. regionSeen is
+	// the region breaker's read point over the same lists.
+	breaker    *breaker
+	bkSeen     outcomes
+	regionSeen outcomes
 }
 
 // remaining counts routed-but-unfinished requests, the drain-victim
@@ -319,10 +305,20 @@ func (rep *replica) remaining() int {
 	return e.waiting.len() + len(e.running) + len(e.arrivals) - e.nextIdx
 }
 
-// fleetState is one region's fleet under the serving controller.
+// fleetState is the serving controller's record of one region: its
+// fleet, the local router that places requests on it, its evaluation
+// cursor, and (under the geo tier) the region breaker and the
+// active-time integral behind RegionView.MeasuredRate. A Cluster is one
+// such region.
 type fleetState struct {
-	ac   AutoscaleConfig
-	name string
+	ac       AutoscaleConfig
+	name     string
+	router   Router
+	nextEval time.Duration
+	// activeSeconds integrates active-replica time between controller
+	// events, the denominator of the measured per-replica rate.
+	activeSeconds float64
+	lastAccrual   time.Duration
 	// lockstep steps the fleet on one shared clock (vLLM's DP engine; see
 	// stepLockstep); clock is that clock and lockWork the per-iteration
 	// scratch of staged plans.
@@ -337,10 +333,9 @@ type fleetState struct {
 	// work, only bill replica-seconds until the end of the run).
 	draining bool
 
-	// Fault/health machinery (inert unless faultsOn; see health.go).
+	// Fault/health machinery (inert without a fault plan; see health.go).
 	// degrades and outageUntil are consulted at spawn time; the counters
 	// feed Result's recovery metrics.
-	faultsOn     bool
 	degrades     []workload.Degrade
 	outageUntil  time.Duration
 	crashCount   int
@@ -349,8 +344,14 @@ type fleetState struct {
 	workLost     int
 
 	// breakers enables per-replica circuit breakers (nil: off, the
-	// legacy routing path byte-for-byte).
-	breakers *BreakerConfig
+	// legacy routing path byte-for-byte). regionBreaker is the geo tier's
+	// breaker over the whole region (nil unless Geo.Breakers is set): it
+	// aggregates every replica's terminal outcomes through its own read
+	// point (replica.regionSeen), and any replica crash trips it;
+	// regionCrashSeen is its read point over crashCount.
+	breakers        *BreakerConfig
+	regionBreaker   *breaker
+	regionCrashSeen int
 
 	// cloud is the controller's elastic backend (nil: off): cloud-aware
 	// replica routers may overflow to it, and spawned engines stage
@@ -420,19 +421,17 @@ func (f *fleetState) spawn(cfg Config, at, cold time.Duration) error {
 	if cold == 0 {
 		rep.state = replicaActive
 	}
-	if f.faultsOn {
-		// Degrade windows match by spawn-order id (first match wins);
-		// spawns during a region outage start dark and recover with it.
-		for _, d := range f.degrades {
-			if d.Replica == id {
-				e.setDegrade(d.Slowdown, d.Start, d.End)
-				break
-			}
+	// Degrade windows match by spawn-order id (first match wins); spawns
+	// during a region outage start dark and recover with it.
+	for _, d := range f.degrades {
+		if d.Replica == id {
+			e.setDegrade(d.Slowdown, d.Start, d.End)
+			break
 		}
-		if at < f.outageUntil {
-			rep.down = true
-			rep.restartAt = f.outageUntil
-		}
+	}
+	if at < f.outageUntil {
+		rep.down = true
+		rep.restartAt = f.outageUntil
 	}
 	f.replicas = append(f.replicas, rep)
 	if rep.state == replicaActive {
@@ -475,10 +474,12 @@ func (f *fleetState) promote(now time.Duration) {
 	}
 }
 
-// advance steps every live engine to the horizon, in index order, and
-// retires draining replicas that have finished their in-flight work. A
-// lockstep fleet steps on its shared clock instead.
+// advance accrues the region's active time to the horizon, steps every
+// live engine to it, in index order, and retires draining replicas that
+// have finished their in-flight work. A lockstep fleet steps on its
+// shared clock instead.
 func (f *fleetState) advance(horizon time.Duration, final bool) {
+	f.accrue(horizon)
 	if f.lockstep {
 		f.stepLockstep(horizon, final)
 	} else {
@@ -515,12 +516,12 @@ type stagedIter struct {
 }
 
 // stepLockstep advances the fleet on its shared clock, vLLM's DP engine
-// semantics: every live replica plans an iteration at the clock, and the
-// global iteration lasts as long as the slowest replica's step, so idle
-// and faster replicas wait. Like stepUntil, it never starts an iteration
-// at or past the horizon, and final enables the end-of-trace rejection
-// of unadmittable waiters. A wholly idle fleet jumps to its earliest
-// routed arrival, else parks at the horizon.
+// semantics: every live replica plans an iteration at the clock through
+// the engine's own plan step (nextPlan), and the global iteration lasts
+// as long as the slowest replica's step, so idle and faster replicas
+// wait. Like stepUntil, it never starts an iteration at or past the
+// horizon. A wholly idle fleet jumps to its earliest routed arrival,
+// else parks at the horizon.
 func (f *fleetState) stepLockstep(horizon time.Duration, final bool) {
 	for f.clock < horizon {
 		work := f.lockWork[:0]
@@ -531,17 +532,7 @@ func (f *fleetState) stepLockstep(horizon time.Duration, final bool) {
 				continue
 			}
 			e.now = f.clock
-			e.admit()
-			plan := e.schedule()
-			if plan.empty() && !e.awaitsWork(final) {
-				// Try to resolve memory-stuck states before giving up on
-				// this replica for the step.
-				for e.resolveEmpty() {
-					if plan = e.schedule(); !plan.empty() {
-						break
-					}
-				}
-			}
+			plan := e.nextPlan(final)
 			if plan.empty() {
 				continue
 			}
@@ -593,7 +584,7 @@ func (f *fleetState) syncBreakers(now time.Duration) {
 // route places one arriving request on an active replica, judged on the
 // routable replicas' views: cumulative assigned work, KV headroom, the
 // engine's live backlog, and breaker state.
-func (f *fleetState) route(router Router, r workload.Request, now time.Duration) error {
+func (f *fleetState) route(r workload.Request, now time.Duration) error {
 	f.promote(now)
 	f.syncBreakers(now)
 	views, targets := f.views[:0], f.targets[:0]
@@ -612,7 +603,7 @@ func (f *fleetState) route(router Router, r workload.Request, now time.Duration)
 	}
 	f.views, f.targets = views, targets
 	if f.cloud != nil {
-		if ca, ok := router.(CloudAwareRouter); ok && ca.RouteCloud(r, views, f.cloud.view(now)) {
+		if ca, ok := f.router.(CloudAwareRouter); ok && ca.RouteCloud(r, views, f.cloud.view(now)) {
 			if f.cloud.offer(r, now, "overflow") {
 				return nil
 			}
@@ -620,9 +611,9 @@ func (f *fleetState) route(router Router, r workload.Request, now time.Duration)
 			// placement.
 		}
 	}
-	i := router.Route(r, views)
+	i := f.router.Route(r, views)
 	if i < 0 || i >= len(targets) {
-		return fmt.Errorf("serve: router %s returned replica %d of %d", router.Name(), i, len(targets))
+		return fmt.Errorf("serve: router %s returned replica %d of %d", f.router.Name(), i, len(targets))
 	}
 	rep := targets[i]
 	f.bal.Event(now, obs.EvRoute, r.ID, rep.engine.cfg.Name)
@@ -709,7 +700,7 @@ func (f *fleetState) evaluate(now time.Duration, parkedReqs int) error {
 		desired = f.ac.Max
 	}
 	cur := v.Active + v.Warming
-	if f.draining && desired > cur && !(f.faultsOn && f.routableCount() == 0) {
+	if f.draining && desired > cur && f.routableCount() > 0 {
 		// Post-trace scale-ups are pointless — except when faults left
 		// zero routable replicas with work still pending: then a spawn is
 		// the only way the backlog ever drains.

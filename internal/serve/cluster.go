@@ -115,7 +115,7 @@ func (c Cluster) Run(t *workload.Trace) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	ctl.regions[0].fleet.lockstep = c.Lockstep
+	ctl.regions[0].lockstep = c.Lockstep
 	return ctl.run(t)
 }
 

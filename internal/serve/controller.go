@@ -40,7 +40,7 @@ type controller struct {
 	topo Topology
 	// geo is the geo router; nil runs a single region with no geo tier.
 	geo     GeoRouter
-	regions []*regionRun
+	regions []*fleetState
 	shared  *sharedTier
 	cloud   *cloudTier
 	// bal receives the controller's own events (shared-cache hits,
@@ -162,7 +162,7 @@ func newController(g Geo, geoTier bool) (*controller, error) {
 		}
 	}
 
-	c.regions = make([]*regionRun, len(g.Regions))
+	c.regions = make([]*fleetState, len(g.Regions))
 	for i, reg := range g.Regions {
 		name := reg.Name
 		if geoTier {
@@ -196,9 +196,12 @@ func newController(g Geo, geoTier bool) (*controller, error) {
 			r.reset()
 		}
 		fleet := &fleetState{
-			ac: ac, name: name,
+			ac: ac, name: name, router: local, nextEval: ac.Interval,
 			breakers: g.Breakers, cloud: c.cloud,
 			sampleCloud: !geoTier && c.cloud != nil,
+		}
+		if geoTier && g.Breakers != nil {
+			fleet.regionBreaker = newBreaker(*g.Breakers)
 		}
 		if geoTier {
 			fleet.observe(g.Obs, name, "balancer")
@@ -207,12 +210,9 @@ func newController(g Geo, geoTier bool) (*controller, error) {
 			c.bal = fleet.bal
 			c.cloud.observe(g.Obs, "")
 		}
-		if c.faultsOn {
-			fleet.faultsOn = true
-			for j, ri := range degradeIn {
-				if ri == i {
-					fleet.degrades = append(fleet.degrades, g.Faults.Degrades[j])
-				}
+		for j, ri := range degradeIn {
+			if ri == i {
+				fleet.degrades = append(fleet.degrades, g.Faults.Degrades[j])
 			}
 		}
 		for _, cfg := range reg.Configs {
@@ -221,10 +221,7 @@ func newController(g Geo, geoTier bool) (*controller, error) {
 				return nil, err
 			}
 		}
-		c.regions[i] = &regionRun{name: name, fleet: fleet, router: local, nextEval: ac.Interval}
-		if geoTier && g.Breakers != nil {
-			c.regions[i].breaker = newBreaker(*g.Breakers)
-		}
+		c.regions[i] = fleet
 	}
 	return c, nil
 }
@@ -270,8 +267,8 @@ func (c *controller) run(t *workload.Trace) (*Result, error) {
 	// fleetState.draining) unless faults left parked work with nothing
 	// routable. Probes and crashes keep firing so dark replicas still get
 	// ejected and their black-holed work still reaches a terminal outcome.
-	for _, rr := range c.regions {
-		rr.fleet.draining = true
+	for _, f := range c.regions {
+		f.draining = true
 	}
 	for !c.done() {
 		at, kind, ri := c.nextEvent(true)
@@ -293,11 +290,11 @@ func (c *controller) run(t *workload.Trace) (*Result, error) {
 // trace: an even share of the requests.
 func (c *controller) reserve(t *workload.Trace) {
 	replicas := 0
-	for _, rr := range c.regions {
-		replicas += len(rr.fleet.replicas)
+	for _, f := range c.regions {
+		replicas += len(f.replicas)
 	}
-	for _, rr := range c.regions {
-		for _, rep := range rr.fleet.replicas {
+	for _, f := range c.regions {
+		for _, rep := range f.replicas {
 			rep.engine.reserve(len(t.Requests) / replicas)
 		}
 	}
@@ -314,8 +311,8 @@ func (c *controller) done() bool {
 	if c.parked() {
 		return false
 	}
-	for _, rr := range c.regions {
-		if !rr.fleet.allDone() {
+	for _, f := range c.regions {
+		if !f.allDone() {
 			return false
 		}
 	}
@@ -329,12 +326,12 @@ func (c *controller) done() bool {
 // idle region stops evaluating unless parked work may still need it.
 func (c *controller) nextEvent(final bool) (at time.Duration, kind, ri int) {
 	at, kind, ri = noHorizon, evEval, -1
-	for i, rr := range c.regions {
-		if final && rr.fleet.allDone() && !c.parked() {
+	for i, f := range c.regions {
+		if final && f.allDone() && !c.parked() {
 			continue
 		}
-		if ri < 0 || rr.nextEval < at {
-			at, ri = rr.nextEval, i
+		if ri < 0 || f.nextEval < at {
+			at, ri = f.nextEval, i
 		}
 	}
 	if fat, fkind, ok := c.nextFault(); ok && fat <= at {
@@ -366,8 +363,8 @@ func (c *controller) advance(now time.Duration, ri int, final bool) {
 	if ri >= 0 {
 		c.regions[ri].advance(now, final)
 	} else {
-		for _, rr := range c.regions {
-			rr.advance(now, final)
+		for _, f := range c.regions {
+			f.advance(now, final)
 		}
 	}
 	c.drainCloud()
@@ -384,19 +381,19 @@ func (c *controller) handle(now time.Duration, kind, ri int, final bool) error {
 		}
 		return c.flush(now)
 	}
-	rr := c.regions[ri]
-	if !final || !rr.fleet.allDone() || c.parked() {
+	f := c.regions[ri]
+	if !final || !f.allDone() || c.parked() {
 		n := 0
 		for _, p := range c.pending {
 			if p.origin == ri {
 				n++
 			}
 		}
-		if err := rr.fleet.evaluate(now, n); err != nil {
+		if err := f.evaluate(now, n); err != nil {
 			return err
 		}
 	}
-	rr.nextEval += rr.fleet.ac.Interval
+	f.nextEval += f.ac.Interval
 	c.reap(now)
 	return c.flush(now)
 }
@@ -408,11 +405,11 @@ func (c *controller) fire(now time.Duration, kind int) error {
 	case evCrash:
 		rc := c.crashes[c.nextCrash]
 		c.nextCrash++
-		lost = c.regions[rc.region].fleet.applyCrashEvent(rc.ev, now)
+		lost = c.regions[rc.region].applyCrashEvent(rc.ev, now)
 	case evProbe:
 		c.nextProbe += DefaultProbeInterval
-		for _, rr := range c.regions {
-			lost = append(lost, rr.fleet.probeAll(now)...)
+		for _, f := range c.regions {
+			lost = append(lost, f.probeAll(now)...)
 		}
 	case evRelease:
 		// Backed-off retries whose delay elapsed re-enter placement.
@@ -469,13 +466,13 @@ func (c *controller) resubmit(lost []workload.Request, now time.Duration) error 
 // routable the request parks at the balancer until flush.
 func (c *controller) place(r workload.Request, now time.Duration) error {
 	if c.geo == nil {
-		rr := c.regions[0]
-		rr.fleet.promote(now)
-		if rr.fleet.routableCount() == 0 {
+		f := c.regions[0]
+		f.promote(now)
+		if f.routableCount() == 0 {
 			c.pending = append(c.pending, parkedReq{req: r})
 			return nil
 		}
-		return rr.fleet.route(rr.router, r, now)
+		return f.route(r, now)
 	}
 	origin, err := originOfName(c.topo, r.Origin)
 	if err != nil {
@@ -483,12 +480,10 @@ func (c *controller) place(r workload.Request, now time.Duration) error {
 	}
 	views := make([]RegionView, len(c.regions))
 	anyUp := false
-	for i, rr := range c.regions {
-		rr.syncBreaker(now)
-		views[i] = rr.view(now)
+	for i, f := range c.regions {
+		views[i] = f.regionView(now)
 		views[i].Index = i
 		views[i].RTT = c.topo.RTT[origin][i]
-		views[i].BreakerOpen = !rr.breaker.allowOn(now, rr.fleet.bal, rr.name)
 		if !views[i].Down {
 			anyUp = true
 		}
@@ -510,12 +505,12 @@ func (c *controller) place(r workload.Request, now time.Duration) error {
 	if gi < 0 || gi >= len(c.regions) {
 		return fmt.Errorf("serve: geo router %s returned region %d of %d", c.geo.Name(), gi, len(c.regions))
 	}
-	rr := c.regions[gi]
-	if rr.fleet.routableCount() == 0 {
-		return fmt.Errorf("serve: geo router %s placed a request on dark region %s", c.geo.Name(), rr.name)
+	f := c.regions[gi]
+	if f.routableCount() == 0 {
+		return fmt.Errorf("serve: geo router %s placed a request on dark region %s", c.geo.Name(), f.name)
 	}
-	c.bal.Event(now, obs.EvRoute, r.ID, rr.name)
-	return rr.fleet.route(rr.router, r, now)
+	c.bal.Event(now, obs.EvRoute, r.ID, f.name)
+	return f.route(r, now)
 }
 
 // flush re-places parked work in arrival order once any region is
@@ -525,9 +520,9 @@ func (c *controller) flush(now time.Duration) error {
 		return nil
 	}
 	routable := false
-	for _, rr := range c.regions {
-		rr.fleet.promote(now)
-		if rr.fleet.routableCount() > 0 {
+	for _, f := range c.regions {
+		f.promote(now)
+		if f.routableCount() > 0 {
 			routable = true
 			break
 		}
@@ -553,8 +548,8 @@ func (c *controller) reap(now time.Duration) {
 	if len(c.pending) == 0 {
 		return
 	}
-	for _, rr := range c.regions {
-		if rr.fleet.routableCount() > 0 || rr.fleet.canRecover() {
+	for _, f := range c.regions {
+		if f.routableCount() > 0 || f.canRecover() {
 			return
 		}
 	}
@@ -583,8 +578,8 @@ func (c *controller) drainCloud() {
 		cloudShedEntry
 	}
 	var all []staged
-	for _, rr := range c.regions {
-		for _, rep := range rr.fleet.replicas {
+	for _, f := range c.regions {
+		for _, rep := range f.replicas {
 			for _, en := range rep.engine.takeCloudShed() {
 				all = append(all, staged{rep.engine, en})
 			}
@@ -625,16 +620,16 @@ func (c *controller) result() (*Result, error) {
 	for _, list := range offFleet {
 		rows += len(list)
 	}
-	for _, rr := range c.regions {
-		replicas += len(rr.fleet.replicas)
-		for _, rep := range rr.fleet.replicas {
+	for _, f := range c.regions {
+		replicas += len(f.replicas)
+		for _, rep := range f.replicas {
 			rows += len(rep.engine.completed) + len(rep.engine.rejected)
 		}
 	}
 	metrics := make([]RequestMetrics, 0, rows)
 	engines := make([]*Engine, 0, replicas)
-	for gi, rr := range c.regions {
-		for _, rep := range rr.fleet.replicas {
+	for gi, f := range c.regions {
+		for _, rep := range f.replicas {
 			from := len(metrics)
 			metrics = rep.engine.appendMetrics(metrics)
 			ms := metrics[from:]
@@ -645,7 +640,7 @@ func (c *controller) result() (*Result, error) {
 				}
 				rtt := c.topo.RTT[origin][gi]
 				ms[k].Origin = c.topo.Regions[origin]
-				ms[k].Region = rr.name
+				ms[k].Region = f.name
 				ms[k].RTT = rtt
 				if !ms[k].Rejected {
 					ms[k].TTFT += rtt
@@ -678,15 +673,14 @@ func (c *controller) result() (*Result, error) {
 	if geo {
 		res.RegionStats = make([]RegionStats, len(c.regions))
 	}
-	for gi, rr := range c.regions {
-		f := rr.fleet
+	for gi, f := range c.regions {
 		res.ReplicaCrashes += f.crashCount
 		res.Ejections += f.ejections
 		res.Readmissions += f.readmissions
 		res.WorkLostTokens += f.workLost
 		res.BreakerOpens += f.breakerOpens()
-		if rr.breaker != nil {
-			res.BreakerOpens += rr.breaker.opens
+		if f.regionBreaker != nil {
+			res.BreakerOpens += f.regionBreaker.opens
 		}
 		var seconds float64
 		res.Replicas, seconds = f.finish(res.Makespan, res.Replicas)
@@ -695,7 +689,7 @@ func (c *controller) result() (*Result, error) {
 		res.ScaleDowns += f.scaleDowns
 		if geo {
 			res.RegionStats[gi] = RegionStats{
-				Name: rr.name, ReplicaSeconds: seconds, ScaleUps: f.scaleUps,
+				Name: f.name, ReplicaSeconds: seconds, ScaleUps: f.scaleUps,
 				ScaleDowns: f.scaleDowns,
 			}
 		}

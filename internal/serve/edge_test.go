@@ -1,11 +1,13 @@
 package serve
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
 	"repro/internal/perf"
 	"repro/internal/specdec"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -163,5 +165,90 @@ func TestBurstBeyondMaxSeqs(t *testing.T) {
 		if m.Rejected {
 			t.Fatal("rejected under MaxSeqs pressure")
 		}
+	}
+}
+
+// blockedHeadTrace queues a small request ten minutes behind a prompt of
+// 99.5% of a capTokens-token KV cache. Under an unbounded chunk budget
+// the whole prompt is the first chunk, so even an empty engine never
+// admits it: it sits above the 1% free-block watermark.
+func blockedHeadTrace(capTokens int) *workload.Trace {
+	return &workload.Trace{Name: "blocked-head", Requests: []workload.Request{
+		{ID: 0, InputTokens: capTokens * 995 / 1000, OutputTokens: 4},
+		{ID: 1, Arrival: 10 * time.Minute, InputTokens: 100, OutputTokens: 4},
+	}}
+}
+
+// blockedHeadCfg is the one-GPU config blockedHeadTrace blocks.
+func blockedHeadCfg(cm *perf.CostModel) Config {
+	cfg := dpCfg(cm)
+	cfg.ChunkBudget = 1 << 30
+	return cfg
+}
+
+// At end of trace an empty engine rejects only the waiters it can never
+// admit; the requests queued behind them are served. Both stepping modes
+// end that way.
+func TestUnadmittableHeadRejectsOnlyItself(t *testing.T) {
+	cfg := blockedHeadCfg(llamaCM(t))
+	tr := blockedHeadTrace(mustEngine(t, cfg).KVCapacityTokens())
+	for _, lockstep := range []bool{false, true} {
+		cl := DPCluster("blocked", cfg, 1)
+		cl.Lockstep = lockstep
+		res, err := cl.Run(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range res.PerRequest {
+			switch {
+			case m.ID == 0 && (!m.Rejected || m.RejectReason != RejectUnservablePrompt):
+				t.Errorf("lockstep=%v: blocked head %+v, want rejected %s", lockstep, m, RejectUnservablePrompt)
+			case m.ID == 1 && m.Rejected:
+				t.Errorf("lockstep=%v: request queued behind the blocked head was rejected (%s)", lockstep, m.RejectReason)
+			}
+		}
+	}
+}
+
+// A one-replica lockstep fleet has no peer to wait for, so its shared
+// clock is its engine's clock: it must serve exactly like the same
+// replica stepped on its own. Both loops plan through Engine.nextPlan,
+// so this pins the lockstep loop around it, including the resolve paths
+// (the storm preempts, the blocked head rejects).
+func TestOneReplicaLockstepMatchesIndependent(t *testing.T) {
+	cm := llamaCM(t)
+	blocked := blockedHeadCfg(cm)
+	cases := []struct {
+		name string
+		cfg  Config
+		tr   *workload.Trace
+	}{
+		{"shift-bursty", shiftCfg(cm), trace.Bursty(7, 30*time.Second)},
+		{"preempt-storm", dpCfg(cm), workload.Closed("storm", 64, 1024, 2048)},
+		{"blocked-head", blocked, blockedHeadTrace(mustEngine(t, blocked).KVCapacityTokens())},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var res [2]*Result
+			for i, lockstep := range []bool{false, true} {
+				cl := DPCluster(c.name, c.cfg, 1)
+				cl.Lockstep = lockstep
+				r, err := cl.Run(c.tr)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res[i] = r
+			}
+			ind, lock := res[0], res[1]
+			if c.name == "preempt-storm" && ind.Preemptions == 0 {
+				t.Fatal("cell premise broken: the storm never preempted")
+			}
+			if !reflect.DeepEqual(lock.PerRequest, ind.PerRequest) {
+				t.Error("lockstep rows differ from independent stepping")
+			}
+			if lock.Iters != ind.Iters || lock.Cost != ind.Cost {
+				t.Errorf("lockstep iters %d cost %+v, independent iters %d cost %+v", lock.Iters, lock.Cost, ind.Iters, ind.Cost)
+			}
+		})
 	}
 }

@@ -233,15 +233,14 @@ type seq struct {
 	// blocks but skips prefill compute.
 	cached    int
 	prefilled int
-	decoded   float64 // fractional under speculative decoding
-	enqueued  time.Duration
+	decoded   float64       // fractional under speculative decoding
 	firstTok  time.Duration // -1 until produced
 	finished  time.Duration
 	preempted int32
 	// kvBlocks is the sequence's KV holding: the blocks the engine's
 	// allocator granted it, zero unless it is running. It sits beside
-	// preempted as an int32 so seq stays at 208 bytes, the top of its
-	// allocation size class.
+	// preempted as an int32 so seq stays at 200 bytes, inside the
+	// 208-byte allocation size class.
 	kvBlocks int32
 	// rejectReason is set when the engine gives up on the sequence.
 	rejectReason RejectReason
@@ -531,7 +530,7 @@ func (e *Engine) admit() {
 		}
 		e.waiting.pushBack(&seq{
 			req: r, effInput: r.InputTokens, cached: cached, prefilled: cached,
-			enqueued: r.Arrival, firstTok: -1,
+			firstTok: -1,
 		})
 		e.stream.Event(r.Arrival, obs.EvEnqueue, r.ID, "")
 		if r.Priority != 0 || r.SLO != nil {
@@ -556,9 +555,26 @@ func (e *Engine) nextArrival() time.Duration {
 	return e.arrivals[e.nextIdx].Arrival
 }
 
+// nextPlan is the engine's plan step: it admits the arrivals due at
+// e.now and schedules the next iteration, resolving memory-stuck and
+// unadmittable states until it finds one. An empty plan means nothing
+// can run at e.now: a resolve finished the engine, the engine awaits
+// routed work (final unset), or it idles until its next arrival.
+// stepUntil and lockstep fleets both plan through it.
+func (e *Engine) nextPlan(final bool) batchPlan {
+	for {
+		e.admit()
+		plan := e.schedule()
+		if !plan.empty() || e.awaitsWork(final) || !e.resolveEmpty() || e.finished() {
+			return plan
+		}
+	}
+}
+
 // resolveEmpty handles an empty schedule: preempt or reject when the
-// engine is memory-stuck, reject unadmittable waiters when no arrivals
-// remain. Returns true if it changed state (caller should re-schedule).
+// engine is memory-stuck, reject the waiters an empty engine cannot
+// admit when no arrivals remain. Returns true if it changed state
+// (caller should re-schedule).
 func (e *Engine) resolveEmpty() bool {
 	if len(e.running) > 1 {
 		// Memory-stuck: every runner blocked on KV growth. Preempt the
@@ -577,13 +593,21 @@ func (e *Engine) resolveEmpty() bool {
 		return true
 	}
 	if e.nextArrival() < 0 && e.waiting.len() > 0 {
-		// Nothing runnable and nothing arriving: remaining waiters can
-		// never be admitted (prompt larger than the whole cache).
-		for _, s := range e.waiting.seqs() {
-			e.reject(s, RejectUnservablePrompt)
+		// Nothing runs and nothing arrives, so the engine is as empty as
+		// it gets: a waiter it cannot admit now never will be (its prompt
+		// needs more than the cache above the watermark). Reject those
+		// and let the ones queued behind them schedule.
+		rejected := false
+		for i := 0; i < e.waiting.len(); {
+			if s := e.waiting.at(i); !e.canAdmit(s, e.cfg.ChunkBudget, e.watermark()) {
+				e.waiting.removeAt(i)
+				e.reject(s, RejectUnservablePrompt)
+				rejected = true
+				continue
+			}
+			i++
 		}
-		e.waiting.clear()
-		return true
+		return rejected
 	}
 	return false
 }
@@ -598,14 +622,6 @@ type batchPlan struct {
 }
 
 func (b batchPlan) empty() bool { return len(b.prefills) == 0 && len(b.decodes) == 0 }
-
-func (b batchPlan) tokens() int {
-	n := 0
-	for _, c := range b.chunks {
-		n += c
-	}
-	return n + len(b.decodes)*b.specTokens
-}
 
 // urgentDemand is one at-risk waiter's reserved prefill budget (step 2).
 type urgentDemand struct{ prio, chunk int }
@@ -1216,26 +1232,22 @@ func (e *Engine) stepUntil(horizon time.Duration, final bool) {
 		e.resume(horizon)
 	}
 	for !e.finished() && e.now < horizon {
-		e.admit()
-		plan := e.schedule()
+		plan := e.nextPlan(final)
 		if plan.empty() {
-			if e.awaitsWork(final) {
-				// Nothing can progress until the controller routes more
-				// work: park at the horizon.
-				e.now = horizon
+			if e.finished() {
+				// A resolve drained the last work: the clock stays where
+				// it finished (a draining replica retires at it).
 				return
 			}
-			if !e.resolveEmpty() {
-				// resolveEmpty leaves running empty, so an arrival is
-				// pending (else the engine would be finished or parked).
-				if a := e.nextArrival(); a < horizon {
-					e.now = a
-				} else {
-					e.now = horizon
-					return
-				}
+			// Otherwise nothing runs, so an arrival is pending unless
+			// the engine awaits routed work; park at the horizon if it
+			// comes no sooner.
+			if a := e.nextArrival(); !e.awaitsWork(final) && a < horizon {
+				e.now = a
+				continue
 			}
-			continue
+			e.now = horizon
+			return
 		}
 		cost := e.price(&plan)
 		e.apply(plan, cost, e.now+cost.Total())

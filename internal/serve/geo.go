@@ -353,34 +353,18 @@ func (s spillOverRouter) pick(origin int, regions []RegionView, ignoreBreakers b
 	return best, bestCost
 }
 
-// builtinGeoRouters is the single registry GeoRouterNames and
-// NewGeoRouter both derive from; new policies are added here once.
-var builtinGeoRouters = []struct {
-	name string
-	make func() GeoRouter
-}{
+var builtinGeoRouters = registry[GeoRouter]{
 	{"nearest", NewNearestRegionRouter},
 	{"least-loaded-global", NewLeastLoadedGlobalRouter},
 	{"spill-over", NewSpillOverRouter},
 }
 
 // GeoRouterNames lists the built-in geo policies in presentation order.
-var GeoRouterNames = func() []string {
-	names := make([]string, len(builtinGeoRouters))
-	for i, r := range builtinGeoRouters {
-		names[i] = r.name
-	}
-	return names
-}()
+var GeoRouterNames = builtinGeoRouters.names()
 
 // NewGeoRouter returns a fresh instance of a built-in geo policy by name.
 func NewGeoRouter(name string) (GeoRouter, error) {
-	for _, r := range builtinGeoRouters {
-		if r.name == name {
-			return r.make(), nil
-		}
-	}
-	return nil, fmt.Errorf("serve: unknown geo router %q (have %v)", name, GeoRouterNames)
+	return builtinGeoRouters.lookup("geo router", name)
 }
 
 // Geo composes per-region fleets under a topology and a geo routing
@@ -434,46 +418,22 @@ type Geo struct {
 	Parallelism int
 }
 
-// regionRun is the controller's per-region state: the fleet, its
-// local router, its evaluation cursor, and the active-time integral
-// behind RegionView.MeasuredRate.
-type regionRun struct {
-	name     string
-	fleet    *fleetState
-	router   Router
-	nextEval time.Duration
-	// activeSeconds integrates active-replica time between controller
-	// events, the denominator of the measured per-replica rate.
-	activeSeconds float64
-	lastAccrual   time.Duration
-
-	// Region-level circuit breaker (nil unless Geo.Breakers is set),
-	// aggregating every replica's terminal outcomes: completions are
-	// successes, admission sheds failures, and any replica crash trips
-	// it. bkSeen holds the region breaker's own read point per replica,
-	// apart from the replica breakers' and the autoscaler window's.
-	breaker     *breaker
-	bkSeen      []outcomes
-	bkCrashSeen int
-}
-
-// syncBreaker feeds the region's terminal outcomes since the last sync
-// into the region breaker. Serial controller path only.
-func (rr *regionRun) syncBreaker(now time.Duration) {
-	b := rr.breaker
+// syncRegionBreaker feeds the region's terminal outcomes since the last
+// sync into the region breaker, replica by replica through each one's
+// regionSeen read point, and trips it once per replica crash since.
+// Serial controller path only.
+func (f *fleetState) syncRegionBreaker(now time.Duration) {
+	b := f.regionBreaker
 	if b == nil {
 		return
 	}
-	for i, rep := range rr.fleet.replicas {
-		if i >= len(rr.bkSeen) {
-			rr.bkSeen = append(rr.bkSeen, outcomes{})
-		}
-		done, rej := rr.bkSeen[i].since(rep.engine)
-		b.feed(done, rej, now, rr.fleet.bal, rr.name, rr.name)
+	for _, rep := range f.replicas {
+		done, rej := rep.regionSeen.since(rep.engine)
+		b.feed(done, rej, now, f.bal, f.name, f.name)
 	}
-	for ; rr.bkCrashSeen < rr.fleet.crashCount; rr.bkCrashSeen++ {
+	for ; f.regionCrashSeen < f.crashCount; f.regionCrashSeen++ {
 		if b.trip(now) {
-			rr.fleet.bal.Event(now, obs.EvBreakerOpen, obs.NoRequest, rr.name)
+			f.bal.Event(now, obs.EvBreakerOpen, obs.NoRequest, f.name)
 		}
 	}
 }
@@ -482,32 +442,29 @@ func (rr *regionRun) syncBreaker(now time.Duration) {
 // composition at the start of the window (promotions and retirements
 // land on controller events, so the approximation error is at most one
 // event interval per transition).
-func (rr *regionRun) accrue(now time.Duration) {
-	if now <= rr.lastAccrual {
+func (f *fleetState) accrue(now time.Duration) {
+	if now <= f.lastAccrual {
 		return
 	}
 	active := 0
-	for _, rep := range rr.fleet.replicas {
+	for _, rep := range f.replicas {
 		if rep.state == replicaActive {
 			active++
 		}
 	}
-	rr.activeSeconds += float64(active) * (now - rr.lastAccrual).Seconds()
-	rr.lastAccrual = now
+	f.activeSeconds += float64(active) * (now - f.lastAccrual).Seconds()
+	f.lastAccrual = now
 }
 
-// advance accrues the region's active time and steps its fleet to now.
-func (rr *regionRun) advance(now time.Duration, final bool) {
-	rr.accrue(now)
-	rr.fleet.advance(now, final)
-}
-
-// view snapshots the region for the geo router at the routing instant.
-func (rr *regionRun) view(now time.Duration) RegionView {
-	rr.fleet.promote(now)
-	v := RegionView{Name: rr.name, ColdStart: rr.fleet.ac.ColdStart, NextReadyIn: -1}
+// regionView snapshots the region for the geo router at the routing
+// instant, after feeding the region breaker; the caller fills in Index
+// and RTT.
+func (f *fleetState) regionView(now time.Duration) RegionView {
+	f.syncRegionBreaker(now)
+	f.promote(now)
+	v := RegionView{Name: f.name, ColdStart: f.ac.ColdStart, NextReadyIn: -1}
 	served := 0
-	for _, rep := range rr.fleet.replicas {
+	for _, rep := range f.replicas {
 		served += rep.engine.completedTokens
 		switch rep.state {
 		case replicaActive:
@@ -533,12 +490,11 @@ func (rr *regionRun) view(now time.Duration) RegionView {
 		v.QueuedRequests += e.waiting.len() + len(e.arrivals) - e.nextIdx
 		v.BacklogTokens += e.backlogTokens
 	}
-	if rr.activeSeconds > 0 {
-		v.MeasuredRate = float64(served) / rr.activeSeconds
+	if f.activeSeconds > 0 {
+		v.MeasuredRate = float64(served) / f.activeSeconds
 	}
-	if rr.fleet.faultsOn {
-		v.Down = rr.fleet.routableCount() == 0
-	}
+	v.Down = f.routableCount() == 0
+	v.BreakerOpen = !f.regionBreaker.allowOn(now, f.bal, f.name)
 	return v
 }
 

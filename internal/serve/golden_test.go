@@ -156,7 +156,7 @@ func TestSteadyArrivalAllocatesNothing(t *testing.T) {
 	for _, r := range tr.Requests[:100] {
 		arrive(r)
 	}
-	replicas := ctl.regions[0].fleet.replicas
+	replicas := ctl.regions[0].replicas
 	for _, rep := range replicas {
 		rep.engine.arrivals = slices.Grow(rep.engine.arrivals, 1000)
 		rep.engine.completed = slices.Grow(rep.engine.completed, 1000)

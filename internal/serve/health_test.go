@@ -12,7 +12,7 @@ import (
 func healthFleet(t *testing.T, n int) *fleetState {
 	t.Helper()
 	cm := llamaCM(t)
-	f := &fleetState{name: "health", faultsOn: true}
+	f := &fleetState{name: "health"}
 	for i := 0; i < n; i++ {
 		if err := f.spawn(Config{CM: cm, Par: perf.Parallelism{SP: 1, TP: 1}}, 0, 0); err != nil {
 			t.Fatal(err)

@@ -159,7 +159,7 @@ func TestFleetLedgerMatchesQueues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := ctl.regions[0].fleet
+	f := ctl.regions[0]
 	must := func(err error) {
 		t.Helper()
 		if err != nil {

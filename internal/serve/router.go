@@ -268,12 +268,39 @@ func (c *cacheAware) Route(r workload.Request, replicas []ReplicaView) int {
 	return best
 }
 
-// builtinRouters is the single registry RouterNames and NewRouter both
-// derive from; new policies are added here once.
-var builtinRouters = []struct {
+// builtin is one named built-in policy constructor.
+type builtin[T any] struct {
 	name string
-	make func() Router
-}{
+	make func() T
+}
+
+// registry is a table of named built-in policies (routers, autoscalers,
+// geo routers): the exported name list and the by-name constructor of
+// each kind both derive from it, so a new policy is added in one place.
+type registry[T any] []builtin[T]
+
+// names lists the policies in table (presentation) order.
+func (r registry[T]) names() []string {
+	names := make([]string, len(r))
+	for i, b := range r {
+		names[i] = b.name
+	}
+	return names
+}
+
+// lookup returns a fresh instance of the named policy, or an error
+// naming the kind and every known name.
+func (r registry[T]) lookup(kind, name string) (T, error) {
+	for _, b := range r {
+		if b.name == name {
+			return b.make(), nil
+		}
+	}
+	var none T
+	return none, fmt.Errorf("serve: unknown %s %q (have %v)", kind, name, r.names())
+}
+
+var builtinRouters = registry[Router]{
 	{"round-robin", NewRoundRobinRouter},
 	{"least-outstanding", NewLeastOutstandingRouter},
 	{"live-least-loaded", NewLiveLeastLoadedRouter},
@@ -283,13 +310,7 @@ var builtinRouters = []struct {
 }
 
 // RouterNames lists the built-in policies in presentation order.
-var RouterNames = func() []string {
-	names := make([]string, len(builtinRouters))
-	for i, r := range builtinRouters {
-		names[i] = r.name
-	}
-	return names
-}()
+var RouterNames = builtinRouters.names()
 
 // NewRouter returns a fresh instance of a built-in policy by name.
 // "cloud-overflow" also resolves here but stays out of RouterNames: it
@@ -300,12 +321,7 @@ func NewRouter(name string) (Router, error) {
 	if name == "cloud-overflow" {
 		return NewCloudOverflowRouter(), nil
 	}
-	for _, r := range builtinRouters {
-		if r.name == name {
-			return r.make(), nil
-		}
-	}
-	return nil, fmt.Errorf("serve: unknown router %q (have %v)", name, RouterNames)
+	return builtinRouters.lookup("router", name)
 }
 
 // HeteroCluster builds a fleet from explicitly different replica configs

@@ -368,3 +368,37 @@ func TestRoundRobinRepeatedRunsIdentical(t *testing.T) {
 		t.Fatal("round-robin assignment drifted between identical runs")
 	}
 }
+
+// The three built-in registries keep their names in presentation order,
+// name the kind and every known policy on a miss, and resolve
+// "cloud-overflow" outside RouterNames.
+func TestBuiltinRegistries(t *testing.T) {
+	wantNames := [][]string{
+		{"round-robin", "least-outstanding", "live-least-loaded", "join-shortest-kv", "affinity", "cache-aware"},
+		{"static", "queue-depth", "slo-feedback"},
+		{"nearest", "least-loaded-global", "spill-over"},
+	}
+	for i, names := range [][]string{RouterNames, AutoscalerNames, GeoRouterNames} {
+		if !reflect.DeepEqual(names, wantNames[i]) {
+			t.Errorf("names %v, want %v", names, wantNames[i])
+		}
+	}
+	_, rerr := NewRouter("nope")
+	_, aerr := NewAutoscaler("nope")
+	_, gerr := NewGeoRouter("nope")
+	for _, c := range []struct {
+		err  error
+		want string
+	}{
+		{rerr, `serve: unknown router "nope" (have [round-robin least-outstanding live-least-loaded join-shortest-kv affinity cache-aware])`},
+		{aerr, `serve: unknown autoscaler "nope" (have [static queue-depth slo-feedback])`},
+		{gerr, `serve: unknown geo router "nope" (have [nearest least-loaded-global spill-over])`},
+	} {
+		if c.err == nil || c.err.Error() != c.want {
+			t.Errorf("err = %v, want %s", c.err, c.want)
+		}
+	}
+	if r, err := NewRouter("cloud-overflow"); err != nil || r.Name() != "cloud-overflow" {
+		t.Errorf("cloud-overflow: %v, %v", r, err)
+	}
+}

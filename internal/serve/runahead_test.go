@@ -258,7 +258,7 @@ func TestControllerRunMatchesEngineReplay(t *testing.T) {
 	for _, m := range res.PerRequest {
 		replicaOf[m.ID] = m.Replica
 	}
-	for i, rep := range ctl.regions[0].fleet.replicas {
+	for i, rep := range ctl.regions[0].replicas {
 		e := rep.engine
 		var share []workload.Request
 		for _, r := range tr.Requests {

@@ -155,11 +155,6 @@ type FaultPlan struct {
 	Retry *RetryPolicy
 }
 
-// Empty reports whether the plan injects no faults at all.
-func (p *FaultPlan) Empty() bool {
-	return p == nil || (len(p.Crashes) == 0 && len(p.Outages) == 0 && len(p.Degrades) == 0)
-}
-
 // Retries returns the effective retry bound: zero means
 // DefaultMaxRetries, negative (NoRetries) means no retries at all.
 func (p *FaultPlan) Retries() int {
