@@ -1,7 +1,7 @@
 # One-command verify + bench harness. `make ci` is what the tier-1
 # gate runs in spirit: formatting, vet, the docs lint, the full test
-# suite under the race detector, a single pass of every benchmark, the
-# golden gate (`simctl run -all -quick`: every scenario output linted and
+# suite under the race detector, a single pass of every benchmark, a
+# run of every example program, the golden gate (`simctl run -all -quick`: every scenario output linted and
 # byte-identical to its checked-in BENCH file), and the benchmark
 # module's own vet and tests (bench-check).
 
@@ -15,9 +15,9 @@ FUZZTIME ?= 10s
 # counting noise, not deleted tests).
 COVERFLOOR ?= 92.0
 
-.PHONY: ci fmt vet test race bench golden bench-json bench-check trace-smoke perfbench build docs fuzz fuzz-short cover
+.PHONY: ci fmt vet test race bench examples golden bench-json bench-check trace-smoke perfbench build docs fuzz fuzz-short cover
 
-ci: fmt vet docs race bench golden trace-smoke fuzz-short cover bench-check
+ci: fmt vet docs race bench examples golden trace-smoke fuzz-short cover bench-check
 
 build:
 	$(GO) build ./...
@@ -38,6 +38,13 @@ race:
 # One iteration of every benchmark (the simulator-performance set).
 bench:
 	$(GO) test -run xxx -bench . -benchtime 1x ./...
+
+# Run every example program end to end (build and vet only compile
+# them): a non-zero exit fails.
+examples:
+	@for d in examples/*/; do \
+		$(GO) run ./$$d > /dev/null || { echo "examples: $$d failed"; exit 1; }; \
+	done; echo "examples: all ran"
 
 # Golden gate and registry smoke: run every registered scenario at
 # quick scale into a temporary directory (a scenario that breaks fails

@@ -16,44 +16,11 @@ import (
 	"repro/internal/transformer"
 )
 
-// MemoryStrategy selects how the shift configuration obtains its weight
-// shards (Section 3.3.2). In this functional engine both strategies run
-// the same forwards: neither copies or re-slices weights per forward
-// (every rank reads its shard in place from the one Weights), so the
-// strategy changes only the Eq. 1 footprint and the internal/perf model.
-type MemoryStrategy int
-
-const (
-	// SeparateModels loads a second sharded copy of the weights for the
-	// shift config (the paper's production choice; costs 1/SP extra
-	// memory per Eq. 1 but avoids per-iteration re-sharding).
-	SeparateModels MemoryStrategy = iota
-	// OnTheFlySlicing re-slices the base shards each forward pass on real
-	// hardware (no memory overhead; pays a transpose penalty on FP8
-	// hardware, modeled as a GEMM-efficiency hit in internal/perf).
-	OnTheFlySlicing
-)
-
-// String names the strategy.
-func (m MemoryStrategy) String() string {
-	switch m {
-	case SeparateModels:
-		return "separate-models"
-	case OnTheFlySlicing:
-		return "on-the-fly-slicing"
-	default:
-		return fmt.Sprintf("MemoryStrategy(%d)", int(m))
-	}
-}
-
 // Shift is the Shift Parallelism engine.
 type Shift struct {
 	// Threshold is the batched-token count above which the base (SP, TP)
 	// configuration runs; at or below it the shift (full TP) runs.
 	Threshold int
-	// Strategy records the weight-memory strategy (both are functionally
-	// identical; the choice matters for memory and performance models).
-	Strategy MemoryStrategy
 
 	lay    parallel.Layout
 	base   *parallel.Engine
@@ -68,7 +35,6 @@ type Shift struct {
 type Options struct {
 	// Threshold in batched tokens; zero means DefaultThreshold.
 	Threshold int
-	Strategy  MemoryStrategy
 }
 
 // DefaultThreshold mirrors the production heuristic: shift to full TP
@@ -100,7 +66,6 @@ func New(w *transformer.Weights, lay parallel.Layout, opts Options) (*Shift, err
 	}
 	return &Shift{
 		Threshold: threshold,
-		Strategy:  opts.Strategy,
 		lay:       lay,
 		base:      base,
 		shift:     shiftEng,
@@ -162,35 +127,30 @@ type WeightMemory struct {
 	BaseShard float64
 	// ShiftShard is w/(SP*TP): the shift config shards across all GPUs.
 	ShiftShard float64
-	// Total is the per-GPU total under the chosen strategy.
+	// Total is the per-GPU total: BaseShard plus ShiftShard when the
+	// shift config is a separate copy.
 	Total float64
 	// Overhead is Total/BaseShard - 1: the fraction of extra memory paid
-	// for holding the shift model (Eq. 1 gives 1/SP for SeparateModels).
+	// for holding the shift model (Eq. 1 gives 1/SP).
 	Overhead float64
 }
 
-// WeightMemoryFor computes Eq. 1 for a parameter count w under the given
-// base layout and memory strategy:
+// WeightMemory reports Eq. 1 for this engine's actual parameter count
+// under the separate-models strategy, by perf.WeightBytesPerGPU's rule:
 //
-//	w_total = w/TP + w/(SP*TP)   (separate models)
-//	w_total = w/TP               (on-the-fly slicing)
-func WeightMemoryFor(params float64, lay parallel.Layout, strategy MemoryStrategy) WeightMemory {
-	base := params / float64(lay.TP)
-	shift := params / float64(lay.World())
-	m := WeightMemory{BaseShard: base, ShiftShard: shift}
-	switch strategy {
-	case SeparateModels:
-		m.Total = base + shift
-	case OnTheFlySlicing:
-		m.Total = base
-	default:
-		panic(fmt.Sprintf("core: unknown strategy %v", strategy))
-	}
-	m.Overhead = m.Total/base - 1
-	return m
-}
-
-// WeightMemory reports Eq. 1 for this engine's actual parameter count.
+//	w_total = w/TP + w/(SP*TP)   (SP > 1)
+//	w_total = w/TP               (SP = 1: the base is already full TP)
+//
+// The functional engine holds neither copy: every rank reads its shard
+// in place from the one Weights, so both configurations run the same
+// forwards whichever strategy the footprint is priced under.
 func (s *Shift) WeightMemory() WeightMemory {
-	return WeightMemoryFor(float64(s.base.W.ParamCount()), s.lay, s.Strategy)
+	params := float64(s.base.W.ParamCount())
+	m := WeightMemory{BaseShard: params / float64(s.lay.TP), ShiftShard: params / float64(s.lay.World())}
+	m.Total = m.BaseShard
+	if s.lay.SP > 1 {
+		m.Total += m.ShiftShard
+	}
+	m.Overhead = m.Total/m.BaseShard - 1
+	return m
 }

@@ -144,7 +144,9 @@ func TestForwardModeExplicit(t *testing.T) {
 	}
 }
 
-// Eq. 1: separate-models overhead is exactly 1/SP of the base shard.
+// Eq. 1 over every base factorization of 8 ranks: the shift copy costs
+// exactly 1/SP of the base shard, and nothing when the base is already
+// full TP (perf.WeightBytesPerGPU's rule).
 func TestShiftWeightMemory(t *testing.T) {
 	cases := []struct {
 		sp, tp       int
@@ -153,33 +155,18 @@ func TestShiftWeightMemory(t *testing.T) {
 		{8, 1, 1.0 / 8},
 		{4, 2, 1.0 / 4},
 		{2, 4, 1.0 / 2},
-		{1, 8, 1.0},
+		{1, 8, 0},
 	}
 	for _, c := range cases {
-		lay := parallel.Layout{Cfg: cfg8(), SP: c.sp, TP: c.tp}
-		m := WeightMemoryFor(70e9, lay, SeparateModels)
-		if math.Abs(m.Overhead-c.wantOverhead) > 1e-12 {
+		s, w := newShiftT(t, parallel.Layout{Cfg: cfg8(), SP: c.sp, TP: c.tp}, Options{})
+		m := s.WeightMemory()
+		if m.Overhead != c.wantOverhead {
 			t.Errorf("(SP=%d,TP=%d) overhead = %v, want %v", c.sp, c.tp, m.Overhead, c.wantOverhead)
 		}
-		if math.Abs(m.Total-(70e9/float64(c.tp)+70e9/8)) > 1 {
-			t.Errorf("(SP=%d,TP=%d) total = %v", c.sp, c.tp, m.Total)
+		params := float64(w.ParamCount())
+		if want := params/float64(c.tp) + c.wantOverhead*params/float64(c.tp); math.Abs(m.Total-want) > 1e-9 {
+			t.Errorf("(SP=%d,TP=%d) total = %v, want %v", c.sp, c.tp, m.Total, want)
 		}
-	}
-	// The paper's example: SP=8 gives 12.5% overhead.
-	lay := parallel.Layout{Cfg: cfg8(), SP: 8, TP: 1}
-	if m := WeightMemoryFor(1, lay, SeparateModels); m.Overhead != 0.125 {
-		t.Fatalf("SP=8 overhead = %v, want 0.125", m.Overhead)
-	}
-}
-
-func TestOnTheFlySlicingNoOverhead(t *testing.T) {
-	lay := parallel.Layout{Cfg: cfg8(), SP: 4, TP: 2}
-	m := WeightMemoryFor(70e9, lay, OnTheFlySlicing)
-	if m.Overhead != 0 {
-		t.Fatalf("slicing overhead = %v", m.Overhead)
-	}
-	if m.Total != 35e9 {
-		t.Fatalf("slicing total = %v", m.Total)
 	}
 }
 

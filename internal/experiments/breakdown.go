@@ -32,7 +32,7 @@ func Fig15(e Env, m model.Config) (*stats.Table, error) {
 	// one H100, so its data-parallel point is 4 replicas of TP=2; smaller
 	// models use 8 single-GPU replicas.
 	dp := cfgDesc{"DP=8", perf.Parallelism{SP: 1, TP: 1}, 8}
-	if cm.KVCapacityTokens(perf.Parallelism{SP: 1, TP: 1}, false) < 32768 {
+	if cm.KVCapacityTokens(perf.Parallelism{SP: 1, TP: 1}, perf.EPConfig{}, false) < 32768 {
 		dp = cfgDesc{"4x(TP=2)", perf.Parallelism{SP: 1, TP: 2}, 4}
 	}
 	configs := []cfgDesc{
@@ -56,7 +56,7 @@ func Fig15(e Env, m model.Config) (*stats.Table, error) {
 	for _, c := range configs {
 		// A configuration whose weights leave no KV room (e.g. SP=8's
 		// replicated weights for Llama-17B-16E) is reported as a hole.
-		fits := cm.EPKVCapacityTokens(c.par, perf.EPConfig{}, false) > 0
+		fits := cm.KVCapacityTokens(c.par, perf.EPConfig{}, false) > 0
 		for _, n := range lengths {
 			if !fits {
 				axes = append(axes, axis{c, n, -1})
@@ -171,11 +171,12 @@ func Fig16(e Env) (*stats.Table, error) {
 func Eq1(e Env) *stats.Table {
 	tab := stats.NewTable("Model", "Base", "Base GB/GPU", "Shift GB/GPU", "Total GB/GPU", "Overhead")
 	for _, m := range model.All() {
+		cm := perf.MustNew(e.Node, m, e.Params)
 		for _, par := range []perf.Parallelism{{SP: 8, TP: 1}, {SP: 4, TP: 2}, {SP: 2, TP: 4}} {
-			base := m.WeightBytes() / float64(par.TP) / 1e9
-			shift := m.WeightBytes() / float64(par.World()) / 1e9
-			tab.AddRow(m.Name, par.String(), base, shift, base+shift,
-				fmt.Sprintf("%.1f%%", 100/float64(par.SP)))
+			base := cm.WeightBytesPerGPU(par, perf.EPConfig{}, false) / 1e9
+			total := cm.WeightBytesPerGPU(par, perf.EPConfig{}, true) / 1e9
+			tab.AddRow(m.Name, par.String(), base, total-base, total,
+				fmt.Sprintf("%.1f%%", 100*(total/base-1)))
 		}
 	}
 	return tab
@@ -247,23 +248,23 @@ func AblationChunkBudget(e Env, budgets []int) (*stats.Table, error) {
 
 // AblationMemoryStrategy compares separate-models against on-the-fly
 // slicing (D2): slicing saves the 1/SP weight overhead but pays a GEMM
-// transpose penalty on every iteration.
+// transpose penalty on every iteration. Each row's KV tokens are the
+// budget its engine is sized with (before rounding to whole blocks).
 func AblationMemoryStrategy(e Env) (*stats.Table, error) {
 	m := model.Llama70B()
 	strategies := []struct {
-		name    string
-		penalty float64
-		shift   bool
+		name   string
+		sliced bool
 	}{
-		{"separate-models", 1.0, true},
-		{"on-the-fly-slicing", 0.88, false},
+		{"separate-models", false},
+		{"on-the-fly-slicing", true},
 	}
 	par := perf.Parallelism{SP: 8, TP: 1}
 	cms := make([]*perf.CostModel, len(strategies))
 	var cells []cell
 	for i, s := range strategies {
 		params := e.Params
-		params.SlicePenalty = s.penalty
+		params.OnTheFlySlicing = s.sliced
 		cm, err := perf.New(e.Node, m, params)
 		if err != nil {
 			return nil, err
@@ -282,7 +283,8 @@ func AblationMemoryStrategy(e Env) (*stats.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		tab.AddRow(s.name, cms[i].WeightBytesPerGPU(par, s.shift)/1e9, cms[i].KVCapacityTokens(par, s.shift),
+		weights := cms[i].WeightBytesPerGPU(par, perf.EPConfig{}, true) / 1e9
+		tab.AddRow(s.name, weights, cms[i].KVCapacityTokens(par, perf.EPConfig{}, true),
 			ms(p.ttft), ms(p.tpot), p.tput)
 	}
 	return tab, nil

@@ -18,36 +18,18 @@ import (
 
 	"repro/internal/hw"
 	"repro/internal/model"
-	"repro/internal/obs"
 	"repro/internal/perf"
+	"repro/internal/scenario"
 	"repro/internal/serve"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
-// Env fixes the hardware, calibration, and scale of an experiment run.
-type Env struct {
-	Node   hw.Node
-	Params perf.Params
-	Seed   uint64
-	// Quick shrinks workloads (for tests and benches); full-size runs
-	// reproduce the paper's scales.
-	Quick bool
-	// Workers bounds the sweep worker pool, the only parallelism: each
-	// cell runs its deployment on one goroutine. 0 uses GOMAXPROCS, 1
-	// runs the cells in order. Results are byte-identical at every
-	// setting — sweep cells are independent and rows assemble in
-	// submission order.
-	// Mirrors scenario.Env (the registry's copy of these knobs); the two
-	// convert directly.
-	Workers int
-	// Obs, when set, records one simulator run of the scenario: its
-	// request lifecycle spans, controller time series and engine
-	// iteration records (see internal/obs). Every run goes through
-	// runCells, which gives Obs to the sweep's marked cell, else to its
-	// first. nil keeps every run on the untraced fast path.
-	Obs *obs.Observer
-}
+// Env fixes the hardware, calibration, and scale of an experiment run:
+// the registry's scenario.Env, with the scaling helpers the experiments
+// share. Env.Obs, when set, is given by runCells to the sweep's marked
+// cell, else to its first.
+type Env scenario.Env
 
 // DefaultEnv is the paper's environment: one p5en node (8xH200).
 func DefaultEnv() Env {

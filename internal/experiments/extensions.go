@@ -44,7 +44,7 @@ func ExtensionEP(e Env) (*stats.Table, error) {
 	// (none today: EP8 is what makes full SP deployable).
 	var cells []cell
 	for _, a := range axes {
-		if a.cm.EPKVCapacityTokens(a.par, a.ep, true) <= 0 {
+		if a.cm.KVCapacityTokens(a.par, a.ep, true) <= 0 {
 			continue
 		}
 		cl := serve.SingleEngine(a.name, serve.Config{CM: a.cm, Par: a.par, Strategy: serve.StrategyShift, EP: a.ep})
@@ -56,8 +56,8 @@ func ExtensionEP(e Env) (*stats.Table, error) {
 	}
 	tab := stats.NewTable("Model", "Config", "Weights GB/GPU", "KV tokens", "TTFT ms", "TPOT ms", "Throughput tok/s")
 	for _, a := range axes {
-		weights := a.cm.EPWeightBytesPerGPU(a.par, a.ep, true) / 1e9
-		kv := a.cm.EPKVCapacityTokens(a.par, a.ep, true)
+		weights := a.cm.WeightBytesPerGPU(a.par, a.ep, true) / 1e9
+		kv := a.cm.KVCapacityTokens(a.par, a.ep, true)
 		if kv <= 0 {
 			tab.AddRow(a.m.Name, a.name, weights, 0, "n/a", "n/a", "n/a")
 			continue

@@ -140,22 +140,23 @@ func checkCommVolume(t *testing.T, lay parallel.Layout, mode parallel.Mode, n in
 	}
 }
 
-// Eq. 1 consistency between the functional engine's memory accounting
-// and the cost model's per-GPU weight sizing.
+// Eq. 1 consistency between the functional engine's memory report and
+// the cost model's per-GPU weight sizing, over every base factorization
+// of 8 GPUs (including full TP, where neither holds a second copy).
 func TestEq1ConsistentAcrossLayers(t *testing.T) {
-	lay := parallel.Layout{
-		Cfg: transformer.Config{Layers: 1, Hidden: 16, QHeads: 8, KVHeads: 2, FFN: 32},
-		SP:  4, TP: 2,
-	}
-	// Functional: relative overhead from core.
-	mem := core.WeightMemoryFor(1, lay, core.SeparateModels)
-	// Cost model: relative overhead from perf.
+	cfg := transformer.Config{Layers: 1, Hidden: 16, QHeads: 8, KVHeads: 2, FFN: 32}
+	w := transformer.NewWeights(cfg, 1)
 	cm := perf.MustNew(hw.P5enNode(), model.Llama70B(), perf.DefaultParams())
-	par := perf.Parallelism{SP: 4, TP: 2}
-	with := cm.WeightBytesPerGPU(par, true)
-	without := cm.WeightBytesPerGPU(par, false)
-	if got, want := with/without-1, mem.Overhead; !close(got, want, 1e-12) {
-		t.Fatalf("Eq.1 overhead disagrees: perf %g vs core %g", got, want)
+	for _, par := range []perf.Parallelism{{SP: 8, TP: 1}, {SP: 4, TP: 2}, {SP: 2, TP: 4}, {SP: 1, TP: 8}} {
+		shift, err := core.New(w, parallel.Layout{Cfg: cfg, SP: par.SP, TP: par.TP}, core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		with := cm.WeightBytesPerGPU(par, perf.EPConfig{}, true)
+		without := cm.WeightBytesPerGPU(par, perf.EPConfig{}, false)
+		if got, want := with/without-1, shift.WeightMemory().Overhead; !close(got, want, 1e-12) {
+			t.Errorf("%v: Eq.1 overhead disagrees: perf %g vs core %g", par, got, want)
+		}
 	}
 }
 

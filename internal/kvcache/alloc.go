@@ -88,16 +88,3 @@ func (a *Allocator) CheckInvariant(held int) error {
 	}
 	return nil
 }
-
-// CapacityTokens computes how many KV tokens fit in memBytes for a model
-// whose per-token-per-rank KV footprint is kvBytesPerToken. Used to size
-// allocators from hardware and model specs.
-func CapacityTokens(memBytes, kvBytesPerToken float64) int {
-	if kvBytesPerToken <= 0 {
-		panic("kvcache: non-positive kv bytes per token")
-	}
-	if memBytes <= 0 {
-		return 0
-	}
-	return int(memBytes / kvBytesPerToken)
-}

@@ -258,16 +258,6 @@ func TestNewAllocatorRejectsBadDims(t *testing.T) {
 	}
 }
 
-func TestCapacityTokens(t *testing.T) {
-	// 1 GB at 1 KB/token = 1M tokens.
-	if got := CapacityTokens(1e9, 1e3); got != 1000000 {
-		t.Fatalf("capacity = %d", got)
-	}
-	if CapacityTokens(-5, 1e3) != 0 {
-		t.Fatal("negative memory should give zero capacity")
-	}
-}
-
 // Freeing a holding that never grew (a sequence the allocator has not
 // seen) changes nothing.
 func TestReleaseUnknownSeqHarmless(t *testing.T) {

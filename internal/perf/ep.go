@@ -73,31 +73,3 @@ func (cm *CostModel) epWeightReadBytes(tokens, ep int) float64 {
 	activatedPerRank := cm.M.ActiveExpertParams() * dt * float64(tokens) / float64(ep)
 	return shared + math.Min(expertTotalPerRank, activatedPerRank)
 }
-
-// EPWeightBytesPerGPU returns the per-GPU weight footprint with experts
-// sharded ep ways (base config; add w_shift/world for a shift model).
-func (cm *CostModel) EPWeightBytesPerGPU(par Parallelism, ep EPConfig, withShiftModel bool) float64 {
-	if !cm.M.IsMoE() || !ep.Enabled() {
-		return cm.WeightBytesPerGPU(par, withShiftModel)
-	}
-	dt := float64(cm.M.WeightDType.Bytes())
-	base := (cm.M.SharedParams*dt + cm.M.ExpertParams()*dt/float64(ep.Degree)) / float64(par.TP)
-	if withShiftModel {
-		base += cm.M.WeightBytes() / float64(par.World())
-	}
-	return base
-}
-
-// EPKVCapacityTokens is KVCapacityTokens under EP weight sharding: the
-// memory EP frees goes to the KV cache — the second benefit of the
-// SP+EP combination for MoE models like Llama-17B-16E whose weights
-// barely fit a GPU.
-func (cm *CostModel) EPKVCapacityTokens(par Parallelism, ep EPConfig, withShiftModel bool) int {
-	gpuBytes := float64(cm.Node.GPU.MemBytes) * (1 - cm.P.KVReserve)
-	free := gpuBytes - cm.EPWeightBytesPerGPU(par, ep, withShiftModel)
-	if free <= 0 {
-		return 0
-	}
-	perRankTokenBytes := cm.M.KVBytesPerToken() * kvShare(cm.M.KVHeads, par.World())
-	return int(free / perRankTokenBytes)
-}

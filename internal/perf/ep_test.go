@@ -78,8 +78,8 @@ func TestEPAddsRoutingAllToAll(t *testing.T) {
 
 func TestEPWeightFootprintShrinks(t *testing.T) {
 	cm := moeCM(t)
-	full := cm.WeightBytesPerGPU(Parallelism{SP: 8, TP: 1}, false) // 109 GB
-	ep8 := cm.EPWeightBytesPerGPU(Parallelism{SP: 8, TP: 1}, EPConfig{Degree: 8}, false)
+	full := cm.WeightBytesPerGPU(sp8, EPConfig{}, false) // 109 GB
+	ep8 := cm.WeightBytesPerGPU(sp8, EPConfig{Degree: 8}, false)
 	// Shared 6 GB + 103/8 GB ~ 18.9 GB.
 	if ep8 >= full/3 {
 		t.Fatalf("EP=8 footprint %g should be far below %g", ep8, full)
@@ -95,20 +95,19 @@ func TestEPWeightFootprintShrinks(t *testing.T) {
 // full-SP base config becomes deployable for long contexts.
 func TestEPUnlocksFullSPForL17B(t *testing.T) {
 	cm := moeCM(t)
-	sp8 := Parallelism{SP: 8, TP: 1}
 	longCtx := 400_000
-	if cm.KVCapacityTokens(sp8, true) >= longCtx {
+	if cm.KVCapacityTokens(sp8, EPConfig{}, true) >= longCtx {
 		t.Fatal("premise broken: SP=8 without EP should lack KV room")
 	}
-	if got := cm.EPKVCapacityTokens(sp8, EPConfig{Degree: 8}, true); got < longCtx {
+	if got := cm.KVCapacityTokens(sp8, EPConfig{Degree: 8}, true); got < longCtx {
 		t.Fatalf("SP=8+EP=8 KV capacity %d should exceed %d", got, longCtx)
 	}
 }
 
 func TestEPKVCapacityDenseUnchanged(t *testing.T) {
 	cm := llamaCM(t)
-	a := cm.KVCapacityTokens(tp8, false)
-	b := cm.EPKVCapacityTokens(tp8, EPConfig{Degree: 8}, false)
+	a := cm.KVCapacityTokens(tp8, EPConfig{}, false)
+	b := cm.KVCapacityTokens(tp8, EPConfig{Degree: 8}, false)
 	if a != b {
 		t.Fatal("EP must not change dense KV capacity")
 	}

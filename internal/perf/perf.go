@@ -60,7 +60,10 @@ func (p Parallelism) String() string {
 	}
 }
 
-// Params are the calibration constants of the cost model.
+// Params are the calibration constants of the cost model, plus the one
+// deployment choice that moves them: the shift configuration's memory
+// strategy (OnTheFlySlicing), which sets both the GEMM efficiency and,
+// through WeightBytesPerGPU, the KV budget.
 type Params struct {
 	// GEMMEffMax is the peak achievable fraction of tensor-core flops.
 	GEMMEffMax float64
@@ -83,10 +86,13 @@ type Params struct {
 	// OverheadPerRank adds engine time per additional GPU in the engine
 	// (python-side broadcast and sync).
 	OverheadPerRank time.Duration
-	// SlicePenalty multiplies GEMM efficiency when the shift config uses
-	// on-the-fly weight slicing (the FP8 transpose limitation of
-	// Section 3.3.2); 1 means no penalty (separate models).
-	SlicePenalty float64
+	// OnTheFlySlicing selects the shift configuration's memory strategy
+	// (Section 3.3.2). False (the default, the paper's production choice)
+	// loads a separate full-TP copy of the weights, which costs Eq. 1's
+	// w/(SP*TP) per GPU. True re-slices the base shards each forward: no
+	// extra copy, but every GEMM runs at slicePenalty efficiency (the FP8
+	// transpose limitation).
+	OnTheFlySlicing bool
 	// KVReserve is the fraction of GPU memory held back from the KV cache
 	// (activations, CUDA graphs, fragmentation).
 	KVReserve float64
@@ -103,7 +109,6 @@ func DefaultParams() Params {
 		ActBytes:        2,
 		OverheadBase:    2 * time.Millisecond,
 		OverheadPerRank: 250 * time.Microsecond,
-		SlicePenalty:    1.0,
 		KVReserve:       0.10,
 	}
 }
@@ -193,12 +198,19 @@ func MustNew(node hw.Node, m model.Config, p Params) *CostModel {
 	return cm
 }
 
+// slicePenalty multiplies GEMM efficiency under on-the-fly slicing.
+const slicePenalty = 0.88
+
 // gemmEff returns the achieved flop fraction for a linear-layer GEMM with
 // the given activation rows per rank and TP shard width.
 func (cm *CostModel) gemmEff(rowsPerRank float64, tp int) float64 {
 	rowFactor := rowsPerRank / (rowsPerRank + cm.P.GEMMRowsHalf)
 	shardFactor := 1 / (1 + cm.P.TPShardPenalty*float64(tp-1))
-	return cm.P.GEMMEffMax * rowFactor * shardFactor * cm.P.SlicePenalty
+	eff := cm.P.GEMMEffMax * rowFactor * shardFactor
+	if cm.P.OnTheFlySlicing {
+		eff *= slicePenalty
+	}
+	return eff
 }
 
 // Iter prices one iteration of the batch under the parallelism.
@@ -344,35 +356,37 @@ func (cm *CostModel) overhead(world int) time.Duration {
 
 // --- Memory sizing ---
 
-// WeightBytesPerGPU returns the per-GPU weight footprint: w/TP for the
-// base configuration, plus w/(SP*TP) when a shift model is co-loaded
-// (Eq. 1 of the paper).
-func (cm *CostModel) WeightBytesPerGPU(par Parallelism, withShiftModel bool) float64 {
+// WeightBytesPerGPU returns the per-GPU weight footprint of an engine:
+// w/TP for the base configuration (experts sharded ep ways for an MoE
+// model under EP; EPConfig{} means dense), plus Eq. 1's w/(SP*TP) when
+// shift says the engine also runs the full-TP shift configuration. The
+// shift copy is held only when it is a different sharding (SP > 1) and
+// the weights are not sliced on the fly.
+func (cm *CostModel) WeightBytesPerGPU(par Parallelism, ep EPConfig, shift bool) float64 {
 	base := cm.M.WeightBytes() / float64(par.TP)
-	if withShiftModel {
+	if cm.M.IsMoE() && ep.Enabled() {
+		dt := float64(cm.M.WeightDType.Bytes())
+		base = (cm.M.SharedParams*dt + cm.M.ExpertParams()*dt/float64(ep.Degree)) / float64(par.TP)
+	}
+	if shift && par.SP > 1 && !cm.P.OnTheFlySlicing {
 		base += cm.M.WeightBytes() / float64(par.World())
 	}
 	return base
 }
 
 // KVCapacityTokens returns how many tokens of KV cache one engine can
-// hold across its GPUs after weights and reserve. Returns 0 when the
-// weights do not fit at all.
-func (cm *CostModel) KVCapacityTokens(par Parallelism, withShiftModel bool) int {
+// hold across its GPUs after its weights (WeightBytesPerGPU) and the
+// reserve: the memory EP frees goes to the KV cache, as does the shift
+// copy on-the-fly slicing saves. Returns 0 when the weights do not fit
+// at all.
+func (cm *CostModel) KVCapacityTokens(par Parallelism, ep EPConfig, shift bool) int {
 	gpuBytes := float64(cm.Node.GPU.MemBytes) * (1 - cm.P.KVReserve)
-	free := gpuBytes - cm.WeightBytesPerGPU(par, withShiftModel)
+	free := gpuBytes - cm.WeightBytesPerGPU(par, ep, shift)
 	if free <= 0 {
 		return 0
 	}
 	perRankTokenBytes := cm.M.KVBytesPerToken() * kvShare(cm.M.KVHeads, par.World())
 	return int(free / perRankTokenBytes)
-}
-
-// Fits reports whether the configuration's weights fit in GPU memory with
-// non-zero KV space (the paper's L17B-16E example: SP=8 fits weights but
-// leaves no room for long contexts, forcing (SP=4, TP=2)).
-func (cm *CostModel) Fits(par Parallelism, withShiftModel bool, minKVTokens int) bool {
-	return cm.KVCapacityTokens(par, withShiftModel) >= minKVTokens
 }
 
 // --- Closed-form latency points (Figure 12/13 "minimum latency") ---

@@ -1,6 +1,7 @@
 package perf
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 	"time"
@@ -237,17 +238,59 @@ func TestKVReplicationRaisesDecodeCost(t *testing.T) {
 
 // --- Memory model (Eq. 1 + capacity) ---
 
+// Eq. 1 over every base factorization of 8 GPUs, both memory strategies,
+// and both weight layouts: dense Llama-70B and Llama-17B-16E with its
+// experts sharded EP8. The base shard is w/TP (EP shards only the
+// experts); the shift copy adds w/(SP*TP) of the full weights, only
+// when the base is not already full TP and the weights are not sliced
+// on the fly. The KV budget moves with the footprint.
 func TestWeightBytesPerGPU(t *testing.T) {
-	cm := llamaCM(t)
-	if got := cm.WeightBytesPerGPU(tp8, false); got != 70e9/8 {
-		t.Fatalf("TP=8 weights = %g", got)
+	models := []struct {
+		m         model.Config
+		ep        EPConfig
+		base, all float64 // per-GPU bytes at TP=1: sharded base, full weights
+	}{
+		{model.Llama70B(), EPConfig{}, 70e9, 70e9},
+		{model.Llama17B16E(), EPConfig{Degree: 8}, 6e9 + 103e9/8, 109e9},
 	}
-	if got := cm.WeightBytesPerGPU(sp8, false); got != 70e9 {
-		t.Fatalf("SP=8 weights = %g (SP replicates weights)", got)
+	for _, mc := range models {
+		for _, sliced := range []bool{false, true} {
+			p := DefaultParams()
+			p.OnTheFlySlicing = sliced
+			cm := MustNew(hw.P5enNode(), mc.m, p)
+			for _, par := range []Parallelism{sp8, sp4x2, {SP: 2, TP: 4}, tp8} {
+				base := mc.base / float64(par.TP)
+				total := base
+				if par.SP > 1 && !sliced {
+					total += mc.all / float64(par.World())
+				}
+				name := fmt.Sprintf("%s %v sliced=%v", mc.m.Name, par, sliced)
+				if got := cm.WeightBytesPerGPU(par, mc.ep, false); got != base {
+					t.Errorf("%s: base weights = %g, want %g", name, got, base)
+				}
+				if got := cm.WeightBytesPerGPU(par, mc.ep, true); got != total {
+					t.Errorf("%s: shift deployment weights = %g, want %g", name, got, total)
+				}
+				// The paper's overhead: exactly 1/SP of the dense base shard.
+				if mc.m.Name == "Llama-70B" && total > base && total/base-1 != 1/float64(par.SP) {
+					t.Errorf("%s: overhead %g, want 1/SP", name, total/base-1)
+				}
+				without, with := cm.KVCapacityTokens(par, mc.ep, false), cm.KVCapacityTokens(par, mc.ep, true)
+				if (with < without) != (total > base) || with > without {
+					t.Errorf("%s: KV %d with the shift copy vs %d without", name, with, without)
+				}
+			}
+		}
 	}
-	// Shift deployment on SP=8: full base + 1/8 shift model.
-	if got := cm.WeightBytesPerGPU(sp8, true); got != 70e9+70e9/8 {
-		t.Fatalf("SP=8 + shift = %g", got)
+	// The ablation's two rows: SP=8 Llama-70B reserves the 8.75 GB shift
+	// copy unless it slices, and the budget shows it.
+	sliced := DefaultParams()
+	sliced.OnTheFlySlicing = true
+	if got := llamaCM(t).KVCapacityTokens(sp8, EPConfig{}, true); got != 1175537 {
+		t.Errorf("SP=8 separate-models KV = %d, want 1175537", got)
+	}
+	if got := MustNew(hw.P5enNode(), model.Llama70B(), sliced).KVCapacityTokens(sp8, EPConfig{}, true); got != 1389160 {
+		t.Errorf("SP=8 on-the-fly KV = %d, want 1389160", got)
 	}
 }
 
@@ -256,10 +299,10 @@ func TestWeightBytesPerGPU(t *testing.T) {
 func TestL17B16EMemoryForcesTP2(t *testing.T) {
 	cm := MustNew(hw.P5enNode(), model.Llama17B16E(), DefaultParams())
 	longCtx := 400_000 // tokens of KV needed for long-context serving
-	if cm.Fits(Parallelism{SP: 8, TP: 1}, true, longCtx) {
+	if cm.KVCapacityTokens(sp8, EPConfig{}, true) >= longCtx {
 		t.Error("SP=8 with shift model should NOT leave enough KV space")
 	}
-	if !cm.Fits(sp4x2, true, longCtx) {
+	if cm.KVCapacityTokens(sp4x2, EPConfig{}, true) < longCtx {
 		t.Error("(SP=4,TP=2) should fit with KV room")
 	}
 }
@@ -268,7 +311,7 @@ func TestKVCapacityTinyWhenWeightsBarelyFit(t *testing.T) {
 	cm := MustNew(hw.P5enNode(), model.Llama17B16E(), DefaultParams())
 	// 109 GB weights + 13.6 GB shift model leave only ~4 GB of the
 	// 126.9 GB usable: a sliver of KV, far below long-context needs.
-	got := cm.KVCapacityTokens(Parallelism{SP: 8, TP: 1}, true)
+	got := cm.KVCapacityTokens(sp8, EPConfig{}, true)
 	if got <= 0 || got > 250_000 {
 		t.Fatalf("capacity = %d, want small positive", got)
 	}
@@ -279,7 +322,7 @@ func TestKVCapacityZeroWhenWeightsDontFit(t *testing.T) {
 	big.TotalParams = 200e9 // 200 GB FP8 > 141 GB GPU
 	big.ActiveParams = 200e9
 	cm := MustNew(hw.P5enNode(), big, DefaultParams())
-	if got := cm.KVCapacityTokens(Parallelism{SP: 8, TP: 1}, false); got != 0 {
+	if got := cm.KVCapacityTokens(sp8, EPConfig{}, false); got != 0 {
 		t.Fatalf("capacity = %d, want 0", got)
 	}
 }
@@ -289,8 +332,8 @@ func TestFP8KVCacheDoublesCapacity(t *testing.T) {
 	cmFP16 := MustNew(hw.P5enNode(), m, DefaultParams())
 	m.KVDType = model.FP8
 	cmFP8 := MustNew(hw.P5enNode(), m, DefaultParams())
-	c16 := cmFP16.KVCapacityTokens(tp8, false)
-	c8 := cmFP8.KVCapacityTokens(tp8, false)
+	c16 := cmFP16.KVCapacityTokens(tp8, EPConfig{}, false)
+	c8 := cmFP8.KVCapacityTokens(tp8, EPConfig{}, false)
 	if diff := c8 - 2*c16; diff < -1 || diff > 1 {
 		t.Fatalf("FP8 KV capacity %d, FP16 %d: want 2x (+-1 rounding)", c8, c16)
 	}
@@ -300,7 +343,7 @@ func TestFP8KVCacheDoublesCapacity(t *testing.T) {
 
 func TestSlicePenaltySlowsGEMM(t *testing.T) {
 	p := DefaultParams()
-	p.SlicePenalty = 0.85
+	p.OnTheFlySlicing = true
 	sliced := MustNew(hw.P5enNode(), model.Llama70B(), p)
 	sep := llamaCM(t)
 	b := Batch{PrefillTokens: 4096, PrefillCtx: 2048}

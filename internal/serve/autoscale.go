@@ -520,8 +520,10 @@ type stagedIter struct {
 // the engine's own plan step (nextPlan), and the global iteration lasts
 // as long as the slowest replica's step, so idle and faster replicas
 // wait. Like stepUntil, it never starts an iteration at or past the
-// horizon. A wholly idle fleet jumps to its earliest routed arrival,
-// else parks at the horizon.
+// horizon. A wholly idle fleet parks at the horizon: a lockstep cluster
+// has no faults and so no retries, so every arrival was routed at the
+// horizon of an earlier advance, at or before the clock, and nextPlan
+// has already admitted it.
 func (f *fleetState) stepLockstep(horizon time.Duration, final bool) {
 	for f.clock < horizon {
 		work := f.lockWork[:0]
@@ -542,14 +544,8 @@ func (f *fleetState) stepLockstep(horizon time.Duration, final bool) {
 		}
 		f.lockWork = work
 		if len(work) == 0 {
-			next := horizon
-			for _, rep := range f.replicas {
-				if a := rep.engine.nextArrival(); a >= 0 && a < next {
-					next = a
-				}
-			}
-			f.clock = next
-			continue
+			f.clock = horizon
+			break
 		}
 		f.clock += slowest
 		for _, w := range work {

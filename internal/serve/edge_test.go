@@ -5,6 +5,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/hw"
+	"repro/internal/model"
 	"repro/internal/perf"
 	"repro/internal/specdec"
 	"repro/internal/trace"
@@ -148,6 +150,25 @@ func TestShiftKVSmallerThanSP(t *testing.T) {
 	if shift.KVCapacityTokens() >= sp.KVCapacityTokens() {
 		t.Fatalf("shift KV %d should be below SP %d (shift model overhead)",
 			shift.KVCapacityTokens(), sp.KVCapacityTokens())
+	}
+}
+
+// On-the-fly slicing holds no shift copy, so a Shift engine built from
+// that cost model gets the copy-free budget, rounded down to whole
+// blocks: more KV than the separate-models engine, as the memory
+// strategy ablation reports.
+func TestOnTheFlyShiftEngineGetsSlicedBudget(t *testing.T) {
+	p := perf.DefaultParams()
+	p.OnTheFlySlicing = true
+	cm := perf.MustNew(hw.P5enNode(), model.Llama70B(), p)
+	cfg := shiftCfg(cm)
+	got := mustEngine(t, cfg).KVCapacityTokens()
+	want := cm.KVCapacityTokens(cfg.Par, perf.EPConfig{}, false) / DefaultBlockTokens * DefaultBlockTokens
+	if got != want {
+		t.Fatalf("on-the-fly Shift engine KV = %d, want the sliced budget %d", got, want)
+	}
+	if sep := mustEngine(t, shiftCfg(llamaCM(t))).KVCapacityTokens(); got <= sep {
+		t.Fatalf("on-the-fly KV %d should exceed separate-models KV %d", got, sep)
 	}
 }
 

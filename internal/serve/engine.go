@@ -422,8 +422,9 @@ type stretch struct {
 	ctxSum, booked int
 }
 
-// NewEngine builds an engine; the KV allocator is sized from the cost
-// model's memory accounting (weights, shift-model overhead, reserve).
+// NewEngine builds an engine; the KV allocator is sized by the cost
+// model's KVCapacityTokens (weights, the shift copy under the cost
+// model's memory strategy, reserve), rounded down to whole blocks.
 func NewEngine(cfg Config) (*Engine, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
@@ -434,10 +435,10 @@ func NewEngine(cfg Config) (*Engine, error) {
 	cm.PrefillFlopsFactor = cfg.Stack.PrefillFactor()
 	cfg.CM = &cm
 
-	withShift := cfg.Strategy == StrategyShift && cfg.Par.World() > 1 && cfg.Par.SP > 1
-	capTokens := cfg.CM.EPKVCapacityTokens(cfg.Par, cfg.EP, withShift)
+	shift := cfg.Strategy == StrategyShift
+	capTokens := cfg.CM.KVCapacityTokens(cfg.Par, cfg.EP, shift)
 	if capTokens <= 0 {
-		return nil, fmt.Errorf("serve: engine %q: model does not fit (%s, shift=%v)", cfg.Name, cfg.Par, withShift)
+		return nil, fmt.Errorf("serve: engine %q: model does not fit (%s, shift=%v)", cfg.Name, cfg.Par, shift)
 	}
 	e := &Engine{
 		cfg:   cfg,

@@ -383,3 +383,35 @@ func TestBlockedHighPriorityNotStarved(t *testing.T) {
 		t.Fatal("at-risk waiter was not allowed past the blocked head")
 	}
 }
+
+// Two runners that both block on KV growth leave the engine memory-stuck
+// (resolveEmpty's preempt branch). FIFO never gets there, since the older
+// prefill takes the budget first; priorities can. A low-priority prompt
+// of 0.7x the cache runs first, a high-priority one of the same size
+// arrives a second later and is admitted ahead of it, and neither can
+// finish its prefill in what is left: the engine must evict exactly the
+// low-priority runner, once, and then serve both.
+func TestMemoryStuckPreemptsLowPriority(t *testing.T) {
+	e := mustEngine(t, gpu1Cfg(llamaCM(t)))
+	in := int(0.7 * float64(e.KVCapacityTokens()))
+	reqs := []workload.Request{
+		{ID: 0, InputTokens: in, OutputTokens: 4, Class: "low"},
+		{ID: 1, Arrival: time.Second, InputTokens: in, OutputTokens: 4, Class: "high",
+			Priority: 1, SLO: workload.Deadline(24*time.Second, workload.NoDeadline)},
+	}
+	ms := e.Run(reqs)
+	if err := checkKV(e); err != nil {
+		t.Fatal(err)
+	}
+	if len(ms) != 2 {
+		t.Fatalf("%d results, want 2", len(ms))
+	}
+	for _, m := range ms {
+		if m.Rejected || m.Completion <= 0 {
+			t.Fatalf("request %d: rejected=%v completion=%v, want served", m.ID, m.Rejected, m.Completion)
+		}
+		if want := 1 - m.ID; m.Preemptions != want {
+			t.Errorf("request %d preempted %d times, want %d", m.ID, m.Preemptions, want)
+		}
+	}
+}
