@@ -52,7 +52,8 @@ examples:
 # against the checked-in BENCH_<scenario>.json. Every scenario is
 # deterministic, so there is no skip list: a difference, a file with no
 # checked-in copy, or a checked-in BENCH file that no scenario writes
-# fails. A change that means to move a modeled output regenerates the
+# fails; a difference also prints the first 40 lines of `diff -u
+# checked-in new`. A change that means to move a modeled output regenerates the
 # files with `make bench-json` and says why.
 golden:
 	@dir="$$(mktemp -d)"; trap 'rm -rf "$$dir"' EXIT; \
@@ -64,7 +65,8 @@ golden:
 	for f in "$$@"; do \
 		name="$$(basename "$$f")"; \
 		if [ ! -e "$$name" ]; then echo "golden: $$name has no checked-in copy"; fail=1; \
-		elif ! cmp -s "$$f" "$$name"; then echo "golden: $$name differs from the checked-in copy"; fail=1; fi; \
+		elif ! cmp -s "$$f" "$$name"; then echo "golden: $$name differs from the checked-in copy"; \
+			diff -u "$$name" "$$f" | head -n 40; fail=1; fi; \
 	done; \
 	for name in BENCH_*.json; do \
 		[ -e "$$name" ] || continue; \

@@ -96,7 +96,7 @@ const (
 	// the cloud never rejects work it accepted.
 	EvCloudRoute
 	// EvCloudThrottle: the cloud backend delayed or refused a dispatch
-	// (Detail = "rate" for a rate-limit/concurrency wait, "budget" for a
+	// (Detail = "rate" for a rate-limit wait, "budget" for a
 	// MaxSpend refusal, "fail" for an injected transient failure).
 	// Non-terminal: the request proceeds delayed, locally, or into the
 	// retry queue.

@@ -142,6 +142,29 @@ func (c Cost) Total() time.Duration {
 	return c.GEMM + c.Attn + c.AllReduce + c.AllToAll + c.Overhead
 }
 
+// Add returns the component-wise sum of c and d.
+func (c Cost) Add(d Cost) Cost {
+	return Cost{
+		GEMM:      c.GEMM + d.GEMM,
+		Attn:      c.Attn + d.Attn,
+		AllReduce: c.AllReduce + d.AllReduce,
+		AllToAll:  c.AllToAll + d.AllToAll,
+		Overhead:  c.Overhead + d.Overhead,
+	}
+}
+
+// Scale returns c with every component multiplied by f, each truncated
+// to a whole nanosecond on its own.
+func (c Cost) Scale(f float64) Cost {
+	return Cost{
+		GEMM:      time.Duration(float64(c.GEMM) * f),
+		Attn:      time.Duration(float64(c.Attn) * f),
+		AllReduce: time.Duration(float64(c.AllReduce) * f),
+		AllToAll:  time.Duration(float64(c.AllToAll) * f),
+		Overhead:  time.Duration(float64(c.Overhead) * f),
+	}
+}
+
 // CostModel prices iterations of one model on one node.
 //
 // Node, M and P are fixed after New: New derives the model constants the

@@ -48,6 +48,23 @@ func TestParallelismString(t *testing.T) {
 	}
 }
 
+// Add sums component by component; Scale multiplies each component in
+// float64 and truncates it on its own, so Scale(f).Total() can differ
+// from truncating Total()*f.
+func TestCostAddAndScale(t *testing.T) {
+	a := Cost{GEMM: 1, Attn: 2, AllReduce: 3, AllToAll: 4, Overhead: 5}
+	b := Cost{GEMM: 10, Attn: 20, AllReduce: 30, AllToAll: 40, Overhead: 50}
+	if got, want := a.Add(b), (Cost{GEMM: 11, Attn: 22, AllReduce: 33, AllToAll: 44, Overhead: 55}); got != want {
+		t.Fatalf("Add = %+v, want %+v", got, want)
+	}
+	if got, want := a.Scale(1.5), (Cost{GEMM: 1, Attn: 3, AllReduce: 4, AllToAll: 6, Overhead: 7}); got != want {
+		t.Fatalf("Scale(1.5) = %+v, want %+v", got, want)
+	}
+	if got := a.Scale(1.5).Total(); got != 21 {
+		t.Fatalf("Scale(1.5).Total() = %v, want 21 (per-component truncation; 22 truncating the total)", got)
+	}
+}
+
 func TestIterZeroBatchOnlyOverhead(t *testing.T) {
 	cm := llamaCM(t)
 	c := cm.Iter(tp8, Batch{})

@@ -195,9 +195,6 @@ type AutoscaleConfig struct {
 	// Min and Max bound the provisioned (active+warming) fleet.
 	// Zero values default to Min=1 and Max=4x the initial fleet.
 	Min, Max int
-	// Template is the config spawned replicas are built from; nil uses
-	// the cluster's first config. Spawned replicas get generated names.
-	Template *Config
 }
 
 func (ac AutoscaleConfig) withDefaults(initial int) AutoscaleConfig {
@@ -232,13 +229,6 @@ func (ac AutoscaleConfig) validate(initial int) error {
 		return fmt.Errorf("serve: AutoscaleConfig.Max %d is below Min %d", ac.Max, ac.Min)
 	case initial > ac.Max || initial < ac.Min:
 		return fmt.Errorf("serve: initial fleet %d is outside AutoscaleConfig.Min/Max [%d, %d]", initial, ac.Min, ac.Max)
-	}
-	if ac.Template != nil {
-		// Checked up front: a bad template would otherwise surface only
-		// at the first scale-up, named after a generated replica.
-		if err := ac.Template.Validate(); err != nil {
-			return fmt.Errorf("serve: AutoscaleConfig.Template: %w", err)
-		}
 	}
 	return nil
 }
@@ -589,7 +579,7 @@ func (f *fleetState) route(r workload.Request, now time.Duration) error {
 			continue
 		}
 		views = append(views, ReplicaView{
-			Index: len(views), Name: rep.engine.cfg.Name,
+			Name:              rep.engine.cfg.Name,
 			OutstandingTokens: rep.assignedTokens + rep.tokenHandicap,
 			FreeKVTokens:      rep.kvCapacity - rep.assignedTokens - rep.tokenHandicap,
 			LiveTokens:        rep.engine.backlogTokens,
@@ -704,13 +694,11 @@ func (f *fleetState) evaluate(now time.Duration, parkedReqs int) error {
 	}
 	switch {
 	case desired > cur:
-		tmpl := f.ac.Template
-		if tmpl == nil {
-			tmpl = &f.replicas[0].engine.cfg
-		}
 		for n := desired - cur; n > 0; n-- {
-			cfg := *tmpl
-			cfg.Name = "" // spawn generates a fresh replica name
+			// Spawned replicas clone the first one's config under a
+			// fresh generated name.
+			cfg := f.replicas[0].engine.cfg
+			cfg.Name = ""
 			if err := f.spawn(cfg, now, f.ac.ColdStart); err != nil {
 				return err
 			}

@@ -269,21 +269,13 @@ func TestAutoscaleConfigErrors(t *testing.T) {
 		t.Fatal("initial fleet below Min must error")
 	}
 
-	// A template without a cost model fails up front under every policy
-	// — the static scaler never spawns from it — naming the field rather
-	// than a generated replica; the geo tier prefixes its region.
-	bad := &Config{Par: perf.Parallelism{SP: 1, TP: 1}}
-	static := SingleEngine("tmpl", gpu1Cfg(cm))
-	static.Autoscale = &AutoscaleConfig{Template: bad}
-	if _, err := static.Run(tr); err == nil || !strings.HasPrefix(err.Error(), "serve: AutoscaleConfig.Template: ") {
-		t.Fatalf("static scaler with a bad Template: err = %v", err)
-	}
+	// The geo tier prefixes a region's autoscale error with its name.
 	geo := Geo{
 		Topology: UniformTopology(100*time.Millisecond, "east"),
-		Regions:  []Region{{Configs: []Config{gpu1Cfg(cm)}, Autoscale: &AutoscaleConfig{Template: bad}}},
+		Regions:  []Region{{Configs: []Config{gpu1Cfg(cm)}, Autoscale: &AutoscaleConfig{Interval: -time.Second}}},
 	}
-	if _, err := geo.Run(tr); err == nil || !strings.HasPrefix(err.Error(), "serve: region east: serve: AutoscaleConfig.Template: ") {
-		t.Fatalf("geo region with a bad Template: err = %v", err)
+	if _, err := geo.Run(tr); err == nil || !strings.HasPrefix(err.Error(), "serve: region east: serve: AutoscaleConfig.Interval ") {
+		t.Fatalf("geo region with a bad Interval: err = %v", err)
 	}
 
 	if _, err := NewAutoscaler("nope"); err == nil {

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/obs"
@@ -14,8 +13,8 @@ import (
 // a Cluster or Geo as the third escape hatch next to shedding and
 // cross-region spill. The cloud has no KV or batching model — it is
 // somebody else's fleet — just its own latency law (base + per-token),
-// a token-bucket rate limit, an optional concurrency cap, and
-// unbounded-but-priced capacity. Three decision points consult it:
+// a token-bucket rate limit, and unbounded-but-priced capacity. Three
+// decision points consult it:
 //
 //  1. Routing: the cloud-overflow replica router (and the spill-over
 //     geo router's extension) compares the projected local wait —
@@ -48,10 +47,6 @@ type CloudConfig struct {
 	// PricePerMToken is the dollar price per million tokens (input +
 	// output billed alike, the common flat API rate).
 	PricePerMToken float64
-	// Concurrency caps simultaneously in-flight cloud requests; a
-	// dispatch past the cap waits for the oldest in-flight completion.
-	// 0 means unbounded.
-	Concurrency int
 	// RateLimit is the provider-side token-bucket refill in tokens/sec;
 	// the bucket holds one second of refill (RateLimit tokens), and a
 	// dispatch overdrawing it is delayed until the deficit refills. 0
@@ -82,8 +77,6 @@ func (c *CloudConfig) validate() error {
 		return fmt.Errorf("serve: CloudConfig.PerToken %v is negative", c.PerToken)
 	case c.PricePerMToken < 0:
 		return fmt.Errorf("serve: CloudConfig.PricePerMToken %v is negative", c.PricePerMToken)
-	case c.Concurrency < 0:
-		return fmt.Errorf("serve: CloudConfig.Concurrency %d is negative", c.Concurrency)
 	case c.RateLimit < 0:
 		return fmt.Errorf("serve: CloudConfig.RateLimit %v is negative", c.RateLimit)
 	case c.MaxSpend < 0:
@@ -100,13 +93,10 @@ func (c *CloudConfig) validate() error {
 // routing instant: the latency a dispatch right now would pay and
 // whether the budget still allows buying.
 type CloudView struct {
-	// ProjectedWait is the rate-limit/concurrency delay a dispatch at
-	// the view instant would wait before its BaseLatency starts.
+	// ProjectedWait is the rate-limit delay a dispatch at the view
+	// instant would wait before its BaseLatency starts.
 	ProjectedWait time.Duration
 	BaseLatency   time.Duration
-	PerToken      time.Duration
-	// PricePerMToken echoes the configured price for cost-aware policies.
-	PricePerMToken float64
 	// BudgetExhausted marks a tier whose cumulative spend has reached
 	// MaxSpend: routers must not divert to it.
 	BudgetExhausted bool
@@ -133,9 +123,9 @@ type CloudAwareGeoRouter interface {
 }
 
 // cloudTier is the per-run state of a CloudConfig: the token bucket,
-// the in-flight window, the ledger, and the synthetic metrics of the
-// requests it served. Only the controller mutates it (arrival routing,
-// controller events, staged-shed drains). All methods are nil-safe.
+// the ledger, and the synthetic metrics of the requests it served. Only
+// the controller mutates it (arrival routing, controller events,
+// staged-shed drains). All methods are nil-safe.
 type cloudTier struct {
 	cfg CloudConfig
 
@@ -146,14 +136,9 @@ type cloudTier struct {
 	tokens     float64
 	lastRefill time.Duration
 
-	// inflight holds the completion times of in-flight cloud requests,
-	// ascending (Concurrency > 0 only).
-	inflight []time.Duration
-
 	spend        float64
 	requests     int
 	tokensServed int
-	throttled    int
 	attempts     int
 
 	served []RequestMetrics
@@ -179,25 +164,19 @@ func (ct *cloudTier) observe(o *obs.Observer, region string) {
 
 // view snapshots the tier for a routing decision without mutating it.
 func (ct *cloudTier) view(now time.Duration) CloudView {
-	v := CloudView{
-		BaseLatency:    ct.cfg.BaseLatency,
-		PerToken:       ct.cfg.PerToken,
-		PricePerMToken: ct.cfg.PricePerMToken,
-	}
+	v := CloudView{BaseLatency: ct.cfg.BaseLatency}
 	if ct.cfg.MaxSpend > 0 && ct.spend >= ct.cfg.MaxSpend {
 		v.BudgetExhausted = true
 	}
-	_, v.ProjectedWait, _ = ct.project(now, 0)
+	_, v.ProjectedWait = ct.project(now, 0)
 	return v
 }
 
 // project prices one dispatch of need tokens at now without mutating
 // the tier: the bucket balance after refilling to now and drawing need,
-// the wait before the dispatch's BaseLatency starts (the overdraft's
-// refill time, or the in-flight completion that frees a concurrency
-// slot, whichever is later), and how many in-flight completions end by
-// the dispatch start.
-func (ct *cloudTier) project(now time.Duration, need float64) (tokens float64, wait time.Duration, ended int) {
+// and the overdraft's refill time, which the dispatch waits before its
+// BaseLatency starts.
+func (ct *cloudTier) project(now time.Duration, need float64) (tokens float64, wait time.Duration) {
 	if ct.cfg.RateLimit > 0 {
 		tokens = ct.tokens
 		if now > ct.lastRefill {
@@ -211,36 +190,20 @@ func (ct *cloudTier) project(now time.Duration, need float64) (tokens float64, w
 			wait = time.Duration(-tokens / ct.cfg.RateLimit * float64(time.Second))
 		}
 	}
-	if c := ct.cfg.Concurrency; c > 0 {
-		start := now + wait
-		for ended < len(ct.inflight) && ct.inflight[ended] <= start {
-			ended++
-		}
-		// The slot frees when the c-th latest completion ends; one that
-		// ended by the start frees it at once.
-		if len(ct.inflight)-ended >= c {
-			if at := ct.inflight[len(ct.inflight)-c]; at > start {
-				wait = at - now
-			}
-		}
-	}
-	return tokens, wait, ended
+	return tokens, wait
 }
 
 // admitDelay charges one dispatch of need tokens at now against the
-// rate limit and the concurrency cap (committing project's bucket
-// balance and dropping the completions that ended by the dispatch
-// start), returning how long the dispatch waits before its BaseLatency
-// starts.
+// rate limit, committing project's bucket balance, and returns how long
+// the dispatch waits before its BaseLatency starts.
 func (ct *cloudTier) admitDelay(now time.Duration, need float64) time.Duration {
-	tokens, wait, ended := ct.project(now, need)
+	tokens, wait := ct.project(now, need)
 	if ct.cfg.RateLimit > 0 {
 		ct.tokens = tokens
 		if now > ct.lastRefill {
 			ct.lastRefill = now
 		}
 	}
-	ct.inflight = append(ct.inflight[:0], ct.inflight[ended:]...)
 	return wait
 }
 
@@ -258,31 +221,22 @@ func (ct *cloudTier) offer(r workload.Request, now time.Duration, policy string)
 	}
 	price := ct.cfg.PricePerMToken * float64(r.TotalTokens()) / 1e6
 	if ct.cfg.MaxSpend > 0 && ct.spend+price > ct.cfg.MaxSpend {
-		ct.throttled++
 		ct.bal.Event(now, obs.EvCloudThrottle, r.ID, "budget")
 		return false
 	}
 	ct.attempts++
 	if fe := ct.cfg.FailEvery; fe > 0 && ct.attempts%fe == 0 {
-		ct.throttled++
 		ct.bal.Event(now, obs.EvCloudThrottle, r.ID, "fail")
 		return false
 	}
 	wait := ct.admitDelay(now, float64(r.TotalTokens()))
 	if wait > 0 {
-		ct.throttled++
 		ct.bal.Event(now, obs.EvCloudThrottle, r.ID, "rate")
 	}
 	firstTok := now + wait + ct.cfg.BaseLatency
 	done := firstTok
 	if r.OutputTokens > 1 {
 		done += ct.cfg.PerToken * time.Duration(r.OutputTokens-1)
-	}
-	if ct.cfg.Concurrency > 0 {
-		i := sort.Search(len(ct.inflight), func(j int) bool { return ct.inflight[j] > done })
-		ct.inflight = append(ct.inflight, 0)
-		copy(ct.inflight[i+1:], ct.inflight[i:])
-		ct.inflight[i] = done
 	}
 	ct.spend += price
 	ct.requests++
@@ -311,7 +265,6 @@ func (ct *cloudTier) fill(r *Result) {
 	r.CloudRequests = ct.requests
 	r.CloudTokens = ct.tokensServed
 	r.CloudSpend = ct.spend
-	r.CloudThrottled = ct.throttled
 	r.OwnedSpend = ct.cfg.DollarsPerReplicaHour / 3600 * r.ReplicaSeconds
 	r.TotalSpend = r.OwnedSpend + r.CloudSpend
 }

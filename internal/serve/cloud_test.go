@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/perf"
 	"repro/internal/workload"
 )
@@ -13,7 +14,6 @@ func TestCloudConfigValidate(t *testing.T) {
 		{BaseLatency: -time.Second},
 		{PerToken: -time.Millisecond},
 		{PricePerMToken: -1},
-		{Concurrency: -1},
 		{RateLimit: -1},
 		{MaxSpend: -1},
 		{DollarsPerReplicaHour: -1},
@@ -59,29 +59,19 @@ func TestCloudTierRateLimit(t *testing.T) {
 	}
 }
 
-// The concurrency cap delays dispatches past the oldest in-flight
-// completion that frees a slot.
-func TestCloudTierConcurrencyCap(t *testing.T) {
-	ct := newCloudTier(&CloudConfig{BaseLatency: time.Second, Concurrency: 2, PricePerMToken: 1})
-	r := workload.Request{InputTokens: 10, OutputTokens: 1}
-	ct.offer(r, 0, "overflow")
-	ct.offer(r, 0, "overflow") // both complete at 1s
-	v := ct.view(0)
-	if v.ProjectedWait != time.Second {
-		t.Fatalf("view wait %v with a full window, want 1s", v.ProjectedWait)
-	}
-	r.ID = 3
-	ct.offer(r, 0, "overflow")
-	m := ct.served[2]
-	if m.TTFT != 2*time.Second {
-		t.Fatalf("capped dispatch TTFT %v, want 2s (1s slot wait + 1s base)", m.TTFT)
-	}
-}
-
 // Budget refusals are permanent and FailEvery failures transient; both
-// count as throttles and neither bills.
+// emit a throttle event and neither bills.
 func TestCloudTierBudgetAndFailEvery(t *testing.T) {
+	throttles := func(ct *cloudTier) (n int) {
+		for _, ev := range ct.bal.Events() {
+			if ev.Kind == obs.EvCloudThrottle {
+				n++
+			}
+		}
+		return n
+	}
 	ct := newCloudTier(&CloudConfig{PricePerMToken: 1e6, MaxSpend: 1.5}) // $1 per token
+	ct.observe(obs.NewObserver(), "")
 	r := workload.Request{InputTokens: 1, OutputTokens: 0}
 	if !ct.offer(r, 0, "overflow") {
 		t.Fatal("first offer refused, want accepted")
@@ -89,9 +79,9 @@ func TestCloudTierBudgetAndFailEvery(t *testing.T) {
 	if ct.offer(r, 0, "overflow") {
 		t.Fatal("over-budget offer accepted, want refused")
 	}
-	if ct.spend != 1 || ct.requests != 1 || ct.throttled != 1 || ct.attempts != 1 {
-		t.Fatalf("ledger spend=%v requests=%d throttled=%d attempts=%d after refusal",
-			ct.spend, ct.requests, ct.throttled, ct.attempts)
+	if ct.spend != 1 || ct.requests != 1 || throttles(ct) != 1 || ct.attempts != 1 {
+		t.Fatalf("ledger spend=%v requests=%d throttles=%d attempts=%d after refusal",
+			ct.spend, ct.requests, throttles(ct), ct.attempts)
 	}
 	if !ct.view(0).BudgetExhausted {
 		// $1 remaining budget but the next $1 dispatch would exceed: view
@@ -102,6 +92,7 @@ func TestCloudTierBudgetAndFailEvery(t *testing.T) {
 	}
 
 	fe := newCloudTier(&CloudConfig{FailEvery: 2})
+	fe.observe(obs.NewObserver(), "")
 	if !fe.offer(r, 0, "overflow") {
 		t.Fatal("attempt 1 refused, want accepted")
 	}
@@ -109,9 +100,9 @@ func TestCloudTierBudgetAndFailEvery(t *testing.T) {
 		t.Fatal("attempt 2 accepted, want failed")
 	}
 	// A transient failure counts as an attempt; a budget refusal does not.
-	if fe.requests != 1 || fe.throttled != 1 || fe.attempts != 2 {
-		t.Fatalf("ledger requests=%d throttled=%d attempts=%d after transient failure",
-			fe.requests, fe.throttled, fe.attempts)
+	if fe.requests != 1 || throttles(fe) != 1 || fe.attempts != 2 {
+		t.Fatalf("ledger requests=%d throttles=%d attempts=%d after transient failure",
+			fe.requests, throttles(fe), fe.attempts)
 	}
 }
 
@@ -152,8 +143,8 @@ func TestSpillOverRouteCloudBreakEven(t *testing.T) {
 	s := spillOverRouter{}
 	rate := float64(priorRate)
 	regions := []RegionView{
-		{Index: 0, Active: 1, BacklogTokens: int(3 * rate)},                              // 3s local wait
-		{Index: 1, Active: 1, BacklogTokens: int(1 * rate), RTT: 500 * time.Millisecond}, // 1.5s remote
+		{Active: 1, BacklogTokens: int(3 * rate)},                              // 3s local wait
+		{Active: 1, BacklogTokens: int(1 * rate), RTT: 500 * time.Millisecond}, // 1.5s remote
 	}
 	if !s.RouteCloud(workload.Request{}, 0, regions, CloudView{BaseLatency: time.Second}) {
 		t.Fatal("best region 1.5s vs 1s cloud: must buy")
@@ -164,7 +155,7 @@ func TestSpillOverRouteCloudBreakEven(t *testing.T) {
 	if s.RouteCloud(workload.Request{}, 0, regions, CloudView{BaseLatency: time.Second, BudgetExhausted: true}) {
 		t.Fatal("budget exhausted: must never buy")
 	}
-	dark := []RegionView{{Index: 0, Down: true}, {Index: 1, Down: true}}
+	dark := []RegionView{{Down: true}, {Down: true}}
 	if !s.RouteCloud(workload.Request{}, 0, dark, CloudView{}) {
 		t.Fatal("every region down: the cloud is the escape hatch")
 	}

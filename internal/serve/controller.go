@@ -482,7 +482,6 @@ func (c *controller) place(r workload.Request, now time.Duration) error {
 	anyUp := false
 	for i, f := range c.regions {
 		views[i] = f.regionView(now)
-		views[i].Index = i
 		views[i].RTT = c.topo.RTT[origin][i]
 		if !views[i].Down {
 			anyUp = true

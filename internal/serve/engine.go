@@ -1104,12 +1104,7 @@ func (e *Engine) price(plan *batchPlan) perf.Cost {
 func (e *Engine) priceShape(par perf.Parallelism, shape perf.Batch) perf.Cost {
 	cost := e.cfg.CM.IterEP(par, e.cfg.EP, shape)
 	if e.slowFactor > 1 && e.now >= e.slowFrom && e.now < e.slowUntil {
-		f := e.slowFactor
-		cost.GEMM = time.Duration(float64(cost.GEMM) * f)
-		cost.Attn = time.Duration(float64(cost.Attn) * f)
-		cost.AllReduce = time.Duration(float64(cost.AllReduce) * f)
-		cost.AllToAll = time.Duration(float64(cost.AllToAll) * f)
-		cost.Overhead = time.Duration(float64(cost.Overhead) * f)
+		cost = cost.Scale(e.slowFactor)
 	}
 	return cost
 }
@@ -1211,11 +1206,7 @@ func (e *Engine) count(par perf.Parallelism, cost perf.Cost) {
 		e.shiftIters++
 	}
 	e.iters++
-	e.cost.GEMM += cost.GEMM
-	e.cost.Attn += cost.Attn
-	e.cost.AllReduce += cost.AllReduce
-	e.cost.AllToAll += cost.AllToAll
-	e.cost.Overhead += cost.Overhead
+	e.cost = e.cost.Add(cost)
 }
 
 // stepUntil is the engine loop: admission, schedule, price, apply, until

@@ -122,15 +122,12 @@ type Region struct {
 // at a real global load balancer), plus the round trip from the
 // request's origin.
 type RegionView struct {
-	Index int
-	Name  string
 	// RTT is the round trip from the request's origin region to this
 	// one; zero for the origin itself.
 	RTT time.Duration
-	// Fleet composition at the routing instant.
-	Active   int
-	Warming  int
-	Draining int
+	// Active counts the region's active replicas at the routing
+	// instant, health-ejected ones excluded.
+	Active int
 	// QueuedRequests counts routed-but-not-running requests across the
 	// region's live replicas; BacklogTokens the input+output tokens of
 	// every routed request not yet finished, queued or in flight (the
@@ -457,12 +454,11 @@ func (f *fleetState) accrue(now time.Duration) {
 }
 
 // regionView snapshots the region for the geo router at the routing
-// instant, after feeding the region breaker; the caller fills in Index
-// and RTT.
+// instant, after feeding the region breaker; the caller fills in RTT.
 func (f *fleetState) regionView(now time.Duration) RegionView {
 	f.syncRegionBreaker(now)
 	f.promote(now)
-	v := RegionView{Name: f.name, ColdStart: f.ac.ColdStart, NextReadyIn: -1}
+	v := RegionView{ColdStart: f.ac.ColdStart, NextReadyIn: -1}
 	served := 0
 	for _, rep := range f.replicas {
 		served += rep.engine.completedTokens
@@ -477,12 +473,9 @@ func (f *fleetState) regionView(now time.Duration) RegionView {
 			}
 			v.Active++
 		case replicaWarming:
-			v.Warming++
 			if in := rep.readyAt - now; v.NextReadyIn < 0 || in < v.NextReadyIn {
 				v.NextReadyIn = in
 			}
-		case replicaDraining:
-			v.Draining++
 		case replicaRetired:
 			continue
 		}

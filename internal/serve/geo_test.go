@@ -390,8 +390,8 @@ func TestSpillOverBreakEven(t *testing.T) {
 	}
 	idle := func() []RegionView {
 		return []RegionView{
-			{Index: 0, Name: "home", Active: 2, NextReadyIn: -1, ColdStart: 60 * time.Second},
-			{Index: 1, Name: "remote", Active: 2, NextReadyIn: -1, RTT: 200 * time.Millisecond},
+			{Active: 2, NextReadyIn: -1, ColdStart: 60 * time.Second},
+			{Active: 2, NextReadyIn: -1, RTT: 200 * time.Millisecond},
 		}
 	}
 
@@ -435,7 +435,7 @@ func TestSpillOverBreakEven(t *testing.T) {
 	// A warming local replica nearly ready caps the cold-start penalty:
 	// 8s local (4s queue + 4s warmup) beats 200ms + 10s remote backlog.
 	v[1].BacklogTokens = 100_000
-	v[0].Warming, v[0].NextReadyIn = 1, 4*time.Second
+	v[0].NextReadyIn = 4 * time.Second
 	if got := route(v); got != 0 {
 		t.Fatalf("nearly-warm local fleet routed to %d, want local", got)
 	}
@@ -460,8 +460,8 @@ func TestSpillOverBreakEven(t *testing.T) {
 func TestGeoLeastLoadedLoadFollows(t *testing.T) {
 	r := NewLeastLoadedGlobalRouter()
 	views := []RegionView{
-		{Index: 0, Name: "busy", Active: 2, BacklogTokens: 58000},
-		{Index: 1, Name: "quiet", Active: 2, RTT: 300 * time.Millisecond},
+		{Active: 2, BacklogTokens: 58000},
+		{Active: 2, RTT: 300 * time.Millisecond},
 	}
 	if got := r.Route(workload.Request{}, 0, views); got != 1 {
 		t.Fatalf("least-loaded-global kept a drowning region, got %d", got)

@@ -86,8 +86,6 @@ func TestBreakerStateMachine(t *testing.T) {
 // with an error naming the field.
 func TestBadConfigNamesTheField(t *testing.T) {
 	cm := llamaCM(t)
-	badTemplate := dpCfg(cm)
-	badTemplate.MaxSeqs = -1
 	cases := []struct {
 		field    string
 		config   func(*Config) // bad replica config; nil keeps dpCfg
@@ -111,7 +109,6 @@ func TestBadConfigNamesTheField(t *testing.T) {
 		{field: "AutoscaleConfig.Max", auto: &AutoscaleConfig{Max: -1}},
 		{field: "AutoscaleConfig.Max", auto: &AutoscaleConfig{Min: 3, Max: 2}},
 		{field: "AutoscaleConfig.Min/Max", auto: &AutoscaleConfig{Min: 5, Max: 6}},
-		{field: "AutoscaleConfig.Template", auto: &AutoscaleConfig{Template: &badTemplate}},
 		{field: "BreakerConfig.FailThreshold", breakers: &BreakerConfig{FailThreshold: -1}},
 		{field: "BreakerConfig.HalfOpenProbes", breakers: &BreakerConfig{HalfOpenProbes: -1}},
 		{field: "BreakerConfig.OpenFor", breakers: &BreakerConfig{OpenFor: -time.Second}},
@@ -119,7 +116,6 @@ func TestBadConfigNamesTheField(t *testing.T) {
 		{field: "CloudConfig.BaseLatency", cloud: &CloudConfig{BaseLatency: -time.Second}},
 		{field: "CloudConfig.PerToken", cloud: &CloudConfig{PerToken: -time.Millisecond}},
 		{field: "CloudConfig.PricePerMToken", cloud: &CloudConfig{PricePerMToken: -1}},
-		{field: "CloudConfig.Concurrency", cloud: &CloudConfig{Concurrency: -1}},
 		{field: "CloudConfig.RateLimit", cloud: &CloudConfig{RateLimit: -1}},
 		{field: "CloudConfig.MaxSpend", cloud: &CloudConfig{MaxSpend: -1}},
 		{field: "CloudConfig.DollarsPerReplicaHour", cloud: &CloudConfig{DollarsPerReplicaHour: -1}},

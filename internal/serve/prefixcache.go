@@ -181,7 +181,6 @@ func (s *sharedTier) fill(r *Result) {
 	}
 	r.SharedHits = s.hits
 	r.SharedMisses = s.misses
-	r.SharedEvictions = s.lru.evictions
 }
 
 // metricsList returns the synthetic metrics of shared-tier hits, in

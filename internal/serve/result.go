@@ -209,25 +209,21 @@ type Result struct {
 	// balancer (their PerRequest rows carry Replica == SharedCacheReplica
 	// and never reached an engine); SharedMisses counts keyed requests
 	// that fell through to routing. Keyless requests are not counted.
-	SharedHits      int
-	SharedMisses    int
-	SharedEvictions int
+	SharedHits   int
+	SharedMisses int
 
 	// Cloud-tier accounting (all zero unless Cloud is set on the cluster
 	// or geo). CloudRequests/CloudTokens count work the elastic backend
 	// served (their PerRequest rows carry Replica == CloudReplica and
 	// never reached an engine); CloudSpend is their price at
-	// PricePerMToken; CloudThrottled counts dispatches the tier delayed
-	// or refused (rate, budget, or injected failure). OwnedSpend prices
-	// the owned fleet (ReplicaSeconds at DollarsPerReplicaHour) and
-	// TotalSpend = OwnedSpend + CloudSpend — the two sides of the
-	// own-vs-rent ledger.
-	CloudRequests  int
-	CloudTokens    int
-	CloudSpend     float64
-	CloudThrottled int
-	OwnedSpend     float64
-	TotalSpend     float64
+	// PricePerMToken. OwnedSpend prices the owned fleet (ReplicaSeconds
+	// at DollarsPerReplicaHour) and TotalSpend = OwnedSpend + CloudSpend —
+	// the two sides of the own-vs-rent ledger.
+	CloudRequests int
+	CloudTokens   int
+	CloudSpend    float64
+	OwnedSpend    float64
+	TotalSpend    float64
 
 	// SLOByClass aggregates deadline attainment per request class, for
 	// the classes that carried an SLO.
@@ -513,11 +509,7 @@ func buildResult(name string, metrics []RequestMetrics, engines []*Engine) *Resu
 		r.BaseIters += e.baseIters
 		r.ShiftIters += e.shiftIters
 		r.SLOPreemptions += e.sloPreempts
-		r.Cost.GEMM += e.cost.GEMM
-		r.Cost.Attn += e.cost.Attn
-		r.Cost.AllReduce += e.cost.AllReduce
-		r.Cost.AllToAll += e.cost.AllToAll
-		r.Cost.Overhead += e.cost.Overhead
+		r.Cost = r.Cost.Add(e.cost)
 		if e.pcache != nil {
 			r.CacheHits += e.cacheHits
 			r.CacheMisses += e.cacheMisses

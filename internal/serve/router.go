@@ -3,7 +3,6 @@ package serve
 import (
 	"fmt"
 	"hash/fnv"
-	"strconv"
 
 	"repro/internal/workload"
 )
@@ -12,8 +11,8 @@ import (
 // request at its arrival time: the work handed out to it so far, its KV
 // headroom, and its live backlog.
 type ReplicaView struct {
-	Index int
-	Name  string
+	// Name is the replica's name, its identity across scale events.
+	Name string
 	// OutstandingTokens is the total input+output tokens of requests
 	// already assigned to this replica (cumulative; a replica activated
 	// mid-run starts level with the least-loaded incumbent).
@@ -159,7 +158,7 @@ func (liveLeastLoaded) Route(_ workload.Request, replicas []ReplicaView) int {
 type affinity struct{ fallback Router }
 
 // NewAffinityRouter maps the request's Session key to a replica by
-// rendezvous (highest-random-weight) hashing over replica identities, so
+// rendezvous (highest-random-weight) hashing over replica names, so
 // all requests of one multi-turn session land on the same replica — the
 // replica holding that session's prefix cache, which is what agentic
 // traffic wants. Because each (session, replica-name) pair hashes
@@ -183,24 +182,11 @@ func (a affinity) Route(r workload.Request, replicas []ReplicaView) int {
 	session := fnvHash(r.Session)
 	best, bestScore := 0, uint64(0)
 	for i, rep := range replicas {
-		if s := rendezvousScore(session, replicaIdentity(rep)); i == 0 || s > bestScore {
+		if s := rendezvousScore(session, rep.Name); i == 0 || s > bestScore {
 			best, bestScore = i, s
 		}
 	}
 	return best
-}
-
-// replicaIdentity names a replica for key-keyed routing state. Unnamed
-// replicas (hand-built fleets outside the helper constructors) would all
-// score identically and collapse every session onto index 0; fall back
-// to the index as the identity. Index-keyed mappings are not sticky
-// across scale events, but they spread — and named fleets are
-// unaffected.
-func replicaIdentity(v ReplicaView) string {
-	if v.Name != "" {
-		return v.Name
-	}
-	return strconv.Itoa(v.Index)
 }
 
 func fnvHash(s string) uint64 {
@@ -227,7 +213,7 @@ func rendezvousScore(sessionHash uint64, replica string) uint64 {
 // --- Cache-aware (join-shortest-kv with an expected-hit credit) ---
 
 type cacheAware struct {
-	last map[string]string // cache key → identity of the replica it last served
+	last map[string]string // cache key → name of the replica it last served
 }
 
 // NewCacheAwareRouter extends join-shortest-kv with an expected-hit
@@ -238,8 +224,8 @@ type cacheAware struct {
 // score exactly like join-shortest-kv. Unlike affinity's hash mapping,
 // the credit is weighed against real load: a hot replica loses the
 // session once its KV deficit outgrows the prompt-sized credit, trading
-// a cold prefix for load balance. Placement state keys replica names
-// (indices for unnamed fleets), so it survives autoscale renumbering.
+// a cold prefix for load balance. Placement state keys replica names,
+// so it survives autoscale renumbering.
 func NewCacheAwareRouter() Router { return &cacheAware{last: map[string]string{}} }
 
 func (*cacheAware) Name() string { return "cache-aware" }
@@ -255,7 +241,7 @@ func (c *cacheAware) Route(r workload.Request, replicas []ReplicaView) int {
 	best, bestScore := 0, 0
 	for i, rep := range replicas {
 		score := rep.FreeKVTokens
-		if home != "" && replicaIdentity(rep) == home {
+		if home != "" && rep.Name == home {
 			score += r.InputTokens
 		}
 		if i == 0 || score > bestScore {
@@ -263,7 +249,7 @@ func (c *cacheAware) Route(r workload.Request, replicas []ReplicaView) int {
 		}
 	}
 	if key != "" {
-		c.last[key] = replicaIdentity(replicas[best])
+		c.last[key] = replicas[best].Name
 	}
 	return best
 }

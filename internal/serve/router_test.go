@@ -262,23 +262,6 @@ type badRouter struct{}
 func (badRouter) Name() string                              { return "bad" }
 func (badRouter) Route(workload.Request, []ReplicaView) int { return 99 }
 
-// A hand-built fleet with unnamed replicas must still spread sessions
-// (the index fallback), not collapse every session onto replica 0.
-func TestAffinityUnnamedReplicasSpread(t *testing.T) {
-	router := NewAffinityRouter()
-	views := make([]ReplicaView, 4)
-	for i := range views {
-		views[i] = ReplicaView{Index: i}
-	}
-	homes := map[int]bool{}
-	for i := 0; i < 100; i++ {
-		homes[router.Route(workload.Request{Session: fmt.Sprintf("session-%d", i)}, views)] = true
-	}
-	if len(homes) < 3 {
-		t.Fatalf("unnamed fleet used only %d of 4 replicas", len(homes))
-	}
-}
-
 // Rendezvous-hashed affinity must keep session→replica mappings stable
 // across fleet-size changes: removing a replica remaps only the sessions
 // that lived on it, and adding one moves sessions only onto the
@@ -287,7 +270,7 @@ func TestAffinityRendezvousSurvivesScaleEvents(t *testing.T) {
 	views := func(names ...string) []ReplicaView {
 		vs := make([]ReplicaView, len(names))
 		for i, n := range names {
-			vs[i] = ReplicaView{Index: i, Name: n}
+			vs[i] = ReplicaView{Name: n}
 		}
 		return vs
 	}
@@ -335,7 +318,7 @@ func TestAffinityRendezvousSurvivesScaleEvents(t *testing.T) {
 
 	// Scale up: a new replica may only attract sessions, never shuffle
 	// them between incumbents.
-	grown := append(views("fleet-replica0", "fleet-replica1", "fleet-replica2", "fleet-replica3", "fleet-replica4"), ReplicaView{Index: 5, Name: "fleet-replica5"})
+	grown := append(views("fleet-replica0", "fleet-replica1", "fleet-replica2", "fleet-replica3", "fleet-replica4"), ReplicaView{Name: "fleet-replica5"})
 	gained := 0
 	for s, home := range before {
 		got := place(s, grown)

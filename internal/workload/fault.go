@@ -85,20 +85,19 @@ func (r *RetryPolicy) Validate() error {
 	if r == nil {
 		return nil
 	}
-	if r.BackoffBase < 0 || r.BackoffCap < 0 {
-		return fmt.Errorf("workload: retry backoff durations must be non-negative")
-	}
-	if base, cp := r.Base(), r.Cap(); cp < base {
-		return fmt.Errorf("workload: retry backoff cap %v below base %v", cp, base)
-	}
-	if r.Jitter < 0 || r.Jitter > 1 {
-		return fmt.Errorf("workload: retry jitter %.2f outside [0, 1]", r.Jitter)
-	}
-	if r.BudgetRatio < 0 {
-		return fmt.Errorf("workload: retry budget ratio %.2f is negative", r.BudgetRatio)
-	}
-	if r.BudgetBurst < 0 {
-		return fmt.Errorf("workload: retry budget burst %d is negative", r.BudgetBurst)
+	switch {
+	case r.BackoffBase < 0:
+		return fmt.Errorf("workload: RetryPolicy.BackoffBase %v is negative", r.BackoffBase)
+	case r.BackoffCap < 0:
+		return fmt.Errorf("workload: RetryPolicy.BackoffCap %v is negative", r.BackoffCap)
+	case r.Cap() < r.Base():
+		return fmt.Errorf("workload: RetryPolicy.BackoffCap %v is below the backoff base %v", r.Cap(), r.Base())
+	case r.Jitter < 0 || r.Jitter > 1:
+		return fmt.Errorf("workload: RetryPolicy.Jitter %v is outside [0, 1]", r.Jitter)
+	case r.BudgetRatio < 0:
+		return fmt.Errorf("workload: RetryPolicy.BudgetRatio %v is negative", r.BudgetRatio)
+	case r.BudgetBurst < 0:
+		return fmt.Errorf("workload: RetryPolicy.BudgetBurst %d is negative", r.BudgetBurst)
 	}
 	return nil
 }
@@ -173,30 +172,33 @@ func (p *FaultPlan) Validate() error {
 		return nil
 	}
 	for i, c := range p.Crashes {
-		if c.Replica < 0 {
-			return fmt.Errorf("workload: crash %d has negative replica index", i)
-		}
-		if c.At < 0 {
-			return fmt.Errorf("workload: crash %d has negative time", i)
-		}
-		if c.Restart != 0 && c.Restart <= c.At {
-			return fmt.Errorf("workload: crash %d restarts at %v, not after the crash at %v", i, c.Restart, c.At)
+		switch {
+		case c.Replica < 0:
+			return fmt.Errorf("workload: FaultPlan.Crashes[%d].Replica %d is negative", i, c.Replica)
+		case c.At < 0:
+			return fmt.Errorf("workload: FaultPlan.Crashes[%d].At %v is negative", i, c.At)
+		case c.Restart != 0 && c.Restart <= c.At:
+			return fmt.Errorf("workload: FaultPlan.Crashes[%d].Restart %v is not after the crash at %v", i, c.Restart, c.At)
 		}
 	}
 	for i, o := range p.Outages {
-		if o.Start < 0 || o.End <= o.Start {
-			return fmt.Errorf("workload: outage %d window [%v, %v) is not a positive interval", i, o.Start, o.End)
+		switch {
+		case o.Start < 0:
+			return fmt.Errorf("workload: FaultPlan.Outages[%d].Start %v is negative", i, o.Start)
+		case o.End <= o.Start:
+			return fmt.Errorf("workload: FaultPlan.Outages[%d].End %v is not after Start %v", i, o.End, o.Start)
 		}
 	}
 	for i, d := range p.Degrades {
-		if d.Replica < 0 {
-			return fmt.Errorf("workload: degrade %d has negative replica index", i)
-		}
-		if d.Start < 0 || d.End <= d.Start {
-			return fmt.Errorf("workload: degrade %d window [%v, %v) is not a positive interval", i, d.Start, d.End)
-		}
-		if d.Slowdown < 1 {
-			return fmt.Errorf("workload: degrade %d slowdown %.2f < 1", i, d.Slowdown)
+		switch {
+		case d.Replica < 0:
+			return fmt.Errorf("workload: FaultPlan.Degrades[%d].Replica %d is negative", i, d.Replica)
+		case d.Start < 0:
+			return fmt.Errorf("workload: FaultPlan.Degrades[%d].Start %v is negative", i, d.Start)
+		case d.End <= d.Start:
+			return fmt.Errorf("workload: FaultPlan.Degrades[%d].End %v is not after Start %v", i, d.End, d.Start)
+		case d.Slowdown < 1:
+			return fmt.Errorf("workload: FaultPlan.Degrades[%d].Slowdown %v is below 1", i, d.Slowdown)
 		}
 	}
 	return p.Retry.Validate()
