@@ -42,15 +42,27 @@ func (e EPConfig) Validate(world int) error {
 }
 
 // IterEP prices one iteration like Iter, with experts sharded ep ways.
-// For dense models or ep.Degree <= 1 it is identical to Iter.
+// For dense models or ep.Degree <= 1 it is identical to Iter. It is the
+// sum of IterBase and IterAttn, bit for bit.
 func (cm *CostModel) IterEP(par Parallelism, ep EPConfig, b Batch) Cost {
+	c := cm.IterBase(par, ep, b)
+	c.Attn = cm.IterAttn(par, b)
+	return c
+}
+
+// IterBase returns the batch-size part of IterEP's cost: GEMM,
+// all-reduce, all-to-all (with the EP dispatch and combine) and
+// overhead, with Attn zero. It reads the batch's token counts but not
+// its contexts, so it is the same on every step of a steady decode
+// stretch.
+func (cm *CostModel) IterBase(par Parallelism, ep EPConfig, b Batch) Cost {
 	if err := ep.Validate(par.World()); err != nil {
 		panic(err)
 	}
 	if !cm.isMoE || !ep.Enabled() {
-		return cm.Iter(par, b)
+		return cm.base(par, 1, b)
 	}
-	cost := cm.iter(par, ep.Degree, b)
+	cost := cm.base(par, ep.Degree, b)
 
 	// Dispatch + combine all-to-alls per layer across the EP group: each
 	// rank scatters its rows' hidden states to expert owners and gathers

@@ -153,6 +153,19 @@ func (c Cost) Add(d Cost) Cost {
 	}
 }
 
+// Times returns the cost of k iterations of c: every component
+// multiplied by k, which equals adding c k times.
+func (c Cost) Times(k int) Cost {
+	n := time.Duration(k)
+	return Cost{
+		GEMM:      c.GEMM * n,
+		Attn:      c.Attn * n,
+		AllReduce: c.AllReduce * n,
+		AllToAll:  c.AllToAll * n,
+		Overhead:  c.Overhead * n,
+	}
+}
+
 // Scale returns c with every component multiplied by f, each truncated
 // to a whole nanosecond on its own.
 func (c Cost) Scale(f float64) Cost {
@@ -236,12 +249,14 @@ func (cm *CostModel) gemmEff(rowsPerRank float64, tp int) float64 {
 	return eff
 }
 
-// Iter prices one iteration of the batch under the parallelism.
-func (cm *CostModel) Iter(par Parallelism, b Batch) Cost { return cm.iter(par, 1, b) }
+// Iter prices one iteration of the batch under the parallelism: IterEP
+// without expert parallelism.
+func (cm *CostModel) Iter(par Parallelism, b Batch) Cost { return cm.IterEP(par, EPConfig{}, b) }
 
-// iter is Iter with experts sharded ep ways in the weight-streaming
-// term (ep > 1 only for MoE models; see IterEP).
-func (cm *CostModel) iter(par Parallelism, ep int, b Batch) Cost {
+// base is the batch-size part of an iteration with experts sharded ep
+// ways in the weight-streaming term (ep > 1 only for MoE models; see
+// IterBase): every component but Attn, which it leaves zero.
+func (cm *CostModel) base(par Parallelism, ep int, b Batch) Cost {
 	if err := par.Validate(); err != nil {
 		panic(err)
 	}
@@ -270,16 +285,6 @@ func (cm *CostModel) iter(par Parallelism, ep int, b Batch) Cost {
 	memTime := weightBytes / float64(par.TP) / (g.HBMBandwidth * cm.P.MemEff)
 	gemm := math.Max(computeTime, memTime)
 
-	// --- Attention (head-parallel across all world ranks) ---
-	attnFlops := 4 * cm.hidden * cm.layers *
-		(float64(b.PrefillTokens)*b.PrefillCtx + float64(b.DecodeSeqs)*b.DecodeCtx)
-	attnCompute := attnFlops / float64(world) / (g.FP8Flops * cm.P.AttnEff)
-	// Decode KV streaming: each decoding sequence reads its full cached
-	// context for this rank's heads (replication multiplies the share).
-	kvBytes := float64(b.DecodeSeqs) * b.DecodeCtx * cm.kvBytesPerToken * kvShare(cm.M.KVHeads, world)
-	attnMem := kvBytes / (g.HBMBandwidth * cm.P.MemEff)
-	attn := math.Max(attnCompute, attnMem)
-
 	// --- Collectives (per layer: 2 ring all-reduces on the TP group, 2
 	// all-to-alls on the SP group; Table 2). CommVolume sizes them. The
 	// all-to-alls are hidden/TP wide because Algorithm 1 line 3 projects
@@ -296,11 +301,34 @@ func (cm *CostModel) iter(par Parallelism, ep int, b Batch) Cost {
 
 	return Cost{
 		GEMM:      secs(gemm),
-		Attn:      secs(attn),
 		AllReduce: secs(allReduce),
 		AllToAll:  secs(allToAll),
 		Overhead:  cm.overhead(world),
 	}
+}
+
+// IterAttn returns the attention part of IterEP's cost, its Attn
+// component: head-parallel across all the world's ranks, compute-bound
+// for prefill and KV-streaming-bound for decode. It is the only part
+// that reads the batch's contexts, so the only part that changes from
+// step to step of a steady decode stretch.
+func (cm *CostModel) IterAttn(par Parallelism, b Batch) time.Duration {
+	if par.SP <= 0 || par.TP <= 0 {
+		panic(par.Validate())
+	}
+	if b.Tokens() == 0 {
+		return 0
+	}
+	g := cm.Node.GPU
+	world := par.World()
+	attnFlops := 4 * cm.hidden * cm.layers *
+		(float64(b.PrefillTokens)*b.PrefillCtx + float64(b.DecodeSeqs)*b.DecodeCtx)
+	attnCompute := attnFlops / float64(world) / (g.FP8Flops * cm.P.AttnEff)
+	// Decode KV streaming: each decoding sequence reads its full cached
+	// context for this rank's heads (replication multiplies the share).
+	kvBytes := float64(b.DecodeSeqs) * b.DecodeCtx * cm.kvBytesPerToken * kvShare(cm.M.KVHeads, world)
+	attnMem := kvBytes / (g.HBMBandwidth * cm.P.MemEff)
+	return secs(math.Max(attnCompute, attnMem))
 }
 
 // CommVolume returns the elements one rank puts on the wire per layer
@@ -317,7 +345,7 @@ func CommVolume(m model.Config, par Parallelism, tokens int) (allReduce, allToAl
 	return commVolume(float64(m.Hidden), m.QHeads, m.KVHeads, par, float64(ceilDiv(tokens, par.SP)))
 }
 
-// commVolume is CommVolume given rows = ceil(tokens/SP). Iter passes
+// commVolume is CommVolume given rows = ceil(tokens/SP). base passes
 // its precomputed rows and model constants, so pricing copies no
 // model.Config and divides no integers twice.
 func commVolume(hidden float64, qHeads, kvHeads int, par Parallelism, rows float64) (allReduce, allToAll float64) {

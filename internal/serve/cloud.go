@@ -119,6 +119,8 @@ type CloudAwareRouter interface {
 // against the cloud's latency.
 type CloudAwareGeoRouter interface {
 	GeoRouter
+	// RouteCloud reports whether r goes to the cloud. The regions slice
+	// is reused across calls, so a router must not keep it.
 	RouteCloud(r workload.Request, origin int, regions []RegionView, cloud CloudView) bool
 }
 

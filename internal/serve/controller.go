@@ -41,8 +41,10 @@ type controller struct {
 	// geo is the geo router; nil runs a single region with no geo tier.
 	geo     GeoRouter
 	regions []*fleetState
-	shared  *sharedTier
-	cloud   *cloudTier
+	// views is place's reusable scratch: the regions' geo views.
+	views  []RegionView
+	shared *sharedTier
+	cloud  *cloudTier
 	// bal receives the controller's own events (shared-cache hits,
 	// retries, drops, and geo routes): the geo balancer's track, or the
 	// lone region's balancer when there is no geo tier.
@@ -478,15 +480,17 @@ func (c *controller) place(r workload.Request, now time.Duration) error {
 	if err != nil {
 		return err
 	}
-	views := make([]RegionView, len(c.regions))
+	views := c.views[:0]
 	anyUp := false
 	for i, f := range c.regions {
-		views[i] = f.regionView(now)
-		views[i].RTT = c.topo.RTT[origin][i]
-		if !views[i].Down {
+		v := f.regionView(now)
+		v.RTT = c.topo.RTT[origin][i]
+		if !v.Down {
 			anyUp = true
 		}
+		views = append(views, v)
 	}
+	c.views = views
 	if !anyUp {
 		c.pending = append(c.pending, parkedReq{req: r, origin: origin})
 		return nil

@@ -407,11 +407,16 @@ type Engine struct {
 }
 
 // stretch is a run-ahead stretch in progress: the steady decode batch
-// every step prices, how far it may still run, and the steps booked on
-// the clock and counters but not yet settled into the running sequences'
-// decoded counts and KV holdings.
+// every step runs and the part of its cost every step shares, how far
+// it may still run, and the steps booked on the clock and counters but
+// not yet settled into the running sequences' decoded counts and KV
+// holdings.
 type stretch struct {
 	par perf.Parallelism
+	// base is the batch-size part of every step's cost (perf.IterBase):
+	// the batch's size and parallelism do not change within a stretch,
+	// so each step prices only its attention.
+	base perf.Cost
 	// left is the steps the stretch may still book; 0 means no stretch.
 	left int
 	// next is the engine's next arrival when the stretch began (-1: none).
@@ -1103,10 +1108,16 @@ func (e *Engine) price(plan *batchPlan) perf.Cost {
 // applying any active degrade window.
 func (e *Engine) priceShape(par perf.Parallelism, shape perf.Batch) perf.Cost {
 	cost := e.cfg.CM.IterEP(par, e.cfg.EP, shape)
-	if e.slowFactor > 1 && e.now >= e.slowFrom && e.now < e.slowUntil {
+	if e.degraded(e.now) {
 		cost = cost.Scale(e.slowFactor)
 	}
 	return cost
+}
+
+// degraded reports whether an iteration starting at t runs inside the
+// degrade window, slowFactor times slower.
+func (e *Engine) degraded(t time.Duration) bool {
+	return e.slowFactor > 1 && t >= e.slowFrom && t < e.slowUntil
 }
 
 // setDegrade arms a degrade window: iterations starting inside
@@ -1152,7 +1163,7 @@ func (e *Engine) crashDrain() (lost []workload.Request, lostTokens int) {
 // applies token production, and retires finished sequences. In lockstep
 // fleets end may exceed now+cost (waiting for slower replicas).
 func (e *Engine) apply(plan batchPlan, cost perf.Cost, end time.Duration) {
-	e.count(plan.par, cost)
+	e.count(plan.par, 1, cost)
 	e.now = end
 
 	produced := 0
@@ -1198,14 +1209,14 @@ func (e *Engine) apply(plan batchPlan, cost perf.Cost, end time.Duration) {
 	e.stream.Iter(e.now, produced)
 }
 
-// count books one iteration run on par at cost.
-func (e *Engine) count(par perf.Parallelism, cost perf.Cost) {
+// count books k iterations run on par that cost cost in total.
+func (e *Engine) count(par perf.Parallelism, k int, cost perf.Cost) {
 	if par == e.cfg.Par {
-		e.baseIters++
+		e.baseIters += k
 	} else {
-		e.shiftIters++
+		e.shiftIters += k
 	}
-	e.iters++
+	e.iters += k
 	e.cost = e.cost.Add(cost)
 }
 
@@ -1251,14 +1262,18 @@ func (e *Engine) stepUntil(horizon time.Duration, final bool) {
 // the iterations that would schedule the same batch again: every running
 // sequence decodes, nothing waits, no arrival is due, the clock is below
 // horizon, no sequence finishes and every KV growth fits. schedule would
-// do nothing on such an iteration but grow each holding by a token, so
-// each step only prices the batch and books it, and each sequence's
-// decoded count and KV holding are settled once, when the stretch ends.
-// The results are bit-identical to scheduling every step:
+// do nothing on such an iteration but grow each holding by a token. So
+// runAhead prices the batch-size part of the cost (perf.IterBase) once
+// for the whole stretch, each step prices only its attention
+// (perf.IterAttn), and each sequence's decoded count and KV holding are
+// settled once, when the stretch ends. The results are bit-identical to
+// scheduling every step:
 //   - step k's mean decode context is (ctxSum + k·n)/n, and shape's
 //     float sum of integer contexts below 2^53 is exact, so it equals
 //     that bit for bit;
-//   - cost components are integer sums, so their order does not matter;
+//   - IterEP is IterBase with IterAttn's Attn, bit for bit;
+//   - cost components are integer sums, so their order does not matter,
+//     and k steps' base equals base.Times(k);
 //   - degrade windows apply per step, at that step's clock.
 //
 // A stretch the horizon cuts stays open in e.ahead, and the next
@@ -1294,27 +1309,46 @@ func (e *Engine) runAhead(plan batchPlan, horizon time.Duration) {
 	if free := e.alloc.FreeBlocks(); e.kvGrowth(steps) > free {
 		steps = sort.Search(steps, func(k int) bool { return e.kvGrowth(k) > free }) - 1
 	}
-	e.ahead = stretch{par: plan.par, left: steps, next: e.nextArrival(), ctxSum: ctxSum}
+	base := e.cfg.CM.IterBase(plan.par, e.cfg.EP, perf.Batch{DecodeSeqs: n})
+	e.ahead = stretch{par: plan.par, base: base, left: steps, next: e.nextArrival(), ctxSum: ctxSum}
 	e.resume(horizon)
 }
 
 // resume books the open stretch's steps until it runs out, an arrival
 // is due or the clock reaches horizon. Only the horizon leaves it open.
+// Each step prices only its attention and advances the clock by the
+// stretch's base plus that; a step that starts inside the degrade
+// window scales its whole cost. The counters and the accumulated cost
+// are booked once, after the loop: the plain steps' base times their
+// count, plus every plain step's attention and every scaled step's cost.
 func (e *Engine) resume(horizon time.Duration) {
 	a := &e.ahead
 	// The loop keeps its state in locals: the calls in it would make the
-	// compiler reload and store fields of e.ahead on every step.
-	n, par, left, next := len(e.running), a.par, a.left, a.next
+	// compiler reload and store fields of e and e.ahead on every step.
+	n, par, base, left, next, now := len(e.running), a.par, a.base, a.left, a.next, e.now
+	cm, step := e.cfg.CM, base.Total()
 	ctx := a.ctxSum + a.booked*n
 	shape := perf.Batch{DecodeSeqs: n}
-	k := 0
-	for ; k < left && e.now < horizon && (next < 0 || next > e.now); k++ {
+	var cost perf.Cost // the scaled steps' costs and the plain steps' attention
+	k, plain := 0, 0
+	for ; k < left && now < horizon && (next < 0 || next > now); k++ {
 		shape.DecodeCtx = float64(ctx+k*n) / float64(n)
-		cost := e.priceShape(par, shape)
-		e.count(par, cost)
-		e.now += cost.Total()
-		e.stream.Iter(e.now, n)
+		attn := cm.IterAttn(par, shape)
+		if e.degraded(now) {
+			c := base
+			c.Attn = attn
+			c = c.Scale(e.slowFactor)
+			cost = cost.Add(c)
+			now += c.Total()
+		} else {
+			plain++
+			cost.Attn += attn
+			now += step + attn
+		}
+		e.stream.Iter(now, n)
 	}
+	e.now = now
+	e.count(par, k, cost.Add(base.Times(plain)))
 	a.left -= k
 	a.booked += k
 	if a.booked > 0 && e.admission != nil {

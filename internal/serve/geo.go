@@ -166,7 +166,8 @@ type GeoRouter interface {
 	Name() string
 	// Route returns the index of the serving region. origin is the index
 	// of the request's origin region (regions[origin].RTT == 0).
-	// Returning an out-of-range index is a run error.
+	// Returning an out-of-range index is a run error. The regions slice
+	// is reused across calls, so a router must not keep it.
 	Route(r workload.Request, origin int, regions []RegionView) int
 }
 

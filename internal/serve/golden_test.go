@@ -137,7 +137,8 @@ func withRouter(cl Cluster, r Router) Cluster {
 // own arrivals list is the one thing an arrival may grow; the test
 // pre-grows it out of the measurement. Between arrivals, advancing the
 // fleet resumes the replicas' open run-ahead stretches, and that is
-// pinned at zero allocations too.
+// pinned at zero allocations too, and so is an arrival on a two-region
+// geo tier.
 func TestSteadyArrivalAllocatesNothing(t *testing.T) {
 	cl := DPCluster("steady", dpCfg(llamaCM(t)), 4)
 	ctl, err := newController(Geo{
@@ -190,6 +191,40 @@ func TestSteadyArrivalAllocatesNothing(t *testing.T) {
 	last := tr.Requests[100]
 	if allocs := testing.AllocsPerRun(100, func() { arrive(last) }); allocs != 0 {
 		t.Fatalf("one steady-state arrival allocates %.1f times, want 0", allocs)
+	}
+
+	// A geo-tier arrival also builds every region's view for the geo
+	// router before routing inside the region it picks.
+	cfg := dpCfg(llamaCM(t))
+	geo, err := newController(Geo{
+		Name:     "steady-geo",
+		Topology: UniformTopology(50*time.Millisecond, "west", "east"),
+		Regions:  []Region{{Configs: []Config{cfg, cfg}}, {Configs: []Config{cfg, cfg}}},
+		Router:   NewSpillOverRouter(),
+	}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	origins := [...]string{"west", "east"}
+	arrived := 0
+	geoArrive := func(r workload.Request) {
+		r.Origin = origins[arrived%2]
+		arrived++
+		geo.advance(r.Arrival, -1, false)
+		if err := geo.place(r, r.Arrival); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, r := range tr.Requests[:100] {
+		geoArrive(r)
+	}
+	for _, f := range geo.regions {
+		for _, rep := range f.replicas {
+			rep.engine.arrivals = slices.Grow(rep.engine.arrivals, 1000)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { geoArrive(last) }); allocs != 0 {
+		t.Fatalf("one steady-state geo arrival allocates %.1f times, want 0", allocs)
 	}
 }
 

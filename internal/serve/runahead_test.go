@@ -33,6 +33,11 @@ func steadyDecode(e *Engine) bool {
 	return true
 }
 
+// steadySteps counts a stepped run's steady decode steps, the ones a
+// run-ahead stretch books: n in all, and shiftIn and shiftOut of them
+// on the shift config starting inside and outside the degrade window.
+type steadySteps struct{ n, shiftIn, shiftOut int }
+
 // horizonGap draws the gap to a test's next horizon: 0 one time in
 // eight (a repeated horizon), else log-uniform from 1 ns to 500 ms, so
 // most horizons land inside a run-ahead stretch.
@@ -65,6 +70,7 @@ func TestRunAheadMatchesSteppedEngine(t *testing.T) {
 	prefix.PrefixCache = &PrefixCacheConfig{ShareFraction: 0.8}
 	ep.EP = perf.EPConfig{Degree: 8}
 	spec.Stack = specdec.Stack{Spec: specdec.Spec{Len: 3, Acceptance: 0.7}}
+	longDecode := workload.Closed("long", 8, 512, 2000).Requests
 	cases := []struct {
 		name string
 		cfg  Config
@@ -74,20 +80,29 @@ func TestRunAheadMatchesSteppedEngine(t *testing.T) {
 		degrade [2]time.Duration
 		// exercised, when set, reports whether the stepped run used the
 		// feature the case is about.
-		exercised func(e *Engine) bool
+		exercised func(e *Engine, steady steadySteps) bool
 	}{
 		{name: "bursty-shift", cfg: shiftCfg(cm), reqs: trace.Bursty(7, 30*time.Second).Requests},
 		{name: "preempt-storm", cfg: Config{CM: cm, Par: perf.Parallelism{SP: 1, TP: 1}},
 			reqs:      workload.Closed("storm", 64, 1024, 2048).Requests,
-			exercised: func(e *Engine) bool { return e.preemptions > 0 }},
+			exercised: func(e *Engine, _ steadySteps) bool { return e.preemptions > 0 }},
 		{name: "slo-deadline-admission", cfg: withSLO, reqs: sloTrace.Requests,
-			exercised: func(e *Engine) bool { return e.shed > 0 }},
-		{name: "degrade-mid-stretch", cfg: tp8Cfg(cm), reqs: workload.Closed("long", 8, 512, 2000).Requests,
+			exercised: func(e *Engine, _ steadySteps) bool { return e.shed > 0 }},
+		{name: "degrade-mid-stretch", cfg: tp8Cfg(cm), reqs: longDecode,
 			degrade: [2]time.Duration{5 * time.Second, 9 * time.Second}},
 		{name: "prefix-cache", cfg: prefix, reqs: sessionedTrace(t, 3, 6).Requests,
-			exercised: func(e *Engine) bool { return e.cacheHits > 0 }},
+			exercised: func(e *Engine, _ steadySteps) bool { return e.cacheHits > 0 }},
 		{name: "ep", cfg: ep, reqs: trace.Bursty(9, 30*time.Second).Requests},
 		{name: "spec-decode", cfg: spec, reqs: trace.Bursty(7, 30*time.Second).Requests},
+		// A stretch on the shift config of an EP MoE engine runs through
+		// both edges of a degrade window: its base carries the EP
+		// dispatch, its steps book as shift iterations, and scaled and
+		// plain steps book together.
+		{name: "ep-shift-degrade", cfg: ep, reqs: longDecode,
+			degrade: [2]time.Duration{5 * time.Second, 9 * time.Second},
+			exercised: func(_ *Engine, steady steadySteps) bool {
+				return steady.shiftIn > 0 && steady.shiftOut > 0
+			}},
 	}
 	for ci, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -102,19 +117,25 @@ func TestRunAheadMatchesSteppedEngine(t *testing.T) {
 			for _, r := range tc.reqs {
 				stepped.enqueue(r)
 			}
-			steady := 0
+			var steady steadySteps
 			for steps := 0; !stepped.finished(); steps++ {
 				if steps > 1_000_000 {
 					t.Fatal("stepped engine did not drain")
 				}
 				if steadyDecode(stepped) {
-					steady++
+					steady.n++
+					if stepped.parFor(perf.Batch{DecodeSeqs: len(stepped.running)}) != tc.cfg.Par {
+						if stepped.degraded(stepped.now) {
+							steady.shiftIn++
+						} else {
+							steady.shiftOut++
+						}
+					}
 				}
 				stepOne(stepped)
 			}
-			if steady == 0 || tc.exercised != nil && !tc.exercised(stepped) {
-				t.Fatalf("test premise broken: %d steady decode steps, feature exercised: %v",
-					steady, tc.exercised == nil || tc.exercised(stepped))
+			if exercised := tc.exercised == nil || tc.exercised(stepped, steady); steady.n == 0 || !exercised {
+				t.Fatalf("test premise broken: %+v steady decode steps, feature exercised: %v", steady, exercised)
 			}
 
 			ran, ranObs := engine()
