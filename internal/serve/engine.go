@@ -350,6 +350,7 @@ type Engine struct {
 
 	// Accounting.
 	iters        int
+	plans        int // iterations scheduled and applied one by one; the rest ran ahead
 	shiftIters   int // iterations on the shift (full TP) config
 	baseIters    int // iterations on the base config
 	preemptions  int
@@ -1163,6 +1164,7 @@ func (e *Engine) crashDrain() (lost []workload.Request, lostTokens int) {
 // applies token production, and retires finished sequences. In lockstep
 // fleets end may exceed now+cost (waiting for slower replicas).
 func (e *Engine) apply(plan batchPlan, cost perf.Cost, end time.Duration) {
+	e.plans++
 	e.count(plan.par, 1, cost)
 	e.now = end
 
@@ -1190,8 +1192,13 @@ func (e *Engine) apply(plan batchPlan, cost perf.Cost, end time.Duration) {
 		produced += int(s.decoded) - before
 	}
 	e.tokensServed += produced
+	e.retire()
+	e.stream.Iter(e.now, produced)
+}
 
-	// Retire finished sequences.
+// retire moves the running sequences that are done, in running order,
+// to the completed list at e.now and frees their KV blocks.
+func (e *Engine) retire() {
 	kept := e.running[:0]
 	for _, s := range e.running {
 		if s.done() {
@@ -1206,7 +1213,6 @@ func (e *Engine) apply(plan batchPlan, cost perf.Cost, end time.Duration) {
 		}
 	}
 	e.running = kept
-	e.stream.Iter(e.now, produced)
 }
 
 // count books k iterations run on par that cost cost in total.
@@ -1226,15 +1232,15 @@ func (e *Engine) count(par perf.Parallelism, k int, cost perf.Cost) {
 // decisions at event boundaries without perturbing engine behaviour.
 // final promises that no further arrivals will be appended, enabling the
 // end-of-trace rejection of unadmittable waiters; without it an idle
-// engine parks at the horizon and waits for the controller. After each
-// pure-decode iteration, runAhead books the steady decode steps that
-// follow without scheduling them one by one; a stretch an earlier
-// horizon cut resumes here before anything is scheduled.
+// engine parks at the horizon and waits for the controller. Before it
+// schedules anything, runAhead books the steady decode steps the engine
+// state allows without scheduling them one by one, resuming a stretch an
+// earlier horizon cut.
 func (e *Engine) stepUntil(horizon time.Duration, final bool) {
-	if e.ahead.left > 0 {
-		e.resume(horizon)
-	}
 	for !e.finished() && e.now < horizon {
+		if e.runAhead(horizon) {
+			continue
+		}
 		plan := e.nextPlan(final)
 		if plan.empty() {
 			if e.finished() {
@@ -1254,20 +1260,24 @@ func (e *Engine) stepUntil(horizon time.Duration, final bool) {
 		}
 		cost := e.price(&plan)
 		e.apply(plan, cost, e.now+cost.Total())
-		e.runAhead(plan, horizon)
 	}
 }
 
-// runAhead continues the pure-decode iteration plan, just applied, with
-// the iterations that would schedule the same batch again: every running
-// sequence decodes, nothing waits, no arrival is due, the clock is below
-// horizon, no sequence finishes and every KV growth fits. schedule would
-// do nothing on such an iteration but grow each holding by a token. So
-// runAhead prices the batch-size part of the cost (perf.IterBase) once
-// for the whole stretch, each step prices only its attention
-// (perf.IterAttn), and each sequence's decoded count and KV holding are
-// settled once, when the stretch ends. The results are bit-identical to
-// scheduling every step:
+// runAhead resumes the open stretch, or starts one when the engine's
+// next iteration would be a steady decode of every runner: something
+// runs, nothing waits, no arrival is due, every runner has finished
+// prefill, spec decoding is off and the KV growth fits. It reports
+// whether it booked any steps. schedule would do nothing on such an
+// iteration but grow each holding by a token (and, under SLO
+// scheduling, order the running queue, which runAhead does once: the
+// queue cannot change within a stretch). So runAhead prices the
+// batch-size part of the cost (perf.IterBase) once for the whole
+// stretch, each step prices only its attention (perf.IterAttn), and
+// each sequence's decoded count and KV holding are settled once, when
+// the stretch ends. The stretch runs through the step on which its
+// first sequences finish, where settle retires them, or ends before the
+// first step whose KV growth would not fit. The results are
+// bit-identical to scheduling every step:
 //   - step k's mean decode context is (ctxSum + k·n)/n, and shape's
 //     float sum of integer contexts below 2^53 is exact, so it equals
 //     that bit for bit;
@@ -1286,32 +1296,44 @@ func (e *Engine) stepUntil(horizon time.Duration, final bool) {
 // too, or must end the stretch. Spec decoding keeps one iteration per
 // pass: its fractional yield changes the tokens produced from step to
 // step.
-func (e *Engine) runAhead(plan batchPlan, horizon time.Duration) {
-	n := len(plan.decodes)
-	if len(plan.prefills) > 0 || plan.specTokens != 1 || len(e.running) != n || e.waiting.len() > 0 {
-		return
-	}
-	// The stretch stops one step before the first sequence would finish,
-	// so the normal loop retires it.
-	steps, ctxSum := math.MaxInt, 0
-	for _, s := range e.running {
-		if !s.prefillDone() {
-			return // a runner blocked in prefill, not a steady batch
+func (e *Engine) runAhead(horizon time.Duration) bool {
+	if e.ahead.left == 0 {
+		n := len(e.running)
+		if n == 0 || e.waiting.len() > 0 || e.cfg.Stack.Spec.Enabled() {
+			return false
 		}
-		steps = min(steps, s.req.OutputTokens-int(s.decoded)-1)
-		ctxSum += s.ctx()
+		if a := e.nextArrival(); a >= 0 && a <= e.now {
+			return false
+		}
+		steps, ctxSum := math.MaxInt, 0
+		for _, s := range e.running {
+			if !s.prefillDone() {
+				return false // a runner blocked in prefill, not a steady batch
+			}
+			steps = min(steps, s.req.OutputTokens-int(s.decoded))
+			ctxSum += s.ctx()
+		}
+		// Growth is monotone in the step count, so if the stretch's last
+		// step fits in the free blocks no earlier one would have preempted.
+		if free := e.alloc.FreeBlocks(); e.kvGrowth(steps) > free {
+			steps = sort.Search(steps, func(k int) bool { return e.kvGrowth(k) > free }) - 1
+		}
+		if steps <= 0 {
+			// The first step would preempt. kvGrowth(0) can be positive:
+			// the token a prefill emits has no block until the next
+			// decode grows the holding.
+			return false
+		}
+		if e.sloAware {
+			e.orderRunning()
+		}
+		shape := perf.Batch{DecodeSeqs: n}
+		par := e.parFor(shape)
+		e.ahead = stretch{par: par, base: e.cfg.CM.IterBase(par, e.cfg.EP, shape),
+			left: steps, next: e.nextArrival(), ctxSum: ctxSum}
 	}
-	if steps <= 0 {
-		return
-	}
-	// Growth is monotone in the step count, so if the stretch's last step
-	// fits in the free blocks no earlier one would have preempted.
-	if free := e.alloc.FreeBlocks(); e.kvGrowth(steps) > free {
-		steps = sort.Search(steps, func(k int) bool { return e.kvGrowth(k) > free }) - 1
-	}
-	base := e.cfg.CM.IterBase(plan.par, e.cfg.EP, perf.Batch{DecodeSeqs: n})
-	e.ahead = stretch{par: plan.par, base: base, left: steps, next: e.nextArrival(), ctxSum: ctxSum}
 	e.resume(horizon)
+	return true
 }
 
 // resume books the open stretch's steps until it runs out, an arrival
@@ -1362,9 +1384,11 @@ func (e *Engine) resume(horizon time.Duration) {
 }
 
 // settle books the open stretch's unsettled steps into each running
-// sequence's decoded count and KV holding. The stretch stays open. Every
-// reader of per-sequence or allocator state outside the step calls it
-// first.
+// sequence's decoded count and KV holding. Every reader of per-sequence
+// or allocator state outside the step calls it first. A stretch that
+// has run out ends on the step its first sequences finish on (unless KV
+// growth cut it shorter), so settle retires the finished ones at e.now,
+// as apply would have; any other stretch stays open.
 func (e *Engine) settle() {
 	a := &e.ahead
 	k := a.booked
@@ -1380,6 +1404,9 @@ func (e *Engine) settle() {
 	}
 	a.ctxSum += k * len(e.running)
 	a.booked = 0
+	if a.left == 0 {
+		e.retire()
+	}
 }
 
 // endStretch settles the open stretch, if any, and closes it, so the

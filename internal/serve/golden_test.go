@@ -228,6 +228,38 @@ func TestSteadyArrivalAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestWorkCountsPinned pins the engine's work on three fixed runs as
+// exact counts: iters, every iteration run, and plans, the ones
+// scheduled and applied one by one (the rest ran ahead in steady decode
+// stretches). A change that moves work, or moves it between scheduling
+// and running ahead, has to update these numbers and say why.
+func TestWorkCountsPinned(t *testing.T) {
+	cm := llamaCM(t)
+	prefix := tp8Cfg(cm)
+	prefix.PrefixCache = &PrefixCacheConfig{ShareFraction: 0.8}
+	withSLO := Config{CM: cm, Par: perf.Parallelism{SP: 1, TP: 2}}
+	withSLO.Admission = &AdmissionConfig{Policy: AdmissionDeadline}
+	cases := []struct {
+		name         string
+		cfg          Config
+		reqs         []workload.Request
+		iters, plans int
+	}{
+		{"bursty-shift", shiftCfg(cm), trace.Bursty(7, 30*time.Second).Requests, 3862, 119},
+		{"prefix-cache", prefix, sessionedTrace(t, 3, 6).Requests, 2719, 92},
+		{"slo-admission", withSLO, trace.Bursty(5, 30*time.Second).
+			Stamp("interactive", 1, workload.Deadline(2*time.Second, 0)).
+			Stamp("batch", 0, workload.Deadline(8*time.Second, 0)).Requests, 1348, 64},
+	}
+	for _, tc := range cases {
+		e := mustEngine(t, tc.cfg)
+		e.Run(tc.reqs)
+		if e.iters != tc.iters || e.plans != tc.plans {
+			t.Errorf("%s: %d iterations, %d scheduled; pinned %d, %d", tc.name, e.iters, e.plans, tc.iters, tc.plans)
+		}
+	}
+}
+
 // TestGeoRunGolden pins a traced two-region overload cell: every row
 // kind a run can produce (engine-served, shed, cloud-served,
 // shared-cache and crash-dropped) and every breaker transition on both

@@ -38,17 +38,24 @@ func checkKV(e *Engine) error {
 	return e.alloc.CheckInvariant(held)
 }
 
-// stepOne advances e by one scheduling step: one priced iteration, or
-// the idle jump to its next arrival plus the iteration there. It ends
-// any open run-ahead stretch first, so it never resumes one: every step
-// it takes is scheduled.
+// stepOne advances e by one scheduling step: the engine's plan step,
+// price and apply, after the idle jump to its next arrival when nothing
+// can run before it. It never runs a stretch ahead, so every iteration
+// it takes is scheduled: it is the reference run-ahead is checked
+// against.
 func stepOne(e *Engine) {
-	e.endStretch()
-	h := e.now + 1
-	if a := e.nextArrival(); len(e.running) == 0 && a >= h {
-		h = a + 1
+	for {
+		plan := e.nextPlan(true)
+		if !plan.empty() {
+			cost := e.price(&plan)
+			e.apply(plan, cost, e.now+cost.Total())
+			return
+		}
+		if e.finished() {
+			return
+		}
+		e.now = e.nextArrival()
 	}
-	e.stepUntil(h, true)
 }
 
 // TestKVHoldingsConservedEveryIteration steps a bursty Shift engine, a
@@ -166,9 +173,10 @@ func TestSteadyIterationAllocatesNothing(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, iterate); allocs != 0 {
 		t.Fatalf("one steady iteration allocates %.1f times, want 0", allocs)
 	}
-	// The first horizon opens a stretch: one scheduled iteration, then
-	// steady steps that only price and book. Every later one resumes it.
-	iters, resumed := e.iters, 0
+	// The first horizon starts a stretch from the steady state without
+	// scheduling, and every later one resumes it: each step only prices
+	// and books.
+	iters, plans, resumed := e.iters, e.plans, 0
 	stretch := func() {
 		if e.ahead.left > 0 {
 			resumed++
@@ -177,6 +185,9 @@ func TestSteadyIterationAllocatesNothing(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, stretch); allocs != 0 {
 		t.Fatalf("one run-ahead stretch allocates %.1f times, want 0", allocs)
+	}
+	if e.plans != plans {
+		t.Fatalf("a steady engine scheduled %d iterations, want 0", e.plans-plans)
 	}
 	if e.iters-iters < 2*101 || resumed < 100 {
 		t.Fatalf("test premise broken: %d iterations, %d resumes over 101 horizons", e.iters-iters, resumed)

@@ -16,8 +16,8 @@ import (
 
 // steadyDecode reports whether e's next iteration would be a steady
 // decode step, one a run-ahead stretch may skip scheduling for: every
-// runner decodes, none finishes on it, nothing waits and no arrival is
-// due.
+// runner decodes (some may finish on it), nothing waits and no arrival
+// is due.
 func steadyDecode(e *Engine) bool {
 	if len(e.running) == 0 || e.waiting.len() > 0 {
 		return false
@@ -26,7 +26,7 @@ func steadyDecode(e *Engine) bool {
 		return false
 	}
 	for _, s := range e.running {
-		if !s.prefillDone() || int(s.decoded)+1 >= s.req.OutputTokens {
+		if !s.prefillDone() {
 			return false
 		}
 	}
@@ -249,6 +249,48 @@ func TestRunAheadReleasesShedLatch(t *testing.T) {
 	}
 	if e.admission.shedding {
 		t.Fatal("the shed latch outlived the empty queue the stretch ran with")
+	}
+}
+
+// TestRunAheadOrdersRunningQueue: under SLO scheduling every scheduled
+// iteration puts the running queue in priority order, so a stretch that
+// starts without scheduling must order it too. Two batch runners decode
+// when an interactive request of higher priority is admitted behind
+// them; once its prefill is done the engine runs ahead, and a crash
+// drain then reports the running queue. It must be in the stepped
+// engine's order, the interactive request first.
+func TestRunAheadOrdersRunningQueue(t *testing.T) {
+	reqs := []workload.Request{
+		{ID: 0, InputTokens: 512, OutputTokens: 4000, Class: "batch"},
+		{ID: 1, InputTokens: 512, OutputTokens: 4000, Class: "batch"},
+		{ID: 2, Arrival: time.Second, InputTokens: 512, OutputTokens: 4000, Class: "interactive", Priority: 1},
+	}
+	lostIDs := func(advance func(e *Engine)) []int {
+		e := mustEngine(t, tp8Cfg(llamaCM(t)))
+		for _, r := range reqs {
+			e.enqueue(r)
+		}
+		advance(e)
+		for _, s := range e.running {
+			if !s.prefillDone() || len(e.running) != 3 {
+				t.Fatal("test premise broken: the three requests are not all decoding at 2 s")
+			}
+		}
+		lost, _ := e.crashDrain()
+		var ids []int
+		for _, r := range lost {
+			ids = append(ids, r.ID)
+		}
+		return ids
+	}
+	stepped := lostIDs(func(e *Engine) {
+		for e.now < 2*time.Second {
+			stepOne(e)
+		}
+	})
+	ran := lostIDs(func(e *Engine) { e.stepUntil(2*time.Second, true) })
+	if want := []int{2, 0, 1}; !reflect.DeepEqual(stepped, want) || !reflect.DeepEqual(ran, stepped) {
+		t.Fatalf("lost in order %v after running ahead, %v after stepping, want %v", ran, stepped, want)
 	}
 }
 
