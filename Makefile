@@ -14,6 +14,11 @@ FUZZTIME ?= 10s
 # was shared with the engine loop, 95.4% after; the margin absorbs
 # counting noise, not deleted tests).
 COVERFLOOR ?= 92.0
+# Combined statement-coverage floor for the functional engine: tensor,
+# comm, parallel, kvcache, core and transformer (the cover target
+# measured 95.7% once the forwards ran out of per-rank workspaces; the
+# margin absorbs counting noise, not deleted tests).
+COVERFLOOR_FN ?= 94.0
 
 .PHONY: ci fmt vet test race bench examples golden bench-json bench-check trace-smoke perfbench build docs fuzz fuzz-short cover
 
@@ -135,18 +140,31 @@ fuzz:
 fuzz-short:
 	@$(MAKE) --no-print-directory FUZZTIME=2s fuzz
 
-# Combined statement coverage of the serving simulator and the scenario
-# registry, enforced against the recorded floor so the property/fuzz
-# test layer cannot silently rot.
-cover:
+# Combined statement coverage, enforced against a recorded floor per
+# figure so the property/fuzz test layer cannot silently rot: one figure
+# for the serving simulator and the scenario registry, one for the
+# functional engine (kernels, collectives, forwards, KV cache).
+COVER_SERVE := ./internal/serve/... ./internal/scenario/...
+COVER_FN := ./internal/tensor/... ./internal/comm/... ./internal/parallel/... \
+	./internal/kvcache/... ./internal/core/... ./internal/transformer/...
+comma := ,
+space := $(subst ,, )
+
+# cover-gate runs the tests of packages $(2) measuring coverage over
+# them together, prints the total as figure $(1), and fails below $(3)%.
+define cover-gate
 	@$(GO) test -count=1 -coverprofile=.cover.out \
-		-coverpkg=./internal/serve/...,./internal/scenario/... \
-		./internal/serve/... ./internal/scenario/... > /dev/null
+		-coverpkg=$(subst $(space),$(comma),$(strip $(2))) $(2) > /dev/null
 	@total="$$($(GO) tool cover -func=.cover.out | awk '/^total:/ {sub(/%/,"",$$NF); print $$NF}')"; \
 	rm -f .cover.out; \
-	echo "cover: $$total% of statements (floor $(COVERFLOOR)%)"; \
-	awk -v t="$$total" -v f="$(COVERFLOOR)" 'BEGIN { exit (t+0 < f+0) }' || \
-		{ echo "cover: $$total% fell below the $(COVERFLOOR)% floor"; exit 1; }
+	echo "cover $(1): $$total% of statements (floor $(3)%)"; \
+	awk -v t="$$total" -v f="$(3)" 'BEGIN { exit (t+0 < f+0) }' || \
+		{ echo "cover $(1): $$total% fell below the $(3)% floor"; exit 1; }
+endef
+
+cover:
+	$(call cover-gate,serve+scenario,$(COVER_SERVE),$(COVERFLOOR))
+	$(call cover-gate,functional engine,$(COVER_FN),$(COVERFLOOR_FN))
 
 # Documentation lint: formatting, vet, and a package comment on every
 # internal package (godoc's "Package <name> ..." convention).

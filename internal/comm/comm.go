@@ -24,6 +24,13 @@ var ErrPoisoned = errors.New("comm: group poisoned by peer panic")
 
 // Group is a communicator over n ranks. Create one with NewGroup and hand
 // the same *Group to every participating goroutine.
+//
+// A group's steady-state collectives allocate nothing: contributions sit
+// in typed per-rank slots, and the published copy of them and the
+// all-reduce sum live in buffers the group reuses. Reuse is safe because
+// the last rank to arrive at a collective is the only writer of both,
+// and it writes only once all n ranks have arrived, so every rank has
+// left the previous collective of that kind and finished reading it.
 type Group struct {
 	n int
 
@@ -32,13 +39,30 @@ type Group struct {
 	arrived  int
 	leaving  int
 	seq      uint64
-	slots    []any
-	ready    []any
-	reduced  any
 	op       string
 	poisoned bool
 
+	vecs  slots[[]float64]   // AllReduce contributions
+	sends slots[[][]float64] // AllToAll send sets
+	sum   []float64          // AllReduce's sum; nil after a length mismatch
+
 	stats Stats
+}
+
+// slots holds one collective kind's contributions by rank: in is
+// written by each rank as it arrives, and ready is the copy the last
+// arrival publishes for every rank to read once the rendezvous ends.
+type slots[T any] struct{ in, ready []T }
+
+func newSlots[T any](n int) slots[T] {
+	return slots[T]{in: make([]T, n), ready: make([]T, n)}
+}
+
+// publish moves the contributions to ready, dropping the slots' hold on
+// the callers' buffers.
+func (s *slots[T]) publish() {
+	copy(s.ready, s.in)
+	clear(s.in)
 }
 
 // Counters is a lock-free copy of a group's traffic counters: rank 0's
@@ -68,7 +92,7 @@ func NewGroup(n int) *Group {
 	if n <= 0 {
 		panic(fmt.Sprintf("comm: group size %d", n))
 	}
-	g := &Group{n: n, slots: make([]any, n)}
+	g := &Group{n: n, vecs: newSlots[[]float64](n), sends: newSlots[[][]float64](n)}
 	g.cond = sync.NewCond(&g.mu)
 	return g
 }
@@ -79,14 +103,14 @@ func (g *Group) Size() int { return g.n }
 // Stats returns the group's traffic counters.
 func (g *Group) Stats() *Stats { return &g.stats }
 
-// exchange is the rendezvous primitive underlying every collective: each
-// rank contributes v and receives the slice of all ranks' contributions,
-// indexed by rank. The op string guards against mismatched collectives
-// (caught loudly instead of deadlocking). If reduce is non-nil, the last
-// rank to arrive calls it once on the contributions while every other
-// rank is still blocked in the rendezvous, and all ranks receive its
-// result.
-func (g *Group) exchange(rank int, op string, v any, reduce func(parts []any) any) (parts []any, reduced any) {
+// exchange is the rendezvous primitive underlying every collective:
+// each rank calls put under the group's lock to place its contribution
+// in its slot, and the last rank to arrive calls publish once, still
+// under the lock and while every other rank is blocked in the
+// rendezvous, to publish the contributions (and reduce them). Every rank
+// returns after publish. The op string guards against mismatched
+// collectives (caught loudly instead of deadlocking).
+func (g *Group) exchange(rank int, op string, put, publish func()) {
 	if rank < 0 || rank >= g.n {
 		panic(fmt.Sprintf("comm: rank %d out of group size %d", rank, g.n))
 	}
@@ -106,19 +130,11 @@ func (g *Group) exchange(rank int, op string, v any, reduce func(parts []any) an
 		g.poisonLocked()
 		panic(fmt.Sprintf("comm: rank %d called %s while group is in %s", rank, op, g.op))
 	}
-	g.slots[rank] = v
+	put()
 	g.arrived++
 	seq := g.seq
 	if g.arrived == g.n {
-		g.ready = make([]any, g.n)
-		copy(g.ready, g.slots)
-		g.reduced = nil
-		if reduce != nil {
-			g.reduced = reduce(g.ready)
-		}
-		for i := range g.slots {
-			g.slots[i] = nil
-		}
+		publish()
 		g.arrived = 0
 		g.leaving = g.n
 		g.seq++
@@ -131,12 +147,10 @@ func (g *Group) exchange(rank int, op string, v any, reduce func(parts []any) an
 			panic(ErrPoisoned)
 		}
 	}
-	parts, reduced = g.ready, g.reduced
 	g.leaving--
 	if g.leaving == 0 {
 		g.cond.Broadcast()
 	}
-	return parts, reduced
 }
 
 // Poison wakes all blocked ranks with a panic; used when a peer dies.
@@ -152,24 +166,29 @@ func (g *Group) poisonLocked() {
 }
 
 // AllReduce sums vecs elementwise across all ranks, in place. Every rank
-// must pass a slice of the same length.
+// must pass a slice of the same length. vec may be rewritten as soon as
+// the call returns.
 //
 // The sum is computed once: the last rank to arrive adds the
 // contributions in rank order, while the others are blocked in the
-// rendezvous and so not yet writing their vecs, into a fresh slice that
-// every rank then copies out. A fresh slice per call keeps a slow
-// reader of this call's sum safe from the next call's reduction.
+// rendezvous and so not yet writing their vecs, into the group's one sum
+// buffer, which every rank then copies out. Reusing that buffer is safe:
+// the next reduction on the group runs only after all n ranks have
+// arrived at the next collective, and a rank arrives only after it has
+// copied this sum.
 func (g *Group) AllReduce(rank int, vec []float64) {
-	parts, reduced := g.exchange(rank, "allreduce", vec, sumParts)
-	first := parts[0].([]float64)
+	g.exchange(rank, "allreduce", func() { g.vecs.in[rank] = vec }, func() {
+		g.vecs.publish()
+		g.reduce()
+	})
+	parts := g.vecs.ready
 	for r := 1; r < g.n; r++ {
-		p := parts[r].([]float64)
-		if len(p) != len(first) {
+		if len(parts[r]) != len(parts[0]) {
 			g.Poison()
-			panic(fmt.Sprintf("comm: allreduce length mismatch rank %d: %d != %d", r, len(p), len(first)))
+			panic(fmt.Sprintf("comm: allreduce length mismatch rank %d: %d != %d", r, len(parts[r]), len(parts[0])))
 		}
 	}
-	copy(vec, reduced.([]float64))
+	copy(vec, g.sum)
 
 	if rank == 0 && g.n > 1 {
 		g.stats.mu.Lock()
@@ -180,39 +199,51 @@ func (g *Group) AllReduce(rank int, vec []float64) {
 	}
 }
 
-// sumParts is AllReduce's reduction: the elementwise sum of the ranks'
-// vectors, added in rank order onto zeros, or nil if their lengths
-// differ (every rank then reports the mismatch).
-func sumParts(parts []any) any {
-	n := len(parts[0].([]float64))
+// reduce is AllReduce's reduction: the elementwise sum of the published
+// vectors, added in rank order onto zeros, into g.sum, or a nil g.sum if
+// their lengths differ (every rank then reports the mismatch).
+func (g *Group) reduce() {
+	parts := g.vecs.ready
+	n := len(parts[0])
 	for _, p := range parts {
-		if len(p.([]float64)) != n {
-			return nil
+		if len(p) != n {
+			g.sum = nil
+			return
 		}
 	}
-	sum := make([]float64, n)
+	if cap(g.sum) < n {
+		g.sum = make([]float64, n)
+	}
+	g.sum = g.sum[:n]
+	clear(g.sum)
 	for _, p := range parts {
-		for i, x := range p.([]float64) {
-			sum[i] += x
+		for i, x := range p {
+			g.sum[i] += x
 		}
 	}
-	return sum
 }
 
 // AllToAll performs the Ulysses exchange: rank i passes send with
 // len(send) == n, and receives recv with recv[j] = what rank j addressed
-// to rank i. Received slices alias the sender's buffers; callers must not
-// mutate sent buffers after the call.
+// to rank i. Received slices alias the senders' buffers, so a rank may
+// rewrite a buffer it sent only once the group's next collective has
+// returned on it: every rank has then arrived there, done with this
+// call's recv. Until then neither sender nor receiver may write them.
 func (g *Group) AllToAll(rank int, send [][]float64) [][]float64 {
-	if len(send) != g.n {
+	return g.AllToAllInto(rank, send, make([][]float64, g.n))
+}
+
+// AllToAllInto is AllToAll filling the caller's recv (len n) instead of
+// allocating one, and returning it.
+func (g *Group) AllToAllInto(rank int, send, recv [][]float64) [][]float64 {
+	if len(send) != g.n || len(recv) != g.n {
 		g.Poison()
-		panic(fmt.Sprintf("comm: alltoall rank %d send has %d chunks, want %d", rank, len(send), g.n))
+		panic(fmt.Sprintf("comm: alltoall rank %d send has %d chunks and recv %d, want %d", rank, len(send), len(recv), g.n))
 	}
-	parts, _ := g.exchange(rank, "alltoall", send, nil)
-	recv := make([][]float64, g.n)
+	g.exchange(rank, "alltoall", func() { g.sends.in[rank] = send }, g.sends.publish)
 	var offDiag float64
-	for j := 0; j < g.n; j++ {
-		recv[j] = parts[j].([][]float64)[rank]
+	for j, sent := range g.sends.ready {
+		recv[j] = sent[rank]
 		if j != rank {
 			offDiag += float64(len(send[j]))
 		}
@@ -239,27 +270,15 @@ func Run[T any](n int, fn func(g *Group, rank int) T) []T {
 // traffic stats across calls).
 func RunGroup[T any](g *Group, fn func(g *Group, rank int) T) []T {
 	n := g.Size()
-	results := make([]T, n)
-	panics := make([]any, n)
-	var wg sync.WaitGroup
-	for r := 0; r < n; r++ {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			defer func() {
-				if p := recover(); p != nil {
-					panics[rank] = p
-					// Unblock peers stuck in a collective.
-					g.Poison()
-				}
-			}()
-			results[rank] = fn(g, rank)
-		}(r)
+	r := &run[T]{g: g, fn: fn, results: make([]T, n), panics: make([]any, n)}
+	r.wg.Add(n)
+	for rank := 0; rank < n; rank++ {
+		go r.rank(rank)
 	}
-	wg.Wait()
+	r.wg.Wait()
 	// Prefer the root-cause panic over secondary ErrPoisoned ones.
 	var poisonPanic any
-	for _, p := range panics {
+	for _, p := range r.panics {
 		if p == nil {
 			continue
 		}
@@ -272,5 +291,28 @@ func RunGroup[T any](g *Group, fn func(g *Group, rank int) T) []T {
 	if poisonPanic != nil {
 		panic(poisonPanic)
 	}
-	return results
+	return r.results
+}
+
+// run is one RunGroup call's shared state, allocated once for all its
+// rank goroutines.
+type run[T any] struct {
+	g       *Group
+	fn      func(g *Group, rank int) T
+	results []T
+	panics  []any
+	wg      sync.WaitGroup
+}
+
+// rank runs fn as one rank, recording its result or its panic.
+func (r *run[T]) rank(rank int) {
+	defer r.wg.Done()
+	defer func() {
+		if p := recover(); p != nil {
+			r.panics[rank] = p
+			// Unblock peers stuck in a collective.
+			r.g.Poison()
+		}
+	}()
+	r.results[rank] = r.fn(r.g, rank)
 }

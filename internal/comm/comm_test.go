@@ -338,3 +338,98 @@ func TestRankOutOfRangePanics(t *testing.T) {
 	}()
 	g.AllReduce(5, []float64{1})
 }
+
+// Hundreds of back-to-back collectives on one group, each rank sending a
+// different payload on every call and reusing its buffers exactly as the
+// contracts allow: an AllReduce vec is rewritten as soon as the call
+// returns, and the two AllToAll send sets alternate, so a set is
+// rewritten once the group's next collective (the other set's AllToAll)
+// has returned. Every result must be exact; run under -race.
+func TestCollectivesReuseBuffersAsContracted(t *testing.T) {
+	const n, calls, width = 4, 300, 5
+	payload := func(call, from, to, i int) float64 { return float64(call*10000 + from*1000 + to*100 + i) }
+	// A rank that saw a wrong value keeps calling, so its peers never
+	// hang in a collective it skipped; it reports only its first error.
+	Run(n, func(g *Group, rank int) int {
+		bad := false
+		// check compares element i of recv[from], or of the all-reduce
+		// sum when from is -1.
+		check := func(call, from, i int, got, want float64) {
+			if got != want && !bad {
+				bad = true
+				t.Errorf("call %d rank %d from %d elem %d = %v, want %v", call, rank, from, i, got, want)
+			}
+		}
+		var sends [2][][]float64
+		for s := range sends {
+			sends[s] = make([][]float64, n)
+			for j := range sends[s] {
+				sends[s][j] = make([]float64, width)
+			}
+		}
+		recv := make([][]float64, n)
+		vec := make([]float64, width)
+		for call := 0; call < calls; call++ {
+			send := sends[call%2]
+			for j, buf := range send {
+				for i := range buf {
+					buf[i] = payload(call, rank, j, i)
+				}
+			}
+			g.AllToAllInto(rank, send, recv)
+			for j, got := range recv {
+				for i, x := range got {
+					check(call, j, i, x, payload(call, j, rank, i))
+				}
+			}
+			if call%3 != 0 {
+				continue
+			}
+			for i := range vec {
+				vec[i] = payload(call, rank, 0, i)
+			}
+			g.AllReduce(rank, vec)
+			for i, x := range vec {
+				want := 0.0
+				for r := 0; r < n; r++ {
+					want += payload(call, r, 0, i)
+				}
+				check(call, -1, i, x, want)
+			}
+		}
+		return 0
+	})
+}
+
+// Steady-state collectives allocate nothing: the contributions, their
+// published copy and the sum live in the group's reused buffers.
+func TestSteadyStateCollectivesAllocateNothing(t *testing.T) {
+	const n, runs = 4, 50
+	g := NewGroup(n)
+	vec := make([]float64, 8)
+	send := [][]float64{{1}, {2}, {3}, {4}}
+	collectives := func(rank int, recv [][]float64) {
+		g.AllReduce(rank, vec)
+		g.AllToAllInto(rank, send, recv)
+	}
+	done := make(chan struct{})
+	for r := 1; r < n; r++ {
+		go func(rank int) {
+			defer func() { done <- struct{}{} }()
+			recv := make([][]float64, n)
+			own := make([]float64, len(vec))
+			for i := 0; i < runs+1; i++ {
+				g.AllReduce(rank, own)
+				g.AllToAllInto(rank, send, recv)
+			}
+		}(r)
+	}
+	recv := make([][]float64, n)
+	allocs := testing.AllocsPerRun(runs, func() { collectives(0, recv) })
+	for r := 1; r < n; r++ {
+		<-done
+	}
+	if allocs != 0 {
+		t.Fatalf("a steady AllReduce plus AllToAllInto allocated %v objects, want 0", allocs)
+	}
+}

@@ -28,19 +28,7 @@ func TestFunctionalShiftOutputsPinned(t *testing.T) {
 		wantEven = 0xc08301564b6b2dbc
 		wantOdd  = 0xc09bc5426bf15cac
 	)
-	lay := parallel.Layout{
-		Cfg: transformer.Config{Layers: 4, Hidden: 64, QHeads: 8, KVHeads: 2, FFN: 256},
-		SP:  4, TP: 2,
-	}
-	s, err := New(transformer.NewWeights(lay.Cfg, 42), lay, Options{Threshold: 32})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := tensor.NewRNG(7)
-	batch := make([]transformer.Chunk, seqs)
-	for i := range batch {
-		batch[i] = transformer.Chunk{Seq: i, X: rng.RandMatrix(prompt, lay.Cfg.Hidden, 1)}
-	}
+	s, batch := pinnedUnit(t, seqs, prompt)
 	h := fnv.New64a()
 	var buf [8]byte
 	hash := func(m *tensor.Matrix) {
@@ -74,5 +62,58 @@ func TestFunctionalShiftOutputsPinned(t *testing.T) {
 		if got := math.Float64bits(c.Fingerprint()); got != want {
 			t.Errorf("rank %d cache fingerprint bits = %#x, want %#x", g, got, want)
 		}
+	}
+}
+
+// pinnedUnit returns a fresh Shift engine for the functional-shift unit
+// and its prefill batch of seqs prompts of the given length.
+func pinnedUnit(t *testing.T, seqs, prompt int) (*Shift, []transformer.Chunk) {
+	t.Helper()
+	lay := parallel.Layout{
+		Cfg: transformer.Config{Layers: 4, Hidden: 64, QHeads: 8, KVHeads: 2, FFN: 256},
+		SP:  4, TP: 2,
+	}
+	s, err := New(transformer.NewWeights(lay.Cfg, 42), lay, Options{Threshold: 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := tensor.NewRNG(7)
+	batch := make([]transformer.Chunk, seqs)
+	for i := range batch {
+		batch[i] = transformer.Chunk{Seq: i, X: rng.RandMatrix(prompt, lay.Cfg.Hidden, 1)}
+	}
+	return s, batch
+}
+
+// TestSteadyStepAllocationsPinned warms a Shift engine with the
+// functional-shift unit's prefill (which grows the base engine's
+// workspaces) and one decode step (the shift engine's, and the KV
+// caches' growth past the prompt), then pins the heap allocations of
+// one more decode step on the shift config and of one on the base
+// config. The steps measured stay clear of the next KV growth (at 65
+// cached tokens), so what they allocate is the forward's own: the
+// output matrix, the Forward closure, and the rank group's state and
+// goroutines. Everything else comes from the engines' workspaces and
+// the groups' reused buffers; a forward that allocated per layer, head
+// or collective again would multiply these counts. Before the
+// workspaces the same steps allocated 3,097 (shift) and 4,741 (base).
+func TestSteadyStepAllocationsPinned(t *testing.T) {
+	const seqs, prompt = 8, 32
+	const wantShift, wantBase = 14, 14
+	s, batch := pinnedUnit(t, seqs, prompt)
+	out := s.Forward(batch)
+	for i := range batch {
+		batch[i] = transformer.Chunk{Seq: i, X: nextToken(out, (i+1)*prompt-1)}
+	}
+	s.Forward(batch)
+	// Each AllocsPerRun runs one unmeasured step before the measured one.
+	if got := testing.AllocsPerRun(1, func() { s.ForwardMode(parallel.ModeTP, batch) }); got != wantShift {
+		t.Errorf("a steady shift (full-TP) decode step allocated %v objects, want %d", got, wantShift)
+	}
+	if got := testing.AllocsPerRun(1, func() { s.ForwardMode(parallel.ModeSP, batch) }); got != wantBase {
+		t.Errorf("a steady base (SP, TP) decode step allocated %v objects, want %d", got, wantBase)
+	}
+	if lens := s.Caches()[0].Len(0); lens != prompt+5 {
+		t.Fatalf("cache holds %d tokens after the steps, want %d", lens, prompt+5)
 	}
 }

@@ -16,7 +16,9 @@ import (
 	"repro/internal/transformer"
 )
 
-// Shift is the Shift Parallelism engine.
+// Shift is the Shift Parallelism engine. Its forwards are not safe for
+// concurrent use: both engines append to the one set of caches (see
+// parallel.Engine).
 type Shift struct {
 	// Threshold is the batched-token count above which the base (SP, TP)
 	// configuration runs; at or below it the shift (full TP) runs.

@@ -44,6 +44,8 @@ func NewCache(layers, heads, headDim int) *Cache {
 	return &Cache{Layers: layers, Heads: heads, HeadDim: headDim, seqs: make(map[int]*seqKV)}
 }
 
+// seq returns the sequence's entry, creating it: only Append calls it.
+// Reads go through rows, so reading a sequence never caches it.
 func (c *Cache) seq(id int) *seqKV {
 	s, ok := c.seqs[id]
 	if !ok {
@@ -64,7 +66,16 @@ func makeLayerHeads(layers, heads int) [][][]float64 {
 	return out
 }
 
-func (s *seqKV) kv() ([][][]float64, [][][]float64) { return s.k, s.v }
+// rows returns the flattened key and value rows cached for (seq,
+// layer, head), nil for a sequence the cache does not hold.
+func (c *Cache) rows(seqID, layer, head int) (k, v []float64) {
+	c.checkIndex(layer, head)
+	s, ok := c.seqs[seqID]
+	if !ok {
+		return nil, nil
+	}
+	return s.k[layer][head], s.v[layer][head]
+}
 
 // Append adds one token's key and value rows for (layer, local head).
 // Rows are copied.
@@ -73,9 +84,9 @@ func (c *Cache) Append(seqID, layer, head int, kRow, vRow []float64) {
 	if len(kRow) != c.HeadDim || len(vRow) != c.HeadDim {
 		panic(fmt.Sprintf("kvcache: row dim %d/%d, want %d", len(kRow), len(vRow), c.HeadDim))
 	}
-	k, v := c.seq(seqID).kv()
-	k[layer][head] = append(k[layer][head], kRow...)
-	v[layer][head] = append(v[layer][head], vRow...)
+	s := c.seq(seqID)
+	s.k[layer][head] = append(s.k[layer][head], kRow...)
+	s.v[layer][head] = append(s.v[layer][head], vRow...)
 }
 
 func (c *Cache) checkIndex(layer, head int) {
@@ -91,11 +102,10 @@ func (c *Cache) Len(seqID int) int {
 	if !ok {
 		return 0
 	}
-	k, _ := s.kv()
 	max := 0
-	for l := range k {
-		for h := range k[l] {
-			if n := len(k[l][h]); n > max {
+	for l := range s.k {
+		for h := range s.k[l] {
+			if n := len(s.k[l][h]); n > max {
 				max = n
 			}
 		}
@@ -103,18 +113,17 @@ func (c *Cache) Len(seqID int) int {
 	return max / c.HeadDim
 }
 
-// K returns the cached keys for (seq, layer, head) as an n x HeadDim matrix.
+// K returns the cached keys for (seq, layer, head) as an n x HeadDim
+// matrix; n is 0 for a sequence the cache does not hold.
 func (c *Cache) K(seqID, layer, head int) *tensor.Matrix {
-	c.checkIndex(layer, head)
-	k, _ := c.seq(seqID).kv()
-	return rowsToMatrix(k[layer][head], c.HeadDim)
+	k, _ := c.rows(seqID, layer, head)
+	return rowsToMatrix(k, c.HeadDim)
 }
 
 // V returns the cached values for (seq, layer, head) as an n x HeadDim matrix.
 func (c *Cache) V(seqID, layer, head int) *tensor.Matrix {
-	c.checkIndex(layer, head)
-	_, v := c.seq(seqID).kv()
-	return rowsToMatrix(v[layer][head], c.HeadDim)
+	_, v := c.rows(seqID, layer, head)
+	return rowsToMatrix(v, c.HeadDim)
 }
 
 // Views returns the cached keys and values for (seq, layer, head) as
@@ -123,14 +132,23 @@ func (c *Cache) V(seqID, layer, head int) *tensor.Matrix {
 // later Append leaves their n rows as they are (it may move the storage)
 // and is seen by the next Views call, not by these matrices.
 func (c *Cache) Views(seqID, layer, head int) (k, v *tensor.Matrix) {
-	c.checkIndex(layer, head)
-	ks, vs := c.seq(seqID).kv()
-	return rowsView(ks[layer][head], c.HeadDim), rowsView(vs[layer][head], c.HeadDim)
+	k, v = &tensor.Matrix{}, &tensor.Matrix{}
+	c.ViewsInto(k, v, seqID, layer, head)
+	return k, v
 }
 
-func rowsView(flat []float64, dim int) *tensor.Matrix {
+// ViewsInto is Views filling the caller's matrix headers k and v
+// instead of allocating two: their Data alias the cache's storage, read
+// only, with the same rules as Views'.
+func (c *Cache) ViewsInto(k, v *tensor.Matrix, seqID, layer, head int) {
+	ks, vs := c.rows(seqID, layer, head)
+	rowsView(k, ks, c.HeadDim)
+	rowsView(v, vs, c.HeadDim)
+}
+
+func rowsView(m *tensor.Matrix, flat []float64, dim int) {
 	n := len(flat) / dim
-	return &tensor.Matrix{Rows: n, Cols: dim, Data: flat[: n*dim : n*dim]}
+	*m = tensor.Matrix{Rows: n, Cols: dim, Data: flat[: n*dim : n*dim]}
 }
 
 func rowsToMatrix(flat []float64, dim int) *tensor.Matrix {
@@ -167,7 +185,7 @@ func (c *Cache) Fingerprint() float64 {
 		h = h*1.000000119 + x*math.Cos(h*1e-3+1)
 	}
 	for _, id := range c.Sequences() {
-		k, v := c.seq(id).kv()
+		k, v := c.seqs[id].k, c.seqs[id].v
 		mix(float64(id))
 		for l := 0; l < c.Layers; l++ {
 			for hh := 0; hh < c.Heads; hh++ {

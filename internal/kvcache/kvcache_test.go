@@ -316,3 +316,55 @@ func TestCacheViewsAliasWhileKVCopy(t *testing.T) {
 		t.Fatalf("unwritten head views = %+v, %+v", ek, ev)
 	}
 }
+
+// Reading a sequence the cache does not hold, through every read path,
+// returns 0-row matrices and leaves the cache as it was: no new entry in
+// Sequences, the same Fingerprint, still Equal to an untouched cache.
+func TestCacheReadOfUnknownSeqChangesNothing(t *testing.T) {
+	c, untouched := NewCache(2, 2, 3), NewCache(2, 2, 3)
+	for _, cc := range []*Cache{c, untouched} {
+		cc.Append(1, 1, 0, row(3, 1), row(3, 2))
+	}
+	fp := c.Fingerprint()
+	var kh, vh tensor.Matrix
+	c.ViewsInto(&kh, &vh, 99, 1, 1)
+	ek, ev := c.Views(99, 0, 0)
+	for name, m := range map[string]*tensor.Matrix{
+		"K": c.K(99, 1, 0), "V": c.V(99, 0, 1), "Views k": ek, "Views v": ev, "ViewsInto k": &kh, "ViewsInto v": &vh,
+	} {
+		if m.Rows != 0 || m.Cols != 3 || len(m.Data) != 0 {
+			t.Errorf("%s of unknown seq = %dx%d with %d elements, want 0x3 and none", name, m.Rows, m.Cols, len(m.Data))
+		}
+	}
+	if seqs := c.Sequences(); len(seqs) != 1 || seqs[0] != 1 {
+		t.Errorf("sequences after reads = %v, want [1]", seqs)
+	}
+	if got := c.Fingerprint(); got != fp {
+		t.Errorf("fingerprint moved from %v to %v", fp, got)
+	}
+	if !Equal(c, untouched, 0) {
+		t.Error("reads made the cache differ from an untouched one")
+	}
+}
+
+// ViewsInto fills the caller's headers with the same aliasing views
+// Views returns, and refills them on reuse.
+func TestCacheViewsIntoFillsHeaders(t *testing.T) {
+	c := NewCache(1, 1, 2)
+	c.Append(0, 0, 0, []float64{1, 2}, []float64{3, 4})
+	c.Append(1, 0, 0, []float64{5, 6}, []float64{7, 8})
+	c.Append(1, 0, 0, []float64{9, 10}, []float64{11, 12})
+	var k, v tensor.Matrix
+	c.ViewsInto(&k, &v, 1, 0, 0)
+	if k.Rows != 2 || k.At(1, 1) != 10 || v.At(0, 0) != 7 {
+		t.Fatalf("ViewsInto k=%+v v=%+v", k, v)
+	}
+	c.ViewsInto(&k, &v, 0, 0, 0)
+	if k.Rows != 1 || k.At(0, 0) != 1 || v.At(0, 1) != 4 {
+		t.Fatalf("refilled ViewsInto k=%+v v=%+v", k, v)
+	}
+	k.Set(0, 0, 50)
+	if c.K(0, 0, 0).At(0, 0) != 50 {
+		t.Fatal("ViewsInto copied the stored rows instead of aliasing them")
+	}
+}

@@ -38,6 +38,14 @@ func (m Mode) String() string {
 // Engines may share Caches (that is exactly what Shift Parallelism does:
 // the base and shift engines of internal/core are two Engines over the
 // same cache slice).
+//
+// A forward allocates only what outlives it: its output matrix, the KV
+// rows it appends to the caches, and the goroutines and closures of its
+// rank group. Each rank computes out of its own workspace, which grows
+// on its first forward and is reused across layers and forwards. Forward
+// is not safe to call concurrently with itself, or with the Forward of
+// an engine sharing its caches: it appends to the shared caches and
+// rewrites the engine's workspaces.
 type Engine struct {
 	W      *transformer.Weights
 	Lay    Layout
@@ -47,6 +55,48 @@ type Engine struct {
 	world    *comm.Group
 	spGroups []*comm.Group // indexed by t; communicator of SP group {(s,t): s}
 	tpGroups []*comm.Group // indexed by s; communicator of TP group {(s,t): t}
+
+	ranks []rankPlan  // by global rank: its fixed share of the weights and heads
+	ws    []workspace // by global rank: its scratch, written only by that rank
+
+	// The batch of the running forward, flattened once for every rank:
+	// its activations, each chunk's row span in them, and each chunk's
+	// sequence history length before this iteration.
+	x     tensor.Matrix
+	spans [][2]int
+	prevs []int
+}
+
+// rankPlan is one rank's fixed share of a forward, derived once from the
+// weights and layout in NewEngine. Under ModeTP a rank projects and
+// attends with its own heads and holds 1/World() of the MLP; under
+// ModeSP it projects with its TP shard's heads, attends with its own
+// after the all-to-all, and holds 1/TP of the MLP.
+type rankPlan struct {
+	qHeads, kvHeads []int // attention heads (QHeadsOf, KVHeadsOf)
+	// Column ranges of Wq and of Wk/Wv the QKV GEMMs read; [qLo, qHi)
+	// is also the range of Wo rows the O GEMM reads.
+	qLo, qHi, kvLo, kvHi int
+	ffnLo, ffnHi         int             // Wup columns and Wdown rows
+	wo, wdown            []tensor.Matrix // by layer: views of those Wo and Wdown rows
+}
+
+// workspace is one rank's scratch: every matrix and buffer a layer
+// needs, reshaped for each use (tensor.Resize) and kept across layers
+// and forwards.
+type workspace struct {
+	x, xn, q, k, v, attn, o, up, down tensor.Matrix
+	// Attention of one (sequence, head): its q rows, its scores, and the
+	// headers of its cached K and V.
+	qh, scores, kc, vc tensor.Matrix
+	// ModeSP: the head-parallel q/k/v the first all-to-all delivers, the
+	// O GEMM's input gathered by the second, and both all-to-alls' send
+	// sets and receive headers. A send set may be rewritten once the SP
+	// group's next collective has returned (comm.AllToAll), and the
+	// other set's all-to-all always runs between two uses of one set.
+	qAll, kAll, vAll, attnShard tensor.Matrix
+	send                        [2][][]float64
+	recv                        [][]float64
 }
 
 // NewCaches allocates one per-rank KV cache for the layout: each rank
@@ -81,7 +131,13 @@ func NewEngine(w *transformer.Weights, lay Layout, mode Mode, caches []*kvcache.
 	if err := checkHeadRanges(lay); err != nil {
 		return nil, err
 	}
-	e := &Engine{W: w, Lay: lay, Mode: mode, Caches: caches, world: comm.NewGroup(lay.World())}
+	e := &Engine{
+		W: w, Lay: lay, Mode: mode, Caches: caches, world: comm.NewGroup(lay.World()),
+		ranks: make([]rankPlan, lay.World()), ws: make([]workspace, lay.World()),
+	}
+	for g := range e.ranks {
+		e.ranks[g] = newRankPlan(w, lay, mode, g)
+	}
 	if mode == ModeSP {
 		e.spGroups = make([]*comm.Group, lay.TP)
 		for t := range e.spGroups {
@@ -93,6 +149,28 @@ func NewEngine(w *transformer.Weights, lay Layout, mode Mode, caches []*kvcache.
 		}
 	}
 	return e, nil
+}
+
+// newRankPlan derives global rank g's share of a mode's forward.
+func newRankPlan(w *transformer.Weights, lay Layout, mode Mode, g int) rankPlan {
+	p := rankPlan{qHeads: lay.QHeadsOf(g), kvHeads: lay.KVHeadsOf(g)}
+	projQ, projKV, shards, shard := p.qHeads, p.kvHeads, lay.World(), g
+	if mode == ModeSP {
+		_, t := lay.Coords(g)
+		projQ, projKV, shards, shard = lay.TPShardQHeads(t), lay.TPShardKVHeads(t), lay.TP, t
+	}
+	dh := lay.Cfg.HeadDim()
+	p.qLo, p.qHi = headSpan(projQ, dh)
+	p.kvLo, p.kvHi = headSpan(projKV, dh)
+	per := lay.Cfg.FFN / shards
+	p.ffnLo, p.ffnHi = shard*per, (shard+1)*per
+	p.wo = make([]tensor.Matrix, len(w.Layers))
+	p.wdown = make([]tensor.Matrix, len(w.Layers))
+	for l, lw := range w.Layers {
+		p.wo[l] = *tensor.ViewRows(lw.Wo, p.qLo, p.qHi)
+		p.wdown[l] = *tensor.ViewRows(lw.Wdown, p.ffnLo, p.ffnHi)
+	}
+	return p
 }
 
 // CommCounters returns global rank 0's collective calls and wire bytes:
@@ -152,69 +230,67 @@ func headSpan(heads []int, dh int) (lo, hi int) {
 }
 
 // Forward runs one engine iteration over the batch on all ranks and
-// returns the output embeddings [total tokens, d] in batch order.
+// returns the output embeddings [total tokens, d] in batch order, in a
+// fresh matrix.
 func (e *Engine) Forward(batch []transformer.Chunk) *tensor.Matrix {
-	x, spans := transformer.Flatten(batch)
-	prevs := make([]int, len(batch))
-	for i, c := range batch {
+	e.spans = transformer.FlattenInto(&e.x, e.spans, batch)
+	e.prevs = e.prevs[:0]
+	for _, c := range batch {
 		// Every rank holds every sequence (head-parallel cache), so any
 		// rank's cache answers the history length; use rank 0.
-		prevs[i] = e.Caches[0].Len(c.Seq)
+		e.prevs = append(e.prevs, e.Caches[0].Len(c.Seq))
 	}
 	switch e.Mode {
 	case ModeTP:
 		results := comm.RunGroup(e.world, func(g *comm.Group, rank int) *tensor.Matrix {
-			return e.tpRank(g, rank, batch, x, spans, prevs)
+			return e.tpRank(g, rank, batch)
 		})
-		return results[0]
+		return results[0].Clone()
 	case ModeSP:
-		results := comm.RunGroup(e.world, func(g *comm.Group, rank int) *tensor.Matrix {
-			return e.spRank(rank, batch, x, spans, prevs)
+		results := comm.RunGroup(e.world, func(_ *comm.Group, rank int) *tensor.Matrix {
+			return e.spRank(rank, batch)
 		})
-		// Assemble the sequence-sharded output from the t=0 TP shard.
-		parts := make([]*tensor.Matrix, e.Lay.SP)
+		// Assemble the sequence-sharded output from the t=0 TP shard,
+		// trimming the decode padding off the last slices.
+		out := tensor.New(e.x.Rows, e.x.Cols)
 		for s := 0; s < e.Lay.SP; s++ {
-			parts[s] = results[e.Lay.RankOf(s, 0)]
+			part := results[e.Lay.RankOf(s, 0)]
+			lo := min(s*len(part.Data), len(out.Data))
+			copy(out.Data[lo:], part.Data)
 		}
-		full := tensor.ConcatRows(parts...)
-		return tensor.ViewRows(full, 0, x.Rows) // trim decode padding
+		return out
 	default:
 		panic(fmt.Sprintf("parallel: unknown mode %v", e.Mode))
 	}
 }
 
+// normed makes dst the RMS-normalized copy of x that every block starts
+// from (pre-norm) and returns it.
+func normed(dst, x *tensor.Matrix) *tensor.Matrix {
+	tensor.RMSNormRows(tensor.CopyInto(dst, x), 1e-6)
+	return dst
+}
+
 // tpRank is the per-rank tensor-parallel forward: activations replicated,
 // weights column/row sharded by head ownership, two all-reduces per layer
 // (after attention-O and after MLP-down). Shards are read in place.
-func (e *Engine) tpRank(g *comm.Group, rank int, batch []transformer.Chunk, xIn *tensor.Matrix, spans [][2]int, prevs []int) *tensor.Matrix {
-	cfg := e.Lay.Cfg
-	dh := cfg.HeadDim()
-	p := e.Lay.World()
-	qHeads := e.Lay.QHeadsOf(rank)
-	kvHeads := e.Lay.KVHeadsOf(rank)
-	ffnPer := cfg.FFN / p
-	ffnLo, ffnHi := rank*ffnPer, (rank+1)*ffnPer
-	qLo, qHi := headSpan(qHeads, dh)
-	kvLo, kvHi := headSpan(kvHeads, dh)
-
-	x := xIn.Clone()
-	for l := 0; l < cfg.Layers; l++ {
-		lw := e.W.Layers[l]
-		xn := x.Clone()
-		tensor.RMSNormRows(xn, 1e-6)
-		q := tensor.MatMulCols(xn, lw.Wq, qLo, qHi)
-		k := tensor.MatMulCols(xn, lw.Wk, kvLo, kvHi)
-		v := tensor.MatMulCols(xn, lw.Wv, kvLo, kvHi)
-		attnLocal := attendBatch(e.Caches[rank], e.Lay, l, batch, spans, prevs, q, k, v, qHeads, kvHeads)
-		partial := tensor.MatMul(attnLocal, tensor.ViewRows(lw.Wo, qLo, qHi))
+func (e *Engine) tpRank(g *comm.Group, rank int, batch []transformer.Chunk) *tensor.Matrix {
+	p, w := &e.ranks[rank], &e.ws[rank]
+	x := tensor.CopyInto(&w.x, &e.x)
+	for l, lw := range e.W.Layers {
+		xn := normed(&w.xn, x)
+		q := tensor.MatMulColsInto(&w.q, xn, lw.Wq, p.qLo, p.qHi)
+		k := tensor.MatMulColsInto(&w.k, xn, lw.Wk, p.kvLo, p.kvHi)
+		v := tensor.MatMulColsInto(&w.v, xn, lw.Wv, p.kvLo, p.kvHi)
+		attn := e.attendBatch(rank, l, batch, q, k, v)
+		partial := tensor.MatMulInto(&w.o, attn, &p.wo[l])
 		g.AllReduce(rank, partial.Data)
 		tensor.AddInPlace(x, partial)
 
-		xn = x.Clone()
-		tensor.RMSNormRows(xn, 1e-6)
-		up := tensor.MatMulCols(xn, lw.Wup, ffnLo, ffnHi)
+		xn = normed(&w.xn, x)
+		up := tensor.MatMulColsInto(&w.up, xn, lw.Wup, p.ffnLo, p.ffnHi)
 		tensor.SiLURows(up)
-		down := tensor.MatMul(up, tensor.ViewRows(lw.Wdown, ffnLo, ffnHi))
+		down := tensor.MatMulInto(&w.down, up, &p.wdown[l])
 		g.AllReduce(rank, down.Data)
 		tensor.AddInPlace(x, down)
 	}
@@ -223,96 +299,72 @@ func (e *Engine) tpRank(g *comm.Group, rank int, batch []transformer.Chunk, xIn 
 
 // spRank is the per-rank Algorithm 1 forward for the combined (SP, TP)
 // configuration. Line numbers reference the paper's Algorithm 1.
-func (e *Engine) spRank(gRank int, batch []transformer.Chunk, fullX *tensor.Matrix, spans [][2]int, prevs []int) *tensor.Matrix {
-	cfg := e.Lay.Cfg
+func (e *Engine) spRank(gRank int, batch []transformer.Chunk) *tensor.Matrix {
 	lay := e.Lay
-	dh := cfg.HeadDim()
+	dh := lay.Cfg.HeadDim()
 	s, t := lay.Coords(gRank)
 	spg := e.spGroups[t]
 	tpg := e.tpGroups[s]
-
-	// Line 1: slice the (padded) input sequence across the SP group.
-	n := fullX.Rows
-	per := (n + lay.SP - 1) / lay.SP
-	x := tensor.New(per, cfg.Hidden)
-	for r := 0; r < per; r++ {
-		if row := s*per + r; row < n {
-			copy(x.Row(r), fullX.Row(row))
-		}
+	p, w := &e.ranks[gRank], &e.ws[gRank]
+	if w.recv == nil {
+		w.send = [2][][]float64{make([][]float64, lay.SP), make([][]float64, lay.SP)}
+		w.recv = make([][]float64, lay.SP)
 	}
 
-	shardQ := lay.TPShardQHeads(t)
-	shardKV := lay.TPShardKVHeads(t)
-	myQ := lay.QHeadsOf(gRank)
-	myKV := lay.KVHeadsOf(gRank)
-	ffnPer := cfg.FFN / lay.TP
-	ffnLo, ffnHi := t*ffnPer, (t+1)*ffnPer
-	shardQLo, shardQHi := headSpan(shardQ, dh)
-	shardKVLo, shardKVHi := headSpan(shardKV, dh)
+	// Line 1: slice the (padded) input sequence across the SP group.
+	n, d := e.x.Rows, e.x.Cols
+	per := (n + lay.SP - 1) / lay.SP
+	x := w.x.Resize(per, d)
+	copy(x.Data, e.x.Data[min(s*per, n)*d:min((s+1)*per, n)*d])
 
-	for l := 0; l < cfg.Layers; l++ {
-		lw := e.W.Layers[l]
-		xn := x.Clone()
-		tensor.RMSNormRows(xn, 1e-6)
+	for l, lw := range e.W.Layers {
+		xn := normed(&w.xn, x)
 
 		// Line 3: QKV projection for this TP shard's heads, my rows only.
-		q := tensor.MatMulCols(xn, lw.Wq, shardQLo, shardQHi)
-		k := tensor.MatMulCols(xn, lw.Wk, shardKVLo, shardKVHi)
-		v := tensor.MatMulCols(xn, lw.Wv, shardKVLo, shardKVHi)
+		q := tensor.MatMulColsInto(&w.q, xn, lw.Wq, p.qLo, p.qHi)
+		k := tensor.MatMulColsInto(&w.k, xn, lw.Wk, p.kvLo, p.kvHi)
+		v := tensor.MatMulColsInto(&w.v, xn, lw.Wv, p.kvLo, p.kvHi)
 
 		// Line 4: fused all-to-all within the SP group, switching from
 		// sequence to head parallelism. KV heads needed by several
 		// destinations are packed into each destination's buffer — the KV
 		// cache replication of Section 3.2.1.
-		send := make([][]float64, lay.SP)
-		for ds := 0; ds < lay.SP; ds++ {
-			dst := lay.RankOf(ds, t)
-			send[ds] = packQKV(q, k, v, lay.QHeadsOf(dst), lay.KVHeadsOf(dst), shardQ, shardKV, dh)
-		}
-		recv := spg.AllToAll(s, send)
-		qAll, kAll, vAll := unpackQKV(recv, per, myQ, myKV, dh)
+		e.packQKV(w.send[0], p, t, q, k, v)
+		recv := spg.AllToAllInto(s, w.send[0], w.recv)
+		qAll, kAll, vAll := unpackQKV(w, recv, per, len(p.qHeads)*dh, len(p.kvHeads)*dh)
 
 		// Line 5: head-parallel attention over the full (padded) sequence.
-		attnAll := attendBatch(e.Caches[gRank], lay, l, batch, spans, prevs, qAll, kAll, vAll, myQ, myKV)
+		attnAll := e.attendBatch(gRank, l, batch, qAll, kAll, vAll)
 
-		// Line 6: all-to-all back to sequence parallelism.
-		send2 := make([][]float64, lay.SP)
-		for ds := 0; ds < lay.SP; ds++ {
-			lo, hi := ds*per, (ds+1)*per
-			buf := make([]float64, 0, per*len(myQ)*dh)
-			for r := lo; r < hi; r++ {
-				buf = append(buf, attnAll.Row(r)...)
-			}
-			send2[ds] = buf
+		// Line 6: all-to-all back to sequence parallelism: peer ds gets
+		// rows [ds*per, (ds+1)*per) of my heads' output.
+		rowsW := per * attnAll.Cols
+		for ds := range w.send[1] {
+			w.send[1][ds] = append(w.send[1][ds][:0], attnAll.Data[ds*rowsW:(ds+1)*rowsW]...)
 		}
-		recv2 := spg.AllToAll(s, send2)
+		recv = spg.AllToAllInto(s, w.send[1], w.recv)
 		// Scatter received head columns into shard order for the O GEMM.
-		attnShard := tensor.New(per, len(shardQ)*dh)
-		base := shardQ[0]
-		for srcS := 0; srcS < lay.SP; srcS++ {
-			srcHeads := lay.QHeadsOf(lay.RankOf(srcS, t))
-			buf := recv2[srcS]
-			w := len(srcHeads) * dh
+		attnShard := w.attnShard.Resize(per, p.qHi-p.qLo)
+		for srcS, buf := range recv {
+			src := &e.ranks[lay.RankOf(srcS, t)]
+			off, width := src.qHeads[0]*dh-p.qLo, len(src.qHeads)*dh
 			for r := 0; r < per; r++ {
-				for qi, h := range srcHeads {
-					copy(attnShard.Row(r)[(h-base)*dh:(h-base+1)*dh], buf[r*w+qi*dh:r*w+(qi+1)*dh])
-				}
+				copy(attnShard.Row(r)[off:off+width], buf[r*width:(r+1)*width])
 			}
 		}
 
 		// Lines 7-8: O projection on the shard's Wo rows + TP all-reduce.
-		o := tensor.MatMul(attnShard, tensor.ViewRows(lw.Wo, shardQLo, shardQHi))
+		o := tensor.MatMulInto(&w.o, attnShard, &p.wo[l])
 		if lay.TP > 1 {
 			tpg.AllReduce(t, o.Data)
 		}
 		tensor.AddInPlace(x, o)
 
 		// Lines 9-11: TP-sharded MLP on my sequence slice + all-reduce.
-		xn = x.Clone()
-		tensor.RMSNormRows(xn, 1e-6)
-		up := tensor.MatMulCols(xn, lw.Wup, ffnLo, ffnHi)
+		xn = normed(&w.xn, x)
+		up := tensor.MatMulColsInto(&w.up, xn, lw.Wup, p.ffnLo, p.ffnHi)
 		tensor.SiLURows(up)
-		down := tensor.MatMul(up, tensor.ViewRows(lw.Wdown, ffnLo, ffnHi))
+		down := tensor.MatMulInto(&w.down, up, &p.wdown[l])
 		if lay.TP > 1 {
 			tpg.AllReduce(t, down.Data)
 		}
@@ -321,97 +373,72 @@ func (e *Engine) spRank(gRank int, batch []transformer.Chunk, fullX *tensor.Matr
 	return x
 }
 
-// packQKV builds the all-to-all send buffer for one destination rank:
-// for each source row, the destination's q heads then k then v heads.
-func packQKV(q, k, v *tensor.Matrix, dstQ, dstKV, shardQ, shardKV []int, dh int) []float64 {
-	rows := q.Rows
-	buf := make([]float64, 0, rows*(len(dstQ)+2*len(dstKV))*dh)
-	qIdx := indexIn(shardQ, dstQ)
-	kvIdx := indexIn(shardKV, dstKV)
-	for r := 0; r < rows; r++ {
-		qr, kr, vr := q.Row(r), k.Row(r), v.Row(r)
-		for _, qi := range qIdx {
-			buf = append(buf, qr[qi*dh:(qi+1)*dh]...)
+// packQKV refills send, one buffer per SP peer, with what the first
+// all-to-all carries to that peer: for each of this rank's rows, the
+// peer's q heads, then its k heads, then its v heads, cut from this TP
+// shard's projections (p is this rank's plan, t its shard). Head sets
+// are contiguous, so each is one column range of q, k or v.
+func (e *Engine) packQKV(send [][]float64, p *rankPlan, t int, q, k, v *tensor.Matrix) {
+	dh := e.Lay.Cfg.HeadDim()
+	for ds := range send {
+		dst := &e.ranks[e.Lay.RankOf(ds, t)]
+		qOff, qW := dst.qHeads[0]*dh-p.qLo, len(dst.qHeads)*dh
+		kvOff, kvW := dst.kvHeads[0]*dh-p.kvLo, len(dst.kvHeads)*dh
+		buf := send[ds][:0]
+		for r := 0; r < q.Rows; r++ {
+			buf = append(buf, q.Row(r)[qOff:qOff+qW]...)
+			buf = append(buf, k.Row(r)[kvOff:kvOff+kvW]...)
+			buf = append(buf, v.Row(r)[kvOff:kvOff+kvW]...)
 		}
-		for _, ki := range kvIdx {
-			buf = append(buf, kr[ki*dh:(ki+1)*dh]...)
-		}
-		for _, vi := range kvIdx {
-			buf = append(buf, vr[vi*dh:(vi+1)*dh]...)
-		}
+		send[ds] = buf
 	}
-	return buf
 }
 
-// unpackQKV reassembles the full-sequence q/k/v matrices for this rank's
-// heads from the all-to-all receive buffers (source ranks hold contiguous
-// row slices, so concatenation in rank order restores global row order).
-func unpackQKV(recv [][]float64, per int, myQ, myKV []int, dh int) (q, k, v *tensor.Matrix) {
+// unpackQKV reassembles, in w's qAll/kAll/vAll, the full-sequence q/k/v
+// of this rank's heads (qW and kvW columns) from the all-to-all receive
+// buffers (source ranks hold contiguous row slices, so concatenation in
+// rank order restores global row order).
+func unpackQKV(w *workspace, recv [][]float64, per, qW, kvW int) (q, k, v *tensor.Matrix) {
 	sp := len(recv)
-	q = tensor.New(sp*per, len(myQ)*dh)
-	k = tensor.New(sp*per, len(myKV)*dh)
-	v = tensor.New(sp*per, len(myKV)*dh)
-	rowW := (len(myQ) + 2*len(myKV)) * dh
-	qW, kvW := len(myQ)*dh, len(myKV)*dh
-	for src := 0; src < sp; src++ {
-		buf := recv[src]
+	q = w.qAll.Resize(sp*per, qW)
+	k = w.kAll.Resize(sp*per, kvW)
+	v = w.vAll.Resize(sp*per, kvW)
+	rowW := qW + 2*kvW
+	for src, buf := range recv {
 		for r := 0; r < per; r++ {
 			row := src*per + r
 			off := r * rowW
 			copy(q.Row(row), buf[off:off+qW])
 			copy(k.Row(row), buf[off+qW:off+qW+kvW])
-			copy(v.Row(row), buf[off+qW+kvW:off+qW+2*kvW])
+			copy(v.Row(row), buf[off+qW+kvW:off+rowW])
 		}
 	}
 	return q, k, v
 }
 
-// indexIn maps each element of want to its index within have.
-func indexIn(have, want []int) []int {
-	pos := make(map[int]int, len(have))
-	for i, h := range have {
-		pos[h] = i
-	}
-	out := make([]int, len(want))
-	for i, w := range want {
-		j, ok := pos[w]
-		if !ok {
-			panic(fmt.Sprintf("parallel: head %d not in shard %v", w, have))
-		}
-		out[i] = j
-	}
-	return out
-}
-
 // attendBatch appends the new K/V rows to the rank's cache and computes
-// head-parallel causal attention for this rank's q heads over every real
-// row of the batch. Rows beyond the batch's token count (decode padding
-// under SP) produce zero output and are never cached — the load-balancing
-// padding of Section 3.2.1.
-func attendBatch(cache *kvcache.Cache, lay Layout, layer int, batch []transformer.Chunk, spans [][2]int, prevs []int, q, k, v *tensor.Matrix, qHeads, kvHeads []int) *tensor.Matrix {
-	cfg := lay.Cfg
-	dh := cfg.HeadDim()
-	gqa := cfg.GQAGroup()
-	out := tensor.New(q.Rows, len(qHeads)*dh)
-	kvPos := make(map[int]int, len(kvHeads))
-	for i, kv := range kvHeads {
-		kvPos[kv] = i
-	}
+// head-parallel causal attention for the rank's q heads over every real
+// row of the batch, into the rank's attention output [q.Rows, heads*dh].
+// Rows beyond the batch's token count (decode padding under SP) come out
+// zero and are never cached — the load-balancing padding of Section
+// 3.2.1.
+func (e *Engine) attendBatch(rank, layer int, batch []transformer.Chunk, q, k, v *tensor.Matrix) *tensor.Matrix {
+	dh, gqa := e.Lay.Cfg.HeadDim(), e.Lay.Cfg.GQAGroup()
+	p, w, cache := &e.ranks[rank], &e.ws[rank], e.Caches[rank]
+	out := w.attn.Resize(q.Rows, len(p.qHeads)*dh)
 	for bi, c := range batch {
-		lo, hi := spans[bi][0], spans[bi][1]
-		for j := range kvHeads {
+		lo, hi := e.spans[bi][0], e.spans[bi][1]
+		for j := range p.kvHeads {
 			for row := lo; row < hi; row++ {
 				cache.Append(c.Seq, layer, j, k.Row(row)[j*dh:(j+1)*dh], v.Row(row)[j*dh:(j+1)*dh])
 			}
 		}
-		for qi, qh := range qHeads {
-			j := kvPos[qh/gqa]
-			kc, vc := cache.Views(c.Seq, layer, j)
-			qSeq := tensor.SliceCols(tensor.ViewRows(q, lo, hi), qi*dh, (qi+1)*dh)
-			att := transformer.Attend(qSeq, kc, vc, prevs[bi])
-			for r := 0; r < att.Rows; r++ {
-				copy(out.Row(lo + r)[qi*dh:(qi+1)*dh], att.Row(r))
-			}
+		for qi, qh := range p.qHeads {
+			// The rank's KV heads are a contiguous run, so q head qh's
+			// KV head sits at its offset from the first.
+			cache.ViewsInto(&w.kc, &w.vc, c.Seq, layer, qh/gqa-p.kvHeads[0])
+			qSeq := tensor.SliceInto(&w.qh, q, lo, hi, qi*dh, (qi+1)*dh)
+			transformer.AttendInto(out, lo, qi*dh, &w.scores, qSeq, &w.kc, &w.vc, e.prevs[bi])
 		}
 	}
 	return out

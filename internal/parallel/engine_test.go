@@ -350,3 +350,36 @@ func cloneBatch(batch []transformer.Chunk) []transformer.Chunk {
 	}
 	return out
 }
+
+// A forward returns a fresh matrix while every rank computes out of a
+// workspace the next forward rewrites: outputs must survive later
+// forwards of both shapes (a decode step, then a larger prefill that
+// regrows the workspaces) and still match the reference step for step.
+func TestForwardOutputOutlivesLaterForwards(t *testing.T) {
+	cfg := cfg8()
+	w := transformer.NewWeights(cfg, 31)
+	for _, mode := range []Mode{ModeTP, ModeSP} {
+		eng := newEngineT(t, w, Layout{Cfg: cfg, SP: 2, TP: 2}, mode, nil)
+		ref := transformer.NewReference(w)
+		rng := tensor.NewRNG(32)
+		prefill := randBatch(rng, cfg.Hidden, 5, 3)
+		steps := [][]transformer.Chunk{prefill, nil, {{Seq: 2, X: rng.RandMatrix(11, cfg.Hidden, 1)}}}
+		var outs, kept []*tensor.Matrix
+		for i, batch := range steps {
+			if batch == nil {
+				batch = []transformer.Chunk{{Seq: 0, X: nextToken(outs[0], 4)}, {Seq: 1, X: nextToken(outs[0], 7)}}
+			}
+			want := ref.Forward(cloneBatch(batch))
+			got := eng.Forward(cloneBatch(batch))
+			if !tensor.Equal(got, want, tol) {
+				t.Fatalf("%v step %d diverged from reference: %g", mode, i, tensor.MaxAbsDiff(got, want))
+			}
+			outs, kept = append(outs, got), append(kept, got.Clone())
+		}
+		for i := range outs {
+			if !tensor.Equal(outs[i], kept[i], 0) {
+				t.Fatalf("%v step %d output changed under later forwards", mode, i)
+			}
+		}
+	}
+}

@@ -2,16 +2,25 @@
 // functional (bit-exact) layer of the reproduction: the reference
 // transformer and its TP/SP/Shift parallel forwards.
 //
-// The package is deliberately small and allocation-honest. Matrices are
-// row-major and sized for correctness tests (hundreds of rows), not for
-// performance; the performance story of the paper is carried by the
-// analytic cost model in internal/perf, not by this package.
+// Matrices are row-major and sized for correctness tests (hundreds of
+// rows); the performance story of the paper is carried by the analytic
+// cost model in internal/perf, not by this package. What the package
+// does own is its allocations: every op that returns a fresh matrix
+// (MatMul, MatMulCols, MatMulT, SliceCols, Clone) has an Into form
+// (MatMulInto, MatMulColsInto, MatMulTInto, SliceInto, CopyInto) that
+// writes into a caller's matrix instead, reshaping it and reusing its
+// storage when the capacity suffices (Resize). The fresh form is New
+// plus the same kernel, so both forms give the same bits, and a caller
+// that keeps its destinations across calls allocates nothing in steady
+// state. MatMulBlock writes a product into a block of a larger matrix
+// without reshaping it. A destination must not share storage with an
+// operand.
 //
 // Every product kernel (MatMul, MatMulCols, MatMulT) keeps MatMul's
 // summation order: each output element starts at zero and adds its
 // products in ascending inner index, skipping zero entries of a. So
 // MatMulCols(a, b, lo, hi) equals MatMul(a, SliceCols(b, lo, hi)) and
-// MatMulT(a, b) equals MatMul(a, Transpose(b)) bit for bit, and callers
+// MatMulT(a, b) equals MatMul(a, bᵀ) bit for bit, and callers
 // can read an operand in place (a column range, or a ViewRows view)
 // instead of copying it without changing any output bit.
 package tensor
@@ -19,6 +28,7 @@ package tensor
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Matrix is a dense row-major float64 matrix.
@@ -34,21 +44,6 @@ func New(rows, cols int) *Matrix {
 		panic(fmt.Sprintf("tensor: negative dimensions %dx%d", rows, cols))
 	}
 	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
-}
-
-// FromRows builds a matrix from a slice of equal-length rows.
-func FromRows(rows [][]float64) *Matrix {
-	if len(rows) == 0 {
-		return New(0, 0)
-	}
-	m := New(len(rows), len(rows[0]))
-	for i, r := range rows {
-		if len(r) != m.Cols {
-			panic(fmt.Sprintf("tensor: ragged row %d: %d != %d", i, len(r), m.Cols))
-		}
-		copy(m.Data[i*m.Cols:(i+1)*m.Cols], r)
-	}
-	return m
 }
 
 // At returns element (i, j).
@@ -78,46 +73,102 @@ func (m *Matrix) Row(i int) []float64 {
 }
 
 // Clone returns a deep copy.
-func (m *Matrix) Clone() *Matrix {
-	c := New(m.Rows, m.Cols)
-	copy(c.Data, m.Data)
-	return c
+func (m *Matrix) Clone() *Matrix { return CopyInto(New(m.Rows, m.Cols), m) }
+
+// Resize makes m a zeroed rows x cols matrix and returns m. It reuses
+// m.Data when its capacity suffices and otherwise grows it as append
+// does, so a destination that grows a little per call (a score matrix
+// over a lengthening context) reallocates only now and then.
+func (m *Matrix) Resize(rows, cols int) *Matrix {
+	if rows < 0 || cols < 0 {
+		panic(fmt.Sprintf("tensor: negative dimensions %dx%d", rows, cols))
+	}
+	n := rows * cols
+	if cap(m.Data) < n {
+		m.Data = slices.Grow(m.Data[:0], n)
+	}
+	m.Data = m.Data[:n]
+	clear(m.Data)
+	m.Rows, m.Cols = rows, cols
+	return m
+}
+
+// CopyInto makes dst a copy of src and returns dst.
+func CopyInto(dst, src *Matrix) *Matrix {
+	dst.Resize(src.Rows, src.Cols)
+	copy(dst.Data, src.Data)
+	return dst
 }
 
 // MatMul returns a*b. Panics on shape mismatch.
 func MatMul(a, b *Matrix) *Matrix {
-	if a.Cols != b.Rows {
-		panic(fmt.Sprintf("tensor: matmul shape mismatch %dx%d * %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
+	checkMatMul(a, b, 0, b.Cols)
 	out := New(a.Rows, b.Cols)
-	matmul(out, a, b, 0)
+	matmul(out, 0, 0, a, b, 0, b.Cols)
+	return out
+}
+
+// MatMulInto sets out to a*b and returns out (see Resize).
+func MatMulInto(out, a, b *Matrix) *Matrix {
+	checkMatMul(a, b, 0, b.Cols)
+	matmul(out.Resize(a.Rows, b.Cols), 0, 0, a, b, 0, b.Cols)
 	return out
 }
 
 // MatMulCols returns a*b[:, lo:hi], reading the column range of b in
-// place instead of copying it out first. Panics on shape mismatch.
+// place instead of copying it out first. Panics on shape mismatch. The
+// forwards use MatMulColsInto; this fresh form stays as the one the
+// package's exactness tests state the kernels' contract with.
 func MatMulCols(a, b *Matrix, lo, hi int) *Matrix {
+	checkMatMul(a, b, lo, hi)
+	out := New(a.Rows, hi-lo)
+	matmul(out, 0, 0, a, b, lo, hi-lo)
+	return out
+}
+
+// MatMulColsInto sets out to a*b[:, lo:hi] and returns out.
+func MatMulColsInto(out, a, b *Matrix, lo, hi int) *Matrix {
+	checkMatMul(a, b, lo, hi)
+	matmul(out.Resize(a.Rows, hi-lo), 0, 0, a, b, lo, hi-lo)
+	return out
+}
+
+// MatMulBlock sets the a.Rows x b.Cols block of out whose top-left
+// element is (row, col) to a*b, leaving the rest of out as it is: a
+// product lands in place inside a larger matrix, such as one head's
+// columns of an attention output.
+func MatMulBlock(out *Matrix, row, col int, a, b *Matrix) {
+	checkMatMul(a, b, 0, b.Cols)
+	if row < 0 || col < 0 || row+a.Rows > out.Rows || col+b.Cols > out.Cols {
+		panic(fmt.Sprintf("tensor: %dx%d block at (%d,%d) of %dx%d", a.Rows, b.Cols, row, col, out.Rows, out.Cols))
+	}
+	for i := row; i < row+a.Rows; i++ {
+		clear(out.Data[i*out.Cols+col : i*out.Cols+col+b.Cols])
+	}
+	matmul(out, row, col, a, b, 0, b.Cols)
+}
+
+func checkMatMul(a, b *Matrix, lo, hi int) {
 	if lo < 0 || hi > b.Cols || lo > hi {
 		panic(fmt.Sprintf("tensor: col range [%d:%d) of %d cols", lo, hi, b.Cols))
 	}
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: matmul shape mismatch %dx%d * %dx%d", a.Rows, a.Cols, b.Rows, hi-lo))
 	}
-	out := New(a.Rows, hi-lo)
-	matmul(out, a, b, lo)
-	return out
 }
 
-// matmul adds a*b[:, lo:lo+out.Cols] into out. Zero entries of a are
-// skipped and the rest are taken four at a time, so every output element
-// still sees ((o + a0*b0) + a1*b1) + ... over the nonzero entries in
-// ascending inner index, exactly as the one-at-a-time loop adds them.
-func matmul(out, a, b *Matrix, lo int) {
-	n, stride := out.Cols, b.Cols
+// matmul adds a*b[:, lo:lo+n] into the a.Rows x n block of out at (row,
+// col). Zero entries of a are skipped and the rest are taken four at a
+// time, so every output element still sees ((o + a0*b0) + a1*b1) + ...
+// over the nonzero entries in ascending inner index, exactly as the
+// one-at-a-time loop adds them.
+func matmul(out *Matrix, row, col int, a, b *Matrix, lo, n int) {
+	stride := b.Cols
 	brow := func(k int) []float64 { return b.Data[k*stride+lo : k*stride+lo+n] }
 	for i := 0; i < a.Rows; i++ {
 		arow := a.Data[i*a.Cols : (i+1)*a.Cols]
-		orow := out.Data[i*n : (i+1)*n]
+		off := (row+i)*out.Cols + col
+		orow := out.Data[off : off+n]
 		var av [4]float64
 		var ak [4]int
 		m := 0
@@ -153,12 +204,34 @@ func axpy(o []float64, av float64, b []float64) {
 
 // MatMulT returns a*bᵀ without materializing the transpose: element
 // (i, j) is the dot product of row i of a and row j of b. Panics on
-// shape mismatch.
+// shape mismatch. Attention uses MatMulTInto; this fresh form stays as
+// the one the package's exactness tests state the kernels' contract
+// with.
 func MatMulT(a, b *Matrix) *Matrix {
+	checkMatMulT(a, b)
+	out := New(a.Rows, b.Rows)
+	matmulT(out, a, b)
+	return out
+}
+
+// MatMulTInto sets out to a*bᵀ and returns out.
+func MatMulTInto(out, a, b *Matrix) *Matrix {
+	checkMatMulT(a, b)
+	out.Resize(a.Rows, b.Rows)
+	matmulT(out, a, b)
+	return out
+}
+
+func checkMatMulT(a, b *Matrix) {
 	if a.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: matmulT shape mismatch %dx%d * (%dx%d)T", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
-	out := New(a.Rows, b.Rows)
+}
+
+// matmulT sets every element of the a.Rows x b.Rows matrix out to its
+// dot product, added from zero in ascending inner index over the
+// nonzero entries of a, as matmul adds.
+func matmulT(out, a, b *Matrix) {
 	for i := 0; i < a.Rows; i++ {
 		arow := a.Data[i*a.Cols : (i+1)*a.Cols]
 		orow := out.Data[i*out.Cols : (i+1)*out.Cols]
@@ -174,19 +247,6 @@ func MatMulT(a, b *Matrix) *Matrix {
 			orow[j] = s
 		}
 	}
-	return out
-}
-
-// Add returns a+b elementwise.
-func Add(a, b *Matrix) *Matrix {
-	if a.Rows != b.Rows || a.Cols != b.Cols {
-		panic(fmt.Sprintf("tensor: add shape mismatch %dx%d + %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	out := New(a.Rows, a.Cols)
-	for i := range a.Data {
-		out.Data[i] = a.Data[i] + b.Data[i]
-	}
-	return out
 }
 
 // AddInPlace adds b into a.
@@ -199,25 +259,20 @@ func AddInPlace(a, b *Matrix) {
 	}
 }
 
-// Transpose returns the transpose of m.
-func Transpose(m *Matrix) *Matrix {
-	out := New(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			out.Data[j*out.Cols+i] = m.Data[i*m.Cols+j]
-		}
-	}
-	return out
-}
-
 // SliceCols returns a copy of columns [lo, hi) of m.
 func SliceCols(m *Matrix, lo, hi int) *Matrix {
-	if lo < 0 || hi > m.Cols || lo > hi {
-		panic(fmt.Sprintf("tensor: col slice [%d:%d) of %d cols", lo, hi, m.Cols))
+	return SliceInto(New(m.Rows, hi-lo), m, 0, m.Rows, lo, hi)
+}
+
+// SliceInto makes out a copy of the block of m in rows [r0, r1) and
+// columns [c0, c1), and returns out.
+func SliceInto(out, m *Matrix, r0, r1, c0, c1 int) *Matrix {
+	if r0 < 0 || r1 > m.Rows || r0 > r1 || c0 < 0 || c1 > m.Cols || c0 > c1 {
+		panic(fmt.Sprintf("tensor: block [%d:%d)x[%d:%d) of %dx%d", r0, r1, c0, c1, m.Rows, m.Cols))
 	}
-	out := New(m.Rows, hi-lo)
-	for i := 0; i < m.Rows; i++ {
-		copy(out.Row(i), m.Data[i*m.Cols+lo:i*m.Cols+hi])
+	out.Resize(r1-r0, c1-c0)
+	for i := r0; i < r1; i++ {
+		copy(out.Data[(i-r0)*out.Cols:(i-r0+1)*out.Cols], m.Data[i*m.Cols+c0:i*m.Cols+c1])
 	}
 	return out
 }
@@ -233,57 +288,7 @@ func ViewRows(m *Matrix, lo, hi int) *Matrix {
 
 // SliceRows returns a copy of rows [lo, hi) of m.
 func SliceRows(m *Matrix, lo, hi int) *Matrix {
-	if lo < 0 || hi > m.Rows || lo > hi {
-		panic(fmt.Sprintf("tensor: row slice [%d:%d) of %d rows", lo, hi, m.Rows))
-	}
-	out := New(hi-lo, m.Cols)
-	copy(out.Data, m.Data[lo*m.Cols:hi*m.Cols])
-	return out
-}
-
-// ConcatCols horizontally concatenates the given matrices.
-func ConcatCols(ms ...*Matrix) *Matrix {
-	if len(ms) == 0 {
-		return New(0, 0)
-	}
-	rows, cols := ms[0].Rows, 0
-	for _, m := range ms {
-		if m.Rows != rows {
-			panic(fmt.Sprintf("tensor: concat cols row mismatch %d != %d", m.Rows, rows))
-		}
-		cols += m.Cols
-	}
-	out := New(rows, cols)
-	for i := 0; i < rows; i++ {
-		off := 0
-		orow := out.Row(i)
-		for _, m := range ms {
-			copy(orow[off:off+m.Cols], m.Row(i))
-			off += m.Cols
-		}
-	}
-	return out
-}
-
-// ConcatRows vertically concatenates the given matrices.
-func ConcatRows(ms ...*Matrix) *Matrix {
-	if len(ms) == 0 {
-		return New(0, 0)
-	}
-	rows, cols := 0, ms[0].Cols
-	for _, m := range ms {
-		if m.Cols != cols {
-			panic(fmt.Sprintf("tensor: concat rows col mismatch %d != %d", m.Cols, cols))
-		}
-		rows += m.Rows
-	}
-	out := New(rows, cols)
-	off := 0
-	for _, m := range ms {
-		copy(out.Data[off:off+len(m.Data)], m.Data)
-		off += len(m.Data)
-	}
-	return out
+	return SliceInto(New(hi-lo, m.Cols), m, lo, hi, 0, m.Cols)
 }
 
 // SoftmaxRows applies a numerically stable softmax to each row in place.

@@ -1,10 +1,74 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
 )
+
+// The helpers below build and combine matrices for the tests only; the
+// forwards never need them.
+
+// FromRows builds a matrix from a slice of equal-length rows.
+func FromRows(rows [][]float64) *Matrix {
+	if len(rows) == 0 {
+		return New(0, 0)
+	}
+	m := New(len(rows), len(rows[0]))
+	for i, r := range rows {
+		if len(r) != m.Cols {
+			panic(fmt.Sprintf("tensor: ragged row %d: %d != %d", i, len(r), m.Cols))
+		}
+		copy(m.Data[i*m.Cols:(i+1)*m.Cols], r)
+	}
+	return m
+}
+
+// Add returns a+b elementwise.
+func Add(a, b *Matrix) *Matrix {
+	out := a.Clone()
+	AddInPlace(out, b)
+	return out
+}
+
+// Transpose returns the transpose of m.
+func Transpose(m *Matrix) *Matrix {
+	out := New(m.Cols, m.Rows)
+	for i := 0; i < m.Rows; i++ {
+		for j := 0; j < m.Cols; j++ {
+			out.Data[j*out.Cols+i] = m.Data[i*m.Cols+j]
+		}
+	}
+	return out
+}
+
+// ConcatCols horizontally concatenates the given matrices.
+func ConcatCols(ms ...*Matrix) *Matrix {
+	rows, cols := ms[0].Rows, 0
+	for _, m := range ms {
+		cols += m.Cols
+	}
+	out := New(rows, cols)
+	off := 0
+	for _, m := range ms {
+		for i := 0; i < rows; i++ {
+			copy(out.Row(i)[off:off+m.Cols], m.Row(i))
+		}
+		off += m.Cols
+	}
+	return out
+}
+
+// ConcatRows vertically concatenates the given matrices.
+func ConcatRows(ms ...*Matrix) *Matrix {
+	out := New(0, ms[0].Cols)
+	for _, m := range ms {
+		out.Data = append(out.Data, m.Data...)
+		out.Rows += m.Rows
+	}
+	return out
+}
 
 func TestNewZeroed(t *testing.T) {
 	m := New(3, 4)
@@ -441,5 +505,95 @@ func expectPanic(t *testing.T, what string) {
 	t.Helper()
 	if recover() == nil {
 		t.Fatalf("expected panic: %s", what)
+	}
+}
+
+// junk returns a rows x cols matrix of nonzero garbage with spare
+// capacity, standing in for a destination a previous call left dirty.
+func junk(rows, cols int) *Matrix {
+	m := &Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols, rows*cols+5)}
+	for i := range m.Data {
+		m.Data[i] = float64(i) + 0.5
+	}
+	return m
+}
+
+// Each Into form must give its fresh form's bits whatever shape and
+// contents the destination had, growing it or reusing its storage.
+func TestIntoFormsMatchFreshFormsExactly(t *testing.T) {
+	rng := NewRNG(11)
+	for k := 1; k <= 9; k++ {
+		a := sparseMatrix(rng, 1+rng.Intn(4), k)
+		b := sparseMatrix(rng, k, 1+rng.Intn(7))
+		bt := sparseMatrix(rng, 1+rng.Intn(7), k)
+		for _, dst := range []*Matrix{{}, junk(1, 1), junk(9, 9)} {
+			if got := MatMulInto(CopyInto(&Matrix{}, dst), a, b); !sameBits(got, MatMul(a, b)) {
+				t.Fatalf("k=%d: MatMulInto %v != MatMul", k, got.Data)
+			}
+			lo, hi := rng.Intn(b.Cols+1), b.Cols
+			if got := MatMulColsInto(CopyInto(&Matrix{}, dst), a, b, lo, hi); !sameBits(got, MatMulCols(a, b, lo, hi)) {
+				t.Fatalf("k=%d: MatMulColsInto [%d:%d) %v != MatMulCols", k, lo, hi, got.Data)
+			}
+			if got := MatMulTInto(CopyInto(&Matrix{}, dst), a, bt); !sameBits(got, MatMulT(a, bt)) {
+				t.Fatalf("k=%d: MatMulTInto %v != MatMulT", k, got.Data)
+			}
+			r0, c0 := rng.Intn(b.Rows), rng.Intn(b.Cols)
+			want := SliceCols(SliceRows(b, r0, b.Rows), c0, b.Cols)
+			if got := SliceInto(CopyInto(&Matrix{}, dst), b, r0, b.Rows, c0, b.Cols); !sameBits(got, want) {
+				t.Fatalf("k=%d: SliceInto %v != %v", k, got.Data, want.Data)
+			}
+		}
+	}
+}
+
+func TestResizeReusesStorage(t *testing.T) {
+	m := junk(3, 4)
+	first := &m.Data[0]
+	if m.Resize(2, 5); m.Rows != 2 || m.Cols != 5 || len(m.Data) != 10 || &m.Data[0] != first {
+		t.Fatalf("Resize within capacity: %dx%d, len %d, moved %v", m.Rows, m.Cols, len(m.Data), &m.Data[0] != first)
+	}
+	for _, v := range m.Data {
+		if v != 0 {
+			t.Fatalf("Resize left %v", v)
+		}
+	}
+	if m.Resize(5, 5); len(m.Data) != 25 || cap(m.Data) < 25 {
+		t.Fatalf("Resize past capacity: len %d cap %d", len(m.Data), cap(m.Data))
+	}
+	defer expectPanic(t, "negative resize")
+	m.Resize(-1, 2)
+}
+
+// MatMulBlock writes a*b into its block, bit for bit as MatMul gives
+// it, and leaves every element outside the block alone.
+func TestMatMulBlockWritesOnlyItsBlock(t *testing.T) {
+	rng := NewRNG(12)
+	a, b := sparseMatrix(rng, 3, 6), sparseMatrix(rng, 6, 2)
+	out := junk(5, 7)
+	before := out.Clone()
+	MatMulBlock(out, 1, 4, a, b)
+	want := MatMul(a, b)
+	for i := 0; i < out.Rows; i++ {
+		for j := 0; j < out.Cols; j++ {
+			in := i >= 1 && i < 4 && j >= 4 && j < 6
+			if in && math.Float64bits(out.At(i, j)) != math.Float64bits(want.At(i-1, j-4)) {
+				t.Fatalf("(%d,%d) = %v, want %v", i, j, out.At(i, j), want.At(i-1, j-4))
+			}
+			if !in && out.At(i, j) != before.At(i, j) {
+				t.Fatalf("(%d,%d) outside the block changed to %v", i, j, out.At(i, j))
+			}
+		}
+	}
+	for name, f := range map[string]func(){
+		"block past rows":  func() { MatMulBlock(out, 3, 0, a, b) },
+		"block past cols":  func() { MatMulBlock(out, 0, 6, a, b) },
+		"block inner":      func() { MatMulBlock(out, 0, 0, b, b) },
+		"slice past rows":  func() { SliceInto(&Matrix{}, out, 2, 6, 0, 1) },
+		"slice cols order": func() { SliceInto(&Matrix{}, out, 0, 1, 3, 2) },
+	} {
+		func() {
+			defer expectPanic(t, name)
+			f()
+		}()
 	}
 }

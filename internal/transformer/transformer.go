@@ -187,43 +187,62 @@ func (r *Reference) Forward(batch []Chunk) *tensor.Matrix {
 // full cached history [ctx, dh] including the new tokens. Token i attends
 // to cache rows [0, prevLen+i].
 func Attend(q, k, v *tensor.Matrix, prevLen int) *tensor.Matrix {
-	dh := q.Cols
-	scale := 1 / math.Sqrt(float64(dh))
-	scores := tensor.MatMulT(q, k)
+	out := tensor.New(q.Rows, v.Cols)
+	AttendInto(out, 0, 0, &tensor.Matrix{}, q, k, v, prevLen)
+	return out
+}
+
+// AttendInto is Attend writing its [t, dh] result into the block of out
+// at (row, col), such as one head's columns of a batch's attention
+// output, with scores as scratch for the [t, ctx] score matrix (see
+// tensor.Resize). It gives Attend's bits.
+func AttendInto(out *tensor.Matrix, row, col int, scores, q, k, v *tensor.Matrix, prevLen int) {
+	scale := 1 / math.Sqrt(float64(q.Cols))
+	tensor.MatMulTInto(scores, q, k)
 	for i := 0; i < scores.Rows; i++ {
-		row := scores.Row(i)
+		srow := scores.Row(i)
 		limit := prevLen + i // inclusive
-		for j := range row {
+		for j := range srow {
 			if j > limit {
-				row[j] = math.Inf(-1)
+				srow[j] = math.Inf(-1)
 			} else {
-				row[j] *= scale
+				srow[j] *= scale
 			}
 		}
 	}
 	tensor.SoftmaxRows(scores)
-	return tensor.MatMul(scores, v)
+	tensor.MatMulBlock(out, row, col, scores, v)
 }
 
 // flatten concatenates chunk activations and returns per-chunk [lo, hi)
 // row spans.
 func flatten(batch []Chunk) (*tensor.Matrix, [][2]int) {
+	x := &tensor.Matrix{}
+	return x, FlattenInto(x, nil, batch)
+}
+
+// FlattenInto makes x the batch's chunk activations stacked in batch
+// order and returns each chunk's [lo, hi) row span in x, appended to
+// spans[:0]. Panics on an empty batch or chunk.
+func FlattenInto(x *tensor.Matrix, spans [][2]int, batch []Chunk) [][2]int {
 	if len(batch) == 0 {
 		panic("transformer: empty batch")
 	}
-	spans := make([][2]int, len(batch))
-	mats := make([]*tensor.Matrix, len(batch))
-	off := 0
-	for i, c := range batch {
+	spans = spans[:0]
+	rows, cols := 0, batch[0].X.Cols
+	for _, c := range batch {
 		if c.X.Rows == 0 {
 			panic(fmt.Sprintf("transformer: empty chunk for seq %d", c.Seq))
 		}
-		spans[i] = [2]int{off, off + c.X.Rows}
-		mats[i] = c.X
-		off += c.X.Rows
+		if c.X.Cols != cols {
+			panic(fmt.Sprintf("transformer: seq %d chunk has %d cols, want %d", c.Seq, c.X.Cols, cols))
+		}
+		spans = append(spans, [2]int{rows, rows + c.X.Rows})
+		rows += c.X.Rows
 	}
-	return tensor.ConcatRows(mats...), spans
+	x.Resize(rows, cols)
+	for i, c := range batch {
+		copy(x.Data[spans[i][0]*x.Cols:spans[i][1]*x.Cols], c.X.Data)
+	}
+	return spans
 }
-
-// Flatten is the exported flatten used by parallel implementations.
-func Flatten(batch []Chunk) (*tensor.Matrix, [][2]int) { return flatten(batch) }

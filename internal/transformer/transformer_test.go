@@ -169,11 +169,16 @@ func TestMultiStepDecodeBatch(t *testing.T) {
 	}
 }
 
+// mat builds a row-major matrix of the given width from its elements.
+func mat(cols int, data ...float64) *tensor.Matrix {
+	return &tensor.Matrix{Rows: len(data) / cols, Cols: cols, Data: data}
+}
+
 func TestAttendUniformWhenZeroQK(t *testing.T) {
 	// With zero q/k the scores are uniform and output is the mean of v.
 	q := tensor.New(1, 2)
 	k := tensor.New(3, 2)
-	v := tensor.FromRows([][]float64{{0, 0}, {3, 3}, {6, 9}})
+	v := mat(2, 0, 0, 3, 3, 6, 9)
 	out := Attend(q, k, v, 2)
 	if math.Abs(out.At(0, 0)-3) > 1e-12 || math.Abs(out.At(0, 1)-4) > 1e-12 {
 		t.Fatalf("uniform attention mean = %v,%v", out.At(0, 0), out.At(0, 1))
@@ -182,9 +187,9 @@ func TestAttendUniformWhenZeroQK(t *testing.T) {
 
 func TestAttendCausalMask(t *testing.T) {
 	// Token at position 0 (prevLen 0) must ignore rows 1+ entirely.
-	q := tensor.FromRows([][]float64{{1, 0}})
-	k := tensor.FromRows([][]float64{{1, 0}, {100, 0}})
-	v := tensor.FromRows([][]float64{{5, 5}, {-100, -100}})
+	q := mat(2, 1, 0)
+	k := mat(2, 1, 0, 100, 0)
+	v := mat(2, 5, 5, -100, -100)
 	out := Attend(q, k, v, 0)
 	if out.At(0, 0) != 5 || out.At(0, 1) != 5 {
 		t.Fatalf("causal mask leaked future: %v", out.Row(0))
@@ -202,7 +207,7 @@ func TestBatchTokens(t *testing.T) {
 func TestFlattenSpans(t *testing.T) {
 	rng := tensor.NewRNG(10)
 	batch := []Chunk{randChunk(rng, 0, 2, 4), randChunk(rng, 1, 3, 4)}
-	x, spans := Flatten(batch)
+	x, spans := flatten(batch)
 	if x.Rows != 5 {
 		t.Fatalf("flatten rows = %d", x.Rows)
 	}
@@ -236,4 +241,52 @@ func TestGQASharesKVHeads(t *testing.T) {
 	if k.Rows != 4 {
 		t.Fatalf("cached k rows = %d", k.Rows)
 	}
+}
+
+// AttendInto writes Attend's bits into its block of a larger output and
+// leaves the rest alone, whatever its score scratch held before.
+func TestAttendIntoMatchesAttendExactly(t *testing.T) {
+	rng := tensor.NewRNG(11)
+	scores := rng.RandMatrix(7, 9, 1) // dirty scratch of another shape
+	for _, c := range []struct{ t, ctx, prev int }{{1, 5, 4}, {3, 3, 0}, {4, 9, 5}} {
+		q := rng.RandMatrix(c.t, 4, 1)
+		k, v := rng.RandMatrix(c.ctx, 4, 1), rng.RandMatrix(c.ctx, 4, 1)
+		want := Attend(q, k, v, c.prev)
+		out := rng.RandMatrix(c.t+2, 10, 1)
+		before := out.Clone()
+		AttendInto(out, 1, 3, scores, q, k, v, c.prev)
+		for i := 0; i < out.Rows; i++ {
+			for j := 0; j < out.Cols; j++ {
+				got, w := out.At(i, j), before.At(i, j)
+				if i >= 1 && i < 1+c.t && j >= 3 && j < 7 {
+					w = want.At(i-1, j-3)
+				}
+				if math.Float64bits(got) != math.Float64bits(w) {
+					t.Fatalf("t=%d ctx=%d: out(%d,%d) = %v, want %v", c.t, c.ctx, i, j, got, w)
+				}
+			}
+		}
+	}
+}
+
+// FlattenInto refills its destinations: reused for a smaller batch, it
+// gives the same rows and spans as a fresh flatten, and it refuses a
+// chunk of the wrong width.
+func TestFlattenIntoReusesDestinations(t *testing.T) {
+	rng := tensor.NewRNG(12)
+	var x tensor.Matrix
+	var spans [][2]int
+	spans = FlattenInto(&x, spans, []Chunk{randChunk(rng, 0, 5, 4), randChunk(rng, 1, 3, 4)})
+	small := []Chunk{randChunk(rng, 2, 1, 4), randChunk(rng, 0, 2, 4)}
+	spans = FlattenInto(&x, spans, small)
+	want, wantSpans := flatten(small)
+	if !tensor.Equal(&x, want, 0) || len(spans) != 2 || spans[0] != wantSpans[0] || spans[1] != wantSpans[1] {
+		t.Fatalf("reused flatten = %v %v, want %v %v", x.Data, spans, want.Data, wantSpans)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic on a chunk of the wrong width")
+		}
+	}()
+	FlattenInto(&x, spans, []Chunk{randChunk(rng, 0, 1, 4), randChunk(rng, 1, 1, 3)})
 }
