@@ -20,7 +20,7 @@ COVERFLOOR ?= 92.0
 # margin absorbs counting noise, not deleted tests).
 COVERFLOOR_FN ?= 94.0
 
-.PHONY: ci fmt vet test race bench examples golden bench-json bench-check trace-smoke perfbench build docs fuzz fuzz-short cover
+.PHONY: ci fmt vet test race bench examples golden bench-json bench-check trace-smoke trace-cmp perfbench build docs fuzz fuzz-short cover
 
 ci: fmt vet docs race bench examples golden trace-smoke fuzz-short cover bench-check
 
@@ -117,6 +117,45 @@ trace-smoke:
 	$(GO) run ./cmd/simctl run fig14 -quick -p rates=1 -trace .trace-smoke-cluster.json > /dev/null
 	$(GO) run ./cmd/jsonlint .trace-smoke.json .trace-smoke-geo.json .trace-smoke-cluster.json
 	@rm -f .trace-smoke.json .trace-smoke.csv .trace-smoke-geo.json .trace-smoke-cluster.json
+
+# Behaviour check against a git revision (REV, default HEAD, so on an
+# uncommitted change it compares against the last commit): build simctl
+# from `git archive REV` in a temporary directory and from the working
+# tree, run every scenario the working tree registers at -quick with
+# -trace and -series, one scenario per run, and cmp each run's stdout,
+# stderr, trace and series files. Scenarios that run no simulator write
+# no trace or series file on either side. Any difference, or a run that
+# fails on one side only, fails. Not part of ci:
+#   make trace-cmp REV=<commit>
+REV ?= HEAD
+trace-cmp:
+	@dir="$$(mktemp -d)"; trap 'rm -rf "$$dir"' EXIT; \
+	mkdir "$$dir/src" "$$dir/old" "$$dir/new"; \
+	git archive "$(REV)" | tar -x -C "$$dir/src" || exit 1; \
+	(cd "$$dir/src" && $(GO) build -o "$$dir/simctl-old" ./cmd/simctl) || exit 1; \
+	$(GO) build -o "$$dir/simctl-new" ./cmd/simctl || exit 1; \
+	names="$$("$$dir/simctl-new" list | awk '/^  [^ ]/ {print $$1}')"; \
+	[ -n "$$names" ] || { echo "trace-cmp: simctl list named no scenario"; exit 1; }; \
+	fail=0; n=0; \
+	for name in $$names; do \
+		n=$$((n+1)); \
+		for side in old new; do \
+			out="$$dir/$$side/$$name"; \
+			( cd "$$dir/$$side" && "$$dir/simctl-$$side" run "$$name" -quick \
+				-trace "$$name.trace.json" -series "$$name.series.csv" \
+				> "$$out.stdout" 2> "$$out.stderr"; echo "exit $$?" > "$$out.exit" ); \
+		done; \
+	done; \
+	for f in "$$dir"/old/* "$$dir"/new/*; do \
+		name="$$(basename "$$f")"; \
+		[ -e "$$dir/old/$$name" ] || { echo "trace-cmp: $$name only at the working tree"; fail=1; continue; }; \
+		[ -e "$$dir/new/$$name" ] || { echo "trace-cmp: $$name only at $(REV)"; fail=1; continue; }; \
+		case "$$f" in "$$dir"/new/*) continue;; esac; \
+		cmp -s "$$dir/old/$$name" "$$dir/new/$$name" || { echo "trace-cmp: $$name differs from $(REV)"; fail=1; }; \
+	done; \
+	if [ $$fail = 0 ]; then \
+		echo "trace-cmp: $$n scenarios, $$(ls "$$dir/new" | wc -l) files byte-identical to $(REV)"; fi; \
+	exit $$fail
 
 # Simulator-performance benchmarks (engine hot path, fleet stepping,
 # sweep fan-out) and the functional Shift engine unit (tensor kernels and

@@ -65,6 +65,36 @@ func TestFunctionalShiftOutputsPinned(t *testing.T) {
 	}
 }
 
+// TestPrefillStepAllocationsPinned warms a Shift engine with the
+// functional-shift unit's prefill, then pins the heap allocations of
+// one more 8x32-token prefill step on the base config, of sequences the
+// caches have not seen. Besides the forward's own (as in the steady
+// step's 14), each of the 8 ranks creates each new sequence's cache
+// entry (11 allocations) and reserves its K and V rows once per layer
+// before the row loop (8): 8 x 8 x 19 = 1,216. Appending the rows one by
+// one without reserving regrew every row list six times on the way to
+// 32 rows, and the same step allocated 3,790.
+func TestPrefillStepAllocationsPinned(t *testing.T) {
+	const seqs, prompt, want = 8, 32, 1230
+	s, batch := pinnedUnit(t, seqs, prompt)
+	s.Forward(batch)
+	next := seqs
+	prefill := func() {
+		for i := range batch {
+			batch[i].Seq = next
+			next++
+		}
+		s.ForwardMode(parallel.ModeSP, batch)
+	}
+	// AllocsPerRun runs one unmeasured step before the measured one.
+	if got := testing.AllocsPerRun(1, prefill); got != want {
+		t.Errorf("a prefill step of new sequences allocated %v objects, want %d", got, want)
+	}
+	if lens := s.Caches()[0].Len(next - 1); lens != prompt {
+		t.Fatalf("cache holds %d tokens of the last sequence, want %d", lens, prompt)
+	}
+}
+
 // pinnedUnit returns a fresh Shift engine for the functional-shift unit
 // and its prefill batch of seqs prompts of the given length.
 func pinnedUnit(t *testing.T, seqs, prompt int) (*Shift, []transformer.Chunk) {

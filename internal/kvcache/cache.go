@@ -44,8 +44,9 @@ func NewCache(layers, heads, headDim int) *Cache {
 	return &Cache{Layers: layers, Heads: heads, HeadDim: headDim, seqs: make(map[int]*seqKV)}
 }
 
-// seq returns the sequence's entry, creating it: only Append calls it.
-// Reads go through rows, so reading a sequence never caches it.
+// seq returns the sequence's entry, creating it: only Append and
+// Reserve call it. Reads go through rows, so reading a sequence never
+// caches it.
 func (c *Cache) seq(id int) *seqKV {
 	s, ok := c.seqs[id]
 	if !ok {
@@ -87,6 +88,29 @@ func (c *Cache) Append(seqID, layer, head int, kRow, vRow []float64) {
 	s := c.seq(seqID)
 	s.k[layer][head] = append(s.k[layer][head], kRow...)
 	s.v[layer][head] = append(s.v[layer][head], vRow...)
+}
+
+// Reserve makes room for n more token rows of (seq, layer, local head),
+// creating the sequence as Append does, so the next n Appends there do
+// not regrow its storage.
+func (c *Cache) Reserve(seqID, layer, head, n int) {
+	c.checkIndex(layer, head)
+	s := c.seq(seqID)
+	s.k[layer][head] = reserve(s.k[layer][head], n*c.HeadDim)
+	s.v[layer][head] = reserve(s.v[layer][head], n*c.HeadDim)
+}
+
+// reserve returns flat with room for n more floats. When it must move
+// the rows it at least doubles their capacity, so one-row reservations
+// (decode steps) stay amortized, and it allocates once: slices.Grow
+// allocates a second time under the race detector.
+func reserve(flat []float64, n int) []float64 {
+	if len(flat)+n <= cap(flat) {
+		return flat
+	}
+	grown := make([]float64, len(flat), max(len(flat)+n, 2*cap(flat)))
+	copy(grown, flat)
+	return grown
 }
 
 func (c *Cache) checkIndex(layer, head int) {

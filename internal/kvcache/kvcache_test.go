@@ -368,3 +368,28 @@ func TestCacheViewsIntoFillsHeaders(t *testing.T) {
 		t.Fatal("ViewsInto copied the stored rows instead of aliasing them")
 	}
 }
+
+// Reserve creates the sequence as Append does, caches no rows, and
+// leaves room for the rows it reserved: appending them moves no storage
+// and caches exactly what an Append-only cache holds.
+func TestCacheReserveThenAppend(t *testing.T) {
+	c, plain := NewCache(2, 2, 3), NewCache(2, 2, 3)
+	c.Reserve(4, 1, 0, 3)
+	if seqs := c.Sequences(); len(seqs) != 1 || seqs[0] != 4 || c.Len(4) != 0 {
+		t.Fatalf("after Reserve: sequences %v, %d rows; want [4], 0", seqs, c.Len(4))
+	}
+	k, v := c.seqs[4].k[1][0], c.seqs[4].v[1][0]
+	if cap(k) < 9 || cap(v) < 9 {
+		t.Fatalf("reserved capacity %d/%d floats, want at least 9", cap(k), cap(v))
+	}
+	for i := 0; i < 3; i++ {
+		c.Append(4, 1, 0, row(3, float64(i)), row(3, float64(-i)))
+		plain.Append(4, 1, 0, row(3, float64(i)), row(3, float64(-i)))
+	}
+	if &c.seqs[4].k[1][0][0] != &k[:1][0] || &c.seqs[4].v[1][0][0] != &v[:1][0] {
+		t.Fatal("appending the reserved rows moved the storage")
+	}
+	if !Equal(c, plain, 0) || c.Fingerprint() != plain.Fingerprint() {
+		t.Fatal("reserved rows cache differently from appended ones")
+	}
+}

@@ -429,6 +429,7 @@ func (e *Engine) attendBatch(rank, layer int, batch []transformer.Chunk, q, k, v
 	for bi, c := range batch {
 		lo, hi := e.spans[bi][0], e.spans[bi][1]
 		for j := range p.kvHeads {
+			cache.Reserve(c.Seq, layer, j, hi-lo)
 			for row := lo; row < hi; row++ {
 				cache.Append(c.Seq, layer, j, k.Row(row)[j*dh:(j+1)*dh], v.Row(row)[j*dh:(j+1)*dh])
 			}

@@ -312,12 +312,24 @@ type fleetState struct {
 	// lockstep steps the fleet on one shared clock (vLLM's DP engine; see
 	// stepLockstep); clock is that clock and lockWork the per-iteration
 	// scratch of staged plans.
-	lockstep   bool
-	clock      time.Duration
-	lockWork   []stagedIter
-	replicas   []*replica
-	scaleUps   int
-	scaleDowns int
+	lockstep bool
+	clock    time.Duration
+	lockWork []stagedIter
+	// horizon is how far the controller has advanced the fleet; behind
+	// marks replicas not yet stepped there. eager marks a fleet whose
+	// arrivals read replica state (the geo tier, lockstep, breakers, a
+	// cloud tier, or a router that may read live views): it steps at
+	// every advance. Any other fleet steps only when a reader syncs, so an
+	// arrival there just enqueues on an engine that may lag it, as
+	// Engine.Run enqueues its whole share before stepping. replicaSteps
+	// counts the stepUntil calls made.
+	horizon      time.Duration
+	behind       bool
+	eager        bool
+	replicaSteps int
+	replicas     []*replica
+	scaleUps     int
+	scaleDowns   int
 	// draining marks the post-trace phase: no further arrivals exist, so
 	// scale-ups are suppressed (a replica spawned now could never receive
 	// work, only bill replica-seconds until the end of the run).
@@ -464,17 +476,43 @@ func (f *fleetState) promote(now time.Duration) {
 	}
 }
 
-// advance accrues the region's active time to the horizon, steps every
-// live engine to it, in index order, and retires draining replicas that
-// have finished their in-flight work. A lockstep fleet steps on its
-// shared clock instead.
+// advance moves the fleet's horizon to the controller's clock. An
+// eager fleet, and every final advance, steps there at once; any other
+// fleet is left behind until a reader syncs.
 func (f *fleetState) advance(horizon time.Duration, final bool) {
-	f.accrue(horizon)
+	f.horizon, f.behind = horizon, true
+	if f.eager || final {
+		f.step(final)
+	}
+}
+
+// sync steps a fleet left behind to its horizon. Everything that reads
+// replica state calls it first: evaluation (the autoscaler's view, the
+// drain victims and the obs sample), probes, crashes and the run's
+// drain.
+func (f *fleetState) sync() {
+	if f.behind {
+		f.step(false)
+	}
+}
+
+// step accrues the region's active time to the horizon, steps every live
+// engine to it, in index order, and retires draining replicas that have
+// finished their in-flight work; a draining replica gets no further
+// arrivals. A lockstep fleet steps on its shared clock instead. Dark
+// machines do not step: their clock resumes (bumped to the probe time)
+// when they restart.
+func (f *fleetState) step(final bool) {
+	f.behind = false
+	f.accrue(f.horizon)
 	if f.lockstep {
-		f.stepLockstep(horizon, final)
+		f.stepLockstep(f.horizon, final)
 	} else {
 		for _, rep := range f.replicas {
-			rep.step(horizon, final)
+			if rep.live() {
+				rep.engine.stepUntil(f.horizon, final || rep.state == replicaDraining)
+				f.replicaSteps++
+			}
 		}
 	}
 	for _, rep := range f.replicas {
@@ -486,17 +524,8 @@ func (f *fleetState) advance(horizon time.Duration, final bool) {
 }
 
 // live reports whether the replica's engine steps: retired replicas are
-// gone, and dark machines do not step — their clock resumes (bumped to
-// the probe time) when they restart.
+// gone, and dark machines do not step.
 func (rep *replica) live() bool { return rep.state != replicaRetired && !rep.down }
-
-// step advances one independent replica to the horizon; a draining
-// replica gets no further arrivals.
-func (rep *replica) step(horizon time.Duration, final bool) {
-	if rep.live() {
-		rep.engine.stepUntil(horizon, final || rep.state == replicaDraining)
-	}
-}
 
 // stagedIter is one replica's planned iteration in a lockstep step.
 type stagedIter struct {
@@ -675,6 +704,7 @@ func (f *fleetState) windowOutcome(v *FleetView, s *seq, rejected bool) {
 // evaluate runs one autoscaler decision at an evaluation boundary; the
 // parked count is view's.
 func (f *fleetState) evaluate(now time.Duration, parkedReqs int) error {
+	f.sync()
 	f.promote(now)
 	f.syncBreakers(now)
 	v := f.view(parkedReqs)

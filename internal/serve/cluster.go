@@ -115,7 +115,9 @@ func (c Cluster) Run(t *workload.Trace) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	ctl.regions[0].lockstep = c.Lockstep
+	// A lockstep fleet steps on its shared clock at every advance.
+	f := ctl.regions[0]
+	f.lockstep, f.eager = c.Lockstep, f.eager || c.Lockstep
 	return ctl.run(t)
 }
 

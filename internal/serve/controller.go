@@ -197,10 +197,16 @@ func newController(g Geo, geoTier bool) (*controller, error) {
 		if r, ok := ac.Scaler.(resettable); ok {
 			r.reset()
 		}
+		_, assigned := local.(assignedRouter)
 		fleet := &fleetState{
 			ac: ac, name: name, router: local, nextEval: ac.Interval,
 			breakers: g.Breakers, cloud: c.cloud,
 			sampleCloud: !geoTier && c.cloud != nil,
+			// The geo tier reads regional backlogs and queues, breakers
+			// read terminal outcomes, the cloud drain reads staged
+			// waiters after every advance, and a router not known to read
+			// assigned work alone may read live backlogs.
+			eager: geoTier || g.Breakers != nil || c.cloud != nil || !assigned,
 		}
 		if geoTier && g.Breakers != nil {
 			fleet.regionBreaker = newBreaker(*g.Breakers)
@@ -269,7 +275,11 @@ func (c *controller) run(t *workload.Trace) (*Result, error) {
 	// fleetState.draining) unless faults left parked work with nothing
 	// routable. Probes and crashes keep firing so dark replicas still get
 	// ejected and their black-holed work still reaches a terminal outcome.
+	// A fleet left behind first steps to the last arrival with final
+	// unset, as that arrival's advance stepped an eager fleet, so the
+	// end-of-trace rules start at the same point in both.
 	for _, f := range c.regions {
+		f.sync()
 		f.draining = true
 	}
 	for !c.done() {
@@ -359,8 +369,9 @@ func (c *controller) nextFault() (time.Duration, int, bool) {
 	return at, kind, true
 }
 
-// advance steps region ri (every region when ri < 0, in index order) to
-// now, then offers the staged shed-or-buy waiters to the cloud.
+// advance moves region ri (every region when ri < 0, in index order) to
+// now, stepping it there if it is eager or final, then offers the staged
+// shed-or-buy waiters to the cloud (a cloud tier makes every fleet eager).
 func (c *controller) advance(now time.Duration, ri int, final bool) {
 	if ri >= 0 {
 		c.regions[ri].advance(now, final)

@@ -439,7 +439,9 @@ func (f *fleetState) syncRegionBreaker(now time.Duration) {
 // accrue extends the active-replica-seconds integral to now, using the
 // composition at the start of the window (promotions and retirements
 // land on controller events, so the approximation error is at most one
-// event interval per transition).
+// event interval per transition). A fleet that is not eager accrues only
+// when it steps; the integral's one reader, the geo tier's region view,
+// makes every fleet eager.
 func (f *fleetState) accrue(now time.Duration) {
 	if now <= f.lastAccrual {
 		return

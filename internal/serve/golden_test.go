@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/perf"
+	"repro/internal/tensor"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -135,10 +136,11 @@ func withRouter(cl Cluster, r Router) Cluster {
 // route it — at zero allocations: every Cluster runs on this path, so a
 // per-arrival allocation would show in every fleet's bill. The engine's
 // own arrivals list is the one thing an arrival may grow; the test
-// pre-grows it out of the measurement. Between arrivals, advancing the
-// fleet resumes the replicas' open run-ahead stretches, and that is
-// pinned at zero allocations too, and so is an arrival on a two-region
-// geo tier.
+// pre-grows it out of the measurement. Stepping the fleet to a later
+// horizon (an advance, then the sync a reader makes) resumes the
+// replicas' open run-ahead stretches, and that is pinned at zero
+// allocations too, and so is an arrival on a two-region geo tier, whose
+// fleets step at every advance.
 func TestSteadyArrivalAllocatesNothing(t *testing.T) {
 	cl := DPCluster("steady", dpCfg(llamaCM(t)), 4)
 	ctl, err := newController(Geo{
@@ -166,6 +168,7 @@ func TestSteadyArrivalAllocatesNothing(t *testing.T) {
 	// each one cuts or resumes the replicas' stretches.
 	h := tr.Requests[99].Arrival + 1
 	ctl.advance(h, -1, false)
+	ctl.regions[0].sync()
 	resumed, iters := 0, 0
 	for _, rep := range replicas {
 		iters -= rep.engine.iters
@@ -178,6 +181,7 @@ func TestSteadyArrivalAllocatesNothing(t *testing.T) {
 			}
 		}
 		ctl.advance(h, -1, false)
+		ctl.regions[0].sync()
 	}
 	if allocs := testing.AllocsPerRun(100, advance); allocs != 0 {
 		t.Fatalf("one steady advance allocates %.1f times, want 0", allocs)
@@ -256,6 +260,46 @@ func TestWorkCountsPinned(t *testing.T) {
 		e.Run(tc.reqs)
 		if e.iters != tc.iters || e.plans != tc.plans {
 			t.Errorf("%s: %d iterations, %d scheduled; pinned %d, %d", tc.name, e.iters, e.plans, tc.iters, tc.plans)
+		}
+	}
+}
+
+// TestReplicaStepsPinned pins the replica steps (stepUntil calls) the
+// controller makes, with the iterations run, on independent fleets of 8
+// and of 128 single-GPU replicas behind the default router, each fleet
+// under 30 s of Poisson chat traffic at 0.5 req/s per replica. The
+// router reads assigned work only, so an arrival enqueues without
+// stepping anything, and the replicas step at the autoscaler's
+// evaluations and in the drain: the count grows with the fleet, not
+// with the arrivals. Stepping every replica at every arrival took 968
+// and 235,648 calls on the same runs (113 and 1,832 arrivals), for the
+// same iterations. A change that moves stepping has to update these
+// numbers and say why.
+func TestReplicaStepsPinned(t *testing.T) {
+	cm := llamaCM(t)
+	sizes := workload.LognormalSize{
+		MedianIn: 1000, SigmaIn: 0.6, MinIn: 64, MaxIn: 4096,
+		MedianOut: 200, SigmaOut: 0.5, MinOut: 16, MaxOut: 800,
+	}
+	for _, tc := range []struct{ replicas, steps, iters int }{
+		{8, 72, 10767},
+		{128, 1280, 175114},
+	} {
+		tr := workload.Poisson("fleet", tensor.NewRNG(42), 0.5*float64(tc.replicas), 30*time.Second, sizes, "chat")
+		cl := DPCluster("fleet", dpCfg(cm), tc.replicas)
+		ctl, err := newController(Geo{
+			Name: cl.Name, Regions: []Region{{Name: cl.Name, Configs: cl.Configs}},
+		}, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := ctl.run(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if steps := ctl.regions[0].replicaSteps; steps != tc.steps || res.Iters != tc.iters {
+			t.Errorf("%d replicas, %d arrivals: %d replica steps, %d iterations; pinned %d, %d",
+				tc.replicas, len(tr.Requests), steps, res.Iters, tc.steps, tc.iters)
 		}
 	}
 }

@@ -104,6 +104,7 @@ func (f *fleetState) crashReplica(rep *replica, now, restartAt time.Duration) []
 // black-holed arrivals, which are returned for re-submission), and
 // readmits recovered replicas whose cooldown expired.
 func (f *fleetState) probeAll(now time.Duration) []workload.Request {
+	f.sync()
 	var lost []workload.Request
 	for _, rep := range f.replicas {
 		if rep.state != replicaActive {
@@ -178,6 +179,7 @@ type crashEvent struct {
 // the lost work. Outages crash every live replica (index order) with
 // restartAt at the outage end and darken subsequent spawns until then.
 func (f *fleetState) applyCrashEvent(ev crashEvent, now time.Duration) []workload.Request {
+	f.sync()
 	if !ev.outage {
 		if ev.replica < 0 || ev.replica >= len(f.replicas) {
 			return nil

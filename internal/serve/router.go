@@ -26,7 +26,8 @@ type ReplicaView struct {
 	// LiveTokens is the input+output tokens of the work still on the
 	// replica, read from its engine's backlog: routed and not yet
 	// finished, rejected, shed or crash-lost, where OutstandingTokens
-	// accumulates forever.
+	// accumulates forever. A fleet routed by a built-in that never reads
+	// it (assignedRouter) does not step its replicas to keep it current.
 	LiveTokens int
 	// BreakerOpen marks a replica whose circuit breaker is open: alive
 	// and routable, but drowning. Breaker-aware routers prefer other
@@ -40,7 +41,8 @@ type ReplicaView struct {
 // the lowest replica index in every built-in policy, so a run is
 // reproducible bit-for-bit. Routers holding per-run state additionally
 // implement reset(), which Cluster.Run calls before routing so repeated
-// runs of one cluster assign identically.
+// runs of one cluster assign identically. A custom router always gets
+// live views: every replica is stepped to the arrival before it routes.
 type Router interface {
 	Name() string
 	// Route returns the index of the replica that receives r. Returning
@@ -55,6 +57,12 @@ type Router interface {
 // resets them before routing a trace.
 type resettable interface{ reset() }
 
+// assignedRouter marks the built-in routers that read only a view's
+// Name and assigned work (OutstandingTokens, FreeKVTokens), never the
+// fields live replica state feeds. A fleet routed by one need not step
+// its replicas at an arrival (see fleetState.eager).
+type assignedRouter interface{ readsAssignedOnly() }
+
 type roundRobin struct{ next int }
 
 // NewRoundRobinRouter cycles through replicas in index order, ignoring
@@ -64,6 +72,8 @@ func NewRoundRobinRouter() Router { return &roundRobin{} }
 func (*roundRobin) Name() string { return "round-robin" }
 
 func (rr *roundRobin) reset() { rr.next = 0 }
+
+func (*roundRobin) readsAssignedOnly() {}
 
 func (rr *roundRobin) Route(_ workload.Request, replicas []ReplicaView) int {
 	i := rr.next % len(replicas)
@@ -82,6 +92,8 @@ type leastOutstanding struct{}
 func NewLeastOutstandingRouter() Router { return leastOutstanding{} }
 
 func (leastOutstanding) Name() string { return "least-outstanding" }
+
+func (leastOutstanding) readsAssignedOnly() {}
 
 func (leastOutstanding) Route(_ workload.Request, replicas []ReplicaView) int {
 	best := 0
@@ -105,6 +117,8 @@ type joinShortestKV struct{}
 func NewJoinShortestKVRouter() Router { return joinShortestKV{} }
 
 func (joinShortestKV) Name() string { return "join-shortest-kv" }
+
+func (joinShortestKV) readsAssignedOnly() {}
 
 func (joinShortestKV) Route(_ workload.Request, replicas []ReplicaView) int {
 	best := 0
@@ -175,6 +189,8 @@ func NewAffinityRouter() Router { return affinity{fallback: NewLeastOutstandingR
 
 func (affinity) Name() string { return "affinity" }
 
+func (affinity) readsAssignedOnly() {}
+
 func (a affinity) Route(r workload.Request, replicas []ReplicaView) int {
 	if r.Session == "" {
 		return a.fallback.Route(r, replicas)
@@ -231,6 +247,8 @@ func NewCacheAwareRouter() Router { return &cacheAware{last: map[string]string{}
 func (*cacheAware) Name() string { return "cache-aware" }
 
 func (c *cacheAware) reset() { clear(c.last) }
+
+func (*cacheAware) readsAssignedOnly() {}
 
 func (c *cacheAware) Route(r workload.Request, replicas []ReplicaView) int {
 	key := r.CacheKey()

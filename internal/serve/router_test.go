@@ -385,3 +385,140 @@ func TestBuiltinRegistries(t *testing.T) {
 		t.Errorf("cloud-overflow: %v, %v", r, err)
 	}
 }
+
+// opaqueRouter hides a router's type from serve, as a user's router
+// would be hidden: a fleet routed by it steps every replica at every
+// arrival, so the router gets live views.
+type opaqueRouter struct{ Router }
+
+// opaqueCloudRouter is opaqueRouter for a cloud-aware router.
+type opaqueCloudRouter struct{ CloudAwareRouter }
+
+// TestAssignedRoutersNeedNoLiveViews guards the routers marked
+// assignedRouter, whose fleets step replicas only when a reader syncs:
+// every built-in router must serve a run exactly as it does behind a
+// wrapper serve does not know, which always gets live views. It covers
+// an 8-replica fleet with measured prefix caches, the same fleet with
+// breakers (whose views read live breaker state at every arrival), an
+// autoscaled fleet under faults and cloud-overflow on a busy
+// two-replica cloud fleet.
+func TestAssignedRoutersNeedNoLiveViews(t *testing.T) {
+	cfg := Config{CM: llamaCM(t), Par: perf.Parallelism{SP: 1, TP: 1},
+		PrefixCache: &PrefixCacheConfig{ShareFraction: 0.75}}
+	newRouter := func(name string) Router {
+		r, err := NewRouter(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	// run serves a fleet of cfg replicas and returns its replica steps.
+	run := func(r Router, breakers *BreakerConfig, cloud *CloudConfig) (*Result, int) {
+		t.Helper()
+		tr, n := sessionedTrace(t, 5, 16), 8
+		if cloud != nil {
+			// A busy pair, so overflow pays.
+			tr, n = determinismTrace(t, 29), 2
+		}
+		cl := DPCluster("opaque", cfg, n)
+		ctl, err := newController(Geo{
+			Name:     cl.Name,
+			Regions:  []Region{{Name: cl.Name, Configs: cl.Configs, Router: r}},
+			Breakers: breakers, Cloud: cloud,
+		}, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := ctl.run(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, ctl.regions[0].replicaSteps
+	}
+	same := func(what string, got, want *Result) {
+		t.Helper()
+		if !reflect.DeepEqual(got.PerRequest, want.PerRequest) || got.Iters != want.Iters || got.Cost != want.Cost {
+			t.Errorf("%s: the built-in serves differently from the same router behind a wrapper", what)
+		}
+	}
+	breakers := &BreakerConfig{FailThreshold: 2, OpenFor: 3 * time.Second}
+	// An autoscaled fleet under crashes, a restart and a degrade window,
+	// with backed-off retries: evaluations, drains, probes, crashes and
+	// retry releases all read replicas this fleet has left behind.
+	faulted := faultTestCluster(cfg.CM)
+	faulted.Faults.Retry = &workload.RetryPolicy{BackoffBase: 300 * time.Millisecond}
+	faulted.Autoscale.Scaler = &QueueDepthAutoscaler{High: 1, Low: 0.5, Step: 1}
+	faultedRun := func(r Router) *Result {
+		t.Helper()
+		faulted.Router = r
+		res, err := faulted.Run(determinismTrace(t, 13))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	for _, name := range RouterNames {
+		got, steps := run(newRouter(name), nil, nil)
+		want, wrappedSteps := run(opaqueRouter{newRouter(name)}, nil, nil)
+		same(name, got, want)
+		_, assigned := newRouter(name).(assignedRouter)
+		if assigned != (steps < wrappedSteps) {
+			t.Errorf("%s: %d replica steps, %d behind a wrapper: assigned-only is %v",
+				name, steps, wrappedSteps, assigned)
+		}
+		got, _ = run(newRouter(name), breakers, nil)
+		want, _ = run(opaqueRouter{newRouter(name)}, breakers, nil)
+		same(name+" with breakers", got, want)
+
+		got = faultedRun(newRouter(name))
+		same(name+" under faults", got, faultedRun(opaqueRouter{newRouter(name)}))
+		if got.ReplicaCrashes == 0 || got.Retries == 0 || got.ScaleUps == 0 || got.ScaleDowns == 0 {
+			t.Errorf("%s: test premise broken: %d crashes, %d retries, %d scale-ups, %d scale-downs",
+				name, got.ReplicaCrashes, got.Retries, got.ScaleUps, got.ScaleDowns)
+		}
+	}
+	got, _ := run(NewCloudOverflowRouter(), nil, cloudCfg())
+	want, _ := run(opaqueCloudRouter{NewCloudOverflowRouter().(CloudAwareRouter)}, nil, cloudCfg())
+	same("cloud-overflow on a cloud fleet", got, want)
+	if got.CloudRequests == 0 {
+		t.Error("test premise broken: cloud-overflow sent nothing to the cloud")
+	}
+}
+
+// TestLaggingFleetEndsTraceLikeEager: a waiter an empty replica can
+// never admit (a prompt within 1% of its whole KV cache, with a chunk
+// budget that takes it in one chunk) blocks every request queued behind
+// it until the end of the trace, when the engine rejects it. A fleet
+// that steps only at its readers must reach that point where an eager
+// fleet does, at the last arrival, and not at the replica's own last
+// arrival: the two-replica round-robin fleet below serves exactly as
+// the same router behind a wrapper, whose fleet steps at every arrival.
+func TestLaggingFleetEndsTraceLikeEager(t *testing.T) {
+	cfg := dpCfg(llamaCM(t))
+	capTok := mustEngine(t, cfg).KVCapacityTokens()
+	cfg.ChunkBudget = capTok
+	reqs := make([]workload.Request, 20)
+	for i := range reqs {
+		reqs[i] = workload.Request{ID: i, Arrival: time.Duration(i) * 300 * time.Millisecond,
+			InputTokens: 300, OutputTokens: 20}
+	}
+	reqs[4].InputTokens = capTok - 40
+	tr := &workload.Trace{Name: "stuck-waiter", Requests: reqs}
+	cl := DPCluster("stuck", cfg, 2)
+	cl.Router = NewRoundRobinRouter()
+	got, err := cl.Run(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl.Router = opaqueRouter{NewRoundRobinRouter()}
+	want, err := cl.Run(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Rejected != 1 {
+		t.Fatalf("test premise broken: %d rejections, want the stuck waiter's alone", got.Rejected)
+	}
+	if !reflect.DeepEqual(got.PerRequest, want.PerRequest) {
+		t.Fatal("the lagging fleet ended the trace differently from the eager one")
+	}
+}

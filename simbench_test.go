@@ -104,9 +104,11 @@ func BenchmarkSimulator_FleetSerial(b *testing.B) {
 
 // BenchmarkSimulator_FleetScale replays an independent fleet of 8,
 // 32 and 128 single-GPU replicas, each under the same Poisson chat load
-// (0.5 req/s per replica for 2 minutes), behind the default router. Every
-// arrival advances every replica, so ns/iter growing with the fleet is
-// the per-arrival cost that does not stay per replica.
+// (0.5 req/s per replica for 2 minutes), behind the default router. That
+// router reads assigned work only, so an arrival steps no replica: the
+// replicas step at the autoscaler's evaluations and in the drain, and
+// ns/iter growing with the fleet is the per-arrival cost that still
+// does not stay per replica (routing's scan over every replica view).
 func BenchmarkSimulator_FleetScale(b *testing.B) {
 	sizes := workload.LognormalSize{
 		MedianIn: 1000, SigmaIn: 0.6, MinIn: 64, MaxIn: 4096,
