@@ -3,8 +3,8 @@
 // a base (SP, TP) engine optimizing TTFT and throughput, and a shift
 // (1, SP*TP) full-TP engine optimizing TPOT — that share a single KV
 // cache and switch per iteration on the batched token count
-// (Algorithm 2). KV cache invariance across the two engines is provided
-// by the Figure-6 head mapping in internal/parallel.
+// (Algorithm 2, perf.UsesShift). KV cache invariance across the two
+// engines is provided by the Figure-6 head mapping in internal/parallel.
 package core
 
 import (
@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/kvcache"
 	"repro/internal/parallel"
+	"repro/internal/perf"
 	"repro/internal/tensor"
 	"repro/internal/transformer"
 )
@@ -24,7 +25,6 @@ type Shift struct {
 	// configuration runs; at or below it the shift (full TP) runs.
 	Threshold int
 
-	lay    parallel.Layout
 	base   *parallel.Engine
 	shift  *parallel.Engine
 	caches []*kvcache.Cache
@@ -35,13 +35,9 @@ type Shift struct {
 
 // Options configures New beyond the required layout.
 type Options struct {
-	// Threshold in batched tokens; zero means DefaultThreshold.
+	// Threshold in batched tokens; zero means perf.DefaultShiftThreshold.
 	Threshold int
 }
-
-// DefaultThreshold mirrors the production heuristic: shift to full TP
-// only for small (decode-dominated) batches. Units are batched tokens.
-const DefaultThreshold = 32
 
 // New builds a Shift engine for the base configuration lay. The shift
 // configuration is always (SP=1, TP=lay.World()) over the same Figure-6
@@ -52,10 +48,10 @@ func New(w *transformer.Weights, lay parallel.Layout, opts Options) (*Shift, err
 	}
 	threshold := opts.Threshold
 	if threshold == 0 {
-		threshold = DefaultThreshold
+		threshold = perf.DefaultShiftThreshold
 	}
 	if threshold < 0 {
-		return nil, fmt.Errorf("core: negative threshold %d", threshold)
+		return nil, fmt.Errorf("core: negative Options.Threshold %d", threshold)
 	}
 	caches := parallel.NewCaches(lay)
 	base, err := parallel.NewEngine(w, lay, parallel.ModeSP, caches)
@@ -68,43 +64,32 @@ func New(w *transformer.Weights, lay parallel.Layout, opts Options) (*Shift, err
 	}
 	return &Shift{
 		Threshold: threshold,
-		lay:       lay,
 		base:      base,
 		shift:     shiftEng,
 		caches:    caches,
 	}, nil
 }
 
-// Layout returns the base configuration layout.
-func (s *Shift) Layout() parallel.Layout { return s.lay }
-
 // Caches returns the shared per-rank KV caches.
 func (s *Shift) Caches() []*kvcache.Cache { return s.caches }
 
-// ChooseMode implements Algorithm 2's predicate: base (SP, TP) for
-// batches above the threshold, shift (full TP) otherwise.
+// ChooseMode applies Algorithm 2's predicate (perf.UsesShift): base
+// (SP, TP) for batches above the threshold, shift (full TP) otherwise.
 func (s *Shift) ChooseMode(batchTokens int) parallel.Mode {
-	if batchTokens > s.Threshold {
-		return parallel.ModeSP
+	if perf.UsesShift(batchTokens, s.Threshold) {
+		return parallel.ModeTP
 	}
-	return parallel.ModeTP
+	return parallel.ModeSP
 }
 
-// Forward runs one iteration, dispatching per Algorithm 2, and returns
-// the output embeddings in batch order.
+// Forward runs one iteration on the configuration Algorithm 2 picks
+// for the batch and returns the output embeddings in batch order.
 func (s *Shift) Forward(batch []transformer.Chunk) *tensor.Matrix {
-	n := transformer.BatchTokens(batch)
-	if s.ChooseMode(n) == parallel.ModeSP {
-		s.baseIters++
-		return s.base.Forward(batch)
-	}
-	s.shiftIters++
-	return s.shift.Forward(batch)
+	return s.ForwardMode(s.ChooseMode(transformer.BatchTokens(batch)), batch)
 }
 
-// ForwardMode runs one iteration on an explicitly chosen configuration
-// (used by tests and by the serving simulator's scheduler, which knows
-// the batch composition ahead of time).
+// ForwardMode runs one iteration on an explicitly chosen configuration,
+// as a scheduler that picked the configuration itself does.
 func (s *Shift) ForwardMode(mode parallel.Mode, batch []transformer.Chunk) *tensor.Matrix {
 	switch mode {
 	case parallel.ModeSP:
@@ -120,39 +105,3 @@ func (s *Shift) ForwardMode(mode parallel.Mode, batch []transformer.Chunk) *tens
 
 // Iterations reports how many iterations ran on each configuration.
 func (s *Shift) Iterations() (base, shift int) { return s.baseIters, s.shiftIters }
-
-// WeightMemory describes the per-GPU weight footprint of a Shift
-// deployment in parameter counts (multiply by dtype bytes for bytes).
-type WeightMemory struct {
-	// BaseShard is w/TP: the base config shards weights TP ways only
-	// (SP replicates within its group).
-	BaseShard float64
-	// ShiftShard is w/(SP*TP): the shift config shards across all GPUs.
-	ShiftShard float64
-	// Total is the per-GPU total: BaseShard plus ShiftShard when the
-	// shift config is a separate copy.
-	Total float64
-	// Overhead is Total/BaseShard - 1: the fraction of extra memory paid
-	// for holding the shift model (Eq. 1 gives 1/SP).
-	Overhead float64
-}
-
-// WeightMemory reports Eq. 1 for this engine's actual parameter count
-// under the separate-models strategy, by perf.WeightBytesPerGPU's rule:
-//
-//	w_total = w/TP + w/(SP*TP)   (SP > 1)
-//	w_total = w/TP               (SP = 1: the base is already full TP)
-//
-// The functional engine holds neither copy: every rank reads its shard
-// in place from the one Weights, so both configurations run the same
-// forwards whichever strategy the footprint is priced under.
-func (s *Shift) WeightMemory() WeightMemory {
-	params := float64(s.base.W.ParamCount())
-	m := WeightMemory{BaseShard: params / float64(s.lay.TP), ShiftShard: params / float64(s.lay.World())}
-	m.Total = m.BaseShard
-	if s.lay.SP > 1 {
-		m.Total += m.ShiftShard
-	}
-	m.Overhead = m.Total/m.BaseShard - 1
-	return m
-}

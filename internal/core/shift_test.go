@@ -1,11 +1,11 @@
 package core
 
 import (
-	"math"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/parallel"
+	"repro/internal/perf"
 	"repro/internal/tensor"
 	"repro/internal/transformer"
 )
@@ -49,7 +49,7 @@ func TestChooseMode(t *testing.T) {
 func TestDefaultThreshold(t *testing.T) {
 	lay := parallel.Layout{Cfg: cfg8(), SP: 2, TP: 2}
 	s, _ := newShiftT(t, lay, Options{})
-	if s.Threshold != DefaultThreshold {
+	if s.Threshold != perf.DefaultShiftThreshold {
 		t.Fatalf("threshold = %d", s.Threshold)
 	}
 }
@@ -133,7 +133,7 @@ func TestForwardModeExplicit(t *testing.T) {
 	rng := tensor.NewRNG(9)
 	batch := []transformer.Chunk{{Seq: 0, X: rng.RandMatrix(4, 16, 1)}}
 	want := ref.Forward(cloneBatch(batch))
-	// Force the base config even though 4 < DefaultThreshold.
+	// Force the base config even though 4 tokens are below the threshold.
 	got := s.ForwardMode(parallel.ModeSP, cloneBatch(batch))
 	if !tensor.Equal(got, want, tol) {
 		t.Fatalf("forced base diverged: %g", tensor.MaxAbsDiff(got, want))
@@ -141,42 +141,6 @@ func TestForwardModeExplicit(t *testing.T) {
 	base, shift := s.Iterations()
 	if base != 1 || shift != 0 {
 		t.Fatalf("iterations base=%d shift=%d", base, shift)
-	}
-}
-
-// Eq. 1 over every base factorization of 8 ranks: the shift copy costs
-// exactly 1/SP of the base shard, and nothing when the base is already
-// full TP (perf.WeightBytesPerGPU's rule).
-func TestShiftWeightMemory(t *testing.T) {
-	cases := []struct {
-		sp, tp       int
-		wantOverhead float64
-	}{
-		{8, 1, 1.0 / 8},
-		{4, 2, 1.0 / 4},
-		{2, 4, 1.0 / 2},
-		{1, 8, 0},
-	}
-	for _, c := range cases {
-		s, w := newShiftT(t, parallel.Layout{Cfg: cfg8(), SP: c.sp, TP: c.tp}, Options{})
-		m := s.WeightMemory()
-		if m.Overhead != c.wantOverhead {
-			t.Errorf("(SP=%d,TP=%d) overhead = %v, want %v", c.sp, c.tp, m.Overhead, c.wantOverhead)
-		}
-		params := float64(w.ParamCount())
-		if want := params/float64(c.tp) + c.wantOverhead*params/float64(c.tp); math.Abs(m.Total-want) > 1e-9 {
-			t.Errorf("(SP=%d,TP=%d) total = %v, want %v", c.sp, c.tp, m.Total, want)
-		}
-	}
-}
-
-func TestEngineWeightMemoryUsesParamCount(t *testing.T) {
-	lay := parallel.Layout{Cfg: cfg8(), SP: 2, TP: 2}
-	s, w := newShiftT(t, lay, Options{})
-	m := s.WeightMemory()
-	want := float64(w.ParamCount())/2 + float64(w.ParamCount())/4
-	if math.Abs(m.Total-want) > 1e-9 {
-		t.Fatalf("engine weight memory = %v, want %v", m.Total, want)
 	}
 }
 

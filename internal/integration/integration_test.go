@@ -140,45 +140,6 @@ func checkCommVolume(t *testing.T, lay parallel.Layout, mode parallel.Mode, n in
 	}
 }
 
-// Eq. 1 consistency between the functional engine's memory report and
-// the cost model's per-GPU weight sizing, over every base factorization
-// of 8 GPUs (including full TP, where neither holds a second copy).
-func TestEq1ConsistentAcrossLayers(t *testing.T) {
-	cfg := transformer.Config{Layers: 1, Hidden: 16, QHeads: 8, KVHeads: 2, FFN: 32}
-	w := transformer.NewWeights(cfg, 1)
-	cm := perf.MustNew(hw.P5enNode(), model.Llama70B(), perf.DefaultParams())
-	for _, par := range []perf.Parallelism{{SP: 8, TP: 1}, {SP: 4, TP: 2}, {SP: 2, TP: 4}, {SP: 1, TP: 8}} {
-		shift, err := core.New(w, parallel.Layout{Cfg: cfg, SP: par.SP, TP: par.TP}, core.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		with := cm.WeightBytesPerGPU(par, perf.EPConfig{}, true)
-		without := cm.WeightBytesPerGPU(par, perf.EPConfig{}, false)
-		if got, want := with/without-1, shift.WeightMemory().Overhead; !close(got, want, 1e-12) {
-			t.Errorf("%v: Eq.1 overhead disagrees: perf %g vs core %g", par, got, want)
-		}
-	}
-}
-
-// The serving simulator's shift threshold and the functional engine's
-// Algorithm 2 use the same predicate.
-func TestAlgorithm2PredicateAgreement(t *testing.T) {
-	cfg := transformer.Config{Layers: 1, Hidden: 16, QHeads: 8, KVHeads: 2, FFN: 32}
-	w := transformer.NewWeights(cfg, 1)
-	lay := parallel.Layout{Cfg: cfg, SP: 8, TP: 1}
-	shift, err := core.New(w, lay, core.Options{Threshold: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tokens := range []int{1, 255, 256, 257, 10000} {
-		fnMode := shift.ChooseMode(tokens)
-		simBase := tokens > 256 // serve.StrategyShift's predicate
-		if (fnMode == parallel.ModeSP) != simBase {
-			t.Fatalf("predicate disagreement at %d tokens", tokens)
-		}
-	}
-}
-
 // End-to-end determinism: the same seed yields identical simulation
 // results, request by request.
 func TestSimulatorDeterminism(t *testing.T) {
@@ -285,9 +246,4 @@ func cloneBatch(batch []transformer.Chunk) []transformer.Chunk {
 		out[i] = transformer.Chunk{Seq: c.Seq, X: c.X.Clone()}
 	}
 	return out
-}
-
-func close(a, b, tol float64) bool {
-	d := a - b
-	return d < tol && d > -tol
 }

@@ -200,8 +200,10 @@ func (c *Cache) Drop(seqID int) { delete(c.seqs, seqID) }
 
 // Fingerprint returns a deterministic digest of the full cache contents
 // (all sequences, layers, heads, tokens). Two ranks hold identical cache
-// state iff their fingerprints match to floating-point exactness; the
-// invariance tests rely on this.
+// state iff their fingerprints match to floating-point exactness. Only
+// tests call it, but tests in three packages (kvcache, transformer and
+// core's output pin), so it stays exported rather than moving into one
+// of them.
 func (c *Cache) Fingerprint() float64 {
 	h := 0.0
 	mix := func(x float64) {

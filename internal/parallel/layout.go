@@ -121,16 +121,6 @@ func (l Layout) KVHeadsOf(g int) []int {
 	return heads
 }
 
-// LocalKVIndex returns the index of globalKV within KVHeadsOf(g).
-func (l Layout) LocalKVIndex(g, globalKV int) int {
-	for i, kv := range l.KVHeadsOf(g) {
-		if kv == globalKV {
-			return i
-		}
-	}
-	panic(fmt.Sprintf("parallel: rank %d does not hold kv head %d", g, globalKV))
-}
-
 // TPShardQHeads returns the q heads computed by TP shard t in the QKV
 // projection of Algorithm 1 line 3: the contiguous block [t*h/TP,
 // (t+1)*h/TP), which the SP all-to-all then scatters across the shard's
@@ -172,14 +162,4 @@ func (l Layout) HeadOrder() []int {
 		owners[l.HeadBlock(g)] = g
 	}
 	return owners
-}
-
-// ReplicationFactor returns how many ranks hold each KV head on average;
-// 1 means no replication.
-func (l Layout) ReplicationFactor() float64 {
-	total := 0
-	for g := 0; g < l.World(); g++ {
-		total += len(l.KVHeadsOf(g))
-	}
-	return float64(total) / float64(l.Cfg.KVHeads)
 }

@@ -1,12 +1,36 @@
 package parallel
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/transformer"
 )
+
+// The two methods below describe a layout for the tests only; the
+// forwards never need them.
+
+// LocalKVIndex returns the index of globalKV within KVHeadsOf(g).
+func (l Layout) LocalKVIndex(g, globalKV int) int {
+	for i, kv := range l.KVHeadsOf(g) {
+		if kv == globalKV {
+			return i
+		}
+	}
+	panic(fmt.Sprintf("parallel: rank %d does not hold kv head %d", g, globalKV))
+}
+
+// ReplicationFactor returns how many ranks hold each KV head on average;
+// 1 means no replication.
+func (l Layout) ReplicationFactor() float64 {
+	total := 0
+	for g := 0; g < l.World(); g++ {
+		total += len(l.KVHeadsOf(g))
+	}
+	return float64(total) / float64(l.Cfg.KVHeads)
+}
 
 func cfg6() transformer.Config {
 	return transformer.Config{Layers: 1, Hidden: 24, QHeads: 6, KVHeads: 2, FFN: 12}

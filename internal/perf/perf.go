@@ -128,6 +128,15 @@ type Batch struct {
 // Tokens returns the total batched tokens — Algorithm 2's shift criterion.
 func (b Batch) Tokens() int { return b.PrefillTokens + b.DecodeSeqs }
 
+// DefaultShiftThreshold is Algorithm 2's default threshold in batched
+// tokens, for the serving engine and the functional engine alike.
+const DefaultShiftThreshold = 256
+
+// UsesShift is Algorithm 2's predicate: a batch of tokens runs on the
+// shift (full-TP) configuration at or below threshold, and on the base
+// (SP, TP) configuration above it.
+func UsesShift(tokens, threshold int) bool { return tokens <= threshold }
+
 // Cost is an iteration's time broken into the components of Figure 15.
 type Cost struct {
 	GEMM      time.Duration // linear layers (the "model" bar)

@@ -45,7 +45,7 @@ type Config struct {
 	// Strategy selects static parallelism or Shift switching.
 	Strategy Strategy
 	// ShiftThreshold is Algorithm 2's batched-token threshold (only used
-	// by StrategyShift; 0 means DefaultShiftThreshold).
+	// by StrategyShift; 0 means perf.DefaultShiftThreshold).
 	ShiftThreshold int
 	// ChunkBudget caps new prefill tokens per iteration (chunked prefill,
 	// vLLM's max_num_batched_tokens). 0 means DefaultChunkBudget.
@@ -144,15 +144,14 @@ type admissionState struct {
 
 // Defaults mirroring vLLM's.
 const (
-	DefaultShiftThreshold = 256
-	DefaultChunkBudget    = 8192
-	DefaultMaxSeqs        = 256
-	DefaultBlockTokens    = 16
+	DefaultChunkBudget = 8192
+	DefaultMaxSeqs     = 256
+	DefaultBlockTokens = 16
 )
 
 func (c Config) withDefaults() Config {
 	if c.ShiftThreshold == 0 {
-		c.ShiftThreshold = DefaultShiftThreshold
+		c.ShiftThreshold = perf.DefaultShiftThreshold
 	}
 	if c.ChunkBudget == 0 {
 		c.ChunkBudget = DefaultChunkBudget
@@ -178,6 +177,9 @@ func (c Config) Validate() error {
 		if f.v < 0 {
 			return fmt.Errorf("serve: engine %q: negative Config.%s %d", c.Name, f.name, f.v)
 		}
+	}
+	if c.Strategy != StrategyStatic && c.Strategy != StrategyShift {
+		return fmt.Errorf("serve: engine %q: unknown Config.Strategy %d", c.Name, c.Strategy)
 	}
 	if err := c.Par.Validate(); err != nil {
 		return fmt.Errorf("serve: engine %q: Config.Par: %w", c.Name, err)
@@ -1426,9 +1428,9 @@ func (e *Engine) kvGrowth(k int) int {
 	return need
 }
 
-// parFor implements Algorithm 2 at the engine level.
+// parFor applies Algorithm 2 (perf.UsesShift) at the engine level.
 func (e *Engine) parFor(shape perf.Batch) perf.Parallelism {
-	if e.cfg.Strategy != StrategyShift || shape.Tokens() > e.cfg.ShiftThreshold {
+	if e.cfg.Strategy != StrategyShift || !perf.UsesShift(shape.Tokens(), e.cfg.ShiftThreshold) {
 		return e.cfg.Par
 	}
 	return perf.Parallelism{SP: 1, TP: e.cfg.Par.World()}

@@ -96,6 +96,7 @@ func TestBadConfigNamesTheField(t *testing.T) {
 		geo      func(*Geo) // bad topology or regions: Geo only
 	}{
 		{field: "Config.MaxSeqs", config: func(c *Config) { c.MaxSeqs = -1 }},
+		{field: "Config.Strategy", config: func(c *Config) { c.Strategy = Strategy(7) }},
 		{field: "Config.Par", config: func(c *Config) { c.Par.SP = 0 }},
 		{field: "Config.EP", config: func(c *Config) { c.EP.Degree = 3 }},
 		{field: "Config.Stack", config: func(c *Config) { c.Stack.Spec.Len = -1 }},

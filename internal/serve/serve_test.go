@@ -72,7 +72,7 @@ func mustEngine(t *testing.T, cfg Config) *Engine {
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}.withDefaults()
 	if c.ChunkBudget != DefaultChunkBudget || c.MaxSeqs != DefaultMaxSeqs ||
-		c.BlockTokens != DefaultBlockTokens || c.ShiftThreshold != DefaultShiftThreshold {
+		c.BlockTokens != DefaultBlockTokens || c.ShiftThreshold != perf.DefaultShiftThreshold {
 		t.Fatalf("defaults = %+v", c)
 	}
 }

@@ -6,23 +6,23 @@
 // rows); the performance story of the paper is carried by the analytic
 // cost model in internal/perf, not by this package. What the package
 // does own is its allocations: every op that returns a fresh matrix
-// (MatMul, MatMulCols, MatMulT, SliceCols, Clone) has an Into form
-// (MatMulInto, MatMulColsInto, MatMulTInto, SliceInto, CopyInto) that
-// writes into a caller's matrix instead, reshaping it and reusing its
-// storage when the capacity suffices (Resize). The fresh form is New
-// plus the same kernel, so both forms give the same bits, and a caller
-// that keeps its destinations across calls allocates nothing in steady
-// state. MatMulBlock writes a product into a block of a larger matrix
-// without reshaping it. A destination must not share storage with an
-// operand.
+// (MatMul, SliceCols, Clone) has an Into form (MatMulInto, SliceInto,
+// CopyInto) that writes into a caller's matrix instead, reshaping it
+// and reusing its storage when the capacity suffices (Resize). The
+// fresh form is New plus the same kernel, so both forms give the same
+// bits, and a caller that keeps its destinations across calls
+// allocates nothing in steady state. MatMulColsInto and MatMulTInto
+// exist only as Into forms, and MatMulBlock writes a product into a
+// block of a larger matrix without reshaping it. A destination must not
+// share storage with an operand.
 //
-// Every product kernel (MatMul, MatMulCols, MatMulT) keeps MatMul's
-// summation order: each output element starts at zero and adds its
-// products in ascending inner index, skipping zero entries of a. So
-// MatMulCols(a, b, lo, hi) equals MatMul(a, SliceCols(b, lo, hi)) and
-// MatMulT(a, b) equals MatMul(a, bᵀ) bit for bit, and callers
-// can read an operand in place (a column range, or a ViewRows view)
-// instead of copying it without changing any output bit.
+// Every product kernel (MatMul, MatMulColsInto, MatMulTInto) keeps
+// MatMul's summation order: each output element starts at zero and
+// adds its products in ascending inner index, skipping zero entries of
+// a. So MatMulColsInto(out, a, b, lo, hi) equals MatMul(a, SliceCols(b,
+// lo, hi)) and MatMulTInto(out, a, b) equals MatMul(a, bᵀ) bit for bit,
+// and callers can read an operand in place (a column range, or a
+// ViewRows view) instead of copying it without changing any output bit.
 package tensor
 
 import (
@@ -115,18 +115,9 @@ func MatMulInto(out, a, b *Matrix) *Matrix {
 	return out
 }
 
-// MatMulCols returns a*b[:, lo:hi], reading the column range of b in
-// place instead of copying it out first. Panics on shape mismatch. The
-// forwards use MatMulColsInto; this fresh form stays as the one the
-// package's exactness tests state the kernels' contract with.
-func MatMulCols(a, b *Matrix, lo, hi int) *Matrix {
-	checkMatMul(a, b, lo, hi)
-	out := New(a.Rows, hi-lo)
-	matmul(out, 0, 0, a, b, lo, hi-lo)
-	return out
-}
-
-// MatMulColsInto sets out to a*b[:, lo:hi] and returns out.
+// MatMulColsInto sets out to a*b[:, lo:hi] and returns out, reading the
+// column range of b in place instead of copying it out first. Panics on
+// shape mismatch.
 func MatMulColsInto(out, a, b *Matrix, lo, hi int) *Matrix {
 	checkMatMul(a, b, lo, hi)
 	matmul(out.Resize(a.Rows, hi-lo), 0, 0, a, b, lo, hi-lo)
@@ -202,19 +193,9 @@ func axpy(o []float64, av float64, b []float64) {
 	}
 }
 
-// MatMulT returns a*bᵀ without materializing the transpose: element
-// (i, j) is the dot product of row i of a and row j of b. Panics on
-// shape mismatch. Attention uses MatMulTInto; this fresh form stays as
-// the one the package's exactness tests state the kernels' contract
-// with.
-func MatMulT(a, b *Matrix) *Matrix {
-	checkMatMulT(a, b)
-	out := New(a.Rows, b.Rows)
-	matmulT(out, a, b)
-	return out
-}
-
-// MatMulTInto sets out to a*bᵀ and returns out.
+// MatMulTInto sets out to a*bᵀ and returns out, without materializing
+// the transpose: element (i, j) is the dot product of row i of a and
+// row j of b. Panics on shape mismatch.
 func MatMulTInto(out, a, b *Matrix) *Matrix {
 	checkMatMulT(a, b)
 	out.Resize(a.Rows, b.Rows)

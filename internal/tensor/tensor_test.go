@@ -60,6 +60,24 @@ func ConcatCols(ms ...*Matrix) *Matrix {
 	return out
 }
 
+// MatMulCols returns a*b[:, lo:hi] as a fresh matrix: the form the
+// exactness tests state the column-range kernel's contract with.
+func MatMulCols(a, b *Matrix, lo, hi int) *Matrix {
+	checkMatMul(a, b, lo, hi)
+	out := New(a.Rows, hi-lo)
+	matmul(out, 0, 0, a, b, lo, hi-lo)
+	return out
+}
+
+// MatMulT returns a*bᵀ as a fresh matrix: the form the exactness tests
+// state the transposed kernel's contract with.
+func MatMulT(a, b *Matrix) *Matrix {
+	checkMatMulT(a, b)
+	out := New(a.Rows, b.Rows)
+	matmulT(out, a, b)
+	return out
+}
+
 // ConcatRows vertically concatenates the given matrices.
 func ConcatRows(ms ...*Matrix) *Matrix {
 	out := New(0, ms[0].Cols)
