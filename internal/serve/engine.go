@@ -248,7 +248,11 @@ type seq struct {
 	rejectReason RejectReason
 }
 
-func (s *seq) ctx() int { return s.prefilled + int(s.decoded) }
+// ctx is the sequence's context length: its prompt and decoded tokens,
+// the last of which enters the KV on the next iteration. A recompute
+// re-prefills the decoded tokens preemption folded into effInput, so
+// prefilled already counts those and decoded adds only the ones since.
+func (s *seq) ctx() int { return s.prefilled + int(s.decoded) - (s.effInput - s.req.InputTokens) }
 
 func (s *seq) prefillDone() bool { return s.prefilled >= s.effInput }
 
@@ -1141,7 +1145,7 @@ func (e *Engine) setDegrade(factor float64, from, until time.Duration) {
 func (e *Engine) crashDrain() (lost []workload.Request, lostTokens int) {
 	e.endStretch()
 	for _, s := range e.running {
-		lostTokens += s.prefilled - s.cached + int(s.decoded)
+		lostTokens += s.ctx() - s.cached
 		e.alloc.Free(&s.kvBlocks)
 		lost = append(lost, s.req)
 	}
