@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -59,8 +60,8 @@ func TestNewRejectsBadInputs(t *testing.T) {
 	if _, err := New(w, parallel.Layout{Cfg: cfg8(), SP: 3, TP: 1}, Options{}); err == nil {
 		t.Fatal("expected invalid layout error")
 	}
-	if _, err := New(w, parallel.Layout{Cfg: cfg8(), SP: 2, TP: 2}, Options{Threshold: -1}); err == nil {
-		t.Fatal("expected negative threshold error")
+	if _, err := New(w, parallel.Layout{Cfg: cfg8(), SP: 2, TP: 2}, Options{Threshold: -1}); err == nil || !strings.Contains(err.Error(), "Options.Threshold") {
+		t.Fatalf("negative threshold: error %v, want one naming Options.Threshold", err)
 	}
 }
 

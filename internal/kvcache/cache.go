@@ -193,9 +193,11 @@ func (c *Cache) Sequences() []int {
 }
 
 // Drop removes a sequence from the cache. Only tests call it: it is
-// the free path of a finished sequence, kept so the functional engine's
-// invariance tests can pin that dropping one sequence mid-service
-// leaves every other sequence decoding bit-exactly.
+// the free path of a finished or preempted sequence, kept so the
+// functional engine's invariance tests can pin that dropping one
+// sequence mid-service leaves every other sequence decoding
+// bit-exactly, and so the serving engine's schedules can be replayed on
+// the functional engine.
 func (c *Cache) Drop(seqID int) { delete(c.seqs, seqID) }
 
 // Fingerprint returns a deterministic digest of the full cache contents

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -46,9 +47,38 @@ func replayTokens(id, from, n, d int) *tensor.Matrix {
 //   - its KV holding covers that length and at most the next token.
 //
 // A preempted sequence is dropped from every rank and the reference,
-// and prefilled again from its first token. Spec decoding and prefix
-// caching stay off: the functional engine has neither.
+// and prefilled again from its first token. The traffic runs twice:
+// FIFO, and with some requests interactive, so SLO scheduling's urgent
+// preemptions are replayed too. Spec decoding and prefix caching stay
+// off: the functional engine has neither.
 func TestServeSchedulesRunOnFunctionalShift(t *testing.T) {
+	fifo := make([]workload.Request, 16)
+	for i := range fifo {
+		fifo[i] = workload.Request{
+			ID: i, Arrival: time.Duration(i) * 15 * time.Millisecond,
+			InputTokens: 8 + i*7%33, OutputTokens: 24 + i*13%40,
+		}
+	}
+	// Every fourth request is interactive: higher priority and a TTFT
+	// deadline, so at-risk waiters preempt batch work (preemptForUrgent)
+	// and the running queue is ordered by priority.
+	slo := slices.Clone(fifo)
+	for i := range slo {
+		if i%4 == 3 {
+			slo[i].Priority, slo[i].SLO = 1, workload.Deadline(40*time.Millisecond, workload.NoDeadline)
+		}
+	}
+	t.Run("fifo", func(t *testing.T) { replayOnShift(t, fifo) })
+	t.Run("slo", func(t *testing.T) {
+		if e := replayOnShift(t, slo); e.sloPreempts == 0 {
+			t.Fatal("premise: no urgent preemption")
+		}
+	})
+}
+
+// replayOnShift serves reqs on the toy engine, replaying every plan on
+// core.Shift, and returns the drained engine.
+func replayOnShift(t *testing.T, reqs []workload.Request) *Engine {
 	const threshold, tol = 4, 1e-9
 	tc := transformer.Config{Layers: 2, Hidden: 16, QHeads: 8, KVHeads: 2, FFN: 32}
 	w := transformer.NewWeights(tc, 17)
@@ -85,11 +115,8 @@ func TestServeSchedulesRunOnFunctionalShift(t *testing.T) {
 		}
 		ref.Cache.Drop(id)
 	}
-	for i := 0; i < 16; i++ {
-		e.enqueue(workload.Request{
-			ID: i, Arrival: time.Duration(i) * 15 * time.Millisecond,
-			InputTokens: 8 + i*7%33, OutputTokens: 24 + i*13%40,
-		})
+	for _, r := range reqs {
+		e.enqueue(r)
 	}
 	fullTP := perf.Parallelism{SP: 1, TP: lay.World()}
 
@@ -192,9 +219,10 @@ func TestServeSchedulesRunOnFunctionalShift(t *testing.T) {
 	if switched == 0 {
 		t.Fatal("premise: no sequence ran on both configurations")
 	}
-	if len(e.rejected) != 0 || len(e.completed) != 16 {
-		t.Fatalf("%d completed, %d rejected; want all 16 served", len(e.completed), len(e.rejected))
+	if len(e.rejected) != 0 || len(e.completed) != len(reqs) {
+		t.Fatalf("%d completed, %d rejected; want all %d served", len(e.completed), len(e.rejected), len(reqs))
 	}
+	return e
 }
 
 func cloneChunks(batch []transformer.Chunk) []transformer.Chunk {
