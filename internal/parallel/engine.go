@@ -74,29 +74,34 @@ type Engine struct {
 // after the all-to-all, and holds 1/TP of the MLP.
 type rankPlan struct {
 	qHeads, kvHeads []int // attention heads (QHeadsOf, KVHeadsOf)
-	// Column ranges of Wq and of Wk/Wv the QKV GEMMs read; [qLo, qHi)
-	// is also the range of Wo rows the O GEMM reads.
+	// Column ranges of Wq and of Wk/Wv the QKV GEMM projects onto;
+	// [qLo, qHi) is also the range of Wo rows the O GEMM reads.
 	qLo, qHi, kvLo, kvHi int
 	ffnLo, ffnHi         int             // Wup columns and Wdown rows
 	wo, wdown            []tensor.Matrix // by layer: views of those Wo and Wdown rows
+	// By layer: the QKV panel [Wq[:, qLo:qHi] | Wk[:, kvLo:kvHi] |
+	// Wv[:, kvLo:kvHi]], one copy shared by every rank of the engine
+	// with the same ranges (the SP ranks of one TP shard under ModeSP).
+	qkv []*tensor.Matrix
 }
 
 // workspace is one rank's scratch: every matrix and buffer a layer
 // needs, reshaped for each use (tensor.Resize) and kept across layers
 // and forwards.
 type workspace struct {
-	x, xn, q, k, v, attn, o, up, down tensor.Matrix
+	x, xn, qkv, attn, o, up, down tensor.Matrix
 	// Attention of one (sequence, head): its q rows, its scores, and the
 	// headers of its cached K and V.
 	qh, scores, kc, vc tensor.Matrix
-	// ModeSP: the head-parallel q/k/v the first all-to-all delivers, the
-	// O GEMM's input gathered by the second, and both all-to-alls' send
-	// sets and receive headers. A send set may be rewritten once the SP
-	// group's next collective has returned (comm.AllToAll), and the
-	// other set's all-to-all always runs between two uses of one set.
-	qAll, kAll, vAll, attnShard tensor.Matrix
-	send                        [2][][]float64
-	recv                        [][]float64
+	// ModeSP: the head-parallel [q|k|v] rows the first all-to-all
+	// delivers, the O GEMM's input gathered by the second, and both
+	// all-to-alls' send sets and receive headers. A send set may be
+	// rewritten once the SP group's next collective has returned
+	// (comm.AllToAll), and the other set's all-to-all always runs
+	// between two uses of one set.
+	qkvAll, attnShard tensor.Matrix
+	send              [2][][]float64
+	recv              [][]float64
 }
 
 // NewCaches allocates one per-rank KV cache for the layout: each rank
@@ -135,8 +140,9 @@ func NewEngine(w *transformer.Weights, lay Layout, mode Mode, caches []*kvcache.
 		W: w, Lay: lay, Mode: mode, Caches: caches, world: comm.NewGroup(lay.World()),
 		ranks: make([]rankPlan, lay.World()), ws: make([]workspace, lay.World()),
 	}
+	panels := make(map[[4]int][]*tensor.Matrix)
 	for g := range e.ranks {
-		e.ranks[g] = newRankPlan(w, lay, mode, g)
+		e.ranks[g] = newRankPlan(w, lay, mode, g, panels)
 	}
 	if mode == ModeSP {
 		e.spGroups = make([]*comm.Group, lay.TP)
@@ -151,8 +157,10 @@ func NewEngine(w *transformer.Weights, lay Layout, mode Mode, caches []*kvcache.
 	return e, nil
 }
 
-// newRankPlan derives global rank g's share of a mode's forward.
-func newRankPlan(w *transformer.Weights, lay Layout, mode Mode, g int) rankPlan {
+// newRankPlan derives global rank g's share of a mode's forward. It
+// takes its QKV panels from panels, keyed by column ranges, building and
+// adding them when no rank before it had the same ranges.
+func newRankPlan(w *transformer.Weights, lay Layout, mode Mode, g int, panels map[[4]int][]*tensor.Matrix) rankPlan {
 	p := rankPlan{qHeads: lay.QHeadsOf(g), kvHeads: lay.KVHeadsOf(g)}
 	projQ, projKV, shards, shard := p.qHeads, p.kvHeads, lay.World(), g
 	if mode == ModeSP {
@@ -170,7 +178,31 @@ func newRankPlan(w *transformer.Weights, lay Layout, mode Mode, g int) rankPlan 
 		p.wo[l] = *tensor.ViewRows(lw.Wo, p.qLo, p.qHi)
 		p.wdown[l] = *tensor.ViewRows(lw.Wdown, p.ffnLo, p.ffnHi)
 	}
+	key := [4]int{p.qLo, p.qHi, p.kvLo, p.kvHi}
+	if p.qkv = panels[key]; p.qkv == nil {
+		p.qkv = make([]*tensor.Matrix, len(w.Layers))
+		for l, lw := range w.Layers {
+			p.qkv[l] = qkvPanel(lw, p.qLo, p.qHi, p.kvLo, p.kvHi)
+		}
+		panels[key] = p.qkv
+	}
 	return p
+}
+
+// qkvPanel copies columns [qLo, qHi) of Wq and [kvLo, kvHi) of Wk and Wv
+// side by side into one matrix, so that one GEMM projects q, k and v:
+// each output column is the product its old column range gave, bit for
+// bit (a column of a product depends only on that column of b).
+func qkvPanel(lw transformer.LayerWeights, qLo, qHi, kvLo, kvHi int) *tensor.Matrix {
+	qW, kvW := qHi-qLo, kvHi-kvLo
+	m := tensor.New(lw.Wq.Rows, qW+2*kvW)
+	for r := 0; r < m.Rows; r++ {
+		row := m.Row(r)
+		copy(row[:qW], lw.Wq.Row(r)[qLo:qHi])
+		copy(row[qW:qW+kvW], lw.Wk.Row(r)[kvLo:kvHi])
+		copy(row[qW+kvW:], lw.Wv.Row(r)[kvLo:kvHi])
+	}
+	return m
 }
 
 // CommCounters returns global rank 0's collective calls and wire bytes:
@@ -273,16 +305,15 @@ func normed(dst, x *tensor.Matrix) *tensor.Matrix {
 
 // tpRank is the per-rank tensor-parallel forward: activations replicated,
 // weights column/row sharded by head ownership, two all-reduces per layer
-// (after attention-O and after MLP-down). Shards are read in place.
+// (after attention-O and after MLP-down). The QKV GEMM reads the rank's
+// panel; the other shards are read in place.
 func (e *Engine) tpRank(g *comm.Group, rank int, batch []transformer.Chunk) *tensor.Matrix {
 	p, w := &e.ranks[rank], &e.ws[rank]
 	x := tensor.CopyInto(&w.x, &e.x)
 	for l, lw := range e.W.Layers {
 		xn := normed(&w.xn, x)
-		q := tensor.MatMulColsInto(&w.q, xn, lw.Wq, p.qLo, p.qHi)
-		k := tensor.MatMulColsInto(&w.k, xn, lw.Wk, p.kvLo, p.kvHi)
-		v := tensor.MatMulColsInto(&w.v, xn, lw.Wv, p.kvLo, p.kvHi)
-		attn := e.attendBatch(rank, l, batch, q, k, v)
+		qkv := tensor.MatMulInto(&w.qkv, xn, p.qkv[l])
+		attn := e.attendBatch(rank, l, batch, qkv)
 		partial := tensor.MatMulInto(&w.o, attn, &p.wo[l])
 		g.AllReduce(rank, partial.Data)
 		tensor.AddInPlace(x, partial)
@@ -321,20 +352,24 @@ func (e *Engine) spRank(gRank int, batch []transformer.Chunk) *tensor.Matrix {
 		xn := normed(&w.xn, x)
 
 		// Line 3: QKV projection for this TP shard's heads, my rows only.
-		q := tensor.MatMulColsInto(&w.q, xn, lw.Wq, p.qLo, p.qHi)
-		k := tensor.MatMulColsInto(&w.k, xn, lw.Wk, p.kvLo, p.kvHi)
-		v := tensor.MatMulColsInto(&w.v, xn, lw.Wv, p.kvLo, p.kvHi)
+		qkv := tensor.MatMulInto(&w.qkv, xn, p.qkv[l])
 
 		// Line 4: fused all-to-all within the SP group, switching from
 		// sequence to head parallelism. KV heads needed by several
 		// destinations are packed into each destination's buffer — the KV
-		// cache replication of Section 3.2.1.
-		e.packQKV(w.send[0], p, t, q, k, v)
+		// cache replication of Section 3.2.1. Each buffer received holds
+		// its source's rows of my [q|k|v] heads, and sources hold
+		// contiguous row slices, so concatenating the buffers in rank
+		// order gives the full sequence's rows.
+		e.packQKV(w.send[0], p, t, qkv)
 		recv := spg.AllToAllInto(s, w.send[0], w.recv)
-		qAll, kAll, vAll := unpackQKV(w, recv, per, len(p.qHeads)*dh, len(p.kvHeads)*dh)
+		qkvAll := w.qkvAll.Resize(lay.SP*per, (len(p.qHeads)+2*len(p.kvHeads))*dh)
+		for src, buf := range recv {
+			copy(qkvAll.Data[src*len(buf):], buf)
+		}
 
 		// Line 5: head-parallel attention over the full (padded) sequence.
-		attnAll := e.attendBatch(gRank, l, batch, qAll, kAll, vAll)
+		attnAll := e.attendBatch(gRank, l, batch, qkvAll)
 
 		// Line 6: all-to-all back to sequence parallelism: peer ds gets
 		// rows [ds*per, (ds+1)*per) of my heads' output.
@@ -376,69 +411,52 @@ func (e *Engine) spRank(gRank int, batch []transformer.Chunk) *tensor.Matrix {
 // packQKV refills send, one buffer per SP peer, with what the first
 // all-to-all carries to that peer: for each of this rank's rows, the
 // peer's q heads, then its k heads, then its v heads, cut from this TP
-// shard's projections (p is this rank's plan, t its shard). Head sets
-// are contiguous, so each is one column range of q, k or v.
-func (e *Engine) packQKV(send [][]float64, p *rankPlan, t int, q, k, v *tensor.Matrix) {
+// shard's [q|k|v] projection (p is this rank's plan, t its shard). Head
+// sets are contiguous, so each is one column range of qkv.
+func (e *Engine) packQKV(send [][]float64, p *rankPlan, t int, qkv *tensor.Matrix) {
 	dh := e.Lay.Cfg.HeadDim()
+	kOff, vOff := p.qHi-p.qLo, p.qHi-p.qLo+p.kvHi-p.kvLo
 	for ds := range send {
 		dst := &e.ranks[e.Lay.RankOf(ds, t)]
 		qOff, qW := dst.qHeads[0]*dh-p.qLo, len(dst.qHeads)*dh
 		kvOff, kvW := dst.kvHeads[0]*dh-p.kvLo, len(dst.kvHeads)*dh
 		buf := send[ds][:0]
-		for r := 0; r < q.Rows; r++ {
-			buf = append(buf, q.Row(r)[qOff:qOff+qW]...)
-			buf = append(buf, k.Row(r)[kvOff:kvOff+kvW]...)
-			buf = append(buf, v.Row(r)[kvOff:kvOff+kvW]...)
+		for r := 0; r < qkv.Rows; r++ {
+			row := qkv.Row(r)
+			buf = append(buf, row[qOff:qOff+qW]...)
+			buf = append(buf, row[kOff+kvOff:kOff+kvOff+kvW]...)
+			buf = append(buf, row[vOff+kvOff:vOff+kvOff+kvW]...)
 		}
 		send[ds] = buf
 	}
 }
 
-// unpackQKV reassembles, in w's qAll/kAll/vAll, the full-sequence q/k/v
-// of this rank's heads (qW and kvW columns) from the all-to-all receive
-// buffers (source ranks hold contiguous row slices, so concatenation in
-// rank order restores global row order).
-func unpackQKV(w *workspace, recv [][]float64, per, qW, kvW int) (q, k, v *tensor.Matrix) {
-	sp := len(recv)
-	q = w.qAll.Resize(sp*per, qW)
-	k = w.kAll.Resize(sp*per, kvW)
-	v = w.vAll.Resize(sp*per, kvW)
-	rowW := qW + 2*kvW
-	for src, buf := range recv {
-		for r := 0; r < per; r++ {
-			row := src*per + r
-			off := r * rowW
-			copy(q.Row(row), buf[off:off+qW])
-			copy(k.Row(row), buf[off+qW:off+qW+kvW])
-			copy(v.Row(row), buf[off+qW+kvW:off+rowW])
-		}
-	}
-	return q, k, v
-}
-
 // attendBatch appends the new K/V rows to the rank's cache and computes
 // head-parallel causal attention for the rank's q heads over every real
-// row of the batch, into the rank's attention output [q.Rows, heads*dh].
-// Rows beyond the batch's token count (decode padding under SP) come out
-// zero and are never cached — the load-balancing padding of Section
-// 3.2.1.
-func (e *Engine) attendBatch(rank, layer int, batch []transformer.Chunk, q, k, v *tensor.Matrix) *tensor.Matrix {
+// row of the batch, into the rank's attention output [qkv.Rows,
+// heads*dh]. Each row of qkv is [q|k|v] of the rank's own heads. Rows
+// beyond the batch's token count (decode padding under SP) come out zero
+// and are never cached — the load-balancing padding of Section 3.2.1.
+func (e *Engine) attendBatch(rank, layer int, batch []transformer.Chunk, qkv *tensor.Matrix) *tensor.Matrix {
 	dh, gqa := e.Lay.Cfg.HeadDim(), e.Lay.Cfg.GQAGroup()
 	p, w, cache := &e.ranks[rank], &e.ws[rank], e.Caches[rank]
-	out := w.attn.Resize(q.Rows, len(p.qHeads)*dh)
+	kOff := len(p.qHeads) * dh
+	vOff := kOff + len(p.kvHeads)*dh
+	out := w.attn.Resize(qkv.Rows, kOff)
 	for bi, c := range batch {
 		lo, hi := e.spans[bi][0], e.spans[bi][1]
 		for j := range p.kvHeads {
 			cache.Reserve(c.Seq, layer, j, hi-lo)
 			for row := lo; row < hi; row++ {
-				cache.Append(c.Seq, layer, j, k.Row(row)[j*dh:(j+1)*dh], v.Row(row)[j*dh:(j+1)*dh])
+				r := qkv.Row(row)
+				cache.Append(c.Seq, layer, j, r[kOff+j*dh:kOff+(j+1)*dh], r[vOff+j*dh:vOff+(j+1)*dh])
 			}
 		}
 		for qi, qh := range p.qHeads {
 			// The rank's KV heads are a contiguous run, so q head qh's
 			// KV head sits at its offset from the first.
 			cache.ViewsInto(&w.kc, &w.vc, c.Seq, layer, qh/gqa-p.kvHeads[0])
-			qSeq := tensor.SliceInto(&w.qh, q, lo, hi, qi*dh, (qi+1)*dh)
+			qSeq := tensor.SliceInto(&w.qh, qkv, lo, hi, qi*dh, (qi+1)*dh)
 			transformer.AttendInto(out, lo, qi*dh, &w.scores, qSeq, &w.kc, &w.vc, e.prevs[bi])
 		}
 	}

@@ -383,3 +383,53 @@ func TestForwardOutputOutlivesLaterForwards(t *testing.T) {
 		}
 	}
 }
+
+// Each rank's QKV panel is [Wq | Wk | Wv] over its column ranges, and
+// the ranks of one engine with equal ranges share one copy: under
+// ModeSP the SP ranks of a TP shard, under ModeTP (every rank its own
+// heads) nobody. So the base engine of (SP=4, TP=2) holds 2 panels per
+// layer and the shift engine 8.
+func TestQKVPanelsSharedByEqualRanges(t *testing.T) {
+	lay := Layout{Cfg: transformer.Config{Layers: 2, Hidden: 64, QHeads: 8, KVHeads: 2, FFN: 32}, SP: 4, TP: 2}
+	w := transformer.NewWeights(lay.Cfg, 3)
+	for _, c := range []struct {
+		mode   Mode
+		panels int
+	}{{ModeSP, 2}, {ModeTP, 8}} {
+		e := newEngineT(t, w, lay, c.mode, nil)
+		for l, lw := range w.Layers {
+			distinct := map[*tensor.Matrix]bool{}
+			for g, p := range e.ranks {
+				want := concatCols(tensor.SliceCols(lw.Wq, p.qLo, p.qHi),
+					tensor.SliceCols(lw.Wk, p.kvLo, p.kvHi), tensor.SliceCols(lw.Wv, p.kvLo, p.kvHi))
+				if !tensor.Equal(p.qkv[l], want, 0) {
+					t.Fatalf("%v rank %d layer %d: panel is not [Wq | Wk | Wv] over its ranges", c.mode, g, l)
+				}
+				distinct[p.qkv[l]] = true
+				for h, q := range e.ranks[:g] {
+					same := q.qLo == p.qLo && q.qHi == p.qHi && q.kvLo == p.kvLo && q.kvHi == p.kvHi
+					if same != (q.qkv[l] == p.qkv[l]) {
+						t.Fatalf("%v layer %d: ranks %d and %d: equal ranges %v, shared panel %v", c.mode, l, h, g, same, !same)
+					}
+				}
+			}
+			if len(distinct) != c.panels {
+				t.Fatalf("%v layer %d: %d panels, want %d", c.mode, l, len(distinct), c.panels)
+			}
+		}
+	}
+}
+
+// concatCols puts the given matrices side by side.
+func concatCols(ms ...*tensor.Matrix) *tensor.Matrix {
+	out := &tensor.Matrix{Rows: ms[0].Rows}
+	for _, m := range ms {
+		out.Cols += m.Cols
+	}
+	for i := 0; i < out.Rows; i++ {
+		for _, m := range ms {
+			out.Data = append(out.Data, m.Row(i)...)
+		}
+	}
+	return out
+}

@@ -11,18 +11,22 @@
 // and reusing its storage when the capacity suffices (Resize). The
 // fresh form is New plus the same kernel, so both forms give the same
 // bits, and a caller that keeps its destinations across calls
-// allocates nothing in steady state. MatMulColsInto and MatMulTInto
-// exist only as Into forms, and MatMulBlock writes a product into a
-// block of a larger matrix without reshaping it. A destination must not
-// share storage with an operand.
+// allocates nothing in steady state. MatMulColsInto exists only as an
+// Into form, and MatMulBlock writes a product into a block of a larger
+// matrix without reshaping it. A destination must not share storage
+// with an operand.
 //
-// Every product kernel (MatMul, MatMulColsInto, MatMulTInto) keeps
-// MatMul's summation order: each output element starts at zero and
-// adds its products in ascending inner index, skipping zero entries of
-// a. So MatMulColsInto(out, a, b, lo, hi) equals MatMul(a, SliceCols(b,
-// lo, hi)) and MatMulTInto(out, a, b) equals MatMul(a, bᵀ) bit for bit,
-// and callers can read an operand in place (a column range, or a
-// ViewRows view) instead of copying it without changing any output bit.
+// The products (MatMul, MatMulInto, MatMulColsInto, MatMulBlock) run
+// one kernel, and it keeps one summation order: each output element
+// starts at zero and adds the products of the nonzero entries of its
+// row of a in ascending inner index. The kernel takes rows of a in
+// pairs and inner indices four at a time, so one load of a row of b
+// serves two rows of the output, but no element's additions change
+// order. So MatMulColsInto(out, a, b, lo, hi) equals MatMul(a,
+// SliceCols(b, lo, hi)) bit for bit, each column range of a product of
+// side-by-side panels equals the product of that panel alone, and
+// callers can read an operand in place (a column range, or a ViewRows
+// view) instead of copying it without changing any output bit.
 package tensor
 
 import (
@@ -149,39 +153,96 @@ func checkMatMul(a, b *Matrix, lo, hi int) {
 }
 
 // matmul adds a*b[:, lo:lo+n] into the a.Rows x n block of out at (row,
-// col). Zero entries of a are skipped and the rest are taken four at a
-// time, so every output element still sees ((o + a0*b0) + a1*b1) + ...
-// over the nonzero entries in ascending inner index, exactly as the
-// one-at-a-time loop adds them.
+// col). Rows of a are taken in pairs, so each row of b is loaded once
+// for two rows of out: four inner indices run at a time while all eight
+// entries of a they read are nonzero, and otherwise each row adds its
+// nonzero entries of those four one index at a time. An odd last row
+// goes through matmulRow. Every output element still sees ((o + a0*b0)
+// + a1*b1) + ... over the nonzero entries of its row of a in ascending
+// inner index, exactly as the one-at-a-time loop adds them.
 func matmul(out *Matrix, row, col int, a, b *Matrix, lo, n int) {
-	stride := b.Cols
-	brow := func(k int) []float64 { return b.Data[k*stride+lo : k*stride+lo+n] }
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Data[i*a.Cols : (i+1)*a.Cols]
+	bc, kn := colRange{b.Data, b.Cols, lo, n}, a.Cols
+	orow := func(i int) []float64 {
 		off := (row+i)*out.Cols + col
-		orow := out.Data[off : off+n]
-		var av [4]float64
-		var ak [4]int
-		m := 0
-		for k, x := range arow {
-			if x == 0 {
+		return out.Data[off : off+n]
+	}
+	i := 0
+	for ; i+1 < a.Rows; i += 2 {
+		ar0, ar1 := a.Data[i*kn:(i+1)*kn], a.Data[(i+1)*kn:(i+2)*kn]
+		o0, o1 := orow(i), orow(i+1)
+		k := 0
+		for ; k+4 <= kn; k += 4 {
+			x0, x1, x2, x3 := ar0[k], ar0[k+1], ar0[k+2], ar0[k+3]
+			y0, y1, y2, y3 := ar1[k], ar1[k+1], ar1[k+2], ar1[k+3]
+			if x0 == 0 || x1 == 0 || x2 == 0 || x3 == 0 || y0 == 0 || y1 == 0 || y2 == 0 || y3 == 0 {
+				bc.axpyNonzero(o0, ar0[k:k+4], k)
+				bc.axpyNonzero(o1, ar1[k:k+4], k)
 				continue
 			}
-			av[m], ak[m] = x, k
-			if m++; m < 4 {
-				continue
-			}
-			m = 0
-			a0, a1, a2, a3 := av[0], av[1], av[2], av[3]
-			b0, b1, b2, b3 := brow(ak[0]), brow(ak[1]), brow(ak[2]), brow(ak[3])
-			b0, b1, b2, b3 = b0[:len(orow)], b1[:len(orow)], b2[:len(orow)], b3[:len(orow)]
-			for j, o := range orow {
-				orow[j] = o + a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]
+			b0, b1, b2, b3 := bc.row(k), bc.row(k+1), bc.row(k+2), bc.row(k+3)
+			b0, b1, b2, b3 = b0[:len(o0)], b1[:len(o0)], b2[:len(o0)], b3[:len(o0)]
+			o1 = o1[:len(o0)]
+			for j, o := range o0 {
+				p0, p1, p2, p3 := b0[j], b1[j], b2[j], b3[j]
+				o0[j] = o + x0*p0 + x1*p1 + x2*p2 + x3*p3
+				o1[j] = o1[j] + y0*p0 + y1*p1 + y2*p2 + y3*p3
 			}
 		}
-		for q := 0; q < m; q++ {
-			axpy(orow, av[q], brow(ak[q]))
+		bc.axpyNonzero(o0, ar0[k:], k)
+		bc.axpyNonzero(o1, ar1[k:], k)
+	}
+	if i < a.Rows {
+		bc.matmulRow(orow(i), a.Data[i*kn:(i+1)*kn])
+	}
+}
+
+// colRange is columns [lo, lo+n) of a row-major matrix's data with
+// stride columns: the operand b of a product, read in place.
+type colRange struct {
+	data          []float64
+	stride, lo, n int
+}
+
+// row returns the range's part of row k.
+func (c colRange) row(k int) []float64 {
+	off := k*c.stride + c.lo
+	return c.data[off : off+c.n]
+}
+
+// axpyNonzero adds as[q]*row(k0+q) into o for each nonzero as[q], in
+// ascending q.
+func (c colRange) axpyNonzero(o, as []float64, k0 int) {
+	for q, av := range as {
+		if av != 0 {
+			axpy(o, av, c.row(k0+q))
 		}
+	}
+}
+
+// matmulRow adds arow*c into orow. Zero entries of arow are skipped and
+// the rest are taken four at a time, in ascending inner index.
+func (c colRange) matmulRow(orow, arow []float64) {
+	var av [4]float64
+	var ak [4]int
+	m := 0
+	for k, x := range arow {
+		if x == 0 {
+			continue
+		}
+		av[m], ak[m] = x, k
+		if m++; m < 4 {
+			continue
+		}
+		m = 0
+		a0, a1, a2, a3 := av[0], av[1], av[2], av[3]
+		b0, b1, b2, b3 := c.row(ak[0]), c.row(ak[1]), c.row(ak[2]), c.row(ak[3])
+		b0, b1, b2, b3 = b0[:len(orow)], b1[:len(orow)], b2[:len(orow)], b3[:len(orow)]
+		for j, o := range orow {
+			orow[j] = o + a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]
+		}
+	}
+	for q := 0; q < m; q++ {
+		axpy(orow, av[q], c.row(ak[q]))
 	}
 }
 
@@ -190,43 +251,6 @@ func axpy(o []float64, av float64, b []float64) {
 	b = b[:len(o)]
 	for j, bv := range b {
 		o[j] += av * bv
-	}
-}
-
-// MatMulTInto sets out to a*bᵀ and returns out, without materializing
-// the transpose: element (i, j) is the dot product of row i of a and
-// row j of b. Panics on shape mismatch.
-func MatMulTInto(out, a, b *Matrix) *Matrix {
-	checkMatMulT(a, b)
-	out.Resize(a.Rows, b.Rows)
-	matmulT(out, a, b)
-	return out
-}
-
-func checkMatMulT(a, b *Matrix) {
-	if a.Cols != b.Cols {
-		panic(fmt.Sprintf("tensor: matmulT shape mismatch %dx%d * (%dx%d)T", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-}
-
-// matmulT sets every element of the a.Rows x b.Rows matrix out to its
-// dot product, added from zero in ascending inner index over the
-// nonzero entries of a, as matmul adds.
-func matmulT(out, a, b *Matrix) {
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Data[i*a.Cols : (i+1)*a.Cols]
-		orow := out.Data[i*out.Cols : (i+1)*out.Cols]
-		for j := range orow {
-			brow := b.Data[j*b.Cols : (j+1)*b.Cols]
-			brow = brow[:len(arow)]
-			s := 0.0
-			for k, av := range arow {
-				if av != 0 {
-					s += av * brow[k]
-				}
-			}
-			orow[j] = s
-		}
 	}
 }
 
@@ -270,28 +294,6 @@ func ViewRows(m *Matrix, lo, hi int) *Matrix {
 // SliceRows returns a copy of rows [lo, hi) of m.
 func SliceRows(m *Matrix, lo, hi int) *Matrix {
 	return SliceInto(New(hi-lo, m.Cols), m, lo, hi, 0, m.Cols)
-}
-
-// SoftmaxRows applies a numerically stable softmax to each row in place.
-func SoftmaxRows(m *Matrix) {
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		max := math.Inf(-1)
-		for _, v := range row {
-			if v > max {
-				max = v
-			}
-		}
-		sum := 0.0
-		for j, v := range row {
-			e := math.Exp(v - max)
-			row[j] = e
-			sum += e
-		}
-		for j := range row {
-			row[j] /= sum
-		}
-	}
 }
 
 // RMSNormRows normalizes each row by its root-mean-square in place,

@@ -71,11 +71,54 @@ func MatMulCols(a, b *Matrix, lo, hi int) *Matrix {
 
 // MatMulT returns a*bᵀ as a fresh matrix: the form the exactness tests
 // state the transposed kernel's contract with.
-func MatMulT(a, b *Matrix) *Matrix {
-	checkMatMulT(a, b)
-	out := New(a.Rows, b.Rows)
-	matmulT(out, a, b)
+func MatMulT(a, b *Matrix) *Matrix { return MatMulTInto(&Matrix{}, a, b) }
+
+// MatMulTInto sets out to a*bᵀ and returns out, without materializing
+// the transpose: element (i, j) is the dot product of row i of a and
+// row j of b, added from zero in ascending inner index over the nonzero
+// entries of a, as matmul adds. Panics on shape mismatch.
+func MatMulTInto(out, a, b *Matrix) *Matrix {
+	if a.Cols != b.Cols {
+		panic(fmt.Sprintf("tensor: matmulT shape mismatch %dx%d * (%dx%d)T", a.Rows, a.Cols, b.Rows, b.Cols))
+	}
+	out.Resize(a.Rows, b.Rows)
+	for i := 0; i < a.Rows; i++ {
+		arow := a.Data[i*a.Cols : (i+1)*a.Cols]
+		orow := out.Data[i*out.Cols : (i+1)*out.Cols]
+		for j := range orow {
+			brow := b.Data[j*b.Cols : (j+1)*b.Cols]
+			s := 0.0
+			for k, av := range arow {
+				if av != 0 {
+					s += av * brow[k]
+				}
+			}
+			orow[j] = s
+		}
+	}
 	return out
+}
+
+// SoftmaxRows applies a numerically stable softmax to each row in place.
+func SoftmaxRows(m *Matrix) {
+	for i := 0; i < m.Rows; i++ {
+		row := m.Row(i)
+		max := math.Inf(-1)
+		for _, v := range row {
+			if v > max {
+				max = v
+			}
+		}
+		sum := 0.0
+		for j, v := range row {
+			e := math.Exp(v - max)
+			row[j] = e
+			sum += e
+		}
+		for j := range row {
+			row[j] /= sum
+		}
+	}
 }
 
 // ConcatRows vertically concatenates the given matrices.
@@ -446,26 +489,77 @@ func TestMatMulTEqualsMatMulOfTransposeExactly(t *testing.T) {
 	}
 }
 
-// The unrolled MatMul must add in the plain one-k-at-a-time order.
+// naiveMatMul is a*b[:, lo:hi] in the plain one-k-at-a-time order the
+// kernels promise: each element starts at zero and adds the products of
+// the nonzero entries of its row of a in ascending inner index.
+func naiveMatMul(a, b *Matrix, lo, hi int) *Matrix {
+	want := New(a.Rows, hi-lo)
+	for i := 0; i < a.Rows; i++ {
+		for j := lo; j < hi; j++ {
+			s := 0.0
+			for kk := 0; kk < a.Cols; kk++ {
+				if av := a.At(i, kk); av != 0 {
+					s += av * b.At(kk, j)
+				}
+			}
+			want.Set(i, j-lo, s)
+		}
+	}
+	return want
+}
+
+// specialMatrix is a dense matrix of signed normals with zeros, −0 and
+// ±Inf dropped into about one entry in six, so some 2x4 blocks of a
+// are full and the two-row kernel takes them at once while the others
+// fall back to adding one index at a time, and Inf·0 and Inf−Inf make
+// NaNs the kernel must carry in the same order.
+func specialMatrix(rng *RNG, rows, cols int) *Matrix {
+	specials := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1)}
+	m := New(rows, cols)
+	for i := range m.Data {
+		if m.Data[i] = rng.Norm(); rng.Intn(6) == 0 {
+			m.Data[i] = specials[rng.Intn(len(specials))]
+		}
+	}
+	return m
+}
+
+// The blocked kernel must add in the plain one-k-at-a-time order for
+// every row count (pairs and an odd last row), every inner size (full
+// 4-wide blocks and their tails), dense, sparse and special operands,
+// and through each entry point: MatMul, MatMulColsInto at a column
+// offset, and MatMulBlock at a row and column offset of a dirty matrix.
 func TestMatMulMatchesNaiveOrderExactly(t *testing.T) {
 	rng := NewRNG(8)
-	for k := 1; k <= 9; k++ {
-		a := sparseMatrix(rng, 3, k)
-		b := sparseMatrix(rng, k, 5)
-		want := New(a.Rows, b.Cols)
-		for i := 0; i < a.Rows; i++ {
-			for j := 0; j < b.Cols; j++ {
-				s := 0.0
-				for kk := 0; kk < k; kk++ {
-					if av := a.At(i, kk); av != 0 {
-						s += av * b.At(kk, j)
-					}
+	fills := []struct {
+		name string
+		fill func(rng *RNG, rows, cols int) *Matrix
+	}{
+		{"dense", func(rng *RNG, rows, cols int) *Matrix { return rng.RandMatrix(rows, cols, 1) }},
+		{"sparse", sparseMatrix},
+		{"special", specialMatrix},
+	}
+	for rows := 1; rows <= 9; rows++ {
+		for k := 1; k <= 13; k++ {
+			for _, f := range fills {
+				a, b := f.fill(rng, rows, k), f.fill(rng, k, 1+rng.Intn(9))
+				if got, want := MatMul(a, b), naiveMatMul(a, b, 0, b.Cols); !sameBits(got, want) {
+					t.Fatalf("%s %dx%d: MatMul %v != naive %v", f.name, rows, k, got.Data, want.Data)
 				}
-				want.Set(i, j, s)
+				lo := rng.Intn(b.Cols)
+				hi := lo + 1 + rng.Intn(b.Cols-lo)
+				want := naiveMatMul(a, b, lo, hi)
+				if got := MatMulColsInto(junk(2, 3), a, b, lo, hi); !sameBits(got, want) {
+					t.Fatalf("%s %dx%d [%d:%d): MatMulColsInto %v != naive %v", f.name, rows, k, lo, hi, got.Data, want.Data)
+				}
+				bc := SliceCols(b, lo, hi)
+				r0, c0 := rng.Intn(3), rng.Intn(3)
+				out := junk(rows+r0+rng.Intn(2), bc.Cols+c0+rng.Intn(2))
+				MatMulBlock(out, r0, c0, a, bc)
+				if got := SliceInto(&Matrix{}, out, r0, r0+rows, c0, c0+bc.Cols); !sameBits(got, want) {
+					t.Fatalf("%s %dx%d at (%d,%d): MatMulBlock %v != naive %v", f.name, rows, k, r0, c0, got.Data, want.Data)
+				}
 			}
-		}
-		if got := MatMul(a, b); !sameBits(got, want) {
-			t.Fatalf("k=%d: MatMul %v != naive %v", k, got.Data, want.Data)
 		}
 	}
 }

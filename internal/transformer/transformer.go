@@ -85,7 +85,9 @@ func NewWeights(cfg Config, seed uint64) *Weights {
 	return w
 }
 
-// ParamCount returns the number of scalar parameters.
+// ParamCount returns the number of scalar parameters. No forward reads
+// it; it stays exported because a test outside this package prices a
+// toy model.Config from it (internal/serve's replay onto core.Shift).
 func (w *Weights) ParamCount() int {
 	n := 0
 	for _, l := range w.Layers {
@@ -196,22 +198,54 @@ func Attend(q, k, v *tensor.Matrix, prevLen int) *tensor.Matrix {
 // at (row, col), such as one head's columns of a batch's attention
 // output, with scores as scratch for the [t, ctx] score matrix (see
 // tensor.Resize). It gives Attend's bits.
+//
+// Only each row's live prefix, columns [0, prevLen+i], is scored: its
+// dot products (added from zero in ascending index over q's nonzero
+// entries, as tensor.MatMul adds), max, exp and normalisation. The
+// masked columns stay exactly 0, which is what a -Inf score gives after
+// a softmax over the whole row, and tensor.MatMulBlock skips them in
+// P·V. A row with a non-finite live score comes out NaN either way.
 func AttendInto(out *tensor.Matrix, row, col int, scores, q, k, v *tensor.Matrix, prevLen int) {
+	if q.Cols != k.Cols {
+		panic(fmt.Sprintf("transformer: attention q %dx%d against k %dx%d", q.Rows, q.Cols, k.Rows, k.Cols))
+	}
 	scale := 1 / math.Sqrt(float64(q.Cols))
-	tensor.MatMulTInto(scores, q, k)
-	for i := 0; i < scores.Rows; i++ {
-		srow := scores.Row(i)
-		limit := prevLen + i // inclusive
-		for j := range srow {
-			if j > limit {
-				srow[j] = math.Inf(-1)
-			} else {
-				srow[j] *= scale
+	scores.Resize(q.Rows, k.Rows)
+	for i := 0; i < q.Rows; i++ {
+		qrow := q.Row(i)
+		live := scores.Row(i)[:min(prevLen+i+1, k.Rows)]
+		max := math.Inf(-1)
+		for j := range live {
+			s := dot(qrow, k.Data[j*k.Cols:]) * scale
+			live[j] = s
+			if s > max {
+				max = s
 			}
 		}
+		sum := 0.0
+		for j, s := range live {
+			e := math.Exp(s - max)
+			live[j] = e
+			sum += e
+		}
+		for j := range live {
+			live[j] /= sum
+		}
 	}
-	tensor.SoftmaxRows(scores)
 	tensor.MatMulBlock(out, row, col, scores, v)
+}
+
+// dot is the dot product of a and b, added from zero in ascending index
+// over the nonzero entries of a.
+func dot(a, b []float64) float64 {
+	b = b[:len(a)]
+	s := 0.0
+	for i, av := range a {
+		if av != 0 {
+			s += av * b[i]
+		}
+	}
+	return s
 }
 
 // flatten concatenates chunk activations and returns per-chunk [lo, hi)

@@ -290,3 +290,122 @@ func TestFlattenIntoReusesDestinations(t *testing.T) {
 	}()
 	FlattenInto(&x, spans, []Chunk{randChunk(rng, 0, 1, 4), randChunk(rng, 1, 1, 3)})
 }
+
+// maskedAttend is attention as AttendInto computed it before it scored
+// only the live prefix, kept frozen here as the oracle: every element of
+// the [t, ctx] score matrix as a dot product (from zero, over q's
+// nonzero entries in ascending index), -Inf past each row's causal
+// limit, a softmax over the whole row, then P·V.
+func maskedAttend(q, k, v *tensor.Matrix, prevLen int) *tensor.Matrix {
+	scores := tensor.New(q.Rows, k.Rows)
+	for i := 0; i < q.Rows; i++ {
+		for j := 0; j < k.Rows; j++ {
+			s := 0.0
+			for kk, av := range q.Row(i) {
+				if av != 0 {
+					s += av * k.At(j, kk)
+				}
+			}
+			scores.Set(i, j, s)
+		}
+	}
+	scale := 1 / math.Sqrt(float64(q.Cols))
+	for i := 0; i < scores.Rows; i++ {
+		srow := scores.Row(i)
+		for j := range srow {
+			if j > prevLen+i {
+				srow[j] = math.Inf(-1)
+			} else {
+				srow[j] *= scale
+			}
+		}
+	}
+	for i := 0; i < scores.Rows; i++ {
+		row := scores.Row(i)
+		max := math.Inf(-1)
+		for _, v := range row {
+			if v > max {
+				max = v
+			}
+		}
+		sum := 0.0
+		for j, v := range row {
+			e := math.Exp(v - max)
+			row[j] = e
+			sum += e
+		}
+		for j := range row {
+			row[j] /= sum
+		}
+	}
+	out := tensor.New(q.Rows, v.Cols)
+	tensor.MatMulBlock(out, 0, 0, scores, v)
+	return out
+}
+
+// AttendInto scores only each row's live prefix and must give the bits
+// of the full masked softmax: on prefill (prevLen 0), chunked prefill
+// and decode shapes, with zeros (and a zero row) in q so the dot
+// products skip entries, and with ±0, ±Inf and NaN placed in q and k
+// so some scores are non-finite (and a skipped zero of q meets an Inf
+// of k): a row that the masked softmax turns to NaN must come out NaN,
+// and every other element bit for bit.
+func TestAttendIntoMatchesMaskedSoftmaxExactly(t *testing.T) {
+	rng := tensor.NewRNG(13)
+	scores := rng.RandMatrix(3, 40, 1) // dirty scratch
+	specials := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN()}
+	for _, c := range []struct {
+		name          string
+		t, prev, dh   int
+		special, zero bool
+	}{
+		{"prefill", 9, 0, 8, false, true},
+		{"prefill-odd-dh", 7, 0, 5, false, true},
+		{"chunked", 6, 11, 8, false, true},
+		{"chunked-one-row", 1, 3, 4, false, false},
+		{"decode", 1, 24, 8, false, true},
+		{"decode-short", 1, 0, 8, false, false},
+		{"prefill-special", 12, 0, 8, true, true},
+		{"chunked-special", 5, 7, 4, true, true},
+	} {
+		for trial := 0; trial < 4; trial++ {
+			q := rng.RandMatrix(c.t, c.dh, 1)
+			for i := range q.Data {
+				switch {
+				case c.zero && rng.Intn(3) == 0:
+					q.Data[i] = 0
+				case c.special && rng.Intn(12) == 0:
+					q.Data[i] = specials[rng.Intn(len(specials))]
+				}
+			}
+			if c.zero && c.t > 1 {
+				clear(q.Row(rng.Intn(c.t)))
+			}
+			ctx := c.prev + c.t
+			k, v := rng.RandMatrix(ctx, c.dh, 1), rng.RandMatrix(ctx, c.dh, 1)
+			for i := range k.Data {
+				if c.special && rng.Intn(12) == 0 {
+					k.Data[i] = specials[rng.Intn(len(specials))]
+				}
+			}
+			want := maskedAttend(q, k, v, c.prev)
+			got := tensor.New(c.t, c.dh)
+			AttendInto(got, 0, 0, scores, q, k, v, c.prev)
+			for i, w := range want.Data {
+				g := got.Data[i]
+				if math.IsNaN(w) && math.IsNaN(g) {
+					continue
+				}
+				if math.Float64bits(g) != math.Float64bits(w) {
+					t.Fatalf("%s trial %d: element (%d,%d) = %v, want %v", c.name, trial, i/c.dh, i%c.dh, g, w)
+				}
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected a panic on q and k of different widths")
+		}
+	}()
+	AttendInto(tensor.New(1, 4), 0, 0, scores, tensor.New(1, 4), tensor.New(2, 3), tensor.New(2, 4), 1)
+}

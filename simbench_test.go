@@ -204,3 +204,30 @@ func BenchmarkFunctional_ShiftUnit(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkFunctional_GEMMShapes times tensor.MatMulInto on each GEMM
+// shape (rows x inner x cols) of one rank's layer in the ShiftUnit
+// benchmark, so benchstat shows the kernel shape by shape. The decode
+// step on the shift config (8 rows, one per sequence, on TP=8) runs the
+// packed QKV (8x64x24: one q head and its kv head), O (8x8x64), MLP up
+// (8x64x32) and down (8x32x64); the prefill on the base config (64 of
+// the 256 prompt rows per SP rank, TP=2) runs QKV (64x64x48), O
+// (64x32x64), up (64x64x128) and down (64x128x64). Operands are dense,
+// as activations and weights are.
+func BenchmarkFunctional_GEMMShapes(b *testing.B) {
+	rng := tensor.NewRNG(42)
+	for _, s := range [][3]int{
+		{8, 64, 24}, {8, 8, 64}, {8, 64, 32}, {8, 32, 64},
+		{64, 64, 48}, {64, 32, 64}, {64, 64, 128}, {64, 128, 64},
+	} {
+		b.Run(fmt.Sprintf("%dx%dx%d", s[0], s[1], s[2]), func(b *testing.B) {
+			x, w := rng.RandMatrix(s[0], s[1], 1), rng.RandMatrix(s[1], s[2], 1)
+			out := tensor.New(s[0], s[2])
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				tensor.MatMulInto(out, x, w)
+			}
+		})
+	}
+}
