@@ -16,6 +16,12 @@ var ErrNoSpace = errors.New("kvcache: out of blocks")
 // free-block count, and each caller keeps its own holding (the blocks
 // one sequence owns) and passes it to Grow, CanGrow and Free. Values
 // live elsewhere.
+//
+// A holding of h blocks covers h*BlockTokens tokens, so Grow and CanGrow
+// compare tokens with that capacity first and divide (BlocksFor) only
+// when the holding has to grow: for h >= 0, ceil(t/B) <= h exactly when
+// t <= h*B. Most calls, a decode token landing in a block the sequence
+// already holds, make no division.
 type Allocator struct {
 	BlockTokens int
 	NumBlocks   int
@@ -56,10 +62,11 @@ func (a *Allocator) FreeTokens() int { return a.free * a.BlockTokens }
 // idempotent: growing to a smaller count is a no-op. Returns ErrNoSpace
 // (allocating nothing) if the growth cannot be satisfied.
 func (a *Allocator) Grow(held *int32, tokens int) error {
-	need := a.BlocksFor(tokens) - int(*held)
-	if need <= 0 {
+	h := int(*held)
+	if tokens <= h*a.BlockTokens {
 		return nil
 	}
+	need := a.BlocksFor(tokens) - h
 	if need > a.free {
 		return ErrNoSpace
 	}
@@ -70,7 +77,8 @@ func (a *Allocator) Grow(held *int32, tokens int) error {
 
 // CanGrow reports whether Grow(&held, tokens) would succeed.
 func (a *Allocator) CanGrow(held int32, tokens int) bool {
-	return a.BlocksFor(tokens)-int(held) <= a.free
+	h := int(held)
+	return tokens <= h*a.BlockTokens || a.BlocksFor(tokens)-h <= a.free
 }
 
 // Free returns every block of the holding *held and zeroes it.

@@ -212,6 +212,62 @@ func TestAllocatorInvariant(t *testing.T) {
 	}
 }
 
+// TestAllocatorFastPathMatchesDivision: Grow and CanGrow compare tokens
+// with the holding's capacity before they divide. Over every block size,
+// holding, token count and free count below, each must give the error,
+// holding, free count and answer of the division formula they replaced.
+func TestAllocatorFastPathMatchesDivision(t *testing.T) {
+	for _, bt := range []int{1, 2, 3, 16, 17} {
+		for h := int32(0); h <= 40; h++ {
+			for _, free := range []int{0, 1, 2, 7, 64} {
+				a := NewAllocator(bt, int(h)+free)
+				var held int32
+				if err := a.Grow(&held, int(h)*bt); err != nil || held != h || a.FreeBlocks() != free {
+					t.Fatalf("setup: held %d free %d err %v, want %d, %d", held, a.FreeBlocks(), err, h, free)
+				}
+				for tokens := -2; tokens <= 700; tokens++ {
+					wantHeld, wantFree, wantErr := divisionGrow(bt, free, h, tokens)
+					b, got := *a, h
+					err := b.Grow(&got, tokens)
+					if err != wantErr || got != wantHeld || b.FreeBlocks() != wantFree {
+						t.Fatalf("block %d, held %d, free %d: Grow(%d) = %v, held %d, free %d; division %v, %d, %d",
+							bt, h, free, tokens, err, got, b.FreeBlocks(), wantErr, wantHeld, wantFree)
+					}
+					if can, want := a.CanGrow(h, tokens), divisionCanGrow(bt, free, h, tokens); can != want {
+						t.Fatalf("block %d, held %d, free %d: CanGrow(%d) = %v, division %v", bt, h, free, tokens, can, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// divisionGrow and divisionCanGrow are Grow and CanGrow as they were
+// before the capacity comparison, when every call divided: the
+// reference the fast path is checked against. They do not follow later
+// changes to the allocator.
+func divisionGrow(blockTokens, free int, held int32, tokens int) (int32, int, error) {
+	need := divisionBlocks(blockTokens, tokens) - int(held)
+	if need <= 0 {
+		return held, free, nil
+	}
+	if need > free {
+		return held, free, ErrNoSpace
+	}
+	return held + int32(need), free - need, nil
+}
+
+func divisionCanGrow(blockTokens, free int, held int32, tokens int) bool {
+	return divisionBlocks(blockTokens, tokens)-int(held) <= free
+}
+
+func divisionBlocks(blockTokens, tokens int) int {
+	if tokens <= 0 {
+		return 0
+	}
+	return (tokens + blockTokens - 1) / blockTokens
+}
+
 func TestQuickAllocatorConservation(t *testing.T) {
 	f := func(ops []uint16) bool {
 		a := NewAllocator(4, 64)

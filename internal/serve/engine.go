@@ -357,6 +357,7 @@ type Engine struct {
 	// Accounting.
 	iters        int
 	plans        int // iterations scheduled and applied one by one; the rest ran ahead
+	retirePasses int // passes over the running queue made only to retire (retire calls)
 	shiftIters   int // iterations on the shift (full TP) config
 	baseIters    int // iterations on the base config
 	preemptions  int
@@ -1174,7 +1175,10 @@ func (e *Engine) apply(plan batchPlan, cost perf.Cost, end time.Duration) {
 	e.count(plan.par, 1, cost)
 	e.now = end
 
-	produced := 0
+	// Between steps no running sequence is done (every pass that can
+	// finish one retires it), so only the plan's sequences can finish
+	// here, and the running queue is scanned only if one did.
+	produced, finished := 0, false
 	for i, s := range plan.prefills {
 		s.prefilled += plan.chunks[i]
 		produced += plan.chunks[i]
@@ -1186,6 +1190,7 @@ func (e *Engine) apply(plan batchPlan, cost perf.Cost, end time.Duration) {
 				s.firstTok = e.now
 			}
 			e.stream.Event(e.now, obs.EvPrefillDone, s.req.ID, "")
+			finished = finished || s.done()
 		}
 	}
 	yield := e.cfg.Stack.Spec.TokensPerStep()
@@ -1196,29 +1201,39 @@ func (e *Engine) apply(plan batchPlan, cost perf.Cost, end time.Duration) {
 			s.decoded = float64(s.req.OutputTokens)
 		}
 		produced += int(s.decoded) - before
+		finished = finished || s.done()
 	}
 	e.tokensServed += produced
-	e.retire()
+	if finished {
+		e.retire()
+	}
 	e.stream.Iter(e.now, produced)
 }
 
 // retire moves the running sequences that are done, in running order,
 // to the completed list at e.now and frees their KV blocks.
 func (e *Engine) retire() {
+	e.retirePasses++
 	kept := e.running[:0]
 	for _, s := range e.running {
 		if s.done() {
-			s.finished = e.now
-			e.alloc.Free(&s.kvBlocks)
-			e.completed = append(e.completed, s)
-			e.backlogTokens -= s.req.TotalTokens()
-			e.completedTokens += s.req.TotalTokens()
-			e.stream.Event(e.now, obs.EvFinish, s.req.ID, "")
+			e.complete(s)
 		} else {
 			kept = append(kept, s)
 		}
 	}
 	e.running = kept
+}
+
+// complete books the done sequence s as finished at e.now and frees its
+// KV blocks; the caller takes it off the running queue.
+func (e *Engine) complete(s *seq) {
+	s.finished = e.now
+	e.alloc.Free(&s.kvBlocks)
+	e.completed = append(e.completed, s)
+	e.backlogTokens -= s.req.TotalTokens()
+	e.completedTokens += s.req.TotalTokens()
+	e.stream.Event(e.now, obs.EvFinish, s.req.ID, "")
 }
 
 // count books k iterations run on par that cost cost in total.
@@ -1394,25 +1409,32 @@ func (e *Engine) resume(horizon time.Duration) {
 // or allocator state outside the step calls it first. A stretch that
 // has run out ends on the step its first sequences finish on (unless KV
 // growth cut it shorter), so settle retires the finished ones at e.now,
-// as apply would have; any other stretch stays open.
+// in running order as apply would have, in the same pass that grows the
+// others' holdings; any other stretch stays open, and none of its
+// sequences is done.
 func (e *Engine) settle() {
 	a := &e.ahead
 	k := a.booked
 	if k == 0 {
 		return
 	}
-	e.tokensServed += k * len(e.running)
+	n := len(e.running)
+	e.tokensServed += k * n
+	kept := e.running[:0]
 	for _, s := range e.running {
 		s.decoded += float64(k)
+		if s.done() {
+			e.complete(s)
+			continue
+		}
 		if err := e.alloc.Grow(&s.kvBlocks, s.ctx()); err != nil {
 			panic(fmt.Sprintf("serve: run-ahead growth sized by kvGrowth failed: %v", err))
 		}
+		kept = append(kept, s)
 	}
-	a.ctxSum += k * len(e.running)
+	e.running = kept
+	a.ctxSum += k * n
 	a.booked = 0
-	if a.left == 0 {
-		e.retire()
-	}
 }
 
 // endStretch settles the open stretch, if any, and closes it, so the
@@ -1425,9 +1447,12 @@ func (e *Engine) endStretch() {
 // kvGrowth returns the blocks the running sequences need beyond their
 // holdings to decode k more tokens each.
 func (e *Engine) kvGrowth(k int) int {
-	need := 0
+	need, bt := 0, e.alloc.BlockTokens
 	for _, s := range e.running {
-		need += max(0, e.alloc.BlocksFor(s.ctx()+k)-int(s.kvBlocks))
+		// As Allocator.Grow: divide only when the holding must grow.
+		if t := s.ctx() + k; t > int(s.kvBlocks)*bt {
+			need += e.alloc.BlocksFor(t) - int(s.kvBlocks)
+		}
 	}
 	return need
 }

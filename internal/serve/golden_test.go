@@ -233,10 +233,19 @@ func TestSteadyArrivalAllocatesNothing(t *testing.T) {
 }
 
 // TestWorkCountsPinned pins the engine's work on three fixed runs as
-// exact counts: iters, every iteration run, and plans, the ones
-// scheduled and applied one by one (the rest ran ahead in steady decode
-// stretches). A change that moves work, or moves it between scheduling
-// and running ahead, has to update these numbers and say why.
+// exact counts: iters, every iteration run; plans, the ones scheduled
+// and applied one by one (the rest ran ahead in steady decode
+// stretches); and retirePasses, the passes over the running queue made
+// only to retire finished sequences. A change that moves work, or moves
+// it between scheduling and running ahead, has to update these numbers
+// and say why.
+//
+// retirePasses read 239, 182 and 164 when apply scanned the running
+// queue after every scheduled iteration and settle scanned it again
+// after growing the holdings of a stretch that ran out (plans plus the
+// stretches that ran out). apply now retires only when a sequence of its
+// plan finished, and settle retires in its growth pass, which no pass
+// counts.
 func TestWorkCountsPinned(t *testing.T) {
 	cm := llamaCM(t)
 	prefix := tp8Cfg(cm)
@@ -244,22 +253,23 @@ func TestWorkCountsPinned(t *testing.T) {
 	withSLO := Config{CM: cm, Par: perf.Parallelism{SP: 1, TP: 2}}
 	withSLO.Admission = &AdmissionConfig{Policy: AdmissionDeadline}
 	cases := []struct {
-		name         string
-		cfg          Config
-		reqs         []workload.Request
-		iters, plans int
+		name                       string
+		cfg                        Config
+		reqs                       []workload.Request
+		iters, plans, retirePasses int
 	}{
-		{"bursty-shift", shiftCfg(cm), trace.Bursty(7, 30*time.Second).Requests, 3862, 119},
-		{"prefix-cache", prefix, sessionedTrace(t, 3, 6).Requests, 2719, 92},
+		{"bursty-shift", shiftCfg(cm), trace.Bursty(7, 30*time.Second).Requests, 3862, 119, 5},
+		{"prefix-cache", prefix, sessionedTrace(t, 3, 6).Requests, 2719, 92, 3},
 		{"slo-admission", withSLO, trace.Bursty(5, 30*time.Second).
 			Stamp("interactive", 1, workload.Deadline(2*time.Second, 0)).
-			Stamp("batch", 0, workload.Deadline(8*time.Second, 0)).Requests, 1348, 64},
+			Stamp("batch", 0, workload.Deadline(8*time.Second, 0)).Requests, 1348, 64, 3},
 	}
 	for _, tc := range cases {
 		e := mustEngine(t, tc.cfg)
 		e.Run(tc.reqs)
-		if e.iters != tc.iters || e.plans != tc.plans {
-			t.Errorf("%s: %d iterations, %d scheduled; pinned %d, %d", tc.name, e.iters, e.plans, tc.iters, tc.plans)
+		if e.iters != tc.iters || e.plans != tc.plans || e.retirePasses != tc.retirePasses {
+			t.Errorf("%s: %d iterations, %d scheduled, %d retire passes; pinned %d, %d, %d", tc.name,
+				e.iters, e.plans, e.retirePasses, tc.iters, tc.plans, tc.retirePasses)
 		}
 	}
 }

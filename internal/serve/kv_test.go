@@ -38,23 +38,41 @@ func checkKV(e *Engine) error {
 	return e.alloc.CheckInvariant(held)
 }
 
+// checkNoneDone checks the invariant apply's conditional retire rests
+// on: between engine steps no running sequence is done, because every
+// pass that can finish one (apply, and settle for a stretch that ran
+// out) retires it.
+func checkNoneDone(e *Engine) error {
+	for _, s := range e.running {
+		if s.done() {
+			return fmt.Errorf("running seq %d is done between steps: %.2f of %d tokens decoded",
+				s.req.ID, s.decoded, s.req.OutputTokens)
+		}
+	}
+	return nil
+}
+
 // stepOne advances e by one scheduling step: the engine's plan step,
 // price and apply, after the idle jump to its next arrival when nothing
-// can run before it. It never runs a stretch ahead, so every iteration
-// it takes is scheduled: it is the reference run-ahead is checked
-// against.
-func stepOne(e *Engine) {
+// can run before it, and checks that no running sequence is left done.
+// It never runs a stretch ahead, so every iteration it takes is
+// scheduled: it is the reference run-ahead is checked against.
+func stepOne(t testing.TB, e *Engine) {
+	t.Helper()
 	for {
 		plan := e.nextPlan(true)
 		if !plan.empty() {
 			cost := e.price(&plan)
 			e.apply(plan, cost, e.now+cost.Total())
-			return
+			break
 		}
 		if e.finished() {
-			return
+			break
 		}
 		e.now = e.nextArrival()
+	}
+	if err := checkNoneDone(e); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -109,7 +127,7 @@ func TestKVHoldingsConservedEveryIteration(t *testing.T) {
 					}
 					e.stepUntil((e.now/tc.grid+1)*tc.grid, true)
 				} else {
-					stepOne(e)
+					stepOne(t, e)
 				}
 				// On the grid, crash only into an open stretch that has
 				// booked steps it has not settled.
@@ -132,6 +150,9 @@ func TestKVHoldingsConservedEveryIteration(t *testing.T) {
 				}
 				e.settle()
 				if err := checkKV(e); err != nil {
+					t.Fatalf("after step %d: %v", steps, err)
+				}
+				if err := checkNoneDone(e); err != nil {
 					t.Fatalf("after step %d: %v", steps, err)
 				}
 			}

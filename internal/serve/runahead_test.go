@@ -48,6 +48,35 @@ func horizonGap(rng *tensor.RNG) time.Duration {
 	return time.Duration(math.Exp(rng.Float64() * math.Log(float64(500*time.Millisecond))))
 }
 
+// shortOutputs is 8 long decodes at time zero joined, every 150 ms, by
+// n short requests of 1, 2, 1, 3 and 5 output tokens: a request of one
+// output token finishes in its prefill iteration, so sequences finish on
+// scheduled iterations (from apply's prefill and decode loops) as well as
+// at the end of run-ahead stretches.
+func shortOutputs(n int) []workload.Request {
+	reqs := make([]workload.Request, 0, 8+n)
+	for i := 0; i < 8; i++ {
+		reqs = append(reqs, workload.Request{ID: i, InputTokens: 512, OutputTokens: 300, Class: "batch"})
+	}
+	outs := []int{1, 2, 1, 3, 5}
+	for i := 0; i < n; i++ {
+		reqs = append(reqs, workload.Request{ID: 8 + i, Arrival: time.Duration(i+1) * 150 * time.Millisecond,
+			InputTokens: 256, OutputTokens: outs[i%len(outs)], Class: "interactive"})
+	}
+	return reqs
+}
+
+// finishedInPrefill reports whether some request finished on the
+// iteration that emitted its first token.
+func finishedInPrefill(e *Engine, _ steadySteps) bool {
+	for _, s := range e.completed {
+		if s.req.OutputTokens == 1 && s.finished == s.firstTok {
+			return true
+		}
+	}
+	return false
+}
+
 // TestRunAheadMatchesSteppedEngine runs each engine four ways: one
 // scheduling step at a time with stepOne, which ends any open stretch
 // and whose horizon stops every stretch before its first step; with
@@ -94,6 +123,21 @@ func TestRunAheadMatchesSteppedEngine(t *testing.T) {
 			exercised: func(e *Engine, _ steadySteps) bool { return e.cacheHits > 0 }},
 		{name: "ep", cfg: ep, reqs: trace.Bursty(9, 30*time.Second).Requests},
 		{name: "spec-decode", cfg: spec, reqs: trace.Bursty(7, 30*time.Second).Requests},
+		{name: "finish-in-prefill", cfg: tp8Cfg(cm), reqs: shortOutputs(20), exercised: finishedInPrefill},
+		{name: "spec-decode-finish-in-prefill", cfg: spec, reqs: shortOutputs(20), exercised: finishedInPrefill},
+		// Spec decoding's fractional yield overshoots a short request's
+		// last token, and apply clamps decoded at OutputTokens: the
+		// clamped count is that integer exactly, where an unclamped sum
+		// of whole and fractional yields past the first token is not.
+		{name: "spec-decode-clamp", cfg: spec, reqs: shortOutputs(20),
+			exercised: func(e *Engine, _ steadySteps) bool {
+				for _, s := range e.completed {
+					if s.req.OutputTokens > 1 && s.decoded == float64(s.req.OutputTokens) {
+						return true
+					}
+				}
+				return false
+			}},
 		// A stretch on the shift config of an EP MoE engine runs through
 		// both edges of a degrade window: its base carries the EP
 		// dispatch, its steps book as shift iterations, and scaled and
@@ -132,7 +176,7 @@ func TestRunAheadMatchesSteppedEngine(t *testing.T) {
 						}
 					}
 				}
-				stepOne(stepped)
+				stepOne(t, stepped)
 			}
 			if exercised := tc.exercised == nil || tc.exercised(stepped, steady); steady.n == 0 || !exercised {
 				t.Fatalf("test premise broken: %+v steady decode steps, feature exercised: %v", steady, exercised)
@@ -161,6 +205,9 @@ func TestRunAheadMatchesSteppedEngine(t *testing.T) {
 					cut.settle()
 				}
 				cut.stepUntil(h, true)
+				if err := checkNoneDone(cut); err != nil {
+					t.Fatalf("cut at %v: %v", h, err)
+				}
 			}
 			if resumed == 0 && tc.cfg.Stack.Spec.VerifyTokensPerSeq() == 1 {
 				t.Fatal("test premise broken: no horizon resumed a stretch")
@@ -170,16 +217,22 @@ func TestRunAheadMatchesSteppedEngine(t *testing.T) {
 			// enqueue it there, with random horizons in between.
 			routed, routedObs := engine()
 			h := time.Duration(0)
+			advance := func(h time.Duration, final bool) {
+				routed.stepUntil(h, final)
+				if err := checkNoneDone(routed); err != nil {
+					t.Fatalf("routed at %v: %v", h, err)
+				}
+			}
 			for _, r := range tc.reqs {
 				for g := horizonGap(rng); h+g < r.Arrival; g = horizonGap(rng) {
 					h += g
-					routed.stepUntil(h, false)
+					advance(h, false)
 				}
 				h = r.Arrival
-				routed.stepUntil(h, false)
+				advance(h, false)
 				routed.enqueue(r)
 			}
-			routed.stepUntil(noHorizon, true)
+			advance(noHorizon, true)
 
 			type counters struct {
 				Now                                         time.Duration
@@ -238,7 +291,7 @@ func TestRunAheadReleasesShedLatch(t *testing.T) {
 		e.enqueue(workload.Request{ID: i, InputTokens: 512, OutputTokens: 1000})
 	}
 	for len(e.running) < 4 || !e.running[3].prefillDone() {
-		stepOne(e)
+		stepOne(t, e)
 	}
 	e.enqueue(workload.Request{ID: 4, Arrival: e.now, InputTokens: 512, OutputTokens: 8,
 		SLO: workload.Deadline(time.Nanosecond, 0)})
@@ -285,7 +338,7 @@ func TestRunAheadOrdersRunningQueue(t *testing.T) {
 	}
 	stepped := lostIDs(func(e *Engine) {
 		for e.now < 2*time.Second {
-			stepOne(e)
+			stepOne(t, e)
 		}
 	})
 	ran := lostIDs(func(e *Engine) { e.stepUntil(2*time.Second, true) })
