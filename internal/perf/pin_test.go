@@ -122,3 +122,47 @@ func TestCostModelPinnedBitForBit(t *testing.T) {
 		}
 	}
 }
+
+// TestShiftCrossoverPinned pins where Algorithm 2's shift configuration
+// (full TP) stops being priced faster than each standard deployment's
+// base configuration, on prefill-only batches of n tokens at mean context
+// n/2 (n = 1 to 131,072, no EP, the 8xH200 node under DefaultParams).
+// Algorithm 2 switches at DefaultShiftThreshold (256 tokens), below
+// every crossover here, so batches between 257 tokens and the crossover
+// run on the configuration the model prices slower. Qwen-30B-A3B's base
+// wins a lone token: the ring all-reduce's per-hop latency is all of the
+// shift's all-reduce time there. A cost-model change that moves these
+// numbers has to say so.
+func TestShiftCrossoverPinned(t *testing.T) {
+	qwenMoE := model.Qwen30BA3B()
+	qwenMoE.KVDType = model.FP8
+	for _, tc := range []struct {
+		m        model.Config
+		base     Parallelism
+		from, to int // the shift is faster exactly for n in [from, to]
+	}{
+		{model.Llama70B(), Parallelism{SP: 8, TP: 1}, 1, 588},
+		{model.Qwen32B(), Parallelism{SP: 8, TP: 1}, 1, 538},
+		{model.Llama17B16E(), Parallelism{SP: 4, TP: 2}, 1, 1883},
+		{qwenMoE, Parallelism{SP: 8, TP: 1}, 2, 4352},
+	} {
+		cm := MustNew(hw.P5enNode(), tc.m, DefaultParams())
+		shift := Parallelism{SP: 1, TP: tc.base.World()}
+		var wins [][2]int // maximal runs of n where the shift is faster
+		for n := 1; n <= 1<<17; n++ {
+			b := Batch{PrefillTokens: n, PrefillCtx: float64(n) / 2}
+			if cm.IterEP(shift, EPConfig{}, b).Total() >= cm.IterEP(tc.base, EPConfig{}, b).Total() {
+				continue
+			}
+			if k := len(wins) - 1; k >= 0 && wins[k][1] == n-1 {
+				wins[k][1] = n
+			} else {
+				wins = append(wins, [2]int{n, n})
+			}
+		}
+		if len(wins) != 1 || wins[0] != [2]int{tc.from, tc.to} {
+			t.Errorf("%s, base %s: the shift is faster for n in %v; pinned [%d %d]",
+				tc.m.Name, tc.base, wins, tc.from, tc.to)
+		}
+	}
+}

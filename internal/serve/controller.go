@@ -1,8 +1,9 @@
 package serve
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/obs"
@@ -149,11 +150,11 @@ func newController(g Geo, geoTier bool) (*controller, error) {
 				ev: crashEvent{at: o.Start, restart: o.End, outage: true}, region: ri,
 			})
 		}
-		sort.SliceStable(c.crashes, func(i, j int) bool {
-			if c.crashes[i].ev.at != c.crashes[j].ev.at {
-				return c.crashes[i].ev.at < c.crashes[j].ev.at
+		slices.SortStableFunc(c.crashes, func(a, b regionCrash) int {
+			if d := cmp.Compare(a.ev.at, b.ev.at); d != 0 {
+				return d
 			}
-			return c.crashes[i].region < c.crashes[j].region
+			return cmp.Compare(a.region, b.region)
 		})
 		for i, d := range g.Faults.Degrades {
 			ri, err := resolve("Degrades", i, d.Region)
@@ -602,11 +603,11 @@ func (c *controller) drainCloud() {
 	if len(all) == 0 {
 		return
 	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].at != all[j].at {
-			return all[i].at < all[j].at
+	slices.SortFunc(all, func(a, b staged) int {
+		if d := cmp.Compare(a.at, b.at); d != 0 {
+			return d
 		}
-		return all[i].s.req.ID < all[j].s.req.ID
+		return cmp.Compare(a.s.req.ID, b.s.req.ID)
 	})
 	for _, en := range all {
 		if !c.cloud.offer(en.s.req, en.at, "shed-or-buy") {

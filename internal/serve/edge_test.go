@@ -110,7 +110,7 @@ func TestLockstepUnevenFinish(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res.Rejected != 0 || res.TTFT.N() != 3 {
-		t.Fatalf("result %+v", res.Summary())
+		t.Fatalf("result %+v", summary(res))
 	}
 	for _, m := range res.PerRequest {
 		if m.TTFT <= 0 || m.Completion < m.TTFT {

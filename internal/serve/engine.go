@@ -12,8 +12,10 @@
 package serve
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -225,7 +227,11 @@ const (
 	RejectShed RejectReason = "shed"
 )
 
-// seq is a request in flight.
+// seq is one routed request's engine record: built when the request is
+// routed to the engine (enqueue), it moves by pointer from the arrivals
+// to the waiting and running queues and ends on the completed or
+// rejected list. Records live in the engine's slab, so seq's size is the
+// engine's memory per request.
 type seq struct {
 	req workload.Request
 	// effInput is the prompt length to (re)compute: input plus any
@@ -241,8 +247,7 @@ type seq struct {
 	preempted int32
 	// kvBlocks is the sequence's KV holding: the blocks the engine's
 	// allocator granted it, zero unless it is running. It sits beside
-	// preempted as an int32 so seq stays at 200 bytes, inside the
-	// 208-byte allocation size class.
+	// preempted as an int32, so the two share one 8-byte word.
 	kvBlocks int32
 	// rejectReason is set when the engine gives up on the sequence.
 	rejectReason RejectReason
@@ -326,10 +331,14 @@ func (q *waitQueue) set(ss []*seq) {
 
 // Engine simulates one inference engine over its share of a trace.
 type Engine struct {
-	cfg       Config
-	alloc     *kvcache.Allocator
-	arrivals  []workload.Request
-	nextIdx   int
+	cfg      Config
+	alloc    *kvcache.Allocator
+	arrivals []*seq // routed requests in arrival order; [nextIdx:] not yet admitted
+	nextIdx  int
+	// slab holds the records arrivals points into: appends within its
+	// capacity never move one, and a full slab is replaced by a fresh
+	// block (reserve sizes the first).
+	slab      []seq
 	waiting   waitQueue
 	running   []*seq
 	now       time.Duration
@@ -480,28 +489,44 @@ func (e *Engine) attachStream(s *obs.Stream) { e.stream = s }
 // Run simulates the engine over the trace portion assigned to it and
 // returns per-request metrics. Requests must be time-ordered.
 func (e *Engine) Run(reqs []workload.Request) []RequestMetrics {
-	e.arrivals = reqs
-	for _, r := range reqs {
-		e.backlogTokens += r.TotalTokens()
-	}
 	e.reserve(len(reqs))
+	for _, r := range reqs {
+		e.enqueue(r)
+	}
 	e.stepUntil(noHorizon, true)
 	return e.appendMetrics(make([]RequestMetrics, 0, len(e.completed)+len(e.rejected)))
 }
 
-// reserve pre-sizes the completion list for an expected share of n
-// requests, so it does not grow by doubling.
+// reserve pre-sizes the arrivals, the first slab block and the
+// completion list for an expected share of n requests, so none of them
+// grows by doubling.
 func (e *Engine) reserve(n int) {
+	if cap(e.arrivals) == 0 {
+		e.arrivals = make([]*seq, 0, n)
+	}
+	if cap(e.slab) == 0 {
+		e.slab = make([]seq, 0, n)
+	}
 	if cap(e.completed) == 0 {
 		e.completed = make([]*seq, 0, n)
 	}
 }
 
-// enqueue appends one routed request to the engine's arrivals (arrival
-// order is the caller's contract) and puts it on the backlog.
+// seqBlock is the record count of every slab block after the first.
+const seqBlock = 64
+
+// enqueue builds the engine's record of one routed request, appends it
+// to the arrivals (arrival order is the caller's contract) and puts the
+// request on the backlog.
 func (e *Engine) enqueue(r workload.Request) {
 	e.endStretch()
-	e.arrivals = append(e.arrivals, r)
+	if len(e.slab) == cap(e.slab) {
+		e.slab = make([]seq, 0, seqBlock)
+	}
+	e.slab = e.slab[:len(e.slab)+1]
+	s := &e.slab[len(e.slab)-1]
+	s.req, s.effInput, s.firstTok = r, r.InputTokens, -1
+	e.arrivals = append(e.arrivals, s)
 	e.backlogTokens += r.TotalTokens()
 }
 
@@ -518,10 +543,13 @@ func (e *Engine) finished() bool {
 	return e.nextIdx >= len(e.arrivals) && e.waiting.len() == 0 && len(e.running) == 0
 }
 
-// admit moves arrivals up to the current time into the waiting queue.
+// admit moves arrivals up to the current time into the waiting queue,
+// filling in what their records learn at admission: the prefix served
+// from cache, which counts as prefilled.
 func (e *Engine) admit() {
-	for e.nextIdx < len(e.arrivals) && e.arrivals[e.nextIdx].Arrival <= e.now {
-		r := e.arrivals[e.nextIdx]
+	for e.nextIdx < len(e.arrivals) && e.arrivals[e.nextIdx].req.Arrival <= e.now {
+		s := e.arrivals[e.nextIdx]
+		r := &s.req
 		cached := int(e.cfg.PrefixCacheHitRate * float64(r.InputTokens))
 		if e.pcache != nil {
 			// Measured path: a hit requires this replica to have served
@@ -542,10 +570,8 @@ func (e *Engine) admit() {
 		if e.pcache != nil {
 			e.cacheCachedTokens += cached
 		}
-		e.waiting.pushBack(&seq{
-			req: r, effInput: r.InputTokens, cached: cached, prefilled: cached,
-			firstTok: -1,
-		})
+		s.cached, s.prefilled = cached, cached
+		e.waiting.pushBack(s)
 		e.stream.Event(r.Arrival, obs.EvEnqueue, r.ID, "")
 		if r.Priority != 0 || r.SLO != nil {
 			e.sloAware = true
@@ -566,7 +592,7 @@ func (e *Engine) nextArrival() time.Duration {
 	if e.nextIdx >= len(e.arrivals) {
 		return -1
 	}
-	return e.arrivals[e.nextIdx].Arrival
+	return e.arrivals[e.nextIdx].req.Arrival
 }
 
 // nextPlan is the engine's plan step: it admits the arrivals due at
@@ -988,18 +1014,27 @@ func (e *Engine) victimAfter(after int) int {
 // sorted slice is the identity, so skipping it changes nothing).
 func (e *Engine) orderWaiting() {
 	w := e.waiting.seqs()
-	less := func(sa, sb *seq) bool {
-		if sa.req.Priority != sb.req.Priority {
-			return sa.req.Priority > sb.req.Priority
-		}
-		return e.atRisk(sa) && !e.atRisk(sb)
-	}
 	for i := 1; i < len(w); i++ {
-		if less(w[i], w[i-1]) {
-			sort.SliceStable(w, func(a, b int) bool { return less(w[a], w[b]) })
+		if e.waitOrder(w[i], w[i-1]) < 0 {
+			slices.SortStableFunc(w, e.waitOrder)
 			return
 		}
 	}
+}
+
+// waitOrder compares two waiters on orderWaiting's key: Priority
+// descending, then at-risk before not.
+func (e *Engine) waitOrder(sa, sb *seq) int {
+	if c := cmp.Compare(sb.req.Priority, sa.req.Priority); c != 0 {
+		return c
+	}
+	switch ra, rb := e.atRisk(sa), e.atRisk(sb); {
+	case ra && !rb:
+		return -1
+	case rb && !ra:
+		return 1
+	}
+	return 0
 }
 
 // orderRunning sorts the running queue by descending Priority (stable,
@@ -1013,8 +1048,8 @@ func (e *Engine) orderWaiting() {
 func (e *Engine) orderRunning() {
 	for i := 1; i < len(e.running); i++ {
 		if e.running[i].req.Priority > e.running[i-1].req.Priority {
-			sort.SliceStable(e.running, func(a, b int) bool {
-				return e.running[a].req.Priority > e.running[b].req.Priority
+			slices.SortStableFunc(e.running, func(a, b *seq) int {
+				return cmp.Compare(b.req.Priority, a.req.Priority)
 			})
 			return
 		}
@@ -1155,7 +1190,9 @@ func (e *Engine) crashDrain() (lost []workload.Request, lostTokens int) {
 		lost = append(lost, s.req)
 	}
 	e.waiting.clear()
-	lost = append(lost, e.arrivals[e.nextIdx:]...)
+	for _, s := range e.arrivals[e.nextIdx:] {
+		lost = append(lost, s.req)
+	}
 	e.arrivals = e.arrivals[:0:0]
 	e.nextIdx = 0
 	e.backlogTokens = 0
@@ -1420,8 +1457,11 @@ func (e *Engine) settle() {
 	}
 	n := len(e.running)
 	e.tokensServed += k * n
-	kept := e.running[:0]
-	for _, s := range e.running {
+	// Compact in place, storing a pointer only where one moved: most
+	// stretch ends retire nothing, and every store is a write barrier
+	// while the collector marks.
+	j := 0
+	for i, s := range e.running {
 		s.decoded += float64(k)
 		if s.done() {
 			e.complete(s)
@@ -1430,9 +1470,12 @@ func (e *Engine) settle() {
 		if err := e.alloc.Grow(&s.kvBlocks, s.ctx()); err != nil {
 			panic(fmt.Sprintf("serve: run-ahead growth sized by kvGrowth failed: %v", err))
 		}
-		kept = append(kept, s)
+		if j != i {
+			e.running[j] = s
+		}
+		j++
 	}
-	e.running = kept
+	e.running = e.running[:j]
 	a.ctxSum += k * n
 	a.booked = 0
 }

@@ -172,7 +172,7 @@ func TestGeoSingleRegionBitForBit(t *testing.T) {
 			if got.Makespan != want.Makespan || got.TotalTokens != want.TotalTokens ||
 				got.Rejected != want.Rejected || got.Iters != want.Iters ||
 				got.Preemptions != want.Preemptions || got.Cost != want.Cost {
-				t.Fatalf("aggregates diverged:\n got %s\nwant %s", got.Summary(), want.Summary())
+				t.Fatalf("aggregates diverged:\n got %s\nwant %s", summary(got), summary(want))
 			}
 			if !reflect.DeepEqual(got.TTFT, want.TTFT) || !reflect.DeepEqual(got.Completion, want.Completion) {
 				t.Fatal("latency samples diverged")

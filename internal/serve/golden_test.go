@@ -135,12 +135,15 @@ func withRouter(cl Cluster, r Router) Cluster {
 // path on a warmed serial static fleet — advance to the arrival, then
 // route it — at zero allocations: every Cluster runs on this path, so a
 // per-arrival allocation would show in every fleet's bill. The engine's
-// own arrivals list is the one thing an arrival may grow; the test
-// pre-grows it out of the measurement. Stepping the fleet to a later
-// horizon (an advance, then the sync a reader makes) resumes the
-// replicas' open run-ahead stretches, and that is pinned at zero
-// allocations too, and so is an arrival on a two-region geo tier, whose
-// fleets step at every advance.
+// own arrivals list and its slab of request records are the things an
+// arrival may grow; the test pre-grows both out of the measurement,
+// giving each engine a fresh slab block as enqueue does when one fills.
+// Without it, the one allocation per seqBlock arrivals would floor to
+// zero in AllocsPerRun's average, and the pin would pass by rounding.
+// Stepping the fleet to a later horizon (an advance, then the sync a
+// reader makes) resumes the replicas' open run-ahead stretches, and
+// that is pinned at zero allocations too, and so is an arrival on a
+// two-region geo tier, whose fleets step at every advance.
 func TestSteadyArrivalAllocatesNothing(t *testing.T) {
 	cl := DPCluster("steady", dpCfg(llamaCM(t)), 4)
 	ctl, err := newController(Geo{
@@ -162,6 +165,7 @@ func TestSteadyArrivalAllocatesNothing(t *testing.T) {
 	replicas := ctl.regions[0].replicas
 	for _, rep := range replicas {
 		rep.engine.arrivals = slices.Grow(rep.engine.arrivals, 1000)
+		rep.engine.slab = make([]seq, 0, 1000)
 		rep.engine.completed = slices.Grow(rep.engine.completed, 1000)
 	}
 	// Admit the last routed request, then advance in 20 ms horizons:
@@ -225,6 +229,7 @@ func TestSteadyArrivalAllocatesNothing(t *testing.T) {
 	for _, f := range geo.regions {
 		for _, rep := range f.replicas {
 			rep.engine.arrivals = slices.Grow(rep.engine.arrivals, 1000)
+			rep.engine.slab = make([]seq, 0, 1000)
 		}
 	}
 	if allocs := testing.AllocsPerRun(100, func() { geoArrive(last) }); allocs != 0 {
@@ -247,30 +252,103 @@ func TestSteadyArrivalAllocatesNothing(t *testing.T) {
 // plan finished, and settle retires in its growth pass, which no pass
 // counts.
 func TestWorkCountsPinned(t *testing.T) {
+	pins := map[string][3]int{
+		"bursty-shift":  {3862, 119, 5},
+		"prefix-cache":  {2719, 92, 3},
+		"slo-admission": {1348, 64, 3},
+	}
+	for _, tc := range pinnedRuns(t) {
+		e := mustEngine(t, tc.cfg)
+		e.Run(tc.reqs)
+		if got := [3]int{e.iters, e.plans, e.retirePasses}; got != pins[tc.name] {
+			want := pins[tc.name]
+			t.Errorf("%s: %d iterations, %d scheduled, %d retire passes; pinned %d, %d, %d", tc.name,
+				got[0], got[1], got[2], want[0], want[1], want[2])
+		}
+	}
+}
+
+// pinnedRun is one of the fixed engine runs the work and allocation
+// pins measure.
+type pinnedRun struct {
+	name string
+	cfg  Config
+	reqs []workload.Request
+}
+
+// pinnedRuns returns the three fixed engine runs: bursty traffic on a
+// Shift engine, sessioned traffic on a measured prefix cache, and
+// two-class SLO traffic under deadline admission.
+func pinnedRuns(t *testing.T) []pinnedRun {
 	cm := llamaCM(t)
 	prefix := tp8Cfg(cm)
 	prefix.PrefixCache = &PrefixCacheConfig{ShareFraction: 0.8}
 	withSLO := Config{CM: cm, Par: perf.Parallelism{SP: 1, TP: 2}}
 	withSLO.Admission = &AdmissionConfig{Policy: AdmissionDeadline}
-	cases := []struct {
-		name                       string
-		cfg                        Config
-		reqs                       []workload.Request
-		iters, plans, retirePasses int
-	}{
-		{"bursty-shift", shiftCfg(cm), trace.Bursty(7, 30*time.Second).Requests, 3862, 119, 5},
-		{"prefix-cache", prefix, sessionedTrace(t, 3, 6).Requests, 2719, 92, 3},
+	return []pinnedRun{
+		{"bursty-shift", shiftCfg(cm), trace.Bursty(7, 30*time.Second).Requests},
+		{"prefix-cache", prefix, sessionedTrace(t, 3, 6).Requests},
 		{"slo-admission", withSLO, trace.Bursty(5, 30*time.Second).
 			Stamp("interactive", 1, workload.Deadline(2*time.Second, 0)).
-			Stamp("batch", 0, workload.Deadline(8*time.Second, 0)).Requests, 1348, 64, 3},
+			Stamp("batch", 0, workload.Deadline(8*time.Second, 0)).Requests},
 	}
-	for _, tc := range cases {
-		e := mustEngine(t, tc.cfg)
-		e.Run(tc.reqs)
-		if e.iters != tc.iters || e.plans != tc.plans || e.retirePasses != tc.retirePasses {
-			t.Errorf("%s: %d iterations, %d scheduled, %d retire passes; pinned %d, %d, %d", tc.name,
-				e.iters, e.plans, e.retirePasses, tc.iters, tc.plans, tc.retirePasses)
+}
+
+// fewestAllocs returns the fewest heap allocations made by a run that
+// fresh prepares, over a few runs: now and then the runtime allocates on
+// its own during one, which an average would count.
+func fewestAllocs(fresh func() func()) int {
+	fewest := math.MaxInt
+	for range 5 {
+		// AllocsPerRun makes one unmeasured call first.
+		runs, k := [2]func(){fresh(), fresh()}, 0
+		fewest = min(fewest, int(testing.AllocsPerRun(1, func() { runs[k](); k++ })))
+	}
+	return fewest
+}
+
+// TestRunAllocationsPinned pins the heap allocations of Engine.Run on
+// TestWorkCountsPinned's three runs, and of a Cluster.Run of 1,600
+// requests on 4 replicas, as exact counts. Each routed request's record
+// comes from its engine's slab, whose first block reserve sizes to the
+// engine's expected share, so a run allocates per block, not per
+// request: doubling the cluster's trace may add at most one allocation
+// per seqBlock added requests. A change that allocates per request, or
+// per iteration, moves these numbers and has to say why.
+//
+// When enqueue copied each request into a growing arrivals list and
+// admit copied it again into a seq of its own, the engine runs made 153,
+// 124 and 231 allocations and the cluster run 1,851 (3,466 at twice the
+// trace).
+func TestRunAllocationsPinned(t *testing.T) {
+	pins := map[string]int{"bursty-shift": 27, "prefix-cache": 32, "slo-admission": 47}
+	for _, tc := range pinnedRuns(t) {
+		got := fewestAllocs(func() func() {
+			e := mustEngine(t, tc.cfg)
+			return func() { e.Run(tc.reqs) }
+		})
+		if got != pins[tc.name] {
+			t.Errorf("%s: Engine.Run allocates %d times; pinned %d", tc.name, got, pins[tc.name])
 		}
+	}
+
+	cl := DPCluster("pinned", dpCfg(llamaCM(t)), 4)
+	clusterAllocs := func(n int) int {
+		tr := routerTrace(47, n)
+		return fewestAllocs(func() func() {
+			return func() {
+				if _, err := cl.Run(tr); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+	}
+	const n, pinned = 1600, 187
+	if got := clusterAllocs(n); got != pinned {
+		t.Errorf("Cluster.Run of %d requests allocates %d times; pinned %d", n, got, pinned)
+	}
+	if added, blocks := clusterAllocs(2*n)-pinned, n/seqBlock; added > blocks {
+		t.Errorf("doubling the trace to %d requests adds %d allocations, more than its %d blocks", 2*n, added, blocks)
 	}
 }
 

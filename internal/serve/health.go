@@ -1,7 +1,8 @@
 package serve
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"time"
 
 	"repro/internal/obs"
@@ -341,11 +342,11 @@ func (rt *retrier) takeDue(now time.Duration) []workload.Request {
 		}
 	}
 	rt.delayed = kept
-	sort.Slice(due, func(i, j int) bool {
-		if due[i].at != due[j].at {
-			return due[i].at < due[j].at
+	slices.SortFunc(due, func(a, b delayedRetry) int {
+		if d := cmp.Compare(a.at, b.at); d != 0 {
+			return d
 		}
-		return due[i].seq < due[j].seq
+		return cmp.Compare(a.seq, b.seq)
 	})
 	out := make([]workload.Request, len(due))
 	for i, d := range due {

@@ -12,8 +12,8 @@ import (
 // running — summing TotalTokens: the oracle the load ledger must match.
 func queuedTokens(e *Engine) int {
 	n := 0
-	for _, r := range e.arrivals[e.nextIdx:] {
-		n += r.TotalTokens()
+	for _, s := range e.arrivals[e.nextIdx:] {
+		n += s.req.TotalTokens()
 	}
 	for _, s := range e.waiting.seqs() {
 		n += s.req.TotalTokens()

@@ -460,14 +460,11 @@ func (r *Result) CostPerMToken(dollarsPerReplicaHour float64) float64 {
 	return (dollarsPerReplicaHour/3600*r.ReplicaSeconds + r.CloudSpend) / float64(r.TotalTokens) * 1e6
 }
 
-// Summary renders the Table 5 style row.
-func (r *Result) Summary() string {
-	return fmt.Sprintf("%s: p50 TTFT %.0f ms, p50 TPOT %.1f ms, throughput %.0f tok/s, rejected %d",
-		r.Name, r.TTFT.Median(), r.TPOT.Median(), r.Throughput(), r.Rejected)
-}
-
 func buildResult(name string, metrics []RequestMetrics, engines []*Engine) *Result {
 	r := &Result{Name: name, PerRequest: metrics, SLOByClass: map[string]*SLOAttainment{}}
+	r.TTFT.Grow(len(metrics))
+	r.TPOT.Grow(len(metrics))
+	r.Completion.Grow(len(metrics))
 	for _, m := range metrics {
 		if m.SLO != nil {
 			a := r.SLOByClass[m.Class]

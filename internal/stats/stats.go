@@ -26,6 +26,15 @@ func (s *Sample) Add(v float64) {
 	s.sorted = false
 }
 
+// Grow makes room for n more observations, so the next n Adds do not
+// reallocate. It allocates once, also under the race detector, where
+// slices.Grow allocates twice.
+func (s *Sample) Grow(n int) {
+	if cap(s.vals)-len(s.vals) < n {
+		s.vals = append(make([]float64, 0, len(s.vals)+n), s.vals...)
+	}
+}
+
 // AddDuration appends a duration observation in milliseconds.
 func (s *Sample) AddDuration(d time.Duration) {
 	s.Add(float64(d) / float64(time.Millisecond))
@@ -120,15 +129,6 @@ func (s *Sample) Median() float64 { return s.Percentile(50) }
 
 // P99 returns the 99th percentile.
 func (s *Sample) P99() float64 { return s.Percentile(99) }
-
-// Values returns a copy of the raw observations in insertion order is not
-// guaranteed once percentiles have been queried; callers should not rely
-// on ordering.
-func (s *Sample) Values() []float64 {
-	out := make([]float64, len(s.vals))
-	copy(out, s.vals)
-	return out
-}
 
 func (s *Sample) sort() {
 	if !s.sorted {

@@ -250,13 +250,23 @@ func TestFormatFloat(t *testing.T) {
 	}
 }
 
-func TestValuesCopy(t *testing.T) {
+func TestGrowKeepsObservations(t *testing.T) {
 	var s Sample
+	s.Add(3)
 	s.Add(1)
-	v := s.Values()
-	v[0] = 99
-	if s.Max() != 1 {
-		t.Fatal("Values returned shared storage")
+	s.Grow(100)
+	if s.N() != 2 || cap(s.vals) < 102 {
+		t.Fatalf("after Grow(100): %d observations, capacity %d", s.N(), cap(s.vals))
+	}
+	backing := &s.vals[0]
+	for i := range 100 {
+		s.Add(float64(i))
+	}
+	if &s.vals[0] != backing {
+		t.Fatal("Add reallocated within the grown capacity")
+	}
+	if s.N() != 102 || s.Min() != 0 || s.Max() != 99 {
+		t.Fatalf("N %d, min %v, max %v", s.N(), s.Min(), s.Max())
 	}
 }
 
