@@ -167,12 +167,14 @@ perfbench:
 	$(GO) test -run xxx -bench 'BenchmarkSimulator_|BenchmarkFunctional_' -benchmem -count $(PERFCOUNT) .
 
 # Native fuzzers over the scenario registry's input surface (simctl's
-# -p key=value parsing): each target runs FUZZTIME. The seeded corpora
-# live in internal/scenario/testdata/fuzz and also run as plain tests
-# under `go test`.
+# -p key=value parsing) and over the parallel layout space (q heads, KV
+# heads, SP, TP): each target runs FUZZTIME. The seeded corpora live in
+# internal/scenario/testdata/fuzz and internal/parallel/testdata/fuzz and
+# also run as plain tests under `go test`.
 fuzz:
 	$(GO) test -run xxx -fuzz '^FuzzParseValue$$' -fuzztime $(FUZZTIME) ./internal/scenario
 	$(GO) test -run xxx -fuzz '^FuzzScenarioParse$$' -fuzztime $(FUZZTIME) ./internal/scenario
+	$(GO) test -run xxx -fuzz '^FuzzLayout$$' -fuzztime $(FUZZTIME) ./internal/parallel
 
 # The ci-speed fuzz pass: long enough to exercise the mutators past the
 # seed corpus, short enough not to dominate the gate.

@@ -234,7 +234,7 @@ func TestInvarianceWithReplicationEndToEnd(t *testing.T) {
 	// Reference cache contents equal the union of rank caches: check one
 	// rank's kv head 0 against the oracle.
 	g0 := shift.Caches()[0]
-	kvHead := parallel.Layout{Cfg: cfg, SP: 2, TP: 4}.KVHeadsOf(0)[0]
+	kvHead := parallel.Layout{Cfg: cfg, SP: 2, TP: 4}.KVRange(0).Lo
 	if !tensor.Equal(g0.K(0, 0, 0), ref.Cache.K(0, 0, kvHead), tol) {
 		t.Fatal("rank 0 cache does not match oracle's corresponding kv head")
 	}

@@ -73,7 +73,7 @@ type Engine struct {
 // ModeSP it projects with its TP shard's heads, attends with its own
 // after the all-to-all, and holds 1/TP of the MLP.
 type rankPlan struct {
-	qHeads, kvHeads []int // attention heads (QHeadsOf, KVHeadsOf)
+	q, kv HeadRange // attention heads (QRange, KVRange)
 	// Column ranges of Wq and of Wk/Wv the QKV GEMM projects onto;
 	// [qLo, qHi) is also the range of Wo rows the O GEMM reads.
 	qLo, qHi, kvLo, kvHi int
@@ -105,12 +105,12 @@ type workspace struct {
 }
 
 // NewCaches allocates one per-rank KV cache for the layout: each rank
-// holds its KVHeadsOf heads. Base and shift engines built from the same
+// holds its KVRange heads. Base and shift engines built from the same
 // Layout produce structurally identical caches — the KV cache invariance.
 func NewCaches(lay Layout) []*kvcache.Cache {
 	caches := make([]*kvcache.Cache, lay.World())
 	for g := range caches {
-		caches[g] = kvcache.NewCache(lay.Cfg.Layers, len(lay.KVHeadsOf(g)), lay.Cfg.HeadDim())
+		caches[g] = kvcache.NewCache(lay.Cfg.Layers, lay.KVRange(g).Len(), lay.Cfg.HeadDim())
 	}
 	return caches
 }
@@ -129,12 +129,14 @@ func NewEngine(w *transformer.Weights, lay Layout, mode Mode, caches []*kvcache.
 		return nil, fmt.Errorf("parallel: %d caches for world %d", len(caches), lay.World())
 	}
 	for g, c := range caches {
-		if c.Heads != len(lay.KVHeadsOf(g)) || c.Layers != lay.Cfg.Layers || c.HeadDim != lay.Cfg.HeadDim() {
-			return nil, fmt.Errorf("parallel: cache %d shape mismatch", g)
+		for _, f := range []struct {
+			name      string
+			got, want int
+		}{{"Heads", c.Heads, lay.KVRange(g).Len()}, {"Layers", c.Layers, lay.Cfg.Layers}, {"HeadDim", c.HeadDim, lay.Cfg.HeadDim()}} {
+			if f.got != f.want {
+				return nil, fmt.Errorf("parallel: cache %d %s = %d, want %d", g, f.name, f.got, f.want)
+			}
 		}
-	}
-	if err := checkHeadRanges(lay); err != nil {
-		return nil, err
 	}
 	e := &Engine{
 		W: w, Lay: lay, Mode: mode, Caches: caches, world: comm.NewGroup(lay.World()),
@@ -161,15 +163,15 @@ func NewEngine(w *transformer.Weights, lay Layout, mode Mode, caches []*kvcache.
 // takes its QKV panels from panels, keyed by column ranges, building and
 // adding them when no rank before it had the same ranges.
 func newRankPlan(w *transformer.Weights, lay Layout, mode Mode, g int, panels map[[4]int][]*tensor.Matrix) rankPlan {
-	p := rankPlan{qHeads: lay.QHeadsOf(g), kvHeads: lay.KVHeadsOf(g)}
-	projQ, projKV, shards, shard := p.qHeads, p.kvHeads, lay.World(), g
+	p := rankPlan{q: lay.QRange(g), kv: lay.KVRange(g)}
+	projQ, projKV, shards, shard := p.q, p.kv, lay.World(), g
 	if mode == ModeSP {
 		_, t := lay.Coords(g)
-		projQ, projKV, shards, shard = lay.TPShardQHeads(t), lay.TPShardKVHeads(t), lay.TP, t
+		projQ, projKV, shards, shard = lay.TPShardQRange(t), lay.TPShardKVRange(t), lay.TP, t
 	}
 	dh := lay.Cfg.HeadDim()
-	p.qLo, p.qHi = headSpan(projQ, dh)
-	p.kvLo, p.kvHi = headSpan(projKV, dh)
+	p.qLo, p.qHi = projQ.Cols(dh)
+	p.kvLo, p.kvHi = projKV.Cols(dh)
 	per := lay.Cfg.FFN / shards
 	p.ffnLo, p.ffnHi = shard*per, (shard+1)*per
 	p.wo = make([]tensor.Matrix, len(w.Layers))
@@ -221,44 +223,6 @@ func (e *Engine) CommCounters() comm.Counters {
 		}
 	}
 	return c
-}
-
-// checkHeadRanges reports an error unless every head set the forwards
-// shard weights by is a contiguous range of heads. The forwards read a
-// rank's shard in place, as one column range of Wq/Wk/Wv or one row
-// range of Wo, so a gap would silently read another rank's heads.
-func checkHeadRanges(lay Layout) error {
-	for g := 0; g < lay.World(); g++ {
-		for _, heads := range [][]int{lay.QHeadsOf(g), lay.KVHeadsOf(g)} {
-			if !contiguous(heads) {
-				return fmt.Errorf("parallel: rank %d heads %v are not a contiguous range", g, heads)
-			}
-		}
-	}
-	for t := 0; t < lay.TP; t++ {
-		for _, heads := range [][]int{lay.TPShardQHeads(t), lay.TPShardKVHeads(t)} {
-			if !contiguous(heads) {
-				return fmt.Errorf("parallel: TP shard %d heads %v are not a contiguous range", t, heads)
-			}
-		}
-	}
-	return nil
-}
-
-// contiguous reports whether heads is a non-empty run h, h+1, h+2, ...
-func contiguous(heads []int) bool {
-	for i, h := range heads {
-		if h != heads[0]+i {
-			return false
-		}
-	}
-	return len(heads) > 0
-}
-
-// headSpan is the [lo, hi) column (or row) range that a contiguous head
-// set covers in a weight of dh-wide head blocks.
-func headSpan(heads []int, dh int) (lo, hi int) {
-	return heads[0] * dh, (heads[len(heads)-1] + 1) * dh
 }
 
 // Forward runs one engine iteration over the batch on all ranks and
@@ -363,7 +327,7 @@ func (e *Engine) spRank(gRank int, batch []transformer.Chunk) *tensor.Matrix {
 		// order gives the full sequence's rows.
 		e.packQKV(w.send[0], p, t, qkv)
 		recv := spg.AllToAllInto(s, w.send[0], w.recv)
-		qkvAll := w.qkvAll.Resize(lay.SP*per, (len(p.qHeads)+2*len(p.kvHeads))*dh)
+		qkvAll := w.qkvAll.Resize(lay.SP*per, (p.q.Len()+2*p.kv.Len())*dh)
 		for src, buf := range recv {
 			copy(qkvAll.Data[src*len(buf):], buf)
 		}
@@ -382,7 +346,7 @@ func (e *Engine) spRank(gRank int, batch []transformer.Chunk) *tensor.Matrix {
 		attnShard := w.attnShard.Resize(per, p.qHi-p.qLo)
 		for srcS, buf := range recv {
 			src := &e.ranks[lay.RankOf(srcS, t)]
-			off, width := src.qHeads[0]*dh-p.qLo, len(src.qHeads)*dh
+			off, width := src.q.Lo*dh-p.qLo, src.q.Len()*dh
 			for r := 0; r < per; r++ {
 				copy(attnShard.Row(r)[off:off+width], buf[r*width:(r+1)*width])
 			}
@@ -411,15 +375,15 @@ func (e *Engine) spRank(gRank int, batch []transformer.Chunk) *tensor.Matrix {
 // packQKV refills send, one buffer per SP peer, with what the first
 // all-to-all carries to that peer: for each of this rank's rows, the
 // peer's q heads, then its k heads, then its v heads, cut from this TP
-// shard's [q|k|v] projection (p is this rank's plan, t its shard). Head
-// sets are contiguous, so each is one column range of qkv.
+// shard's [q|k|v] projection (p is this rank's plan, t its shard). Each
+// head range is one column range of qkv.
 func (e *Engine) packQKV(send [][]float64, p *rankPlan, t int, qkv *tensor.Matrix) {
 	dh := e.Lay.Cfg.HeadDim()
 	kOff, vOff := p.qHi-p.qLo, p.qHi-p.qLo+p.kvHi-p.kvLo
 	for ds := range send {
 		dst := &e.ranks[e.Lay.RankOf(ds, t)]
-		qOff, qW := dst.qHeads[0]*dh-p.qLo, len(dst.qHeads)*dh
-		kvOff, kvW := dst.kvHeads[0]*dh-p.kvLo, len(dst.kvHeads)*dh
+		qOff, qW := dst.q.Lo*dh-p.qLo, dst.q.Len()*dh
+		kvOff, kvW := dst.kv.Lo*dh-p.kvLo, dst.kv.Len()*dh
 		buf := send[ds][:0]
 		for r := 0; r < qkv.Rows; r++ {
 			row := qkv.Row(r)
@@ -440,22 +404,22 @@ func (e *Engine) packQKV(send [][]float64, p *rankPlan, t int, qkv *tensor.Matri
 func (e *Engine) attendBatch(rank, layer int, batch []transformer.Chunk, qkv *tensor.Matrix) *tensor.Matrix {
 	dh, gqa := e.Lay.Cfg.HeadDim(), e.Lay.Cfg.GQAGroup()
 	p, w, cache := &e.ranks[rank], &e.ws[rank], e.Caches[rank]
-	kOff := len(p.qHeads) * dh
-	vOff := kOff + len(p.kvHeads)*dh
+	kOff := p.q.Len() * dh
+	vOff := kOff + p.kv.Len()*dh
 	out := w.attn.Resize(qkv.Rows, kOff)
 	for bi, c := range batch {
 		lo, hi := e.spans[bi][0], e.spans[bi][1]
-		for j := range p.kvHeads {
+		for j := range p.kv.Len() {
 			cache.Reserve(c.Seq, layer, j, hi-lo)
 			for row := lo; row < hi; row++ {
 				r := qkv.Row(row)
 				cache.Append(c.Seq, layer, j, r[kOff+j*dh:kOff+(j+1)*dh], r[vOff+j*dh:vOff+(j+1)*dh])
 			}
 		}
-		for qi, qh := range p.qHeads {
-			// The rank's KV heads are a contiguous run, so q head qh's
-			// KV head sits at its offset from the first.
-			cache.ViewsInto(&w.kc, &w.vc, c.Seq, layer, qh/gqa-p.kvHeads[0])
+		for qi := range p.q.Len() {
+			// q head Lo+qi reads KV head (Lo+qi)/gqa, which sits at its
+			// offset from the rank's first KV head.
+			cache.ViewsInto(&w.kc, &w.vc, c.Seq, layer, (p.q.Lo+qi)/gqa-p.kv.Lo)
 			qSeq := tensor.SliceInto(&w.qh, qkv, lo, hi, qi*dh, (qi+1)*dh)
 			transformer.AttendInto(out, lo, qi*dh, &w.scores, qSeq, &w.kc, &w.vc, e.prevs[bi])
 		}

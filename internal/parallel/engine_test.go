@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -340,6 +341,23 @@ func TestNewEngineRejectsMismatches(t *testing.T) {
 	wrongCaches := NewCaches(Layout{Cfg: cfg, SP: 1, TP: 2})
 	if _, err := NewEngine(w, lay, ModeSP, wrongCaches); err == nil {
 		t.Fatal("expected error for wrong cache count")
+	}
+	// One misshapen cache per field: the error names the cache, the
+	// field, the value it got and the value it wanted.
+	heads, dh := lay.KVRange(3).Len(), cfg.HeadDim()
+	for _, c := range []struct {
+		bad  *kvcache.Cache
+		want string
+	}{
+		{kvcache.NewCache(cfg.Layers, heads+1, dh), fmt.Sprintf("parallel: cache 3 Heads = %d, want %d", heads+1, heads)},
+		{kvcache.NewCache(cfg.Layers+1, heads, dh), fmt.Sprintf("parallel: cache 3 Layers = %d, want %d", cfg.Layers+1, cfg.Layers)},
+		{kvcache.NewCache(cfg.Layers, heads, dh+1), fmt.Sprintf("parallel: cache 3 HeadDim = %d, want %d", dh+1, dh)},
+	} {
+		caches := NewCaches(lay)
+		caches[3] = c.bad
+		if _, err := NewEngine(w, lay, ModeSP, caches); err == nil || err.Error() != c.want {
+			t.Errorf("NewEngine error = %v, want %q", err, c.want)
+		}
 	}
 }
 

@@ -7,12 +7,12 @@
 // A base configuration (SP, TP) induces an interleaved attention head
 // ordering; the shift configuration (1, SP*TP) must adopt that same
 // ordering for the KV cache to remain invariant. Layout encodes the
-// mapping once and both configurations read head ownership from it.
+// mapping once, as one contiguous HeadRange per rank and per TP shard,
+// and both configurations read head ownership from it.
 package parallel
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/transformer"
 )
@@ -86,70 +86,51 @@ func (l Layout) HeadBlock(g int) int {
 	return t*l.SP + s
 }
 
-// QHeadsPerRank returns the number of q heads each rank owns.
-func (l Layout) QHeadsPerRank() int { return l.Cfg.QHeads / l.World() }
+// HeadRange is the contiguous range [Lo, Hi) of attention heads a rank
+// or TP shard owns. Every head set of a Layout is one, so a rank's share
+// of Wq/Wk/Wv is one column range and of Wo one row range.
+type HeadRange struct{ Lo, Hi int }
 
-// QHeadsOf returns the global q-head indices owned by rank g during
-// head-parallel attention (a contiguous block, positioned by HeadBlock).
-func (l Layout) QHeadsOf(g int) []int {
-	per := l.QHeadsPerRank()
-	block := l.HeadBlock(g)
-	heads := make([]int, per)
-	for i := range heads {
-		heads[i] = block*per + i
-	}
-	return heads
+// Len returns the number of heads in the range.
+func (r HeadRange) Len() int { return r.Hi - r.Lo }
+
+// Cols returns the [lo, hi) column (or row) range the heads cover in a
+// weight of dh-wide head blocks.
+func (r HeadRange) Cols(dh int) (lo, hi int) { return r.Lo * dh, r.Hi * dh }
+
+// QRange returns the q heads owned by rank g during head-parallel
+// attention: block HeadBlock(g) of World() equal blocks.
+func (l Layout) QRange(g int) HeadRange {
+	per := l.Cfg.QHeads / l.World()
+	b := l.HeadBlock(g)
+	return HeadRange{b * per, (b + 1) * per}
 }
 
-// KVHeadsOf returns the global KV-head indices rank g must hold: the set
-// of KV heads its q heads read under GQA. When the world size exceeds the
-// KV head count, several ranks return the same KV head — that is the KV
-// cache replication of Section 3.2.1, and it falls out of this derivation
-// rather than being special-cased.
-func (l Layout) KVHeadsOf(g int) []int {
-	gqa := l.Cfg.GQAGroup()
-	seen := make(map[int]bool)
-	var heads []int
-	for _, q := range l.QHeadsOf(g) {
-		kv := q / gqa
-		if !seen[kv] {
-			seen[kv] = true
-			heads = append(heads, kv)
-		}
-	}
-	sort.Ints(heads)
-	return heads
-}
+// KVRange returns the KV heads rank g must hold: those its q heads read
+// under GQA. When the world size exceeds the KV head count, several ranks
+// get the same KV head — that is the KV cache replication of Section
+// 3.2.1, and it falls out of this derivation rather than being
+// special-cased.
+func (l Layout) KVRange(g int) HeadRange { return l.kvOf(l.QRange(g)) }
 
-// TPShardQHeads returns the q heads computed by TP shard t in the QKV
-// projection of Algorithm 1 line 3: the contiguous block [t*h/TP,
-// (t+1)*h/TP), which the SP all-to-all then scatters across the shard's
-// SP group.
-func (l Layout) TPShardQHeads(t int) []int {
+// TPShardQRange returns the q heads computed by TP shard t in the QKV
+// projection of Algorithm 1 line 3: [t*h/TP, (t+1)*h/TP), the union of
+// QRange over the shard's SP group, which the SP all-to-all then
+// scatters across that group.
+func (l Layout) TPShardQRange(t int) HeadRange {
 	per := l.Cfg.QHeads / l.TP
-	heads := make([]int, per)
-	for i := range heads {
-		heads[i] = t*per + i
-	}
-	return heads
+	return HeadRange{t * per, (t + 1) * per}
 }
 
-// TPShardKVHeads returns the KV heads TP shard t must project: the union
-// of KVHeadsOf over the shard's SP group. Replicated heads appear once
-// here (projected once, then fanned out in the all-to-all send buffers).
-func (l Layout) TPShardKVHeads(t int) []int {
-	seen := make(map[int]bool)
-	var heads []int
-	for s := 0; s < l.SP; s++ {
-		for _, kv := range l.KVHeadsOf(l.RankOf(s, t)) {
-			if !seen[kv] {
-				seen[kv] = true
-				heads = append(heads, kv)
-			}
-		}
-	}
-	sort.Ints(heads)
-	return heads
+// TPShardKVRange returns the KV heads TP shard t must project: the union
+// of KVRange over the shard's SP group. Replicated heads appear once here
+// (projected once, then fanned out in the all-to-all send buffers).
+func (l Layout) TPShardKVRange(t int) HeadRange { return l.kvOf(l.TPShardQRange(t)) }
+
+// kvOf is the GQA image {q/gqa : q in qs} of a q head range.
+func (l Layout) kvOf(qs HeadRange) HeadRange {
+	gqa := l.Cfg.GQAGroup()
+	return HeadRange{qs.Lo / gqa, (qs.Hi-1)/gqa + 1}
 }
 
 // HeadOrder returns, for heads in natural order 0..h-1, the owning rank

@@ -3,33 +3,81 @@ package parallel
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/transformer"
 )
 
-// The two methods below describe a layout for the tests only; the
-// forwards never need them.
-
-// LocalKVIndex returns the index of globalKV within KVHeadsOf(g).
-func (l Layout) LocalKVIndex(g, globalKV int) int {
-	for i, kv := range l.KVHeadsOf(g) {
-		if kv == globalKV {
-			return i
-		}
-	}
-	panic(fmt.Sprintf("parallel: rank %d does not hold kv head %d", g, globalKV))
-}
-
 // ReplicationFactor returns how many ranks hold each KV head on average;
-// 1 means no replication.
+// 1 means no replication. The forwards never need it.
 func (l Layout) ReplicationFactor() float64 {
 	total := 0
 	for g := 0; g < l.World(); g++ {
-		total += len(l.KVHeadsOf(g))
+		total += l.KVRange(g).Len()
 	}
 	return float64(total) / float64(l.Cfg.KVHeads)
+}
+
+// members lists the heads of r in order.
+func members(r HeadRange) []int {
+	var heads []int
+	for h := r.Lo; h < r.Hi; h++ {
+		heads = append(heads, h)
+	}
+	return heads
+}
+
+// show prints r as [Lo, Hi), apart from a set's [a b c].
+func show(r HeadRange) string { return fmt.Sprintf("[%d, %d)", r.Lo, r.Hi) }
+
+// set sorts heads and drops repeats.
+func set(heads []int) []int {
+	slices.Sort(heads)
+	return slices.Compact(heads)
+}
+
+// checkRanges reports the first head range of lay that differs from the
+// head set it stands for, with the sets enumerated head by head: the
+// ranks' q ranges partition [0, QHeads) in equal blocks in HeadBlock
+// order, a rank's KV range is exactly {q/gqa} over its q range, and a TP
+// shard's q and KV ranges are the unions of its SP group's.
+func checkRanges(lay Layout) error {
+	gqa := lay.Cfg.GQAGroup()
+	next, per := 0, lay.Cfg.QHeads/lay.World()
+	for b, g := range lay.HeadOrder() {
+		q := lay.QRange(g)
+		if q.Lo != next || q.Len() != per {
+			return fmt.Errorf("block %d: rank %d q range %s, want [%d, %d)", b, g, show(q), next, next+per)
+		}
+		next = q.Hi
+		var kvs []int
+		for _, h := range members(q) {
+			kvs = append(kvs, h/gqa)
+		}
+		if kv := lay.KVRange(g); !slices.Equal(members(kv), set(kvs)) {
+			return fmt.Errorf("rank %d: kv range %s, but its q heads %s read kv heads %v", g, show(kv), show(q), set(kvs))
+		}
+	}
+	if next != lay.Cfg.QHeads {
+		return fmt.Errorf("q ranges cover [0, %d), want [0, %d)", next, lay.Cfg.QHeads)
+	}
+	for t := 0; t < lay.TP; t++ {
+		var qs, kvs []int
+		for s := 0; s < lay.SP; s++ {
+			g := lay.RankOf(s, t)
+			qs = append(qs, members(lay.QRange(g))...)
+			kvs = append(kvs, members(lay.KVRange(g))...)
+		}
+		if q := lay.TPShardQRange(t); !slices.Equal(members(q), set(qs)) {
+			return fmt.Errorf("TP shard %d: q range %s, but its SP group owns %v", t, show(q), set(qs))
+		}
+		if kv := lay.TPShardKVRange(t); !slices.Equal(members(kv), set(kvs)) {
+			return fmt.Errorf("TP shard %d: kv range %s, but its SP group holds %v", t, show(kv), set(kvs))
+		}
+	}
+	return nil
 }
 
 func cfg6() transformer.Config {
@@ -103,7 +151,7 @@ func TestQHeadsPartition(t *testing.T) {
 	lay := Layout{Cfg: cfg8(), SP: 2, TP: 4}
 	seen := make(map[int]int)
 	for g := 0; g < lay.World(); g++ {
-		for _, h := range lay.QHeadsOf(g) {
+		for _, h := range members(lay.QRange(g)) {
 			seen[h]++
 		}
 	}
@@ -121,13 +169,10 @@ func TestKVHeadsConsistentWithQHeads(t *testing.T) {
 	lay := Layout{Cfg: cfg8(), SP: 4, TP: 2}
 	gqa := lay.Cfg.GQAGroup()
 	for g := 0; g < lay.World(); g++ {
-		kvSet := make(map[int]bool)
-		for _, kv := range lay.KVHeadsOf(g) {
-			kvSet[kv] = true
-		}
-		for _, q := range lay.QHeadsOf(g) {
-			if !kvSet[q/gqa] {
-				t.Fatalf("rank %d missing kv head %d for q head %d", g, q/gqa, q)
+		kv := lay.KVRange(g)
+		for _, q := range members(lay.QRange(g)) {
+			if q/gqa < kv.Lo || q/gqa >= kv.Hi {
+				t.Fatalf("rank %d kv range %v misses kv head %d for q head %d", g, kv, q/gqa, q)
 			}
 		}
 	}
@@ -147,11 +192,11 @@ func TestKVReplicationWhenFewKVHeads(t *testing.T) {
 	// Each rank holds exactly one kv head; four ranks share each.
 	owners := make(map[int]int)
 	for g := 0; g < 8; g++ {
-		kvs := lay.KVHeadsOf(g)
-		if len(kvs) != 1 {
-			t.Fatalf("rank %d holds %d kv heads", g, len(kvs))
+		kv := lay.KVRange(g)
+		if kv.Len() != 1 {
+			t.Fatalf("rank %d holds %d kv heads", g, kv.Len())
 		}
-		owners[kvs[0]]++
+		owners[kv.Lo]++
 	}
 	if owners[0] != 4 || owners[1] != 4 {
 		t.Fatalf("kv replication spread = %v", owners)
@@ -167,17 +212,17 @@ func TestNoReplicationWhenEnoughKVHeads(t *testing.T) {
 
 func TestTPShardHeads(t *testing.T) {
 	lay := Layout{Cfg: cfg6(), SP: 3, TP: 2}
-	if got := lay.TPShardQHeads(0); !reflect.DeepEqual(got, []int{0, 1, 2}) {
+	if got := lay.TPShardQRange(0); got != (HeadRange{0, 3}) {
 		t.Fatalf("shard 0 q heads = %v", got)
 	}
-	if got := lay.TPShardQHeads(1); !reflect.DeepEqual(got, []int{3, 4, 5}) {
+	if got := lay.TPShardQRange(1); got != (HeadRange{3, 6}) {
 		t.Fatalf("shard 1 q heads = %v", got)
 	}
 	// gqa=3: q heads 0-2 -> kv 0, 3-5 -> kv 1.
-	if got := lay.TPShardKVHeads(0); !reflect.DeepEqual(got, []int{0}) {
+	if got := lay.TPShardKVRange(0); got != (HeadRange{0, 1}) {
 		t.Fatalf("shard 0 kv heads = %v", got)
 	}
-	if got := lay.TPShardKVHeads(1); !reflect.DeepEqual(got, []int{1}) {
+	if got := lay.TPShardKVRange(1); got != (HeadRange{1, 2}) {
 		t.Fatalf("shard 1 kv heads = %v", got)
 	}
 }
@@ -185,34 +230,15 @@ func TestTPShardHeads(t *testing.T) {
 func TestTPShardKVCoversRankNeeds(t *testing.T) {
 	lay := Layout{Cfg: cfg8(), SP: 4, TP: 2}
 	for tt := 0; tt < lay.TP; tt++ {
-		shard := make(map[int]bool)
-		for _, kv := range lay.TPShardKVHeads(tt) {
-			shard[kv] = true
-		}
+		shard := lay.TPShardKVRange(tt)
 		for s := 0; s < lay.SP; s++ {
-			for _, kv := range lay.KVHeadsOf(lay.RankOf(s, tt)) {
-				if !shard[kv] {
-					t.Fatalf("shard %d missing kv %d needed by rank (%d,%d)", tt, kv, s, tt)
+			for _, kv := range members(lay.KVRange(lay.RankOf(s, tt))) {
+				if kv < shard.Lo || kv >= shard.Hi {
+					t.Fatalf("shard %d kv range %v misses kv %d needed by rank (%d,%d)", tt, shard, kv, s, tt)
 				}
 			}
 		}
 	}
-}
-
-func TestLocalKVIndex(t *testing.T) {
-	lay := Layout{Cfg: cfg8(), SP: 1, TP: 2}
-	kvs := lay.KVHeadsOf(1)
-	for i, kv := range kvs {
-		if lay.LocalKVIndex(1, kv) != i {
-			t.Fatal("LocalKVIndex inconsistent")
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for foreign kv head")
-		}
-	}()
-	lay.LocalKVIndex(1, kvs[0]+100)
 }
 
 func TestValidateRejections(t *testing.T) {
@@ -256,9 +282,9 @@ func TestQuickHeadBlockIsPermutation(t *testing.T) {
 }
 
 // The forwards read weight shards in place as one column or row range
-// per head set, so every valid layout must give contiguous head sets;
-// NewEngine refuses a layout that does not.
-func TestEveryValidLayoutHasContiguousHeadSets(t *testing.T) {
+// per head range, so each range must hold exactly the heads of the set
+// it stands for (checkRanges), on every valid layout of the grid.
+func TestEveryValidLayoutHasConsistentHeadRanges(t *testing.T) {
 	for _, q := range []int{1, 2, 4, 6, 8, 12, 16} {
 		for _, kv := range []int{1, 2, 3, 4, 6, 8, 12, 16} {
 			for _, sp := range []int{1, 2, 3, 4, 8} {
@@ -268,19 +294,11 @@ func TestEveryValidLayoutHasContiguousHeadSets(t *testing.T) {
 					if lay.Validate() != nil {
 						continue
 					}
-					if err := checkHeadRanges(lay); err != nil {
+					if err := checkRanges(lay); err != nil {
 						t.Errorf("%v q=%d kv=%d: %v", lay, q, kv, err)
 					}
 				}
 			}
-		}
-	}
-	for _, c := range []struct {
-		heads []int
-		want  bool
-	}{{[]int{3}, true}, {[]int{2, 3, 4}, true}, {nil, false}, {[]int{0, 2}, false}, {[]int{1, 0}, false}} {
-		if got := contiguous(c.heads); got != c.want {
-			t.Errorf("contiguous(%v) = %v, want %v", c.heads, got, c.want)
 		}
 	}
 }

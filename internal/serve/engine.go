@@ -272,6 +272,8 @@ func (s *seq) done() bool {
 // instead, so push-front is O(1) amortized and near-head removals shift
 // the short side only; ordering and iteration semantics are identical to
 // the old slice (pinned by the engine tests and BENCH regressions).
+// Admission removes near the head, so the slack grows with every
+// admitted request until a full pushBack reclaims it.
 type waitQueue struct {
 	buf  []*seq // buf[head:] is the live queue, buf[:head] is slack
 	head int
@@ -284,12 +286,29 @@ func (q *waitQueue) at(i int) *seq { return q.buf[q.head+i] }
 // callers may reorder in place (orderWaiting) but not insert or delete.
 func (q *waitQueue) seqs() []*seq { return q.buf[q.head:] }
 
-func (q *waitQueue) pushBack(s *seq) { q.buf = append(q.buf, s) }
+// pushBack appends s. A full buffer whose front slack is at least twice
+// what pushFront would give a queue this long is compacted in place,
+// keeping that much slack in front, instead of grown: the buffer then
+// tracks the longest queue rather than every request ever queued, each
+// compaction frees at least frontSlack slots at the back (so it costs
+// O(1) amortized), and alternating preempt/admit turns neither compact
+// nor reallocate on every turn.
+func (q *waitQueue) pushBack(s *seq) {
+	if n, k := q.len(), frontSlack(q.len()); len(q.buf) == cap(q.buf) && q.head >= 2*k {
+		copy(q.buf[k:], q.buf[q.head:])
+		clear(q.buf[k+n:])
+		q.buf, q.head = q.buf[:k+n], k
+	}
+	q.buf = append(q.buf, s)
+}
+
+// frontSlack is the slack pushFront opens in front of an n-long queue.
+func frontSlack(n int) int { return n/2 + 4 }
 
 func (q *waitQueue) pushFront(s *seq) {
 	if q.head == 0 {
 		n := len(q.buf)
-		slack := n/2 + 4
+		slack := frontSlack(n)
 		nb := make([]*seq, slack+n)
 		copy(nb[slack:], q.buf)
 		q.buf, q.head = nb, slack
@@ -320,13 +339,6 @@ func (q *waitQueue) clear() {
 		q.buf[i] = nil
 	}
 	q.buf, q.head = q.buf[:0], 0
-}
-
-// set replaces the queue contents (tests build scheduling scenarios
-// directly).
-func (q *waitQueue) set(ss []*seq) {
-	q.clear()
-	q.buf = append(q.buf, ss...)
 }
 
 // Engine simulates one inference engine over its share of a trace.

@@ -343,7 +343,7 @@ func TestRunAllocationsPinned(t *testing.T) {
 			}
 		})
 	}
-	const n, pinned = 1600, 187
+	const n, pinned = 1600, 175
 	if got := clusterAllocs(n); got != pinned {
 		t.Errorf("Cluster.Run of %d requests allocates %d times; pinned %d", n, got, pinned)
 	}
