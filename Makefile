@@ -2,8 +2,9 @@
 # gate runs in spirit: formatting, vet, the docs lint, the full test
 # suite under the race detector, a single pass of every benchmark, a
 # run of every example program, the golden gate (`simctl run -all -quick`: every scenario output linted and
-# byte-identical to its checked-in BENCH file), and the benchmark
-# module's own vet and tests (bench-check).
+# byte-identical to its checked-in BENCH file), the benchmark module's
+# own vet and tests (bench-check), and an arm64 build of the module
+# (cross), which compiles the Go path of the assembly GEMM kernel.
 
 GO ?= go
 PERFCOUNT ?= 5
@@ -20,12 +21,21 @@ COVERFLOOR ?= 92.0
 # margin absorbs counting noise, not deleted tests).
 COVERFLOOR_FN ?= 94.0
 
-.PHONY: ci fmt vet test race bench examples golden bench-json bench-check trace-smoke trace-cmp perfbench build docs fuzz fuzz-short cover
+.PHONY: ci fmt vet test race bench examples golden bench-json bench-check trace-smoke trace-cmp perfbench build docs fuzz fuzz-short cover cross
 
-ci: fmt vet docs race bench examples golden trace-smoke fuzz-short cover bench-check
+ci: fmt vet docs race bench examples golden trace-smoke fuzz-short cover bench-check cross
 
 build:
 	$(GO) build ./...
+
+# Keep the portable path compiling: internal/tensor runs its GEMM inner
+# loops in AVX assembly on amd64 and in Go everywhere else, so build
+# the module and vet the kernel package for arm64 too (the standard
+# library builds from GOROOT, so this needs no download). On amd64,
+# vet's asmdecl pass checks the assembly frames.
+cross:
+	GOARCH=arm64 $(GO) build ./...
+	GOARCH=arm64 $(GO) vet ./internal/tensor
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -167,14 +177,17 @@ perfbench:
 	$(GO) test -run xxx -bench 'BenchmarkSimulator_|BenchmarkFunctional_' -benchmem -count $(PERFCOUNT) .
 
 # Native fuzzers over the scenario registry's input surface (simctl's
-# -p key=value parsing) and over the parallel layout space (q heads, KV
-# heads, SP, TP): each target runs FUZZTIME. The seeded corpora live in
-# internal/scenario/testdata/fuzz and internal/parallel/testdata/fuzz and
-# also run as plain tests under `go test`.
+# -p key=value parsing), over the parallel layout space (q heads, KV
+# heads, SP, TP) and over the GEMM kernel's inner loops (output width
+# and operand bits, assembly against the Go loops): each target runs
+# FUZZTIME. The seeded corpora live in the testdata/fuzz directories of
+# internal/scenario, internal/parallel and internal/tensor and also run
+# as plain tests under `go test`.
 fuzz:
 	$(GO) test -run xxx -fuzz '^FuzzParseValue$$' -fuzztime $(FUZZTIME) ./internal/scenario
 	$(GO) test -run xxx -fuzz '^FuzzScenarioParse$$' -fuzztime $(FUZZTIME) ./internal/scenario
 	$(GO) test -run xxx -fuzz '^FuzzLayout$$' -fuzztime $(FUZZTIME) ./internal/parallel
+	$(GO) test -run xxx -fuzz '^FuzzMatMulKernel$$' -fuzztime $(FUZZTIME) ./internal/tensor
 
 # The ci-speed fuzz pass: long enough to exercise the mutators past the
 # seed corpus, short enough not to dominate the gate.

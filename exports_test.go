@@ -2,6 +2,7 @@ package repro_test
 
 import (
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -134,8 +135,9 @@ func implementsCalled(named *types.Named, m *types.Func, called []*types.Func, s
 	return false
 }
 
-// sourceLoader type-checks the non-test files of the repro module's and
-// the bench module's packages from source, and the standard library from
+// sourceLoader type-checks the non-test files that the host's build
+// constraints select in the repro module's and the bench module's
+// packages from source, and the standard library from
 // the export data `go list -export` reports. Every check records into
 // the one info.
 type sourceLoader struct {
@@ -165,6 +167,11 @@ func newSourceLoader(t *testing.T) *sourceLoader {
 		}
 		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
 			return nil
+		}
+		// Type-check the files go build compiles for this host: a file
+		// for another GOARCH redeclares what its counterpart declares.
+		if ok, err := build.Default.MatchFile(filepath.Dir(p), name); err != nil || !ok {
+			return err
 		}
 		f, err := parser.ParseFile(l.fset, p, nil, parser.SkipObjectResolution)
 		if err != nil {

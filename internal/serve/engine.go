@@ -305,11 +305,15 @@ func (q *waitQueue) pushBack(s *seq) {
 // frontSlack is the slack pushFront opens in front of an n-long queue.
 func frontSlack(n int) int { return n/2 + 4 }
 
+// pushFront puts s at the head. With no slack in front, it moves the
+// queue into a new buffer with frontSlack(n) free slots in front and as
+// many at the back, so the next pushBack does not reallocate and copy it
+// again.
 func (q *waitQueue) pushFront(s *seq) {
 	if q.head == 0 {
 		n := len(q.buf)
 		slack := frontSlack(n)
-		nb := make([]*seq, slack+n)
+		nb := make([]*seq, slack+n, 2*slack+n)
 		copy(nb[slack:], q.buf)
 		q.buf, q.head = nb, slack
 	}

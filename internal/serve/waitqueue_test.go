@@ -72,4 +72,32 @@ func TestWaitQueueReclaimsSlack(t *testing.T) {
 	if allocs, growth := testing.AllocsPerRun(1, func() { run(false) }), bits.Len(uint(maxCap))+1; allocs > float64(growth) {
 		t.Errorf("%d turns allocate %v times, more than the %d of the buffer's growth to %d slots", turns, allocs, growth, maxCap)
 	}
+
+	// A push-front with no front slack, then a push-back, on a full
+	// 16-slot queue: the push-front moves the queue into a new buffer with
+	// room at the back, so the push-back does not reallocate. The queue
+	// reads s, the old queue, s.
+	const runs = 100
+	queues := make([]waitQueue, runs+1)
+	for i := range queues {
+		queues[i].buf = make([]*seq, 16)
+		for j := range queues[i].buf {
+			queues[i].buf[j] = &pool[j]
+		}
+	}
+	s, k := &pool[63], 0
+	if allocs := testing.AllocsPerRun(runs, func() {
+		queues[k].pushFront(s)
+		queues[k].pushBack(s)
+		k++
+	}); allocs != 1 {
+		t.Errorf("push-front at head 0 then push-back: %v allocations, want the push-front's 1", allocs)
+	}
+	want := []*seq{s}
+	for j := range 16 {
+		want = append(want, &pool[j])
+	}
+	if want = append(want, s); !slices.Equal(queues[0].seqs(), want) {
+		t.Errorf("queue %v, want %v", queues[0].seqs(), want)
+	}
 }

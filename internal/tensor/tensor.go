@@ -27,6 +27,20 @@
 // side-by-side panels equals the product of that panel alone, and
 // callers can read an operand in place (a column range, or a ViewRows
 // view) instead of copying it without changing any output bit.
+//
+// The kernel's two inner loops, which add four inner indices' products
+// into two rows of the output or into one, run as AVX assembly on an
+// amd64 host whose CPU has AVX and whose OS saves its registers (CPUID
+// and XGETBV, checked once at start-up), and as Go loops everywhere
+// else (kernel.go). The assembly takes four output columns at a time,
+// one per vector lane, and the last len % 4 one by one. Each product
+// has its own multiply and each sum its own add, in the Go expression's
+// left-to-right order, with no fused multiply-add, so every column is
+// rounded exactly as the Go loop rounds it on amd64 and both paths give
+// the same bits. (On arm64 and some other architectures the Go compiler
+// fuses x*y + z into one instruction, so there the Go loops can round
+// differently from amd64.) The zero skip and the pairing of rows stay in
+// Go.
 package tensor
 
 import (
@@ -154,12 +168,12 @@ func checkMatMul(a, b *Matrix, lo, hi int) {
 
 // matmul adds a*b[:, lo:lo+n] into the a.Rows x n block of out at (row,
 // col). Rows of a are taken in pairs, so each row of b is loaded once
-// for two rows of out: four inner indices run at a time while all eight
-// entries of a they read are nonzero, and otherwise each row adds its
-// nonzero entries of those four one index at a time. An odd last row
-// goes through matmulRow. Every output element still sees ((o + a0*b0)
-// + a1*b1) + ... over the nonzero entries of its row of a in ascending
-// inner index, exactly as the one-at-a-time loop adds them.
+// for two rows of out: four inner indices run at a time (axpy4x2) while
+// all eight entries of a they read are nonzero, and otherwise each row
+// adds its nonzero entries of those four one index at a time. An odd
+// last row goes through matmulRow. Every output element still sees
+// ((o + a0*b0) + a1*b1) + ... over the nonzero entries of its row of a
+// in ascending inner index, exactly as the one-at-a-time loop adds them.
 func matmul(out *Matrix, row, col int, a, b *Matrix, lo, n int) {
 	bc, kn := colRange{b.Data, b.Cols, lo, n}, a.Cols
 	orow := func(i int) []float64 {
@@ -179,14 +193,7 @@ func matmul(out *Matrix, row, col int, a, b *Matrix, lo, n int) {
 				bc.axpyNonzero(o1, ar1[k:k+4], k)
 				continue
 			}
-			b0, b1, b2, b3 := bc.row(k), bc.row(k+1), bc.row(k+2), bc.row(k+3)
-			b0, b1, b2, b3 = b0[:len(o0)], b1[:len(o0)], b2[:len(o0)], b3[:len(o0)]
-			o1 = o1[:len(o0)]
-			for j, o := range o0 {
-				p0, p1, p2, p3 := b0[j], b1[j], b2[j], b3[j]
-				o0[j] = o + x0*p0 + x1*p1 + x2*p2 + x3*p3
-				o1[j] = o1[j] + y0*p0 + y1*p1 + y2*p2 + y3*p3
-			}
+			axpy4x2(o0, o1, ar0[k:k+4], ar1[k:k+4], bc.row(k), bc.row(k+1), bc.row(k+2), bc.row(k+3))
 		}
 		bc.axpyNonzero(o0, ar0[k:], k)
 		bc.axpyNonzero(o1, ar1[k:], k)
@@ -220,7 +227,7 @@ func (c colRange) axpyNonzero(o, as []float64, k0 int) {
 }
 
 // matmulRow adds arow*c into orow. Zero entries of arow are skipped and
-// the rest are taken four at a time, in ascending inner index.
+// the rest are taken four at a time (axpy4), in ascending inner index.
 func (c colRange) matmulRow(orow, arow []float64) {
 	var av [4]float64
 	var ak [4]int
@@ -234,12 +241,7 @@ func (c colRange) matmulRow(orow, arow []float64) {
 			continue
 		}
 		m = 0
-		a0, a1, a2, a3 := av[0], av[1], av[2], av[3]
-		b0, b1, b2, b3 := c.row(ak[0]), c.row(ak[1]), c.row(ak[2]), c.row(ak[3])
-		b0, b1, b2, b3 = b0[:len(orow)], b1[:len(orow)], b2[:len(orow)], b3[:len(orow)]
-		for j, o := range orow {
-			orow[j] = o + a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]
-		}
+		axpy4(orow, av[:], c.row(ak[0]), c.row(ak[1]), c.row(ak[2]), c.row(ak[3]))
 	}
 	for q := 0; q < m; q++ {
 		axpy(orow, av[q], c.row(ak[q]))

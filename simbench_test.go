@@ -212,13 +212,19 @@ func BenchmarkFunctional_ShiftUnit(b *testing.B) {
 // packed QKV (8x64x24: one q head and its kv head), O (8x8x64), MLP up
 // (8x64x32) and down (8x32x64); the prefill on the base config (64 of
 // the 256 prompt rows per SP rank, TP=2) runs QKV (64x64x48), O
-// (64x32x64), up (64x64x128) and down (64x128x64). Operands are dense,
-// as activations and weights are.
+// (64x32x64), up (64x64x128) and down (64x128x64). Three more shapes
+// reach the kernel's other paths: decode attention's P·V for one
+// (sequence, head), one query row over a 48-token context (half way
+// through the unit's decode) with head dim 8 (1x48x8), runs the one-row
+// kernel alone; an odd row count (7x64x24) ends the row pairs with a
+// one-row pass; and 30 output columns (8x64x30) leave a vector tail of
+// 2. Operands are dense, as activations and weights are.
 func BenchmarkFunctional_GEMMShapes(b *testing.B) {
 	rng := tensor.NewRNG(42)
 	for _, s := range [][3]int{
 		{8, 64, 24}, {8, 8, 64}, {8, 64, 32}, {8, 32, 64},
 		{64, 64, 48}, {64, 32, 64}, {64, 64, 128}, {64, 128, 64},
+		{1, 48, 8}, {7, 64, 24}, {8, 64, 30},
 	} {
 		b.Run(fmt.Sprintf("%dx%dx%d", s[0], s[1], s[2]), func(b *testing.B) {
 			x, w := rng.RandMatrix(s[0], s[1], 1), rng.RandMatrix(s[1], s[2], 1)
