@@ -1,15 +1,11 @@
-// Package kvcache implements the two KV caches of the reproduction:
-//
-//   - Cache: a value-bearing per-rank KV store used by the functional
-//     transformer forwards. Its layout — (layer, local head, token) — is
-//     what the paper's KV cache invariance argument is about: TP and SP
-//     ranks hold exactly the same head slices, so Shift Parallelism can
-//     swap parallelisms without moving cache data. Tests compare Cache
-//     fingerprints across configurations to prove the invariance.
-//
-//   - Allocator: a vLLM-style paged block allocator used by the serving
-//     simulator for admission control and preemption accounting. It
-//     only counts free blocks; each sequence keeps its own holding.
+// Package kvcache implements the functional engine's KV cache: Cache,
+// a value-bearing per-rank KV store used by the transformer forwards.
+// Its layout — (layer, local head, token) — is what the paper's KV cache
+// invariance argument is about: TP and SP ranks hold exactly the same
+// head slices, so Shift Parallelism can swap parallelisms without moving
+// cache data. Tests compare Cache fingerprints across configurations to
+// prove the invariance. The serving simulator's paged block accounting
+// is internal/serve's own and does not import this package.
 package kvcache
 
 import (

@@ -1,10 +1,7 @@
 package kvcache
 
 import (
-	"errors"
-	"math"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/tensor"
 )
@@ -131,200 +128,6 @@ func TestFingerprintOrderSensitive(t *testing.T) {
 func TestCacheEqualShapeMismatch(t *testing.T) {
 	if Equal(NewCache(1, 1, 2), NewCache(1, 2, 2), 1) {
 		t.Fatal("different-shape caches compared equal")
-	}
-}
-
-func TestAllocatorBasics(t *testing.T) {
-	a := NewAllocator(16, 10)
-	if a.FreeBlocks() != 10 || a.UsedBlocks() != 0 {
-		t.Fatal("fresh allocator wrong")
-	}
-	if a.BlocksFor(1) != 1 || a.BlocksFor(16) != 1 || a.BlocksFor(17) != 2 || a.BlocksFor(0) != 0 {
-		t.Fatal("BlocksFor wrong")
-	}
-	var held int32
-	if err := a.Grow(&held, 40); err != nil { // 3 blocks
-		t.Fatal(err)
-	}
-	if held != 3 || a.FreeBlocks() != 7 {
-		t.Fatalf("holds=%d free=%d", held, a.FreeBlocks())
-	}
-	// Growing to 50 tokens needs 4 blocks total, 1 more.
-	if err := a.Grow(&held, 50); err != nil {
-		t.Fatal(err)
-	}
-	if held != 4 {
-		t.Fatalf("holds = %d", held)
-	}
-	// Shrinking request is a no-op.
-	if err := a.Grow(&held, 10); err != nil || held != 4 {
-		t.Fatal("shrink should be no-op")
-	}
-	a.Free(&held)
-	if a.FreeBlocks() != 10 || held != 0 {
-		t.Fatal("free did not return blocks")
-	}
-}
-
-func TestAllocatorNoSpace(t *testing.T) {
-	a := NewAllocator(16, 2)
-	var one, two int32
-	if err := a.Grow(&one, 32); err != nil {
-		t.Fatal(err)
-	}
-	err := a.Grow(&two, 1)
-	if !errors.Is(err, ErrNoSpace) {
-		t.Fatalf("err = %v", err)
-	}
-	// Failed growth must not leak partial allocations.
-	if two != 0 || a.FreeBlocks() != 0 {
-		t.Fatal("failed grow leaked blocks")
-	}
-	if a.CanGrow(two, 1) {
-		t.Fatal("CanGrow should be false")
-	}
-	a.Free(&one)
-	if !a.CanGrow(two, 32) {
-		t.Fatal("CanGrow should be true after free")
-	}
-}
-
-func TestAllocatorInvariant(t *testing.T) {
-	a := NewAllocator(8, 100)
-	held := make([]int32, 20)
-	for i := range held {
-		if err := a.Grow(&held[i], 8*(i%5+1)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 20; i += 2 {
-		a.Free(&held[i])
-	}
-	sum := 0
-	for _, h := range held {
-		sum += int(h)
-	}
-	if err := a.CheckInvariant(sum); err != nil {
-		t.Fatal(err)
-	}
-	if a.CheckInvariant(sum+1) == nil || a.CheckInvariant(sum-1) == nil {
-		t.Fatal("CheckInvariant accepted a wrong holding sum")
-	}
-}
-
-// TestAllocatorFastPathMatchesDivision: Grow and CanGrow compare tokens
-// with the holding's capacity before they divide. Over every block size,
-// holding, token count and free count below, each must give the error,
-// holding, free count and answer of the division formula they replaced.
-func TestAllocatorFastPathMatchesDivision(t *testing.T) {
-	for _, bt := range []int{1, 2, 3, 16, 17} {
-		for h := int32(0); h <= 40; h++ {
-			for _, free := range []int{0, 1, 2, 7, 64} {
-				a := NewAllocator(bt, int(h)+free)
-				var held int32
-				if err := a.Grow(&held, int(h)*bt); err != nil || held != h || a.FreeBlocks() != free {
-					t.Fatalf("setup: held %d free %d err %v, want %d, %d", held, a.FreeBlocks(), err, h, free)
-				}
-				for tokens := -2; tokens <= 700; tokens++ {
-					wantHeld, wantFree, wantErr := divisionGrow(bt, free, h, tokens)
-					b, got := *a, h
-					err := b.Grow(&got, tokens)
-					if err != wantErr || got != wantHeld || b.FreeBlocks() != wantFree {
-						t.Fatalf("block %d, held %d, free %d: Grow(%d) = %v, held %d, free %d; division %v, %d, %d",
-							bt, h, free, tokens, err, got, b.FreeBlocks(), wantErr, wantHeld, wantFree)
-					}
-					if can, want := a.CanGrow(h, tokens), divisionCanGrow(bt, free, h, tokens); can != want {
-						t.Fatalf("block %d, held %d, free %d: CanGrow(%d) = %v, division %v", bt, h, free, tokens, can, want)
-					}
-				}
-			}
-		}
-	}
-}
-
-// divisionGrow and divisionCanGrow are Grow and CanGrow as they were
-// before the capacity comparison, when every call divided: the
-// reference the fast path is checked against. They do not follow later
-// changes to the allocator.
-func divisionGrow(blockTokens, free int, held int32, tokens int) (int32, int, error) {
-	need := divisionBlocks(blockTokens, tokens) - int(held)
-	if need <= 0 {
-		return held, free, nil
-	}
-	if need > free {
-		return held, free, ErrNoSpace
-	}
-	return held + int32(need), free - need, nil
-}
-
-func divisionCanGrow(blockTokens, free int, held int32, tokens int) bool {
-	return divisionBlocks(blockTokens, tokens)-int(held) <= free
-}
-
-func divisionBlocks(blockTokens, tokens int) int {
-	if tokens <= 0 {
-		return 0
-	}
-	return (tokens + blockTokens - 1) / blockTokens
-}
-
-func TestQuickAllocatorConservation(t *testing.T) {
-	f := func(ops []uint16) bool {
-		a := NewAllocator(4, 64)
-		var held [8]int32
-		for _, op := range ops {
-			seq := int(op % 8)
-			tokens := int(op/8) % 40
-			if op%3 == 0 {
-				a.Free(&held[seq])
-			} else if err := a.Grow(&held[seq], tokens); err != nil && !errors.Is(err, ErrNoSpace) {
-				return false
-			}
-			sum := 0
-			for _, h := range held {
-				if h < 0 {
-					return false
-				}
-				sum += int(h)
-			}
-			if a.CheckInvariant(sum) != nil {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestNewAllocatorRejectsBadDims(t *testing.T) {
-	for _, dims := range [][2]int{{0, 4}, {16, -1}, {16, math.MaxInt32 + 1}} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("NewAllocator(%d, %d) did not panic", dims[0], dims[1])
-				}
-			}()
-			NewAllocator(dims[0], dims[1])
-		}()
-	}
-	if a := NewAllocator(1, math.MaxInt32); a.FreeBlocks() != math.MaxInt32 {
-		t.Fatal("MaxInt32 blocks should be allowed")
-	}
-}
-
-// Freeing a holding that never grew (a sequence the allocator has not
-// seen) changes nothing.
-func TestReleaseUnknownSeqHarmless(t *testing.T) {
-	a := NewAllocator(4, 4)
-	var held int32
-	a.Free(&held)
-	if a.FreeBlocks() != 4 || held != 0 {
-		t.Fatal("free of an empty holding changed state")
-	}
-	if err := a.CheckInvariant(0); err != nil {
-		t.Fatal(err)
 	}
 }
 

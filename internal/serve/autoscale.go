@@ -784,7 +784,7 @@ func (f *fleetState) obsSample(now time.Duration, desired int, v FleetView) {
 		e := rep.engine
 		e.settle()
 		capTok += rep.kvCapacity
-		usedTok += rep.kvCapacity - e.alloc.FreeTokens()
+		usedTok += rep.kvCapacity - e.blocks.freeTokens()
 		hits += e.cacheHits
 		misses += e.cacheMisses
 	}

@@ -116,9 +116,7 @@ func TestLoneRunnerRejectionCountsKVExhausted(t *testing.T) {
 	e := mustEngine(t, Config{CM: cm, Par: perf.Parallelism{SP: 1, TP: 1}})
 	s := &seq{firstTok: -1, effInput: 64, prefilled: 32,
 		req: workload.Request{ID: 1, InputTokens: 64, OutputTokens: 8}}
-	if err := e.alloc.Grow(&s.kvBlocks, 32); err != nil {
-		t.Fatal(err)
-	}
+	e.blocks.grow(&s.kvBlocks, 32)
 	e.running = []*seq{s}
 	if !e.resolveEmpty() {
 		t.Fatal("resolveEmpty did not act on the memory-stuck lone runner")

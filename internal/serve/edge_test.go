@@ -76,7 +76,7 @@ func TestMaxSeqsOne(t *testing.T) {
 	}
 }
 
-// Tiny KV block size stresses the allocator arithmetic.
+// Tiny KV block size stresses the block arithmetic.
 func TestBlockTokensOne(t *testing.T) {
 	cm := llamaCM(t)
 	cfg := tp8Cfg(cm)

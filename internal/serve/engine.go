@@ -19,7 +19,6 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/kvcache"
 	"repro/internal/obs"
 	"repro/internal/perf"
 	"repro/internal/specdec"
@@ -246,7 +245,7 @@ type seq struct {
 	finished  time.Duration
 	preempted int32
 	// kvBlocks is the sequence's KV holding: the blocks the engine's
-	// allocator granted it, zero unless it is running. It sits beside
+	// block pool granted it, zero unless it is running. It sits beside
 	// preempted as an int32, so the two share one 8-byte word.
 	kvBlocks int32
 	// rejectReason is set when the engine gives up on the sequence.
@@ -348,7 +347,7 @@ func (q *waitQueue) clear() {
 // Engine simulates one inference engine over its share of a trace.
 type Engine struct {
 	cfg      Config
-	alloc    *kvcache.Allocator
+	blocks   *blockPool
 	arrivals []*seq // routed requests in arrival order; [nextIdx:] not yet admitted
 	nextIdx  int
 	// slab holds the records arrivals points into: appends within its
@@ -460,7 +459,7 @@ type stretch struct {
 	ctxSum, booked int
 }
 
-// NewEngine builds an engine; the KV allocator is sized by the cost
+// NewEngine builds an engine; the KV block pool is sized by the cost
 // model's KVCapacityTokens (weights, the shift copy under the cost
 // model's memory strategy, reserve), rounded down to whole blocks.
 func NewEngine(cfg Config) (*Engine, error) {
@@ -479,8 +478,8 @@ func NewEngine(cfg Config) (*Engine, error) {
 		return nil, fmt.Errorf("serve: engine %q: model does not fit (%s, shift=%v)", cfg.Name, cfg.Par, shift)
 	}
 	e := &Engine{
-		cfg:   cfg,
-		alloc: kvcache.NewAllocator(cfg.BlockTokens, capTokens/cfg.BlockTokens),
+		cfg:    cfg,
+		blocks: newBlockPool(cfg.BlockTokens, capTokens/cfg.BlockTokens),
 	}
 	if pc := cfg.PrefixCache; pc != nil {
 		capTok := pc.CapacityTokens
@@ -495,8 +494,9 @@ func NewEngine(cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// KVCapacityTokens exposes the engine's KV budget (for tests and docs).
-func (e *Engine) KVCapacityTokens() int { return e.alloc.NumBlocks * e.alloc.BlockTokens }
+// KVCapacityTokens returns the engine's KV budget in tokens: every
+// block of its pool, used or free.
+func (e *Engine) KVCapacityTokens() int { return e.blocks.numBlocks * e.blocks.blockTokens }
 
 // attachStream points the engine's hooks at an obs stream; nil keeps
 // the untraced fast path.
@@ -643,7 +643,7 @@ func (e *Engine) resolveEmpty() bool {
 		// A lone runner that cannot grow needs more KV than the engine
 		// has: reject it.
 		s := e.running[0]
-		e.alloc.Free(&s.kvBlocks)
+		e.blocks.release(&s.kvBlocks)
 		e.running = nil
 		e.reject(s, RejectKVExhausted)
 		return true
@@ -722,10 +722,10 @@ func (e *Engine) schedule() batchPlan {
 		// queue by descending priority, so the tail is s's peers or work
 		// it outranks; in FIFO mode priorities are all equal.
 		need := s.ctx() + plan.specTokens
-		for !e.alloc.CanGrow(s.kvBlocks, need) && len(e.running)-1 > i {
+		for !e.blocks.canGrow(s.kvBlocks, need) && len(e.running)-1 > i {
 			e.preemptAt(e.victimAfter(i))
 		}
-		if !e.alloc.CanGrow(s.kvBlocks, need) {
+		if !e.blocks.canGrow(s.kvBlocks, need) {
 			// No eligible victim remains — s is the youngest candidate,
 			// or (under SLO scheduling) the surviving tail outranks it —
 			// so preempt s itself. The slot at i now holds the next
@@ -733,10 +733,7 @@ func (e *Engine) schedule() batchPlan {
 			e.preemptAt(i)
 			continue
 		}
-		if err := e.alloc.Grow(&s.kvBlocks, need); err != nil {
-			e.preemptAt(i)
-			continue
-		}
+		e.blocks.grow(&s.kvBlocks, need)
 		plan.decodes = append(plan.decodes, s)
 		i++
 	}
@@ -778,7 +775,7 @@ func (e *Engine) schedule() batchPlan {
 			}
 			urgents = append(urgents, urgentDemand{w.req.Priority, chunk})
 			reserved += chunk
-			reservedBlocks += e.alloc.BlocksFor(w.prefilled+chunk) - int(w.kvBlocks)
+			reservedBlocks += e.blocks.need(w.kvBlocks, w.prefilled+chunk)
 		}
 	}
 	// orderRunning already put higher-priority prefills first in SLO mode.
@@ -799,16 +796,14 @@ func (e *Engine) schedule() batchPlan {
 			continue
 		}
 		chunk := min(s.effInput-s.prefilled, avail)
-		if !e.alloc.CanGrow(s.kvBlocks, s.prefilled+chunk) {
-			slack := int(s.kvBlocks)*e.alloc.BlockTokens - s.prefilled
-			chunk = min(chunk, slack+e.alloc.FreeTokens())
+		if !e.blocks.canGrow(s.kvBlocks, s.prefilled+chunk) {
+			slack := int(s.kvBlocks)*e.blocks.blockTokens - s.prefilled
+			chunk = min(chunk, slack+e.blocks.freeTokens())
 			if chunk <= 0 {
 				continue // KV pressure: wait for blocks
 			}
 		}
-		if err := e.alloc.Grow(&s.kvBlocks, s.prefilled+chunk); err != nil {
-			continue
-		}
+		e.blocks.grow(&s.kvBlocks, s.prefilled+chunk)
 		plan.prefills = append(plan.prefills, s)
 		plan.chunks = append(plan.chunks, chunk)
 		budget -= chunk
@@ -825,7 +820,7 @@ func (e *Engine) schedule() batchPlan {
 	blockedPrio, anyBlocked := 0, false
 	for i := 0; i < e.waiting.len() && budget > 0 && len(e.running) < e.cfg.MaxSeqs; {
 		s := e.waiting.at(i)
-		if e.alloc.BlocksFor(s.effInput) > e.alloc.NumBlocks {
+		if e.blocks.need(0, s.effInput) > e.blocks.numBlocks {
 			e.waiting.removeAt(i)
 			e.reject(s, RejectUnservablePrompt)
 			continue
@@ -847,9 +842,7 @@ func (e *Engine) schedule() batchPlan {
 			continue
 		}
 		chunk := min(s.effInput-s.prefilled, budget)
-		if err := e.alloc.Grow(&s.kvBlocks, s.prefilled+chunk); err != nil {
-			break
-		}
+		e.blocks.grow(&s.kvBlocks, s.prefilled+chunk)
 		e.waiting.removeAt(i)
 		e.running = append(e.running, s)
 		e.stream.Event(e.now, obs.EvAdmit, s.req.ID, "")
@@ -989,7 +982,7 @@ func (e *Engine) shedStaged(s *seq, at time.Duration) {
 // used to reallocate the whole waiting queue per victim.
 func (e *Engine) preemptAt(i int) {
 	s := e.running[i]
-	e.alloc.Free(&s.kvBlocks)
+	e.blocks.release(&s.kvBlocks)
 	s.effInput = s.req.InputTokens + int(s.decoded)
 	// Recompute restarts after the (still resident) cached prefix.
 	s.prefilled = s.cached
@@ -1083,7 +1076,7 @@ func (e *Engine) atRisk(s *seq) bool { return s.firstTok < 0 && s.req.Urgent(e.n
 // incremental prefill admission does not trigger preemption storms when
 // decodes need to grow.
 func (e *Engine) watermark() int {
-	return e.alloc.NumBlocks/100 + 2*len(e.running)
+	return e.blocks.numBlocks/100 + 2*len(e.running)
 }
 
 // preemptForUrgent preempts strictly-lower-priority running work when
@@ -1106,7 +1099,7 @@ func (e *Engine) preemptForUrgent() {
 	if w == nil {
 		return
 	}
-	if e.alloc.BlocksFor(w.effInput) > e.alloc.NumBlocks {
+	if e.blocks.need(0, w.effInput) > e.blocks.numBlocks {
 		return // unservable prompt: step 3 rejects it, evictions buy nothing
 	}
 	for {
@@ -1130,8 +1123,7 @@ func (e *Engine) preemptForUrgent() {
 // the full ChunkBudget and live watermark as a pre-plan estimate.
 func (e *Engine) canAdmit(s *seq, budget, watermark int) bool {
 	chunk := min(s.effInput-s.prefilled, budget)
-	need := e.alloc.BlocksFor(s.prefilled+chunk) - int(s.kvBlocks)
-	return e.alloc.FreeBlocks()-need >= watermark && len(e.running) < e.cfg.MaxSeqs
+	return e.blocks.free-e.blocks.need(s.kvBlocks, s.prefilled+chunk) >= watermark && len(e.running) < e.cfg.MaxSeqs
 }
 
 // shape converts a plan to the cost model's batch description.
@@ -1198,7 +1190,7 @@ func (e *Engine) crashDrain() (lost []workload.Request, lostTokens int) {
 	e.endStretch()
 	for _, s := range e.running {
 		lostTokens += s.ctx() - s.cached
-		e.alloc.Free(&s.kvBlocks)
+		e.blocks.release(&s.kvBlocks)
 		lost = append(lost, s.req)
 	}
 	e.running = nil
@@ -1282,7 +1274,7 @@ func (e *Engine) retire() {
 // KV blocks; the caller takes it off the running queue.
 func (e *Engine) complete(s *seq) {
 	s.finished = e.now
-	e.alloc.Free(&s.kvBlocks)
+	e.blocks.release(&s.kvBlocks)
 	e.completed = append(e.completed, s)
 	e.backlogTokens -= s.req.TotalTokens()
 	e.completedTokens += s.req.TotalTokens()
@@ -1389,7 +1381,7 @@ func (e *Engine) runAhead(horizon time.Duration) bool {
 		}
 		// Growth is monotone in the step count, so if the stretch's last
 		// step fits in the free blocks no earlier one would have preempted.
-		if free := e.alloc.FreeBlocks(); e.kvGrowth(steps) > free {
+		if free := e.blocks.free; e.kvGrowth(steps) > free {
 			steps = sort.Search(steps, func(k int) bool { return e.kvGrowth(k) > free }) - 1
 		}
 		if steps <= 0 {
@@ -1459,7 +1451,7 @@ func (e *Engine) resume(horizon time.Duration) {
 
 // settle books the open stretch's unsettled steps into each running
 // sequence's decoded count and KV holding. Every reader of per-sequence
-// or allocator state outside the step calls it first. A stretch that
+// or block-pool state outside the step calls it first. A stretch that
 // has run out ends on the step its first sequences finish on (unless KV
 // growth cut it shorter), so settle retires the finished ones at e.now,
 // in running order as apply would have, in the same pass that grows the
@@ -1483,9 +1475,7 @@ func (e *Engine) settle() {
 			e.complete(s)
 			continue
 		}
-		if err := e.alloc.Grow(&s.kvBlocks, s.ctx()); err != nil {
-			panic(fmt.Sprintf("serve: run-ahead growth sized by kvGrowth failed: %v", err))
-		}
+		e.blocks.grow(&s.kvBlocks, s.ctx())
 		if j != i {
 			e.running[j] = s
 		}
@@ -1506,12 +1496,9 @@ func (e *Engine) endStretch() {
 // kvGrowth returns the blocks the running sequences need beyond their
 // holdings to decode k more tokens each.
 func (e *Engine) kvGrowth(k int) int {
-	need, bt := 0, e.alloc.BlockTokens
+	need := 0
 	for _, s := range e.running {
-		// As Allocator.Grow: divide only when the holding must grow.
-		if t := s.ctx() + k; t > int(s.kvBlocks)*bt {
-			need += e.alloc.BlocksFor(t) - int(s.kvBlocks)
-		}
+		need += e.blocks.need(s.kvBlocks, s.ctx()+k)
 	}
 	return need
 }

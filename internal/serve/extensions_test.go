@@ -122,7 +122,7 @@ func TestPrefixCacheStillOccupiesKV(t *testing.T) {
 	if err := checkKV(e); err != nil {
 		t.Fatal(err)
 	}
-	if e.alloc.UsedBlocks() != 0 {
+	if e.blocks.used() != 0 {
 		t.Fatal("blocks leaked")
 	}
 	// Served tokens exclude the cached prefix but include the rest.

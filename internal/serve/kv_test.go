@@ -15,7 +15,7 @@ import (
 )
 
 // checkKV verifies the engine's KV conservation: the blocks its running
-// sequences hold plus the allocator's free blocks make up the whole
+// sequences hold plus the block pool's free blocks make up the whole
 // cache, and no waiting, completed or rejected sequence holds a block.
 func checkKV(e *Engine) error {
 	held := 0
@@ -35,7 +35,7 @@ func checkKV(e *Engine) error {
 			}
 		}
 	}
-	return e.alloc.CheckInvariant(held)
+	return e.blocks.checkInvariant(held)
 }
 
 // checkNoneDone checks the invariant apply's conditional retire rests
@@ -138,8 +138,8 @@ func TestKVHoldingsConservedEveryIteration(t *testing.T) {
 					if err := checkKV(e); err != nil {
 						t.Fatalf("after the crash drain: %v", err)
 					}
-					if e.alloc.UsedBlocks() != 0 {
-						t.Fatalf("crash drain left %d blocks allocated", e.alloc.UsedBlocks())
+					if e.blocks.used() != 0 {
+						t.Fatalf("crash drain left %d blocks allocated", e.blocks.used())
 					}
 					slices.SortStableFunc(lost, func(a, b workload.Request) int {
 						return cmp.Compare(a.Arrival, b.Arrival)
@@ -165,8 +165,8 @@ func TestKVHoldingsConservedEveryIteration(t *testing.T) {
 			if tc.crashAt > 0 && !crashed {
 				t.Fatal("test premise broken: the run ended before the crash")
 			}
-			if e.alloc.UsedBlocks() != 0 {
-				t.Fatalf("drained engine holds %d blocks", e.alloc.UsedBlocks())
+			if e.blocks.used() != 0 {
+				t.Fatalf("drained engine holds %d blocks", e.blocks.used())
 			}
 		})
 	}

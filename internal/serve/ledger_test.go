@@ -92,9 +92,7 @@ func TestEngineLedgerBalances(t *testing.T) {
 			e := mustEngine(t, tc.cfg)
 			if tc.hold > 0 {
 				var phantom int32
-				if err := e.alloc.Grow(&phantom, tc.hold); err != nil {
-					t.Fatal(err)
-				}
+				e.blocks.grow(&phantom, tc.hold)
 			}
 			e.Run(tc.reqs)
 			if !tc.premise(e) {

@@ -188,7 +188,7 @@ func replayOnShift(t *testing.T, reqs []workload.Request) *Engine {
 					t.Fatalf("step %d: seq %d: rank %d caches %d tokens, the reference %d", steps, id, g, c.Len(id), n)
 				}
 			}
-			if lo, hi := e.alloc.BlocksFor(n), e.alloc.BlocksFor(n+1); int(s.kvBlocks) < lo || int(s.kvBlocks) > hi {
+			if lo, hi := e.blocks.need(0, n), e.blocks.need(0, n+1); int(s.kvBlocks) < lo || int(s.kvBlocks) > hi {
 				t.Fatalf("step %d: seq %d holds %d blocks for %d cached tokens, want %d..%d", steps, id, s.kvBlocks, n, lo, hi)
 			}
 		}

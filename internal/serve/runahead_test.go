@@ -244,7 +244,7 @@ func TestRunAheadMatchesSteppedEngine(t *testing.T) {
 			snap := func(e *Engine) counters {
 				return counters{e.now, e.iters, e.baseIters, e.shiftIters, e.tokensServed,
 					e.preemptions, e.sloPreempts, e.shed, e.shedTokens,
-					e.backlogTokens, e.completedTokens, e.alloc.FreeBlocks(), e.cost}
+					e.backlogTokens, e.completedTokens, e.blocks.free, e.cost}
 			}
 			want := stepped.appendMetrics(nil)
 			for _, run := range []struct {

@@ -79,7 +79,7 @@ func TestConfigDefaults(t *testing.T) {
 }
 
 // TestConfigRejectsNegativeSizes: a negative size is an error that names
-// the field, not a panic in the KV allocator (BlockTokens) or an engine
+// the field, not a panic in the KV block pool (BlockTokens) or an engine
 // that rejects every request as an unservable prompt (ChunkBudget,
 // MaxSeqs). Zero still means the default.
 func TestConfigRejectsNegativeSizes(t *testing.T) {
@@ -157,8 +157,8 @@ func TestAllTokensServedOnce(t *testing.T) {
 	if err := checkKV(e); err != nil {
 		t.Fatal(err)
 	}
-	if e.alloc.UsedBlocks() != 0 {
-		t.Fatalf("leaked %d blocks", e.alloc.UsedBlocks())
+	if e.blocks.used() != 0 {
+		t.Fatalf("leaked %d blocks", e.blocks.used())
 	}
 }
 
@@ -445,7 +445,7 @@ func TestQuickConservationAcrossWorkloads(t *testing.T) {
 			}
 		}
 		return e.tokensServed == tr.TotalTokens() &&
-			checkKV(e) == nil && e.alloc.UsedBlocks() == 0
+			checkKV(e) == nil && e.blocks.used() == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)

@@ -254,9 +254,7 @@ func TestPreemptForUrgentSkipsNonUrgentHead(t *testing.T) {
 	// Low-priority batch work owns the entire KV cache.
 	batch := &seq{firstTok: -1, effInput: 64,
 		req: workload.Request{ID: 1, Class: "batch", InputTokens: 64, OutputTokens: 8}}
-	if err := e.alloc.Grow(&batch.kvBlocks, e.KVCapacityTokens()); err != nil {
-		t.Fatal(err)
-	}
+	e.blocks.grow(&batch.kvBlocks, e.KVCapacityTokens())
 	e.running = []*seq{batch}
 
 	head := &seq{firstTok: -1, effInput: 64, req: workload.Request{ID: 2, Priority: 3,
@@ -312,12 +310,8 @@ func TestHighPriorityDecodeEvictsEarlierBatch(t *testing.T) {
 		req: workload.Request{ID: 2, Class: "chat", Priority: 2, InputTokens: 64, OutputTokens: 1 << 20}}
 	// Batch first in the queue and owning all KV; chat behind it with a
 	// token allocation that must grow.
-	if err := e.alloc.Grow(&batch.kvBlocks, e.KVCapacityTokens()-e.cfg.BlockTokens); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.alloc.Grow(&chat.kvBlocks, e.cfg.BlockTokens); err != nil {
-		t.Fatal(err)
-	}
+	e.blocks.grow(&batch.kvBlocks, e.KVCapacityTokens()-e.cfg.BlockTokens)
+	e.blocks.grow(&chat.kvBlocks, e.cfg.BlockTokens)
 	e.running = []*seq{batch, chat}
 
 	plan := e.schedule()
@@ -349,9 +343,7 @@ func TestBlockedHighPriorityNotStarved(t *testing.T) {
 	// so a 100-block prompt is blocked while a 1-block prompt fits.
 	wm := e.watermark()
 	var phantom int32
-	if err := e.alloc.Grow(&phantom, (e.alloc.NumBlocks-wm-10)*e.cfg.BlockTokens); err != nil {
-		t.Fatal(err)
-	}
+	e.blocks.grow(&phantom, (e.blocks.numBlocks-wm-10)*e.cfg.BlockTokens)
 	big := 100 * e.cfg.BlockTokens
 	p5 := &seq{firstTok: -1, effInput: big,
 		req: workload.Request{ID: 1, Priority: 5, InputTokens: big, OutputTokens: 8}}

@@ -85,15 +85,7 @@ func Bursty(seed uint64, duration time.Duration) *workload.Trace {
 // long repo context, and ShareGPT-style chat.
 func ProductionMix(seed uint64, n int) *workload.Trace {
 	rng := tensor.NewRNG(seed)
-	mix := workload.Mixture{
-		Dists: []workload.SizeDist{
-			workload.LognormalSize{MedianIn: 450, SigmaIn: 0.4, MaxIn: 2000, MinIn: 64, MedianOut: 220, SigmaOut: 0.5, MaxOut: 800, MinOut: 16},      // HumanEval
-			workload.LognormalSize{MedianIn: 9000, SigmaIn: 0.5, MaxIn: 32000, MinIn: 1024, MedianOut: 480, SigmaOut: 0.5, MaxOut: 1500, MinOut: 32}, // SWEBench agentic
-			workload.LognormalSize{MedianIn: 1400, SigmaIn: 0.7, MaxIn: 8000, MinIn: 64, MedianOut: 320, SigmaOut: 0.6, MaxOut: 1000, MinOut: 16},    // ShareGPT
-		},
-		Weights: []float64{0.35, 0.35, 0.30},
-		Classes: []string{"humaneval", "swebench", "sharegpt"},
-	}
+	mix := productionMixture()
 	reqs := make([]workload.Request, n)
 	for i := range reqs {
 		in, out, class := mix.SampleClass(rng)
@@ -111,12 +103,14 @@ func ProductionMixOpen(seed uint64, ratePerSec float64, duration time.Duration) 
 	return workload.Poisson("production-mix-open", rng, ratePerSec, duration, mix, "mixed")
 }
 
+// productionMixture is the Figure 16 request-size mixture that
+// ProductionMix and ProductionMixOpen both draw from.
 func productionMixture() workload.Mixture {
 	return workload.Mixture{
 		Dists: []workload.SizeDist{
-			workload.LognormalSize{MedianIn: 450, SigmaIn: 0.4, MaxIn: 2000, MinIn: 64, MedianOut: 220, SigmaOut: 0.5, MaxOut: 800, MinOut: 16},
-			workload.LognormalSize{MedianIn: 9000, SigmaIn: 0.5, MaxIn: 32000, MinIn: 1024, MedianOut: 480, SigmaOut: 0.5, MaxOut: 1500, MinOut: 32},
-			workload.LognormalSize{MedianIn: 1400, SigmaIn: 0.7, MaxIn: 8000, MinIn: 64, MedianOut: 320, SigmaOut: 0.6, MaxOut: 1000, MinOut: 16},
+			workload.LognormalSize{MedianIn: 450, SigmaIn: 0.4, MaxIn: 2000, MinIn: 64, MedianOut: 220, SigmaOut: 0.5, MaxOut: 800, MinOut: 16},      // HumanEval
+			workload.LognormalSize{MedianIn: 9000, SigmaIn: 0.5, MaxIn: 32000, MinIn: 1024, MedianOut: 480, SigmaOut: 0.5, MaxOut: 1500, MinOut: 32}, // SWEBench agentic
+			workload.LognormalSize{MedianIn: 1400, SigmaIn: 0.7, MaxIn: 8000, MinIn: 64, MedianOut: 320, SigmaOut: 0.6, MaxOut: 1000, MinOut: 16},    // ShareGPT
 		},
 		Weights: []float64{0.35, 0.35, 0.30},
 		Classes: []string{"humaneval", "swebench", "sharegpt"},
