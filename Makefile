@@ -178,19 +178,22 @@ perfbench:
 
 # Native fuzzers over the scenario registry's input surface (simctl's
 # -p key=value parsing), over the parallel layout space (q heads, KV
-# heads, SP, TP) and over the GEMM kernel's inner loops (output width
-# and operand bits, assembly against the Go loops): each target runs
+# heads, SP, TP), over the GEMM kernel's inner loops (output width
+# and operand bits, assembly against the Go loops) and over the KV
+# cache's calls (against a map-of-slices model): each target runs
 # FUZZTIME. Minimizing each new interesting input is capped at 100
 # executions: with go's default 60 s minimization budget, FuzzMatMulKernel
 # spent most of a 2 s pass minimizing and fuzzed at 0 execs/s by the end.
 # The seeded corpora live in the testdata/fuzz directories of
-# internal/scenario, internal/parallel and internal/tensor and also run
+# internal/scenario, internal/parallel, internal/tensor and
+# internal/kvcache and also run
 # as plain tests under `go test`.
 fuzz:
 	$(GO) test -run xxx -fuzz '^FuzzParseValue$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/scenario
 	$(GO) test -run xxx -fuzz '^FuzzScenarioParse$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/scenario
 	$(GO) test -run xxx -fuzz '^FuzzLayout$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/parallel
 	$(GO) test -run xxx -fuzz '^FuzzMatMulKernel$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/tensor
+	$(GO) test -run xxx -fuzz '^FuzzCache$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/kvcache
 
 # The ci-speed fuzz pass: long enough to exercise the mutators past the
 # seed corpus, short enough not to dominate the gate.

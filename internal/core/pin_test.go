@@ -68,14 +68,15 @@ func TestFunctionalShiftOutputsPinned(t *testing.T) {
 // TestPrefillStepAllocationsPinned warms a Shift engine with the
 // functional-shift unit's prefill, then pins the heap allocations of
 // one more 8x32-token prefill step on the base config, of sequences the
-// caches have not seen. Besides the forward's own (as in the steady
-// step's 14), each of the 8 ranks creates each new sequence's cache
-// entry (11 allocations) and reserves its K and V rows once per layer
-// before the row loop (8): 8 x 8 x 19 = 1,216. Appending the rows one by
-// one without reserving regrew every row list six times on the way to
-// 32 rows, and the same step allocated 3,790.
+// caches have not seen: 14 + 8 ranks x 8 sequences x 3. The 14 are the
+// forward's own, as in the steady step. Each rank then creates each new
+// sequence's cache entry, its per-(layer, head) row counts and its one
+// slab, which the first Reserve sizes for all 32 rows of every (layer,
+// head). With one K and one V slice per (layer, head), each reserved
+// per layer, the same step allocated 1,230; appending the rows one by
+// one without reserving, 3,790.
 func TestPrefillStepAllocationsPinned(t *testing.T) {
-	const seqs, prompt, want = 8, 32, 1230
+	const seqs, prompt, want = 8, 32, 14 + 8*8*3
 	s, batch := pinnedUnit(t, seqs, prompt)
 	s.Forward(batch)
 	next := seqs
@@ -116,9 +117,10 @@ func pinnedUnit(t *testing.T, seqs, prompt int) (*Shift, []transformer.Chunk) {
 }
 
 // TestSteadyStepAllocationsPinned warms a Shift engine with the
-// functional-shift unit's prefill (which grows the base engine's
-// workspaces) and one decode step (the shift engine's, and the KV
-// caches' growth past the prompt), then pins the heap allocations of
+// functional-shift unit's prefill (which grows the per-rank workspaces
+// both configurations share to the prefill's shapes) and one decode
+// step (the KV slabs' growth past the prompt, and the shift engine's
+// first forward), then pins the heap allocations of
 // one more decode step on the shift config and of one on the base
 // config. The steps measured stay clear of the next KV growth (at 65
 // cached tokens), so what they allocate is the forward's own: the
@@ -145,5 +147,50 @@ func TestSteadyStepAllocationsPinned(t *testing.T) {
 	}
 	if lens := s.Caches()[0].Len(0); lens != prompt+5 {
 		t.Fatalf("cache holds %d tokens after the steps, want %d", lens, prompt+5)
+	}
+}
+
+// TestShiftUnitAllocationsPinned pins the heap allocations of a fresh
+// Shift engine serving the whole functional-shift unit, as the bench
+// serves it: the 8x32-token prefill on the base config, then 32
+// one-token decode steps per sequence on the shift config, each fed the
+// sequences' last output rows. That is 33 forwards x 14 (each
+// forward's own, as in the steady step), 8 ranks x 8 sequences x 4 (the
+// prefill's entry, row counts and slab, and the slab's one doubling, at
+// the 33rd token), 32 steps x 8 next tokens x 2 (nextToken's matrix
+// and its data), and 207 first allocations of what every later unit
+// reuses: the shared per-rank workspaces, each engine's flattened
+// batch, the collectives' buffers and the caches' maps. With a
+// workspace set per engine, a K and a V slice per (layer, head) and
+// all-to-all send buffers grown row by row, the unit allocated 3,277.
+func TestShiftUnitAllocationsPinned(t *testing.T) {
+	const seqs, prompt, decode = 8, 32, 32
+	const want = 33*14 + 8*8*4 + 32*8*2 + 207
+	// AllocsPerRun serves one unmeasured unit before the measured one,
+	// each on a fresh engine.
+	type unit struct {
+		s     *Shift
+		batch []transformer.Chunk
+	}
+	var units []unit
+	for range 2 {
+		s, batch := pinnedUnit(t, seqs, prompt)
+		units = append(units, unit{s, batch})
+	}
+	serve := func() {
+		s, batch := units[0].s, units[0].batch
+		units = units[1:]
+		out := s.Forward(batch)
+		rows := prompt
+		for step := 0; step < decode; step++ {
+			for i := range batch {
+				batch[i] = transformer.Chunk{Seq: i, X: nextToken(out, (i+1)*rows-1)}
+			}
+			rows = 1
+			out = s.Forward(batch)
+		}
+	}
+	if got := testing.AllocsPerRun(1, serve); got != want {
+		t.Errorf("a fresh engine serving the functional-shift unit allocated %v objects, want %d", got, want)
 	}
 }

@@ -25,9 +25,8 @@ type Shift struct {
 	// configuration runs; at or below it the shift (full TP) runs.
 	Threshold int
 
-	base   *parallel.Engine
-	shift  *parallel.Engine
-	caches []*kvcache.Cache
+	base  *parallel.Engine
+	shift *parallel.Engine
 
 	// Iteration log for observability/tests.
 	baseIters, shiftIters int
@@ -41,11 +40,9 @@ type Options struct {
 
 // New builds a Shift engine for the base configuration lay. The shift
 // configuration is always (SP=1, TP=lay.World()) over the same Figure-6
-// head mapping, sharing lay's KV caches.
+// head mapping, sharing lay's KV caches and the per-rank workspaces
+// (parallel.NewPair).
 func New(w *transformer.Weights, lay parallel.Layout, opts Options) (*Shift, error) {
-	if err := lay.Validate(); err != nil {
-		return nil, err
-	}
 	threshold := opts.Threshold
 	if threshold == 0 {
 		threshold = perf.DefaultShiftThreshold
@@ -53,25 +50,19 @@ func New(w *transformer.Weights, lay parallel.Layout, opts Options) (*Shift, err
 	if threshold < 0 {
 		return nil, fmt.Errorf("core: negative Options.Threshold %d", threshold)
 	}
-	caches := parallel.NewCaches(lay)
-	base, err := parallel.NewEngine(w, lay, parallel.ModeSP, caches)
+	base, shiftEng, err := parallel.NewPair(w, lay)
 	if err != nil {
-		return nil, fmt.Errorf("core: base engine: %w", err)
-	}
-	shiftEng, err := parallel.NewEngine(w, lay, parallel.ModeTP, caches)
-	if err != nil {
-		return nil, fmt.Errorf("core: shift engine: %w", err)
+		return nil, fmt.Errorf("core: %w", err)
 	}
 	return &Shift{
 		Threshold: threshold,
 		base:      base,
 		shift:     shiftEng,
-		caches:    caches,
 	}, nil
 }
 
 // Caches returns the shared per-rank KV caches.
-func (s *Shift) Caches() []*kvcache.Cache { return s.caches }
+func (s *Shift) Caches() []*kvcache.Cache { return s.base.Caches }
 
 // ChooseMode applies Algorithm 2's predicate (perf.UsesShift): base
 // (SP, TP) for batches above the threshold, shift (full TP) otherwise.

@@ -6,11 +6,17 @@
 // cache data. Tests compare Cache fingerprints across configurations to
 // prove the invariance. The serving simulator's paged block accounting
 // is internal/serve's own and does not import this package.
+//
+// Each cached sequence owns one slab per rank, as a PagedAttention
+// sequence owns its blocks: every (layer, head) K and V row of the
+// sequence lives in it, so a new sequence costs one slab and a growth
+// moves the whole sequence once, not once per (layer, head).
 package kvcache
 
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/tensor"
@@ -25,10 +31,15 @@ type Cache struct {
 	seqs    map[int]*seqKV
 }
 
+// seqKV is one sequence's rows on one rank. The slab is laid out
+// [layer][head][k|v][cap][HeadDim]: (layer, head) = i, at i = layer*Heads
+// + head, holds its K rows in region 2i and its V rows in region 2i+1,
+// each region cap rows long; n[i] of them are cached. Every region has
+// the same capacity, so one growth serves every (layer, head).
 type seqKV struct {
-	// k[layer][head] holds token rows flattened back-to-back, each row of
-	// length HeadDim.
-	k, v [][][]float64
+	slab []float64
+	cap  int
+	n    []int
 }
 
 // NewCache returns an empty cache for a rank owning the given number of
@@ -46,32 +57,30 @@ func NewCache(layers, heads, headDim int) *Cache {
 func (c *Cache) seq(id int) *seqKV {
 	s, ok := c.seqs[id]
 	if !ok {
-		s = &seqKV{
-			k: makeLayerHeads(c.Layers, c.Heads),
-			v: makeLayerHeads(c.Layers, c.Heads),
-		}
+		s = &seqKV{n: make([]int, c.Layers*c.Heads)}
 		c.seqs[id] = s
 	}
 	return s
 }
 
-func makeLayerHeads(layers, heads int) [][][]float64 {
-	out := make([][][]float64, layers)
-	for l := range out {
-		out[l] = make([][]float64, heads)
-	}
-	return out
-}
+// region returns the offset, in a slab of capacity rows per region, of
+// (layer, head) i's K rows (kv 0) or V rows (kv 1).
+func (c *Cache) region(i, kv, rows int) int { return (2*i + kv) * rows * c.HeadDim }
 
 // rows returns the flattened key and value rows cached for (seq,
-// layer, head), nil for a sequence the cache does not hold.
+// layer, head), nil for a sequence the cache does not hold. Both are
+// capped at their length, so an append through them cannot reach the
+// rows that follow in the slab.
 func (c *Cache) rows(seqID, layer, head int) (k, v []float64) {
 	c.checkIndex(layer, head)
 	s, ok := c.seqs[seqID]
 	if !ok {
 		return nil, nil
 	}
-	return s.k[layer][head], s.v[layer][head]
+	i := layer*c.Heads + head
+	n := s.n[i] * c.HeadDim
+	k0, v0 := c.region(i, 0, s.cap), c.region(i, 1, s.cap)
+	return s.slab[k0 : k0+n : k0+n], s.slab[v0 : v0+n : v0+n]
 }
 
 // Append adds one token's key and value rows for (layer, local head).
@@ -82,31 +91,41 @@ func (c *Cache) Append(seqID, layer, head int, kRow, vRow []float64) {
 		panic(fmt.Sprintf("kvcache: row dim %d/%d, want %d", len(kRow), len(vRow), c.HeadDim))
 	}
 	s := c.seq(seqID)
-	s.k[layer][head] = append(s.k[layer][head], kRow...)
-	s.v[layer][head] = append(s.v[layer][head], vRow...)
+	i := layer*c.Heads + head
+	c.grow(s, s.n[i]+1)
+	at := s.n[i] * c.HeadDim
+	copy(s.slab[c.region(i, 0, s.cap)+at:], kRow)
+	copy(s.slab[c.region(i, 1, s.cap)+at:], vRow)
+	s.n[i]++
 }
 
 // Reserve makes room for n more token rows of (seq, layer, local head),
 // creating the sequence as Append does, so the next n Appends there do
-// not regrow its storage.
+// not regrow its storage. The room is the slab's: every (layer, head)
+// of the sequence can then hold as many rows as this one holds plus n.
 func (c *Cache) Reserve(seqID, layer, head, n int) {
 	c.checkIndex(layer, head)
 	s := c.seq(seqID)
-	s.k[layer][head] = reserve(s.k[layer][head], n*c.HeadDim)
-	s.v[layer][head] = reserve(s.v[layer][head], n*c.HeadDim)
+	c.grow(s, s.n[layer*c.Heads+head]+n)
 }
 
-// reserve returns flat with room for n more floats. When it must move
-// the rows it at least doubles their capacity, so one-row reservations
-// (decode steps) stay amortized, and it allocates once: slices.Grow
-// allocates a second time under the race detector.
-func reserve(flat []float64, n int) []float64 {
-	if len(flat)+n <= cap(flat) {
-		return flat
+// grow gives s's slab room for need rows in every region. When it must
+// move the rows it at least doubles the capacity, so one-row growths
+// (decode steps) stay amortized, and it allocates once. Views taken
+// before a move keep the old slab, whose rows nothing writes again.
+func (c *Cache) grow(s *seqKV, need int) {
+	if need <= s.cap {
+		return
 	}
-	grown := make([]float64, len(flat), max(len(flat)+n, 2*cap(flat)))
-	copy(grown, flat)
-	return grown
+	old, oldCap := s.slab, s.cap
+	s.cap = max(need, 2*oldCap)
+	s.slab = make([]float64, 2*len(s.n)*s.cap*c.HeadDim)
+	for i, n := range s.n {
+		for kv := 0; kv < 2; kv++ {
+			from := c.region(i, kv, oldCap)
+			copy(s.slab[c.region(i, kv, s.cap):], old[from:from+n*c.HeadDim])
+		}
+	}
 }
 
 func (c *Cache) checkIndex(layer, head int) {
@@ -122,15 +141,7 @@ func (c *Cache) Len(seqID int) int {
 	if !ok {
 		return 0
 	}
-	max := 0
-	for l := range s.k {
-		for h := range s.k[l] {
-			if n := len(s.k[l][h]); n > max {
-				max = n
-			}
-		}
-	}
-	return max / c.HeadDim
+	return slices.Max(s.n)
 }
 
 // K returns the cached keys for (seq, layer, head) as an n x HeadDim
@@ -205,18 +216,20 @@ func (c *Cache) Drop(seqID int) { delete(c.seqs, seqID) }
 func (c *Cache) Fingerprint() float64 {
 	h := 0.0
 	mix := func(x float64) {
-		// Order-sensitive mixing so permuted layouts differ.
-		h = h*1.000000119 + x*math.Cos(h*1e-3+1)
+		// Order-sensitive mixing so permuted layouts differ. Each
+		// product is rounded on its own (float64(...)), so no target
+		// fuses it into the sum that follows.
+		h = float64(h*1.000000119) + float64(x*math.Cos(float64(h*1e-3)+1))
 	}
 	for _, id := range c.Sequences() {
-		k, v := c.seqs[id].k, c.seqs[id].v
 		mix(float64(id))
 		for l := 0; l < c.Layers; l++ {
 			for hh := 0; hh < c.Heads; hh++ {
-				for _, x := range k[l][hh] {
+				k, v := c.rows(id, l, hh)
+				for _, x := range k {
 					mix(x)
 				}
-				for _, x := range v[l][hh] {
+				for _, x := range v {
 					mix(x)
 				}
 			}

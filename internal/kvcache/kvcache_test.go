@@ -228,25 +228,42 @@ func TestCacheViewsIntoFillsHeaders(t *testing.T) {
 	}
 }
 
-// Reserve creates the sequence as Append does, caches no rows, and
-// leaves room for the rows it reserved: appending them moves no storage
-// and caches exactly what an Append-only cache holds.
+// Reserve on one (layer, head) creates the sequence as Append does,
+// caches no rows, and makes room in the sequence's slab for every
+// (layer, head): appending the reserved count of rows to each of them
+// allocates nothing and caches exactly what an Append-only cache holds.
 func TestCacheReserveThenAppend(t *testing.T) {
-	c, plain := NewCache(2, 2, 3), NewCache(2, 2, 3)
-	c.Reserve(4, 1, 0, 3)
+	const layers, heads, dim, n = 2, 2, 3, 4
+	c, plain := NewCache(layers, heads, dim), NewCache(layers, heads, dim)
+	c.Reserve(4, 1, 0, n)
 	if seqs := c.Sequences(); len(seqs) != 1 || seqs[0] != 4 || c.Len(4) != 0 {
 		t.Fatalf("after Reserve: sequences %v, %d rows; want [4], 0", seqs, c.Len(4))
 	}
-	k, v := c.seqs[4].k[1][0], c.seqs[4].v[1][0]
-	if cap(k) < 9 || cap(v) < 9 {
-		t.Fatalf("reserved capacity %d/%d floats, want at least 9", cap(k), cap(v))
+	// kv[(tok*layers+l)*heads+h] holds token tok's key and value rows
+	// for (l, h), built before anything is measured.
+	kv := make([][2][]float64, n*layers*heads)
+	for i := range kv {
+		kv[i] = [2][]float64{row(dim, float64(i)), row(dim, -float64(i))}
 	}
-	for i := 0; i < 3; i++ {
-		c.Append(4, 1, 0, row(3, float64(i)), row(3, float64(-i)))
-		plain.Append(4, 1, 0, row(3, float64(i)), row(3, float64(-i)))
+	appendToken := func(c *Cache, tok int) {
+		for l := 0; l < layers; l++ {
+			for h := 0; h < heads; h++ {
+				r := kv[(tok*layers+l)*heads+h]
+				c.Append(4, l, h, r[0], r[1])
+			}
+		}
 	}
-	if &c.seqs[4].k[1][0][0] != &k[:1][0] || &c.seqs[4].v[1][0][0] != &v[:1][0] {
-		t.Fatal("appending the reserved rows moved the storage")
+	tok := 0
+	// AllocsPerRun runs the function once more than it measures: n
+	// tokens in all.
+	if got := testing.AllocsPerRun(n-1, func() { appendToken(c, tok); tok++ }); got != 0 {
+		t.Fatalf("appending the reserved rows allocated %v objects, want 0", got)
+	}
+	for tok := range n {
+		appendToken(plain, tok)
+	}
+	if c.Len(4) != n {
+		t.Fatalf("cached %d rows, want %d", c.Len(4), n)
 	}
 	if !Equal(c, plain, 0) || c.Fingerprint() != plain.Fingerprint() {
 		t.Fatal("reserved rows cache differently from appended ones")

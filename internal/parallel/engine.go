@@ -36,16 +36,17 @@ func (m Mode) String() string {
 
 // Engine executes distributed forwards for one parallel configuration.
 // Engines may share Caches (that is exactly what Shift Parallelism does:
-// the base and shift engines of internal/core are two Engines over the
-// same cache slice).
+// the base and shift engines of internal/core are the two Engines of one
+// NewPair, over the same cache slice and the same workspaces).
 //
-// A forward allocates only what outlives it: its output matrix, the KV
-// rows it appends to the caches, and the goroutines and closures of its
-// rank group. Each rank computes out of its own workspace, which grows
-// on its first forward and is reused across layers and forwards. Forward
-// is not safe to call concurrently with itself, or with the Forward of
-// an engine sharing its caches: it appends to the shared caches and
-// rewrites the engine's workspaces.
+// A forward allocates only what outlives it: its output matrix, the
+// KV slabs of new sequences and their growth (kvcache.Cache), and the
+// goroutines and closures of its rank group. Each rank computes out of
+// its workspace, which grows on the first forward that needs it larger
+// and is reused across layers, forwards and, within a pair, both
+// configurations. Forward is not safe to call concurrently with itself,
+// or with the Forward of an engine sharing its caches: it appends to
+// the shared caches and rewrites the workspaces.
 type Engine struct {
 	W      *transformer.Weights
 	Lay    Layout
@@ -57,7 +58,7 @@ type Engine struct {
 	tpGroups []*comm.Group // indexed by s; communicator of TP group {(s,t): t}
 
 	ranks []rankPlan  // by global rank: its fixed share of the weights and heads
-	ws    []workspace // by global rank: its scratch, written only by that rank
+	ws    []workspace // by global rank: its scratch, written only by that rank; shared within a NewPair
 
 	// The batch of the running forward, flattened once for every rank:
 	// its activations, each chunk's row span in them, and each chunk's
@@ -115,9 +116,25 @@ func NewCaches(lay Layout) []*kvcache.Cache {
 	return caches
 }
 
+// NewPair builds the two engines of a Shift Parallelism deployment of
+// the base layout lay over one fresh set of caches (NewCaches): base
+// runs ModeSP on lay, shift runs ModeTP over the same ranks. Besides
+// the caches the two share one workspace per rank, since engines over
+// one set of caches never run at once: a rank's scratch is grown by
+// whichever configuration needs it larger and reused by both.
+func NewPair(w *transformer.Weights, lay Layout) (base, shift *Engine, err error) {
+	if err := lay.Validate(); err != nil {
+		return nil, nil, err
+	}
+	if base, err = NewEngine(w, lay, ModeSP, NewCaches(lay)); err != nil {
+		return nil, nil, err
+	}
+	return base, newEngine(w, lay, ModeTP, base.Caches, base.ws), nil
+}
+
 // NewEngine builds an engine over the given weights, layout, and caches.
 // Passing caches from another engine of the same Layout shares the KV
-// cache between them.
+// cache between them; NewPair also shares their workspaces.
 func NewEngine(w *transformer.Weights, lay Layout, mode Mode, caches []*kvcache.Cache) (*Engine, error) {
 	if err := lay.Validate(); err != nil {
 		return nil, err
@@ -138,9 +155,15 @@ func NewEngine(w *transformer.Weights, lay Layout, mode Mode, caches []*kvcache.
 			}
 		}
 	}
+	return newEngine(w, lay, mode, caches, make([]workspace, lay.World())), nil
+}
+
+// newEngine builds an engine over arguments NewEngine has checked,
+// computing out of the per-rank workspaces ws.
+func newEngine(w *transformer.Weights, lay Layout, mode Mode, caches []*kvcache.Cache, ws []workspace) *Engine {
 	e := &Engine{
 		W: w, Lay: lay, Mode: mode, Caches: caches, world: comm.NewGroup(lay.World()),
-		ranks: make([]rankPlan, lay.World()), ws: make([]workspace, lay.World()),
+		ranks: make([]rankPlan, lay.World()), ws: ws,
 	}
 	panels := make(map[[4]int][]*tensor.Matrix)
 	for g := range e.ranks {
@@ -156,7 +179,7 @@ func NewEngine(w *transformer.Weights, lay Layout, mode Mode, caches []*kvcache.
 			e.tpGroups[s] = comm.NewGroup(lay.TP)
 		}
 	}
-	return e, nil
+	return e
 }
 
 // newRankPlan derives global rank g's share of a mode's forward. It
@@ -376,7 +399,8 @@ func (e *Engine) spRank(gRank int, batch []transformer.Chunk) *tensor.Matrix {
 // all-to-all carries to that peer: for each of this rank's rows, the
 // peer's q heads, then its k heads, then its v heads, cut from this TP
 // shard's [q|k|v] projection (p is this rank's plan, t its shard). Each
-// head range is one column range of qkv.
+// head range is one column range of qkv. A buffer is resized to its
+// exact length before it is filled, so it grows at most once per shape.
 func (e *Engine) packQKV(send [][]float64, p *rankPlan, t int, qkv *tensor.Matrix) {
 	dh := e.Lay.Cfg.HeadDim()
 	kOff, vOff := p.qHi-p.qLo, p.qHi-p.qLo+p.kvHi-p.kvLo
@@ -384,12 +408,18 @@ func (e *Engine) packQKV(send [][]float64, p *rankPlan, t int, qkv *tensor.Matri
 		dst := &e.ranks[e.Lay.RankOf(ds, t)]
 		qOff, qW := dst.q.Lo*dh-p.qLo, dst.q.Len()*dh
 		kvOff, kvW := dst.kv.Lo*dh-p.kvLo, dst.kv.Len()*dh
-		buf := send[ds][:0]
+		rowW := qW + 2*kvW
+		buf := send[ds]
+		if size := qkv.Rows * rowW; cap(buf) < size {
+			buf = make([]float64, size)
+		} else {
+			buf = buf[:size]
+		}
 		for r := 0; r < qkv.Rows; r++ {
-			row := qkv.Row(r)
-			buf = append(buf, row[qOff:qOff+qW]...)
-			buf = append(buf, row[kOff+kvOff:kOff+kvOff+kvW]...)
-			buf = append(buf, row[vOff+kvOff:vOff+kvOff+kvW]...)
+			row, out := qkv.Row(r), buf[r*rowW:(r+1)*rowW]
+			copy(out, row[qOff:qOff+qW])
+			copy(out[qW:], row[kOff+kvOff:kOff+kvOff+kvW])
+			copy(out[qW+kvW:], row[vOff+kvOff:vOff+kvOff+kvW])
 		}
 		send[ds] = buf
 	}

@@ -211,9 +211,10 @@ func TestMidRequestShiftLossless(t *testing.T) {
 	rng := tensor.NewRNG(900)
 	prompt := rng.RandMatrix(9, cfg.Hidden, 1)
 
-	caches := NewCaches(lay)
-	base := newEngineT(t, w, lay, ModeSP, caches)
-	shift := newEngineT(t, w, lay, ModeTP, caches)
+	base, shift, err := NewPair(w, lay)
+	if err != nil {
+		t.Fatal(err)
+	}
 	ref := transformer.NewReference(w)
 
 	refOut := ref.Forward([]transformer.Chunk{{Seq: 0, X: prompt}})
@@ -229,6 +230,46 @@ func TestMidRequestShiftLossless(t *testing.T) {
 		engOut := eng.Forward([]transformer.Chunk{{Seq: 0, X: tok.Clone()}})
 		if !tensor.Equal(engOut, refOut, tol) {
 			t.Fatalf("step %d on %v engine diverged: %g", step, eng.Mode, tensor.MaxAbsDiff(engOut, refOut))
+		}
+	}
+}
+
+// NewPair's engines share the caches and each rank's workspace, and
+// computing out of one workspace changes no bit: a pair and two engines
+// with workspaces of their own, over caches of their own, give the same
+// outputs and caches through prefills and decode steps of changing
+// shapes, alternating between the configurations.
+func TestPairSharesWorkspacesBitExactly(t *testing.T) {
+	cfg := cfg8()
+	w := transformer.NewWeights(cfg, 24)
+	lay := Layout{Cfg: cfg, SP: 2, TP: 2}
+	base, shift, err := NewPair(w, lay)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if base.Mode != ModeSP || shift.Mode != ModeTP || &base.Caches[0] != &shift.Caches[0] || &base.ws[0] != &shift.ws[0] {
+		t.Fatal("NewPair's engines are not a base and a shift engine over one set of caches and workspaces")
+	}
+	caches := NewCaches(lay)
+	own := map[*Engine]*Engine{
+		base:  newEngineT(t, w, lay, ModeSP, caches),
+		shift: newEngineT(t, w, lay, ModeTP, caches),
+	}
+	rng := tensor.NewRNG(2400)
+	steps := []struct {
+		eng    *Engine
+		tokens []int
+	}{{base, []int{7, 3}}, {shift, []int{1, 1}}, {base, []int{1, 1}}, {shift, []int{5, 1, 9}}, {base, []int{2, 1, 1}}}
+	for i, st := range steps {
+		batch := randBatch(rng, cfg.Hidden, st.tokens...)
+		got, want := st.eng.Forward(cloneBatch(batch)), own[st.eng].Forward(batch)
+		if !tensor.Equal(got, want, 0) {
+			t.Fatalf("step %d on %v: pair output differs by %g", i, st.eng.Mode, tensor.MaxAbsDiff(got, want))
+		}
+	}
+	for g := range caches {
+		if !kvcache.Equal(base.Caches[g], caches[g], 0) {
+			t.Fatalf("rank %d: pair cache differs", g)
 		}
 	}
 }
@@ -334,9 +375,15 @@ func TestNewEngineRejectsMismatches(t *testing.T) {
 	if _, err := NewEngine(other, lay, ModeSP, NewCaches(lay)); err == nil {
 		t.Fatal("expected error for config mismatch")
 	}
+	if _, _, err := NewPair(other, lay); err == nil {
+		t.Fatal("expected a NewPair error for config mismatch")
+	}
 	badLay := Layout{Cfg: cfg, SP: 3, TP: 1}
 	if _, err := NewEngine(w, badLay, ModeSP, nil); err == nil {
 		t.Fatal("expected error for invalid layout")
+	}
+	if _, _, err := NewPair(w, badLay); err == nil {
+		t.Fatal("expected a NewPair error for invalid layout")
 	}
 	wrongCaches := NewCaches(Layout{Cfg: cfg, SP: 1, TP: 2})
 	if _, err := NewEngine(w, lay, ModeSP, wrongCaches); err == nil {

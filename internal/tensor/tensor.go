@@ -46,7 +46,6 @@ package tensor
 import (
 	"fmt"
 	"math"
-	"slices"
 )
 
 // Matrix is a dense row-major float64 matrix.
@@ -94,16 +93,17 @@ func (m *Matrix) Row(i int) []float64 {
 func (m *Matrix) Clone() *Matrix { return CopyInto(New(m.Rows, m.Cols), m) }
 
 // Resize makes m a zeroed rows x cols matrix and returns m. It reuses
-// m.Data when its capacity suffices and otherwise grows it as append
-// does, so a destination that grows a little per call (a score matrix
-// over a lengthening context) reallocates only now and then.
+// m.Data when its capacity suffices and otherwise at least doubles it,
+// so a destination that grows a little per call (a score matrix over a
+// lengthening context) reallocates only now and then. A growth is one
+// allocation, under the race detector too (slices.Grow makes two there).
 func (m *Matrix) Resize(rows, cols int) *Matrix {
 	if rows < 0 || cols < 0 {
 		panic(fmt.Sprintf("tensor: negative dimensions %dx%d", rows, cols))
 	}
 	n := rows * cols
 	if cap(m.Data) < n {
-		m.Data = slices.Grow(m.Data[:0], n)
+		m.Data = make([]float64, n, max(n, 2*cap(m.Data)))
 	}
 	m.Data = m.Data[:n]
 	clear(m.Data)

@@ -672,6 +672,15 @@ func TestResizeReusesStorage(t *testing.T) {
 	if m.Resize(5, 5); len(m.Data) != 25 || cap(m.Data) < 25 {
 		t.Fatalf("Resize past capacity: len %d cap %d", len(m.Data), cap(m.Data))
 	}
+	// A growth past capacity is one allocation, under the race detector
+	// too, and at least doubles the capacity.
+	before := 0
+	if got := testing.AllocsPerRun(1, func() {
+		before = cap(m.Data)
+		m.Resize(1, before+1)
+	}); got != 1 || cap(m.Data) < 2*before {
+		t.Fatalf("a growth from cap %d allocated %v objects to cap %d, want 1 and at least double", before, got, cap(m.Data))
+	}
 	defer expectPanic(t, "negative resize")
 	m.Resize(-1, 2)
 }

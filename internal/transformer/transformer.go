@@ -236,13 +236,14 @@ func AttendInto(out *tensor.Matrix, row, col int, scores, q, k, v *tensor.Matrix
 }
 
 // dot is the dot product of a and b, added from zero in ascending index
-// over the nonzero entries of a.
+// over the nonzero entries of a. Each product is rounded before it is
+// added (float64(...)), so no target fuses the two into one FMA.
 func dot(a, b []float64) float64 {
 	b = b[:len(a)]
 	s := 0.0
 	for i, av := range a {
 		if av != 0 {
-			s += av * b[i]
+			s += float64(av * b[i])
 		}
 	}
 	return s
